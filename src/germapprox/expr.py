@@ -10,6 +10,14 @@ The module provides exact forward-mode gradients (vectorized over point
 batches), symbolic partial derivatives (used to build Jacobian minors as
 expressions), and degree-capped Taylor expansion at the origin via the
 series engine in :mod:`germapprox.series`.
+
+Everything known about a primitive (its float and numpy functions, its
+numeric and symbolic derivatives, its Taylor coefficients and its domain
+floor) is one row of ``series.PRIMITIVE_TABLE``; adding a primitive means
+adding a row there, and tests/test_expr.py's per-primitive consistency test
+checks the new row once it has a reference entry. Value at the origin,
+batch values, value+gradient and Taylor series are one walker, ``_fold``,
+run over different leaf values.
 """
 from __future__ import annotations
 
@@ -20,13 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import (
+    PRIMITIVE_TABLE,
     Poly,
     TruncatedSeries,
     poly_from_series,
     series_compose_primitive,
 )
 
-PRIM_NAMES = ("exp", "sin", "cos", "sinh", "cosh", "log1p", "sqrt1p", "atan")
+PRIM_NAMES = tuple(PRIMITIVE_TABLE)
 
 DEFAULT_NAMES = ("x", "y", "z", "w")
 
@@ -170,43 +179,65 @@ class Prim(Expr):
     arg: Expr
 
     def __post_init__(self):
-        if self.name not in PRIM_NAMES:
+        row = PRIMITIVE_TABLE.get(self.name)
+        if row is None:
             raise ExprError(f"unknown primitive {self.name!r}")
-        if self.name in ("log1p", "sqrt1p") and const_term(self.arg) <= -1.0:
+        if row.floor is not None and const_term(self.arg) <= row.floor:
             raise NonAnalyticError(
-                f"{self.name} needs an argument with value > -1 at the origin")
+                f"{self.name} needs an argument with value > {row.floor:g} "
+                "at the origin")
 
 
 # ---------------------------------------------------------------------------
 # structural helpers
 
 
-def const_term(e: Expr) -> float:
-    """Value at the origin, computed exactly through the tree."""
+def _fold(e: Expr, var, const, prim):
+    """Evaluate ``e`` bottom-up over any values that support + - * / unary -
+    and ** int. The leaves come from ``var(index)`` and ``const(value)``;
+    ``prim(row, value)`` applies a primitive given its table row.
+
+    Plain recursion on purpose: a self-referencing inner closure would form
+    a reference cycle that keeps the leaves (and the batches they capture)
+    alive until the cyclic garbage collector runs.
+    """
     if isinstance(e, Var):
-        return 0.0
+        return var(e.index)
     if isinstance(e, Const):
-        return e.value
+        return const(e.value)
     if isinstance(e, Add):
-        return const_term(e.left) + const_term(e.right)
+        return (_fold(e.left, var, const, prim)
+                + _fold(e.right, var, const, prim))
     if isinstance(e, Sub):
-        return const_term(e.left) - const_term(e.right)
+        return (_fold(e.left, var, const, prim)
+                - _fold(e.right, var, const, prim))
     if isinstance(e, Mul):
-        return const_term(e.left) * const_term(e.right)
+        return (_fold(e.left, var, const, prim)
+                * _fold(e.right, var, const, prim))
     if isinstance(e, Div):
-        return const_term(e.left) / const_term(e.right)
+        return (_fold(e.left, var, const, prim)
+                / _fold(e.right, var, const, prim))
     if isinstance(e, Neg):
-        return -const_term(e.arg)
+        return -_fold(e.arg, var, const, prim)
     if isinstance(e, IntPow):
-        return const_term(e.base) ** e.exponent
+        return _fold(e.base, var, const, prim) ** e.exponent
     if isinstance(e, Prim):
-        c = const_term(e.arg)
-        return {
-            "exp": math.exp, "sin": math.sin, "cos": math.cos,
-            "sinh": math.sinh, "cosh": math.cosh, "log1p": math.log1p,
-            "sqrt1p": lambda t: math.sqrt(1.0 + t), "atan": math.atan,
-        }[e.name](c)
+        return prim(PRIMITIVE_TABLE[e.name], _fold(e.arg, var, const, prim))
     raise ExprError(f"unknown node {type(e).__name__}")
+
+
+def const_term(e: Expr) -> float:
+    """Value at the origin, computed exactly through the tree.
+
+    A value that overflows a float (say exp(exp(2)^4)) is not usable as an
+    analytic germ at 0 here, so it raises NonAnalyticError.
+    """
+    try:
+        return _fold(e, lambda index: 0.0, lambda value: value,
+                     lambda row, c: row.scalar(c))
+    except OverflowError:
+        raise NonAnalyticError(
+            "value at the origin overflows a float") from None
 
 
 def max_index(e: Expr) -> int:
@@ -335,10 +366,6 @@ def mk_int_pow(base: Expr, exponent: int) -> Expr:
     if cb is not None:
         return Const(cb ** exponent)
     return IntPow(base, exponent)
-
-
-def mk_prim(name: str, arg: Expr) -> Expr:
-    return Prim(name, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -578,113 +605,66 @@ def eval_many(e: Expr, X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     with np.errstate(all="ignore"):
-        return _ev(e, X)
+        return _fold(e, lambda index: X[..., index],
+                     lambda value: np.full(X.shape[:-1], value),
+                     lambda row, v: row.vector(v))
 
 
-def _ev(e: Expr, X: np.ndarray) -> np.ndarray:
-    if isinstance(e, Var):
-        return X[..., e.index]
-    if isinstance(e, Const):
-        return np.full(X.shape[:-1], e.value)
-    if isinstance(e, Add):
-        return _ev(e.left, X) + _ev(e.right, X)
-    if isinstance(e, Sub):
-        return _ev(e.left, X) - _ev(e.right, X)
-    if isinstance(e, Mul):
-        return _ev(e.left, X) * _ev(e.right, X)
-    if isinstance(e, Div):
-        return _ev(e.left, X) / _ev(e.right, X)
-    if isinstance(e, Neg):
-        return -_ev(e.arg, X)
-    if isinstance(e, IntPow):
-        return _ev(e.base, X) ** e.exponent
-    if isinstance(e, Prim):
-        v = _ev(e.arg, X)
-        if e.name == "exp":
-            return np.exp(v)
-        if e.name == "sin":
-            return np.sin(v)
-        if e.name == "cos":
-            return np.cos(v)
-        if e.name == "sinh":
-            return np.sinh(v)
-        if e.name == "cosh":
-            return np.cosh(v)
-        if e.name == "log1p":
-            return np.where(v > -1.0, np.log1p(np.maximum(v, -1.0)), np.nan)
-        if e.name == "sqrt1p":
-            return np.sqrt(1.0 + v)
-        if e.name == "atan":
-            return np.arctan(v)
-    raise ExprError(f"unknown node {type(e).__name__}")
+class _Dual:
+    """A batch of values with their gradients, shapes (...,) and (..., n)."""
+
+    __slots__ = ("v", "g")
+
+    def __init__(self, v, g):
+        self.v = v
+        self.g = g
+
+    @staticmethod
+    def variable(X: np.ndarray, index: int) -> "_Dual":
+        g = np.zeros(X.shape)
+        g[..., index] = 1.0
+        return _Dual(X[..., index], g)
+
+    @staticmethod
+    def constant(X: np.ndarray, value: float) -> "_Dual":
+        return _Dual(np.full(X.shape[:-1], value), np.zeros(X.shape))
+
+    def __add__(self, other):
+        return _Dual(self.v + other.v, self.g + other.g)
+
+    def __sub__(self, other):
+        return _Dual(self.v - other.v, self.g - other.g)
+
+    def __mul__(self, other):
+        return _Dual(self.v * other.v,
+                     self.v[..., None] * other.g + other.v[..., None] * self.g)
+
+    def __truediv__(self, other):
+        val = self.v / other.v
+        return _Dual(val, self.g / other.v[..., None]
+                     - (val / other.v)[..., None] * other.g)
+
+    def __neg__(self):
+        return _Dual(-self.v, -self.g)
+
+    def __pow__(self, k):
+        if k == 0:
+            return _Dual(np.ones(self.v.shape), np.zeros(self.g.shape))
+        return _Dual(self.v ** k, (k * self.v ** (k - 1))[..., None] * self.g)
+
+    def apply(self, row):
+        val = row.vector(self.v)
+        return _Dual(val, row.derivative(self.v, val)[..., None] * self.g)
 
 
 def value_and_grad_many(e: Expr, X: np.ndarray):
     """Forward-mode value and gradient at a batch, (...,n) -> ((...), (...,n))."""
     X = np.asarray(X, dtype=float)
     with np.errstate(all="ignore"):
-        return _ev_dual(e, X)
-
-
-def _ev_dual(e: Expr, X: np.ndarray):
-    n = X.shape[-1]
-    if isinstance(e, Var):
-        g = np.zeros(X.shape)
-        g[..., e.index] = 1.0
-        return X[..., e.index], g
-    if isinstance(e, Const):
-        return np.full(X.shape[:-1], e.value), np.zeros(X.shape)
-    if isinstance(e, Add):
-        va, ga = _ev_dual(e.left, X)
-        vb, gb = _ev_dual(e.right, X)
-        return va + vb, ga + gb
-    if isinstance(e, Sub):
-        va, ga = _ev_dual(e.left, X)
-        vb, gb = _ev_dual(e.right, X)
-        return va - vb, ga - gb
-    if isinstance(e, Mul):
-        va, ga = _ev_dual(e.left, X)
-        vb, gb = _ev_dual(e.right, X)
-        return va * vb, va[..., None] * gb + vb[..., None] * ga
-    if isinstance(e, Div):
-        va, ga = _ev_dual(e.left, X)
-        vb, gb = _ev_dual(e.right, X)
-        val = va / vb
-        return val, ga / vb[..., None] - (val / vb)[..., None] * gb
-    if isinstance(e, Neg):
-        v, g = _ev_dual(e.arg, X)
-        return -v, -g
-    if isinstance(e, IntPow):
-        v, g = _ev_dual(e.base, X)
-        k = e.exponent
-        if k == 0:
-            return np.ones(X.shape[:-1]), np.zeros(X.shape)
-        return v ** k, (k * v ** (k - 1))[..., None] * g
-    if isinstance(e, Prim):
-        v, g = _ev_dual(e.arg, X)
-        if e.name == "exp":
-            val = np.exp(v)
-            der = val
-        elif e.name == "sin":
-            val, der = np.sin(v), np.cos(v)
-        elif e.name == "cos":
-            val, der = np.cos(v), -np.sin(v)
-        elif e.name == "sinh":
-            val, der = np.sinh(v), np.cosh(v)
-        elif e.name == "cosh":
-            val, der = np.cosh(v), np.sinh(v)
-        elif e.name == "log1p":
-            val = np.where(v > -1.0, np.log1p(np.maximum(v, -1.0)), np.nan)
-            der = 1.0 / (1.0 + v)
-        elif e.name == "sqrt1p":
-            val = np.sqrt(1.0 + v)
-            der = 0.5 / val
-        elif e.name == "atan":
-            val, der = np.arctan(v), 1.0 / (1.0 + v * v)
-        else:
-            raise ExprError(f"unknown primitive {e.name!r}")
-        return val, der[..., None] * g
-    raise ExprError(f"unknown node {type(e).__name__}")
+        out = _fold(e, lambda index: _Dual.variable(X, index),
+                    lambda value: _Dual.constant(X, value),
+                    lambda row, d: d.apply(row))
+    return out.v, out.g
 
 
 def eval_expr(e: Expr, x) -> float:
@@ -766,24 +746,7 @@ def diff(e: Expr, index: int) -> Expr:
             mk_mul(Const(float(e.exponent)), mk_int_pow(e.base, e.exponent - 1)),
             diff(e.base, index))
     if isinstance(e, Prim):
-        da = diff(e.arg, index)
-        if e.name == "exp":
-            outer = Prim("exp", e.arg)
-            return mk_mul(outer, da)
-        if e.name == "sin":
-            return mk_mul(Prim("cos", e.arg), da)
-        if e.name == "cos":
-            return mk_neg(mk_mul(Prim("sin", e.arg), da))
-        if e.name == "sinh":
-            return mk_mul(Prim("cosh", e.arg), da)
-        if e.name == "cosh":
-            return mk_mul(Prim("sinh", e.arg), da)
-        if e.name == "log1p":
-            return mk_div(da, mk_add(Const(1.0), e.arg))
-        if e.name == "sqrt1p":
-            return mk_div(da, mk_mul(Const(2.0), Prim("sqrt1p", e.arg)))
-        if e.name == "atan":
-            return mk_div(da, mk_add(Const(1.0), mk_int_pow(e.arg, 2)))
+        return PRIMITIVE_TABLE[e.name].diff(e.arg, diff(e.arg, index), Prim)
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
@@ -797,29 +760,9 @@ def taylor_series(e: Expr, cap: int, nvars: int) -> TruncatedSeries:
         raise ExprError("cap must be nonnegative")
     if nvars < max_index(e) + 1:
         raise ExprError("nvars smaller than the largest variable index used")
-    return _ts(e, cap, nvars)
-
-
-def _ts(e: Expr, cap: int, nvars: int) -> TruncatedSeries:
-    if isinstance(e, Var):
-        return TruncatedSeries.variable(e.index, nvars, cap)
-    if isinstance(e, Const):
-        return TruncatedSeries.constant(e.value, nvars, cap)
-    if isinstance(e, Add):
-        return _ts(e.left, cap, nvars).add(_ts(e.right, cap, nvars))
-    if isinstance(e, Sub):
-        return _ts(e.left, cap, nvars).sub(_ts(e.right, cap, nvars))
-    if isinstance(e, Mul):
-        return _ts(e.left, cap, nvars).mul(_ts(e.right, cap, nvars))
-    if isinstance(e, Div):
-        return _ts(e.left, cap, nvars).mul(_ts(e.right, cap, nvars).reciprocal())
-    if isinstance(e, Neg):
-        return _ts(e.arg, cap, nvars).neg()
-    if isinstance(e, IntPow):
-        return _ts(e.base, cap, nvars).int_pow(e.exponent)
-    if isinstance(e, Prim):
-        return series_compose_primitive(e.name, _ts(e.arg, cap, nvars))
-    raise ExprError(f"unknown node {type(e).__name__}")
+    return _fold(e, lambda index: TruncatedSeries.variable(index, nvars, cap),
+                 lambda value: TruncatedSeries.constant(value, nvars, cap),
+                 lambda row, inner: series_compose_primitive(row.name, inner))
 
 
 def taylor(e: Expr, k: int, nvars: int) -> Poly:

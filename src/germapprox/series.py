@@ -10,14 +10,12 @@ Taylor truncation and can be evaluated anywhere.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 Monomial = tuple[int, ...]
-
-PRIMITIVES = ("exp", "sin", "cos", "sinh", "cosh", "log1p", "sqrt1p", "atan")
-
 
 class SeriesError(ValueError):
     pass
@@ -80,9 +78,6 @@ class TruncatedSeries:
         """Exact degree of the stored support (0 for the zero series)."""
         degs = [sum(m) for m, c in self.coeffs.items() if c != 0.0]
         return max(degs) if degs else 0
-
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.nvars, self.cap, dict(self.coeffs))
 
     def _compat(self, other: "TruncatedSeries") -> None:
         if self.nvars != other.nvars:
@@ -164,6 +159,16 @@ class TruncatedSeries:
                 TruncatedSeries.constant(1.0, self.nvars, self.cap))
         return acc.scale(1.0 / c)
 
+    # operator forms, so expression trees can be folded over series
+    __add__ = add
+    __sub__ = sub
+    __mul__ = mul
+    __neg__ = neg
+    __pow__ = int_pow
+
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self.mul(other.reciprocal())
+
     def truncated(self, cap: int) -> "TruncatedSeries":
         """View of self at a lower (or equal) cap."""
         if cap > self.cap:
@@ -215,16 +220,6 @@ def poly_from_series(series: TruncatedSeries) -> Poly:
     return Poly(series.nvars, degree, coeffs)
 
 
-# -- module-level operation names ------------------------------------------
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a.add(b)
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a.mul(b)
-
-
 def _univariate_reciprocal(dens: list[float], order: int) -> list[float]:
     """Coefficients of 1/(d0 + d1 t + ...) up to t^order, d0 != 0."""
     d0 = dens[0]
@@ -239,64 +234,124 @@ def _univariate_reciprocal(dens: list[float], order: int) -> list[float]:
     return out
 
 
+# -- Taylor coefficients a_0..m of psi(c + t) in powers of t, per primitive --
+
+def _cyclic(*derivs):
+    """Coefficients of a primitive whose derivatives at c cycle through
+    ``derivs`` (functions of c): a_j = derivs[j % len](c) / j!."""
+    def coefficients(c: float, m: int) -> list[float]:
+        cyc = [d(c) for d in derivs]
+        return [cyc[j % len(cyc)] / math.factorial(j) for j in range(m + 1)]
+    return coefficients
+
+
+def _log1p_coefficients(c: float, m: int) -> list[float]:
+    out = [math.log1p(c)]
+    for j in range(1, m + 1):
+        out.append((-1.0) ** (j - 1) / (j * (1.0 + c) ** j))
+    return out
+
+
+def _sqrt1p_coefficients(c: float, m: int) -> list[float]:
+    # binomial series sqrt(1+c+t) = sum binom(1/2, j) (1+c)^(1/2-j) t^j
+    out = []
+    binom = 1.0
+    for j in range(m + 1):
+        out.append(binom * (1.0 + c) ** (0.5 - j))
+        binom *= (0.5 - j) / (j + 1)
+    return out
+
+
+def _atan_coefficients(c: float, m: int) -> list[float]:
+    # atan(c+t) = atan(c) + integral of 1/(1+(c+t)^2)
+    if m == 0:
+        return [math.atan(c)]
+    rec = _univariate_reciprocal([1.0 + c * c, 2.0 * c, 1.0], m - 1)
+    return [math.atan(c)] + [rec[j - 1] / j for j in range(1, m + 1)]
+
+
+def _log1p_vector(v):
+    # permissive: nan (not -inf) at v = -1 too, so the boundary of the
+    # domain reads as outside it
+    return np.where(v > -1.0, np.log1p(np.maximum(v, -1.0)), np.nan)
+
+
+@dataclass(frozen=True)
+class Primitive:
+    """Everything the package knows about one analytic primitive psi.
+
+    ``scalar`` and ``vector`` evaluate psi on a float and (permissively,
+    nan/inf instead of raising) on an array; ``derivative(v, val)`` is
+    psi'(v) on arrays given ``val = vector(v)``; ``diff(a, da, prim)`` is
+    the symbolic derivative of psi(a) given the derivative ``da`` of the
+    argument and the node constructor ``prim(name, arg)``; ``coefficients(c,
+    m)`` are the Taylor coefficients a_0..a_m of psi(c + t); and psi is
+    analytic at c only when c > ``floor`` (None: everywhere).
+    """
+
+    name: str
+    scalar: Callable[[float], float]
+    vector: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    diff: Callable
+    coefficients: Callable[[float, int], list[float]]
+    floor: float | None = None
+
+
+# One row per primitive. The ``diff`` rules build their trees with the
+# simplifying Expr operators, so derivative trees (and the minors and cache
+# signatures built from them) depend on the exact form written here.
+PRIMITIVE_TABLE: dict[str, Primitive] = {p.name: p for p in (
+    Primitive("exp", math.exp, np.exp, lambda v, val: val,
+              lambda a, da, prim: prim("exp", a) * da,
+              _cyclic(math.exp)),
+    Primitive("sin", math.sin, np.sin, lambda v, val: np.cos(v),
+              lambda a, da, prim: prim("cos", a) * da,
+              _cyclic(math.sin, math.cos, lambda c: -math.sin(c),
+                      lambda c: -math.cos(c))),
+    Primitive("cos", math.cos, np.cos, lambda v, val: -np.sin(v),
+              lambda a, da, prim: -(prim("sin", a) * da),
+              _cyclic(math.cos, lambda c: -math.sin(c),
+                      lambda c: -math.cos(c), math.sin)),
+    Primitive("sinh", math.sinh, np.sinh, lambda v, val: np.cosh(v),
+              lambda a, da, prim: prim("cosh", a) * da,
+              _cyclic(math.sinh, math.cosh)),
+    Primitive("cosh", math.cosh, np.cosh, lambda v, val: np.sinh(v),
+              lambda a, da, prim: prim("sinh", a) * da,
+              _cyclic(math.cosh, math.sinh)),
+    Primitive("log1p", math.log1p, _log1p_vector,
+              lambda v, val: 1.0 / (1.0 + v),
+              lambda a, da, prim: da / (1.0 + a),
+              _log1p_coefficients, floor=-1.0),
+    Primitive("sqrt1p", lambda t: math.sqrt(1.0 + t),
+              lambda v: np.sqrt(1.0 + v), lambda v, val: 0.5 / val,
+              lambda a, da, prim: da / (2.0 * prim("sqrt1p", a)),
+              _sqrt1p_coefficients, floor=-1.0),
+    Primitive("atan", math.atan, np.arctan,
+              lambda v, val: 1.0 / (1.0 + v * v),
+              lambda a, da, prim: da / (1.0 + a ** 2),
+              _atan_coefficients),
+)}
+
+
 def primitive_coefficients(name: str, center: float, order: int) -> list[float]:
     """Taylor coefficients a_0..a_order of the primitive about ``center``.
 
     These are the coefficients of psi(center + t) in powers of t, with the
     analyticity conditions (log1p and sqrt1p need center > -1) enforced.
     """
+    row = PRIMITIVE_TABLE.get(name)
+    if row is None:
+        raise SeriesError(f"unknown primitive {name!r}")
     c = float(center)
-    m = order
-    if name == "exp":
-        e = math.exp(c)
-        return [e / math.factorial(j) for j in range(m + 1)]
-    if name == "sin":
-        cyc = (math.sin(c), math.cos(c), -math.sin(c), -math.cos(c))
-        return [cyc[j % 4] / math.factorial(j) for j in range(m + 1)]
-    if name == "cos":
-        cyc = (math.cos(c), -math.sin(c), -math.cos(c), math.sin(c))
-        return [cyc[j % 4] / math.factorial(j) for j in range(m + 1)]
-    if name == "sinh":
-        pair = (math.sinh(c), math.cosh(c))
-        return [pair[j % 2] / math.factorial(j) for j in range(m + 1)]
-    if name == "cosh":
-        pair = (math.cosh(c), math.sinh(c))
-        return [pair[j % 2] / math.factorial(j) for j in range(m + 1)]
-    if name == "log1p":
-        if c <= -1.0:
-            raise SeriesError("log1p needs a constant term > -1")
-        out = [math.log1p(c)]
-        for j in range(1, m + 1):
-            out.append((-1.0) ** (j - 1) / (j * (1.0 + c) ** j))
-        return out
-    if name == "sqrt1p":
-        if c <= -1.0:
-            raise SeriesError("sqrt1p needs a constant term > -1")
-        # binomial series sqrt(1+c+t) = sum binom(1/2, j) (1+c)^(1/2-j) t^j
-        out = []
-        binom = 1.0
-        for j in range(m + 1):
-            out.append(binom * (1.0 + c) ** (0.5 - j))
-            binom *= (0.5 - j) / (j + 1)
-        return out
-    if name == "atan":
-        # atan(c+t) = atan(c) + integral of 1/(1+(c+t)^2)
-        dens = [1.0 + c * c, 2.0 * c, 1.0]
-        if m == 0:
-            return [math.atan(c)]
-        rec = _univariate_reciprocal(dens, m - 1)
-        out = [math.atan(c)]
-        for j in range(1, m + 1):
-            out.append(rec[j - 1] / j)
-        return out
-    raise SeriesError(f"unknown primitive {name!r}")
+    if row.floor is not None and c <= row.floor:
+        raise SeriesError(f"{name} needs a constant term > {row.floor:g}")
+    return row.coefficients(c, order)
 
 
 def series_compose_primitive(name: str, inner: TruncatedSeries) -> TruncatedSeries:
     """psi(inner) for a univariate primitive psi, re-centered at the inner
     constant term and composed with the nonconstant part."""
-    if name not in PRIMITIVES:
-        raise SeriesError(f"unknown primitive {name!r}")
     c = inner.constant_term()
     coeffs = primitive_coefficients(name, c, inner.cap)
     v = inner.sub(TruncatedSeries.constant(c, inner.nvars, inner.cap))

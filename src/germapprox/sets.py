@@ -109,14 +109,8 @@ class SemianalyticSet:
         return (self.nvars, round(self.omega, 15),
                 tuple(p.signature() for p in self.parts))
 
-    def is_empty_presentation(self) -> bool:
-        return not self.parts
-
     def is_polynomial(self) -> bool:
         return all(p.is_polynomial() for p in self.parts)
-
-    def renamed(self, name: str) -> "SemianalyticSet":
-        return replace(self, name=name)
 
 
 def set_of(part: BasicPresentation, name: str, omega: float) -> SemianalyticSet:
@@ -196,13 +190,7 @@ def half_sets(part: BasicPresentation) -> list[BasicPresentation]:
     """
     if not part.ineqs:
         return [part]
-    out = []
-    for j, g in enumerate(part.ineqs):
-        rest = part.ineqs[:j] + part.ineqs[j + 1:]
-        out.append(BasicPresentation(
-            nvars=part.nvars, eqs=part.eqs + (g,), ineqs=rest,
-            through_origin=False))
-    return out
+    return [boundary_part(part, j) for j in range(len(part.ineqs))]
 
 
 def boundary_part(part: BasicPresentation, j: int) -> BasicPresentation:
@@ -488,7 +476,7 @@ def parse_collection(doc: dict) -> SetCollection:
                 parts.append(BasicPresentation(
                     nvars=nvars, eqs=tuple(eqs), ineqs=tuple(ineqs),
                     good_presentation=good))
-            except SetError as exc:
+            except (SetError, ex.ExprError) as exc:
                 raise SetFileError(f"invalid {pwhere}: {exc}") from None
         sets[set_name] = SemianalyticSet(
             name=set_name, nvars=nvars, omega=float(omega),

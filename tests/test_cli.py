@@ -91,6 +91,19 @@ class TestTruncate:
         assert rc == 2
         assert "needs --h and/or --k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eq", ["y - x/exp(exp(2)^4)",
+                                    "y - exp(exp(2)^4)"])
+    def test_origin_overflow_is_input_error(self, eq, tmp_path, capsys):
+        path = tmp_path / "ovf.json"
+        path.write_text(json.dumps({
+            "vars": ["x", "y"], "omega": 0.5,
+            "sets": {"a": {"parts": [{"eqs": [eq]}]}}}))
+        rc = main(["truncate", str(path), "a", "--h", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+        assert "Traceback" not in err
+
     def test_human_summary(self, curves_file, capsys):
         rc = main(["truncate", curves_file, "parabola", "--h", "2"])
         assert rc == 0

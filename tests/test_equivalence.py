@@ -98,16 +98,18 @@ class TestOrderFits:
         assert all(s.delta_ab == math.inf for s in samples)
         assert any("no points on the sphere" in c for c in caveats)
 
-    def test_threaded_sampling_matches_serial(self, curves, shared_cache):
+    def test_threaded_sampling_matches_serial(self, curves):
         base = ga.CompareConfig(schedule=ga.RadiiSchedule(0.25, count=4))
         threaded = ga.CompareConfig(schedule=ga.RadiiSchedule(0.25, count=4),
                                     threads=4)
+        # separate fresh caches, so the threaded run samples every slice
+        # itself instead of reading what the serial run stored
         s1, e1, _, _ = ga.deviation_profile(
             curves.get("exp_curve"), curves.get("trunc2"), base,
-            shared_cache)
+            ga.SliceCache())
         s2, e2, _, _ = ga.deviation_profile(
             curves.get("exp_curve"), curves.get("trunc2"), threaded,
-            shared_cache)
+            ga.SliceCache())
         assert [(x.r, x.delta_ab, x.delta_ba) for x in s1] == \
                [(x.r, x.delta_ab, x.delta_ba) for x in s2]
         assert e1.slope == e2.slope

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from germapprox import expr as ex
 from germapprox.expr import (
@@ -168,6 +168,18 @@ class TestParse:
         with pytest.raises(ParseError):
             ex.parse("sqrt1p(-1 - x)", 1)
 
+    def test_origin_overflow_is_non_analytic(self):
+        # the denominator's value at 0 overflows while Div checks it
+        with pytest.raises(ParseError) as ei:
+            ex.parse("y - x/exp(exp(2)^4)", 2)
+        assert "overflows" in str(ei.value)
+        # unchecked at parse time, so the overflow surfaces in const_term
+        e = ex.parse("y - exp(exp(2)^4)", 2)
+        with pytest.raises(NonAnalyticError):
+            ex.const_term(e)
+        with pytest.raises(NonAnalyticError):
+            ex.const_term(IntPow(Const(1e200), 2))
+
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             ex.parse("(x + y", 2)
@@ -208,6 +220,14 @@ class TestPrint:
         assert ex.to_string(Const(-2.0)) == "-2"
 
 
+def _built(make):
+    """``make()``, or reject the draw when a constructor refuses the tree."""
+    try:
+        return make()
+    except ExprError:
+        reject()
+
+
 @st.composite
 def raw_exprs(draw, depth=4, nvars=2):
     """Trees in parser-image form: what ``parse`` itself can produce."""
@@ -227,8 +247,8 @@ def raw_exprs(draw, depth=4, nvars=2):
         a = draw(raw_exprs(depth=depth - 1, nvars=nvars))
         b = draw(raw_exprs(depth=depth - 1, nvars=nvars))
         # shift the denominator so it cannot vanish at the origin
-        b = Add(b, Const(1.0 + abs(ex.const_term(b))))
-        return Div(a, b)
+        return _built(lambda: Div(
+            a, Add(b, Const(1.0 + abs(ex.const_term(b))))))
     if kind == "neg":
         return Neg(draw(raw_exprs(depth=depth - 1, nvars=nvars)))
     if kind == "pow":
@@ -236,10 +256,14 @@ def raw_exprs(draw, depth=4, nvars=2):
                       draw(st.integers(0, 4)))
     arg = draw(raw_exprs(depth=depth - 1, nvars=nvars))
     name = draw(st.sampled_from(ex.PRIM_NAMES))
-    if name in ("log1p", "sqrt1p") and ex.const_term(arg) <= -1.0:
-        # lift the constant term to exactly 1 with a nonnegative literal
-        arg = Add(arg, Const(1.0 + abs(ex.const_term(arg))))
-    return Prim(name, arg)
+
+    def make():
+        a = arg
+        if name in ("log1p", "sqrt1p") and ex.const_term(a) <= -1.0:
+            # lift the constant term to exactly 1 with a nonnegative literal
+            a = Add(a, Const(1.0 + abs(ex.const_term(a))))
+        return Prim(name, a)
+    return _built(make)
 
 
 class TestRoundTripProperty:
@@ -424,3 +448,97 @@ class TestPolyToExpr:
         p = ex.taylor(e, 4, 2)
         back = ex.taylor(ex.poly_to_expr(p), 4, 2)
         assert back.allclose(p, tol=1e-13)
+
+
+# Independent references for every primitive: (math, numpy, sympy builder).
+# A new row in the primitive table gets every check below once it has an
+# entry here; test_every_primitive_has_a_reference enforces that.
+REFERENCE = {
+    "exp": (math.exp, np.exp, lambda sp, t: sp.exp(t)),
+    "sin": (math.sin, np.sin, lambda sp, t: sp.sin(t)),
+    "cos": (math.cos, np.cos, lambda sp, t: sp.cos(t)),
+    "sinh": (math.sinh, np.sinh, lambda sp, t: sp.sinh(t)),
+    "cosh": (math.cosh, np.cosh, lambda sp, t: sp.cosh(t)),
+    "log1p": (math.log1p, np.log1p, lambda sp, t: sp.log(1 + t)),
+    "sqrt1p": (lambda t: math.sqrt(1.0 + t), lambda v: np.sqrt(1.0 + v),
+               lambda sp, t: sp.sqrt(1 + t)),
+    "atan": (math.atan, np.arctan, lambda sp, t: sp.atan(t)),
+}
+
+
+def test_every_primitive_has_a_reference():
+    assert set(REFERENCE) == set(ex.PRIM_NAMES)
+
+
+@pytest.mark.parametrize("name", ex.PRIM_NAMES)
+class TestPrimitiveConsistency:
+    """Each primitive's scalar, batch, gradient, symbolic derivative and
+    Taylor coefficients agree with each other and with the references."""
+
+    # psi(x + y/2 - 0.1): a two-variable argument with a nonzero value at 0
+    @staticmethod
+    def _expr(name):
+        arg = Sub(Add(X0, Mul(Const(0.5), Y0)), Const(0.1))
+        return Prim(name, arg)
+
+    @staticmethod
+    def _points():
+        return np.random.default_rng(5).uniform(-0.4, 0.4, size=(40, 2))
+
+    def test_const_term_matches_math(self, name):
+        for c in (-0.5, 0.0, 0.3, 0.9):
+            got = ex.const_term(Prim(name, Const(c)))
+            assert got == pytest.approx(REFERENCE[name][0](c), rel=1e-15)
+
+    def test_eval_many_matches_numpy(self, name):
+        X = self._points()
+        want = REFERENCE[name][1](X[:, 0] + 0.5 * X[:, 1] - 0.1)
+        np.testing.assert_allclose(ex.eval_many(self._expr(name), X), want,
+                                   rtol=1e-14)
+
+    def test_gradient_matches_central_differences(self, name):
+        e = self._expr(name)
+        X = self._points()
+        vals, grads = ex.value_and_grad_many(e, X)
+        np.testing.assert_array_equal(vals, ex.eval_many(e, X))
+        step = 1e-6
+        for j in range(2):
+            h = np.zeros(2)
+            h[j] = step
+            fd = (ex.eval_many(e, X + h) - ex.eval_many(e, X - h)) / (2 * step)
+            np.testing.assert_allclose(grads[:, j], fd, rtol=1e-6, atol=1e-8)
+
+    def test_diff_matches_forward_mode(self, name):
+        e = self._expr(name)
+        X = self._points()
+        _, grads = ex.value_and_grad_many(e, X)
+        for j in range(2):
+            np.testing.assert_allclose(ex.eval_many(ex.diff(e, j), X),
+                                       grads[:, j], rtol=1e-12, atol=1e-14)
+
+    def test_coefficients_match_sympy(self, name):
+        sp = pytest.importorskip("sympy")
+        from germapprox.series import primitive_coefficients
+        t = sp.Symbol("t")
+        c = sp.Rational(3, 10)
+        poly = sp.series(REFERENCE[name][2](sp, c + t), t, 0, 7).removeO()
+        want = [float(poly.coeff(t, j)) for j in range(7)]
+        got = primitive_coefficients(name, 0.3, 6)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+class TestPrimitiveDiffTrees:
+    # the derivative trees feed Jacobian minors and slice-cache signatures,
+    # so their exact shape is part of the contract
+    U = Mul(X0, Y0)  # d/dx U simplifies to y
+
+    @pytest.mark.parametrize("name,want", [
+        ("cos", Neg(Mul(Prim("sin", U), Y0))),
+        ("log1p", Div(Y0, Add(Const(1.0), U))),
+        ("sqrt1p", Div(Y0, Mul(Const(2.0), Prim("sqrt1p", U)))),
+        ("atan", Div(Y0, Add(Const(1.0), IntPow(U, 2)))),
+        ("exp", Mul(Prim("exp", U), Y0)),
+        ("cosh", Mul(Prim("sinh", U), Y0)),
+    ])
+    def test_node_for_node(self, name, want):
+        assert ex.diff(Prim(name, self.U), 0) == want
