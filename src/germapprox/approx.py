@@ -34,7 +34,7 @@ from .equivalence import (
     Verdict,
     decide_equivalent,
 )
-from .geometry import EmptySliceError, numeric_dimension, sample_slice
+from .geometry import numeric_dimension
 from .sets import (
     BasicPresentation,
     SemianalyticSet,
@@ -181,7 +181,6 @@ def search_truncation_orders(reference: SemianalyticSet,
     ``reference``, scanning by growing maximum order."""
     tried: set = set()
     best = None
-    dropped_any = 0
     for h, k in _diagonal_orders(config.max_h, config.max_k):
         candidate = truncate_full(base, h, k)
         parts = []
@@ -201,7 +200,6 @@ def search_truncation_orders(reference: SemianalyticSet,
             return h, k, candidate, verdict, dropped
         if best is None or _slope_rank(verdict) > _slope_rank(best[3]):
             best = (h, k, candidate, verdict, dropped)
-        dropped_any = max(dropped_any, dropped)
     raise SearchExhausted(
         f"no truncation up to orders ({config.max_h}, {config.max_k}) "
         f"stayed within order {s:g} of {reference.name!r}", best=best)
@@ -250,7 +248,7 @@ def _dim_at(s: SemianalyticSet, r: float, config: ApproxConfig,
             cache: SliceCache | None) -> int:
     return numeric_dimension(
         s, r, npoints=config.compare.npoints, seed=config.compare.seed,
-        boundary_depth=config.compare.boundary_depth, cache=cache)
+        cache=cache)
 
 
 def _set_dimension(s: SemianalyticSet, config: ApproxConfig,

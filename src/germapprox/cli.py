@@ -32,6 +32,8 @@ from . import expr as ex
 from .approx import ApproxConfig, ApproxError, ApproxResult, SearchExhausted, \
     approximate
 from .equivalence import (
+    HORN_OFFSETS,
+    R2_MIN,
     CompareConfig,
     ComparisonError,
     OrderEstimate,
@@ -42,7 +44,8 @@ from .equivalence import (
     deviation_profile,
     horn_criterion,
 )
-from .geometry import EmptySliceError, GeometryError, tangent_cone_cloud
+from .geometry import SLICE_DEPTH, EmptySliceError, GeometryError, \
+    tangent_cone_cloud
 from .sets import SemianalyticSet, SetFileError, dump_set, load_collection, \
     truncate_full
 from .version import __version__
@@ -190,8 +193,7 @@ def _compare_config(args, *sets: SemianalyticSet) -> CompareConfig:
         schedule = RadiiSchedule.default_for(min(s.omega for s in sets))
     return CompareConfig(
         schedule=schedule, npoints=args.points, seed=args.seed,
-        margin=args.margin, boundary_depth=args.boundary_depth,
-        threads=args.threads)
+        margin=args.margin, threads=args.threads)
 
 
 def _config_dict(cfg: CompareConfig) -> dict:
@@ -201,9 +203,9 @@ def _config_dict(cfg: CompareConfig) -> dict:
         "npoints": cfg.npoints,
         "seed": cfg.seed,
         "margin": cfg.margin,
-        "r2_min": cfg.r2_min,
-        "boundary_depth": cfg.boundary_depth,
-        "horn_offsets": list(cfg.horn_offsets),
+        "r2_min": R2_MIN,
+        "boundary_depth": SLICE_DEPTH,
+        "horn_offsets": list(HORN_OFFSETS),
         "threads": cfg.threads,
     }
 
@@ -356,9 +358,16 @@ def cmd_approx(args) -> int:
     try:
         result = approximate(a, args.s, acfg)
     except SearchExhausted as exc:
+        # (m, candidate, verdict) and (h, k, candidate, verdict, dropped)
+        # both hold the candidate and its verdict just before index 4
+        *_, candidate, verdict = exc.best[:4]
         payload = {
             "input": a.name, "s": args.s, "success": False,
             "error": str(exc),
+            "best_candidate": {
+                "verdict": _verdict_dict(verdict),
+                "output_collection": _collection_dict(candidate,
+                                                      coll.names)},
             "manifest": _manifest(args, "approx", args.file, [a.name],
                                   config_dict),
         }
@@ -400,8 +409,7 @@ def cmd_tangent(args) -> int:
     cfg = _compare_config(args, s)
     try:
         report = tangent_cone_cloud(
-            s, cfg.schedule.radii(), npoints=cfg.npoints, seed=cfg.seed,
-            boundary_depth=cfg.boundary_depth)
+            s, cfg.schedule.radii(), npoints=cfg.npoints, seed=cfg.seed)
     except EmptySliceError as exc:
         print(f"origin isolated at resolution: {exc}", file=sys.stderr)
         return _EXIT_NO_DATA
@@ -433,17 +441,16 @@ def _add_common(p: argparse.ArgumentParser, radii=True):
     if radii:
         p.add_argument("--radii", help="radius schedule as r0:ratio:count "
                                        "(default omega/2:0.5:8)")
-        p.add_argument("--points", type=int, default=256,
-                       help="sphere directions per slice (default 256)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="sampling seed (default 0)")
-        p.add_argument("--margin", type=float, default=0.15,
-                       help="decision margin on fitted orders (default 0.15)")
-        p.add_argument("--boundary-depth", type=int, default=1,
-                       help="inequality combinations sampled as boundary "
-                            "strata (default 1)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel radius workers (default 1)")
+        p.add_argument("--points", type=int, default=CompareConfig.npoints,
+                       help="sphere directions per slice "
+                            "(default %(default)s)")
+        p.add_argument("--seed", type=int, default=CompareConfig.seed,
+                       help="sampling seed (default %(default)s)")
+        p.add_argument("--margin", type=float, default=CompareConfig.margin,
+                       help="decision margin on fitted orders "
+                            "(default %(default)s)")
+        p.add_argument("--threads", type=int, default=CompareConfig.threads,
+                       help="parallel radius workers (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,11 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("set")
     p.add_argument("--s", type=float, required=True, help="the order s")
-    p.add_argument("--max-h", type=int, default=12)
-    p.add_argument("--max-k", type=int, default=12)
-    p.add_argument("--max-m", type=int, default=6)
-    p.add_argument("--depth", type=int, default=2,
-                   help="residual recursion depth (default 2)")
+    p.add_argument("--max-h", type=int, default=ApproxConfig.max_h)
+    p.add_argument("--max-k", type=int, default=ApproxConfig.max_k)
+    p.add_argument("--max-m", type=int, default=ApproxConfig.max_m)
+    p.add_argument("--depth", type=int, default=ApproxConfig.depth,
+                   help="residual recursion depth (default %(default)s)")
     _add_common(p)
     p.set_defaults(func=cmd_approx)
 

@@ -19,18 +19,18 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
 from .expr import Expr
 from .geometry import (
-    _SPACING_GUARD,
     DistanceSample,
     EmptySliceError,
     SliceCache,
-    directed_deviation,
+    SliceCloud,
+    _distance_sample,
     dist_to_set_batch,
     sample_slice,
 )
@@ -90,15 +90,18 @@ class RadiiSchedule:
         return cls(r0=omega / 2.0)
 
 
+# a decay fit with r^2 below this gets a "poor fit" caveat
+R2_MIN = 0.9
+# the horn criterion tries sigma = s + offset, largest offset first
+HORN_OFFSETS = (0.1, 0.25, 0.5, 1.0)
+
+
 @dataclass(frozen=True)
 class CompareConfig:
     schedule: RadiiSchedule
     npoints: int = 256
     seed: int = 0
     margin: float = 0.15
-    r2_min: float = 0.9
-    boundary_depth: int = 1
-    horn_offsets: tuple[float, ...] = (0.1, 0.25, 0.5, 1.0)
     threads: int = 1
 
     def __post_init__(self):
@@ -106,12 +109,8 @@ class CompareConfig:
             raise ComparisonError("npoints must be at least 8")
         if not self.margin > 0.0:
             raise ComparisonError("margin must be positive")
-        if not 0.0 < self.r2_min <= 1.0:
-            raise ComparisonError("r2_min must lie in (0, 1]")
         if self.threads < 1:
             raise ComparisonError("threads must be at least 1")
-        if not self.horn_offsets or any(o <= 0 for o in self.horn_offsets):
-            raise ComparisonError("horn offsets must be positive")
 
     @classmethod
     def for_sets(cls, *sets: SemianalyticSet, **kw) -> "CompareConfig":
@@ -166,49 +165,21 @@ def _map_radii(fn, radii, threads: int):
         return [f.result() for f in futures]
 
 
-def _pair_samples(a: SemianalyticSet, b: SemianalyticSet,
-                  config: CompareConfig, cache: SliceCache | None):
-    """Deviation samples across the schedule, with sampling-health caveats."""
+def _cloud(s: SemianalyticSet, r: float, config: CompareConfig,
+           cache: SliceCache | None) -> SliceCloud | None:
+    """The set's slice cloud at radius r, or None when the slice is empty."""
+    try:
+        return sample_slice(s, r, npoints=config.npoints, seed=config.seed,
+                            cache=cache)
+    except EmptySliceError:
+        return None
 
-    def one(r):
-        notes = []
-        clouds = []
-        for s in (a, b):
-            try:
-                c = sample_slice(s, r, npoints=config.npoints,
-                                 seed=config.seed,
-                                 boundary_depth=config.boundary_depth,
-                                 cache=cache)
-            except EmptySliceError:
-                c = None
-                notes.append(
-                    f"{s.name!r} has no points on the sphere r={r:g}")
-            clouds.append(c)
-        ca, cb = clouds
-        for s, c in ((a, ca), (b, cb)):
-            if c is not None and c.converged_fraction < 0.5:
-                notes.append(
-                    f"only {c.converged_fraction:.0%} of starts converged "
-                    f"for {s.name!r} at r={r:g}")
-        pa = ca.points if ca is not None else np.zeros((0, a.nvars))
-        pb = cb.points if cb is not None else np.zeros((0, b.nvars))
-        fa = ca.spacing if ca is not None else _SPACING_GUARD
-        fb = cb.spacing if cb is not None else _SPACING_GUARD
-        sample = DistanceSample(
-            r=r,
-            delta_ab=directed_deviation(pa, pb),
-            delta_ba=directed_deviation(pb, pa),
-            floor=max(fa, fb))
-        return sample, notes
 
-    results = _map_radii(one, config.schedule.radii(), config.threads)
-    samples = tuple(s for s, _ in results)
-    caveats = []
-    for _, notes in results:
-        for n in notes:
-            if n not in caveats:
-                caveats.append(n)
-    return samples, tuple(caveats)
+def _dist(X: np.ndarray, s: SemianalyticSet, config: CompareConfig,
+          cache: SliceCache | None) -> np.ndarray:
+    """Distance from each row of X to the germ of s."""
+    return dist_to_set_batch(X, s, npoints=config.npoints, seed=config.seed,
+                             cache=cache)
 
 
 def _fit_decay(samples, direction: str, pick) -> OrderEstimate:
@@ -240,26 +211,41 @@ def _fit_decay(samples, direction: str, pick) -> OrderEstimate:
                          samples=tuple(samples))
 
 
-def estimate_order_directed(a: SemianalyticSet, b: SemianalyticSet,
-                            config: CompareConfig,
-                            cache: SliceCache | None = None) -> OrderEstimate:
-    """Fit the decay order of A's deviation from B across the schedule."""
-    samples, _ = _pair_samples(a, b, config, cache)
-    return _fit_decay(samples, "A<=B", lambda s: s.delta_ab)
-
-
 def deviation_profile(a: SemianalyticSet, b: SemianalyticSet,
                       config: CompareConfig,
                       cache: SliceCache | None = None):
     """Raw deviation samples plus both directed decay fits.
 
     Returns (samples, estimate_ab, estimate_ba, caveats); the samples are
-    ordered from the coarsest radius down, one per schedule entry.
+    ordered from the coarsest radius down, one per schedule entry. The
+    caveats note empty slices and slices where fewer than half the starts
+    converged, radius by radius, each distinct note once.
     """
-    samples, caveats = _pair_samples(a, b, config, cache)
+
+    def one(r):
+        clouds = [_cloud(s, r, config, cache) for s in (a, b)]
+        pairs = list(zip((a, b), clouds))
+        notes = [f"{s.name!r} has no points on the sphere r={r:g}"
+                 for s, c in pairs if c is None]
+        notes += [f"only {c.converged_fraction:.0%} of starts converged "
+                  f"for {s.name!r} at r={r:g}"
+                  for s, c in pairs
+                  if c is not None and c.converged_fraction < 0.5]
+        return _distance_sample(r, *clouds), notes
+
+    results = _map_radii(one, config.schedule.radii(), config.threads)
+    samples = tuple(sample for sample, _ in results)
+    caveats = tuple(dict.fromkeys(n for _, notes in results for n in notes))
     est_ab = _fit_decay(samples, "A<=B", lambda d: d.delta_ab)
     est_ba = _fit_decay(samples, "B<=A", lambda d: d.delta_ba)
     return samples, est_ab, est_ba, caveats
+
+
+def estimate_order_directed(a: SemianalyticSet, b: SemianalyticSet,
+                            config: CompareConfig,
+                            cache: SliceCache | None = None) -> OrderEstimate:
+    """Fit the decay order of A's deviation from B across the schedule."""
+    return deviation_profile(a, b, config, cache)[1]
 
 
 def _verdict_from_estimate(est: OrderEstimate, s: float,
@@ -273,7 +259,7 @@ def _verdict_from_estimate(est: OrderEstimate, s: float,
                        "no points at some sampled radius")
         return Verdict(holds=False, s=s, method="limit-fit", estimate=est,
                        caveats=tuple(caveats))
-    if est.r_squared < config.r2_min:
+    if est.r_squared < R2_MIN:
         caveats.append(
             f"decay fit is poor (r^2={est.r_squared:.3f}); "
             "the deviation may not follow a power law")
@@ -295,8 +281,7 @@ def decide_le(a: SemianalyticSet, b: SemianalyticSet, s: float,
               cache: SliceCache | None = None) -> Verdict:
     """Does A stay within order s of B (deviation of A from B decays
     faster than r^s)?"""
-    samples, caveats = _pair_samples(a, b, config, cache)
-    est = _fit_decay(samples, "A<=B", lambda d: d.delta_ab)
+    _, est, _, caveats = deviation_profile(a, b, config, cache)
     return _verdict_from_estimate(est, s, config, caveats)
 
 
@@ -304,9 +289,7 @@ def decide_equivalent(a: SemianalyticSet, b: SemianalyticSet, s: float,
                       config: CompareConfig,
                       cache: SliceCache | None = None) -> Verdict:
     """Symmetric order-s closeness: both directed deviations must decay."""
-    samples, caveats = _pair_samples(a, b, config, cache)
-    est_ab = _fit_decay(samples, "A<=B", lambda d: d.delta_ab)
-    est_ba = _fit_decay(samples, "B<=A", lambda d: d.delta_ba)
+    _, est_ab, est_ba, caveats = deviation_profile(a, b, config, cache)
     v_ab = _verdict_from_estimate(est_ab, s, config, ())
     v_ba = _verdict_from_estimate(est_ba, s, config, ())
     merged = list(caveats)
@@ -344,22 +327,16 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     A stays within order s of B exactly when, for some sigma > s, every
     point of A near the origin lies within |x|^sigma of the germ of B. The
     check samples A on the radius schedule, measures each sample's distance
-    to B as a germ (not just to B's slice), and scans sigma over s plus the
-    configured offsets. The verdict also carries a decay fit of the
+    to B as a germ (not just to B's slice), and scans sigma over s plus
+    each of ``HORN_OFFSETS``. The verdict also carries a decay fit of the
     per-radius worst distances for cross-checking against the limit fit.
     """
 
     def one(r):
-        try:
-            ca = sample_slice(a, r, npoints=config.npoints, seed=config.seed,
-                              boundary_depth=config.boundary_depth,
-                              cache=cache)
-        except EmptySliceError:
+        ca = _cloud(a, r, config, cache)
+        if ca is None:
             return None
-        d = dist_to_set_batch(ca.points, b, npoints=config.npoints,
-                              seed=config.seed,
-                              boundary_depth=config.boundary_depth,
-                              cache=cache)
+        d = _dist(ca.points, b, config, cache)
         floor = max(ca.spacing, 1e-9 * r)
         return r, float(np.max(d)) if len(d) else 0.0, floor
 
@@ -371,10 +348,10 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
                        "containment holds vacuously")
         return Verdict(holds=True, s=s, method="horn-criterion",
                        estimate=None, caveats=tuple(caveats),
-                       sigma=s + max(config.horn_offsets))
+                       sigma=s + max(HORN_OFFSETS))
 
     sigma_found = None
-    for off in sorted(config.horn_offsets, reverse=True):
+    for off in sorted(HORN_OFFSETS, reverse=True):
         sigma = s + off
         ok = all(dmax <= floor or dmax < r ** sigma for r, dmax, floor in rows)
         if ok:
@@ -438,12 +415,8 @@ def estimate_exponent(s_set: SemianalyticSet, f: Expr | str, g: Expr | str,
     saw_nonzero_g = False
     violations = []
     for r in config.schedule.radii():
-        try:
-            cloud = sample_slice(s_set, r, npoints=config.npoints,
-                                 seed=config.seed,
-                                 boundary_depth=config.boundary_depth,
-                                 cache=cache)
-        except EmptySliceError:
+        cloud = _cloud(s_set, r, config, cache)
+        if cloud is None:
             continue
         saw_points = True
         fv = np.abs(ex.eval_many(f, cloud.points))
@@ -530,18 +503,11 @@ def sign_agreement_check(x_set: SemianalyticSet, phi: Expr | str, ks,
     excluded = 0
     counts = np.zeros(len(ks), dtype=int)
     for r in config.schedule.radii():
-        try:
-            cloud = sample_slice(x_set, r, npoints=config.npoints,
-                                 seed=config.seed,
-                                 boundary_depth=config.boundary_depth,
-                                 cache=cache)
-        except EmptySliceError:
+        cloud = _cloud(x_set, r, config, cache)
+        if cloud is None:
             continue
         pts = cloud.points
-        d = dist_to_set_batch(pts, zero_locus, npoints=config.npoints,
-                              seed=config.seed,
-                              boundary_depth=config.boundary_depth,
-                              cache=cache)
+        d = _dist(pts, zero_locus, config, cache)
         keep = d >= r ** theta
         excluded += int((~keep).sum())
         pts = pts[keep]

@@ -226,18 +226,30 @@ def _fold(e: Expr, var, const, prim):
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
+def _scalar_at_origin(row, c: float) -> float:
+    # math's functions raise ValueError, not OverflowError, on an infinite
+    # argument (a product of two huge factors overflows to inf silently)
+    if not math.isfinite(c):
+        raise OverflowError
+    return row.scalar(c)
+
+
 def const_term(e: Expr) -> float:
     """Value at the origin, computed exactly through the tree.
 
-    A value that overflows a float (say exp(exp(2)^4)) is not usable as an
-    analytic germ at 0 here, so it raises NonAnalyticError.
+    A value that overflows a float (say exp(exp(2)^4), or the inf - inf of
+    two overflowing products) is not usable as an analytic germ at 0 here,
+    so it raises NonAnalyticError.
     """
     try:
-        return _fold(e, lambda index: 0.0, lambda value: value,
-                     lambda row, c: row.scalar(c))
+        value = _fold(e, lambda index: 0.0, lambda value: value,
+                      _scalar_at_origin)
+        if not math.isfinite(value):
+            raise OverflowError
     except OverflowError:
         raise NonAnalyticError(
             "value at the origin overflows a float") from None
+    return value
 
 
 def max_index(e: Expr) -> int:

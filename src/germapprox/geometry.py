@@ -8,7 +8,7 @@ part. From clouds come directed deviations between two sets' slices,
 distances from points to a germ, tangent direction clouds, and a numeric
 dimension estimate.
 
-All sampling is deterministic given (set, radius, npoints, seed, depth); a
+All sampling is deterministic given (set, radius, npoints, seed); a
 thread-safe cache keyed on exactly those values makes repeated comparisons
 against the same set cheap and bit-stable.
 """
@@ -38,6 +38,13 @@ _SPACING_GUARD = 1e-15
 # as degenerate (redundant equations whose rounding noise would otherwise
 # be amplified into a limit cycle), not as stiff constraints
 _PINV_RCOND = 1e-9
+# Gauss-Newton iteration budgets: sphere projection, nearest-point search
+_PROJECT_ITERS = 50
+_NEAREST_ITERS = 40
+# inequality combinations promoted to equations as boundary strata: one at
+# a time for slices, up to two for distances to a germ
+SLICE_DEPTH = 1
+_DIST_DEPTH = 2
 
 
 class GeometryError(ValueError):
@@ -170,12 +177,19 @@ def _system_residual(eqs, X: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(res), res, np.inf)
 
 
-def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
-    """Least-squares Newton steps toward {f = 0}, nan-safe."""
+def _linearize(eqs, X: np.ndarray):
+    """Nan-safe values and Jacobians at X, with the Jacobians' guarded
+    pseudo-inverses."""
     vals, jacs = ex.eval_system_jacobian(eqs, X)
     vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
     jacs = np.nan_to_num(jacs, nan=0.0, posinf=0.0, neginf=0.0)
-    steps = -(np.linalg.pinv(jacs, rcond=_PINV_RCOND) @ vals[..., None])[..., 0]
+    return vals, jacs, np.linalg.pinv(jacs, rcond=_PINV_RCOND)
+
+
+def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
+    """Least-squares Newton steps toward {f = 0}, nan-safe."""
+    vals, _, pinv = _linearize(eqs, X)
+    steps = -(pinv @ vals[..., None])[..., 0]
     bad = ~np.all(np.isfinite(steps), axis=-1)
     if bad.any():
         steps[bad] = 0.0
@@ -190,8 +204,7 @@ def _renormalize(X: np.ndarray, r: float, fallback: np.ndarray) -> np.ndarray:
     return np.where(ok[..., None], out, fallback)
 
 
-def project_to_sphere_slice(eqs, starts: np.ndarray, r: float,
-                            max_iter: int = 50):
+def project_to_sphere_slice(eqs, starts: np.ndarray, r: float):
     """Drive sphere points toward {f = 0} while staying on the sphere.
 
     Returns the final positions and a mask of points whose last proposed
@@ -204,7 +217,7 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float,
         return X, np.ones(N, dtype=bool)
     res = _system_residual(eqs, X)
     active = np.ones(N, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_PROJECT_ITERS):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -269,15 +282,6 @@ def _normalize_system(eqs):
     return tuple(kept)
 
 
-def _median_spacing(points: np.ndarray) -> float:
-    if len(points) < 2:
-        return _SPACING_GUARD
-    k = min(2, len(points))
-    dists, _ = cKDTree(points).query(points, k=k)
-    nn = dists[:, 1]
-    return max(float(np.median(nn)), _SPACING_GUARD)
-
-
 def _dedup(points: np.ndarray, cell: float):
     """Grid-hash dedup; returns kept points and per-point hit counts."""
     seen = {}
@@ -310,8 +314,8 @@ def _cloud_resolution(points: np.ndarray, counts: np.ndarray) -> float:
 
 
 def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
-                 seed: int = 0, boundary_depth: int = 1,
-                 cache: SliceCache | None = None) -> SliceCloud:
+                 seed: int = 0, cache: SliceCache | None = None
+                 ) -> SliceCloud:
     """Sample the set's intersection with the sphere of radius r.
 
     Raises :class:`EmptySliceError` when nothing converges, which is the
@@ -322,8 +326,7 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
             f"radius {r:g} outside (0, omega={s.omega:g}] of {s.name!r}")
     if cache is None:
         cache = _DEFAULT_CACHE
-    key = (s.signature(), float(r), int(npoints), int(seed),
-           int(boundary_depth))
+    key = (s.signature(), float(r), int(npoints), int(seed))
     hit = cache.lookup(key)
     if hit is not None:
         if isinstance(hit, EmptySliceError):
@@ -344,7 +347,7 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
     attempts = 0
     ineq_tol = 1e-10 * max(1.0, r)
     for part in s.parts:
-        for si, (eqs, rest) in enumerate(_part_strata(part, boundary_depth)):
+        for si, (eqs, rest) in enumerate(_part_strata(part, SLICE_DEPTH)):
             attempts += len(starts)
             if si == 0:
                 primary_total += len(starts)
@@ -375,7 +378,9 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
         cache.store(key, err)
         raise err
     raw = np.concatenate(collected, axis=0)
-    points, counts = _dedup(raw, _median_spacing(raw) / 4.0)
+    # before dedup every raw point stands for itself
+    cell = _cloud_resolution(raw, np.ones(len(raw))) / 4.0
+    points, counts = _dedup(raw, cell)
     spacing = _cloud_resolution(points, counts)
     cloud = SliceCloud(set_name=s.name, r=r, points=points, seed=seed,
                        converged_fraction=fraction, spacing=spacing)
@@ -399,28 +404,40 @@ def directed_deviation(P: np.ndarray, Q: np.ndarray) -> float:
     return float(np.max(dists))
 
 
-def slice_distance(a: SemianalyticSet, b: SemianalyticSet, r: float,
-                   npoints: int = 256, seed: int = 0,
-                   boundary_depth: int = 1,
-                   cache: SliceCache | None = None) -> DistanceSample:
-    """Both directed deviations between the two sets' slices at radius r."""
-    ca = sample_slice(a, r, npoints=npoints, seed=seed,
-                      boundary_depth=boundary_depth, cache=cache)
-    cb = sample_slice(b, r, npoints=npoints, seed=seed,
-                      boundary_depth=boundary_depth, cache=cache)
+_NO_POINTS = np.zeros((0, 0))
+
+
+def _distance_sample(r: float, ca: SliceCloud | None,
+                     cb: SliceCloud | None) -> DistanceSample:
+    """Both directed deviations between two clouds at radius r.
+
+    None stands for an empty slice: nothing deviates from it, everything
+    deviates infinitely far to it, and its resolution is the noise guard.
+    """
+    pa = ca.points if ca is not None else _NO_POINTS
+    pb = cb.points if cb is not None else _NO_POINTS
     return DistanceSample(
         r=r,
-        delta_ab=directed_deviation(ca.points, cb.points),
-        delta_ba=directed_deviation(cb.points, ca.points),
-        floor=max(ca.spacing, cb.spacing))
+        delta_ab=directed_deviation(pa, pb),
+        delta_ba=directed_deviation(pb, pa),
+        floor=max(ca.spacing if ca is not None else _SPACING_GUARD,
+                  cb.spacing if cb is not None else _SPACING_GUARD))
+
+
+def slice_distance(a: SemianalyticSet, b: SemianalyticSet, r: float,
+                   npoints: int = 256, seed: int = 0,
+                   cache: SliceCache | None = None) -> DistanceSample:
+    """Both directed deviations between the two sets' slices at radius r."""
+    return _distance_sample(
+        r, sample_slice(a, r, npoints=npoints, seed=seed, cache=cache),
+        sample_slice(b, r, npoints=npoints, seed=seed, cache=cache))
 
 
 # ---------------------------------------------------------------------------
 # distance from points to a germ
 
 
-def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
-                        iters: int = 40):
+def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
     """Per row: move a start toward the nearest point of {f = 0} to target.
 
     Alternates a tangential pull toward the target with a Gauss-Newton
@@ -432,11 +449,8 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
     scale = np.maximum(np.linalg.norm(targets, axis=-1), 1e-30)
     for _ in range(3):
         Y = Y + _gn_steps(eqs, Y)
-    for _ in range(iters):
-        vals, jacs = ex.eval_system_jacobian(eqs, Y)
-        vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
-        jacs = np.nan_to_num(jacs, nan=0.0, posinf=0.0, neginf=0.0)
-        pinv = np.linalg.pinv(jacs, rcond=_PINV_RCOND)
+    for _ in range(_NEAREST_ITERS):
+        vals, jacs, pinv = _linearize(eqs, Y)
         d = Y - targets
         normal = (pinv @ (jacs @ d[..., None]))[..., 0]
         tang = d - normal
@@ -454,7 +468,6 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
 
 def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
                       npoints: int = 128, seed: int = 0,
-                      boundary_depth: int = 1,
                       cache: SliceCache | None = None) -> np.ndarray:
     """Distance from each query point to the set germ, shape (N, n) -> (N,).
 
@@ -486,7 +499,7 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     if 0.0 < r_med <= s.omega:
         try:
             cloud = sample_slice(s, r_med, npoints=npoints, seed=seed,
-                                 boundary_depth=boundary_depth, cache=cache)
+                                 cache=cache)
         except EmptySliceError:
             cloud = None
     if cloud is not None and len(cloud.points):
@@ -502,8 +515,7 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
         return best
     ineq_tol = 1e-8 * np.maximum(1.0, norms)
     for part in s.parts:
-        depth = min(2, len(part.ineqs))
-        for eqs, rest in _part_strata(part, max(boundary_depth, depth)):
+        for eqs, rest in _part_strata(part, _DIST_DEPTH):
             eqs = _normalize_system(eqs)
             if not eqs:
                 continue
@@ -592,15 +604,14 @@ class TangentConeReport:
 
 
 def tangent_cone_cloud(s: SemianalyticSet, radii, npoints: int = 256,
-                       seed: int = 0, boundary_depth: int = 1,
-                       cache: SliceCache | None = None) -> TangentConeReport:
+                       seed: int = 0, cache: SliceCache | None = None
+                       ) -> TangentConeReport:
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
     if not radii:
         raise GeometryError("need at least one radius")
     clouds = []
     for r in radii:
-        c = sample_slice(s, r, npoints=npoints, seed=seed,
-                         boundary_depth=boundary_depth, cache=cache)
+        c = sample_slice(s, r, npoints=npoints, seed=seed, cache=cache)
         clouds.append(c.directions())
     drift = []
     for u, v in zip(clouds, clouds[1:]):
@@ -615,8 +626,7 @@ def tangent_cone_cloud(s: SemianalyticSet, radii, npoints: int = 256,
 
 
 def numeric_dimension(s: SemianalyticSet, r: float, npoints: int = 256,
-                      seed: int = 0, boundary_depth: int = 1,
-                      cache: SliceCache | None = None) -> int:
+                      seed: int = 0, cache: SliceCache | None = None) -> int:
     """1 + the local rank of the slice cloud, clamped to [0, nvars].
 
     The slice of a d-dimensional germ is locally (d-1)-dimensional, so the
@@ -627,8 +637,7 @@ def numeric_dimension(s: SemianalyticSet, r: float, npoints: int = 256,
     scale, which keeps slice curvature from inflating the count.
     """
     try:
-        cloud = sample_slice(s, r, npoints=npoints, seed=seed,
-                             boundary_depth=boundary_depth, cache=cache)
+        cloud = sample_slice(s, r, npoints=npoints, seed=seed, cache=cache)
     except EmptySliceError:
         return 0
     pts = cloud.points

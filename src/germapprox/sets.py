@@ -20,6 +20,9 @@ from . import expr as ex
 from .expr import Expr
 
 _ORIGIN_TOL = 1e-12
+# membership residual tolerances, relative to max(1, |x|)
+_MEMBER_TOL_EQ = 1e-9
+_MEMBER_TOL_INEQ = 1e-8
 
 
 class SetError(ValueError):
@@ -287,9 +290,7 @@ def singular_locus(s: SemianalyticSet, rank: int | None = None
 # membership
 
 
-def membership_mask(s: SemianalyticSet, X: np.ndarray,
-                    tol_eq: float = 1e-9, tol_ineq: float = 1e-8
-                    ) -> np.ndarray:
+def membership_mask(s: SemianalyticSet, X: np.ndarray) -> np.ndarray:
     """Approximate membership for a batch of points, shape (N, n) -> (N,).
 
     Tolerances scale with max(1, |x|) so membership is meaningful both very
@@ -305,25 +306,23 @@ def membership_mask(s: SemianalyticSet, X: np.ndarray,
             f"has {s.nvars} variables")
     norms = np.linalg.norm(X, axis=-1)
     scale = np.maximum(1.0, norms)
-    inside = norms <= s.omega + tol_eq
+    inside = norms <= s.omega + _MEMBER_TOL_EQ
     result = np.zeros(X.shape[0], dtype=bool)
     for part in s.parts:
         ok = inside.copy()
         for e in part.eqs:
             v = ex.eval_many(e, X)
-            ok &= np.abs(v) <= tol_eq * scale
+            ok &= np.abs(v) <= _MEMBER_TOL_EQ * scale
         for g in part.ineqs:
             v = ex.eval_many(g, X)
-            ok &= v >= -tol_ineq * scale
+            ok &= v >= -_MEMBER_TOL_INEQ * scale
         result |= ok
     out = result
     return bool(out[0]) if single else out
 
 
-def membership(s: SemianalyticSet, x, tol_eq: float = 1e-9,
-               tol_ineq: float = 1e-8) -> bool:
-    return bool(membership_mask(s, np.asarray(x, dtype=float),
-                                tol_eq=tol_eq, tol_ineq=tol_ineq))
+def membership(s: SemianalyticSet, x) -> bool:
+    return bool(membership_mask(s, np.asarray(x, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,10 @@ class TestTruncate:
         assert rc == 2
         assert "needs --h and/or --k" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("eq", ["y - x/exp(exp(2)^4)",
-                                    "y - exp(exp(2)^4)"])
+    @pytest.mark.parametrize("eq", [
+        "y - x/exp(exp(2)^4)", "y - exp(exp(2)^4)",
+        "sin(exp(100)^4*exp(100)^4)",
+        "y - (exp(100)^4*exp(100)^4 - exp(100)^4*exp(100)^4)"])
     def test_origin_overflow_is_input_error(self, eq, tmp_path, capsys):
         path = tmp_path / "ovf.json"
         path.write_text(json.dumps({
@@ -249,6 +251,12 @@ class TestApprox:
         doc = json.loads(out.read_text())
         assert doc["success"] is False
         assert "no truncation up to orders (1, 1)" in doc["error"]
+        # the best rejected candidate is written and reloads as a set file
+        best = doc["best_candidate"]
+        assert best["verdict"]["holds"] is False
+        coll = gs.parse_collection(best["output_collection"])
+        (name,) = coll.sets
+        assert coll.get(name).is_polynomial()
 
     def test_isolated_origin_empty_output(self, isolated_file, tmp_path,
                                           capsys):

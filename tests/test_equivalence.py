@@ -6,7 +6,11 @@ import pytest
 import germapprox as ga
 from germapprox import expr as ex
 from germapprox import sets as gs
-from germapprox.equivalence import ComparisonError, ExponentPreconditionError
+from germapprox.equivalence import (
+    HORN_OFFSETS,
+    ComparisonError,
+    ExponentPreconditionError,
+)
 
 ISOLATED = gs.SemianalyticSet(
     name="origin_only", nvars=2, omega=0.5,
@@ -42,8 +46,7 @@ class TestCompareConfig:
         assert cfg.schedule.r0 == 0.05
 
     @pytest.mark.parametrize("kw", [
-        {"npoints": 4}, {"margin": 0.0}, {"r2_min": 0.0}, {"r2_min": 1.5},
-        {"threads": 0}, {"horn_offsets": ()}, {"horn_offsets": (0.5, -1.0)},
+        {"npoints": 4}, {"margin": 0.0}, {"threads": 0},
     ])
     def test_validation(self, kw):
         with pytest.raises(ComparisonError):
@@ -97,6 +100,28 @@ class TestOrderFits:
         assert est.slope == -math.inf
         assert all(s.delta_ab == math.inf for s in samples)
         assert any("no points on the sphere" in c for c in caveats)
+
+    def test_sampling_caveats_in_schedule_order(self, quick_config,
+                                                fresh_cache):
+        # Gauss-Newton converges linearly on the quartic parts and runs out
+        # of iterations, so only the [y] third of the primary starts count
+        slow = gs.SemianalyticSet(
+            name="slow", nvars=2, omega=0.5,
+            parts=tuple(gs.BasicPresentation(nvars=2, eqs=(ex.parse(t, 2),))
+                        for t in ("y", "x^4", "(x-y)^4")))
+        _, _, _, caveats = ga.deviation_profile(slow, ISOLATED, quick_config,
+                                                fresh_cache)
+        expected = []
+        for r in quick_config.schedule.radii():
+            expected.append(f"'origin_only' has no points on the sphere "
+                            f"r={r:g}")
+            expected.append(f"only 33% of starts converged for 'slow' at "
+                            f"r={r:g}")
+        assert caveats == tuple(expected)
+        # the same note from both sides of a pair is reported once
+        _, _, _, caveats = ga.deviation_profile(slow, slow, quick_config,
+                                                fresh_cache)
+        assert caveats == tuple(c for c in expected if "slow" in c)
 
     def test_threaded_sampling_matches_serial(self, curves):
         base = ga.CompareConfig(schedule=ga.RadiiSchedule(0.25, count=4))
@@ -209,7 +234,7 @@ class TestHornCriterion:
         v = ga.horn_criterion(ISOLATED, curves.get("line"), 2.0,
                               quick_config, fresh_cache)
         assert v.holds and v.estimate is None
-        assert v.sigma == 2.0 + max(quick_config.horn_offsets)
+        assert v.sigma == 2.0 + max(HORN_OFFSETS)
         assert any("vacuously" in c for c in v.caveats)
 
     @pytest.mark.parametrize("a,b,s", [

@@ -179,6 +179,12 @@ class TestParse:
             ex.const_term(e)
         with pytest.raises(NonAnalyticError):
             ex.const_term(IntPow(Const(1e200), 2))
+        # products overflow to inf without raising: an infinite primitive
+        # argument and an inf - inf value are caught all the same
+        for text in ("sin(exp(100)^4*exp(100)^4)",
+                     "y - (exp(100)^4*exp(100)^4 - exp(100)^4*exp(100)^4)"):
+            with pytest.raises(NonAnalyticError, match="overflows"):
+                ex.const_term(ex.parse(text, 2))
 
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
