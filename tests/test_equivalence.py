@@ -45,8 +45,12 @@ class TestCompareConfig:
         cfg = ga.CompareConfig.for_sets(curves.get("line"), small)
         assert cfg.schedule.r0 == 0.05
 
+    # the ids keep the positions these cases had when r2_min and
+    # horn_offsets were still validated fields (kw2, kw3, kw5, kw6)
     @pytest.mark.parametrize("kw", [
-        {"npoints": 4}, {"margin": 0.0}, {"threads": 0},
+        pytest.param({"npoints": 4}, id="kw0"),
+        pytest.param({"margin": 0.0}, id="kw1"),
+        pytest.param({"threads": 0}, id="kw4"),
     ])
     def test_validation(self, kw):
         with pytest.raises(ComparisonError):
