@@ -41,6 +41,10 @@ _PINV_RCOND = 1e-9
 # Gauss-Newton iteration budgets: sphere projection, nearest-point search
 _PROJECT_ITERS = 50
 _NEAREST_ITERS = 40
+# step fractions the sphere projection's line search tries, in order and in
+# two batches: the full step and its first halving for every row, then the
+# other 24 halvings for the rows neither of those improved
+_LINE_SEARCH = (0.5 ** np.arange(2), 0.5 ** np.arange(2, 26))
 # inequality combinations promoted to equations as boundary strata: one at
 # a time for slices, up to two for distances to a germ
 SLICE_DEPTH = 1
@@ -181,8 +185,8 @@ def _linearize(eqs, X: np.ndarray):
     """Nan-safe values and Jacobians at X, with the Jacobians' guarded
     pseudo-inverses."""
     vals, jacs = ex.eval_system_jacobian(eqs, X)
-    vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
-    jacs = np.nan_to_num(jacs, nan=0.0, posinf=0.0, neginf=0.0)
+    vals = np.where(np.isfinite(vals), vals, 0.0)
+    jacs = np.where(np.isfinite(jacs), jacs, 0.0)
     return vals, jacs, np.linalg.pinv(jacs, rcond=_PINV_RCOND)
 
 
@@ -207,9 +211,21 @@ def _renormalize(X: np.ndarray, r: float, fallback: np.ndarray) -> np.ndarray:
 def project_to_sphere_slice(eqs, starts: np.ndarray, r: float):
     """Drive sphere points toward {f = 0} while staying on the sphere.
 
+    Each iteration takes a Gauss-Newton step per row, scales it by the
+    fractions of ``_LINE_SEARCH`` (1, 1/2, ..., 2^-25), renormalizes onto
+    the sphere, and moves to the first trial point whose residual is lower
+    than the row's current one; a row with none stops where it is. The
+    trial points are renormalized and evaluated in two batches (the first
+    two fractions for every row, the rest for rows still pending). Scaling
+    by a power of two is exact and the evaluation is row by row, so the
+    result is the same as trying the fractions one at a time.
+
     Returns the final positions and a mask of points whose last proposed
-    step was short enough to count as on the slice. With no equations every
-    start is already a slice point.
+    step was short enough to count as on the slice. A row that stopped
+    iterating did not move at its last iteration, so that iteration's step
+    is the one tested; only rows still iterating after the budget are
+    linearized again. With no equations every start is already a slice
+    point.
     """
     X = np.array(starts, dtype=float)
     N = len(X)
@@ -217,36 +233,42 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float):
         return X, np.ones(N, dtype=bool)
     res = _system_residual(eqs, X)
     active = np.ones(N, dtype=bool)
+    last = np.zeros_like(X)
     for _ in range(_PROJECT_ITERS):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         Xa = X[idx]
         steps = _gn_steps(eqs, Xa)
-        slen = np.linalg.norm(steps, axis=-1)
-        conv = slen <= _STEP_TARGET * r
-        cand = _renormalize(Xa + steps, r, Xa)
-        cres = _system_residual(eqs, cand)
-        t = np.ones(idx.size)
-        for _ in range(25):
-            pending = ~(cres < res[idx]) & ~conv
-            if not pending.any():
+        last[idx] = steps
+        conv = np.linalg.norm(steps, axis=-1) <= _STEP_TARGET * r
+        # a row moves to its first trial point that lowers the residual;
+        # converged rows stop without moving, so they try no step
+        cand = np.empty_like(Xa)
+        cres = np.full(idx.size, np.inf)
+        pend = np.flatnonzero(~conv)
+        for fractions in _LINE_SEARCH:
+            if pend.size == 0:
                 break
-            t[pending] *= 0.5
-            trial = _renormalize(
-                Xa[pending] + t[pending, None] * steps[pending], r,
-                Xa[pending])
-            cand[pending] = trial
-            cres[pending] = _system_residual(eqs, trial)
+            trials = _renormalize(
+                Xa[pend, None] + fractions[:, None] * steps[pend, None], r,
+                Xa[pend, None])
+            tres = _system_residual(eqs, trials)
+            better = tres < res[idx[pend], None]
+            hit = better.any(axis=1)
+            first = better.argmax(axis=1)[hit]
+            cand[pend[hit]] = trials[hit, first]
+            cres[pend[hit]] = tres[hit, first]
+            pend = pend[~hit]
         improved = cres < res[idx]
-        move = improved & ~conv
-        X[idx[move]] = cand[move]
-        res[idx[move]] = cres[move]
+        X[idx[improved]] = cand[improved]
+        res[idx[improved]] = cres[improved]
         # converged and stalled points both stop iterating
         active[idx[conv | ~improved]] = False
-    final_steps = _gn_steps(eqs, X)
-    accepted = np.linalg.norm(final_steps, axis=-1) <= _STEP_ACCEPT * r
-    accepted &= np.isfinite(_system_residual(eqs, X))
+    if active.any():
+        last[active] = _gn_steps(eqs, X[active])
+    accepted = np.linalg.norm(last, axis=-1) <= _STEP_ACCEPT * r
+    accepted &= np.isfinite(res)
     return X, accepted
 
 
@@ -283,20 +305,13 @@ def _normalize_system(eqs):
 
 
 def _dedup(points: np.ndarray, cell: float):
-    """Grid-hash dedup; returns kept points and per-point hit counts."""
-    seen = {}
-    keep = []
+    """Grid-hash dedup; returns the first point in each occupied cell, in
+    input order, and how many points fell in that cell."""
     cells = np.floor(points / cell).astype(np.int64)
-    counts = []
-    for i, key in enumerate(map(tuple, cells)):
-        j = seen.get(key)
-        if j is None:
-            seen[key] = len(keep)
-            keep.append(i)
-            counts.append(1)
-        else:
-            counts[j] += 1
-    return points[keep], np.array(counts)
+    _, first, counts = np.unique(cells, axis=0, return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
+    return points[first[order]], counts[order]
 
 
 def _cloud_resolution(points: np.ndarray, counts: np.ndarray) -> float:

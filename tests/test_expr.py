@@ -522,6 +522,20 @@ class TestPrimitiveConsistency:
             np.testing.assert_allclose(ex.eval_many(ex.diff(e, j), X),
                                        grads[:, j], rtol=1e-12, atol=1e-14)
 
+    def test_eval_system_ignores_batch_shape(self, name):
+        # the sphere projection evaluates all its line-search trials as one
+        # (rows, halvings, n) batch and relies on these bits being the ones
+        # a flat (rows * halvings, n) batch gives; the wide box reaches
+        # log1p's and sqrt1p's nan region
+        e = self._expr(name)
+        eqs = (e, Mul(X0, e))
+        X = np.random.default_rng(6).uniform(-3.0, 3.0, size=(7, 25, 2))
+        got = ex.eval_system(eqs, X)
+        assert got.shape == (7, 25, 2)
+        flat = ex.eval_system(eqs, X.reshape(-1, 2))
+        assert np.isnan(flat).any() == (name in ("log1p", "sqrt1p"))
+        assert got.reshape(-1, 2).tobytes() == flat.tobytes()
+
     def test_coefficients_match_sympy(self, name):
         sp = pytest.importorskip("sympy")
         from germapprox.series import primitive_coefficients

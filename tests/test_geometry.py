@@ -80,6 +80,168 @@ class TestProjectToSlice:
         assert res.max() < 1e-12
 
 
+def _project_reference(eqs, starts, r):
+    """The sphere projection with its halvings tried one at a time and a
+    final re-linearization of every row: the loop the batched line search
+    must reproduce bit for bit."""
+    X = np.array(starts, dtype=float)
+    N = len(X)
+    if not eqs:
+        return X, np.ones(N, dtype=bool)
+    res = gg._system_residual(eqs, X)
+    active = np.ones(N, dtype=bool)
+    for _ in range(gg._PROJECT_ITERS):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        Xa = X[idx]
+        steps = gg._gn_steps(eqs, Xa)
+        slen = np.linalg.norm(steps, axis=-1)
+        conv = slen <= gg._STEP_TARGET * r
+        cand = gg._renormalize(Xa + steps, r, Xa)
+        cres = gg._system_residual(eqs, cand)
+        t = np.ones(idx.size)
+        for _ in range(25):
+            pending = ~(cres < res[idx]) & ~conv
+            if not pending.any():
+                break
+            t[pending] *= 0.5
+            trial = gg._renormalize(
+                Xa[pending] + t[pending, None] * steps[pending], r,
+                Xa[pending])
+            cand[pending] = trial
+            cres[pending] = gg._system_residual(eqs, trial)
+        improved = cres < res[idx]
+        move = improved & ~conv
+        X[idx[move]] = cand[move]
+        res[idx[move]] = cres[move]
+        active[idx[conv | ~improved]] = False
+    final_steps = gg._gn_steps(eqs, X)
+    accepted = np.linalg.norm(final_steps, axis=-1) <= gg._STEP_ACCEPT * r
+    accepted &= np.isfinite(gg._system_residual(eqs, X))
+    return X, accepted
+
+
+def _corpus_systems(curves, surfaces):
+    for coll in (curves, surfaces):
+        for s in coll.sets.values():
+            for part in s.parts:
+                for eqs, _ in gg._part_strata(part, gg.SLICE_DEPTH):
+                    eqs = gg._normalize_system(eqs)
+                    if eqs:
+                        yield s.nvars, eqs
+
+
+class TestProjectMatchesReference:
+    """The batched line search and the reused last step change how many
+    evaluations the projection makes, never what it returns."""
+
+    @staticmethod
+    def _check(eqs, starts, r):
+        X, ok = gg.project_to_sphere_slice(eqs, starts, r)
+        X_ref, ok_ref = _project_reference(eqs, starts, r)
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(ok, ok_ref)
+        return X, ok
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("r", [0.25, 0.25 * 2.0 ** -6])
+    def test_corpus_strata(self, curves, surfaces, r, seed):
+        systems = list(_corpus_systems(curves, surfaces))
+        assert len(systems) > 30
+        for nvars, eqs in systems:
+            self._check(eqs, ga.sphere_directions(nvars, 64, seed) * r, r)
+
+    @pytest.mark.parametrize("iters", [1, 2, 3, 5])
+    def test_budget_runs_out(self, curves, surfaces, monkeypatch, iters):
+        # rows still iterating when the budget ends are linearized again
+        monkeypatch.setattr(gg, "_PROJECT_ITERS", iters)
+        r = 0.25
+        for nvars, eqs in _corpus_systems(curves, surfaces):
+            self._check(eqs, ga.sphere_directions(nvars, 64, 0) * r, r)
+
+    def test_inflated_strata(self, curves):
+        part = curves.get("cusp_product").parts[0]
+        proj, _ = gs.generic_projection(part.eqs, 2, 1, seed=0)
+        infl = gs.inflated_part(part, proj, m=1)
+        r = 0.25
+        starts = ga.sphere_directions(2, 64, seed=0) * r
+        for eqs, _ in gg._part_strata(infl, gg.SLICE_DEPTH):
+            self._check(gg._normalize_system(eqs), starts, r)
+
+    def test_every_row_stalls(self):
+        # a fourfold root: Gauss-Newton only creeps, so rows stall with
+        # all halvings spent
+        r = 0.25
+        eqs = (ex.parse("x^4", 2),)
+        _, ok = self._check(eqs, ga.sphere_directions(2, 64, seed=0) * r, r)
+        assert not ok.any()
+
+    def test_rows_outside_the_domain(self):
+        # log1p(3x) is nan for x < -1/3, which this sphere reaches
+        r = 0.5
+        eqs = (ex.parse("y - log1p(3*x)", 2),)
+        starts = ga.sphere_directions(2, 64, seed=0) * r
+        assert np.isnan(ex.eval_system(eqs, starts)).any()
+        _, ok = self._check(eqs, starts, r)
+        assert ok.any() and not ok.all()
+
+    def test_single_row(self, curves):
+        r = 0.25
+        eqs = curves.get("exp_curve").parts[0].eqs
+        _, ok = self._check(eqs, ga.sphere_directions(2, 1, seed=0) * r, r)
+        assert ok.all()
+
+
+def _dedup_reference(points, cell):
+    """Grid-hash dedup as a dict loop: the first point of each cell, in
+    input order, with the cell's hit count."""
+    seen = {}
+    keep = []
+    counts = []
+    cells = np.floor(points / cell).astype(np.int64)
+    for i, key in enumerate(map(tuple, cells)):
+        j = seen.get(key)
+        if j is None:
+            seen[key] = len(keep)
+            keep.append(i)
+            counts.append(1)
+        else:
+            counts[j] += 1
+    return points[keep], np.array(counts)
+
+
+class TestDedup:
+    @pytest.mark.parametrize("n,nvars,cell", [
+        (1, 2, 1e-3), (50, 2, 1e-15), (300, 2, 0.05), (300, 3, 0.1),
+        (1000, 3, 0.3), (200, 1, 0.01), (500, 4, 0.5)])
+    def test_matches_loop(self, n, nvars, cell):
+        rng = np.random.default_rng(n + nvars)
+        pts = rng.uniform(-0.25, 0.25, size=(n, nvars))
+        # repeated rows and points on cell boundaries, both signs
+        pts[n // 2:] = pts[: n - n // 2]
+        pts[::7] = np.round(pts[::7] / cell) * cell
+        got_pts, got_counts = gg._dedup(pts, cell)
+        want_pts, want_counts = _dedup_reference(pts, cell)
+        assert np.array_equal(got_pts, want_pts)
+        assert np.array_equal(got_counts, want_counts)
+        assert got_counts.sum() == n
+
+    def test_matches_loop_on_slice_samples(self, curves, surfaces):
+        # accepted samples pile onto isolated slice points or spread along
+        # slice curves, at the cell size sample_slice uses
+        r = 0.25
+        for nvars, eqs in _corpus_systems(curves, surfaces):
+            raw, ok = gg.project_to_sphere_slice(
+                eqs, ga.sphere_directions(nvars, 128, 0) * r, r)
+            raw = raw[ok]
+            cell = gg._cloud_resolution(raw, np.ones(len(raw))) / 4.0
+            got_pts, got_counts = gg._dedup(raw, cell)
+            want_pts, want_counts = _dedup_reference(raw, cell)
+            assert np.array_equal(got_pts, want_pts)
+            assert np.array_equal(got_counts, want_counts)
+
+
 class TestSampleSlice:
     def test_parabola_cloud_geometry(self, curves, shared_cache):
         r = 0.25
