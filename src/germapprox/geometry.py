@@ -8,9 +8,10 @@ part. From clouds come directed deviations between two sets' slices,
 distances from points to a germ, tangent direction clouds, and a numeric
 dimension estimate.
 
-All sampling is deterministic given (set, radius, npoints, seed); a
+All sampling is deterministic given (set, radius, npoints, seed), and each
+stratum's projection given (its system, radius, npoints, seed); a
 thread-safe cache keyed on exactly those values makes repeated comparisons
-against the same set cheap and bit-stable.
+against the same set, and sets that share strata, cheap and bit-stable.
 """
 from __future__ import annotations
 
@@ -115,7 +116,9 @@ class DistanceSample:
 
 
 class SliceCache:
-    """Thread-safe memo of sampled slices, including empty outcomes."""
+    """Thread-safe memo of sampled slices, including empty outcomes, and of
+    the accepted points of each stratum's sphere projection, so sets that
+    share a stratum project it once."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -145,10 +148,16 @@ def default_cache() -> SliceCache:
 # direction families
 
 
-def sphere_directions(nvars: int, npoints: int, seed: int = 0) -> np.ndarray:
-    """Low-discrepancy unit directions, deterministic in (nvars, npoints, seed)."""
+def _direction_count(nvars: int, npoints: int) -> int:
+    """How many directions :func:`sphere_directions` returns."""
     if npoints < 1:
         raise GeometryError("need at least one direction")
+    return 2 if nvars == 1 else npoints
+
+
+def sphere_directions(nvars: int, npoints: int, seed: int = 0) -> np.ndarray:
+    """Low-discrepancy unit directions, deterministic in (nvars, npoints, seed)."""
+    _direction_count(nvars, npoints)
     rng = np.random.default_rng(seed)
     if nvars == 1:
         return np.array([[1.0], [-1.0]])
@@ -276,17 +285,22 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float):
 # slice sampling
 
 
-def _part_strata(part: BasicPresentation, depth: int):
-    """The part's own system first, then each <=depth set of inequalities
-    promoted to equations (their common zero sets carry the boundary)."""
-    strata = [(part.eqs, part.ineqs)]
-    l = len(part.ineqs)
+def _strata(eqs: tuple, ineqs: tuple, depth: int):
+    """The system's own (eqs, ineqs) first, then each <=depth set of
+    inequalities promoted to equations (their common zero sets carry the
+    boundary). Works on expressions and on their rendered strings alike."""
+    strata = [(eqs, ineqs)]
+    l = len(ineqs)
     for size in range(1, min(depth, l) + 1):
         for combo in itertools.combinations(range(l), size):
-            eqs = part.eqs + tuple(part.ineqs[j] for j in combo)
-            rest = tuple(part.ineqs[j] for j in range(l) if j not in combo)
-            strata.append((eqs, rest))
+            promoted = eqs + tuple(ineqs[j] for j in combo)
+            rest = tuple(ineqs[j] for j in range(l) if j not in combo)
+            strata.append((promoted, rest))
     return strata
+
+
+def _part_strata(part: BasicPresentation, depth: int):
+    return _strata(part.eqs, part.ineqs, depth)
 
 
 def _normalize_system(eqs):
@@ -341,7 +355,8 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
             f"radius {r:g} outside (0, omega={s.omega:g}] of {s.name!r}")
     if cache is None:
         cache = _DEFAULT_CACHE
-    key = (s.signature(), float(r), int(npoints), int(seed))
+    sig = s.signature()
+    key = (sig, float(r), int(npoints), int(seed))
     hit = cache.lookup(key)
     if hit is not None:
         if isinstance(hit, EmptySliceError):
@@ -355,24 +370,35 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
             hit = replace(hit, set_name=s.name)
         return hit
 
-    starts = sphere_directions(s.nvars, npoints, seed) * r
+    nstarts = _direction_count(s.nvars, npoints)
+    starts = None
     collected = []
-    primary_total = 0
     primary_accepted = 0
     attempts = 0
     ineq_tol = 1e-10 * max(1.0, r)
-    for part in s.parts:
-        for si, (eqs, rest) in enumerate(_part_strata(part, SLICE_DEPTH)):
-            attempts += len(starts)
-            if si == 0:
-                primary_total += len(starts)
+    _, _, part_sigs = sig
+    for part, (_, eq_strs, ineq_strs) in zip(s.parts, part_sigs):
+        strata = zip(_part_strata(part, SLICE_DEPTH),
+                     _strata(eq_strs, ineq_strs, SLICE_DEPTH))
+        for si, ((eqs, rest), (stratum_strs, _)) in enumerate(strata):
+            attempts += nstarts
             sys_eqs = _normalize_system(eqs)
             if sys_eqs is None:
                 continue
-            pts, ok = project_to_sphere_slice(sys_eqs, starts, r)
+            # a projection depends only on its system and its starts, so
+            # sets sharing a stratum share its entry; the inequality filter
+            # and membership stay per set
+            skey = (s.nvars, stratum_strs, float(r), int(npoints), int(seed))
+            entry = cache.lookup(skey)
+            if entry is None:
+                if starts is None:
+                    starts = sphere_directions(s.nvars, npoints, seed) * r
+                pts, ok = project_to_sphere_slice(sys_eqs, starts, r)
+                entry = (pts[ok], int(ok.sum()))
+                cache.store(skey, entry)
+            pts, accepted = entry
             if si == 0:
-                primary_accepted += int(ok.sum())
-            pts = pts[ok]
+                primary_accepted += accepted
             if len(pts) == 0:
                 continue
             for g in rest:
@@ -387,6 +413,7 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
             if len(pts):
                 collected.append(pts)
 
+    primary_total = nstarts * len(s.parts)
     fraction = primary_accepted / primary_total if primary_total else 0.0
     if not collected:
         err = EmptySliceError(s.name, r, fraction, attempts)

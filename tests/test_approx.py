@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -205,3 +206,39 @@ class TestDiagonalSearchOrder:
         from germapprox.approx import _diagonal_orders
         seq = list(_diagonal_orders(2, 1))
         assert seq == [(1, 1), (2, 1)]
+
+
+class TestWarmCache:
+    """A cache warmed by other sets changes no search decision and no
+    sample: shared strata come back bit-identical."""
+
+    @staticmethod
+    def _slopes(verdict):
+        return tuple(e.slope if e is not None else None
+                     for e in (verdict.estimate, verdict.estimate_reverse))
+
+    @pytest.mark.parametrize("name,s", [
+        ("exp_sin", 2.0), ("halfdisk", 2.0), ("cusp_product", 2.5)])
+    def test_search_matches_fresh_cache(self, curves, acfg, name, s):
+        warm = ga.SliceCache()
+        for other in ("parabola", "exp_half_pos", "disk"):
+            ga.approximate(curves.get(other), 2.0, acfg, warm)
+        a = ga.approximate(curves.get(name), s, acfg, warm)
+        b = ga.approximate(curves.get(name), s, acfg, ga.SliceCache())
+        assert a.output.signature() == b.output.signature()
+        assert [(p.m, p.h, p.k) for p in a.parts] == \
+               [(p.m, p.h, p.k) for p in b.parts]
+        assert self._slopes(a.final_verdict) == \
+               self._slopes(b.final_verdict)
+
+    def test_threaded_profile_on_shared_cache(self, curves, quick_config):
+        a, b = curves.get("exp_half_pos"), curves.get("trunc3_half_pos")
+        serial, *_ = ga.deviation_profile(a, b, quick_config,
+                                          ga.SliceCache())
+        shared = ga.SliceCache()
+        # the full curves share the half curves' primary strata
+        ga.deviation_profile(curves.get("exp_curve"), curves.get("trunc3"),
+                             quick_config, shared)
+        threaded = replace(quick_config, threads=4)
+        samples, *_ = ga.deviation_profile(a, b, threaded, shared)
+        assert samples == serial

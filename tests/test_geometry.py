@@ -515,3 +515,103 @@ class TestCache:
 
     def test_default_cache_is_shared(self):
         assert gg.default_cache() is gg.default_cache()
+
+
+class TestStratumCache:
+    """Sets that share a stratum share its projection, with the same clouds
+    and diagnostics as sampling each set into a fresh cache."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+        project = gg.project_to_sphere_slice
+
+        def counting(eqs, starts, r):
+            seen.append((tuple(eqs), r, len(starts)))
+            return project(eqs, starts, r)
+
+        monkeypatch.setattr(gg, "project_to_sphere_slice", counting)
+        return seen
+
+    @staticmethod
+    def _same_as_fresh(s, cloud, r, **kw):
+        fresh = ga.sample_slice(s, r, cache=ga.SliceCache(), **kw)
+        assert np.array_equal(cloud.points, fresh.points)
+        assert cloud.spacing == fresh.spacing
+        assert cloud.converged_fraction == fresh.converged_fraction
+
+    def test_inflation_exponents_share_the_primary_stratum(self, curves,
+                                                           calls):
+        part = curves.get("exp_curve").parts[0]
+        inflated = [gs.set_of(gs.inflated_part(part, part.eqs, m), f"m{m}",
+                              0.5) for m in (1, 2, 3)]
+        cache = ga.SliceCache()
+        clouds = [ga.sample_slice(s, 0.25, cache=cache) for s in inflated]
+        assert [eqs for eqs, *_ in calls].count(part.eqs) == 1
+        # the primary stratum once, then one promoted slack per exponent
+        assert len(calls) == 4
+        for s, cloud in zip(inflated, clouds):
+            self._same_as_fresh(s, cloud, 0.25)
+
+    def test_union_reuses_its_parts(self, curves, calls):
+        a, b = curves.get("halfline_neg"), curves.get("parabola")
+        cache = ga.SliceCache()
+        ga.sample_slice(a, 0.25, cache=cache)
+        ga.sample_slice(b, 0.25, cache=cache)
+        before = len(calls)
+        u = gs.union_sets("u", a, b)
+        cloud = ga.sample_slice(u, 0.25, cache=cache)
+        assert len(calls) == before
+        self._same_as_fresh(u, cloud, 0.25)
+
+    def test_same_string_in_more_variables(self, calls):
+        plane = make_collection(
+            {"vars": ["x", "y", "z"], "omega": 0.5,
+             "sets": {"plane": {"parts": [{"eqs": ["y"]}]}}}).get("plane")
+        line = make_collection(
+            {"vars": ["x", "y"], "omega": 0.5,
+             "sets": {"line": {"parts": [{"eqs": ["y"]}]}}}).get("line")
+        assert plane.signature()[2][0][1] == line.signature()[2][0][1]
+        cache = ga.SliceCache()
+        a = ga.sample_slice(line, 0.25, cache=cache)
+        b = ga.sample_slice(plane, 0.25, cache=cache)
+        assert len(calls) == 2
+        assert a.points.shape[1] == 2 and b.points.shape[1] == 3
+        self._same_as_fresh(line, a, 0.25)
+        self._same_as_fresh(plane, b, 0.25)
+
+    @pytest.mark.parametrize("r,npoints,seed", [
+        (0.125, 256, 0), (0.25, 128, 0), (0.25, 256, 1)])
+    def test_other_radius_count_or_seed_projects_again(self, curves, calls,
+                                                       r, npoints, seed):
+        cache = ga.SliceCache()
+        ga.sample_slice(curves.get("parabola"), 0.25, cache=cache)
+        twin = make_collection(
+            {"vars": ["x", "y"], "omega": 0.5,
+             "sets": {"pb_twin": {"parts": [{"eqs": ["y - x^2"]}]}}})
+        cloud = ga.sample_slice(twin.get("pb_twin"), r, npoints=npoints,
+                                seed=seed, cache=cache)
+        assert len(calls) == 2
+        assert calls[1][1:] == (r, npoints)
+        self._same_as_fresh(twin.get("pb_twin"), cloud, r, npoints=npoints,
+                            seed=seed)
+
+    def test_empty_slice_from_cached_strata(self, calls):
+        coll = make_collection(
+            {"vars": ["x", "y"], "omega": 0.5,
+             "sets": {"pos": {"parts": [{"eqs": ["y"], "ineqs": ["x"]}]},
+                      "neg": {"parts": [{"eqs": ["y"], "ineqs": ["-x"]}]},
+                      "both": {"parts": [{"eqs": ["y"],
+                                          "ineqs": ["x", "-x"]}]}}})
+        cache = ga.SliceCache()
+        ga.sample_slice(coll.get("pos"), 0.25, cache=cache)
+        ga.sample_slice(coll.get("neg"), 0.25, cache=cache)
+        before = len(calls)
+        with pytest.raises(ga.EmptySliceError) as warm:
+            ga.sample_slice(coll.get("both"), 0.25, cache=cache)
+        assert len(calls) == before
+        with pytest.raises(ga.EmptySliceError) as fresh:
+            ga.sample_slice(coll.get("both"), 0.25, cache=ga.SliceCache())
+        assert warm.value.converged_fraction == \
+            fresh.value.converged_fraction == 1.0
+        assert warm.value.attempts == fresh.value.attempts == 3 * 256
