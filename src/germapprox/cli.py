@@ -46,7 +46,7 @@ from .equivalence import (
 )
 from .geometry import SLICE_DEPTH, EmptySliceError, GeometryError, \
     tangent_cone_cloud
-from .sets import SemianalyticSet, SetFileError, dump_set, load_collection, \
+from .sets import SemianalyticSet, SetError, dump_set, load_collection, \
     truncate_full
 from .version import __version__
 
@@ -518,7 +518,7 @@ def main(argv=None) -> int:
     args.raw_argv = raw
     try:
         return args.func(args)
-    except (SetFileError, ex.ExprError, ComparisonError, GeometryError,
+    except (SetError, ex.ExprError, ComparisonError, GeometryError,
             ApproxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -271,15 +271,7 @@ def max_index(e: Expr) -> int:
 
 def is_polynomial(e: Expr) -> bool:
     """True when the tree uses only +, -, *, integer powers, and atoms."""
-    if isinstance(e, (Var, Const)):
-        return True
-    if isinstance(e, (Add, Sub, Mul)):
-        return is_polynomial(e.left) and is_polynomial(e.right)
-    if isinstance(e, Neg):
-        return is_polynomial(e.arg)
-    if isinstance(e, IntPow):
-        return is_polynomial(e.base)
-    return False
+    return polynomial_degree(e) is not None
 
 
 def polynomial_degree(e: Expr) -> int | None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from . import expr as ex
 from .sets import BasicPresentation, SemianalyticSet, membership_mask
@@ -435,13 +434,15 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
 
 
 def directed_deviation(P: np.ndarray, Q: np.ndarray) -> float:
-    """max over rows of P of the distance to the nearest row of Q."""
+    """max over rows of P of the distance to the nearest row of Q.
+
+    An exact k-d tree query at every size; a non-finite row raises
+    ValueError.
+    """
     if len(P) == 0:
         return 0.0
     if len(Q) == 0:
         return math.inf
-    if len(P) * len(Q) <= 4_000_000:
-        return float(np.max(np.min(cdist(P, Q), axis=1)))
     dists, _ = cKDTree(Q).query(P)
     return float(np.max(dists))
 
@@ -516,13 +517,17 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     Candidates come from three sources per query: the origin (when a part
     passes through it), the set's slice cloud at the query's radius, and
     constrained refinement onto every boundary stratum of every part,
-    multi-started from the query and its nearest cloud points. Queries that
-    already read as members get distance zero. Infinity means the set offered
-    no candidate at all (an empty germ).
+    multi-started from the query and its nearest cloud points. The multistart
+    does not depend on the stratum, so it is built once per call. Queries
+    that already read as members get distance zero. Infinity means the set
+    offered no candidate at all (an empty germ). Non-finite query points
+    raise GeometryError.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
+    if not np.isfinite(X).all():
+        raise GeometryError("query points must be finite")
     N = len(X)
     best = np.full(N, math.inf)
     if not s.parts:
@@ -544,47 +549,37 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
                                  cache=cache)
         except EmptySliceError:
             cloud = None
-    if cloud is not None and len(cloud.points):
-        D = cdist(X, cloud.points)
-        best = np.minimum(best, D.min(axis=1))
-        k_near = min(3, len(cloud.points))
-        near_idx = np.argsort(D, axis=1)[:, :k_near]
-    else:
-        near_idx = None
-
     todo = np.flatnonzero(~member)
-    if todo.size == 0:
-        return best
+    starts = [X[todo]]
+    if cloud is not None and len(cloud.points):
+        k_near = min(3, len(cloud.points))
+        # k as a list keeps both results 2-D even when k_near is 1
+        dists, near = cKDTree(cloud.points).query(
+            X, k=list(range(1, k_near + 1)))
+        best = np.minimum(best, dists[:, 0])
+        starts += [cloud.points[near[todo, c]] for c in range(k_near)]
+    S0 = np.concatenate(starts, axis=0)
+    T0 = np.tile(X[todo], (len(starts), 1))
+    own = np.tile(todo, len(starts))
+
     ineq_tol = 1e-8 * np.maximum(1.0, norms)
     for part in s.parts:
         for eqs, rest in _part_strata(part, _DIST_DEPTH):
             eqs = _normalize_system(eqs)
             if not eqs:
                 continue
-            starts = [X[todo]]
-            targets = [X[todo]]
-            owners = [todo]
-            if near_idx is not None:
-                for c in range(near_idx.shape[1]):
-                    starts.append(cloud.points[near_idx[todo, c]])
-                    targets.append(X[todo])
-                    owners.append(todo)
-            S0 = np.concatenate(starts, axis=0)
-            T0 = np.concatenate(targets, axis=0)
-            own = np.concatenate(owners, axis=0)
             Y, ok = _nearest_on_variety(eqs, S0, T0)
             if not ok.any():
                 continue
-            Y, T0, own = Y[ok], T0[ok], own[ok]
+            Y, T, o = Y[ok], T0[ok], own[ok]
             keep = np.linalg.norm(Y, axis=-1) <= s.omega * (1.0 + 1e-9)
             for g in rest:
                 vals = ex.eval_many(g, Y)
-                keep &= np.isfinite(vals) & (vals >= -ineq_tol[own])
+                keep &= np.isfinite(vals) & (vals >= -ineq_tol[o])
             if not keep.any():
                 continue
-            Y, T0, own = Y[keep], T0[keep], own[keep]
-            d = np.linalg.norm(Y - T0, axis=-1)
-            np.minimum.at(best, own, d)
+            d = np.linalg.norm(Y[keep] - T[keep], axis=-1)
+            np.minimum.at(best, o[keep], d)
     return best
 
 

@@ -106,6 +106,15 @@ class TestTruncate:
         assert err.startswith("error:") and "overflows" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("order", [["--h", "-1"], ["--k", "-1"]],
+                             ids=["h", "k"])
+    def test_negative_order_is_input_error(self, order, curves_file, capsys):
+        rc = main(["truncate", curves_file, "exp_sin", *order])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nonnegative" in err
+        assert "Traceback" not in err
+
     def test_human_summary(self, curves_file, capsys):
         rc = main(["truncate", curves_file, "parabola", "--h", "2"])
         assert rc == 0

@@ -356,11 +356,25 @@ class TestDirectedDeviation:
         assert ga.directed_deviation(P, P) == 0.0
 
     def test_tree_path_matches_dense(self):
+        # sizes from a 2x2 pair past 4e6 pairs, each compared exactly
         rng = np.random.default_rng(1)
-        P = rng.normal(size=(2001, 2))
-        Q = rng.normal(size=(2001, 2))
-        dense = float(np.max(np.min(cdist(P, Q), axis=1)))
-        assert ga.directed_deviation(P, Q) == pytest.approx(dense, rel=1e-12)
+        for n in (2, 40, 300, 2001):
+            for dim in (2, 3):
+                P = rng.normal(size=(n, dim))
+                Q = rng.normal(size=(n, dim))
+                dense = float(np.max(np.min(cdist(P, Q), axis=1)))
+                assert ga.directed_deviation(P, Q) == dense, (n, dim)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("size", [2, 2001])
+    def test_non_finite_row_raises(self, size, bad):
+        P = np.random.default_rng(2).normal(size=(size, 2))
+        Q = P[::-1].copy()
+        P[size // 2, 0] = bad
+        with pytest.raises(ValueError):
+            ga.directed_deviation(P, Q)
+        with pytest.raises(ValueError):
+            ga.directed_deviation(Q, P)
 
 
 class TestSliceDistance:
@@ -424,6 +438,110 @@ class TestDistToSet:
     def test_empty_germ_is_infinitely_far(self):
         empty = gs.SemianalyticSet(name="none", nvars=2, omega=0.5)
         assert ga.dist_to_set(np.array([0.1, 0.1]), empty) == math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_non_finite_queries_rejected(self, curves, shared_cache, rows,
+                                         bad):
+        X = np.tile([[0.1, 0.05]], (rows, 1))
+        X[rows // 2, 0] = bad
+        with pytest.raises(gg.GeometryError, match="must be finite"):
+            ga.dist_to_set_batch(X, curves.get("parabola"),
+                                 cache=shared_cache)
+
+
+def _dist_reference(X, s, npoints, seed, cache):
+    """dist_to_set_batch assembled from a dense queries x cloud matrix, its
+    argsort, and a multistart rebuilt per stratum: the path the k-d tree
+    query must reproduce."""
+    X = np.asarray(X, dtype=float)
+    best = np.full(len(X), math.inf)
+    member = gs.membership_mask(s, X)
+    best[member] = 0.0
+    norms = np.linalg.norm(X, axis=-1)
+    if any(p.through_origin for p in s.parts):
+        best = np.minimum(best, norms)
+    r_med = float(np.median(norms))
+    cloud = None
+    if 0.0 < r_med <= s.omega:
+        try:
+            cloud = ga.sample_slice(s, r_med, npoints=npoints, seed=seed,
+                                    cache=cache)
+        except gg.EmptySliceError:
+            cloud = None
+    near_idx = None
+    if cloud is not None and len(cloud.points):
+        D = cdist(X, cloud.points)
+        best = np.minimum(best, D.min(axis=1))
+        near_idx = np.argsort(D, axis=1)[:, :min(3, len(cloud.points))]
+    todo = np.flatnonzero(~member)
+    ineq_tol = 1e-8 * np.maximum(1.0, norms)
+    for part in s.parts:
+        for eqs, rest in gg._part_strata(part, gg._DIST_DEPTH):
+            eqs = gg._normalize_system(eqs)
+            if not eqs:
+                continue
+            starts, targets, owners = [X[todo]], [X[todo]], [todo]
+            if near_idx is not None:
+                for c in range(near_idx.shape[1]):
+                    starts.append(cloud.points[near_idx[todo, c]])
+                    targets.append(X[todo])
+                    owners.append(todo)
+            S0 = np.concatenate(starts, axis=0)
+            T0 = np.concatenate(targets, axis=0)
+            own = np.concatenate(owners, axis=0)
+            Y, ok = gg._nearest_on_variety(eqs, S0, T0)
+            Y, T0, own = Y[ok], T0[ok], own[ok]
+            keep = np.linalg.norm(Y, axis=-1) <= s.omega * (1.0 + 1e-9)
+            for g in rest:
+                vals = ex.eval_many(g, Y)
+                keep &= np.isfinite(vals) & (vals >= -ineq_tol[own])
+            Y, T0, own = Y[keep], T0[keep], own[keep]
+            np.minimum.at(best, own, np.linalg.norm(Y - T0, axis=-1))
+    return best
+
+
+class TestDistMatchesDense:
+    @staticmethod
+    def _both(a, b, r, npoints, seed, cache):
+        X = ga.sample_slice(a, r, npoints=npoints, seed=seed,
+                            cache=cache).points
+        got = ga.dist_to_set_batch(X, b, npoints=npoints, seed=seed,
+                                   cache=cache)
+        return X, got, _dist_reference(X, b, npoints, seed, cache)
+
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_graph_exp_truncations(self, surfaces, shared_cache, h, j):
+        g = surfaces.get("graph_exp")
+        _, got, want = self._both(g, gs.truncate_eqs(g, h), 0.25 * 2.0 ** -j,
+                                  1000, 0, shared_cache)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed,j", [(0, 2), (0, 6), (1, 6)])
+    def test_curve_cloud_ties(self, curves, shared_cache, seed, j):
+        # exp_curve's cloud keeps near-copies of each slice point, so the
+        # third-nearest start is a tie that the tree and argsort may break
+        # differently; every choice converges to the same nearest point
+        b = curves.get("exp_curve")
+        X, got, want = self._both(curves.get("trunc2"), b, 0.25 * 2.0 ** -j,
+                                  2000, seed, shared_cache)
+        cloud = ga.sample_slice(b, float(np.median(np.linalg.norm(X, axis=1))),
+                                npoints=2000, seed=seed, cache=shared_cache)
+        near = np.sort(cdist(X, cloud.points), axis=1)
+        assert np.isclose(near[:, 2], near[:, 3], rtol=1e-9, atol=0).any()
+        np.testing.assert_allclose(got, want, rtol=1e-8)
+
+    @pytest.mark.parametrize("name", ["line", "halfline"])
+    def test_cloud_below_three_points(self, curves, shared_cache, name):
+        s = curves.get(name)
+        r = 0.125
+        assert len(ga.sample_slice(s, r, cache=shared_cache).points) < 3
+        angles = np.linspace(0.3, 2.8, 5)
+        X = r * np.column_stack([np.cos(angles), np.sin(angles)])
+        got = ga.dist_to_set_batch(X, s, cache=shared_cache)
+        assert np.array_equal(got, _dist_reference(X, s, 128, 0,
+                                                   shared_cache))
 
 
 class TestHornMember:
