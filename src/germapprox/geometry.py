@@ -36,8 +36,15 @@ _STEP_ACCEPT = 1e-12
 _SPACING_GUARD = 1e-15
 # Jacobian directions this far below the dominant sensitivity are treated
 # as degenerate (redundant equations whose rounding noise would otherwise
-# be amplified into a limit cycle), not as stiff constraints
+# be amplified into a limit cycle), not as stiff constraints. The cut-off
+# acts in the SVD fallback of `_pinv`; its closed forms serve only rows it
+# cannot touch: a one-equation row (whose one singular value is cut only
+# when it is 0) and a 2x2 row with sigma2/sigma1 >= _PINV_CLOSED_GUARD
 _PINV_RCOND = 1e-9
+# a 2x2 Jacobian is inverted through its adjugate when |det| >= this times
+# its squared Frobenius norm, which implies sigma2/sigma1 >= this, far above
+# _PINV_RCOND; other rows go to the SVD
+_PINV_CLOSED_GUARD = 1e-6
 # Gauss-Newton iteration budgets: sphere projection, nearest-point search
 _PROJECT_ITERS = 50
 _NEAREST_ITERS = 40
@@ -74,11 +81,11 @@ class EmptySliceError(GeometryError):
 class SliceCloud:
     """Deduplicated samples of a set on the sphere of radius r.
 
-    ``spacing`` is the median nearest-neighbour distance of the raw samples
-    before deduplication, floored at an absolute machine-noise guard; it is
-    the resolution below which distances measured against this cloud carry
-    no information. ``converged_fraction`` covers the primary strata only
-    (the parts' own equations, before inequality filtering).
+    ``spacing`` is the resolution of the deduplicated points (see
+    :func:`_cloud_resolution`), floored at an absolute machine-noise guard;
+    distances measured against this cloud carry no information below it.
+    ``converged_fraction`` covers the primary strata only (the parts' own
+    equations, before inequality filtering).
     """
 
     set_name: str
@@ -189,13 +196,52 @@ def _system_residual(eqs, X: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(res), res, np.inf)
 
 
+def _pinv(jacs: np.ndarray) -> np.ndarray:
+    """``np.linalg.pinv(jacs, rcond=_PINV_RCOND)`` for finite (..., m, n)
+    Jacobians, in closed form where the cut-off cannot act.
+
+    One equation (m = 1): the only singular value is |J|, so the cut-off
+    zeroes only an all-zero row, and the pseudo-inverse is J^T / |J|^2
+    (0 for a zero row). Square 2x2: the adjugate over det, on the rows
+    where |det| >= _PINV_CLOSED_GUARD * |J|_F^2. Both scale each Jacobian
+    by its largest entry first, so squares cannot underflow or overflow.
+    Rows that fail the 2x2 guard, and every other shape, go through the
+    SVD, so the cut-off acts exactly where it did with the SVD alone.
+    """
+    m, n = jacs.shape[-2:]
+    if m != 1 and (m, n) != (2, 2):
+        return np.linalg.pinv(jacs, rcond=_PINV_RCOND)
+    shape = jacs.shape[:-2] + (n, m)
+    # one row of E per Jacobian entry: numpy reduces across a few long rows
+    # far faster than along many short ones
+    E = np.ascontiguousarray(jacs.reshape(-1, m * n).T)
+    scale = np.abs(E).max(axis=0)
+    live = scale > 0.0
+    # a zero Jacobian stays zero, and so does its pseudo-inverse
+    U = E / np.where(live, scale, 1.0)
+    sq = (U * U).sum(axis=0)
+    if m == 1:
+        return (U / np.where(live, sq * scale, 1.0)).T.reshape(shape)
+    a, b, c, d = U
+    det = a * d - b * c
+    closed = live & (np.abs(det) >= _PINV_CLOSED_GUARD * sq)
+    out = np.stack([d, -b, -c, a]) / np.where(closed, det * scale, 1.0)
+    out = out.T.reshape(-1, 2, 2)
+    rest = ~closed
+    if rest.any():
+        out[rest] = np.linalg.pinv(jacs.reshape(-1, 2, 2)[rest],
+                                   rcond=_PINV_RCOND)
+    return out.reshape(shape)
+
+
 def _linearize(eqs, X: np.ndarray):
     """Nan-safe values and Jacobians at X, with the Jacobians' guarded
-    pseudo-inverses."""
+    pseudo-inverses from :func:`_pinv`: closed forms for one-equation and
+    well-conditioned 2x2 Jacobians, the ``_PINV_RCOND`` SVD for the rest."""
     vals, jacs = ex.eval_system_jacobian(eqs, X)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     jacs = np.where(np.isfinite(jacs), jacs, 0.0)
-    return vals, jacs, np.linalg.pinv(jacs, rcond=_PINV_RCOND)
+    return vals, jacs, _pinv(jacs)
 
 
 def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
@@ -327,6 +373,33 @@ def _dedup(points: np.ndarray, cell: float):
     return points[first[order]], counts[order]
 
 
+def _merge_close(points: np.ndarray, counts: np.ndarray, tol: float):
+    """Leader clustering in input order: a point within tol of an earlier
+    kept point joins the first such point, otherwise it is kept. Returns
+    the kept points, in input order, and the summed counts of each one's
+    cluster.
+
+    A point with no other point within tol keeps itself; only the crowded
+    rest is clustered, one k-d tree ball query per kept point."""
+    n = len(points)
+    leader = np.arange(n)
+    if n > 1:
+        tree = cKDTree(points)
+        dists, _ = tree.query(points, k=2)
+        crowded = np.flatnonzero(dists[:, 1] <= tol)
+        free = np.zeros(n, dtype=bool)
+        free[crowded] = True
+        for i in crowded:
+            if free[i]:
+                ball = np.asarray(tree.query_ball_point(points[i], tol))
+                ball = ball[free[ball]]
+                leader[ball] = i
+                free[ball] = False
+    kept, cluster = np.unique(leader, return_inverse=True)
+    return points[kept], np.bincount(cluster, weights=counts).astype(
+        counts.dtype)
+
+
 def _cloud_resolution(points: np.ndarray, counts: np.ndarray) -> float:
     """Typical scale below which the cloud cannot resolve deviations.
 
@@ -422,6 +495,9 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
     # before dedup every raw point stands for itself
     cell = _cloud_resolution(raw, np.ones(len(raw))) / 4.0
     points, counts = _dedup(raw, cell)
+    # copies of one isolated slice point can straddle cell borders; accepted
+    # points are known to _STEP_ACCEPT * r, so closer ones are one point
+    points, counts = _merge_close(points, counts, _STEP_ACCEPT * r)
     spacing = _cloud_resolution(points, counts)
     cloud = SliceCloud(set_name=s.name, r=r, points=points, seed=seed,
                        converged_fraction=fraction, spacing=spacing)
@@ -485,6 +561,9 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
 
     Alternates a tangential pull toward the target with a Gauss-Newton
     restoration onto the variety. Returns final points and a converged mask.
+    `_linearize` reads a non-finite value as 0, so a row outside an
+    equation's domain would take no step and look converged; the mask
+    therefore also requires a finite residual at the final point.
     """
     Y = np.array(starts, dtype=float)
     if not eqs:
@@ -505,7 +584,7 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
             break
     final = _gn_steps(eqs, Y)
     ok = np.linalg.norm(final, axis=-1) <= 1e-9 * scale
-    ok &= np.all(np.isfinite(Y), axis=-1)
+    ok &= np.isfinite(_system_residual(eqs, Y))
     return Y, ok
 
 

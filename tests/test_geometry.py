@@ -193,6 +193,103 @@ class TestProjectMatchesReference:
         assert ok.all()
 
 
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)],
+                     [np.sin(theta), np.cos(theta)]])
+
+
+def _jacobian_batch(rng, m, n, size=40):
+    """Random (size, m, n) Jacobians plus rows that stress the closed forms:
+    all-zero rows and rows scaled by 1e-200 and 1e200."""
+    J = rng.standard_normal((size, m, n))
+    J[:3] = 0.0
+    J[3:6] *= 1e-200
+    J[6:9] *= 1e200
+    return J
+
+
+def _assert_near_svd(J, got):
+    """Zero rows give exactly zero; every other row is within
+    16 eps cond(J) of the SVD pseudo-inverse, relative to its largest
+    entry (the rounding of either path; about 5 is seen)."""
+    want = np.linalg.pinv(J, rcond=gg._PINV_RCOND)
+    live = np.abs(J).max(axis=(1, 2)) > 0.0
+    assert not got[~live].any() and not want[~live].any()
+    svals = np.linalg.svd(J[live], compute_uv=False)
+    cond = svals[:, 0] / svals[:, -1]
+    err = np.abs(got[live] - want[live]).max(axis=(1, 2))
+    size = np.abs(want[live]).max(axis=(1, 2))
+    assert np.all(err <= 16 * np.finfo(float).eps * cond * size)
+
+
+class TestPinv:
+    """The closed forms agree with the SVD pseudo-inverse, and every row the
+    cut-off can act on still goes through the SVD."""
+
+    @staticmethod
+    def _svd(J):
+        return np.linalg.pinv(J, rcond=gg._PINV_RCOND)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_equation(self, n):
+        J = _jacobian_batch(np.random.default_rng(n), 1, n)
+        got = gg._pinv(J)
+        assert got.shape == (len(J), n, 1)
+        _assert_near_svd(J, got)
+        # leading batch dimensions are kept
+        stacked = J[9:].reshape(-1, 1, 1, n)
+        assert np.array_equal(gg._pinv(stacked), got[9:].reshape(-1, 1, n, 1))
+
+    def test_square_two(self):
+        rng = np.random.default_rng(2)
+        J = _jacobian_batch(rng, 2, 2)
+        _assert_near_svd(J, gg._pinv(J))
+
+    @pytest.mark.parametrize("ratio,closed", [
+        (1e-5, True), (1e-8, False), (1e-10, False)])
+    def test_square_two_ill_conditioned(self, ratio, closed):
+        # sigma2/sigma1 on both sides of the guard and of the cut-off
+        rng = np.random.default_rng(3)
+        J = np.stack([
+            _rotation(a) @ np.diag([s, s * ratio]) @ _rotation(b).T
+            for a, b, s in zip(rng.uniform(0, 2 * np.pi, 20),
+                               rng.uniform(0, 2 * np.pi, 20),
+                               10.0 ** rng.uniform(-3, 3, 20))])
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        fro = (J * J).sum(axis=(1, 2))
+        assert np.all((np.abs(det) >= gg._PINV_CLOSED_GUARD * fro) == closed)
+        got, want = gg._pinv(J), self._svd(J)
+        if closed:
+            _assert_near_svd(J, got)
+        else:
+            # the SVD itself, so the cut-off acts exactly as before: at
+            # 1e-10 it drops the small singular value, at 1e-8 it keeps it
+            assert np.array_equal(got, want)
+            svals = np.linalg.svd(got, compute_uv=False)
+            rank = (svals > 1e-12 * svals[:, :1]).sum(axis=1)
+            assert np.all(rank == (2 if ratio > gg._PINV_RCOND else 1))
+
+    def test_square_two_singular(self):
+        # exactly singular rows: the second row is a power-of-two multiple
+        # of the first, so det is exactly zero and the SVD decides
+        rng = np.random.default_rng(4)
+        top = rng.standard_normal((20, 1, 2))
+        J = np.concatenate([top, top * 2.0 ** rng.integers(-3, 4, (20, 1, 1))],
+                           axis=1)
+        assert not np.any(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
+        J[::5] *= 1e200
+        J[1::5] *= 1e-200
+        assert np.array_equal(gg._pinv(J), self._svd(J))
+
+    def test_other_shapes_are_the_svd(self):
+        rng = np.random.default_rng(5)
+        for shape in [(30, 3, 2), (30, 2, 3), (30, 3, 3)]:
+            J = rng.standard_normal(shape)
+            J[0] = 0.0
+            J[1, -1] = J[1, 0]
+            assert np.array_equal(gg._pinv(J), self._svd(J))
+
+
 def _dedup_reference(points, cell):
     """Grid-hash dedup as a dict loop: the first point of each cell, in
     input order, with the cell's hit count."""
@@ -240,6 +337,68 @@ class TestDedup:
             want_pts, want_counts = _dedup_reference(raw, cell)
             assert np.array_equal(got_pts, want_pts)
             assert np.array_equal(got_counts, want_counts)
+
+
+def _merge_reference(points, counts, tol):
+    """Leader clustering as a plain loop: each point joins the first kept
+    point within tol, else it is kept."""
+    kept = []
+    summed = []
+    for i, p in enumerate(points):
+        for j, k in enumerate(kept):
+            if np.sum((points[k] - p) ** 2) <= tol * tol:
+                summed[j] += counts[i]
+                break
+        else:
+            kept.append(i)
+            summed.append(counts[i])
+    return points[kept], np.array(summed)
+
+
+class TestMergeClose:
+    @pytest.mark.parametrize("n,nvars,tol", [
+        (1, 2, 1e-3), (50, 2, 1e-15), (300, 2, 0.05), (300, 3, 0.1),
+        (1000, 3, 0.3), (200, 1, 0.01), (500, 4, 0.5)])
+    def test_matches_loop(self, n, nvars, tol):
+        rng = np.random.default_rng(n + nvars)
+        pts = rng.uniform(-0.25, 0.25, size=(n, nvars))
+        # repeated rows, near-copies a few ulps apart, and points on a
+        # grid of spacing tol, both signs
+        pts[n // 2:] = pts[: n - n // 2]
+        pts[1::5] = pts[::5][: len(pts[1::5])] * (1.0 + 4e-16)
+        pts[::7] = np.round(pts[::7] / tol) * tol
+        counts = rng.integers(1, 4, size=n)
+        got_pts, got_counts = gg._merge_close(pts, counts, tol)
+        want_pts, want_counts = _merge_reference(pts, counts, tol)
+        assert np.array_equal(got_pts, want_pts)
+        assert np.array_equal(got_counts, want_counts)
+        assert got_counts.sum() == counts.sum()
+
+    def test_matches_loop_on_slice_samples(self, curves, surfaces):
+        # the grid survivors of accepted samples, at the tolerance
+        # sample_slice merges them with
+        r = 0.25
+        for nvars, eqs in _corpus_systems(curves, surfaces):
+            raw, ok = gg.project_to_sphere_slice(
+                eqs, ga.sphere_directions(nvars, 128, 0) * r, r)
+            raw = raw[ok]
+            pts, counts = gg._dedup(
+                raw, gg._cloud_resolution(raw, np.ones(len(raw))) / 4.0)
+            tol = gg._STEP_ACCEPT * r
+            got_pts, got_counts = gg._merge_close(pts, counts, tol)
+            want_pts, want_counts = _merge_reference(pts, counts, tol)
+            assert np.array_equal(got_pts, want_pts)
+            assert np.array_equal(got_counts, want_counts)
+
+    @pytest.mark.parametrize("npoints", [256, 2000])
+    @pytest.mark.parametrize("r", [0.0625, 2.0 ** -8])
+    def test_isolated_slice_points_collapse(self, curves, r, npoints):
+        # exp_curve meets each sphere in two points; every accepted copy
+        # of one collapses to a single cloud point
+        c = ga.sample_slice(curves.get("exp_curve"), r, npoints=npoints,
+                            seed=0, cache=ga.SliceCache())
+        assert len(c.points) == 2
+        assert np.linalg.norm(c.points[0] - c.points[1]) > r
 
 
 class TestSampleSlice:
@@ -435,6 +594,19 @@ class TestDistToSet:
         assert out.shape == (2,)
         assert out[1] == 0.0
 
+    def test_rows_outside_the_domain_are_not_members(self, fresh_cache):
+        # log1p(100x) is nan for x < -0.01, where a start takes no step;
+        # every point of the set has x > -0.01, which bounds each distance
+        # from below by the query's gap to that line
+        s = make_collection(
+            {"vars": ["x", "y"], "omega": 0.5,
+             "sets": {"log_graph": {"parts": [{"eqs": ["y - log1p(100*x)"]}]}}}
+        ).get("log_graph")
+        X = np.array([[-0.1, 0.0], [-0.05, 0.05]])
+        got = ga.dist_to_set_batch(X, s, cache=fresh_cache)
+        assert np.all(np.isfinite(got))
+        assert np.all(got >= -0.01 - X[:, 0])
+
     def test_empty_germ_is_infinitely_far(self):
         empty = gs.SemianalyticSet(name="none", nvars=2, omega=0.5)
         assert ga.dist_to_set(np.array([0.1, 0.1]), empty) == math.inf
@@ -520,17 +692,16 @@ class TestDistMatchesDense:
 
     @pytest.mark.parametrize("seed,j", [(0, 2), (0, 6), (1, 6)])
     def test_curve_cloud_ties(self, curves, shared_cache, seed, j):
-        # exp_curve's cloud keeps near-copies of each slice point, so the
-        # third-nearest start is a tie that the tree and argsort may break
-        # differently; every choice converges to the same nearest point
+        # exp_curve's slice is two points, each one cloud point; near-copies
+        # would be tied nearest starts that the tree and argsort may break
+        # differently, so without them the two paths agree to the bit
         b = curves.get("exp_curve")
         X, got, want = self._both(curves.get("trunc2"), b, 0.25 * 2.0 ** -j,
                                   2000, seed, shared_cache)
         cloud = ga.sample_slice(b, float(np.median(np.linalg.norm(X, axis=1))),
                                 npoints=2000, seed=seed, cache=shared_cache)
-        near = np.sort(cdist(X, cloud.points), axis=1)
-        assert np.isclose(near[:, 2], near[:, 3], rtol=1e-9, atol=0).any()
-        np.testing.assert_allclose(got, want, rtol=1e-8)
+        assert len(cloud.points) == 2
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["line", "halfline"])
     def test_cloud_below_three_points(self, curves, shared_cache, name):
