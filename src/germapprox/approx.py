@@ -280,8 +280,8 @@ def approximate(a: SemianalyticSet, s: float,
     search runs out of budget; the exception carries the best rejected
     candidate for inspection.
     """
-    if s <= 0:
-        raise ApproxError("the order s must be positive")
+    if not 0.0 < s < math.inf:
+        raise ApproxError("the order s must be positive and finite")
     if config is None:
         config = ApproxConfig()
     if config.compare is None:

@@ -187,13 +187,10 @@ def _manifest(args, command: str, file: str, sets, config: dict) -> dict:
 
 
 def _compare_config(args, *sets: SemianalyticSet) -> CompareConfig:
+    kw = dict(npoints=args.points, seed=args.seed, margin=args.margin)
     if args.radii:
-        schedule = RadiiSchedule.parse(args.radii)
-    else:
-        schedule = RadiiSchedule.default_for(min(s.omega for s in sets))
-    return CompareConfig(
-        schedule=schedule, npoints=args.points, seed=args.seed,
-        margin=args.margin, threads=args.threads)
+        return CompareConfig(schedule=RadiiSchedule.parse(args.radii), **kw)
+    return CompareConfig.for_sets(*sets, **kw)
 
 
 def _config_dict(cfg: CompareConfig) -> dict:
@@ -206,7 +203,6 @@ def _config_dict(cfg: CompareConfig) -> dict:
         "r2_min": R2_MIN,
         "boundary_depth": SLICE_DEPTH,
         "horn_offsets": list(HORN_OFFSETS),
-        "threads": cfg.threads,
     }
 
 
@@ -449,8 +445,16 @@ def _add_common(p: argparse.ArgumentParser, radii=True):
         p.add_argument("--margin", type=float, default=CompareConfig.margin,
                        help="decision margin on fitted orders "
                             "(default %(default)s)")
-        p.add_argument("--threads", type=int, default=CompareConfig.threads,
-                       help="parallel radius workers (default %(default)s)")
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("set_a")
     p.add_argument("set_b")
-    p.add_argument("--s", type=float, required=True, help="the order s")
+    p.add_argument("--s", type=_finite, required=True, help="the order s")
     p.add_argument("--directed", action="store_true",
                    help="test only whether A stays within order s of B")
     p.add_argument("--horn", action="store_true",
@@ -494,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="search a polynomial approximant")
     p.add_argument("file")
     p.add_argument("set")
-    p.add_argument("--s", type=float, required=True, help="the order s")
+    p.add_argument("--s", type=_finite, required=True, help="the order s")
     p.add_argument("--max-h", type=int, default=ApproxConfig.max_h)
     p.add_argument("--max-k", type=int, default=ApproxConfig.max_k)
     p.add_argument("--max-m", type=int, default=ApproxConfig.max_m)

@@ -18,7 +18,6 @@ consistency check that closeness survives unions with a common third set.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,15 +101,14 @@ class CompareConfig:
     npoints: int = 256
     seed: int = 0
     margin: float = 0.15
-    threads: int = 1
 
     def __post_init__(self):
         if self.npoints < 8:
             raise ComparisonError("npoints must be at least 8")
-        if not self.margin > 0.0:
-            raise ComparisonError("margin must be positive")
-        if self.threads < 1:
-            raise ComparisonError("threads must be at least 1")
+        if self.seed < 0:
+            raise ComparisonError("seed must be nonnegative")
+        if not 0.0 < self.margin < math.inf:
+            raise ComparisonError("margin must be positive and finite")
 
     @classmethod
     def for_sets(cls, *sets: SemianalyticSet, **kw) -> "CompareConfig":
@@ -155,14 +153,6 @@ class Verdict:
 
 # ---------------------------------------------------------------------------
 # shared sampling
-
-
-def _map_radii(fn, radii, threads: int):
-    if threads <= 1 or len(radii) <= 1:
-        return [fn(r) for r in radii]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, r) for r in radii]
-        return [f.result() for f in futures]
 
 
 def _cloud(s: SemianalyticSet, r: float, config: CompareConfig,
@@ -221,24 +211,20 @@ def deviation_profile(a: SemianalyticSet, b: SemianalyticSet,
     caveats note empty slices and slices where fewer than half the starts
     converged, radius by radius, each distinct note once.
     """
-
-    def one(r):
+    samples, notes = [], []
+    for r in config.schedule.radii():
         clouds = [_cloud(s, r, config, cache) for s in (a, b)]
         pairs = list(zip((a, b), clouds))
-        notes = [f"{s.name!r} has no points on the sphere r={r:g}"
-                 for s, c in pairs if c is None]
+        notes += [f"{s.name!r} has no points on the sphere r={r:g}"
+                  for s, c in pairs if c is None]
         notes += [f"only {c.converged_fraction:.0%} of starts converged "
                   f"for {s.name!r} at r={r:g}"
                   for s, c in pairs
                   if c is not None and c.converged_fraction < 0.5]
-        return _distance_sample(r, *clouds), notes
-
-    results = _map_radii(one, config.schedule.radii(), config.threads)
-    samples = tuple(sample for sample, _ in results)
-    caveats = tuple(dict.fromkeys(n for _, notes in results for n in notes))
+        samples.append(_distance_sample(r, *clouds))
     est_ab = _fit_decay(samples, "A<=B", lambda d: d.delta_ab)
     est_ba = _fit_decay(samples, "B<=A", lambda d: d.delta_ba)
-    return samples, est_ab, est_ba, caveats
+    return tuple(samples), est_ab, est_ba, tuple(dict.fromkeys(notes))
 
 
 def estimate_order_directed(a: SemianalyticSet, b: SemianalyticSet,
@@ -331,17 +317,14 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     each of ``HORN_OFFSETS``. The verdict also carries a decay fit of the
     per-radius worst distances for cross-checking against the limit fit.
     """
-
-    def one(r):
+    rows = []
+    for r in config.schedule.radii():
         ca = _cloud(a, r, config, cache)
         if ca is None:
-            return None
+            continue
         d = _dist(ca.points, b, config, cache)
         floor = max(ca.spacing, 1e-9 * r)
-        return r, float(np.max(d)) if len(d) else 0.0, floor
-
-    rows = [row for row in _map_radii(one, config.schedule.radii(),
-                                      config.threads) if row is not None]
+        rows.append((r, float(np.max(d)) if len(d) else 0.0, floor))
     caveats = []
     if not rows:
         caveats.append(f"{a.name!r} has no points at any sampled radius; "

@@ -39,11 +39,11 @@ _SPACING_GUARD = 1e-15
 # be amplified into a limit cycle), not as stiff constraints. The cut-off
 # acts in the SVD fallback of `_pinv`; its closed forms serve only rows it
 # cannot touch: a one-equation row (whose one singular value is cut only
-# when it is 0) and a 2x2 row with sigma2/sigma1 >= _PINV_CLOSED_GUARD
+# when it is 0) and a two-row one with sigma2/sigma1 >= _PINV_CLOSED_GUARD
 _PINV_RCOND = 1e-9
-# a 2x2 Jacobian is inverted through its adjugate when |det| >= this times
-# its squared Frobenius norm, which implies sigma2/sigma1 >= this, far above
-# _PINV_RCOND; other rows go to the SVD
+# a two-row Jacobian (rows a, b; w the part of b orthogonal to a) is inverted
+# by Gram-Schmidt when |a| |w| = sigma1 sigma2 >= this times |J|_F^2, which
+# implies sigma2/sigma1 >= this, far above _PINV_RCOND; other rows: the SVD
 _PINV_CLOSED_GUARD = 1e-6
 # Gauss-Newton iteration budgets: sphere projection, nearest-point search
 _PROJECT_ITERS = 50
@@ -202,14 +202,17 @@ def _pinv(jacs: np.ndarray) -> np.ndarray:
 
     One equation (m = 1): the only singular value is |J|, so the cut-off
     zeroes only an all-zero row, and the pseudo-inverse is J^T / |J|^2
-    (0 for a zero row). Square 2x2: the adjugate over det, on the rows
-    where |det| >= _PINV_CLOSED_GUARD * |J|_F^2. Both scale each Jacobian
-    by its largest entry first, so squares cannot underflow or overflow.
-    Rows that fail the 2x2 guard, and every other shape, go through the
-    SVD, so the cut-off acts exactly where it did with the SVD alone.
+    (0 for a zero row). Two rows a, b (any n): Gram-Schmidt, w = b - t a
+    with t = a.b / |a|^2, gives the columns c2 = w / |w|^2 and
+    c1 = a / |a|^2 - t c2, on rows where |a|^2 |w|^2 >=
+    (_PINV_CLOSED_GUARD * |J|_F^2)^2 (|a| |w| is sigma1 sigma2, |det| when
+    n = 2). Both scale each Jacobian by its largest entry first, so squares
+    cannot overflow. Rows with a = 0 or that fail the guard, and every shape
+    with m >= 3, go through the SVD, so the cut-off acts exactly where it
+    did with the SVD alone.
     """
     m, n = jacs.shape[-2:]
-    if m != 1 and (m, n) != (2, 2):
+    if m > 2:
         return np.linalg.pinv(jacs, rcond=_PINV_RCOND)
     shape = jacs.shape[:-2] + (n, m)
     # one row of E per Jacobian entry: numpy reduces across a few long rows
@@ -222,22 +225,28 @@ def _pinv(jacs: np.ndarray) -> np.ndarray:
     sq = (U * U).sum(axis=0)
     if m == 1:
         return (U / np.where(live, sq * scale, 1.0)).T.reshape(shape)
-    a, b, c, d = U
-    det = a * d - b * c
-    closed = live & (np.abs(det) >= _PINV_CLOSED_GUARD * sq)
-    out = np.stack([d, -b, -c, a]) / np.where(closed, det * scale, 1.0)
-    out = out.T.reshape(-1, 2, 2)
+    a, b = U[:n], U[n:]
+    aa = (a * a).sum(axis=0)
+    t = (a * b).sum(axis=0) / np.where(aa > 0.0, aa, 1.0)
+    w = b - t * a
+    ww = (w * w).sum(axis=0)
+    closed = (aa > 0.0) & (aa * ww >= (_PINV_CLOSED_GUARD * sq) ** 2)
+    # out[j] holds column j + 1, (n, rows); the SVD fills the other rows
+    out = np.zeros((2, n, len(scale)))
+    np.divide(w, ww * scale, out=out[1], where=closed)
+    np.divide(a, aa * scale, out=out[0], where=closed)
+    out[0] -= t * out[1]
     rest = ~closed
     if rest.any():
-        out[rest] = np.linalg.pinv(jacs.reshape(-1, 2, 2)[rest],
-                                   rcond=_PINV_RCOND)
-    return out.reshape(shape)
+        out.T[rest] = np.linalg.pinv(jacs.reshape(-1, 2, n)[rest],
+                                     rcond=_PINV_RCOND)
+    return out.T.reshape(shape)
 
 
 def _linearize(eqs, X: np.ndarray):
     """Nan-safe values and Jacobians at X, with the Jacobians' guarded
-    pseudo-inverses from :func:`_pinv`: closed forms for one-equation and
-    well-conditioned 2x2 Jacobians, the ``_PINV_RCOND`` SVD for the rest."""
+    pseudo-inverses from :func:`_pinv`: closed forms for one-row and
+    well-conditioned two-row Jacobians, otherwise the ``_PINV_RCOND`` SVD."""
     vals, jacs = ex.eval_system_jacobian(eqs, X)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     jacs = np.where(np.isfinite(jacs), jacs, 0.0)

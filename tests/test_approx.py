@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -63,6 +62,11 @@ class TestConfig:
     def test_order_must_be_positive(self, curves, acfg):
         with pytest.raises(ApproxError):
             ga.approximate(curves.get("parabola"), 0.0, acfg)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_order_must_be_finite(self, curves, acfg, s):
+        with pytest.raises(ApproxError):
+            ga.approximate(curves.get("parabola"), s, acfg)
 
 
 class TestPolynomialInput:
@@ -231,14 +235,12 @@ class TestWarmCache:
         assert self._slopes(a.final_verdict) == \
                self._slopes(b.final_verdict)
 
-    def test_threaded_profile_on_shared_cache(self, curves, quick_config):
+    def test_profile_on_shared_cache(self, curves, quick_config):
         a, b = curves.get("exp_half_pos"), curves.get("trunc3_half_pos")
-        serial, *_ = ga.deviation_profile(a, b, quick_config,
-                                          ga.SliceCache())
+        fresh, *_ = ga.deviation_profile(a, b, quick_config, ga.SliceCache())
         shared = ga.SliceCache()
         # the full curves share the half curves' primary strata
         ga.deviation_profile(curves.get("exp_curve"), curves.get("trunc3"),
                              quick_config, shared)
-        threaded = replace(quick_config, threads=4)
-        samples, *_ = ga.deviation_profile(a, b, threaded, shared)
-        assert samples == serial
+        samples, *_ = ga.deviation_profile(a, b, quick_config, shared)
+        assert samples == fresh

@@ -59,6 +59,40 @@ class TestParser:
         assert rc == 2
         assert "bad radii spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-1", "seed must be nonnegative"),
+        ("--margin", "inf", "margin must be positive and finite")],
+        ids=["seed", "margin"])
+    def test_bad_config_is_input_error(self, flag, value, message,
+                                       curves_file, capsys):
+        rc = main(["compare", curves_file, "line", "parabola", "--s", "1",
+                   flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "line", "parabola"], ["approx", "parabola"]],
+        ids=["compare", "approx"])
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_nonfinite_order_is_usage_error(self, command, s, curves_file,
+                                            capsys):
+        name, *sets = command
+        with pytest.raises(SystemExit) as ei:
+            main([name, curves_file, *sets, "--s", s])
+        assert ei.value.code == 2
+        assert f"argument --s: {s!r} is not a finite number" in \
+            capsys.readouterr().err
+
+    def test_threads_is_unknown(self, curves_file, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["compare", curves_file, "line", "parabola", "--s", "1",
+                  "--threads", "2"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --threads 2" in \
+            capsys.readouterr().err
+
 
 class TestTruncate:
     def test_output_loads_and_matches_library(self, curves_file, tmp_path,

@@ -45,12 +45,13 @@ class TestCompareConfig:
         cfg = ga.CompareConfig.for_sets(curves.get("line"), small)
         assert cfg.schedule.r0 == 0.05
 
-    # the ids keep the positions these cases had when r2_min and
-    # horn_offsets were still validated fields (kw2, kw3, kw5, kw6)
+    # the ids keep the positions these cases had when r2_min, horn_offsets
+    # and threads were still validated fields (kw2, kw3, kw4, kw5, kw6)
     @pytest.mark.parametrize("kw", [
         pytest.param({"npoints": 4}, id="kw0"),
         pytest.param({"margin": 0.0}, id="kw1"),
-        pytest.param({"threads": 0}, id="kw4"),
+        pytest.param({"margin": math.inf}, id="margin_inf"),
+        pytest.param({"seed": -1}, id="seed_negative"),
     ])
     def test_validation(self, kw):
         with pytest.raises(ComparisonError):
@@ -126,22 +127,6 @@ class TestOrderFits:
         _, _, _, caveats = ga.deviation_profile(slow, slow, quick_config,
                                                 fresh_cache)
         assert caveats == tuple(c for c in expected if "slow" in c)
-
-    def test_threaded_sampling_matches_serial(self, curves):
-        base = ga.CompareConfig(schedule=ga.RadiiSchedule(0.25, count=4))
-        threaded = ga.CompareConfig(schedule=ga.RadiiSchedule(0.25, count=4),
-                                    threads=4)
-        # separate fresh caches, so the threaded run samples every slice
-        # itself instead of reading what the serial run stored
-        s1, e1, _, _ = ga.deviation_profile(
-            curves.get("exp_curve"), curves.get("trunc2"), base,
-            ga.SliceCache())
-        s2, e2, _, _ = ga.deviation_profile(
-            curves.get("exp_curve"), curves.get("trunc2"), threaded,
-            ga.SliceCache())
-        assert [(x.r, x.delta_ab, x.delta_ba) for x in s1] == \
-               [(x.r, x.delta_ab, x.delta_ba) for x in s2]
-        assert e1.slope == e2.slope
 
 
 class TestDecideLe:

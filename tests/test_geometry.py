@@ -240,24 +240,32 @@ class TestPinv:
         stacked = J[9:].reshape(-1, 1, 1, n)
         assert np.array_equal(gg._pinv(stacked), got[9:].reshape(-1, 1, n, 1))
 
-    def test_square_two(self):
-        rng = np.random.default_rng(2)
-        J = _jacobian_batch(rng, 2, 2)
-        _assert_near_svd(J, gg._pinv(J))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_two_rows(self, n):
+        J = _jacobian_batch(np.random.default_rng(2), 2, n)
+        got = gg._pinv(J)
+        assert got.shape == (len(J), n, 2)
+        _assert_near_svd(J, got)
+        # a zero first row over a nonzero second one goes to the SVD
+        J = J[9:]
+        J[:, 0] = 0.0
+        assert np.array_equal(gg._pinv(J), self._svd(J))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("ratio,closed", [
         (1e-5, True), (1e-8, False), (1e-10, False)])
-    def test_square_two_ill_conditioned(self, ratio, closed):
+    def test_two_rows_ill_conditioned(self, ratio, closed, n):
         # sigma2/sigma1 on both sides of the guard and of the cut-off
         rng = np.random.default_rng(3)
         J = np.stack([
-            _rotation(a) @ np.diag([s, s * ratio]) @ _rotation(b).T
-            for a, b, s in zip(rng.uniform(0, 2 * np.pi, 20),
-                               rng.uniform(0, 2 * np.pi, 20),
-                               10.0 ** rng.uniform(-3, 3, 20))])
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+            _rotation(a) @ np.diag([s, s * ratio])
+            @ np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+            for a, s in zip(rng.uniform(0, 2 * np.pi, 20),
+                            10.0 ** rng.uniform(-3, 3, 20))])
+        svals = np.linalg.svd(J, compute_uv=False)
         fro = (J * J).sum(axis=(1, 2))
-        assert np.all((np.abs(det) >= gg._PINV_CLOSED_GUARD * fro) == closed)
+        assert np.all((svals[:, 0] * svals[:, 1]
+                       >= gg._PINV_CLOSED_GUARD * fro) == closed)
         got, want = gg._pinv(J), self._svd(J)
         if closed:
             _assert_near_svd(J, got)
@@ -269,25 +277,44 @@ class TestPinv:
             rank = (svals > 1e-12 * svals[:, :1]).sum(axis=1)
             assert np.all(rank == (2 if ratio > gg._PINV_RCOND else 1))
 
-    def test_square_two_singular(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_two_rows_singular(self, n):
         # exactly singular rows: the second row is a power-of-two multiple
-        # of the first, so det is exactly zero and the SVD decides
+        # of the first, so the rows are exactly parallel and the SVD decides
         rng = np.random.default_rng(4)
-        top = rng.standard_normal((20, 1, 2))
+        top = rng.standard_normal((20, 1, n))
         J = np.concatenate([top, top * 2.0 ** rng.integers(-3, 4, (20, 1, 1))],
                            axis=1)
-        assert not np.any(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
+        assert not np.any(J[:, 0] * J[:, 1, :1] - J[:, 1] * J[:, 0, :1])
         J[::5] *= 1e200
         J[1::5] *= 1e-200
         assert np.array_equal(gg._pinv(J), self._svd(J))
 
     def test_other_shapes_are_the_svd(self):
         rng = np.random.default_rng(5)
-        for shape in [(30, 3, 2), (30, 2, 3), (30, 3, 3)]:
+        for shape in [(30, 3, 2), (30, 3, 3)]:
             J = rng.standard_normal(shape)
             J[0] = 0.0
             J[1, -1] = J[1, 0]
             assert np.array_equal(gg._pinv(J), self._svd(J))
+
+    def test_space_curve_needs_no_svd(self, monkeypatch):
+        # two equations in three variables: every Jacobian is (rows, 2, 3)
+        curve = make_collection(
+            {"vars": ["x", "y", "z"], "omega": 0.5,
+             "sets": {"c": {"parts": [{"eqs": ["y - x^2", "z - x^3"]}]}}}
+        ).get("c")
+        calls = []
+        svd_pinv = np.linalg.pinv
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return svd_pinv(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting)
+        cloud = ga.sample_slice(curve, 0.25, cache=ga.SliceCache())
+        assert len(cloud) > 0
+        assert not calls
 
 
 def _dedup_reference(points, cell):
