@@ -31,7 +31,7 @@ from .geometry import (
     SliceCloud,
     _distance_sample,
     dist_to_set_batch,
-    sample_slice,
+    sample_slices,
 )
 from .sets import BasicPresentation, SemianalyticSet, union_sets
 
@@ -155,14 +155,14 @@ class Verdict:
 # shared sampling
 
 
-def _cloud(s: SemianalyticSet, r: float, config: CompareConfig,
-           cache: SliceCache | None) -> SliceCloud | None:
-    """The set's slice cloud at radius r, or None when the slice is empty."""
-    try:
-        return sample_slice(s, r, npoints=config.npoints, seed=config.seed,
-                            cache=cache)
-    except EmptySliceError:
-        return None
+def _clouds(s: SemianalyticSet, config: CompareConfig,
+            cache: SliceCache | None) -> list[SliceCloud | None]:
+    """The set's slice cloud at each radius of the schedule, in order, None
+    where the slice is empty."""
+    return [None if isinstance(c, EmptySliceError) else c
+            for c in sample_slices(s, config.schedule.radii(),
+                                   npoints=config.npoints, seed=config.seed,
+                                   cache=cache)]
 
 
 def _dist(X: np.ndarray, s: SemianalyticSet, config: CompareConfig,
@@ -212,8 +212,8 @@ def deviation_profile(a: SemianalyticSet, b: SemianalyticSet,
     converged, radius by radius, each distinct note once.
     """
     samples, notes = [], []
-    for r in config.schedule.radii():
-        clouds = [_cloud(s, r, config, cache) for s in (a, b)]
+    for r, *clouds in zip(config.schedule.radii(), _clouds(a, config, cache),
+                          _clouds(b, config, cache)):
         pairs = list(zip((a, b), clouds))
         notes += [f"{s.name!r} has no points on the sphere r={r:g}"
                   for s, c in pairs if c is None]
@@ -318,8 +318,7 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     per-radius worst distances for cross-checking against the limit fit.
     """
     rows = []
-    for r in config.schedule.radii():
-        ca = _cloud(a, r, config, cache)
+    for r, ca in zip(config.schedule.radii(), _clouds(a, config, cache)):
         if ca is None:
             continue
         d = _dist(ca.points, b, config, cache)
@@ -397,8 +396,8 @@ def estimate_exponent(s_set: SemianalyticSet, f: Expr | str, g: Expr | str,
     saw_points = False
     saw_nonzero_g = False
     violations = []
-    for r in config.schedule.radii():
-        cloud = _cloud(s_set, r, config, cache)
+    for r, cloud in zip(config.schedule.radii(),
+                        _clouds(s_set, config, cache)):
         if cloud is None:
             continue
         saw_points = True
@@ -485,8 +484,8 @@ def sign_agreement_check(x_set: SemianalyticSet, phi: Expr | str, ks,
     tested = 0
     excluded = 0
     counts = np.zeros(len(ks), dtype=int)
-    for r in config.schedule.radii():
-        cloud = _cloud(x_set, r, config, cache)
+    for r, cloud in zip(config.schedule.radii(),
+                        _clouds(x_set, config, cache)):
         if cloud is None:
             continue
         pts = cloud.points

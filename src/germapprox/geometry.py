@@ -4,9 +4,11 @@ Everything downstream rests on one primitive: sampling the intersection of a
 set with the sphere of radius r as a point cloud. Clouds are produced by a
 batched Gauss-Newton projection constrained to the sphere, started from a
 low-discrepancy family of directions, one run per boundary stratum of each
-part. From clouds come directed deviations between two sets' slices,
-distances from points to a germ, tangent direction clouds, and a numeric
-dimension estimate.
+part. Each row carries its own radius, so one run projects a stratum for
+every radius a caller asks for at once (a whole radius schedule). From
+clouds come directed deviations between two sets' slices, distances from
+points to a germ, tangent direction clouds, and a numeric dimension
+estimate.
 
 All sampling is deterministic given (set, radius, npoints, seed), and each
 stratum's projection given (its system, radius, npoints, seed); a
@@ -254,7 +256,16 @@ def _linearize(eqs, X: np.ndarray):
 
 
 def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
-    """Least-squares Newton steps toward {f = 0}, nan-safe."""
+    """Least-squares Newton steps toward {f = 0}, nan-safe.
+
+    A row's step does not depend on the rows it shares the call with.
+    numpy's matmul multiplies a stack of :func:`_pinv`'s two-row
+    pseudo-inverses in its own loop but hands a lone one, then
+    Fortran-ordered, to BLAS, which rounds differently; so a single row
+    goes through as a stack of two copies.
+    """
+    if len(X) == 1:
+        return _gn_steps(eqs, np.repeat(X, 2, axis=0))[:1]
     vals, _, pinv = _linearize(eqs, X)
     steps = -(pinv @ vals[..., None])[..., 0]
     bad = ~np.all(np.isfinite(steps), axis=-1)
@@ -263,16 +274,25 @@ def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _renormalize(X: np.ndarray, r: float, fallback: np.ndarray) -> np.ndarray:
+def _renormalize(X: np.ndarray, r: float | np.ndarray,
+                 fallback: np.ndarray) -> np.ndarray:
+    """Scale each row of X onto the sphere of radius r; rows too close to
+    the origin to carry a direction take ``fallback`` instead. X is
+    overwritten with the result and returned."""
     norms = np.linalg.norm(X, axis=-1)
     ok = norms > 1e-8 * r
-    safe = np.where(ok, norms, 1.0)
-    out = X * (r / safe)[..., None]
-    return np.where(ok[..., None], out, fallback)
+    X *= (r / np.where(ok, norms, 1.0))[..., None]
+    np.copyto(X, fallback, where=~ok[..., None])
+    return X
 
 
-def project_to_sphere_slice(eqs, starts: np.ndarray, r: float):
+def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
     """Drive sphere points toward {f = 0} while staying on the sphere.
+
+    ``r`` is one radius for every row, or an (N,) array with each row's own
+    radius, the one its start lies on and its step tolerances scale with.
+    Rows never mix, so one call over the starts of several radii returns,
+    row for row and bit for bit, what one call per radius would.
 
     Each iteration takes a Gauss-Newton step per row, scales it by the
     fractions of ``_LINE_SEARCH`` (1, 1/2, ..., 2^-25), renormalizes onto
@@ -294,6 +314,7 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float):
     N = len(X)
     if not eqs:
         return X, np.ones(N, dtype=bool)
+    rad = np.broadcast_to(np.asarray(r, dtype=float), (N,))
     res = _system_residual(eqs, X)
     active = np.ones(N, dtype=bool)
     last = np.zeros_like(X)
@@ -301,10 +322,10 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        Xa = X[idx]
+        Xa, ra = X[idx], rad[idx]
         steps = _gn_steps(eqs, Xa)
         last[idx] = steps
-        conv = np.linalg.norm(steps, axis=-1) <= _STEP_TARGET * r
+        conv = np.linalg.norm(steps, axis=-1) <= _STEP_TARGET * ra
         # a row moves to its first trial point that lowers the residual;
         # converged rows stop without moving, so they try no step
         cand = np.empty_like(Xa)
@@ -314,8 +335,8 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float):
             if pend.size == 0:
                 break
             trials = _renormalize(
-                Xa[pend, None] + fractions[:, None] * steps[pend, None], r,
-                Xa[pend, None])
+                Xa[pend, None] + fractions[:, None] * steps[pend, None],
+                ra[pend, None], Xa[pend, None])
             tres = _system_residual(eqs, trials)
             better = tres < res[idx[pend], None]
             hit = better.any(axis=1)
@@ -330,7 +351,7 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float):
         active[idx[conv | ~improved]] = False
     if active.any():
         last[active] = _gn_steps(eqs, X[active])
-    accepted = np.linalg.norm(last, axis=-1) <= _STEP_ACCEPT * r
+    accepted = np.linalg.norm(last, axis=-1) <= _STEP_ACCEPT * rad
     accepted &= np.isfinite(res)
     return X, accepted
 
@@ -385,78 +406,111 @@ def _dedup(points: np.ndarray, cell: float):
 def _merge_close(points: np.ndarray, counts: np.ndarray, tol: float):
     """Leader clustering in input order: a point within tol of an earlier
     kept point joins the first such point, otherwise it is kept. Returns
-    the kept points, in input order, and the summed counts of each one's
-    cluster.
+    the kept points, in input order, the summed counts of each one's
+    cluster, and, when nothing merged, each point's distance to its nearest
+    other point (else None: the kept points need a query of their own).
 
     A point with no other point within tol keeps itself; only the crowded
     rest is clustered, one k-d tree ball query per kept point."""
     n = len(points)
+    if n < 2:
+        return points, counts, None
+    tree = cKDTree(points)
+    gaps = tree.query(points, k=2)[0][:, 1]
+    crowded = np.flatnonzero(gaps <= tol)
+    if crowded.size == 0:
+        return points, counts, gaps
     leader = np.arange(n)
-    if n > 1:
-        tree = cKDTree(points)
-        dists, _ = tree.query(points, k=2)
-        crowded = np.flatnonzero(dists[:, 1] <= tol)
-        free = np.zeros(n, dtype=bool)
-        free[crowded] = True
-        for i in crowded:
-            if free[i]:
-                ball = np.asarray(tree.query_ball_point(points[i], tol))
-                ball = ball[free[ball]]
-                leader[ball] = i
-                free[ball] = False
+    free = np.zeros(n, dtype=bool)
+    free[crowded] = True
+    for i in crowded:
+        if free[i]:
+            ball = np.asarray(tree.query_ball_point(points[i], tol))
+            ball = ball[free[ball]]
+            leader[ball] = i
+            free[ball] = False
     kept, cluster = np.unique(leader, return_inverse=True)
     return points[kept], np.bincount(cluster, weights=counts).astype(
-        counts.dtype)
+        counts.dtype), None
 
 
-def _cloud_resolution(points: np.ndarray, counts: np.ndarray) -> float:
+def _cloud_resolution(points: np.ndarray, counts: np.ndarray,
+                      gaps: np.ndarray | None = None) -> float:
     """Typical scale below which the cloud cannot resolve deviations.
 
     A location many starts piled onto is an isolated slice point known to
     solver accuracy; a location hit once samples a continuum, and its gap
     to the nearest distinct neighbour is the local coverage. The median
-    over points mixes the two regimes sensibly."""
+    over points mixes the two regimes sensibly. ``gaps`` are those nearest-
+    neighbour distances when the caller already has them."""
     if len(points) < 2:
         return _SPACING_GUARD
-    dists, _ = cKDTree(points).query(points, k=2)
-    res = np.where(counts > 1, _SPACING_GUARD, dists[:, 1])
+    if gaps is None:
+        gaps = cKDTree(points).query(points, k=2)[0][:, 1]
+    res = np.where(counts > 1, _SPACING_GUARD, gaps)
     return max(float(np.median(res)), _SPACING_GUARD)
 
 
-def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
-                 seed: int = 0, cache: SliceCache | None = None
-                 ) -> SliceCloud:
-    """Sample the set's intersection with the sphere of radius r.
+def _relabel(hit, name: str):
+    """A cached cloud or empty-slice error under the asking set's name: the
+    cache is keyed by geometry, so a differently named set with the same
+    presentation can hit."""
+    if hit.set_name == name:
+        return hit
+    if isinstance(hit, EmptySliceError):
+        return EmptySliceError(name, hit.r, hit.converged_fraction,
+                               hit.attempts)
+    return replace(hit, set_name=name)
 
-    Raises :class:`EmptySliceError` when nothing converges, which is the
-    numeric signature of the origin being isolated at this resolution.
+
+def _slice_cloud(name: str, r: float, seed: int, fraction: float,
+                 raw: np.ndarray) -> SliceCloud:
+    """Deduplicate the accepted member samples at radius r into a cloud."""
+    # before dedup every raw point stands for itself
+    cell = _cloud_resolution(raw, np.ones(len(raw))) / 4.0
+    points, counts = _dedup(raw, cell)
+    # copies of one isolated slice point can straddle cell borders; accepted
+    # points are known to _STEP_ACCEPT * r, so closer ones are one point
+    points, counts, gaps = _merge_close(points, counts, _STEP_ACCEPT * r)
+    return SliceCloud(set_name=name, r=r, points=points, seed=seed,
+                      converged_fraction=fraction,
+                      spacing=_cloud_resolution(points, counts, gaps))
+
+
+def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
+                  seed: int = 0, cache: SliceCache | None = None
+                  ) -> list[SliceCloud | EmptySliceError]:
+    """Sample the set's intersection with the sphere of each radius.
+
+    Returns one entry per radius, in order: its :class:`SliceCloud`, or the
+    :class:`EmptySliceError` that :func:`sample_slice` raises for it. Each
+    stratum is projected in one call for all the radii whose projection is
+    not cached yet, one radius per row; the inequality filter, membership
+    and deduplication stay per radius.
     """
-    if not 0.0 < r <= s.omega:
-        raise GeometryError(
-            f"radius {r:g} outside (0, omega={s.omega:g}] of {s.name!r}")
+    radii = [float(r) for r in radii]
+    for r in radii:
+        if not 0.0 < r <= s.omega:
+            raise GeometryError(
+                f"radius {r:g} outside (0, omega={s.omega:g}] of {s.name!r}")
     if cache is None:
         cache = _DEFAULT_CACHE
+    npoints, seed = int(npoints), int(seed)
     sig = s.signature()
-    key = (sig, float(r), int(npoints), int(seed))
-    hit = cache.lookup(key)
-    if hit is not None:
-        if isinstance(hit, EmptySliceError):
-            if hit.set_name != s.name:
-                raise EmptySliceError(s.name, hit.r, hit.converged_fraction,
-                                      hit.attempts)
-            raise hit
-        # the cache is keyed by geometry, so a differently named set with
-        # the same presentation can hit; relabel for faithful diagnostics
-        if hit.set_name != s.name:
-            hit = replace(hit, set_name=s.name)
-        return hit
+    out = {}
+    for r in radii:
+        hit = cache.lookup((sig, r, npoints, seed))
+        if hit is not None:
+            out[r] = _relabel(hit, s.name)
+    todo = [r for r in dict.fromkeys(radii) if r not in out]
+    if not todo:
+        return [out[r] for r in radii]
 
     nstarts = _direction_count(s.nvars, npoints)
-    starts = None
-    collected = []
-    primary_accepted = 0
+    dirs = None
+    collected = {r: [] for r in todo}
+    primary_accepted = dict.fromkeys(todo, 0)
     attempts = 0
-    ineq_tol = 1e-10 * max(1.0, r)
     _, _, part_sigs = sig
     for part, (_, eq_strs, ineq_strs) in zip(s.parts, part_sigs):
         strata = zip(_part_strata(part, SLICE_DEPTH),
@@ -469,48 +523,59 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
             # a projection depends only on its system and its starts, so
             # sets sharing a stratum share its entry; the inequality filter
             # and membership stay per set
-            skey = (s.nvars, stratum_strs, float(r), int(npoints), int(seed))
-            entry = cache.lookup(skey)
-            if entry is None:
-                if starts is None:
-                    starts = sphere_directions(s.nvars, npoints, seed) * r
-                pts, ok = project_to_sphere_slice(sys_eqs, starts, r)
-                entry = (pts[ok], int(ok.sum()))
-                cache.store(skey, entry)
-            pts, accepted = entry
-            if si == 0:
-                primary_accepted += accepted
-            if len(pts) == 0:
-                continue
-            for g in rest:
-                vals = ex.eval_many(g, pts)
-                pts = pts[np.isfinite(vals) & (vals >= -ineq_tol)]
-                if len(pts) == 0:
-                    break
-            if len(pts) == 0:
-                continue
-            # belt and braces: every sample must read back as a member
-            pts = pts[membership_mask(s, pts)]
-            if len(pts):
-                collected.append(pts)
+            keys = {r: (s.nvars, stratum_strs, r, npoints, seed)
+                    for r in todo}
+            entries = {r: cache.lookup(k) for r, k in keys.items()}
+            missed = [r for r, e in entries.items() if e is None]
+            if missed:
+                if dirs is None:
+                    dirs = sphere_directions(s.nvars, npoints, seed)
+                pts, ok = project_to_sphere_slice(
+                    sys_eqs, np.concatenate([dirs * r for r in missed]),
+                    np.repeat(missed, nstarts))
+                for j, r in enumerate(missed):
+                    rows = slice(j * nstarts, (j + 1) * nstarts)
+                    entries[r] = (pts[rows][ok[rows]], int(ok[rows].sum()))
+                    cache.store(keys[r], entries[r])
+            for r, (pts, accepted) in entries.items():
+                if si == 0:
+                    primary_accepted[r] += accepted
+                ineq_tol = 1e-10 * max(1.0, r)
+                for g in rest:
+                    if len(pts) == 0:
+                        break
+                    vals = ex.eval_many(g, pts)
+                    pts = pts[np.isfinite(vals) & (vals >= -ineq_tol)]
+                if len(pts):
+                    # belt and braces: every sample must read back as a member
+                    pts = pts[membership_mask(s, pts)]
+                if len(pts):
+                    collected[r].append(pts)
 
     primary_total = nstarts * len(s.parts)
-    fraction = primary_accepted / primary_total if primary_total else 0.0
-    if not collected:
-        err = EmptySliceError(s.name, r, fraction, attempts)
-        cache.store(key, err)
-        raise err
-    raw = np.concatenate(collected, axis=0)
-    # before dedup every raw point stands for itself
-    cell = _cloud_resolution(raw, np.ones(len(raw))) / 4.0
-    points, counts = _dedup(raw, cell)
-    # copies of one isolated slice point can straddle cell borders; accepted
-    # points are known to _STEP_ACCEPT * r, so closer ones are one point
-    points, counts = _merge_close(points, counts, _STEP_ACCEPT * r)
-    spacing = _cloud_resolution(points, counts)
-    cloud = SliceCloud(set_name=s.name, r=r, points=points, seed=seed,
-                       converged_fraction=fraction, spacing=spacing)
-    cache.store(key, cloud)
+    for r in todo:
+        fraction = (primary_accepted[r] / primary_total if primary_total
+                    else 0.0)
+        if collected[r]:
+            out[r] = _slice_cloud(s.name, r, seed, fraction,
+                                  np.concatenate(collected[r], axis=0))
+        else:
+            out[r] = EmptySliceError(s.name, r, fraction, attempts)
+        cache.store((sig, r, npoints, seed), out[r])
+    return [out[r] for r in radii]
+
+
+def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
+                 seed: int = 0, cache: SliceCache | None = None
+                 ) -> SliceCloud:
+    """Sample the set's intersection with the sphere of radius r.
+
+    Raises :class:`EmptySliceError` when nothing converges, which is the
+    numeric signature of the origin being isolated at this resolution.
+    """
+    cloud = sample_slices(s, [r], npoints=npoints, seed=seed, cache=cache)[0]
+    if isinstance(cloud, EmptySliceError):
+        raise cloud
     return cloud
 
 
@@ -735,8 +800,10 @@ def tangent_cone_cloud(s: SemianalyticSet, radii, npoints: int = 256,
     if not radii:
         raise GeometryError("need at least one radius")
     clouds = []
-    for r in radii:
-        c = sample_slice(s, r, npoints=npoints, seed=seed, cache=cache)
+    for c in sample_slices(s, radii, npoints=npoints, seed=seed,
+                           cache=cache):
+        if isinstance(c, EmptySliceError):
+            raise c
         clouds.append(c.directions())
     drift = []
     for u, v in zip(clouds, clouds[1:]):

@@ -5,6 +5,7 @@ import pytest
 
 import germapprox as ga
 from germapprox import expr as ex
+from germapprox import geometry as gg
 from germapprox import sets as gs
 from germapprox.equivalence import (
     HORN_OFFSETS,
@@ -202,6 +203,27 @@ class TestDecideEquivalent:
                                  2.0, quick_config, shared_cache)
         assert any(c.startswith("[A<=B]") or c.startswith("[B<=A]")
                    for c in v.caveats)
+
+    def test_cold_cache_projects_each_stratum_once(self, curves,
+                                                   quick_config,
+                                                   monkeypatch):
+        calls = []
+        project = gg.project_to_sphere_slice
+
+        def counting(eqs, starts, r):
+            calls.append((tuple(eqs), len(starts)))
+            return project(eqs, starts, r)
+
+        monkeypatch.setattr(gg, "project_to_sphere_slice", counting)
+        # three strata: {y = 0}, its end x = 0 (both shared by the two
+        # sets) and the parabola
+        ga.decide_equivalent(curves.get("halfline"),
+                             curves.get("mixed_union"), 1.0, quick_config,
+                             ga.SliceCache())
+        assert len(calls) == 3
+        assert len({eqs for eqs, _ in calls}) == 3
+        rows = quick_config.schedule.count * quick_config.npoints
+        assert all(n == rows for _, n in calls)
 
 
 class TestHornCriterion:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import germapprox as ga
@@ -159,6 +160,28 @@ class TestProjectMatchesReference:
         r = 0.25
         for nvars, eqs in _corpus_systems(curves, surfaces):
             self._check(eqs, ga.sphere_directions(nvars, 64, 0) * r, r)
+
+    def test_per_row_radii_match_one_call_per_radius(self, curves,
+                                                     surfaces):
+        radii = (0.25, 0.25 * 2.0 ** -3, 0.25 * 2.0 ** -7)
+        sizes = set()
+        for nvars, eqs in _corpus_systems(curves, surfaces):
+            dirs = ga.sphere_directions(nvars, 32, 0)
+            each = [gg.project_to_sphere_slice(eqs, dirs * r, r)
+                    for r in radii]
+            X, ok = gg.project_to_sphere_slice(
+                eqs, np.concatenate([dirs * r for r in radii]),
+                np.repeat(radii, len(dirs)))
+            assert np.array_equal(X, np.concatenate([x for x, _ in each]))
+            assert np.array_equal(ok, np.concatenate([k for _, k in each]))
+            sizes.add(len(eqs))
+        assert {1, 2} <= sizes
+
+    def test_lone_row_steps_like_a_batch(self, curves, surfaces):
+        for nvars, eqs in _corpus_systems(curves, surfaces):
+            X = ga.sphere_directions(nvars, 16, 0) * 0.25
+            alone = np.concatenate([gg._gn_steps(eqs, x[None]) for x in X])
+            assert np.array_equal(alone, gg._gn_steps(eqs, X))
 
     def test_inflated_strata(self, curves):
         part = curves.get("cusp_product").parts[0]
@@ -366,6 +389,14 @@ class TestDedup:
             assert np.array_equal(got_counts, want_counts)
 
 
+def _check_gaps(pts, gaps):
+    """The gaps _merge_close hands back, when it does, are each kept
+    point's distance to its nearest other kept point."""
+    if gaps is not None:
+        want = cKDTree(pts).query(pts, k=2)[0][:, 1]
+        assert np.array_equal(gaps, want)
+
+
 def _merge_reference(points, counts, tol):
     """Leader clustering as a plain loop: each point joins the first kept
     point within tol, else it is kept."""
@@ -395,10 +426,11 @@ class TestMergeClose:
         pts[1::5] = pts[::5][: len(pts[1::5])] * (1.0 + 4e-16)
         pts[::7] = np.round(pts[::7] / tol) * tol
         counts = rng.integers(1, 4, size=n)
-        got_pts, got_counts = gg._merge_close(pts, counts, tol)
+        got_pts, got_counts, gaps = gg._merge_close(pts, counts, tol)
         want_pts, want_counts = _merge_reference(pts, counts, tol)
         assert np.array_equal(got_pts, want_pts)
         assert np.array_equal(got_counts, want_counts)
+        _check_gaps(got_pts, gaps)
         assert got_counts.sum() == counts.sum()
 
     def test_matches_loop_on_slice_samples(self, curves, surfaces):
@@ -412,10 +444,11 @@ class TestMergeClose:
             pts, counts = gg._dedup(
                 raw, gg._cloud_resolution(raw, np.ones(len(raw))) / 4.0)
             tol = gg._STEP_ACCEPT * r
-            got_pts, got_counts = gg._merge_close(pts, counts, tol)
+            got_pts, got_counts, gaps = gg._merge_close(pts, counts, tol)
             want_pts, want_counts = _merge_reference(pts, counts, tol)
             assert np.array_equal(got_pts, want_pts)
             assert np.array_equal(got_counts, want_counts)
+            _check_gaps(got_pts, gaps)
 
     @pytest.mark.parametrize("npoints", [256, 2000])
     @pytest.mark.parametrize("r", [0.0625, 2.0 ** -8])
@@ -908,7 +941,9 @@ class TestStratumCache:
         cloud = ga.sample_slice(twin.get("pb_twin"), r, npoints=npoints,
                                 seed=seed, cache=cache)
         assert len(calls) == 2
-        assert calls[1][1:] == (r, npoints)
+        _, radii, rows = calls[1]
+        assert rows == npoints
+        assert np.all(np.asarray(radii) == r)
         self._same_as_fresh(twin.get("pb_twin"), cloud, r, npoints=npoints,
                             seed=seed)
 
@@ -931,3 +966,44 @@ class TestStratumCache:
         assert warm.value.converged_fraction == \
             fresh.value.converged_fraction == 1.0
         assert warm.value.attempts == fresh.value.attempts == 3 * 256
+
+    def test_schedule_matches_one_radius_at_a_time(self, curves, calls):
+        # three strata: the half-disk itself and both boundary curves, one
+        # of which (x^2 + y^2 = 1) misses every small sphere
+        s = curves.get("halfdisk")
+        radii = [0.25 * 0.5 ** i for i in range(4)]
+        cache = ga.SliceCache()
+        for r in radii[::2]:
+            ga.sample_slice(s, r, cache=cache)
+        assert len(calls) == 2 * 3
+        clouds = gg.sample_slices(s, radii, cache=cache)
+        # only the missing radii are projected, all in one call per stratum
+        assert len(calls) == 3 * 3
+        for _, rows_r, rows in calls[6:]:
+            assert rows == 2 * 256
+            assert np.array_equal(rows_r, np.repeat(radii[1::2], 256))
+        for r, cloud in zip(radii, clouds):
+            assert cloud.r == r
+            self._same_as_fresh(s, cloud, r)
+        # the same schedule again, in any order, comes from the cache
+        before = len(calls)
+        again = gg.sample_slices(s, radii[::-1], cache=cache)
+        assert len(calls) == before
+        assert all(a is b for a, b in zip(again, clouds[::-1]))
+
+    def test_schedule_of_empty_slices(self):
+        both = make_collection(
+            {"vars": ["x", "y"], "omega": 0.5,
+             "sets": {"both": {"parts": [{"eqs": ["y"],
+                                          "ineqs": ["x", "-x"]}]}}}
+        ).get("both")
+        radii = [0.25, 0.125, 0.0625]
+        errors = gg.sample_slices(both, radii, cache=ga.SliceCache())
+        for r, err in zip(radii, errors):
+            assert isinstance(err, ga.EmptySliceError)
+            with pytest.raises(ga.EmptySliceError) as fresh:
+                ga.sample_slice(both, r, cache=ga.SliceCache())
+            assert err.r == fresh.value.r == r
+            assert err.converged_fraction == \
+                fresh.value.converged_fraction == 1.0
+            assert err.attempts == fresh.value.attempts == 3 * 256
