@@ -5,7 +5,11 @@ set with the sphere of radius r as a point cloud. Clouds are produced by a
 batched Gauss-Newton projection constrained to the sphere, started from a
 low-discrepancy family of directions, one run per boundary stratum of each
 part. Each row carries its own radius, so one run projects a stratum for
-every radius a caller asks for at once (a whole radius schedule). From
+every radius a caller asks for at once (a whole radius schedule). A
+boundary stratum (an inequality promoted to an equation) is projected only
+at the radii where its part's own slice may be missing its points: where
+that slice is a finite set of regular points reached from every start, the
+boundary's slice lies among those points already. From
 clouds come directed deviations between two sets' slices, distances from
 points to a germ, tangent direction clouds, and a numeric dimension
 estimate.
@@ -47,6 +51,9 @@ _PINV_RCOND = 1e-9
 # by Gram-Schmidt when |a| |w| = sigma1 sigma2 >= this times |J|_F^2, which
 # implies sigma2/sigma1 >= this, far above _PINV_RCOND; other rows: the SVD
 _PINV_CLOSED_GUARD = 1e-6
+# a slice point is isolated and regular when the row-normalized
+# [J_f(x); x/r] has sigma_min/sigma_max above this (see _isolated_radii)
+_ISOLATED_GUARD = 1e-6
 # Gauss-Newton iteration budgets: sphere projection, nearest-point search
 _PROJECT_ITERS = 50
 _NEAREST_ITERS = 40
@@ -54,6 +61,9 @@ _NEAREST_ITERS = 40
 # two batches: the full step and its first halving for every row, then the
 # other 24 halvings for the rows neither of those improved
 _LINE_SEARCH = (0.5 ** np.arange(2), 0.5 ** np.arange(2, 26))
+# trial points the line search renormalizes and evaluates at once: 2048 rows
+# of the 24-halving batch, so a call's memory stays bounded whatever its rows
+_LINE_SEARCH_TRIALS = 2048 * 24
 # inequality combinations promoted to equations as boundary strata: one at
 # a time for slices, up to two for distances to a germ
 SLICE_DEPTH = 1
@@ -299,7 +309,8 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
     the sphere, and moves to the first trial point whose residual is lower
     than the row's current one; a row with none stops where it is. The
     trial points are renormalized and evaluated in two batches (the first
-    two fractions for every row, the rest for rows still pending). Scaling
+    two fractions for every row, the rest for rows still pending), each cut
+    into chunks of at most ``_LINE_SEARCH_TRIALS`` trial points. Scaling
     by a power of two is exact and the evaluation is row by row, so the
     result is the same as trying the fractions one at a time.
 
@@ -334,16 +345,20 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
         for fractions in _LINE_SEARCH:
             if pend.size == 0:
                 break
-            trials = _renormalize(
-                Xa[pend, None] + fractions[:, None] * steps[pend, None],
-                ra[pend, None], Xa[pend, None])
-            tres = _system_residual(eqs, trials)
-            better = tres < res[idx[pend], None]
-            hit = better.any(axis=1)
-            first = better.argmax(axis=1)[hit]
-            cand[pend[hit]] = trials[hit, first]
-            cres[pend[hit]] = tres[hit, first]
-            pend = pend[~hit]
+            rows = _LINE_SEARCH_TRIALS // len(fractions)
+            left = []
+            for chunk in np.split(pend, range(rows, pend.size, rows)):
+                trials = _renormalize(
+                    Xa[chunk, None] + fractions[:, None] * steps[chunk, None],
+                    ra[chunk, None], Xa[chunk, None])
+                tres = _system_residual(eqs, trials)
+                better = tres < res[idx[chunk], None]
+                hit = better.any(axis=1)
+                first = better.argmax(axis=1)[hit]
+                cand[chunk[hit]] = trials[hit, first]
+                cres[chunk[hit]] = tres[hit, first]
+                left.append(chunk[~hit])
+            pend = np.concatenate(left)
         improved = cres < res[idx]
         X[idx[improved]] = cand[improved]
         res[idx[improved]] = cres[improved]
@@ -477,6 +492,36 @@ def _slice_cloud(name: str, r: float, seed: int, fraction: float,
                       spacing=_cloud_resolution(points, counts, gaps))
 
 
+def _isolated_radii(eqs, entries: dict, nstarts: int, nvars: int) -> set:
+    """The radii at which a stratum's slice is a finite set of regular
+    points that its projection found in full.
+
+    ``entries`` maps each radius to the projection's accepted points and
+    their count. A radius qualifies when every start was accepted (so at
+    least one was) and at every accepted point x the Jacobian of
+    [f; |x|^2 / 2] with each row normalized, [J_f(x); x/r], has rank nvars,
+    its sigma_min / sigma_max above ``_ISOLATED_GUARD``. Fewer than
+    nvars - 1 equations cannot reach that rank, and nothing is evaluated.
+    All radii share one Jacobian evaluation and one stacked SVD.
+    """
+    if len(eqs) + 1 < nvars:
+        return set()
+    full = [r for r, (_, accepted) in entries.items() if accepted == nstarts]
+    if not full:
+        return set()
+    X = np.concatenate([entries[r][0] for r in full])
+    _, jacs = ex.eval_system_jacobian(eqs, X)
+    M = np.concatenate(
+        [jacs, (X / np.repeat(full, nstarts)[:, None])[:, None]], axis=1)
+    M[~np.isfinite(M).all(axis=(1, 2))] = 0.0
+    norms = np.linalg.norm(M, axis=-1, keepdims=True)
+    M /= np.where(norms > 0.0, norms, 1.0)
+    svals = np.linalg.svd(M, compute_uv=False)
+    regular = svals[:, -1] > _ISOLATED_GUARD * svals[:, 0]
+    return {r for r, ok in zip(full, regular.reshape(len(full), nstarts))
+            if ok.all()}
+
+
 def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
                   seed: int = 0, cache: SliceCache | None = None
                   ) -> list[SliceCloud | EmptySliceError]:
@@ -487,6 +532,22 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
     stratum is projected in one call for all the radii whose projection is
     not cached yet, one radius per row; the inequality filter, membership
     and deduplication stay per radius.
+
+    A part's boundary strata only pin down slice points that its own
+    stratum samples densely at best. So a boundary stratum is not projected
+    at a radius where the part's own slice is finite and found in full
+    (:func:`_isolated_radii`): every start accepted, at a regular point
+    isolated on the sphere. A boundary stratum adds equations, so its slice
+    lies inside that finite set; its points would land on ones already
+    sampled and fold into them in deduplication (on the corpus the clouds
+    are bit-identical to projecting every stratum). An empty or partly
+    converged parent proves nothing (non-reduced equations sample as
+    empty), and neither does a count of equations (a redundant
+    presentation has more equations than its dimension needs), so both
+    keep their boundary strata. The rule looks only at the parent's
+    projection, never at what the cache holds, so the clouds do not depend
+    on the cache; a skipped stratum stores nothing, since it may be
+    another set's own stratum.
     """
     radii = [float(r) for r in radii]
     for r in radii:
@@ -515,6 +576,9 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
     for part, (_, eq_strs, ineq_strs) in zip(s.parts, part_sigs):
         strata = zip(_part_strata(part, SLICE_DEPTH),
                      _strata(eq_strs, ineq_strs, SLICE_DEPTH))
+        # radii at which the part's own slice already holds every boundary
+        # point, so its boundary strata are not projected there
+        isolated = set()
         for si, ((eqs, rest), (stratum_strs, _)) in enumerate(strata):
             attempts += nstarts
             sys_eqs = _normalize_system(eqs)
@@ -522,9 +586,10 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
                 continue
             # a projection depends only on its system and its starts, so
             # sets sharing a stratum share its entry; the inequality filter
-            # and membership stay per set
+            # and membership stay per set. A skipped stratum stores nothing:
+            # it may be another set's own stratum
             keys = {r: (s.nvars, stratum_strs, r, npoints, seed)
-                    for r in todo}
+                    for r in todo if r not in isolated}
             entries = {r: cache.lookup(k) for r, k in keys.items()}
             missed = [r for r, e in entries.items() if e is None]
             if missed:
@@ -537,6 +602,9 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
                     rows = slice(j * nstarts, (j + 1) * nstarts)
                     entries[r] = (pts[rows][ok[rows]], int(ok[rows].sum()))
                     cache.store(keys[r], entries[r])
+            if si == 0 and part.ineqs:
+                isolated = _isolated_radii(sys_eqs, entries, nstarts,
+                                           s.nvars)
             for r, (pts, accepted) in entries.items():
                 if si == 0:
                     primary_accepted[r] += accepted

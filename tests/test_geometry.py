@@ -183,6 +183,42 @@ class TestProjectMatchesReference:
             alone = np.concatenate([gg._gn_steps(eqs, x[None]) for x in X])
             assert np.array_equal(alone, gg._gn_steps(eqs, X))
 
+    def test_chunked_line_search_matches_one_batch(self, curves,
+                                                   monkeypatch):
+        # the cusp's end {y^2 - x^3, x} misses every sphere, so all 16,000
+        # rows reach the 24-halving batch at the first iteration; a few
+        # iterations show the chunks, the rest only cost time
+        monkeypatch.setattr(gg, "_PROJECT_ITERS", 5)
+        s = curves.get("cusp")
+        (eqs, _), (end, _) = gg._part_strata(s.parts[0], gg.SLICE_DEPTH)
+        radii = ga.RadiiSchedule(0.25).radii()
+        dirs = ga.sphere_directions(2, 2000, 0)
+        starts = np.concatenate([dirs * r for r in radii])
+        rad = np.repeat(radii, len(dirs))
+        residual = gg._system_residual
+        batches = []
+
+        def counting(eqs, X):
+            if X.ndim == 3:
+                batches.append(X.shape[0] * X.shape[1])
+            return residual(eqs, X)
+
+        monkeypatch.setattr(gg, "_system_residual", counting)
+        for system in (eqs, end):
+            batches.clear()
+            X, ok = gg.project_to_sphere_slice(system, starts, rad)
+            chunked = len(batches)
+            assert max(batches) <= gg._LINE_SEARCH_TRIALS
+            with monkeypatch.context() as m:
+                m.setattr(gg, "_LINE_SEARCH_TRIALS", 10 ** 9)
+                batches.clear()
+                X1, ok1 = gg.project_to_sphere_slice(system, starts, rad)
+            assert np.array_equal(X, X1)
+            assert np.array_equal(ok, ok1)
+            if system is end:
+                assert max(batches) == 16000 * 24
+                assert chunked > len(batches)
+
     def test_inflated_strata(self, curves):
         part = curves.get("cusp_product").parts[0]
         proj, _ = gs.generic_projection(part.eqs, 2, 1, seed=0)
@@ -897,8 +933,9 @@ class TestStratumCache:
         cache = ga.SliceCache()
         clouds = [ga.sample_slice(s, 0.25, cache=cache) for s in inflated]
         assert [eqs for eqs, *_ in calls].count(part.eqs) == 1
-        # the primary stratum once, then one promoted slack per exponent
-        assert len(calls) == 4
+        # the primary stratum once; its slice is two regular points that
+        # every start reaches, so no promoted slack is projected
+        assert len(calls) == 1
         for s, cloud in zip(inflated, clouds):
             self._same_as_fresh(s, cloud, 0.25)
 
@@ -1007,3 +1044,98 @@ class TestStratumCache:
             assert err.converged_fraction == \
                 fresh.value.converged_fraction == 1.0
             assert err.attempts == fresh.value.attempts == 3 * 256
+
+
+def _one_part_set(eqs, ineqs, nvars=2):
+    names = ["x", "y", "z"][:nvars]
+    return make_collection(
+        {"vars": names, "omega": 0.5,
+         "sets": {"s": {"parts": [{"eqs": eqs, "ineqs": ineqs}]}}}).get("s")
+
+
+class TestBoundaryStrata:
+    """A boundary stratum is skipped at a radius only where the part's own
+    slice is a finite set of regular points that every start reached; the
+    clouds are the same as when every stratum is projected."""
+
+    @pytest.mark.parametrize("r", [0.25, 0.01])
+    def test_partly_converged_parent_keeps_its_boundary(self, r):
+        # (y-x)^3 is not reduced, so starts that head for y = x stall; those
+        # points come from the boundary {f, y - x} alone
+        s = _one_part_set(["(y - x)^3 * (y + x)"], ["y - x"])
+        cloud = ga.sample_slice(s, r, cache=ga.SliceCache())
+        assert cloud.converged_fraction < 1.0
+        c = r / math.sqrt(2.0)
+        want = np.array([[c, c], [-c, -c], [-c, c]])
+        assert len(cloud.points) == 3
+        assert cdist(want, cloud.points).min(axis=1).max() < 1e-9 * r
+
+    def test_redundant_presentation_keeps_its_boundary(self):
+        # two equations, one surface: the slice is a curve, although the
+        # count of equations would say it is finite
+        s = _one_part_set(["z - x^2", "x*(z - x^2)"], ["y"], nvars=3)
+        r = 0.25
+        cloud = ga.sample_slice(s, r, cache=ga.SliceCache())
+        assert np.abs(cloud.points[:, 1]).min() <= 1e-9 * r
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        project = gg.project_to_sphere_slice
+
+        def counting(eqs, starts, r):
+            calls.append(tuple(eqs))
+            return project(eqs, starts, r)
+
+        monkeypatch.setattr(gg, "project_to_sphere_slice", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corpus_clouds_match_projecting_every_stratum(
+            self, curves, surfaces, loj, monkeypatch, seed):
+        radii = ga.RadiiSchedule(0.25).radii()
+        calls = self._count_calls(monkeypatch)
+        skipping = every = 0
+        for coll in (curves, surfaces, loj):
+            for s in coll.sets.values():
+                before = len(calls)
+                got = gg.sample_slices(s, radii, seed=seed,
+                                       cache=ga.SliceCache())
+                skipping += len(calls) - before
+                with monkeypatch.context() as m:
+                    m.setattr(gg, "_isolated_radii", lambda *a: set())
+                    before = len(calls)
+                    want = gg.sample_slices(s, radii, seed=seed,
+                                            cache=ga.SliceCache())
+                    every += len(calls) - before
+                for a, b in zip(got, want):
+                    assert type(a) is type(b)
+                    if isinstance(a, ga.EmptySliceError):
+                        assert (a.converged_fraction, a.attempts) == \
+                            (b.converged_fraction, b.attempts)
+                    else:
+                        assert np.array_equal(a.points, b.points)
+                        assert a.spacing == b.spacing
+                        assert a.converged_fraction == b.converged_fraction
+        assert skipping < every
+
+    def test_skipped_stratum_is_projected_as_a_set_of_its_own(
+            self, curves, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        half = curves.get("halfline")
+        end = _one_part_set(["y", "x"], [])
+        (_, _, ((_, eq_strs, ineq_strs),)) = half.signature()
+        end_strs, _ = gg._strata(eq_strs, ineq_strs, 1)[1]
+        assert end.signature()[2][0][1] == end_strs
+        cache = ga.SliceCache()
+        ga.sample_slice(half, 0.25, cache=cache)
+        assert calls == [half.parts[0].eqs]
+        assert cache.lookup((2, end_strs, 0.25, 256, 0)) is None
+        with pytest.raises(ga.EmptySliceError) as warm:
+            ga.sample_slice(end, 0.25, cache=cache)
+        assert calls[1:] == [end.parts[0].eqs]
+        assert cache.lookup((2, end_strs, 0.25, 256, 0)) is not None
+        with pytest.raises(ga.EmptySliceError) as fresh:
+            ga.sample_slice(end, 0.25, cache=ga.SliceCache())
+        assert (warm.value.converged_fraction, warm.value.attempts) == \
+            (fresh.value.converged_fraction, fresh.value.attempts)
