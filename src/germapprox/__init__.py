@@ -59,11 +59,8 @@ from .geometry import (
     directed_deviation,
     dist_to_set,
     dist_to_set_batch,
-    horn_member,
-    jacobian_regularity,
     numeric_dimension,
     sample_slice,
-    slice_distance,
     sphere_directions,
     tangent_cone_cloud,
 )
@@ -77,13 +74,11 @@ from .sets import (
     boundary_part,
     collection_from_text,
     generic_projection,
-    half_sets,
     inflated_part,
     load_collection,
     membership,
     minor_determinants,
     set_of,
-    singular_locus,
     truncate_eqs,
     truncate_full,
     truncate_ineqs,
@@ -105,15 +100,13 @@ __all__ = [
     "taylor", "to_string",
     "DistanceSample", "EmptySliceError", "GeometryError", "SliceCache",
     "SliceCloud", "TangentConeReport", "directed_deviation", "dist_to_set",
-    "dist_to_set_batch", "horn_member", "jacobian_regularity",
-    "numeric_dimension", "sample_slice", "slice_distance",
+    "dist_to_set_batch", "numeric_dimension", "sample_slice",
     "sphere_directions", "tangent_cone_cloud",
     "Poly", "SeriesError", "TruncatedSeries",
     "BasicPresentation", "SemianalyticSet", "SetCollection", "SetError",
     "SetFileError", "boundary_part", "collection_from_text",
-    "generic_projection", "half_sets",
-    "inflated_part", "load_collection", "membership", "minor_determinants",
-    "set_of", "singular_locus", "truncate_eqs", "truncate_full",
+    "generic_projection", "inflated_part", "load_collection", "membership",
+    "minor_determinants", "set_of", "truncate_eqs", "truncate_full",
     "truncate_ineqs", "union_sets",
     "__version__",
 ]

@@ -21,6 +21,7 @@ against the same set, and sets that share strata, cheap and bit-stable.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -127,10 +128,6 @@ class DistanceSample:
     delta_ab: float
     delta_ba: float
     floor: float
-
-    @property
-    def d_full(self) -> float:
-        return max(self.delta_ab, self.delta_ba)
 
 
 class SliceCache:
@@ -265,17 +262,27 @@ def _linearize(eqs, X: np.ndarray):
     return vals, jacs, _pinv(jacs)
 
 
-def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
-    """Least-squares Newton steps toward {f = 0}, nan-safe.
+def _row_stable(fn):
+    """Make a row's result independent of the rows it shares the call with.
 
-    A row's step does not depend on the rows it shares the call with.
     numpy's matmul multiplies a stack of :func:`_pinv`'s two-row
     pseudo-inverses in its own loop but hands a lone one, then
-    Fortran-ordered, to BLAS, which rounds differently; so a single row
-    goes through as a stack of two copies.
+    Fortran-ordered, to BLAS, which rounds differently; so a call on a
+    single row runs on a stack of two copies of it.
     """
-    if len(X) == 1:
-        return _gn_steps(eqs, np.repeat(X, 2, axis=0))[:1]
+    def call(eqs, *rows):
+        if len(rows[0]) != 1:
+            return fn(eqs, *rows)
+        out = fn(eqs, *(np.repeat(a, 2, axis=0) for a in rows))
+        if isinstance(out, tuple):
+            return tuple(o[:1] for o in out)
+        return out[:1]
+    return functools.update_wrapper(call, fn)
+
+
+@_row_stable
+def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
+    """Least-squares Newton steps toward {f = 0}, nan-safe."""
     vals, _, pinv = _linearize(eqs, X)
     steps = -(pinv @ vals[..., None])[..., 0]
     bad = ~np.all(np.isfinite(steps), axis=-1)
@@ -685,19 +692,11 @@ def _distance_sample(r: float, ca: SliceCloud | None,
                   cb.spacing if cb is not None else _SPACING_GUARD))
 
 
-def slice_distance(a: SemianalyticSet, b: SemianalyticSet, r: float,
-                   npoints: int = 256, seed: int = 0,
-                   cache: SliceCache | None = None) -> DistanceSample:
-    """Both directed deviations between the two sets' slices at radius r."""
-    return _distance_sample(
-        r, sample_slice(a, r, npoints=npoints, seed=seed, cache=cache),
-        sample_slice(b, r, npoints=npoints, seed=seed, cache=cache))
-
-
 # ---------------------------------------------------------------------------
 # distance from points to a germ
 
 
+@_row_stable
 def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
     """Per row: move a start toward the nearest point of {f = 0} to target.
 
@@ -807,39 +806,6 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
 def dist_to_set(x, s: SemianalyticSet, **kw) -> float:
     return float(dist_to_set_batch(np.asarray(x, dtype=float)[None, :],
                                    s, **kw)[0])
-
-
-def horn_member(x, s: SemianalyticSet, sigma: float, **kw) -> bool:
-    """Whether x lies inside the horn {d(x, s) < |x|^sigma}."""
-    x = np.asarray(x, dtype=float)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        raise GeometryError("the horn neighbourhood excludes the origin")
-    return dist_to_set(x, s, **kw) < nx ** sigma
-
-
-# ---------------------------------------------------------------------------
-# Jacobian regularity
-
-
-def jacobian_regularity(eqs, x) -> float:
-    """Smallest singular value of the system Jacobian at x, or 0.0 when the
-    Jacobian is rank-deficient there (including the overdetermined case of
-    more equations than variables)."""
-    x = np.asarray(x, dtype=float)
-    if not eqs:
-        raise GeometryError("regularity of an empty system is undefined")
-    _, jac = ex.eval_system_jacobian(eqs, x[None, :])
-    J = jac[0]
-    p, n = J.shape
-    if p > n:
-        return 0.0
-    svals = np.linalg.svd(J, compute_uv=False)
-    if svals[0] == 0.0 or not np.all(np.isfinite(svals)):
-        return 0.0
-    if svals[-1] < 1e-10 * svals[0]:
-        return 0.0
-    return float(svals[-1])
 
 
 # ---------------------------------------------------------------------------

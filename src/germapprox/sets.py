@@ -3,15 +3,16 @@
 A set germ at the origin is described by a union of basic parts, each the
 locus {f_1 = ... = f_p = 0, g_1 >= 0, ..., g_l >= 0} of analytic expressions
 inside a ball of radius omega. The operations here are symbolic: truncating
-defining functions to Taylor polynomials, splitting inequalities into
-equational pieces, forming singular loci from Jacobian minors, projecting a
-map to fewer generic components, and building the inflated variety used by
-the approximation search. Numeric sampling lives in :mod:`.geometry`.
+defining functions to Taylor polynomials, promoting an inequality to an
+equation on a boundary slice, taking Jacobian minors, projecting a map to
+fewer generic components, and building the inflated variety used by the
+approximation search. Numeric sampling lives in :mod:`.geometry`.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -180,20 +181,7 @@ def truncate_full(s: SemianalyticSet, h: int, k: int) -> SemianalyticSet:
 
 
 # ---------------------------------------------------------------------------
-# splitting inequalities into equational half-sets
-
-
-def half_sets(part: BasicPresentation) -> list[BasicPresentation]:
-    """Split a part along its inequalities into pure-equation pieces.
-
-    Each returned presentation moves one inequality into the equations and
-    keeps the remaining inequalities, so the union of the pieces together
-    with the open-sign interior covers the original part's boundary
-    structure. A part with no inequalities returns itself.
-    """
-    if not part.ineqs:
-        return [part]
-    return [boundary_part(part, j) for j in range(len(part.ineqs))]
+# boundary slices
 
 
 def boundary_part(part: BasicPresentation, j: int) -> BasicPresentation:
@@ -208,7 +196,7 @@ def boundary_part(part: BasicPresentation, j: int) -> BasicPresentation:
 
 
 # ---------------------------------------------------------------------------
-# singular locus
+# Jacobian minors
 
 
 def jacobian_exprs(eqs, nvars: int) -> list[list[Expr]]:
@@ -248,42 +236,6 @@ def minor_determinants(eqs, nvars: int, r: int) -> list[Expr]:
             sub = [[jac[i][j] for j in cols] for i in rows]
             dets.append(_minor_det(sub))
     return dets
-
-
-def singular_locus(s: SemianalyticSet, rank: int | None = None
-                   ) -> SemianalyticSet:
-    """Where the equations' Jacobian drops below ``rank`` (default: full).
-
-    Each part contributes its own locus: the original constraints plus the
-    vanishing of every rank x rank minor. Parts without equations are
-    rejected since rank is undefined for an empty system.
-    """
-    parts = []
-    for part in s.parts:
-        p = len(part.eqs)
-        if p == 0:
-            raise SetError(
-                f"part of {s.name!r} has no equations; "
-                "singular locus needs an equation system")
-        r = rank if rank is not None else min(p, part.nvars)
-        if r > min(p, part.nvars):
-            raise SetError(
-                f"rank {r} exceeds the {p}x{part.nvars} Jacobian of a part "
-                f"of {s.name!r}")
-        dets = minor_determinants(part.eqs, part.nvars, r)
-        # keep only minors that are not syntactically zero
-        dets = [d for d in dets
-                if not (isinstance(d, ex.Const) and d.value == 0.0)]
-        if not dets:
-            # Jacobian is identically rank-deficient: whole part is singular
-            parts.append(part)
-            continue
-        parts.append(BasicPresentation(
-            nvars=part.nvars, eqs=part.eqs + tuple(dets), ineqs=part.ineqs,
-            through_origin=False))
-    return SemianalyticSet(
-        name=f"sing({s.name})", nvars=s.nvars, omega=s.omega,
-        parts=tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +385,10 @@ def parse_collection(doc: dict) -> SetCollection:
     if len(set(names)) != len(names):
         raise SetFileError("'vars' contains duplicate names")
     omega = doc["omega"]
-    if not isinstance(omega, (int, float)) or not omega > 0:
-        raise SetFileError("'omega' must be a positive number")
+    # bool is an int; the bound also rejects inf, nan and ints past float range
+    if (isinstance(omega, bool) or not isinstance(omega, (int, float))
+            or not 0 < omega <= sys.float_info.max):
+        raise SetFileError("'omega' must be a positive finite number")
     raw_sets = doc["sets"]
     if not isinstance(raw_sets, dict) or not raw_sets:
         raise SetFileError("'sets' must be a nonempty object")

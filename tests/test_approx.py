@@ -8,6 +8,7 @@ from germapprox import sets as gs
 from germapprox.approx import (
     ApproxError,
     SearchExhausted,
+    _residual_set,
     child_seed,
     search_inflation_exponent,
 )
@@ -43,6 +44,34 @@ class TestChildSeed:
         for seed in range(20):
             v = child_seed(seed, "t")
             assert 0 <= v < 2 ** 31
+
+
+class TestResidualSet:
+    PART = gs.BasicPresentation(
+        nvars=2, eqs=(ex.parse("y - x^2", 2),),
+        ineqs=(ex.parse("x", 2), ex.parse("1 - y", 2)))
+
+    def test_nonzero_minors_follow_the_equations(self):
+        res = _residual_set(self.PART, self.PART.eqs, "res", 0.5)
+        assert (res.name, res.nvars, res.omega) == ("res", 2, 0.5)
+        # the minors of [-2x, 1] are both kept: only the constant 0 drops
+        minors = tuple(gs.minor_determinants(self.PART.eqs, 2, 1))
+        assert len(minors) == 2
+        assert res.parts[0] == gs.BasicPresentation(
+            nvars=2, eqs=self.PART.eqs + minors, ineqs=self.PART.ineqs,
+            through_origin=False)
+
+    def test_all_zero_minors_keep_the_part_whole(self):
+        res = _residual_set(self.PART, (ex.parse("x - x", 2),), "res", 0.5)
+        assert res.parts[0] == gs.BasicPresentation(
+            nvars=2, eqs=self.PART.eqs, ineqs=self.PART.ineqs,
+            through_origin=False)
+
+    def test_one_boundary_part_per_inequality(self):
+        edges = tuple(gs.boundary_part(self.PART, j) for j in range(2))
+        assert _residual_set(self.PART, (), "res", 0.5).parts == edges
+        res = _residual_set(self.PART, self.PART.eqs, "res", 0.5)
+        assert res.parts[1:] == edges
 
 
 class TestConfig:

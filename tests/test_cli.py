@@ -140,6 +140,16 @@ class TestTruncate:
         assert err.startswith("error:") and "overflows" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("omega", ["true", "1e400"])
+    def test_bad_omega_names_the_file(self, omega, tmp_path, capsys):
+        path = tmp_path / "omega.json"
+        path.write_text('{"vars": ["x", "y"], "omega": %s, "sets": '
+                        '{"a": {"parts": [{"eqs": ["y"]}]}}}' % omega)
+        rc = main(["truncate", str(path), "a", "--h", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "'omega'" in err
+
     @pytest.mark.parametrize("order", [["--h", "-1"], ["--k", "-1"]],
                              ids=["h", "k"])
     def test_negative_order_is_input_error(self, order, curves_file, capsys):

@@ -67,6 +67,27 @@ class TestOrderFits:
         assert est.vanishing and est.slope == math.inf
         assert est.below_floor >= quick_config.schedule.count - 1
 
+    def test_parabola_vs_line_closed_form(self, curves, quick_config,
+                                          shared_cache):
+        samples, _, _, _ = ga.deviation_profile(
+            curves.get("parabola"), curves.get("line"), quick_config,
+            shared_cache)
+        d = samples[0]
+        assert d.r == 0.25
+        # on {y = x^2} the sphere equation x^2 + x^4 = r^2 solves in x^2
+        xs = math.sqrt((math.sqrt(1.0 + 4.0 * d.r ** 2) - 1.0) / 2.0)
+        want = math.hypot(d.r - xs, xs * xs)
+        assert d.delta_ab == pytest.approx(want, rel=1e-9)
+        assert d.delta_ba == pytest.approx(want, rel=1e-9)
+        assert d.floor == gg._SPACING_GUARD
+
+    def test_reflexive_samples_are_zero(self, curves, quick_config,
+                                        shared_cache):
+        e = curves.get("exp_curve")
+        samples, _, _, _ = ga.deviation_profile(e, e, quick_config,
+                                                shared_cache)
+        assert all(d.delta_ab == 0.0 and d.delta_ba == 0.0 for d in samples)
+
     def test_line_vs_parabola_order_two(self, curves, quick_config,
                                         shared_cache):
         est = ga.estimate_order_directed(

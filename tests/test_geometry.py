@@ -183,6 +183,19 @@ class TestProjectMatchesReference:
             alone = np.concatenate([gg._gn_steps(eqs, x[None]) for x in X])
             assert np.array_equal(alone, gg._gn_steps(eqs, X))
 
+    def test_lone_nearest_row_like_a_stack(self):
+        # two equations in three variables: a lone row's two-row
+        # pseudo-inverse product would otherwise round through BLAS
+        eqs = tuple(ex.parse(t, 3) for t in ("y - x^2", "z - x^3 - 0.5*y"))
+        rng = np.random.default_rng(0)
+        S, T = rng.uniform(-0.3, 0.3, (2, 200, 3))
+        for s, t in zip(S, T):
+            alone = gg._nearest_on_variety(eqs, s[None], t[None])
+            pair = gg._nearest_on_variety(eqs, np.stack([s, s]),
+                                          np.stack([t, t]))
+            assert np.array_equal(alone[0], pair[0][:1])
+            assert np.array_equal(alone[1], pair[1][:1])
+
     def test_chunked_line_search_matches_one_batch(self, curves,
                                                    monkeypatch):
         # the cusp's end {y^2 - x^3, x} misses every sphere, so all 16,000
@@ -632,26 +645,6 @@ class TestDirectedDeviation:
             ga.directed_deviation(Q, P)
 
 
-class TestSliceDistance:
-    def test_parabola_vs_line_closed_form(self, curves, shared_cache):
-        r = 0.25
-        d = ga.slice_distance(curves.get("parabola"), curves.get("line"), r,
-                              cache=shared_cache)
-        xs = parabola_slice_x(r)
-        want = math.hypot(r - xs, xs * xs)
-        assert d.delta_ab == pytest.approx(want, rel=1e-9)
-        assert d.delta_ba == pytest.approx(want, rel=1e-9)
-        assert d.d_full == max(d.delta_ab, d.delta_ba)
-        assert d.floor == gg._SPACING_GUARD
-        assert d.r == r
-
-    def test_reflexive_distance_vanishes(self, curves, shared_cache):
-        d = ga.slice_distance(curves.get("exp_curve"),
-                              curves.get("exp_curve"), 0.125,
-                              cache=shared_cache)
-        assert d.delta_ab == 0.0 and d.delta_ba == 0.0
-
-
 class TestDistToSet:
     def test_vertex_distance(self, curves, shared_cache):
         p = curves.get("parabola")
@@ -809,43 +802,6 @@ class TestDistMatchesDense:
         got = ga.dist_to_set_batch(X, s, cache=shared_cache)
         assert np.array_equal(got, _dist_reference(X, s, 128, 0,
                                                    shared_cache))
-
-
-class TestHornMember:
-    def test_against_distance_oracle(self, curves, shared_cache):
-        p = curves.get("parabola")
-        for x, sigma in [((0.2, 0.05), 2.0), ((0.2, 0.14), 2.0),
-                         ((0.1, 0.0101), 2.0), ((0.1, 0.02), 3.0)]:
-            x = np.array(x)
-            d = ga.dist_to_set(x, p, cache=shared_cache)
-            want = d < np.linalg.norm(x) ** sigma
-            assert ga.horn_member(x, p, sigma, cache=shared_cache) == want
-
-    def test_origin_rejected(self, curves):
-        with pytest.raises(gg.GeometryError):
-            ga.horn_member(np.zeros(2), curves.get("parabola"), 2.0)
-
-
-class TestJacobianRegularity:
-    def test_matches_svd(self):
-        eqs = [ex.parse("y - x^2", 2), ex.parse("x + y", 2)]
-        x = np.array([0.3, 0.09])
-        J = np.array([[-0.6, 1.0], [1.0, 1.0]])
-        want = np.linalg.svd(J, compute_uv=False)[-1]
-        assert ga.jacobian_regularity(eqs, x) == pytest.approx(want,
-                                                               rel=1e-12)
-
-    def test_rank_deficient_reports_zero(self, curves):
-        eqs = curves.get("cusp_product").parts[0].eqs
-        assert ga.jacobian_regularity(eqs, np.array([0.2, 0.008])) == 0.0
-
-    def test_overdetermined_reports_zero(self):
-        eqs = [ex.parse("x", 1), ex.parse("x^2", 1)]
-        assert ga.jacobian_regularity(eqs, np.array([0.5])) == 0.0
-
-    def test_empty_system_rejected(self):
-        with pytest.raises(gg.GeometryError):
-            ga.jacobian_regularity([], np.zeros(2))
 
 
 class TestTangentCone:

@@ -111,27 +111,24 @@ class TestTruncation:
             gs.truncate_full(curves.get("line"), 2, -1)
 
 
-class TestHalfSets:
-    def test_no_ineqs_returns_self(self):
-        p = part_of(["y"])
-        assert gs.half_sets(p) == [p]
+class TestBoundaryPart:
+    def test_inequality_appended_after_equations(self):
+        p = part_of(["y - x^2"], ineqs=["x", "1 - x^2 - y^2"])
+        first, second = (gs.boundary_part(p, j) for j in range(2))
+        assert first.eqs == (ex.parse("y - x^2", 2), ex.parse("x", 2))
+        assert first.ineqs == (ex.parse("1 - x^2 - y^2", 2),)
+        assert second.eqs == (ex.parse("y - x^2", 2),
+                              ex.parse("1 - x^2 - y^2", 2))
+        assert second.ineqs == (ex.parse("x", 2),)
+        assert not first.through_origin and not second.through_origin
 
-    def test_each_inequality_becomes_equation(self):
-        p = part_of([], ineqs=["x", "1 - x^2 - y^2"])
-        halves = gs.half_sets(p)
-        assert len(halves) == 2
-        assert halves[0].eqs == (ex.parse("x", 2),)
-        assert halves[0].ineqs == (ex.parse("1 - x^2 - y^2", 2),)
-        assert halves[1].eqs == (ex.parse("1 - x^2 - y^2", 2),)
-        assert halves[1].ineqs == (ex.parse("x", 2),)
-
-    def test_boundary_points_satisfy_half_set(self, curves):
-        # points on the halfdisk's straight edge satisfy half-set 0
+    def test_boundary_points_satisfy_edge(self, curves):
+        # points on the halfdisk's straight edge satisfy boundary part 0
         hd = curves.get("halfdisk")
-        half = gs.set_of(gs.half_sets(hd.parts[0])[0], "edge", hd.omega)
+        edge = gs.set_of(gs.boundary_part(hd.parts[0], 0), "edge", hd.omega)
         for y in (0.3, -0.2, 0.0):
-            assert gs.membership(half, [0.0, y])
-            assert not gs.membership(half, [0.1, y])
+            assert gs.membership(edge, [0.0, y])
+            assert not gs.membership(edge, [0.1, y])
 
     def test_boundary_part_index_checked(self):
         p = part_of([], ineqs=["x"])
@@ -180,39 +177,6 @@ class TestMinors:
             gs.minor_determinants(eqs, 2, 0)
         with pytest.raises(SetError):
             gs.minor_determinants([], 2, 1)
-
-
-class TestSingularLocus:
-    def test_redundant_pair_is_singular_along_curve(self, curves):
-        # both equations share the factor (y - x^3), so the Jacobian minor
-        # x^3 - y vanishes identically on the curve
-        sing = gs.singular_locus(curves.get("cusp_product"))
-        assert sing.name == "sing(cusp_product)"
-        part = sing.parts[0]
-        assert len(part.eqs) == 3
-        (det,) = part.eqs[2:]
-        t = np.linspace(-0.4, 0.4, 9)
-        pts = np.stack([t, t ** 3], axis=1)
-        np.testing.assert_allclose(ex.eval_many(det, pts), 0.0, atol=1e-15)
-        assert all(gs.membership(sing, p) for p in pts)
-
-    def test_regular_curve_has_empty_singular_locus(self, curves):
-        sing = gs.singular_locus(curves.get("parabola"))
-        # minors of [ -2x, 1 ] include the constant 1, so no point qualifies
-        X = np.random.default_rng(2).uniform(-0.5, 0.5, (200, 2))
-        assert not gs.membership_mask(sing, X).any()
-
-    def test_identically_deficient_part_returned_whole(self):
-        p = part_of(["x - x"], nvars=1)
-        s = gs.set_of(p, "flat", 0.5)
-        sing = gs.singular_locus(s, rank=1)
-        assert sing.parts == (p,)
-
-    def test_validation(self, curves):
-        with pytest.raises(SetError):
-            gs.singular_locus(curves.get("disk"))
-        with pytest.raises(SetError):
-            gs.singular_locus(curves.get("parabola"), rank=2)
 
 
 class TestMembership:
@@ -346,6 +310,16 @@ class TestFileFormat:
         with pytest.raises(SetFileError) as ei:
             make_collection(doc)
         assert fragment in str(ei.value)
+
+    @pytest.mark.parametrize("omega", [
+        "true", "false", "Infinity", "1e400", "NaN", "1" + "0" * 400],
+        ids=["true", "false", "Infinity", "1e400", "NaN", "int_1e400"])
+    def test_omega_must_be_finite_number(self, omega):
+        text = ('{"vars": ["x", "y"], "omega": %s, '
+                '"sets": {"p": {"parts": [{"eqs": ["y - x^2"]}]}}}' % omega)
+        with pytest.raises(SetFileError) as ei:
+            gs.collection_from_text(text)
+        assert "'omega' must be a positive finite number" in str(ei.value)
 
     def test_not_json(self):
         with pytest.raises(SetFileError):
