@@ -35,15 +35,12 @@ from .equivalence import (
     union_property_check,
 )
 from .expr import (
-    EvalDomainError,
     Expr,
     ExprError,
     NonAnalyticError,
     ParseError,
     diff,
-    eval_expr,
     eval_many,
-    gradient,
     parse,
     poly_to_expr,
     taylor,
@@ -57,7 +54,6 @@ from .geometry import (
     SliceCloud,
     TangentConeReport,
     directed_deviation,
-    dist_to_set,
     dist_to_set_batch,
     numeric_dimension,
     sample_slice,
@@ -76,7 +72,6 @@ from .sets import (
     generic_projection,
     inflated_part,
     load_collection,
-    membership,
     minor_determinants,
     set_of,
     truncate_eqs,
@@ -95,17 +90,16 @@ __all__ = [
     "decide_equivalent", "decide_le", "deviation_profile",
     "estimate_exponent", "estimate_order_directed", "horn_criterion",
     "sign_agreement_check", "union_property_check",
-    "EvalDomainError", "Expr", "ExprError", "NonAnalyticError", "ParseError",
-    "diff", "eval_expr", "eval_many", "gradient", "parse", "poly_to_expr",
-    "taylor", "to_string",
+    "Expr", "ExprError", "NonAnalyticError", "ParseError",
+    "diff", "eval_many", "parse", "poly_to_expr", "taylor", "to_string",
     "DistanceSample", "EmptySliceError", "GeometryError", "SliceCache",
-    "SliceCloud", "TangentConeReport", "directed_deviation", "dist_to_set",
+    "SliceCloud", "TangentConeReport", "directed_deviation",
     "dist_to_set_batch", "numeric_dimension", "sample_slice",
     "sphere_directions", "tangent_cone_cloud",
     "Poly", "SeriesError", "TruncatedSeries",
     "BasicPresentation", "SemianalyticSet", "SetCollection", "SetError",
     "SetFileError", "boundary_part", "collection_from_text",
-    "generic_projection", "inflated_part", "load_collection", "membership",
+    "generic_projection", "inflated_part", "load_collection",
     "minor_determinants", "set_of", "truncate_eqs", "truncate_full",
     "truncate_ineqs", "union_sets",
     "__version__",

@@ -123,25 +123,24 @@ def _diagonal_orders(max_h: int, max_k: int):
             yield h, k
 
 
-def _drop_constant_ineqs(part: BasicPresentation):
-    """Remove inequalities that truncated to a constant.
+def _truncate(s: SemianalyticSet, h: int, k: int):
+    """``truncate_full(s, h, k)`` less the inequalities that truncated to a
+    nonnegative constant, and how many of them went.
 
     A zero constant has lost all sign information and a positive constant
     holds everywhere near the origin; neither constrains the germ. Negative
     constants are kept so an emptied part stays visibly empty.
     """
-    kept, dropped = [], 0
-    for g in part.ineqs:
-        if isinstance(g, ex.Const) and g.value >= 0.0:
-            dropped += 1
-        else:
-            kept.append(g)
-    if not dropped:
-        return part, 0
-    return BasicPresentation(
-        nvars=part.nvars, eqs=part.eqs, ineqs=tuple(kept),
-        good_presentation=part.good_presentation,
-        through_origin=part.through_origin), dropped
+    truncated = truncate_full(s, h, k)
+    parts, dropped = [], 0
+    for p in truncated.parts:
+        kept = tuple(g for g in p.ineqs
+                     if not (isinstance(g, ex.Const) and g.value >= 0.0))
+        if len(kept) < len(p.ineqs):
+            dropped += len(p.ineqs) - len(kept)
+            p = replace(p, ineqs=kept)
+        parts.append(p)
+    return replace(truncated, parts=tuple(parts)), dropped
 
 
 def _slope_rank(v: Verdict) -> float:
@@ -182,14 +181,7 @@ def search_truncation_orders(reference: SemianalyticSet,
     tried: set = set()
     best = None
     for h, k in _diagonal_orders(config.max_h, config.max_k):
-        candidate = truncate_full(base, h, k)
-        parts = []
-        dropped = 0
-        for p in candidate.parts:
-            cleaned, d = _drop_constant_ineqs(p)
-            parts.append(cleaned)
-            dropped += d
-        candidate = replace(candidate, parts=tuple(parts))
+        candidate, dropped = _truncate(base, h, k)
         sig = candidate.signature()
         if sig in tried:
             continue
@@ -253,7 +245,8 @@ def _dim_at(s: SemianalyticSet, r: float, config: ApproxConfig,
 
 def _set_dimension(s: SemianalyticSet, config: ApproxConfig,
                    cache: SliceCache | None):
-    """Dimension at the two smallest schedule radii, finest last."""
+    """Dimension at the finest schedule radius, and at the two finest,
+    finest first."""
     small = _smallest_radii(config)
     dims = [_dim_at(s, r, config, cache) for r in small]
     return dims[0], dims
@@ -395,12 +388,7 @@ def approximate(a: SemianalyticSet, s: float,
                     for c in residual.caveats:
                         part_caveats.append(f"[residual] {c}")
                 else:
-                    rt = truncate_full(res_set, h, k)
-                    cleaned = []
-                    for rp in rt.parts:
-                        cp, _ = _drop_constant_ineqs(rp)
-                        cleaned.append(cp)
-                    output_parts.extend(cleaned)
+                    output_parts.extend(_truncate(res_set, h, k)[0].parts)
                     part_caveats.append(
                         "recursion budget exhausted; residual truncated at "
                         f"orders ({h}, {k}) without verification")

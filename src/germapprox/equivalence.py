@@ -26,7 +26,6 @@ from . import expr as ex
 from .expr import Expr
 from .geometry import (
     DistanceSample,
-    EmptySliceError,
     SliceCache,
     SliceCloud,
     _distance_sample,
@@ -156,13 +155,10 @@ class Verdict:
 
 
 def _clouds(s: SemianalyticSet, config: CompareConfig,
-            cache: SliceCache | None) -> list[SliceCloud | None]:
-    """The set's slice cloud at each radius of the schedule, in order, None
-    where the slice is empty."""
-    return [None if isinstance(c, EmptySliceError) else c
-            for c in sample_slices(s, config.schedule.radii(),
-                                   npoints=config.npoints, seed=config.seed,
-                                   cache=cache)]
+            cache: SliceCache | None) -> list[SliceCloud]:
+    """The set's slice cloud at each radius of the schedule, in order."""
+    return sample_slices(s, config.schedule.radii(), npoints=config.npoints,
+                         seed=config.seed, cache=cache)
 
 
 def _dist(X: np.ndarray, s: SemianalyticSet, config: CompareConfig,
@@ -216,11 +212,10 @@ def deviation_profile(a: SemianalyticSet, b: SemianalyticSet,
                           _clouds(b, config, cache)):
         pairs = list(zip((a, b), clouds))
         notes += [f"{s.name!r} has no points on the sphere r={r:g}"
-                  for s, c in pairs if c is None]
+                  for s, c in pairs if not len(c)]
         notes += [f"only {c.converged_fraction:.0%} of starts converged "
                   f"for {s.name!r} at r={r:g}"
-                  for s, c in pairs
-                  if c is not None and c.converged_fraction < 0.5]
+                  for s, c in pairs if len(c) and c.converged_fraction < 0.5]
         samples.append(_distance_sample(r, *clouds))
     est_ab = _fit_decay(samples, "A<=B", lambda d: d.delta_ab)
     est_ba = _fit_decay(samples, "B<=A", lambda d: d.delta_ba)
@@ -319,7 +314,7 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     """
     rows = []
     for r, ca in zip(config.schedule.radii(), _clouds(a, config, cache)):
-        if ca is None:
+        if not len(ca):
             continue
         d = _dist(ca.points, b, config, cache)
         floor = max(ca.spacing, 1e-9 * r)
@@ -398,7 +393,7 @@ def estimate_exponent(s_set: SemianalyticSet, f: Expr | str, g: Expr | str,
     violations = []
     for r, cloud in zip(config.schedule.radii(),
                         _clouds(s_set, config, cache)):
-        if cloud is None:
+        if not len(cloud):
             continue
         saw_points = True
         fv = np.abs(ex.eval_many(f, cloud.points))
@@ -486,7 +481,7 @@ def sign_agreement_check(x_set: SemianalyticSet, phi: Expr | str, ks,
     counts = np.zeros(len(ks), dtype=int)
     for r, cloud in zip(config.schedule.radii(),
                         _clouds(x_set, config, cache)):
-        if cloud is None:
+        if not len(cloud):
             continue
         pts = cloud.points
         d = _dist(pts, zero_locus, config, cache)

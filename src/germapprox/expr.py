@@ -54,10 +54,6 @@ class NonAnalyticError(ExprError):
     """Raised at construction when a subexpression is not analytic at 0."""
 
 
-class EvalDomainError(ExprError):
-    """Raised when scalar evaluation leaves the analytic domain."""
-
-
 # ---------------------------------------------------------------------------
 # nodes
 
@@ -419,12 +415,20 @@ def _resolve_names(variables) -> list[str]:
     return names
 
 
+# parentheses, function calls and unary minuses one expression may nest:
+# each level costs the parser about five stack frames and every later tree
+# walk at least one, so deeper input is refused before it can exhaust
+# Python's recursion limit
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, names: list[str]):
         self.text = text
         self.names = names
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -439,6 +443,17 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
+
+    def nested(self, parse, pos: int) -> Expr:
+        """``parse()`` one nesting level down; a parse error ends the parse,
+        so the depth need not be restored on the way out."""
+        if self.depth >= _MAX_NESTING:
+            raise ParseError(
+                f"nested more than {_MAX_NESTING} levels deep", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     # grammar: expr := term (('+'|'-') term)*
     def parse_expr(self) -> Expr:
@@ -498,7 +513,7 @@ class _Parser:
                         f"unknown function {val!r} (allowed: "
                         + ", ".join(PRIM_NAMES) + ")", pos)
                 self.advance()
-                inner = self.parse_expr()
+                inner = self.nested(self.parse_expr, pos)
                 self.expect_op(")")
                 try:
                     return Prim(val, inner)
@@ -509,12 +524,12 @@ class _Parser:
             raise ParseError(f"unknown variable {val!r}", pos)
         if kind == "op" and val == "(":
             self.advance()
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr, pos)
             self.expect_op(")")
             return inner
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.parse_atom())
+            return Neg(self.nested(self.parse_atom, pos))
         raise ParseError(
             "expected a number, variable, function call, or parenthesis", pos)
 
@@ -598,14 +613,15 @@ def to_string(e: Expr, variables=None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation (vectorized, permissive) and scalar wrappers (strict)
+# evaluation (vectorized, permissive)
 
 
 def eval_many(e: Expr, X: np.ndarray) -> np.ndarray:
-    """Evaluate at a batch of points, shape (..., n) -> (...,).
+    """Evaluate at a batch of points, shape (..., n) -> (...,); a single
+    point, shape (n,), gives a 0-d array.
 
     Domain violations produce nan/inf entries instead of raising; callers
-    that need strict semantics use :func:`eval_expr`.
+    check ``np.isfinite`` where they need a value inside the domain.
     """
     X = np.asarray(X, dtype=float)
     with np.errstate(all="ignore"):
@@ -669,31 +685,6 @@ def value_and_grad_many(e: Expr, X: np.ndarray):
                     lambda value: _Dual.constant(X, value),
                     lambda row, d: d.apply(row))
     return out.v, out.g
-
-
-def eval_expr(e: Expr, x) -> float:
-    """Strict scalar evaluation; leaving the analytic domain raises."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ExprError("eval_expr expects a single point")
-    v = eval_many(e, x)
-    v = float(v)
-    if not math.isfinite(v):
-        raise EvalDomainError(
-            f"expression is not finite at {x.tolist()}")
-    return v
-
-
-def gradient(e: Expr, x) -> np.ndarray:
-    """Exact forward-mode gradient at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ExprError("gradient expects a single point")
-    v, g = value_and_grad_many(e, x)
-    if not (math.isfinite(float(v)) and np.all(np.isfinite(g))):
-        raise EvalDomainError(
-            f"gradient is not finite at {x.tolist()}")
-    return g
 
 
 def eval_system(exprs, X: np.ndarray) -> np.ndarray:

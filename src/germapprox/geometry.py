@@ -14,10 +14,16 @@ clouds come directed deviations between two sets' slices, distances from
 points to a germ, tangent direction clouds, and a numeric dimension
 estimate.
 
+An empty slice is a cloud with no points: nothing deviates from it,
+everything lies infinitely far from it, and it has no tangent directions.
+Only the entry points that need a point, :func:`sample_slice` and
+:func:`tangent_cone_cloud`, raise :class:`EmptySliceError` for it.
+
 All sampling is deterministic given (set, radius, npoints, seed), and each
 stratum's projection given (its system, radius, npoints, seed); a
 thread-safe cache keyed on exactly those values makes repeated comparisons
-against the same set, and sets that share strata, cheap and bit-stable.
+against the same set, and sets that share strata, cheap and bit-stable. It
+holds geometry only: clouds and projections, never a set name or an error.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -92,21 +98,22 @@ class EmptySliceError(GeometryError):
 
 @dataclass(frozen=True)
 class SliceCloud:
-    """Deduplicated samples of a set on the sphere of radius r.
+    """Deduplicated samples of a set on the sphere of radius r, shape
+    (N, nvars); N = 0 for an empty slice.
 
     ``spacing`` is the resolution of the deduplicated points (see
     :func:`_cloud_resolution`), floored at an absolute machine-noise guard;
     distances measured against this cloud carry no information below it.
     ``converged_fraction`` covers the primary strata only (the parts' own
-    equations, before inequality filtering).
+    equations, before inequality filtering); ``attempts`` counts the starts
+    over every stratum.
     """
 
-    set_name: str
     r: float
     points: np.ndarray
-    seed: int
     converged_fraction: float
     spacing: float
+    attempts: int
 
     def __len__(self):
         return len(self.points)
@@ -163,16 +170,10 @@ def default_cache() -> SliceCache:
 # direction families
 
 
-def _direction_count(nvars: int, npoints: int) -> int:
-    """How many directions :func:`sphere_directions` returns."""
-    if npoints < 1:
-        raise GeometryError("need at least one direction")
-    return 2 if nvars == 1 else npoints
-
-
 def sphere_directions(nvars: int, npoints: int, seed: int = 0) -> np.ndarray:
     """Low-discrepancy unit directions, deterministic in (nvars, npoints, seed)."""
-    _direction_count(nvars, npoints)
+    if npoints < 1:
+        raise GeometryError("need at least one direction")
     rng = np.random.default_rng(seed)
     if nvars == 1:
         return np.array([[1.0], [-1.0]])
@@ -473,30 +474,28 @@ def _cloud_resolution(points: np.ndarray, counts: np.ndarray,
     return max(float(np.median(res)), _SPACING_GUARD)
 
 
-def _relabel(hit, name: str):
-    """A cached cloud or empty-slice error under the asking set's name: the
-    cache is keyed by geometry, so a differently named set with the same
-    presentation can hit."""
-    if hit.set_name == name:
-        return hit
-    if isinstance(hit, EmptySliceError):
-        return EmptySliceError(name, hit.r, hit.converged_fraction,
-                               hit.attempts)
-    return replace(hit, set_name=name)
-
-
-def _slice_cloud(name: str, r: float, seed: int, fraction: float,
+def _slice_cloud(r: float, fraction: float, attempts: int,
                  raw: np.ndarray) -> SliceCloud:
-    """Deduplicate the accepted member samples at radius r into a cloud."""
+    """Deduplicate the accepted member samples at radius r into a cloud;
+    no samples give an empty cloud at the noise-guard spacing."""
     # before dedup every raw point stands for itself
     cell = _cloud_resolution(raw, np.ones(len(raw))) / 4.0
     points, counts = _dedup(raw, cell)
     # copies of one isolated slice point can straddle cell borders; accepted
     # points are known to _STEP_ACCEPT * r, so closer ones are one point
     points, counts, gaps = _merge_close(points, counts, _STEP_ACCEPT * r)
-    return SliceCloud(set_name=name, r=r, points=points, seed=seed,
-                      converged_fraction=fraction,
-                      spacing=_cloud_resolution(points, counts, gaps))
+    return SliceCloud(r=r, points=points, converged_fraction=fraction,
+                      spacing=_cloud_resolution(points, counts, gaps),
+                      attempts=attempts)
+
+
+def _nonempty(cloud: SliceCloud, name: str) -> SliceCloud:
+    """The cloud, or a fresh :class:`EmptySliceError` for the set ``name``
+    when it has no points."""
+    if not len(cloud):
+        raise EmptySliceError(name, cloud.r, cloud.converged_fraction,
+                              cloud.attempts)
+    return cloud
 
 
 def _isolated_radii(eqs, entries: dict, nstarts: int, nvars: int) -> set:
@@ -531,14 +530,14 @@ def _isolated_radii(eqs, entries: dict, nstarts: int, nvars: int) -> set:
 
 def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
                   seed: int = 0, cache: SliceCache | None = None
-                  ) -> list[SliceCloud | EmptySliceError]:
+                  ) -> list[SliceCloud]:
     """Sample the set's intersection with the sphere of each radius.
 
-    Returns one entry per radius, in order: its :class:`SliceCloud`, or the
-    :class:`EmptySliceError` that :func:`sample_slice` raises for it. Each
-    stratum is projected in one call for all the radii whose projection is
-    not cached yet, one radius per row; the inequality filter, membership
-    and deduplication stay per radius.
+    Returns one :class:`SliceCloud` per radius, in order; an empty slice is
+    a cloud with no points, shape (0, nvars), at the noise-guard spacing.
+    Each stratum is projected in one call for all the radii whose
+    projection is not cached yet, one radius per row; the inequality
+    filter, membership and deduplication stay per radius.
 
     A part's boundary strata only pin down slice points that its own
     stratum samples densely at best. So a boundary stratum is not projected
@@ -569,13 +568,13 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
     for r in radii:
         hit = cache.lookup((sig, r, npoints, seed))
         if hit is not None:
-            out[r] = _relabel(hit, s.name)
+            out[r] = hit
     todo = [r for r in dict.fromkeys(radii) if r not in out]
     if not todo:
         return [out[r] for r in radii]
 
-    nstarts = _direction_count(s.nvars, npoints)
-    dirs = None
+    dirs = sphere_directions(s.nvars, npoints, seed)
+    nstarts = len(dirs)
     collected = {r: [] for r in todo}
     primary_accepted = dict.fromkeys(todo, 0)
     attempts = 0
@@ -600,8 +599,6 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
             entries = {r: cache.lookup(k) for r, k in keys.items()}
             missed = [r for r, e in entries.items() if e is None]
             if missed:
-                if dirs is None:
-                    dirs = sphere_directions(s.nvars, npoints, seed)
                 pts, ok = project_to_sphere_slice(
                     sys_eqs, np.concatenate([dirs * r for r in missed]),
                     np.repeat(missed, nstarts))
@@ -631,11 +628,9 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
     for r in todo:
         fraction = (primary_accepted[r] / primary_total if primary_total
                     else 0.0)
-        if collected[r]:
-            out[r] = _slice_cloud(s.name, r, seed, fraction,
-                                  np.concatenate(collected[r], axis=0))
-        else:
-            out[r] = EmptySliceError(s.name, r, fraction, attempts)
+        raw = (np.concatenate(collected[r], axis=0) if collected[r]
+               else np.zeros((0, s.nvars)))
+        out[r] = _slice_cloud(r, fraction, attempts, raw)
         cache.store((sig, r, npoints, seed), out[r])
     return [out[r] for r in radii]
 
@@ -648,10 +643,8 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
     Raises :class:`EmptySliceError` when nothing converges, which is the
     numeric signature of the origin being isolated at this resolution.
     """
-    cloud = sample_slices(s, [r], npoints=npoints, seed=seed, cache=cache)[0]
-    if isinstance(cloud, EmptySliceError):
-        raise cloud
-    return cloud
+    return _nonempty(sample_slices(s, [r], npoints=npoints, seed=seed,
+                                   cache=cache)[0], s.name)
 
 
 # ---------------------------------------------------------------------------
@@ -672,24 +665,14 @@ def directed_deviation(P: np.ndarray, Q: np.ndarray) -> float:
     return float(np.max(dists))
 
 
-_NO_POINTS = np.zeros((0, 0))
-
-
-def _distance_sample(r: float, ca: SliceCloud | None,
-                     cb: SliceCloud | None) -> DistanceSample:
-    """Both directed deviations between two clouds at radius r.
-
-    None stands for an empty slice: nothing deviates from it, everything
-    deviates infinitely far to it, and its resolution is the noise guard.
-    """
-    pa = ca.points if ca is not None else _NO_POINTS
-    pb = cb.points if cb is not None else _NO_POINTS
+def _distance_sample(r: float, ca: SliceCloud,
+                     cb: SliceCloud) -> DistanceSample:
+    """Both directed deviations between two clouds at radius r."""
     return DistanceSample(
         r=r,
-        delta_ab=directed_deviation(pa, pb),
-        delta_ba=directed_deviation(pb, pa),
-        floor=max(ca.spacing if ca is not None else _SPACING_GUARD,
-                  cb.spacing if cb is not None else _SPACING_GUARD))
+        delta_ab=directed_deviation(ca.points, cb.points),
+        delta_ba=directed_deviation(cb.points, ca.points),
+        floor=max(ca.spacing, cb.spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +751,10 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
             cloud = sample_slice(s, r_med, npoints=npoints, seed=seed,
                                  cache=cache)
         except EmptySliceError:
-            cloud = None
+            pass
     todo = np.flatnonzero(~member)
     starts = [X[todo]]
-    if cloud is not None and len(cloud.points):
+    if cloud is not None:
         k_near = min(3, len(cloud.points))
         # k as a list keeps both results 2-D even when k_near is 1
         dists, near = cKDTree(cloud.points).query(
@@ -803,11 +786,6 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     return best
 
 
-def dist_to_set(x, s: SemianalyticSet, **kw) -> float:
-    return float(dist_to_set_batch(np.asarray(x, dtype=float)[None, :],
-                                   s, **kw)[0])
-
-
 # ---------------------------------------------------------------------------
 # tangent directions
 
@@ -833,12 +811,9 @@ def tangent_cone_cloud(s: SemianalyticSet, radii, npoints: int = 256,
     radii = tuple(sorted((float(r) for r in radii), reverse=True))
     if not radii:
         raise GeometryError("need at least one radius")
-    clouds = []
-    for c in sample_slices(s, radii, npoints=npoints, seed=seed,
-                           cache=cache):
-        if isinstance(c, EmptySliceError):
-            raise c
-        clouds.append(c.directions())
+    clouds = [_nonempty(c, s.name).directions()
+              for c in sample_slices(s, radii, npoints=npoints, seed=seed,
+                                     cache=cache)]
     drift = []
     for u, v in zip(clouds, clouds[1:]):
         drift.append(max(directed_deviation(u, v), directed_deviation(v, u)))

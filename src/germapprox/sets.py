@@ -273,10 +273,6 @@ def membership_mask(s: SemianalyticSet, X: np.ndarray) -> np.ndarray:
     return bool(out[0]) if single else out
 
 
-def membership(s: SemianalyticSet, x) -> bool:
-    return bool(membership_mask(s, np.asarray(x, dtype=float)))
-
-
 # ---------------------------------------------------------------------------
 # generic projection and the inflated variety
 
@@ -431,6 +427,11 @@ def parse_collection(doc: dict) -> SetCollection:
                     good_presentation=good))
             except (SetError, ex.ExprError) as exc:
                 raise SetFileError(f"invalid {pwhere}: {exc}") from None
+            except RecursionError:
+                # a long chain of sums or products parses in a loop but
+                # nests one tree level per term
+                raise SetFileError(
+                    f"{pwhere} nests its expressions too deeply") from None
         sets[set_name] = SemianalyticSet(
             name=set_name, nvars=nvars, omega=float(omega),
             parts=tuple(parts))

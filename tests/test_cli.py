@@ -150,6 +150,19 @@ class TestTruncate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "'omega'" in err
 
+    @pytest.mark.parametrize("text", ["(" * 2000 + "y" + ")" * 2000,
+                                      " + ".join(["y"] * 2000)],
+                             ids=["parentheses", "long-sum"])
+    def test_deep_nesting_names_the_file(self, text, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"vars": ["x", "y"], "omega": 0.5, "sets": '
+                        '{"a": {"parts": [{"eqs": ["%s"]}]}}}' % text)
+        rc = main(["truncate", str(path), "a", "--h", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "set 'a'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("order", [["--h", "-1"], ["--k", "-1"]],
                              ids=["h", "k"])
     def test_negative_order_is_input_error(self, order, curves_file, capsys):

@@ -138,6 +138,11 @@ class TestOrderFits:
                         for t in ("y", "x^4", "(x-y)^4")))
         _, _, _, caveats = ga.deviation_profile(slow, ISOLATED, quick_config,
                                                 fresh_cache)
+        # no start converges on the isolated origin either, but an empty
+        # slice is noted as empty, never as poorly converged
+        assert all(c.converged_fraction == 0.0 for c in gg.sample_slices(
+            ISOLATED, quick_config.schedule.radii(),
+            npoints=quick_config.npoints, cache=fresh_cache))
         expected = []
         for r in quick_config.schedule.radii():
             expected.append(f"'origin_only' has no points on the sphere "

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -514,7 +516,7 @@ class TestSampleSlice:
     def test_parabola_cloud_geometry(self, curves, shared_cache):
         r = 0.25
         c = ga.sample_slice(curves.get("parabola"), r, cache=shared_cache)
-        assert c.set_name == "parabola" and c.r == r
+        assert c.r == r
         np.testing.assert_allclose(np.linalg.norm(c.points, axis=1), r,
                                    rtol=1e-12)
         resid = np.abs(c.points[:, 1] - c.points[:, 0] ** 2)
@@ -562,38 +564,61 @@ class TestSampleSlice:
         c = ga.sample_slice(curves.get("line"), 0.25, cache=cache)
         assert c is not a and np.array_equal(a.points, c.points)
 
-    def test_cache_hit_relabels_same_geometry(self, curves):
+    def test_same_geometry_shares_one_cloud(self, curves):
         # the cache is keyed by presentation, so two sets with identical
-        # geometry share entries; the label must follow the query
+        # geometry share entries; a cloud carries no set name
         twin = make_collection(
             {"vars": ["x", "y"], "omega": 0.5,
              "sets": {"pb_twin": {"parts": [{"eqs": ["y - x^2"]}]}}})
         cache = ga.SliceCache()
         a = ga.sample_slice(twin.get("pb_twin"), 0.25, cache=cache)
         b = ga.sample_slice(curves.get("parabola"), 0.25, cache=cache)
-        assert a.set_name == "pb_twin"
-        assert b.set_name == "parabola"
-        assert np.array_equal(a.points, b.points)
+        assert a is b
 
     def test_empty_slice_cache_hit_relabels(self, fresh_cache):
+        # the error is built for the set that asks, also on a cache hit
         twin = make_collection(
             {"vars": ["x", "y"], "omega": 0.5,
              "sets": {"origin_twin": {"parts": [{"eqs": ["x", "y"]}]}}})
-        with pytest.raises(ga.EmptySliceError):
+        with pytest.raises(ga.EmptySliceError) as e1:
             ga.sample_slice(ISOLATED, 0.25, cache=fresh_cache)
         with pytest.raises(ga.EmptySliceError) as e2:
             ga.sample_slice(twin.get("origin_twin"), 0.25, cache=fresh_cache)
+        assert e1.value.set_name == "origin_only"
         assert e2.value.set_name == "origin_twin"
+        assert str(e2.value) == str(e1.value).replace("origin_only",
+                                                      "origin_twin")
 
     def test_empty_slice_raises_and_caches(self, fresh_cache):
         with pytest.raises(ga.EmptySliceError) as e1:
             ga.sample_slice(ISOLATED, 0.25, cache=fresh_cache)
         with pytest.raises(ga.EmptySliceError) as e2:
             ga.sample_slice(ISOLATED, 0.25, cache=fresh_cache)
-        assert e1.value is e2.value
+        fields = [(e.set_name, e.r, e.converged_fraction, e.attempts, str(e))
+                  for e in (e1.value, e2.value)]
+        assert fields[0] == fields[1]
         err = e1.value
         assert err.set_name == "origin_only" and err.r == 0.25
         assert err.converged_fraction == 0.0 and err.attempts > 0
+        # the cache holds the empty cloud, never an exception
+        assert not any(isinstance(v, BaseException)
+                       for v in fresh_cache._store.values())
+
+    def test_empty_slice_error_keeps_no_caller_alive(self, fresh_cache):
+        class Payload:
+            pass
+
+        def caller():
+            # a large local of a frame on the raising call's stack
+            payload = Payload()
+            with pytest.raises(ga.EmptySliceError):
+                ga.sample_slice(ISOLATED, 0.25, cache=fresh_cache)
+            return weakref.ref(payload)
+
+        ref = caller()
+        gc.collect()
+        assert ref() is None
+        assert fresh_cache._store
 
     def test_radius_validation(self, curves):
         p = curves.get("parabola")
@@ -646,16 +671,21 @@ class TestDirectedDeviation:
 
 
 class TestDistToSet:
+    @staticmethod
+    def _dist(x, s, **kw):
+        """Distance from one point, shape (n,), through the batch form."""
+        d = ga.dist_to_set_batch(np.array(x), s, **kw)
+        assert d.shape == (1,)
+        return float(d[0])
+
     def test_vertex_distance(self, curves, shared_cache):
         p = curves.get("parabola")
-        assert ga.dist_to_set(np.array([0.0, 0.2]), p,
-                              cache=shared_cache) == pytest.approx(0.2,
-                                                                   abs=1e-9)
+        assert self._dist([0.0, 0.2], p, cache=shared_cache) == \
+            pytest.approx(0.2, abs=1e-9)
 
     def test_member_distance_zero(self, curves, shared_cache):
         p = curves.get("parabola")
-        assert ga.dist_to_set(np.array([0.2, 0.04]), p,
-                              cache=shared_cache) == 0.0
+        assert self._dist([0.2, 0.04], p, cache=shared_cache) == 0.0
 
     def test_matches_variational_oracle(self, curves, shared_cache):
         # nearest point of {y = x^2} to (a, b) solves 4x^3 + (2-4b)x - 2a = 0
@@ -664,17 +694,15 @@ class TestDistToSet:
             roots = np.roots([4.0, 0.0, 2.0 - 4.0 * b, -2.0 * a])
             real = roots[np.abs(roots.imag) < 1e-12].real
             want = min(math.hypot(x - a, x * x - b) for x in real)
-            got = ga.dist_to_set(np.array([a, b]), p, cache=shared_cache)
+            got = self._dist([a, b], p, cache=shared_cache)
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_halfline_endpoint(self, curves, shared_cache):
         h = curves.get("halfline")
-        assert ga.dist_to_set(np.array([-0.1, 0.0]), h,
-                              cache=shared_cache) == pytest.approx(
-            0.1, abs=1e-9)
-        assert ga.dist_to_set(np.array([-0.3, 0.4]), h,
-                              cache=shared_cache) == pytest.approx(
-            0.5, abs=1e-9)
+        assert self._dist([-0.1, 0.0], h, cache=shared_cache) == \
+            pytest.approx(0.1, abs=1e-9)
+        assert self._dist([-0.3, 0.4], h, cache=shared_cache) == \
+            pytest.approx(0.5, abs=1e-9)
 
     def test_batch_shape(self, curves, shared_cache):
         X = np.array([[0.0, 0.2], [0.2, 0.04]])
@@ -698,7 +726,7 @@ class TestDistToSet:
 
     def test_empty_germ_is_infinitely_far(self):
         empty = gs.SemianalyticSet(name="none", nvars=2, omega=0.5)
-        assert ga.dist_to_set(np.array([0.1, 0.1]), empty) == math.inf
+        assert self._dist([0.1, 0.1], empty) == math.inf
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("rows", [1, 3])
@@ -991,15 +1019,17 @@ class TestStratumCache:
                                           "ineqs": ["x", "-x"]}]}}}
         ).get("both")
         radii = [0.25, 0.125, 0.0625]
-        errors = gg.sample_slices(both, radii, cache=ga.SliceCache())
-        for r, err in zip(radii, errors):
-            assert isinstance(err, ga.EmptySliceError)
+        clouds = gg.sample_slices(both, radii, cache=ga.SliceCache())
+        for r, cloud in zip(radii, clouds):
+            assert isinstance(cloud, ga.SliceCloud)
+            assert len(cloud) == 0 and cloud.points.shape == (0, 2)
+            assert cloud.spacing == gg._SPACING_GUARD
             with pytest.raises(ga.EmptySliceError) as fresh:
                 ga.sample_slice(both, r, cache=ga.SliceCache())
-            assert err.r == fresh.value.r == r
-            assert err.converged_fraction == \
+            assert cloud.r == fresh.value.r == r
+            assert cloud.converged_fraction == \
                 fresh.value.converged_fraction == 1.0
-            assert err.attempts == fresh.value.attempts == 3 * 256
+            assert cloud.attempts == fresh.value.attempts == 3 * 256
 
 
 def _one_part_set(eqs, ineqs, nvars=2):
@@ -1065,14 +1095,9 @@ class TestBoundaryStrata:
                                             cache=ga.SliceCache())
                     every += len(calls) - before
                 for a, b in zip(got, want):
-                    assert type(a) is type(b)
-                    if isinstance(a, ga.EmptySliceError):
-                        assert (a.converged_fraction, a.attempts) == \
-                            (b.converged_fraction, b.attempts)
-                    else:
-                        assert np.array_equal(a.points, b.points)
-                        assert a.spacing == b.spacing
-                        assert a.converged_fraction == b.converged_fraction
+                    assert np.array_equal(a.points, b.points)
+                    assert (a.spacing, a.converged_fraction, a.attempts) \
+                        == (b.spacing, b.converged_fraction, b.attempts)
         assert skipping < every
 
     def test_skipped_stratum_is_projected_as_a_set_of_its_own(

@@ -127,8 +127,8 @@ class TestBoundaryPart:
         hd = curves.get("halfdisk")
         edge = gs.set_of(gs.boundary_part(hd.parts[0], 0), "edge", hd.omega)
         for y in (0.3, -0.2, 0.0):
-            assert gs.membership(edge, [0.0, y])
-            assert not gs.membership(edge, [0.1, y])
+            assert gs.membership_mask(edge, [0.0, y])
+            assert not gs.membership_mask(edge, [0.1, y])
 
     def test_boundary_part_index_checked(self):
         p = part_of([], ineqs=["x"])
@@ -182,21 +182,21 @@ class TestMinors:
 class TestMembership:
     def test_parabola_points(self, curves):
         p = curves.get("parabola")
-        assert gs.membership(p, [0.3, 0.09])
-        assert not gs.membership(p, [0.3, 0.10])
-        assert not gs.membership(p, [0.6, 0.36]), "outside the ball"
+        assert gs.membership_mask(p, [0.3, 0.09])
+        assert not gs.membership_mask(p, [0.3, 0.10])
+        assert not gs.membership_mask(p, [0.6, 0.36]), "outside the ball"
 
     def test_inequality_sign(self, curves):
         h = curves.get("halfline")
-        assert gs.membership(h, [0.2, 0.0])
-        assert gs.membership(h, [0.0, 0.0])
-        assert not gs.membership(h, [-0.2, 0.0])
+        assert gs.membership_mask(h, [0.2, 0.0])
+        assert gs.membership_mask(h, [0.0, 0.0])
+        assert not gs.membership_mask(h, [-0.2, 0.0])
 
     def test_union_parts_or(self, curves):
         u = curves.get("mixed_union")
-        assert gs.membership(u, [-0.3, 0.09])   # parabola branch
-        assert gs.membership(u, [0.3, 0.0])     # half-line branch
-        assert not gs.membership(u, [-0.3, 0.0])
+        assert gs.membership_mask(u, [-0.3, 0.09])   # parabola branch
+        assert gs.membership_mask(u, [0.3, 0.0])     # half-line branch
+        assert not gs.membership_mask(u, [-0.3, 0.0])
 
     def test_batch_shape_and_width_check(self, curves):
         p = curves.get("parabola")
@@ -259,7 +259,7 @@ class TestInflation:
         infl = gs.set_of(gs.inflated_part(part, proj, m=1), "infl", s.omega)
         t = np.linspace(-0.45, 0.45, 11)
         for x in np.stack([t, t ** 3], axis=1):
-            assert gs.membership(infl, x)
+            assert gs.membership_mask(infl, x)
 
     def test_keeps_original_inequalities(self, curves):
         part = curves.get("exp_sin").parts[0]
@@ -320,6 +320,22 @@ class TestFileFormat:
         with pytest.raises(SetFileError) as ei:
             gs.collection_from_text(text)
         assert "'omega' must be a positive finite number" in str(ei.value)
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("(" * 2000 + "y" + ")" * 2000, "nested more than 100 levels"),
+        ("-" * 3000 + "y", "nested more than 100 levels"),
+        ("-" * 500 + "y", "nested more than 100 levels"),
+        (" + ".join(["y"] * 2000), "nests its expressions too deeply"),
+    ], ids=["parentheses", "minuses", "negations", "long-sum"])
+    def test_deep_nesting_is_a_file_error(self, text, fragment):
+        # each once ended in a RecursionError: in the parser, while the part
+        # was built, or (500 negations) only when a comparison printed it
+        doc = '{"vars": ["x", "y"], "omega": 0.5, "sets": {"p": ' \
+              '{"parts": [{"eqs": ["x"]}, {"eqs": ["%s"]}]}}}' % text
+        with pytest.raises(SetFileError) as ei:
+            gs.collection_from_text(doc)
+        assert fragment in str(ei.value)
+        assert "part 1 of set 'p'" in str(ei.value)
 
     def test_not_json(self):
         with pytest.raises(SetFileError):
