@@ -265,6 +265,25 @@ def max_index(e: Expr) -> int:
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
+def depth(e: Expr) -> int:
+    """Levels of the tree, counted one level at a time without recursion (a
+    subtree shared within a level is visited once)."""
+    levels, frontier = 0, [e]
+    while frontier:
+        levels += 1
+        below = {}
+        for node in frontier:
+            if isinstance(node, (Add, Sub, Mul, Div)):
+                below[id(node.left)] = node.left
+                below[id(node.right)] = node.right
+            elif isinstance(node, (Neg, Prim)):
+                below[id(node.arg)] = node.arg
+            elif isinstance(node, IntPow):
+                below[id(node.base)] = node.base
+        frontier = list(below.values())
+    return levels
+
+
 def is_polynomial(e: Expr) -> bool:
     """True when the tree uses only +, -, *, integer powers, and atoms."""
     return polynomial_degree(e) is not None
@@ -416,10 +435,14 @@ def _resolve_names(variables) -> list[str]:
 
 
 # parentheses, function calls and unary minuses one expression may nest:
-# each level costs the parser about five stack frames and every later tree
-# walk at least one, so deeper input is refused before it can exhaust
-# Python's recursion limit
+# each level costs the parser about five stack frames, so deeper input is
+# refused before it can exhaust Python's recursion limit
 _MAX_NESTING = 100
+# levels a parsed tree may have: a chain of sums or products parses in a loop
+# but nests one level per term, and tree walks recurse per level up to
+# Python's limit 1000 (approx's Jacobian minors of a product chain twice as
+# deep; sets.minor_determinants refuses deeper minors)
+MAX_DEPTH = 450
 
 
 class _Parser:
@@ -428,7 +451,7 @@ class _Parser:
         self.names = names
         self.tokens = _tokenize(text)
         self.i = 0
-        self.depth = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -444,37 +467,47 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def nested(self, parse, pos: int) -> Expr:
+    def nested(self, parse, pos: int) -> tuple[Expr, int]:
         """``parse()`` one nesting level down; a parse error ends the parse,
-        so the depth need not be restored on the way out."""
-        if self.depth >= _MAX_NESTING:
+        so the nesting need not be restored on the way out."""
+        if self.nesting >= _MAX_NESTING:
             raise ParseError(
                 f"nested more than {_MAX_NESTING} levels deep", pos)
-        self.depth += 1
-        node = parse()
-        self.depth -= 1
-        return node
+        self.nesting += 1
+        parsed = parse()
+        self.nesting -= 1
+        return parsed
+
+    @staticmethod
+    def deeper(depth: int, pos: int) -> int:
+        """The depth of a node over subtrees at most ``depth`` deep."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(
+                f"expression tree deeper than {MAX_DEPTH} levels", pos)
+        return depth + 1
 
     # grammar: expr := term (('+'|'-') term)*
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def parse_expr(self) -> tuple[Expr, int]:
+        node, depth = self.parse_term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.parse_term()
+                rhs, rdepth = self.parse_term()
+                depth = self.deeper(max(depth, rdepth), pos)
                 node = Add(node, rhs) if val == "+" else Sub(node, rhs)
             else:
-                return node
+                return node, depth
 
     # term := factor (('*'|'/') factor)*
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[Expr, int]:
+        node, depth = self.parse_factor()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                rhs = self.parse_factor()
+                rhs, rdepth = self.parse_factor()
+                depth = self.deeper(max(depth, rdepth), pos)
                 if val == "*":
                     node = Mul(node, rhs)
                 else:
@@ -483,27 +516,27 @@ class _Parser:
                     except NonAnalyticError as exc:
                         raise ParseError(str(exc), pos) from None
             else:
-                return node
+                return node, depth
 
     # factor := atom ('^' nonneg-int)?
-    def parse_factor(self) -> Expr:
-        node = self.parse_atom()
-        kind, val, _ = self.peek()
+    def parse_factor(self) -> tuple[Expr, int]:
+        node, depth = self.parse_atom()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.advance()
             nkind, nval, npos = self.peek()
             if nkind != "num" or not nval.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", npos)
             self.advance()
-            node = IntPow(node, int(nval))
-        return node
+            return IntPow(node, int(nval)), self.deeper(depth, pos)
+        return node, depth
 
     # atom := number | ident | func '(' expr ')' | '(' expr ')' | '-' atom
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         kind, val, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Const(float(val))
+            return Const(float(val)), 1
         if kind == "ident":
             self.advance()
             nkind, nval, _ = self.peek()
@@ -513,14 +546,14 @@ class _Parser:
                         f"unknown function {val!r} (allowed: "
                         + ", ".join(PRIM_NAMES) + ")", pos)
                 self.advance()
-                inner = self.nested(self.parse_expr, pos)
+                inner, depth = self.nested(self.parse_expr, pos)
                 self.expect_op(")")
                 try:
-                    return Prim(val, inner)
+                    return Prim(val, inner), self.deeper(depth, pos)
                 except NonAnalyticError as exc:
                     raise ParseError(str(exc), pos) from None
             if val in self.names:
-                return Var(self.names.index(val))
+                return Var(self.names.index(val)), 1
             raise ParseError(f"unknown variable {val!r}", pos)
         if kind == "op" and val == "(":
             self.advance()
@@ -529,7 +562,8 @@ class _Parser:
             return inner
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.nested(self.parse_atom, pos))
+            inner, depth = self.nested(self.parse_atom, pos)
+            return Neg(inner), self.deeper(depth, pos)
         raise ParseError(
             "expected a number, variable, function call, or parenthesis", pos)
 
@@ -543,7 +577,7 @@ def parse(text: str, variables) -> Expr:
     """
     names = _resolve_names(variables)
     parser = _Parser(text, names)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     kind, val, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {val!r}", pos)

@@ -221,6 +221,12 @@ def _minor_det(rows: list[list[Expr]]) -> Expr:
     return acc
 
 
+# levels a Jacobian minor may have: tree walks recurse per level, and a 1x1
+# minor of a product chain is twice as deep as the chain, of a quotient chain
+# three times, so every product that parses keeps its 1x1 minors in range
+_MAX_MINOR_DEPTH = 2 * ex.MAX_DEPTH
+
+
 def minor_determinants(eqs, nvars: int, r: int) -> list[Expr]:
     """All r x r minors of the Jacobian of ``eqs`` as expressions."""
     if r < 1:
@@ -235,6 +241,9 @@ def minor_determinants(eqs, nvars: int, r: int) -> list[Expr]:
         for cols in itertools.combinations(range(nvars), r):
             sub = [[jac[i][j] for j in cols] for i in rows]
             dets.append(_minor_det(sub))
+    if any(ex.depth(d) > _MAX_MINOR_DEPTH for d in dets):
+        raise SetError(f"a {r}x{r} Jacobian minor is deeper than "
+                       f"{_MAX_MINOR_DEPTH} levels")
     return dets
 
 
@@ -418,8 +427,10 @@ def parse_collection(doc: dict) -> SetCollection:
                     try:
                         sink.append(ex.parse(text, names))
                     except ex.ExprError as exc:
+                        # the position locates the fault; quote the start only
+                        shown = repr(text[:80]) + ("…" if text[80:] else "")
                         raise SetFileError(
-                            f"bad expression {text!r} in '{key}' of "
+                            f"bad expression {shown} in '{key}' of "
                             f"{pwhere}: {exc}") from None
             try:
                 parts.append(BasicPresentation(
@@ -427,11 +438,6 @@ def parse_collection(doc: dict) -> SetCollection:
                     good_presentation=good))
             except (SetError, ex.ExprError) as exc:
                 raise SetFileError(f"invalid {pwhere}: {exc}") from None
-            except RecursionError:
-                # a long chain of sums or products parses in a loop but
-                # nests one tree level per term
-                raise SetFileError(
-                    f"{pwhere} nests its expressions too deeply") from None
         sets[set_name] = SemianalyticSet(
             name=set_name, nvars=nvars, omega=float(omega),
             parts=tuple(parts))

@@ -162,6 +162,8 @@ class TestTruncate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "set 'a'" in err
         assert "Traceback" not in err
+        # the expression is quoted only in part; the position locates it
+        assert len(err) < len(str(path)) + 300 and "(at position " in err
 
     @pytest.mark.parametrize("order", [["--h", "-1"], ["--k", "-1"]],
                              ids=["h", "k"])
@@ -199,6 +201,22 @@ class TestCompare:
         assert rc == 3
         out = capsys.readouterr().out
         assert "INCONCLUSIVE" in out and "within the margin" in out
+
+    @pytest.mark.parametrize("terms, code", [(450, 0), (985, 2)])
+    def test_long_sum(self, terms, code, tmp_path, capsys):
+        # a chain of sums nests one tree level per term; one too deep for
+        # the later tree walks is refused as the file is read
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps({
+            "vars": ["x", "y"], "omega": 0.5,
+            "sets": {"sum": {"parts": [{"eqs": [" + ".join(["y"] * terms)]}]},
+                     "line": {"parts": [{"eqs": ["y"]}]}}}))
+        rc = main(["compare", str(path), "sum", "line", "--s", "1.5"])
+        assert rc == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(f"error: {path}: ")
+            assert "deeper than" in err and "Traceback" not in err
 
     def test_directed_is_one_sided(self, curves_file, capsys):
         rc = main(["compare", curves_file, "halfline", "line", "--s", "2",
@@ -323,6 +341,19 @@ class TestApprox:
         coll = gs.parse_collection(best["output_collection"])
         (name,) = coll.sets
         assert coll.get(name).is_polynomial()
+
+    def test_deep_minor_is_input_error(self, tmp_path, capsys):
+        # 340 divisions parse (343 levels), but the residual set's Jacobian
+        # minor would be over 1000 levels deep
+        path = tmp_path / "quot.json"
+        path.write_text(json.dumps({
+            "vars": ["x", "y"], "omega": 0.5,
+            "sets": {"quot": {"parts": [{"eqs": ["y - x" + "/(1 + x)" * 340]}]}}}))
+        rc = main(["approx", str(path), "quot", "--s", "1.5", "--points", "64"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a 1x1 Jacobian minor is deeper than")
+        assert "Traceback" not in err
 
     def test_isolated_origin_empty_output(self, isolated_file, tmp_path,
                                           capsys):

@@ -205,6 +205,35 @@ class TestParse:
         # the error points at the opener of the first level past the limit
         assert ei.value.position == ex._MAX_NESTING * len(unit) // levels
 
+    def test_depth_counts_levels(self):
+        assert ex.depth(ex.parse("x", 2)) == 1
+        assert ex.depth(ex.parse("x + y*sin(x)^2", 2)) == 5
+        chain = ex.parse(" + ".join(["x"] * ex.MAX_DEPTH), 1)
+        assert ex.depth(chain) == ex.MAX_DEPTH
+        # far past the recursion limit, and a subtree shared within a
+        # level is counted once, so 2^5000 paths cost 5000 steps
+        node = ex.Var(0)
+        for _ in range(5000):
+            node = ex.Add(node, node)
+        assert ex.depth(node) == 5001
+
+    @pytest.mark.parametrize("head, operand, op", [
+        ("", "x", "+"), ("", "x", "*"),
+        # the divisor's value at the origin is never computed on a tree
+        # that is too deep
+        ("1/(", "1", "-")], ids=["sum", "product", "divisor"])
+    def test_tree_depth_bounded(self, head, operand, op):
+        # a chain of n operands parses in a loop into a tree n levels deep
+        def chain(n):
+            return head + f" {op} ".join([operand] * n) + (")" if head else "")
+
+        text = ex.to_string(ex.parse(chain(ex.MAX_DEPTH - 1), 1), 1)
+        assert ex.to_string(ex.parse(text, 1), 1) == text
+        with pytest.raises(ParseError, match="deeper than") as ei:
+            ex.parse(chain(ex.MAX_DEPTH + 1), 1)
+        # the error points at the operator that would pass the limit
+        assert ei.value.position == len(head) + 4 * ex.MAX_DEPTH - 2
+
 
 class TestPrint:
     CASES = [

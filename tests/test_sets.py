@@ -178,6 +178,21 @@ class TestMinors:
         with pytest.raises(SetError):
             gs.minor_determinants([], 2, 1)
 
+    def test_minor_depth_bounded(self):
+        # differentiating a quotient adds three levels per division, so a
+        # chain well inside the parse limit can have a minor too deep for
+        # the later tree walks; a product chain at the limit stays in range
+        def chain(unit, n):
+            return [ex.parse("y - x" + unit * n, 2)]
+
+        # the minors are the partial derivatives in x and in y (= 1)
+        prod, _ = gs.minor_determinants(chain("*(1 + x)", 447), 2, 1)
+        assert ex.depth(prod) == 2 * 447 + 2 <= gs._MAX_MINOR_DEPTH
+        quot, _ = gs.minor_determinants(chain("/(1 + x)", 299), 2, 1)
+        assert ex.depth(quot) == gs._MAX_MINOR_DEPTH - 1
+        with pytest.raises(SetError, match="minor is deeper than 900"):
+            gs.minor_determinants(chain("/(1 + x)", 300), 2, 1)
+
 
 class TestMembership:
     def test_parabola_points(self, curves):
@@ -325,7 +340,7 @@ class TestFileFormat:
         ("(" * 2000 + "y" + ")" * 2000, "nested more than 100 levels"),
         ("-" * 3000 + "y", "nested more than 100 levels"),
         ("-" * 500 + "y", "nested more than 100 levels"),
-        (" + ".join(["y"] * 2000), "nests its expressions too deeply"),
+        (" + ".join(["y"] * 2000), "expression tree deeper than 450 levels"),
     ], ids=["parentheses", "minuses", "negations", "long-sum"])
     def test_deep_nesting_is_a_file_error(self, text, fragment):
         # each once ended in a RecursionError: in the parser, while the part
