@@ -680,14 +680,31 @@ def _distance_sample(r: float, ca: SliceCloud,
 
 
 @_row_stable
+def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """One nearest-point step per row: the Gauss-Newton restoration onto
+    {f = 0} minus the full part of ``Y - targets`` tangent to it, nan-safe."""
+    vals, jacs, pinv = _linearize(eqs, Y)
+    d = Y - targets
+    tang = d - (pinv @ (jacs @ d[..., None]))[..., 0]
+    restore = -(pinv @ vals[..., None])[..., 0]
+    return np.nan_to_num(restore - tang, nan=0.0, posinf=0.0, neginf=0.0)
+
+
 def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
     """Per row: move a start toward the nearest point of {f = 0} to target.
 
-    Alternates a tangential pull toward the target with a Gauss-Newton
-    restoration onto the variety. Returns final points and a converged mask.
-    `_linearize` reads a non-finite value as 0, so a row outside an
-    equation's domain would take no step and look converged; the mask
-    therefore also requires a finite residual at the final point.
+    After three Gauss-Newton steps onto the variety, each iteration pulls a
+    row by the whole tangential part of its offset from the target and
+    restores it onto the variety (:func:`_nearest_steps`). A row stops once
+    its step is at most ``1e-14·|target|``; the others go on, up to
+    ``_NEAREST_ITERS`` iterations. Rows never mix, so a row's result does
+    not depend on the rows it shares the call with.
+
+    Returns final points and a converged mask: a last Gauss-Newton step of
+    at most ``1e-9·|target|``. `_linearize` reads a non-finite value as 0,
+    so a row outside an equation's domain would take no step and look
+    converged; the mask therefore also requires a finite residual at the
+    final point.
     """
     Y = np.array(starts, dtype=float)
     if not eqs:
@@ -695,17 +712,13 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
     scale = np.maximum(np.linalg.norm(targets, axis=-1), 1e-30)
     for _ in range(3):
         Y = Y + _gn_steps(eqs, Y)
+    idx = np.arange(len(Y))
     for _ in range(_NEAREST_ITERS):
-        vals, jacs, pinv = _linearize(eqs, Y)
-        d = Y - targets
-        normal = (pinv @ (jacs @ d[..., None]))[..., 0]
-        tang = d - normal
-        restore = -(pinv @ vals[..., None])[..., 0]
-        step = restore - 0.9 * tang
-        step = np.nan_to_num(step, nan=0.0, posinf=0.0, neginf=0.0)
-        Y = Y + step
-        if np.all(np.linalg.norm(step, axis=-1) <= 1e-14 * scale):
+        if idx.size == 0:
             break
+        step = _nearest_steps(eqs, Y[idx], targets[idx])
+        Y[idx] += step
+        idx = idx[np.linalg.norm(step, axis=-1) > 1e-14 * scale[idx]]
     final = _gn_steps(eqs, Y)
     ok = np.linalg.norm(final, axis=-1) <= 1e-9 * scale
     ok &= np.isfinite(_system_residual(eqs, Y))

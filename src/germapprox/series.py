@@ -241,8 +241,18 @@ def _cyclic(*derivs):
     ``derivs`` (functions of c): a_j = derivs[j % len](c) / j!."""
     def coefficients(c: float, m: int) -> list[float]:
         cyc = [d(c) for d in derivs]
-        return [cyc[j % len(cyc)] / math.factorial(j) for j in range(m + 1)]
+        return [_over_factorial(cyc[j % len(cyc)], j) for j in range(m + 1)]
     return coefficients
+
+
+def _over_factorial(x: float, j: int) -> float:
+    """x / j!. The float of j! overflows from j = 171; past it x, as an
+    exact ratio of integers, is divided by the integer j!, so the quotient
+    is rounded once and is at most |x|."""
+    if j <= 170:
+        return x / math.factorial(j)
+    p, q = x.as_integer_ratio()
+    return p / (q * math.factorial(j))
 
 
 def _log1p_coefficients(c: float, m: int) -> list[float]:

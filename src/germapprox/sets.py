@@ -34,6 +34,12 @@ class SetFileError(SetError):
     """Raised for malformed set-collection files."""
 
 
+def _excerpt(text: str) -> str:
+    """An expression as an error message quotes it: its first 80
+    characters, then ``…`` if there are more."""
+    return repr(text[:80]) + ("…" if text[80:] else "")
+
+
 @dataclass(frozen=True)
 class BasicPresentation:
     """One basic part: equations f_i = 0 and inequalities g_j >= 0.
@@ -65,12 +71,12 @@ class BasicPresentation:
                 if abs(ex.const_term(e)) > _ORIGIN_TOL:
                     raise SetError(
                         "equation does not vanish at the origin: "
-                        + ex.to_string(e, self.nvars))
+                        + _excerpt(ex.to_string(e, self.nvars)))
             for g in self.ineqs:
                 if ex.const_term(g) < -_ORIGIN_TOL:
                     raise SetError(
                         "inequality is negative at the origin: "
-                        + ex.to_string(g, self.nvars))
+                        + _excerpt(ex.to_string(g, self.nvars)))
 
     def signature(self) -> tuple:
         """Hashable identity used for caching sampled slices."""
@@ -427,10 +433,9 @@ def parse_collection(doc: dict) -> SetCollection:
                     try:
                         sink.append(ex.parse(text, names))
                     except ex.ExprError as exc:
-                        # the position locates the fault; quote the start only
-                        shown = repr(text[:80]) + ("…" if text[80:] else "")
+                        # the position locates the fault
                         raise SetFileError(
-                            f"bad expression {shown} in '{key}' of "
+                            f"bad expression {_excerpt(text)} in '{key}' of "
                             f"{pwhere}: {exc}") from None
             try:
                 parts.append(BasicPresentation(

@@ -174,6 +174,13 @@ class TestTruncate:
         assert err.startswith("error:") and "nonnegative" in err
         assert "Traceback" not in err
 
+    def test_order_past_float_factorials(self, curves_file, capsys):
+        # exp's coefficient 1/j! comes from j! as an exact integer past
+        # j = 170, where j! overflows a float
+        rc = main(["truncate", curves_file, "exp_curve", "--h", "180"])
+        assert rc == 0
+        assert "exp_curve~t180.180:" in capsys.readouterr().out
+
     def test_human_summary(self, curves_file, capsys):
         rc = main(["truncate", curves_file, "parabola", "--h", "2"])
         assert rc == 0

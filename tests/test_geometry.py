@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -197,6 +198,46 @@ class TestProjectMatchesReference:
                                           np.stack([t, t]))
             assert np.array_equal(alone[0], pair[0][:1])
             assert np.array_equal(alone[1], pair[1][:1])
+
+    def test_nearest_rows_converge_alone(self, monkeypatch):
+        # a batch whose rows stop after 1 iteration, after several, and at
+        # the cap; the last iterations run on a single row
+        eqs = tuple(ex.parse(t, 3) for t in ("y - x^2", "z - x^3 - 0.5*y"))
+        steps = gg._nearest_steps
+        active = []
+
+        def counted(eqs, Y, T):
+            active.append(len(Y))
+            return steps(eqs, Y, T)
+
+        monkeypatch.setattr(gg, "_nearest_steps", counted)
+
+        def alone(s, t):
+            """Iterations a one-row call runs, and its row."""
+            active.clear()
+            Y, ok = gg._nearest_on_variety(eqs, s[None], t[None])
+            return len(active), (s, t, Y[0], ok[0])
+
+        # a start on the variety at its own target has nothing to do
+        on = np.array([0.5, 0.25, 0.25])
+        n, row = alone(on, on)
+        assert n == 1
+        rows = {n: row}
+        # random rows with distinct counts, so one row reaches the cap
+        rng = np.random.default_rng(0)
+        while len(rows) < 8 or gg._NEAREST_ITERS not in rows:
+            n, row = alone(*rng.uniform(-0.6, 0.6, (2, 3)))
+            rows.setdefault(n, row)
+        S, T, Y_alone, ok_alone = (np.array(c) for c in zip(*rows.values()))
+        counts = np.array(list(rows))
+        active.clear()
+        Y, ok = gg._nearest_on_variety(eqs, S, T)
+        # the k-th iteration updates exactly the rows not yet stopped
+        assert active == [int((counts > k).sum())
+                          for k in range(gg._NEAREST_ITERS)]
+        assert active[-1] == 1
+        assert np.array_equal(Y, Y_alone)
+        assert np.array_equal(ok, ok_alone)
 
     def test_chunked_line_search_matches_one_batch(self, curves,
                                                    monkeypatch):
@@ -788,6 +829,41 @@ def _dist_reference(X, s, npoints, seed, cache):
             Y, T0, own = Y[keep], T0[keep], own[keep]
             np.minimum.at(best, own, np.linalg.norm(Y - T0, axis=-1))
     return best
+
+
+class TestDistMatchesSLSQP:
+    """dist_to_set_batch against scipy's SLSQP, which minimizes |y - t|^2
+    subject to f(y) = 0 without any of geometry's solvers. On the plane
+    (h = 1) the leading Gauss-Newton steps from the query already land on
+    the nearest point; the quadric (h = 2) needs the tangential pull."""
+
+    @pytest.mark.parametrize("h,j", [(1, 0), (1, 5), (2, 0)])
+    def test_graph_exp_truncations(self, surfaces, shared_cache, h, j):
+        g = surfaces.get("graph_exp")
+        b = gs.truncate_eqs(g, h)
+        (part,) = b.parts
+        eqs = part.eqs
+        X = ga.sample_slice(g, 0.25 * 2.0 ** -j, npoints=1000, seed=0,
+                            cache=shared_cache).points
+        got = ga.dist_to_set_batch(X, b, npoints=1000, seed=0,
+                                   cache=shared_cache)
+        deviation = got.max()
+        # y = t + deviation·u, so SLSQP works on an offset u of size ~1;
+        # it may report its iteration limit on a row already solved to
+        # rounding, so the distances, not its flag, are compared
+        want = []
+        for t in X:
+            res = minimize(
+                lambda u: (u @ u, 2.0 * u), np.zeros(3), jac=True,
+                method="SLSQP", options={"ftol": 1e-12},
+                constraints=[{
+                    "type": "eq",
+                    "fun": lambda u: ex.eval_system(
+                        eqs, (t + deviation * u)[None])[0] / deviation,
+                    "jac": lambda u: ex.eval_system_jacobian(
+                        eqs, (t + deviation * u)[None])[1][0]}])
+            want.append(deviation * np.linalg.norm(res.x))
+        assert np.abs(got - np.array(want)).max() <= 1e-6 * deviation
 
 
 class TestDistMatchesDense:

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +181,17 @@ class TestPrimitiveCoefficients:
         got = primitive_coefficients("exp", 1.0, 4)
         e = math.exp(1.0)
         assert got == pytest.approx([e, e, e / 2, e / 6, e / 24], rel=1e-15)
+
+    def test_exp_past_float_factorials(self):
+        # up to 170! the float quotient is kept; past it, where j! has no
+        # float, the exact e / j! is rounded once, to a subnormal and then 0
+        e = math.exp(1.0)
+        got = primitive_coefficients("exp", 1.0, 200)
+        assert got[:171] == [e / math.factorial(j) for j in range(171)]
+        want = [float(Fraction(e) / math.factorial(j))
+                for j in range(171, 201)]
+        assert got[171:] == want
+        assert 0.0 < want[0] < sys.float_info.min and want[-1] == 0.0
 
     def test_log1p_recentred(self):
         # log(2 + t) = log 2 + t/2 - t^2/8 + t^3/24

@@ -29,6 +29,24 @@ class TestPresentations:
         # opting out disables the check
         part_of(["y - x^2 + 1"], through_origin=False)
 
+    @pytest.mark.parametrize("eqs,ineqs,fragment", [
+        (["y - 1 - x*" + "*".join(["(1 + x)"] * 400)], [],
+         "equation does not vanish at the origin: 'y - 1 - x*(1 + x)"),
+        (["y"], ["x - 1 - " + " - ".join(["x^2"] * 100)],
+         "inequality is negative at the origin: 'x - 1 - x^2")])
+    def test_origin_error_quotes_a_prefix(self, eqs, ineqs, fragment):
+        with pytest.raises(SetError) as err:
+            part_of(eqs, ineqs=ineqs)
+        msg = str(err.value)
+        assert msg.startswith(fragment) and msg.endswith("…")
+        assert len(msg) < len(fragment) + 90
+
+    def test_origin_error_quotes_a_short_expression_whole(self):
+        with pytest.raises(SetError) as err:
+            part_of(["y - x^2 + 1"])
+        assert str(err.value) == \
+            "equation does not vanish at the origin: 'y - x^2 + 1'"
+
     def test_variable_count_enforced(self):
         with pytest.raises(SetError):
             BasicPresentation(nvars=1, eqs=(ex.parse("x*y", 2),))
