@@ -29,6 +29,7 @@ from .geometry import (
     SliceCache,
     SliceCloud,
     _distance_sample,
+    _max_dist,
     dist_to_set_batch,
     sample_slices,
 )
@@ -159,13 +160,6 @@ def _clouds(s: SemianalyticSet, config: CompareConfig,
     """The set's slice cloud at each radius of the schedule, in order."""
     return sample_slices(s, config.schedule.radii(), npoints=config.npoints,
                          seed=config.seed, cache=cache)
-
-
-def _dist(X: np.ndarray, s: SemianalyticSet, config: CompareConfig,
-          cache: SliceCache | None) -> np.ndarray:
-    """Distance from each row of X to the germ of s."""
-    return dist_to_set_batch(X, s, npoints=config.npoints, seed=config.seed,
-                             cache=cache)
 
 
 def _fit_decay(samples, direction: str, pick) -> OrderEstimate:
@@ -307,18 +301,29 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
 
     A stays within order s of B exactly when, for some sigma > s, every
     point of A near the origin lies within |x|^sigma of the germ of B. The
-    check samples A on the radius schedule, measures each sample's distance
-    to B as a germ (not just to B's slice), and scans sigma over s plus
-    each of ``HORN_OFFSETS``. The verdict also carries a decay fit of the
-    per-radius worst distances for cross-checking against the limit fit.
+    check samples A on the radius schedule, measures the largest distance
+    from a sample to B as a germ (not just to B's slice), and scans sigma
+    over s plus each of ``HORN_OFFSETS``. The verdict also carries a decay
+    fit of the per-radius worst distances for cross-checking against the
+    limit fit.
+
+    Only that largest distance counts, so the nearest-point solver runs
+    only on the samples that can hold it: those whose first-order distance
+    (one Gauss-Newton step onto B) is within 10% of the largest, those the
+    first-order estimate cannot vouch for (B has inequalities, or a value
+    or Jacobian there is non-finite or near-singular), and every sample
+    when the refined ones show the estimate was off by more than that
+    (see ``geometry._max_dist``). The refined samples look up B's cloud at
+    the radius the whole slice would, the exact float the cache is keyed
+    on, so the maximum is the one :func:`dist_to_set_batch` on every sample
+    gives, bit for bit.
     """
     rows = []
     for r, ca in zip(config.schedule.radii(), _clouds(a, config, cache)):
         if not len(ca):
             continue
-        d = _dist(ca.points, b, config, cache)
-        floor = max(ca.spacing, 1e-9 * r)
-        rows.append((r, float(np.max(d)) if len(d) else 0.0, floor))
+        dmax = _max_dist(ca.points, b, config.npoints, config.seed, cache)
+        rows.append((r, dmax, max(ca.spacing, 1e-9 * r)))
     caveats = []
     if not rows:
         caveats.append(f"{a.name!r} has no points at any sampled radius; "
@@ -484,7 +489,8 @@ def sign_agreement_check(x_set: SemianalyticSet, phi: Expr | str, ks,
         if not len(cloud):
             continue
         pts = cloud.points
-        d = _dist(pts, zero_locus, config, cache)
+        d = dist_to_set_batch(pts, zero_locus, npoints=config.npoints,
+                              seed=config.seed, cache=cache)
         keep = d >= r ** theta
         excluded += int((~keep).sum())
         pts = pts[keep]

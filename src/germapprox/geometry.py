@@ -59,8 +59,13 @@ _PINV_RCOND = 1e-9
 # implies sigma2/sigma1 >= this, far above _PINV_RCOND; other rows: the SVD
 _PINV_CLOSED_GUARD = 1e-6
 # a slice point is isolated and regular when the row-normalized
-# [J_f(x); x/r] has sigma_min/sigma_max above this (see _isolated_radii)
+# [J_f(x); x/r] has sigma_min/sigma_max above this (see _isolated_radii);
+# the distance screen trusts a Gauss-Newton step only where J_f does
 _ISOLATED_GUARD = 1e-6
+# the distance screen (see _max_dist) refines the rows whose first-order
+# estimate is at least this fraction of the largest; 1 - this is the slack
+# it allows the estimate below a row's distance
+_SCREEN_KEEP = 0.9
 # Gauss-Newton iteration budgets: sphere projection, nearest-point search
 _PROJECT_ITERS = 50
 _NEAREST_ITERS = 40
@@ -731,19 +736,32 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     """Distance from each query point to the set germ, shape (N, n) -> (N,).
 
     Candidates come from three sources per query: the origin (when a part
-    passes through it), the set's slice cloud at the query's radius, and
-    constrained refinement onto every boundary stratum of every part,
-    multi-started from the query and its nearest cloud points. The multistart
-    does not depend on the stratum, so it is built once per call. Queries
-    that already read as members get distance zero. Infinity means the set
-    offered no candidate at all (an empty germ). Non-finite query points
-    raise GeometryError.
+    passes through it), the set's slice cloud at the queries' median
+    radius, and constrained refinement onto every boundary stratum of every
+    part, multi-started from the query and its nearest cloud points. The
+    multistart does not depend on the stratum, so it is built once per
+    call. Queries that already read as members get distance zero. Infinity
+    means the set offered no candidate at all (an empty germ). Non-finite
+    query points raise GeometryError.
+
+    Every other step is row by row, so a row's distance depends on the
+    other rows only through that cloud radius: :func:`_max_dist` refines a
+    subset of rows at the radius of the whole batch and gets the same bits.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if not np.isfinite(X).all():
         raise GeometryError("query points must be finite")
+    r_cloud = float(np.median(np.linalg.norm(X, axis=-1))) if len(X) else 0.0
+    return _dist_rows(X, s, r_cloud, npoints, seed, cache)
+
+
+def _dist_rows(X: np.ndarray, s: SemianalyticSet, r_cloud: float,
+               npoints: int, seed: int, cache: SliceCache | None
+               ) -> np.ndarray:
+    """:func:`dist_to_set_batch` on finite rows X, with its cloud candidates
+    sampled at radius ``r_cloud``."""
     N = len(X)
     best = np.full(N, math.inf)
     if not s.parts:
@@ -756,12 +774,12 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     if any(p.through_origin for p in s.parts):
         best = np.minimum(best, norms)
 
-    # cloud candidates at the median query radius; queries here share radii
-    r_med = float(np.median(norms))
+    # the cache keys clouds on the exact radius, so a row subset must ask
+    # for the whole batch's, not its own median
     cloud = None
-    if 0.0 < r_med <= s.omega:
+    if 0.0 < r_cloud <= s.omega:
         try:
-            cloud = sample_slice(s, r_med, npoints=npoints, seed=seed,
+            cloud = sample_slice(s, r_cloud, npoints=npoints, seed=seed,
                                  cache=cache)
         except EmptySliceError:
             pass
@@ -797,6 +815,81 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
             d = np.linalg.norm(Y[keep] - T[keep], axis=-1)
             np.minimum.at(best, o[keep], d)
     return best
+
+
+def _screen(s: SemianalyticSet, X: np.ndarray):
+    """First-order distance from each row of X to the germ of s, and a mask
+    of the rows that estimate cannot vouch for.
+
+    The estimate is the norm of one Gauss-Newton step onto a part's
+    equations (|f| / |grad f| for one equation), the least over the parts.
+    It says nothing where a part has inequalities or no equations (every
+    row is flagged), nor at a row whose values or Jacobian are not finite
+    (`_linearize` would read them as 0, a zero step) or whose Jacobian has
+    sigma_min / sigma_max at most ``_ISOLATED_GUARD`` (the pseudo-inverse
+    cuts those directions off).
+    """
+    est = np.full(len(X), math.inf)
+    must = np.zeros(len(X), dtype=bool)
+    for part in s.parts:
+        eqs = _normalize_system(part.eqs)
+        if eqs is None:
+            continue
+        if part.ineqs or not eqs:
+            return est, np.ones(len(X), dtype=bool)
+        vals, jacs = ex.eval_system_jacobian(eqs, X)
+        # a row with a non-finite value or Jacobian gets a zero Jacobian,
+        # which fails the guard
+        bad = ~(np.isfinite(vals).all(axis=-1)
+                & np.isfinite(jacs).all(axis=(-2, -1)))
+        vals[bad] = 0.0
+        jacs[bad] = 0.0
+        if len(eqs) == 1:
+            # the one singular value is |J|: the ratio is 1, or 0/0
+            regular = jacs.any(axis=(-2, -1))
+        else:
+            svals = np.linalg.svd(jacs, compute_uv=False)
+            regular = svals[:, -1] > _ISOLATED_GUARD * svals[:, 0]
+        must |= ~regular
+        step = np.linalg.norm((_pinv(jacs) @ vals[..., None])[..., 0],
+                              axis=-1)
+        est = np.minimum(est, step)
+    return est, must
+
+
+def _max_dist(X: np.ndarray, s: SemianalyticSet, npoints: int, seed: int,
+              cache: SliceCache | None) -> float:
+    """``max(dist_to_set_batch(X, s, ...))``, bit for bit, with the
+    nearest-point solver run only on the rows that can hold the maximum.
+
+    Members score 0. Every other row gets the :func:`_screen` estimate. One
+    call refines the rows the screen cannot vouch for and those whose
+    estimate is at least ``_SCREEN_KEEP`` times the largest. A second call
+    refines the rest, unless each of them has an estimate below
+    ``_SCREEN_KEEP`` times the refined maximum and no vouched-for refined
+    row's estimate fell short of ``_SCREEN_KEEP`` times its distance (the
+    screen's slack): then, with that slack holding on the unrefined rows
+    as it did on the refined ones, every unrefined row's distance is below
+    that maximum. Both calls sample the cloud at the whole batch's median
+    radius, so each row gets the bits the whole-batch call would give it.
+    """
+    rows = np.flatnonzero(~membership_mask(s, X))
+    if rows.size == 0:
+        return 0.0
+    r_cloud = float(np.median(np.linalg.norm(X, axis=-1)))
+    est, must = _screen(s, X[rows])
+    top = est[~must].max(initial=0.0)
+    first = must | (est >= _SCREEN_KEEP * top)
+    d = _dist_rows(X[rows[first]], s, r_cloud, npoints, seed, cache)
+    dmax = d.max()
+    vouched = ~must[first]
+    rest = ~first
+    if rest.any() and math.isfinite(dmax) and (
+            (est[rest] >= _SCREEN_KEEP * dmax).any()
+            or (est[first][vouched] < _SCREEN_KEEP * d[vouched]).any()):
+        dmax = max(dmax, _dist_rows(X[rows[rest]], s, r_cloud, npoints,
+                                    seed, cache).max())
+    return float(dmax)
 
 
 # ---------------------------------------------------------------------------

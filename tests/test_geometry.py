@@ -908,6 +908,121 @@ class TestDistMatchesDense:
                                                    shared_cache))
 
 
+def _count_refined(monkeypatch):
+    """Record the row count of every refinement call ``_max_dist`` makes."""
+    calls = []
+    refine = gg._dist_rows
+
+    def counted(X, *args):
+        calls.append(len(X))
+        return refine(X, *args)
+
+    monkeypatch.setattr(gg, "_dist_rows", counted)
+    return calls
+
+
+class TestMaxDist:
+    """``_max_dist`` refines only the rows whose first-order distance can
+    hold the maximum, and still returns ``max(dist_to_set_batch)`` bit for
+    bit."""
+
+    RADII = ga.RadiiSchedule(0.25).radii()
+
+    @pytest.mark.parametrize("coll,a,b", [
+        # acceptance criterion 3, and the horn tests of test_equivalence
+        ("curves", "exp_curve", "trunc1"),
+        ("curves", "exp_curve", "trunc2"),
+        ("curves", "exp_curve", "trunc3"),
+        ("curves", "parabola", "line"),
+        ("curves", "halfline", "line"),
+        # a union, and a redundant presentation with a singular Jacobian
+        ("curves", "exp_union", "t3_union"),
+        ("curves", "cusp_product", "line"),
+        ("surfaces", "graph_exp", "graph_exp~h1"),
+        ("surfaces", "graph_exp", "graph_exp~h2"),
+        ("surfaces", "graph_exp", "graph_exp~h3"),
+    ])
+    def test_screened_maximum_is_exact(self, request, shared_cache, coll, a,
+                                       b):
+        sets = request.getfixturevalue(coll)
+
+        def get(name):
+            base, _, h = name.partition("~h")
+            return gs.truncate_eqs(sets.get(base), int(h)) if h else \
+                sets.get(name)
+
+        for x, y in ((get(a), get(b)), (get(b), get(a))):
+            clouds = gg.sample_slices(x, self.RADII, npoints=256, seed=0,
+                                      cache=shared_cache)
+            for r, cloud in zip(self.RADII, clouds):
+                want = float(np.max(ga.dist_to_set_batch(
+                    cloud.points, y, npoints=256, seed=0,
+                    cache=shared_cache)))
+                got = gg._max_dist(cloud.points, y, 256, 0, shared_cache)
+                assert got == want, (x.name, y.name, r)
+
+    def test_screen_refines_a_minority(self, surfaces, shared_cache,
+                                       monkeypatch):
+        g = surfaces.get("graph_exp")
+        b = gs.truncate_eqs(g, 1)
+        X = ga.sample_slice(g, 0.25, npoints=1000, seed=0,
+                            cache=shared_cache).points
+        outside = int((~gs.membership_mask(b, X)).sum())
+        calls = _count_refined(monkeypatch)
+        gg._max_dist(X, b, 1000, 0, shared_cache)
+        assert len(calls) == 1 and 0 < calls[0] < outside / 2
+
+    def test_row_subset_at_the_batch_radius_keeps_its_bits(self, surfaces,
+                                                           fresh_cache):
+        # about a quarter of a slice's points lie an ulp or so off r, so a
+        # subset of those has a median of its own, which the cache would
+        # key a new cloud on
+        g = surfaces.get("graph_exp")
+        b = gs.truncate_eqs(g, 2)
+        X = ga.sample_slice(g, 0.25, npoints=1000, seed=0,
+                            cache=fresh_cache).points
+        norms = np.linalg.norm(X, axis=1)
+        r = float(np.median(norms))
+        full = ga.dist_to_set_batch(X, b, npoints=1000, seed=0,
+                                    cache=fresh_cache)
+        rows = np.flatnonzero((norms > r) & (full > 0.0))[:40]
+        assert rows.size and np.median(norms[rows]) != r
+        keys = len(fresh_cache._store)
+        got = gg._dist_rows(X[rows], b, r, 1000, 0, fresh_cache)
+        assert np.array_equal(got, full[rows])
+        assert len(fresh_cache._store) == keys
+
+    def test_rows_the_screen_cannot_vouch_for(self, curves):
+        # log1p(10x) is nan past x = -0.1, where `_linearize` would read a
+        # zero step; x^2 - 0.2x has a zero gradient on the line x = 0.1
+        log_graph = _one_part_set(["y - log1p(10*x)"], [])
+        flat = _one_part_set(["x^2 - 0.2*x"], [])
+        X = np.array([[-0.2, 0.0], [0.1, 0.3], [0.3, 0.1]])
+        assert gg._screen(log_graph, X)[1].tolist() == [True, False, False]
+        assert gg._screen(flat, X)[1].tolist() == [False, True, False]
+        # two equations whose Jacobian has rank 1 on the curve y = x^3
+        on_curve = np.array([[0.1, 0.001], [0.1, 0.3]])
+        assert gg._screen(curves.get("cusp_product"),
+                          on_curve)[1].tolist() == [True, False]
+        # an inequality bounds the distance from below, not the step
+        assert gg._screen(curves.get("halfline"), X)[1].all()
+
+    def test_screen_off_by_a_factor_refines_every_row(self, surfaces,
+                                                      fresh_cache,
+                                                      monkeypatch):
+        # on a squared equation the Gauss-Newton step is half the distance,
+        # so the refined rows show the screen's slack broken
+        squared = _one_part_set(["(z - x^2)^2"], [], nvars=3)
+        X = ga.sample_slice(surfaces.get("plane_z"), 0.25, npoints=256,
+                            seed=0, cache=fresh_cache).points
+        want = float(np.max(ga.dist_to_set_batch(X, squared, npoints=256,
+                                                 seed=0, cache=fresh_cache)))
+        outside = int((~gs.membership_mask(squared, X)).sum())
+        calls = _count_refined(monkeypatch)
+        assert gg._max_dist(X, squared, 256, 0, fresh_cache) == want
+        assert len(calls) == 2 and sum(calls) == outside
+
+
 class TestTangentCone:
     def test_parabola_directions_settle(self, curves, shared_cache):
         radii = [2.0 ** -7, 2.0 ** -8, 2.0 ** -9]
