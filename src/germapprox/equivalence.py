@@ -308,15 +308,16 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     limit fit.
 
     Only that largest distance counts, so the nearest-point solver runs
-    only on the samples that can hold it: those whose first-order distance
-    (one Gauss-Newton step onto B) is within 10% of the largest, those the
-    first-order estimate cannot vouch for (B has inequalities, or a value
-    or Jacobian there is non-finite or near-singular), and every sample
-    when the refined ones show the estimate was off by more than that
-    (see ``geometry._max_dist``). The refined samples look up B's cloud at
-    the radius the whole slice would, the exact float the cache is keyed
-    on, so the maximum is the one :func:`dist_to_set_batch` on every sample
-    gives, bit for bit.
+    first on the samples whose first-order distance (one Gauss-Newton step
+    onto B) is within 10% of the largest, or which that estimate cannot
+    vouch for (B has inequalities, or a value or Jacobian there is
+    non-finite or near-singular), and then only on the samples whose
+    distance to B's origin and cloud still exceeds what those gave (see
+    ``geometry._max_dist``). The solver only lowers a distance, so the
+    samples it skips cannot hold the maximum. The refined samples look up
+    B's cloud at the radius the whole slice would, the exact float the
+    cache is keyed on, so the maximum is the one :func:`dist_to_set_batch`
+    on every sample gives, bit for bit.
     """
     rows = []
     for r, ca in zip(config.schedule.radii(), _clouds(a, config, cache)):

@@ -59,12 +59,10 @@ _PINV_RCOND = 1e-9
 # implies sigma2/sigma1 >= this, far above _PINV_RCOND; other rows: the SVD
 _PINV_CLOSED_GUARD = 1e-6
 # a slice point is isolated and regular when the row-normalized
-# [J_f(x); x/r] has sigma_min/sigma_max above this (see _isolated_radii);
-# the distance screen trusts a Gauss-Newton step only where J_f does
+# [J_f(x); x/r] has sigma_min/sigma_max above this (see _isolated_radii)
 _ISOLATED_GUARD = 1e-6
-# the distance screen (see _max_dist) refines the rows whose first-order
-# estimate is at least this fraction of the largest; 1 - this is the slack
-# it allows the estimate below a row's distance
+# the distance screen (see _max_dist) refines first the rows whose
+# first-order estimate is at least this fraction of the largest
 _SCREEN_KEEP = 0.9
 # Gauss-Newton iteration budgets: sphere projection, nearest-point search
 _PROJECT_ITERS = 50
@@ -744,9 +742,10 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     means the set offered no candidate at all (an empty germ). Non-finite
     query points raise GeometryError.
 
-    Every other step is row by row, so a row's distance depends on the
-    other rows only through that cloud radius: :func:`_max_dist` refines a
-    subset of rows at the radius of the whole batch and gets the same bits.
+    Every other step is row by row and start by start, so a row's distance
+    depends on the other rows only through that cloud radius:
+    :func:`_max_dist` refines subsets of the rows and of their starts at
+    the radius of the whole batch and gets the same bits.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -762,17 +761,32 @@ def _dist_rows(X: np.ndarray, s: SemianalyticSet, r_cloud: float,
                ) -> np.ndarray:
     """:func:`dist_to_set_batch` on finite rows X, with its cloud candidates
     sampled at radius ``r_cloud``."""
-    N = len(X)
-    best = np.full(N, math.inf)
+    best, starts = _dist_candidates(X, s, r_cloud, npoints, seed, cache)
+    run = np.zeros(starts.shape[:2], dtype=bool)
+    run[best > 0.0] = True
+    _refine(X, s, best, starts, run)
+    return best
+
+
+def _dist_candidates(X: np.ndarray, s: SemianalyticSet, r_cloud: float,
+                     npoints: int, seed: int, cache: SliceCache | None):
+    """The candidates of :func:`dist_to_set_batch` that need no solver.
+
+    Returns ``best``, each row's least candidate distance so far: 0 for a
+    member, else the least of its norm (when a part passes through the
+    origin) and its distance to the nearest point of the cloud at radius
+    ``r_cloud``; and ``starts``, shape (N, k, n), each row's multistart:
+    itself, then its nearest cloud points. Refinement only lowers ``best``.
+    """
+    best = np.full(len(X), math.inf)
     if not s.parts:
-        return best
+        return best, X[:, None]
     member = membership_mask(s, X)
     best[member] = 0.0
     if member.all():
-        return best
-    norms = np.linalg.norm(X, axis=-1)
+        return best, X[:, None]
     if any(p.through_origin for p in s.parts):
-        best = np.minimum(best, norms)
+        best = np.minimum(best, np.linalg.norm(X, axis=-1))
 
     # the cache keys clouds on the exact radius, so a row subset must ask
     # for the whole batch's, not its own median
@@ -783,20 +797,27 @@ def _dist_rows(X: np.ndarray, s: SemianalyticSet, r_cloud: float,
                                  cache=cache)
         except EmptySliceError:
             pass
-    todo = np.flatnonzero(~member)
-    starts = [X[todo]]
+    starts = [X]
     if cloud is not None:
         k_near = min(3, len(cloud.points))
         # k as a list keeps both results 2-D even when k_near is 1
         dists, near = cKDTree(cloud.points).query(
             X, k=list(range(1, k_near + 1)))
         best = np.minimum(best, dists[:, 0])
-        starts += [cloud.points[near[todo, c]] for c in range(k_near)]
-    S0 = np.concatenate(starts, axis=0)
-    T0 = np.tile(X[todo], (len(starts), 1))
-    own = np.tile(todo, len(starts))
+        starts += [cloud.points[near[:, c]] for c in range(k_near)]
+    return best, np.stack(starts, axis=1)
 
-    ineq_tol = 1e-8 * np.maximum(1.0, norms)
+
+def _refine(X: np.ndarray, s: SemianalyticSet, best: np.ndarray,
+            starts: np.ndarray, run: np.ndarray) -> None:
+    """Lower ``best`` in place by constrained refinement onto every boundary
+    stratum of every part, from the ``starts`` that the (N, k) mask ``run``
+    picks."""
+    own, col = np.nonzero(run)
+    if not own.size:
+        return
+    S0, T0 = starts[own, col], X[own]
+    ineq_tol = 1e-8 * np.maximum(1.0, np.linalg.norm(X, axis=-1))
     for part in s.parts:
         for eqs, rest in _part_strata(part, _DIST_DEPTH):
             eqs = _normalize_system(eqs)
@@ -814,7 +835,6 @@ def _dist_rows(X: np.ndarray, s: SemianalyticSet, r_cloud: float,
                 continue
             d = np.linalg.norm(Y[keep] - T[keep], axis=-1)
             np.minimum.at(best, o[keep], d)
-    return best
 
 
 def _screen(s: SemianalyticSet, X: np.ndarray):
@@ -825,9 +845,10 @@ def _screen(s: SemianalyticSet, X: np.ndarray):
     equations (|f| / |grad f| for one equation), the least over the parts.
     It says nothing where a part has inequalities or no equations (every
     row is flagged), nor at a row whose values or Jacobian are not finite
-    (`_linearize` would read them as 0, a zero step) or whose Jacobian has
-    sigma_min / sigma_max at most ``_ISOLATED_GUARD`` (the pseudo-inverse
-    cuts those directions off).
+    (`_linearize` would read them as 0, a zero step) or whose Jacobian's
+    pseudo-inverse cuts a direction off (sigma_min / sigma_max at most
+    ``_PINV_RCOND``; a zero Jacobian for one equation), where the step
+    misses the distance along it.
     """
     est = np.full(len(X), math.inf)
     must = np.zeros(len(X), dtype=bool)
@@ -844,15 +865,12 @@ def _screen(s: SemianalyticSet, X: np.ndarray):
                 & np.isfinite(jacs).all(axis=(-2, -1)))
         vals[bad] = 0.0
         jacs[bad] = 0.0
-        if len(eqs) == 1:
-            # the one singular value is |J|: the ratio is 1, or 0/0
-            regular = jacs.any(axis=(-2, -1))
-        else:
-            svals = np.linalg.svd(jacs, compute_uv=False)
-            regular = svals[:, -1] > _ISOLATED_GUARD * svals[:, 0]
-        must |= ~regular
-        step = np.linalg.norm((_pinv(jacs) @ vals[..., None])[..., 0],
-                              axis=-1)
+        pinv = _pinv(jacs)
+        # J J^+ projects onto the directions the pseudo-inverse kept, so
+        # its trace counts them
+        kept = (jacs * np.swapaxes(pinv, -1, -2)).sum(axis=(-2, -1))
+        must |= ~(kept > len(eqs) - 0.5)
+        step = np.linalg.norm((pinv @ vals[..., None])[..., 0], axis=-1)
         est = np.minimum(est, step)
     return est, must
 
@@ -862,34 +880,39 @@ def _max_dist(X: np.ndarray, s: SemianalyticSet, npoints: int, seed: int,
     """``max(dist_to_set_batch(X, s, ...))``, bit for bit, with the
     nearest-point solver run only on the rows that can hold the maximum.
 
-    Members score 0. Every other row gets the :func:`_screen` estimate. One
-    call refines the rows the screen cannot vouch for and those whose
-    estimate is at least ``_SCREEN_KEEP`` times the largest. A second call
-    refines the rest, unless each of them has an estimate below
-    ``_SCREEN_KEEP`` times the refined maximum and no vouched-for refined
-    row's estimate fell short of ``_SCREEN_KEEP`` times its distance (the
-    screen's slack): then, with that slack holding on the unrefined rows
-    as it did on the refined ones, every unrefined row's distance is below
-    that maximum. Both calls sample the cloud at the whole batch's median
-    radius, so each row gets the bits the whole-batch call would give it.
+    Every row first gets the candidates that need no solver (see
+    :func:`_dist_candidates`); a member's 0 is final. One solver call then
+    runs every start of the rows :func:`_screen` cannot vouch for and of
+    those whose estimate is at least ``_SCREEN_KEEP`` times the largest
+    (the rows most likely to hold the maximum), and the start at the row
+    itself of any other row whose distance so far passes that cut. A
+    second runs the remaining starts of every row whose distance so far
+    still exceeds the first rows' maximum. A start left out cannot matter:
+    refinement only lowers its row's distance, which is already at most
+    that maximum. The screen only picks the order, so a poor estimate (a
+    squared equation, factors of mixed multiplicity) costs time, not bits.
+    The cloud is sampled once, at the whole batch's median radius, so each
+    row gets the bits the whole-batch call would give it.
     """
-    rows = np.flatnonzero(~membership_mask(s, X))
-    if rows.size == 0:
-        return 0.0
-    r_cloud = float(np.median(np.linalg.norm(X, axis=-1)))
-    est, must = _screen(s, X[rows])
-    top = est[~must].max(initial=0.0)
-    first = must | (est >= _SCREEN_KEEP * top)
-    d = _dist_rows(X[rows[first]], s, r_cloud, npoints, seed, cache)
-    dmax = d.max()
-    vouched = ~must[first]
-    rest = ~first
-    if rest.any() and math.isfinite(dmax) and (
-            (est[rest] >= _SCREEN_KEEP * dmax).any()
-            or (est[first][vouched] < _SCREEN_KEEP * d[vouched]).any()):
-        dmax = max(dmax, _dist_rows(X[rows[rest]], s, r_cloud, npoints,
-                                    seed, cache).max())
-    return float(dmax)
+    r_cloud = float(np.median(np.linalg.norm(X, axis=-1))) if len(X) else 0.0
+    best, starts = _dist_candidates(X, s, r_cloud, npoints, seed, cache)
+    rows = np.flatnonzero(best > 0.0)
+    if rows.size:
+        est, must = _screen(s, X[rows])
+        cut = _SCREEN_KEEP * est[~must].max(initial=0.0)
+        first = rows[must | (est >= cut)]
+        # every start of the rows most likely to hold the maximum, and the
+        # start at itself, the one that usually finds a row's nearest point,
+        # of any other row that the cut leaves open
+        run = np.zeros(starts.shape[:2], dtype=bool)
+        run[best > cut, 0] = True
+        run[first] = True
+        _refine(X, s, best, starts, run)
+        dmax = best[first].max(initial=0.0)
+        # the rest of the starts of every row still above their maximum
+        run = ~run & (best > dmax)[:, None]
+        _refine(X, s, best, starts, run)
+    return float(best.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -908,23 +908,30 @@ class TestDistMatchesDense:
                                                    shared_cache))
 
 
+def _get(sets, name):
+    """A set of the collection, or its truncation where the name ends in
+    ``~h<order>``."""
+    base, _, h = name.partition("~h")
+    return gs.truncate_eqs(sets.get(base), int(h)) if h else sets.get(name)
+
+
 def _count_refined(monkeypatch):
-    """Record the row count of every refinement call ``_max_dist`` makes."""
+    """Record how many solver starts each refinement call runs."""
     calls = []
-    refine = gg._dist_rows
+    refine = gg._refine
 
-    def counted(X, *args):
-        calls.append(len(X))
-        return refine(X, *args)
+    def counted(X, s, best, starts, run):
+        calls.append(int(run.sum()))
+        return refine(X, s, best, starts, run)
 
-    monkeypatch.setattr(gg, "_dist_rows", counted)
+    monkeypatch.setattr(gg, "_refine", counted)
     return calls
 
 
 class TestMaxDist:
-    """``_max_dist`` refines only the rows whose first-order distance can
-    hold the maximum, and still returns ``max(dist_to_set_batch)`` bit for
-    bit."""
+    """``_max_dist`` refines the rows whose first-order distance is near
+    the largest, then only the rows whose cloud distance exceeds what those
+    gave, and returns ``max(dist_to_set_batch)`` bit for bit."""
 
     RADII = ga.RadiiSchedule(0.25).radii()
 
@@ -945,13 +952,8 @@ class TestMaxDist:
     def test_screened_maximum_is_exact(self, request, shared_cache, coll, a,
                                        b):
         sets = request.getfixturevalue(coll)
-
-        def get(name):
-            base, _, h = name.partition("~h")
-            return gs.truncate_eqs(sets.get(base), int(h)) if h else \
-                sets.get(name)
-
-        for x, y in ((get(a), get(b)), (get(b), get(a))):
+        a, b = _get(sets, a), _get(sets, b)
+        for x, y in ((a, b), (b, a)):
             clouds = gg.sample_slices(x, self.RADII, npoints=256, seed=0,
                                       cache=shared_cache)
             for r, cloud in zip(self.RADII, clouds):
@@ -967,10 +969,12 @@ class TestMaxDist:
         b = gs.truncate_eqs(g, 1)
         X = ga.sample_slice(g, 0.25, npoints=1000, seed=0,
                             cache=shared_cache).points
-        outside = int((~gs.membership_mask(b, X)).sum())
         calls = _count_refined(monkeypatch)
+        ga.dist_to_set_batch(X, b, npoints=1000, seed=0, cache=shared_cache)
         gg._max_dist(X, b, 1000, 0, shared_cache)
-        assert len(calls) == 1 and 0 < calls[0] < outside / 2
+        # no row is left above the first call's maximum
+        full, first, second = calls
+        assert 0 < first < full / 2 and second == 0
 
     def test_row_subset_at_the_batch_radius_keeps_its_bits(self, surfaces,
                                                            fresh_cache):
@@ -1007,20 +1011,63 @@ class TestMaxDist:
         # an inequality bounds the distance from below, not the step
         assert gg._screen(curves.get("halfline"), X)[1].all()
 
-    def test_screen_off_by_a_factor_refines_every_row(self, surfaces,
+    def test_screen_off_by_a_factor_keeps_the_maximum(self, surfaces,
                                                       fresh_cache,
                                                       monkeypatch):
-        # on a squared equation the Gauss-Newton step is half the distance,
-        # so the refined rows show the screen's slack broken
+        # on a squared equation the Gauss-Newton step is half the distance
         squared = _one_part_set(["(z - x^2)^2"], [], nvars=3)
         X = ga.sample_slice(surfaces.get("plane_z"), 0.25, npoints=256,
                             seed=0, cache=fresh_cache).points
+        calls = _count_refined(monkeypatch)
         want = float(np.max(ga.dist_to_set_batch(X, squared, npoints=256,
                                                  seed=0, cache=fresh_cache)))
-        outside = int((~gs.membership_mask(squared, X)).sum())
-        calls = _count_refined(monkeypatch)
         assert gg._max_dist(X, squared, 256, 0, fresh_cache) == want
-        assert len(calls) == 2 and sum(calls) == outside
+        # the step keeps the rows' order, so the first call holds the maximum
+        full, first, second = calls
+        assert 0 < first < full and second == 0
+
+    def test_factors_of_mixed_multiplicity(self, fresh_cache, monkeypatch):
+        # near the double line y = 2x of B the step is about half the
+        # distance, near the simple line y = 0 it is about the distance: A's
+        # rows by y = 1.5x screen below those by y = 0.1x, yet lie farther
+        b = _one_part_set(["y*(y - 2*x)^2"], [])
+        a = _one_part_set(["(y - 0.1*x)*(y - 1.5*x)"], [])
+        calls = _count_refined(monkeypatch)
+        second = []
+        for r in self.RADII:
+            X = ga.sample_slice(a, r, npoints=256, seed=0,
+                                cache=fresh_cache).points
+            want = float(np.max(ga.dist_to_set_batch(
+                X, b, npoints=256, seed=0, cache=fresh_cache)))
+            calls.clear()
+            assert gg._max_dist(X, b, 256, 0, fresh_cache) == want, r
+            second.append(calls[1])
+        # the rows by y = 1.5x stay above the maximum of those by y = 0.1x,
+        # so the second call runs their cloud starts
+        assert second[0] > 0
+
+    @pytest.mark.parametrize("coll,a,b", [
+        ("curves", "exp_curve", "trunc2"),
+        ("curves", "exp_union", "t3_union"),
+        ("surfaces", "graph_exp", "graph_exp~h1"),
+    ])
+    def test_any_screen_keeps_the_maximum(self, request, shared_cache,
+                                          monkeypatch, coll, a, b):
+        # the screen picks only which rows go first: with random estimates
+        # the maximum is still exact
+        sets = request.getfixturevalue(coll)
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(gg, "_screen", lambda s, X: (
+            rng.random(len(X)), np.zeros(len(X), dtype=bool)))
+        a, b = _get(sets, a), _get(sets, b)
+        for x, y in ((a, b), (b, a)):
+            for r in self.RADII[::3]:
+                X = ga.sample_slice(x, r, npoints=256, seed=0,
+                                    cache=shared_cache).points
+                want = float(np.max(ga.dist_to_set_batch(
+                    X, y, npoints=256, seed=0, cache=shared_cache)))
+                got = gg._max_dist(X, y, 256, 0, shared_cache)
+                assert got == want, (x.name, y.name, r)
 
 
 class TestTangentCone:
