@@ -64,6 +64,13 @@ _ISOLATED_GUARD = 1e-6
 # the distance screen (see _max_dist) refines first the rows whose
 # first-order estimate is at least this fraction of the largest
 _SCREEN_KEEP = 0.9
+# a sphere projection row stalls at an iteration whose two-iteration
+# displacement is at most _STALL_SPAN times its step and at most
+# _STALL_GROWTH times the one before; _STALL_RUN stalled iterations in a row
+# stop and reject it (see project_to_sphere_slice)
+_STALL_SPAN = 0.1
+_STALL_GROWTH = 1.25
+_STALL_RUN = 6
 # Gauss-Newton iteration budgets: sphere projection, nearest-point search
 _PROJECT_ITERS = 50
 _NEAREST_ITERS = 40
@@ -307,6 +314,39 @@ def _renormalize(X: np.ndarray, r: float | np.ndarray,
     return X
 
 
+def _line_search(eqs, X: np.ndarray, res: np.ndarray, idx: np.ndarray,
+                 ra: np.ndarray, steps: np.ndarray, pend: np.ndarray):
+    """One line search of :func:`project_to_sphere_slice` over the rows
+    ``idx`` of X, with radii ``ra`` and steps ``steps`` aligned with idx.
+
+    The positions ``pend`` (into idx) try the fractions of ``_LINE_SEARCH``
+    in order. Returns each row's first trial point whose residual is below
+    its entry of ``res``, and that residual: inf for a row that found none
+    or is not in pend.
+    """
+    cand = np.empty_like(steps)
+    cres = np.full(len(steps), np.inf)
+    for fractions in _LINE_SEARCH:
+        if pend.size == 0:
+            break
+        rows = _LINE_SEARCH_TRIALS // len(fractions)
+        left = []
+        for chunk in np.split(pend, range(rows, pend.size, rows)):
+            base = X.take(idx[chunk], axis=0)[:, None]
+            trials = _renormalize(
+                base + fractions[:, None] * steps[chunk, None],
+                ra[chunk, None], base)
+            tres = _system_residual(eqs, trials)
+            better = tres < res[idx[chunk], None]
+            hit = better.any(axis=1)
+            first = better.argmax(axis=1)[hit]
+            cand[chunk[hit]] = trials[hit, first]
+            cres[chunk[hit]] = tres[hit, first]
+            left.append(chunk[~hit])
+        pend = np.concatenate(left)
+    return cand, cres
+
+
 def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
     """Drive sphere points toward {f = 0} while staying on the sphere.
 
@@ -325,12 +365,24 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
     by a power of two is exact and the evaluation is row by row, so the
     result is the same as trying the fractions one at a time.
 
-    Returns the final positions and a mask of points whose last proposed
-    step was short enough to count as on the slice. A row that stopped
-    iterating did not move at its last iteration, so that iteration's step
-    is the one tested; only rows still iterating after the budget are
-    linearized again. With no equations every start is already a slice
-    point.
+    A row that keeps moving but gets nowhere stalls: it hops between two
+    points, or creeps toward a root off the sphere. Iteration k >= 1 of a
+    row, from X_k to X_{k+1} with step s_k, is stalled when
+    |X_{k+1} - X_{k-1}| <= ``_STALL_SPAN`` |s_k|, that displacement is at
+    most ``_STALL_GROWTH`` times the one of iteration k - 1 (when k >= 2),
+    and |s_k| is still above the acceptance tolerance. ``_STALL_RUN``
+    stalled iterations in a row stop the row, and it is rejected. A row
+    escaping a saddle of the residual moves slowly too, but its
+    displacement about doubles every iteration, and one that converges
+    linearly halves its step every iteration; neither is stopped.
+
+    Returns the final positions and a mask of the accepted points: rows
+    that did not stall, whose residual is finite and whose last proposed
+    step is at most ``_STEP_ACCEPT`` times their radius. A row that stopped
+    without stalling did not move at its last iteration, so that
+    iteration's step is the one tested; only rows still iterating after
+    the budget are linearized again. With no equations every start is
+    already a slice point.
     """
     X = np.array(starts, dtype=float)
     N = len(X)
@@ -338,46 +390,49 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
         return X, np.ones(N, dtype=bool)
     rad = np.broadcast_to(np.asarray(r, dtype=float), (N,))
     res = _system_residual(eqs, X)
-    active = np.ones(N, dtype=bool)
-    last = np.zeros_like(X)
+    # each row's last step length; inf rejects a row that stalled
+    last = np.zeros(N)
+    # the rows still iterating and, aligned with them, each one's position
+    # an iteration back, its last two-iteration displacement and its run of
+    # stalled iterations
+    idx = np.arange(N)
+    back = span = run = None
     for _ in range(_PROJECT_ITERS):
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        Xa, ra = X[idx], rad[idx]
-        steps = _gn_steps(eqs, Xa)
-        last[idx] = steps
-        conv = np.linalg.norm(steps, axis=-1) <= _STEP_TARGET * ra
-        # a row moves to its first trial point that lowers the residual;
+        ra = rad[idx]
+        # np.take gathers whole rows several times faster than X[idx]
+        steps = _gn_steps(eqs, X.take(idx, axis=0))
+        last[idx] = np.linalg.norm(steps, axis=-1)
+        conv = last[idx] <= _STEP_TARGET * ra
         # converged rows stop without moving, so they try no step
-        cand = np.empty_like(Xa)
-        cres = np.full(idx.size, np.inf)
-        pend = np.flatnonzero(~conv)
-        for fractions in _LINE_SEARCH:
-            if pend.size == 0:
-                break
-            rows = _LINE_SEARCH_TRIALS // len(fractions)
-            left = []
-            for chunk in np.split(pend, range(rows, pend.size, rows)):
-                trials = _renormalize(
-                    Xa[chunk, None] + fractions[:, None] * steps[chunk, None],
-                    ra[chunk, None], Xa[chunk, None])
-                tres = _system_residual(eqs, trials)
-                better = tres < res[idx[chunk], None]
-                hit = better.any(axis=1)
-                first = better.argmax(axis=1)[hit]
-                cand[chunk[hit]] = trials[hit, first]
-                cres[chunk[hit]] = tres[hit, first]
-                left.append(chunk[~hit])
-            pend = np.concatenate(left)
-        improved = cres < res[idx]
-        X[idx[improved]] = cand[improved]
-        res[idx[improved]] = cres[improved]
-        # converged and stalled points both stop iterating
-        active[idx[conv | ~improved]] = False
-    if active.any():
-        last[active] = _gn_steps(eqs, X[active])
-    accepted = np.linalg.norm(last, axis=-1) <= _STEP_ACCEPT * rad
+        cand, cres = _line_search(eqs, X, res, idx, ra, steps,
+                                  np.flatnonzero(~conv))
+        # converged rows and rows that found no lower residual stop here
+        moved = np.flatnonzero(cres < res[idx])
+        rows = idx[moved]
+        if back is None:
+            disp = np.full(moved.size, np.inf)
+            run = np.zeros(moved.size, dtype=np.int8)
+        else:
+            disp = np.linalg.norm(
+                cand.take(moved, axis=0) - back.take(moved, axis=0), axis=-1)
+            run = np.where((disp <= _STALL_SPAN * last[rows])
+                           & (disp <= _STALL_GROWTH * span[moved])
+                           & (last[rows] > _STEP_ACCEPT * ra[moved]),
+                           run[moved] + 1, 0)
+        go = run < _STALL_RUN
+        last[rows[~go]] = np.inf
+        idx, span, run = rows[go], disp[go], run[go]
+        back = X.take(idx, axis=0)
+        X[rows] = cand.take(moved, axis=0)
+        res[rows] = cres[moved]
+        # free this iteration's buffers before the next one makes its own
+        del steps, cand, cres, moved, rows, disp
+    if idx.size:
+        last[idx] = np.linalg.norm(_gn_steps(eqs, X.take(idx, axis=0)),
+                                   axis=-1)
+    accepted = last <= _STEP_ACCEPT * rad
     accepted &= np.isfinite(res)
     return X, accepted
 

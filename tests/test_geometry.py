@@ -85,16 +85,21 @@ class TestProjectToSlice:
 
 
 def _project_reference(eqs, starts, r):
-    """The sphere projection with its halvings tried one at a time and a
-    final re-linearization of every row: the loop the batched line search
-    must reproduce bit for bit."""
+    """The sphere projection with its halvings tried one at a time, its
+    stall rule kept in full-size arrays and a final re-linearization of
+    every row: the loop the batched line search must reproduce bit for
+    bit."""
     X = np.array(starts, dtype=float)
     N = len(X)
     if not eqs:
         return X, np.ones(N, dtype=bool)
     res = gg._system_residual(eqs, X)
     active = np.ones(N, dtype=bool)
-    for _ in range(gg._PROJECT_ITERS):
+    back = X.copy()
+    span = np.full(N, np.inf)
+    run = np.zeros(N, dtype=int)
+    stalled = np.zeros(N, dtype=bool)
+    for k in range(gg._PROJECT_ITERS):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -117,13 +122,23 @@ def _project_reference(eqs, starts, r):
             cres[pending] = gg._system_residual(eqs, trial)
         improved = cres < res[idx]
         move = improved & ~conv
+        # |X_{k+1} - X_{k-1}|, from the second iteration on
+        disp = np.linalg.norm(cand - back[idx], axis=-1) if k else np.inf
+        stall = (move & (disp <= gg._STALL_SPAN * slen)
+                 & (disp <= gg._STALL_GROWTH * span[idx])
+                 & (slen > gg._STEP_ACCEPT * r))
+        run[idx] = np.where(stall, run[idx] + 1, 0)
+        stop = run[idx] >= gg._STALL_RUN
+        stalled[idx[stop]] = True
+        back[idx] = Xa
+        span[idx] = disp
         X[idx[move]] = cand[move]
         res[idx[move]] = cres[move]
-        active[idx[conv | ~improved]] = False
+        active[idx[conv | ~improved | stop]] = False
     final_steps = gg._gn_steps(eqs, X)
     accepted = np.linalg.norm(final_steps, axis=-1) <= gg._STEP_ACCEPT * r
     accepted &= np.isfinite(gg._system_residual(eqs, X))
-    return X, accepted
+    return X, accepted & ~stalled
 
 
 def _corpus_systems(curves, surfaces):
@@ -306,6 +321,151 @@ class TestProjectMatchesReference:
         eqs = curves.get("exp_curve").parts[0].eqs
         _, ok = self._check(eqs, ga.sphere_directions(2, 1, seed=0) * r, r)
         assert ok.all()
+
+
+def _inflated_systems(curves, surfaces):
+    """The slice strata of every corpus part thickened by its own equations
+    at m = 1, the shape approx's inflation step projects."""
+    for coll in (curves, surfaces):
+        for s in coll.sets.values():
+            for part in s.parts:
+                if not part.eqs:
+                    continue
+                infl = gs.inflated_part(part, part.eqs, m=1)
+                for eqs, _ in gg._part_strata(infl, gg.SLICE_DEPTH):
+                    eqs = gg._normalize_system(eqs)
+                    if eqs:
+                        yield s.nvars, eqs
+
+
+class TestProjectStalls:
+    """Rows that stall off the set stop early and are rejected. No row that
+    runs on to acceptance is stopped, so accepted rows keep their bits."""
+
+    @staticmethod
+    def _linearized(monkeypatch, eqs, starts, r):
+        """The projection, and the row count of each linearization."""
+        sizes = []
+        steps = gg._gn_steps
+
+        def counted(eqs, X):
+            sizes.append(len(X))
+            return steps(eqs, X)
+
+        with monkeypatch.context() as m:
+            m.setattr(gg, "_gn_steps", counted)
+            X, ok = gg.project_to_sphere_slice(eqs, starts, r)
+        return X, ok, sizes
+
+    @staticmethod
+    def _unstopped(monkeypatch, eqs, starts, r):
+        """The projection with no row ever stopped as stalled."""
+        with monkeypatch.context() as m:
+            m.setattr(gg, "_STALL_RUN", gg._PROJECT_ITERS + 1)
+            return gg.project_to_sphere_slice(eqs, starts, r)
+
+    def _stopped(self, monkeypatch, eqs, starts, r):
+        """Check that stopping keeps every accepted row and its bits; return
+        how many rows it left somewhere else."""
+        X, ok = gg.project_to_sphere_slice(eqs, starts, r)
+        X0, ok0 = self._unstopped(monkeypatch, eqs, starts, r)
+        assert np.array_equal(ok, ok0)
+        assert np.array_equal(X[ok], X0[ok])
+        return int((X != X0).any(axis=1).sum())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("r", [0.25, 0.25 * 2.0 ** -6])
+    def test_accepted_rows_keep_their_bits(self, curves, surfaces,
+                                           monkeypatch, r, seed):
+        systems = (list(_corpus_systems(curves, surfaces))
+                   + list(_inflated_systems(curves, surfaces)))
+        stopped = sum(
+            self._stopped(monkeypatch, eqs,
+                          ga.sphere_directions(nvars, 64, seed) * r, r)
+            for nvars, eqs in systems)
+        assert stopped > 0
+
+    def test_curve_strata_at_2000_starts(self, curves, monkeypatch):
+        # the most starts, so the starts nearest a saddle of the residual,
+        # which escape slowest
+        radii = (0.25, 0.25 * 2.0 ** -6)
+        dirs = ga.sphere_directions(2, 2000, 0)
+        starts = np.concatenate([dirs * r for r in radii])
+        rad = np.repeat(radii, len(dirs))
+        stopped = 0
+        for s in curves.sets.values():
+            for part in s.parts:
+                for eqs, _ in gg._part_strata(part, gg.SLICE_DEPTH):
+                    eqs = gg._normalize_system(eqs)
+                    if eqs:
+                        stopped += self._stopped(monkeypatch, eqs, starts,
+                                                 rad)
+        assert stopped > 0
+
+    def test_rounding_level_hops_are_not_stalls(self, curves, monkeypatch):
+        # at this radius a few rows keep moving with steps that stay above
+        # _STEP_TARGET but below _STEP_ACCEPT times r, so they look stalled
+        # but for the step test; they run out the budget and are accepted
+        r = 2.0 ** -12
+        eqs = curves.get("exp_sin").parts[0].eqs
+        self._stopped(monkeypatch, eqs,
+                      ga.sphere_directions(2, 500, 0) * r, r)
+
+    def test_two_cycle_stops(self, monkeypatch):
+        # on the cusp {y^2 = x^3} some starts with x < 0 end up hopping
+        # between (-0.9986, +-0.0531) r
+        r = 0.125
+        eqs = (ex.parse("y^2 - x^3", 2),)
+        X, ok = self._unstopped(monkeypatch, eqs,
+                                ga.sphere_directions(2, 256, 0) * r, r)
+        cycle = (X[:, 0] < 0) & (np.abs(X[:, 1]) > 0.05 * r)
+        assert cycle.sum() > 20 and not ok[cycle].any()
+        hop = np.abs(X[cycle]) / r - [0.99858681, 0.05314495]
+        assert np.abs(hop).max() < 1e-6
+        _, ok, sizes = self._linearized(monkeypatch, eqs, X[cycle], r)
+        assert not ok.any()
+        assert len(sizes) <= gg._STALL_RUN + 1
+
+    def test_creep_toward_the_origin_stops(self, monkeypatch):
+        # a boundary stratum whose only root is the origin: Gauss-Newton
+        # steps point at it, and the line search creeps along the sphere
+        r = 2.0 ** -9
+        eqs = (ex.parse("y - exp(x) + 1", 2), ex.parse("x", 2))
+        starts = ga.sphere_directions(2, 64, 0) * r
+        _, ok, sizes = self._linearized(monkeypatch, eqs, starts, r)
+        assert not ok.any()
+        assert len(sizes) < gg._PROJECT_ITERS
+        # unstopped, the rows creep through the whole budget
+        with monkeypatch.context() as m:
+            m.setattr(gg, "_STALL_RUN", gg._PROJECT_ITERS + 1)
+            _, _, sizes = self._linearized(monkeypatch, eqs, starts, r)
+        assert len(sizes) == gg._PROJECT_ITERS + 1
+
+    def test_saddle_escaper_is_accepted(self, monkeypatch):
+        # near a saddle of the residual on the sphere a row first moves
+        # 6e-5 r, doubling each iteration, and escapes at the seventh
+        r = 0.0625
+        eqs = (ex.parse("y - x - x^2/2", 2),)
+        dirs = ga.sphere_directions(2, 2000, 0)
+        x = dirs[np.argmin(np.linalg.norm(dirs - [-0.69, 0.72], axis=1))]
+        with monkeypatch.context() as m:
+            m.setattr(gg, "_PROJECT_ITERS", 1)
+            X1, _ = gg.project_to_sphere_slice(eqs, x[None] * r, r)
+        assert np.linalg.norm(X1[0] - x * r) < 1e-4 * r
+        X, ok, sizes = self._linearized(monkeypatch, eqs, x[None] * r, r)
+        assert ok.all()
+        assert len(sizes) > gg._STALL_RUN + 1
+        assert abs(ex.eval_system(eqs, X)).max() < 1e-12 * r
+
+    def test_slow_convergence_is_not_a_stall(self, monkeypatch):
+        # a double root converges linearly, each step half the one before,
+        # and runs the whole budget
+        r = 0.25
+        eqs = (ex.parse("y^2", 2),)
+        _, ok, sizes = self._linearized(
+            monkeypatch, eqs, ga.sphere_directions(2, 64, 0) * r, r)
+        assert ok.all()
+        assert len(sizes) == gg._PROJECT_ITERS + 1
 
 
 def _rotation(theta):
