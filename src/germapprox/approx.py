@@ -404,7 +404,7 @@ def approximate(a: SemianalyticSet, s: float,
     if not output.is_polynomial():
         raise ApproxError("internal: approximant is not polynomial")
     final = decide_equivalent(a, output, s, config.compare, cache)
-    out_dim, out_dims = _set_dimension(output, config, cache)
+    out_dim = _dim_at(output, r_fine, config, cache)
     if out_dim != input_dim:
         caveats.append(
             f"approximant dimension {out_dim} differs from input "

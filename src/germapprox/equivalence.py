@@ -324,7 +324,9 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
         if not len(ca):
             continue
         dmax = _max_dist(ca.points, b, config.npoints, config.seed, cache)
-        rows.append((r, dmax, max(ca.spacing, 1e-9 * r)))
+        # dmax is a solver distance to B's germ, so A's cloud spacing is
+        # not its resolution
+        rows.append((r, dmax, 1e-9 * r))
     caveats = []
     if not rows:
         caveats.append(f"{a.name!r} has no points at any sampled radius; "

@@ -27,7 +27,6 @@ holds geometry only: clouds and projections, never a set name or an error.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import threading
@@ -273,29 +272,19 @@ def _linearize(eqs, X: np.ndarray):
     return vals, jacs, _pinv(jacs)
 
 
-def _row_stable(fn):
-    """Make a row's result independent of the rows it shares the call with.
-
-    numpy's matmul multiplies a stack of :func:`_pinv`'s two-row
-    pseudo-inverses in its own loop but hands a lone one, then
-    Fortran-ordered, to BLAS, which rounds differently; so a call on a
-    single row runs on a stack of two copies of it.
-    """
-    def call(eqs, *rows):
-        if len(rows[0]) != 1:
-            return fn(eqs, *rows)
-        out = fn(eqs, *(np.repeat(a, 2, axis=0) for a in rows))
-        if isinstance(out, tuple):
-            return tuple(o[:1] for o in out)
-        return out[:1]
-    return functools.update_wrapper(call, fn)
+def _pinv_times(pinv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``(pinv @ v[..., None])[..., 0]``, summed over pinv's columns in
+    order starting from 0, as numpy's own matmul loop sums a stack.
+    matmul hands a lone pseudo-inverse from :func:`_pinv`, a
+    Fortran-ordered view, to BLAS instead, which rounds differently; this
+    sum gives a row the same bits at every batch size."""
+    return sum(pinv[..., j] * v[..., j, None] for j in range(v.shape[-1]))
 
 
-@_row_stable
 def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
     """Least-squares Newton steps toward {f = 0}, nan-safe."""
     vals, _, pinv = _linearize(eqs, X)
-    steps = -(pinv @ vals[..., None])[..., 0]
+    steps = -_pinv_times(pinv, vals)
     bad = ~np.all(np.isfinite(steps), axis=-1)
     if bad.any():
         steps[bad] = 0.0
@@ -737,14 +726,13 @@ def _distance_sample(r: float, ca: SliceCloud,
 # distance from points to a germ
 
 
-@_row_stable
 def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """One nearest-point step per row: the Gauss-Newton restoration onto
     {f = 0} minus the full part of ``Y - targets`` tangent to it, nan-safe."""
     vals, jacs, pinv = _linearize(eqs, Y)
     d = Y - targets
-    tang = d - (pinv @ (jacs @ d[..., None]))[..., 0]
-    restore = -(pinv @ vals[..., None])[..., 0]
+    tang = d - _pinv_times(pinv, (jacs @ d[..., None])[..., 0])
+    restore = -_pinv_times(pinv, vals)
     return np.nan_to_num(restore - tang, nan=0.0, posinf=0.0, neginf=0.0)
 
 
@@ -774,7 +762,8 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
     for _ in range(_NEAREST_ITERS):
         if idx.size == 0:
             break
-        step = _nearest_steps(eqs, Y[idx], targets[idx])
+        step = _nearest_steps(eqs, Y.take(idx, axis=0),
+                              targets.take(idx, axis=0))
         Y[idx] += step
         idx = idx[np.linalg.norm(step, axis=-1) > 1e-14 * scale[idx]]
     final = _gn_steps(eqs, Y)
@@ -925,7 +914,7 @@ def _screen(s: SemianalyticSet, X: np.ndarray):
         # its trace counts them
         kept = (jacs * np.swapaxes(pinv, -1, -2)).sum(axis=(-2, -1))
         must |= ~(kept > len(eqs) - 0.5)
-        step = np.linalg.norm((pinv @ vals[..., None])[..., 0], axis=-1)
+        step = np.linalg.norm(_pinv_times(pinv, vals), axis=-1)
         est = np.minimum(est, step)
     return est, must
 

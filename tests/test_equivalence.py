@@ -262,11 +262,16 @@ class TestHornCriterion:
         assert v.sigma == 4.5
         assert v.estimate is not None
 
-    def test_rejects_low_order_truncation(self, curves, quick_config,
-                                          shared_cache):
-        v = ga.horn_criterion(curves.get("exp_curve"), curves.get("trunc1"),
-                              3.0, quick_config, shared_cache)
-        assert not v.holds and v.sigma is None
+    def test_rejects_low_order_truncation(self, curves, surfaces,
+                                          quick_config, shared_cache):
+        g = surfaces.get("graph_exp")
+        for a, b, s in [
+                (curves.get("exp_curve"), curves.get("trunc1"), 3.0),
+                # order 3; a floor at A's cloud spacing, about 2.5e-3 r,
+                # passed every radius and certified sigma 4.5
+                (g, gs.truncate_eqs(g, 2), 3.5)]:
+            v = ga.horn_criterion(a, b, s, quick_config, shared_cache)
+            assert not v.holds and v.sigma is None
 
     def test_vacuous_when_a_empty(self, curves, quick_config, fresh_cache):
         v = ga.horn_criterion(ISOLATED, curves.get("line"), 2.0,

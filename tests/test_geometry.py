@@ -201,9 +201,25 @@ class TestProjectMatchesReference:
             alone = np.concatenate([gg._gn_steps(eqs, x[None]) for x in X])
             assert np.array_equal(alone, gg._gn_steps(eqs, X))
 
+    @pytest.mark.parametrize("texts", [
+        ("y - x^2", "z - x^3 - 0.5*y"),
+        ("y - sin(x)^2", "z - x^3 - exp(x)*x^4"),
+    ])
+    def test_lone_screen_row_like_a_batch(self, texts):
+        s = gs.SemianalyticSet(
+            name="space_curve", nvars=3, omega=1.0,
+            parts=(gs.BasicPresentation(
+                nvars=3, eqs=tuple(ex.parse(t, 3) for t in texts)),))
+        X = np.random.default_rng(0).uniform(-0.3, 0.3, (300, 3))
+        est, must = gg._screen(s, X)
+        alone = [gg._screen(s, x[None]) for x in X]
+        assert np.array_equal(np.concatenate([e for e, _ in alone]), est)
+        assert np.array_equal(np.concatenate([m for _, m in alone]), must)
+
     def test_lone_nearest_row_like_a_stack(self):
-        # two equations in three variables: a lone row's two-row
-        # pseudo-inverse product would otherwise round through BLAS
+        # two equations in three variables: two-column pseudo-inverses, the
+        # shape whose matmul numpy rounds one way for a lone row (BLAS) and
+        # another for a stack (its own loop)
         eqs = tuple(ex.parse(t, 3) for t in ("y - x^2", "z - x^3 - 0.5*y"))
         rng = np.random.default_rng(0)
         S, T = rng.uniform(-0.3, 0.3, (2, 200, 3))
