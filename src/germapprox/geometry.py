@@ -110,7 +110,11 @@ class SliceCloud:
     """Deduplicated samples of a set on the sphere of radius r, shape
     (N, nvars); N = 0 for an empty slice.
 
-    ``spacing`` is the resolution of the deduplicated points (see
+    The points are the accepted samples thinned by :func:`_slice_cloud`:
+    the first sample in each cell of a grid a quarter of the samples'
+    median gap wide (:func:`_grid_cell`), then one point per cluster
+    within ``_STEP_ACCEPT * r``, so copies of an isolated slice point
+    become one point. ``spacing`` is the resolution of those points (see
     :func:`_cloud_resolution`), floored at an absolute machine-noise guard;
     distances measured against this cloud carry no information below it.
     ``converged_fraction`` covers the primary strata only (the parts' own
@@ -463,14 +467,35 @@ def _normalize_system(eqs):
     return tuple(kept)
 
 
+def _group_rows(rows: np.ndarray):
+    """Group equal rows (0.0 equals -0.0) by a stable lexsort. Returns each
+    group's first row index, with the groups in the order of those
+    indices, and the group sizes."""
+    n = len(rows)
+    col = np.sort(rows[:, 0])
+    if not (col[1:] == col[:-1]).any():
+        # distinct first coordinates: every row is its own group
+        return np.arange(n), np.ones(n, dtype=np.intp)
+    order = np.lexsort(rows.T)
+    ranked = rows.take(order, axis=0)
+    # starts[i]: sorted row i opens a group; starts[n] closes the last one
+    starts = np.empty(n + 1, dtype=bool)
+    starts[0] = starts[n] = True
+    np.not_equal(ranked[1:, 0], ranked[:-1, 0], out=starts[1:n])
+    for c in range(1, rows.shape[1]):
+        starts[1:n] |= ranked[1:, c] != ranked[:-1, c]
+    heads = np.flatnonzero(starts)
+    first = order[heads[:-1]]
+    by_input = np.argsort(first)
+    return first[by_input], np.diff(heads)[by_input]
+
+
 def _dedup(points: np.ndarray, cell: float):
     """Grid-hash dedup; returns the first point in each occupied cell, in
-    input order, and how many points fell in that cell."""
-    cells = np.floor(points / cell).astype(np.int64)
-    _, first, counts = np.unique(cells, axis=0, return_index=True,
-                                 return_counts=True)
-    order = np.argsort(first)
-    return points[first[order]], counts[order]
+    input order, and how many points fell in that cell. Cells are told apart
+    by their floored float coordinates, which no integer range bounds."""
+    first, counts = _group_rows(np.floor(points / cell))
+    return points[first], counts
 
 
 def _merge_close(points: np.ndarray, counts: np.ndarray, tol: float):
@@ -512,7 +537,8 @@ def _cloud_resolution(points: np.ndarray, counts: np.ndarray,
     solver accuracy; a location hit once samples a continuum, and its gap
     to the nearest distinct neighbour is the local coverage. The median
     over points mixes the two regimes sensibly. ``gaps`` are those nearest-
-    neighbour distances when the caller already has them."""
+    neighbour distances when the caller already has them (see
+    :func:`_grid_cell`); otherwise one k-d tree query finds them."""
     if len(points) < 2:
         return _SPACING_GUARD
     if gaps is None:
@@ -521,13 +547,30 @@ def _cloud_resolution(points: np.ndarray, counts: np.ndarray,
     return max(float(np.median(res)), _SPACING_GUARD)
 
 
+def _grid_cell(raw: np.ndarray) -> float:
+    """The dedup grid's cell: a quarter of the resolution of the raw
+    samples, each of which stands for itself.
+
+    A row with an exact copy has gap 0; a lone row's gap is its distance to
+    the nearest other distinct row, which is the gap a k-d tree over all
+    the rows would give it. When more than half the rows have a copy the
+    median gap is 0 whatever the lone rows' gaps, so no tree is built."""
+    gaps = np.zeros(len(raw))
+    if len(raw) >= 2:
+        first, sizes = _group_rows(raw)
+        lone = first[sizes == 1]
+        if len(raw) - len(lone) <= len(raw) // 2:
+            distinct = raw.take(first, axis=0)
+            gaps[lone] = cKDTree(distinct).query(
+                distinct[sizes == 1], k=2)[0][:, 1]
+    return _cloud_resolution(raw, np.ones(len(raw)), gaps) / 4.0
+
+
 def _slice_cloud(r: float, fraction: float, attempts: int,
                  raw: np.ndarray) -> SliceCloud:
     """Deduplicate the accepted member samples at radius r into a cloud;
     no samples give an empty cloud at the noise-guard spacing."""
-    # before dedup every raw point stands for itself
-    cell = _cloud_resolution(raw, np.ones(len(raw))) / 4.0
-    points, counts = _dedup(raw, cell)
+    points, counts = _dedup(raw, _grid_cell(raw))
     # copies of one isolated slice point can straddle cell borders; accepted
     # points are known to _STEP_ACCEPT * r, so closer ones are one point
     points, counts, gaps = _merge_close(points, counts, _STEP_ACCEPT * r)

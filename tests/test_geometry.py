@@ -642,6 +642,21 @@ class TestDedup:
         assert np.array_equal(got_counts, want_counts)
         assert got_counts.sum() == n
 
+    @pytest.mark.parametrize("nvars,cell", [(2, 1e-3), (3, 0.05)])
+    def test_matches_loop_far_from_origin(self, nvars, cell):
+        # coordinates near 1e4, where cell indices run to 1e7, both signs
+        rng = np.random.default_rng(nvars)
+        pts = rng.uniform(-1.0, 1.0, size=(400, nvars))
+        pts[:, 0] += 1e4
+        pts[1::2, -1] -= 2e4
+        pts[200:] = pts[:200]
+        pts[::5] = np.round(pts[::5] / cell) * cell
+        got_pts, got_counts = gg._dedup(pts, cell)
+        want_pts, want_counts = _dedup_reference(pts, cell)
+        assert np.array_equal(got_pts, want_pts)
+        assert np.array_equal(got_counts, want_counts)
+        assert len(got_pts) < len(pts)
+
     def test_matches_loop_on_slice_samples(self, curves, surfaces):
         # accepted samples pile onto isolated slice points or spread along
         # slice curves, at the cell size sample_slice uses
@@ -650,11 +665,139 @@ class TestDedup:
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, 128, 0) * r, r)
             raw = raw[ok]
-            cell = gg._cloud_resolution(raw, np.ones(len(raw))) / 4.0
+            cell = gg._grid_cell(raw)
             got_pts, got_counts = gg._dedup(raw, cell)
             want_pts, want_counts = _dedup_reference(raw, cell)
             assert np.array_equal(got_pts, want_pts)
             assert np.array_equal(got_counts, want_counts)
+
+
+def _grid_cell_reference(raw):
+    """The dedup cell as every raw row's nearest-neighbour query over all
+    the rows: a quarter of the median gap, floored at the noise guard."""
+    if len(raw) < 2:
+        return gg._SPACING_GUARD / 4.0
+    gaps = cKDTree(raw).query(raw, k=2)[0][:, 1]
+    return max(float(np.median(gaps)), gg._SPACING_GUARD) / 4.0
+
+
+def _slice_cloud_reference(r, raw):
+    """A slice cloud's points, counts and spacing, built from the reference
+    cell, the dict-loop dedup and the leader merge."""
+    pts, counts = _dedup_reference(raw, _grid_cell_reference(raw))
+    pts, counts, gaps = gg._merge_close(pts, counts, gg._STEP_ACCEPT * r)
+    return pts, counts, gg._cloud_resolution(pts, counts, gaps)
+
+
+def _copies_raw(n, copied, nvars=2, seed=0):
+    """n random rows, exactly `copied` of which (0 or at least 2) have an
+    exact copy: pairs, and one triple when `copied` is odd; shuffled."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-0.25, 0.25, size=(n, nvars))
+    leader = 2 * np.minimum(np.arange(copied) // 2, copied // 2 - 1)
+    raw[:copied] = raw[leader]
+    raw = raw[rng.permutation(n)]
+    _, sizes = np.unique(raw, axis=0, return_counts=True)
+    assert sizes[sizes > 1].sum() == copied
+    return raw
+
+
+class TestGridCell:
+    """The cell _dedup uses equals the one a k-d tree query over every raw
+    row gives, bit for bit, without building that tree."""
+
+    @pytest.mark.parametrize("npoints", [128, 2000])
+    @pytest.mark.parametrize("r", [0.25, 2.0 ** -8])
+    def test_matches_reference_on_slice_samples(self, curves, surfaces, r,
+                                                npoints):
+        for nvars, eqs in _corpus_systems(curves, surfaces):
+            raw, ok = gg.project_to_sphere_slice(
+                eqs, ga.sphere_directions(nvars, npoints, 0) * r, r)
+            raw = raw[ok]
+            assert gg._grid_cell(raw) == _grid_cell_reference(raw)
+            cloud = gg._slice_cloud(r, 1.0, npoints, raw)
+            want_pts, want_counts, want_spacing = _slice_cloud_reference(
+                r, raw)
+            _, counts, _ = gg._merge_close(
+                *gg._dedup(raw, gg._grid_cell(raw)), gg._STEP_ACCEPT * r)
+            assert np.array_equal(cloud.points, want_pts)
+            assert np.array_equal(counts, want_counts)
+            assert cloud.spacing == want_spacing
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
+    def test_all_copies(self, n):
+        raw = np.tile([[0.1, -0.2]], (n, 1))
+        assert gg._grid_cell(raw) == _grid_cell_reference(raw)
+        assert gg._grid_cell(raw) == gg._SPACING_GUARD / 4.0
+
+    @pytest.mark.parametrize("n", [9, 10, 255, 256])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_half_the_rows_copied(self, n, extra):
+        # n//2 rows with a copy leave the median to the lone rows' gaps;
+        # one more makes it 0
+        raw = _copies_raw(n, n // 2 + extra, seed=n)
+        assert gg._grid_cell(raw) == _grid_cell_reference(raw)
+        assert (gg._grid_cell(raw) == gg._SPACING_GUARD / 4.0) == bool(extra)
+
+    def test_signed_zeros_are_copies(self):
+        raw = np.array([[0.0, 0.1], [-0.0, 0.1], [0.0, -0.1],
+                        [0.3, 0.0], [0.3, -0.0], [0.2, 0.2]])
+        first, sizes = gg._group_rows(raw)
+        assert first.tolist() == [0, 2, 3, 5]
+        assert sizes.tolist() == [2, 1, 2, 1]
+        assert gg._grid_cell(raw) == _grid_cell_reference(raw)
+        assert gg._grid_cell(raw[[0, 2, 3, 5, 1]]) == _grid_cell_reference(
+            raw[[0, 2, 3, 5, 1]])
+
+    @pytest.mark.parametrize("copied", [0, 3, 50, 51])
+    def test_one_variable(self, copied):
+        raw = _copies_raw(101, copied, nvars=1, seed=copied)
+        assert gg._grid_cell(raw) == _grid_cell_reference(raw)
+
+    def test_no_tree_over_piled_up_copies(self, curves, monkeypatch):
+        # exp_curve meets the sphere in two points, so its accepted samples
+        # are copies of two points; the cell needs no tree over them
+        tree_sizes, raw_sizes = [], []
+
+        def counting_tree(data, *args, **kw):
+            tree_sizes.append(len(data))
+            return cKDTree(data, *args, **kw)
+
+        def recording_slice_cloud(r, fraction, attempts, raw):
+            raw_sizes.append(len(raw))
+            return slice_cloud(r, fraction, attempts, raw)
+
+        slice_cloud = gg._slice_cloud
+        monkeypatch.setattr(gg, "cKDTree", counting_tree)
+        monkeypatch.setattr(gg, "_slice_cloud", recording_slice_cloud)
+        c = ga.sample_slice(curves.get("exp_curve"), 0.0625, npoints=2000,
+                            cache=ga.SliceCache())
+        assert len(c) == 2
+        assert raw_sizes and min(raw_sizes) > 1000
+        assert max(tree_sizes, default=0) < min(raw_sizes)
+
+
+class TestSliceCloudFarFromOrigin:
+    """Dedup cells far from the origin are told apart: no integer cast
+    wraps them onto each other."""
+
+    SETS = make_collection(
+        {"vars": ["x", "y"], "omega": 1e5,
+         "sets": {"line": {"parts": [{"eqs": ["y - x"]}]},
+                  "half": {"parts": [{"ineqs": ["x"]}]}}})
+
+    @pytest.mark.parametrize("r", [3000.0, 5e4])
+    def test_far_slices_keep_their_points(self, r):
+        line = ga.sample_slice(self.SETS.get("line"), r,
+                               cache=ga.SliceCache())
+        assert len(line) == 2
+        assert np.linalg.norm(line.points[0] - line.points[1]) > r
+        # the half-plane's slice is a half circle, sampled as at r = 1
+        half = ga.sample_slice(self.SETS.get("half"), r,
+                               cache=ga.SliceCache())
+        near = ga.sample_slice(self.SETS.get("half"), 1.0,
+                               cache=ga.SliceCache())
+        assert len(half) == len(near) > 100
 
 
 def _check_gaps(pts, gaps):
@@ -709,8 +852,7 @@ class TestMergeClose:
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, 128, 0) * r, r)
             raw = raw[ok]
-            pts, counts = gg._dedup(
-                raw, gg._cloud_resolution(raw, np.ones(len(raw))) / 4.0)
+            pts, counts = gg._dedup(raw, gg._grid_cell(raw))
             tol = gg._STEP_ACCEPT * r
             got_pts, got_counts, gaps = gg._merge_close(pts, counts, tol)
             want_pts, want_counts = _merge_reference(pts, counts, tol)
