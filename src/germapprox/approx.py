@@ -34,7 +34,7 @@ from .equivalence import (
     Verdict,
     decide_equivalent,
 )
-from .geometry import numeric_dimension
+from .geometry import numeric_dimension, sample_slices
 from .sets import (
     BasicPresentation,
     SemianalyticSet,
@@ -246,8 +246,11 @@ def _dim_at(s: SemianalyticSet, r: float, config: ApproxConfig,
 def _set_dimension(s: SemianalyticSet, config: ApproxConfig,
                    cache: SliceCache | None):
     """Dimension at the finest schedule radius, and at the two finest,
-    finest first."""
+    finest first. Both radii are sampled in one call, so each stratum is
+    projected once for the pair."""
     small = _smallest_radii(config)
+    sample_slices(s, small, npoints=config.compare.npoints,
+                  seed=config.compare.seed, cache=cache)
     dims = [_dim_at(s, r, config, cache) for r in small]
     return dims[0], dims
 
@@ -296,6 +299,12 @@ def approximate(a: SemianalyticSet, s: float,
             final_verdict=verdict, success=True, input_dimension=0,
             output_dimension=0, caveats=tuple(caveats))
 
+    # the rest of the schedule in one more call; the part sets share the
+    # input's strata, so their comparisons find them in the cache. An input
+    # of dimension 0 never compares, so it is not sampled there
+    sample_slices(a, config.compare.schedule.radii(),
+                  npoints=config.compare.npoints, seed=config.compare.seed,
+                  cache=cache)
     r_fine = _smallest_radii(config)[0]
     part_results = []
     output_parts: list[BasicPresentation] = []

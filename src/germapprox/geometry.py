@@ -58,7 +58,8 @@ _PINV_RCOND = 1e-9
 # implies sigma2/sigma1 >= this, far above _PINV_RCOND; other rows: the SVD
 _PINV_CLOSED_GUARD = 1e-6
 # a slice point is isolated and regular when the row-normalized
-# [J_f(x); x/r] has sigma_min/sigma_max above this (see _isolated_radii)
+# [J_f(x); x/r] has sigma_min/sigma_max above this (see _isolated_radii:
+# a closed form for the 2 x 2 shape, the SVD for the others)
 _ISOLATED_GUARD = 1e-6
 # the distance screen (see _max_dist) refines first the rows whose
 # first-order estimate is at least this fraction of the largest
@@ -598,7 +599,11 @@ def _isolated_radii(eqs, entries: dict, nstarts: int, nvars: int) -> set:
     [f; |x|^2 / 2] with each row normalized, [J_f(x); x/r], has rank nvars,
     its sigma_min / sigma_max above ``_ISOLATED_GUARD``. Fewer than
     nvars - 1 equations cannot reach that rank, and nothing is evaluated.
-    All radii share one Jacobian evaluation and one stacked SVD.
+    All radii share one Jacobian evaluation. A 2 x 2 M (one equation in two
+    variables) is tested in closed form: sigma1 sigma2 = |det M|,
+    sigma1^2 + sigma2^2 = |M|_F^2, and rho / (1 + rho^2) grows with
+    rho = sigma2 / sigma1 on [0, 1], so rho > g exactly when
+    |det M| (1 + g^2) > g |M|_F^2. Other shapes take one stacked SVD.
     """
     if len(eqs) + 1 < nvars:
         return set()
@@ -612,8 +617,13 @@ def _isolated_radii(eqs, entries: dict, nstarts: int, nvars: int) -> set:
     M[~np.isfinite(M).all(axis=(1, 2))] = 0.0
     norms = np.linalg.norm(M, axis=-1, keepdims=True)
     M /= np.where(norms > 0.0, norms, 1.0)
-    svals = np.linalg.svd(M, compute_uv=False)
-    regular = svals[:, -1] > _ISOLATED_GUARD * svals[:, 0]
+    g = _ISOLATED_GUARD
+    if M.shape[1:] == (2, 2):
+        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+        regular = np.abs(det) * (1.0 + g * g) > g * (M * M).sum(axis=(1, 2))
+    else:
+        svals = np.linalg.svd(M, compute_uv=False)
+        regular = svals[:, -1] > g * svals[:, 0]
     return {r for r, ok in zip(full, regular.reshape(len(full), nstarts))
             if ok.all()}
 

@@ -4,6 +4,7 @@ import pytest
 
 import germapprox as ga
 from germapprox import expr as ex
+from germapprox import geometry as gg
 from germapprox import sets as gs
 from germapprox.approx import (
     ApproxError,
@@ -199,6 +200,40 @@ class TestIsolatedOrigin:
         assert res.input_dimension == res.output_dimension == 0
         assert any("origin is isolated" in c for c in res.caveats)
         assert res.final_verdict.holds
+
+
+class TestInputSampling:
+    """approximate projects each stratum of its input in two calls: the two
+    finest radii for the dimension estimate, then the rest of the schedule.
+    An input of dimension 0 stops after the first."""
+
+    @staticmethod
+    def _project_rows(monkeypatch, s, acfg, eqs=None):
+        """Rows of each projection call, of the system ``eqs`` or of all,
+        while approximating s on a fresh cache."""
+        project, rows = gg.project_to_sphere_slice, []
+
+        def counting(system, starts, r):
+            if eqs is None or tuple(system) == eqs:
+                rows.append(len(starts))
+            return project(system, starts, r)
+
+        monkeypatch.setattr(gg, "project_to_sphere_slice", counting)
+        ga.approximate(s, 2.0, acfg, ga.SliceCache())
+        return rows
+
+    @pytest.mark.parametrize("name", ["exp_curve", "halfline"])
+    def test_two_calls_per_input_stratum(self, curves, acfg, monkeypatch,
+                                         name):
+        s = curves.get(name)
+        primary = tuple(gg._normalize_system(s.parts[0].eqs))
+        n, count = acfg.compare.npoints, len(acfg.compare.schedule.radii())
+        assert self._project_rows(monkeypatch, s, acfg, primary) == \
+            [2 * n, (count - 2) * n]
+
+    def test_dimension_zero_projects_two_radii(self, acfg, monkeypatch):
+        rows = self._project_rows(monkeypatch, ISOLATED, acfg)
+        assert rows == [2 * acfg.compare.npoints]
 
 
 class TestSearchExhaustion:

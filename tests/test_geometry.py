@@ -608,6 +608,127 @@ class TestPinv:
         assert not calls
 
 
+def _regular_reference(jacs, X, r):
+    """Row by row, by the SVD: the row-normalized [J_f(x); x/r] has
+    sigma_min / sigma_max above ``_ISOLATED_GUARD``."""
+    M = np.concatenate([jacs, (X / r)[:, None]], axis=1)
+    M[~np.isfinite(M).all(axis=(1, 2))] = 0.0
+    norms = np.linalg.norm(M, axis=-1, keepdims=True)
+    M /= np.where(norms > 0.0, norms, 1.0)
+    svals = np.linalg.svd(M, compute_uv=False)
+    return svals[:, -1] > gg._ISOLATED_GUARD * svals[:, 0]
+
+
+def _pair_rows(rng, rho):
+    """(n, 2, 2) stacks whose two rows are unit vectors at the angle
+    2 atan(rho), so sigma2 / sigma1 = rho, each row then scaled by a
+    random power of ten."""
+    a = rng.uniform(0.0, 2.0 * np.pi, len(rho))
+    b = a + 2.0 * np.arctan(rho) * rng.choice([-1.0, 1.0], len(rho))
+    M = np.stack([np.stack([np.cos(a), np.sin(a)], axis=1),
+                  np.stack([np.cos(b), np.sin(b)], axis=1)], axis=1)
+    return M * 10.0 ** rng.uniform(-3.0, 3.0, (len(rho), 2, 1))
+
+
+class TestIsolatedRadii:
+    """The regularity test of the stratum-skip rule: a closed form for the
+    2 x 2 shape, which must decide every row as the SVD does."""
+
+    @staticmethod
+    def _check(monkeypatch, jacs, X):
+        """Each row's verdict against the reference's; the Jacobians are
+        injected, and row i sits alone at its own radius, so the returned
+        radii name the regular rows."""
+        radii = 0.25 + 1e-7 * np.arange(len(X))
+        pts = X * radii[:, None]
+        entries = {float(r): (x[None], 1) for r, x in zip(radii, pts)}
+
+        def given(eqs, at):
+            assert np.array_equal(at, pts)
+            return None, jacs
+
+        want = _regular_reference(jacs, pts, radii[:, None])
+        monkeypatch.setattr(ex, "eval_system_jacobian", given)
+        got = gg._isolated_radii((ex.Var(0),) * jacs.shape[1], entries, 1,
+                                 X.shape[1])
+        assert np.array_equal([float(r) in got for r in radii], want)
+        return want
+
+    def test_random_ratios(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        g = gg._ISOLATED_GUARD
+        rho = np.concatenate([10.0 ** rng.uniform(-9.0, 0.0, 4000),
+                              g * (1.0 + rng.uniform(-1e-6, 1e-6, 2000))])
+        M = _pair_rows(rng, rho)
+        regular = self._check(monkeypatch, M[:, :1], M[:, 1])
+        # both sides of the guard are drawn, also next to it
+        assert regular[4000:].any() and not regular[4000:].all()
+
+    def test_zero_and_rank_deficient_rows(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        M = rng.standard_normal((8, 2, 2))
+        M[0] = 0.0
+        M[1, 0] = 0.0
+        M[2, 1] = 0.0
+        M[3, 1] = -3.0 * M[3, 0]
+        M[4, 1] = 1e-300 * M[4, 0]
+        want = self._check(monkeypatch, M[:, :1], M[:, 1])
+        assert not want[:5].any() and want[5:].all()
+
+    def test_non_finite_jacobians(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        M = rng.standard_normal((6, 2, 2))
+        M[0, 0, 0] = np.nan
+        M[1, 0, 1] = np.inf
+        M[2, 0] = -np.inf
+        want = self._check(monkeypatch, M[:, :1], M[:, 1])
+        assert not want[:3].any() and want[3:].all()
+
+    def test_other_shapes_match_the_svd(self, monkeypatch):
+        # two equations in three variables: (3, 3); two in two: (3, 2)
+        rng = np.random.default_rng(3)
+        for m, n in [(2, 3), (2, 2)]:
+            jacs = rng.standard_normal((50, m, n))
+            jacs[:5, 1] = jacs[:5, 0]
+            self._check(monkeypatch, jacs, rng.standard_normal((50, n)))
+
+    @pytest.mark.parametrize("r", [0.25, 2.0 ** -8])
+    def test_corpus_curve_strata(self, curves, r):
+        dirs = ga.sphere_directions(2, 256, 0)
+        checked = 0
+        for s in curves.sets.values():
+            for part in s.parts:
+                if not part.ineqs or not part.eqs:
+                    continue
+                (eqs, _), *_ = gg._part_strata(part, gg.SLICE_DEPTH)
+                eqs = gg._normalize_system(eqs)
+                X, ok = gg.project_to_sphere_slice(eqs, dirs * r, r)
+                entries = {r: (X[ok], int(ok.sum()))}
+                _, jacs = ex.eval_system_jacobian(eqs, X[ok])
+                full = ok.all() and _regular_reference(jacs, X[ok], r).all()
+                got = gg._isolated_radii(eqs, entries, len(dirs), 2)
+                assert got == ({r} if full else set())
+                checked += full
+        assert checked
+
+    def test_halfline_needs_no_svd(self, curves, monkeypatch):
+        calls, svd = [], np.linalg.svd
+        isolated = gg._isolated_radii
+
+        def counting_svd(*args, **kw):
+            calls.append("svd")
+            return svd(*args, **kw)
+
+        def recording(*args, **kw):
+            calls.append("isolated")
+            return isolated(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(gg, "_isolated_radii", recording)
+        ga.sample_slice(curves.get("halfline"), 0.25, cache=ga.SliceCache())
+        assert calls == ["isolated"]
+
+
 def _dedup_reference(points, cell):
     """Grid-hash dedup as a dict loop: the first point of each cell, in
     input order, with the cell's hit count."""
