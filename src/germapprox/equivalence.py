@@ -29,7 +29,7 @@ from .geometry import (
     SliceCache,
     SliceCloud,
     _distance_sample,
-    _max_dist,
+    _max_dists,
     dist_to_set_batch,
     sample_slices,
 )
@@ -307,26 +307,23 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     fit of the per-radius worst distances for cross-checking against the
     limit fit.
 
-    Only that largest distance counts, so the nearest-point solver runs
-    first on the samples whose first-order distance (one Gauss-Newton step
-    onto B) is within 10% of the largest, or which that estimate cannot
-    vouch for (B has inequalities, or a value or Jacobian there is
-    non-finite or near-singular), and then only on the samples whose
-    distance to B's origin and cloud still exceeds what those gave (see
-    ``geometry._max_dist``). The solver only lowers a distance, so the
-    samples it skips cannot hold the maximum. The refined samples look up
-    B's cloud at the radius the whole slice would, the exact float the
-    cache is keyed on, so the maximum is the one :func:`dist_to_set_batch`
-    on every sample gives, bit for bit.
+    Only that largest distance counts. Each sample's distance to B is first
+    bounded without the solver, by B's origin, its cloud, and the point a
+    few Gauss-Newton steps from the sample land on B. The solver then runs
+    on each radius's samples by falling bound, in growing chunks, until no
+    bound left exceeds the largest distance found; it only lowers a
+    distance, so the samples it skips cannot hold the maximum (see
+    ``geometry._max_dists``). All radii go in one batch, and each sample
+    looks up B's cloud at the radius its whole slice would, so each maximum
+    is the one :func:`dist_to_set_batch` on that slice gives, bit for bit.
     """
-    rows = []
-    for r, ca in zip(config.schedule.radii(), _clouds(a, config, cache)):
-        if not len(ca):
-            continue
-        dmax = _max_dist(ca.points, b, config.npoints, config.seed, cache)
-        # dmax is a solver distance to B's germ, so A's cloud spacing is
-        # not its resolution
-        rows.append((r, dmax, 1e-9 * r))
+    clouds = _clouds(a, config, cache)
+    dmaxes = _max_dists([c.points for c in clouds], b, config.npoints,
+                        config.seed, cache)
+    # each dmax is a solver distance to B's germ, so A's cloud spacing is
+    # not its resolution
+    rows = [(r, dmax, 1e-9 * r) for r, ca, dmax in zip(
+        config.schedule.radii(), clouds, dmaxes) if len(ca)]
     caveats = []
     if not rows:
         caveats.append(f"{a.name!r} has no points at any sampled radius; "

@@ -61,9 +61,10 @@ _PINV_CLOSED_GUARD = 1e-6
 # [J_f(x); x/r] has sigma_min/sigma_max above this (see _isolated_radii:
 # a closed form for the 2 x 2 shape, the SVD for the others)
 _ISOLATED_GUARD = 1e-6
-# the distance screen (see _max_dist) refines first the rows whose
-# first-order estimate is at least this fraction of the largest
-_SCREEN_KEEP = 0.9
+# Gauss-Newton steps from a row to its landing on a part (see _landing)
+_LANDING_STEPS = 3
+# the rows in the first chunk that _max_dists refines of each batch
+_FIRST_CHUNK = 8
 # a sphere projection row stalls at an iteration whose two-iteration
 # displacement is at most _STALL_SPAN times its step and at most
 # _STALL_GROWTH times the one before; _STALL_RUN stalled iterations in a row
@@ -809,7 +810,7 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
     if not eqs:
         return Y, np.ones(len(Y), dtype=bool)
     scale = np.maximum(np.linalg.norm(targets, axis=-1), 1e-30)
-    for _ in range(3):
+    for _ in range(_LANDING_STEPS):
         Y = Y + _gn_steps(eqs, Y)
     idx = np.arange(len(Y))
     for _ in range(_NEAREST_ITERS):
@@ -830,19 +831,20 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
                       cache: SliceCache | None = None) -> np.ndarray:
     """Distance from each query point to the set germ, shape (N, n) -> (N,).
 
-    Candidates come from three sources per query: the origin (when a part
+    Candidates come from four sources per query: the origin (when a part
     passes through it), the set's slice cloud at the queries' median
-    radius, and constrained refinement onto every boundary stratum of every
-    part, multi-started from the query and its nearest cloud points. The
-    multistart does not depend on the stratum, so it is built once per
-    call. Queries that already read as members get distance zero. Infinity
-    means the set offered no candidate at all (an empty germ). Non-finite
-    query points raise GeometryError.
+    radius, the point each part's equations land the query on
+    (:func:`_landing`), and constrained refinement onto every boundary
+    stratum of every part, multi-started from the query and its nearest
+    cloud points. The multistart does not depend on the stratum, so it is
+    built once per call. Queries that already read as members get distance
+    zero. Infinity means the set offered no candidate at all (an empty
+    germ). Non-finite query points raise GeometryError.
 
     Every other step is row by row and start by start, so a row's distance
     depends on the other rows only through that cloud radius:
-    :func:`_max_dist` refines subsets of the rows and of their starts at
-    the radius of the whole batch and gets the same bits.
+    :func:`_max_dists` refines subsets of the rows at the radius of the
+    whole batch and gets the same bits.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -850,59 +852,107 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     if not np.isfinite(X).all():
         raise GeometryError("query points must be finite")
     r_cloud = float(np.median(np.linalg.norm(X, axis=-1))) if len(X) else 0.0
-    return _dist_rows(X, s, r_cloud, npoints, seed, cache)
-
-
-def _dist_rows(X: np.ndarray, s: SemianalyticSet, r_cloud: float,
-               npoints: int, seed: int, cache: SliceCache | None
-               ) -> np.ndarray:
-    """:func:`dist_to_set_batch` on finite rows X, with its cloud candidates
-    sampled at radius ``r_cloud``."""
-    best, starts = _dist_candidates(X, s, r_cloud, npoints, seed, cache)
-    run = np.zeros(starts.shape[:2], dtype=bool)
-    run[best > 0.0] = True
+    best, starts, run = _dist_candidates(X, s, r_cloud, npoints, seed, cache)
     _refine(X, s, best, starts, run)
     return best
 
 
-def _dist_candidates(X: np.ndarray, s: SemianalyticSet, r_cloud: float,
+def _dist_candidates(X: np.ndarray, s: SemianalyticSet, r_cloud,
                      npoints: int, seed: int, cache: SliceCache | None):
-    """The candidates of :func:`dist_to_set_batch` that need no solver.
+    """The candidates of :func:`dist_to_set_batch` that need no solver, for
+    rows X whose clouds lie at the radii ``r_cloud``: one for every row, or
+    one per row (rows with the same radius share its cloud).
 
     Returns ``best``, each row's least candidate distance so far: 0 for a
     member, else the least of its norm (when a part passes through the
-    origin) and its distance to the nearest point of the cloud at radius
-    ``r_cloud``; and ``starts``, shape (N, k, n), each row's multistart:
-    itself, then its nearest cloud points. Refinement only lowers ``best``.
+    origin), its distance to the nearest point of its cloud and its landing
+    distance; ``starts``, shape (N, k, n), each row's multistart: itself,
+    then its nearest cloud points, padded with copies of itself where its
+    cloud has fewer than k - 1 points; and ``run``, shape (N, k), the
+    unpadded starts of every row whose ``best`` is above 0. Refinement
+    only lowers ``best``.
     """
     best = np.full(len(X), math.inf)
-    if not s.parts:
-        return best, X[:, None]
-    member = membership_mask(s, X)
-    best[member] = 0.0
-    if member.all():
-        return best, X[:, None]
+    if s.parts:
+        best[membership_mask(s, X)] = 0.0
+    if not s.parts or not (best > 0.0).any():
+        return best, X[:, None], (best > 0.0)[:, None]
     if any(p.through_origin for p in s.parts):
         best = np.minimum(best, np.linalg.norm(X, axis=-1))
 
     # the cache keys clouds on the exact radius, so a row subset must ask
-    # for the whole batch's, not its own median
-    cloud = None
-    if 0.0 < r_cloud <= s.omega:
+    # for the whole batch's, not its own median; a radius whose rows are
+    # all members samples no cloud
+    r_cloud = np.broadcast_to(r_cloud, best.shape)
+    near = []
+    for r in np.unique(r_cloud[best > 0.0]):
+        if not 0.0 < r <= s.omega:
+            continue
         try:
-            cloud = sample_slice(s, r_cloud, npoints=npoints, seed=seed,
+            cloud = sample_slice(s, float(r), npoints=npoints, seed=seed,
                                  cache=cache)
         except EmptySliceError:
-            pass
-    starts = [X]
-    if cloud is not None:
-        k_near = min(3, len(cloud.points))
-        # k as a list keeps both results 2-D even when k_near is 1
-        dists, near = cKDTree(cloud.points).query(
-            X, k=list(range(1, k_near + 1)))
-        best = np.minimum(best, dists[:, 0])
-        starts += [cloud.points[near[:, c]] for c in range(k_near)]
-    return best, np.stack(starts, axis=1)
+            continue
+        rows = np.flatnonzero(r_cloud == r)
+        # k as a list keeps both results 2-D even when the cloud is 1 point
+        dists, idx = cKDTree(cloud.points).query(
+            X[rows], k=list(range(1, min(3, len(cloud.points)) + 1)))
+        best[rows] = np.minimum(best[rows], dists[:, 0])
+        near.append((rows, cloud.points[idx]))
+    k = 1 + max((pts.shape[1] for _, pts in near), default=0)
+    starts = np.repeat(X[:, None], k, axis=1)
+    count = np.ones(len(X))
+    for rows, pts in near:
+        starts[rows, 1:pts.shape[1] + 1] = pts
+        count[rows] += pts.shape[1]
+    live = np.flatnonzero(best > 0.0)
+    best[live] = np.minimum(best[live], _landing(X[live], s))
+    run = (np.arange(k) < count[:, None]) & (best > 0.0)[:, None]
+    return best, starts, run
+
+
+def _in_germ(Y: np.ndarray, ineqs, omega: float, X: np.ndarray):
+    """Rows of Y, points found for the query rows X, inside the ball of
+    radius omega (to 1e-9 relative) that meet every inequality of ``ineqs``
+    to within ``1e-8 * max(1, |x|)``."""
+    keep = np.linalg.norm(Y, axis=-1) <= omega * (1.0 + 1e-9)
+    tol = 1e-8 * np.maximum(1.0, np.linalg.norm(X, axis=-1))
+    for g in ineqs:
+        vals = ex.eval_many(g, Y)
+        keep &= np.isfinite(vals) & (vals >= -tol)
+    return keep
+
+
+def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
+    """Per row x of X, |Y - x| for the point Y that ``_LANDING_STEPS``
+    Gauss-Newton steps from x reach on a part's own equations, the least
+    over the parts; inf where no part's Y is valid, row by row.
+
+    Y is valid where the residual is finite, the pseudo-inverse cuts no
+    direction off (so a short step means a small residual), the next step
+    is at most ``_STEP_ACCEPT * |x|``, and :func:`_in_germ` keeps Y as it
+    keeps a refined point. Near a squared factor the steps converge only
+    linearly, so rows there do not land.
+    """
+    out = np.full(len(X), math.inf)
+    for part in s.parts:
+        eqs = _normalize_system(part.eqs)
+        if not eqs:
+            continue
+        Y = X
+        for _ in range(_LANDING_STEPS):
+            Y = Y + _gn_steps(eqs, Y)
+        vals, jacs, pinv = _linearize(eqs, Y)
+        ok = np.isfinite(_system_residual(eqs, Y))
+        # J J^+ projects onto the directions the pseudo-inverse kept, so
+        # its trace counts them
+        kept = (jacs * np.swapaxes(pinv, -1, -2)).sum(axis=(-2, -1))
+        ok &= kept > len(eqs) - 0.5
+        ok &= (np.linalg.norm(_pinv_times(pinv, vals), axis=-1)
+               <= _STEP_ACCEPT * np.linalg.norm(X, axis=-1))
+        ok[ok] = _in_germ(Y[ok], part.ineqs, s.omega, X[ok])
+        out[ok] = np.minimum(out[ok], np.linalg.norm(Y[ok] - X[ok], axis=-1))
+    return out
 
 
 def _refine(X: np.ndarray, s: SemianalyticSet, best: np.ndarray,
@@ -914,102 +964,60 @@ def _refine(X: np.ndarray, s: SemianalyticSet, best: np.ndarray,
     if not own.size:
         return
     S0, T0 = starts[own, col], X[own]
-    ineq_tol = 1e-8 * np.maximum(1.0, np.linalg.norm(X, axis=-1))
     for part in s.parts:
         for eqs, rest in _part_strata(part, _DIST_DEPTH):
             eqs = _normalize_system(eqs)
             if not eqs:
                 continue
             Y, ok = _nearest_on_variety(eqs, S0, T0)
-            if not ok.any():
-                continue
-            Y, T, o = Y[ok], T0[ok], own[ok]
-            keep = np.linalg.norm(Y, axis=-1) <= s.omega * (1.0 + 1e-9)
-            for g in rest:
-                vals = ex.eval_many(g, Y)
-                keep &= np.isfinite(vals) & (vals >= -ineq_tol[o])
-            if not keep.any():
-                continue
-            d = np.linalg.norm(Y[keep] - T[keep], axis=-1)
-            np.minimum.at(best, o[keep], d)
+            ok[ok] = _in_germ(Y[ok], rest, s.omega, T0[ok])
+            if ok.any():
+                np.minimum.at(best, own[ok], np.linalg.norm(
+                    Y[ok] - T0[ok], axis=-1))
 
 
-def _screen(s: SemianalyticSet, X: np.ndarray):
-    """First-order distance from each row of X to the germ of s, and a mask
-    of the rows that estimate cannot vouch for.
+def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
+               cache: SliceCache | None) -> list[float]:
+    """``max(dist_to_set_batch(X, s, ...))`` for each point array X of
+    ``clouds``, bit for bit (0.0 for an empty X), with the nearest-point
+    solver run only on the rows that can hold a maximum.
 
-    The estimate is the norm of one Gauss-Newton step onto a part's
-    equations (|f| / |grad f| for one equation), the least over the parts.
-    It says nothing where a part has inequalities or no equations (every
-    row is flagged), nor at a row whose values or Jacobian are not finite
-    (`_linearize` would read them as 0, a zero step) or whose Jacobian's
-    pseudo-inverse cuts a direction off (sigma_min / sigma_max at most
-    ``_PINV_RCOND``; a zero Jacobian for one equation), where the step
-    misses the distance along it.
+    Every row's bound is its least candidate that needs no solver (see
+    :func:`_dist_candidates`). The solver runs every start of each X's
+    rows by falling bound, in chunks of ``_FIRST_CHUNK`` rows and 4 times
+    the last chunk after that, and X stops at the first row whose bound is
+    at most its largest distance refined so far. Refinement only lowers a
+    distance, so no row left out can exceed that maximum; a poor bound
+    costs time, not bits. The X are stacked, so one call finds every
+    candidate and one solver call runs each round's chunks. Rows never mix,
+    and each X's rows take the cloud at its own median radius, so every row
+    gets the bits of a call on its X alone.
     """
-    est = np.full(len(X), math.inf)
-    must = np.zeros(len(X), dtype=bool)
-    for part in s.parts:
-        eqs = _normalize_system(part.eqs)
-        if eqs is None:
-            continue
-        if part.ineqs or not eqs:
-            return est, np.ones(len(X), dtype=bool)
-        vals, jacs = ex.eval_system_jacobian(eqs, X)
-        # a row with a non-finite value or Jacobian gets a zero Jacobian,
-        # which fails the guard
-        bad = ~(np.isfinite(vals).all(axis=-1)
-                & np.isfinite(jacs).all(axis=(-2, -1)))
-        vals[bad] = 0.0
-        jacs[bad] = 0.0
-        pinv = _pinv(jacs)
-        # J J^+ projects onto the directions the pseudo-inverse kept, so
-        # its trace counts them
-        kept = (jacs * np.swapaxes(pinv, -1, -2)).sum(axis=(-2, -1))
-        must |= ~(kept > len(eqs) - 0.5)
-        step = np.linalg.norm(_pinv_times(pinv, vals), axis=-1)
-        est = np.minimum(est, step)
-    return est, must
-
-
-def _max_dist(X: np.ndarray, s: SemianalyticSet, npoints: int, seed: int,
-              cache: SliceCache | None) -> float:
-    """``max(dist_to_set_batch(X, s, ...))``, bit for bit, with the
-    nearest-point solver run only on the rows that can hold the maximum.
-
-    Every row first gets the candidates that need no solver (see
-    :func:`_dist_candidates`); a member's 0 is final. One solver call then
-    runs every start of the rows :func:`_screen` cannot vouch for and of
-    those whose estimate is at least ``_SCREEN_KEEP`` times the largest
-    (the rows most likely to hold the maximum), and the start at the row
-    itself of any other row whose distance so far passes that cut. A
-    second runs the remaining starts of every row whose distance so far
-    still exceeds the first rows' maximum. A start left out cannot matter:
-    refinement only lowers its row's distance, which is already at most
-    that maximum. The screen only picks the order, so a poor estimate (a
-    squared equation, factors of mixed multiplicity) costs time, not bits.
-    The cloud is sampled once, at the whole batch's median radius, so each
-    row gets the bits the whole-batch call would give it.
-    """
-    r_cloud = float(np.median(np.linalg.norm(X, axis=-1))) if len(X) else 0.0
-    best, starts = _dist_candidates(X, s, r_cloud, npoints, seed, cache)
-    rows = np.flatnonzero(best > 0.0)
-    if rows.size:
-        est, must = _screen(s, X[rows])
-        cut = _SCREEN_KEEP * est[~must].max(initial=0.0)
-        first = rows[must | (est >= cut)]
-        # every start of the rows most likely to hold the maximum, and the
-        # start at itself, the one that usually finds a row's nearest point,
-        # of any other row that the cut leaves open
-        run = np.zeros(starts.shape[:2], dtype=bool)
-        run[best > cut, 0] = True
-        run[first] = True
-        _refine(X, s, best, starts, run)
-        dmax = best[first].max(initial=0.0)
-        # the rest of the starts of every row still above their maximum
-        run = ~run & (best > dmax)[:, None]
-        _refine(X, s, best, starts, run)
-    return float(best.max(initial=0.0))
+    sizes = [len(P) for P in clouds]
+    batch = np.repeat(np.arange(len(clouds)), sizes)
+    X = np.concatenate(clouds)
+    r_cloud = [float(np.median(np.linalg.norm(P, axis=-1))) if len(P)
+               else 0.0 for P in clouds]
+    best, starts, run = _dist_candidates(X, s, np.repeat(r_cloud, sizes),
+                                         npoints, seed, cache)
+    # each row's rank within its batch, largest bound first
+    rank = np.empty(len(X), dtype=np.intp)
+    rank[np.lexsort((-best, batch))] = np.arange(len(X))
+    rank -= (np.cumsum(sizes) - sizes)[batch]
+    dmax = np.zeros(len(clouds))
+    lo, size = 0, _FIRST_CHUNK
+    while True:
+        # a batch's rows come by falling bound, unrefined rows still hold
+        # theirs, and its maximum only grows: once no row of a round can
+        # pass it, no later row can
+        pick = (rank >= lo) & (rank < lo + size) & (best > dmax[batch])
+        if not pick.any():
+            break
+        _refine(X, s, best, starts, run & pick[:, None])
+        np.maximum.at(dmax, batch[pick], best[pick])
+        lo, size = lo + size, 4 * size
+    np.maximum.at(dmax, batch, best)
+    return dmax.tolist()
 
 
 # ---------------------------------------------------------------------------

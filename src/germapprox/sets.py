@@ -45,15 +45,12 @@ class BasicPresentation:
     """One basic part: equations f_i = 0 and inequalities g_j >= 0.
 
     ``through_origin`` asserts that the origin satisfies the constraints and
-    is checked at construction. ``good_presentation`` records the caller's
-    claim that equations cut the set to its dimension with generically full
-    Jacobian rank; it is advisory and never verified symbolically.
+    is checked at construction.
     """
 
     nvars: int
     eqs: tuple[Expr, ...]
     ineqs: tuple[Expr, ...] = ()
-    good_presentation: bool = False
     through_origin: bool = True
 
     def __post_init__(self):
@@ -158,7 +155,6 @@ def _truncate_part(part: BasicPresentation, h: int | None,
             ex.poly_to_expr(ex.taylor(g, k, part.nvars)) for g in ineqs)
     return BasicPresentation(
         nvars=part.nvars, eqs=eqs, ineqs=ineqs,
-        good_presentation=part.good_presentation,
         through_origin=part.through_origin)
 
 
@@ -413,8 +409,8 @@ def parse_collection(doc: dict) -> SetCollection:
         raw_parts = body["parts"]
         if not isinstance(raw_parts, list) or not raw_parts:
             raise SetFileError(f"{where} needs a nonempty 'parts' list")
-        good = body.get("good_presentation", False)
-        if not isinstance(good, bool):
+        # an advisory claim about the equations, checked only for its type
+        if not isinstance(body.get("good_presentation", False), bool):
             raise SetFileError(f"'good_presentation' of {where} must be a bool")
         parts = []
         for idx, raw in enumerate(raw_parts):
@@ -439,8 +435,7 @@ def parse_collection(doc: dict) -> SetCollection:
                             f"{pwhere}: {exc}") from None
             try:
                 parts.append(BasicPresentation(
-                    nvars=nvars, eqs=tuple(eqs), ineqs=tuple(ineqs),
-                    good_presentation=good))
+                    nvars=nvars, eqs=tuple(eqs), ineqs=tuple(ineqs)))
             except (SetError, ex.ExprError) as exc:
                 raise SetFileError(f"invalid {pwhere}: {exc}") from None
         sets[set_name] = SemianalyticSet(

@@ -205,16 +205,17 @@ class TestProjectMatchesReference:
         ("y - x^2", "z - x^3 - 0.5*y"),
         ("y - sin(x)^2", "z - x^3 - exp(x)*x^4"),
     ])
-    def test_lone_screen_row_like_a_batch(self, texts):
+    def test_lone_landing_row_like_a_batch(self, texts):
         s = gs.SemianalyticSet(
             name="space_curve", nvars=3, omega=1.0,
             parts=(gs.BasicPresentation(
                 nvars=3, eqs=tuple(ex.parse(t, 3) for t in texts)),))
         X = np.random.default_rng(0).uniform(-0.3, 0.3, (300, 3))
-        est, must = gg._screen(s, X)
-        alone = [gg._screen(s, x[None]) for x in X]
-        assert np.array_equal(np.concatenate([e for e, _ in alone]), est)
-        assert np.array_equal(np.concatenate([m for _, m in alone]), must)
+        batch = gg._landing(X, s)
+        # most rows land, some do not
+        assert 0.5 < np.isfinite(batch).mean() < 1.0
+        alone = np.concatenate([gg._landing(x[None], s) for x in X])
+        assert np.array_equal(alone, batch)
 
     def test_lone_nearest_row_like_a_stack(self):
         # two equations in three variables: two-column pseudo-inverses, the
@@ -1245,6 +1246,29 @@ def _dist_reference(X, s, npoints, seed, cache):
         near_idx = np.argsort(D, axis=1)[:, :min(3, len(cloud.points))]
     todo = np.flatnonzero(~member)
     ineq_tol = 1e-8 * np.maximum(1.0, norms)
+    # the landing: three Gauss-Newton steps from the query onto a part's
+    # own equations, kept where the next step is at most 1e-12 |x| at a
+    # point of the ball with a finite residual and a full-rank Jacobian
+    # that meets the part's inequalities
+    for part in s.parts:
+        eqs = gg._normalize_system(part.eqs)
+        if not eqs:
+            continue
+        Y = x = X[todo]
+        for _ in range(3):
+            Y = Y + gg._gn_steps(eqs, Y)
+        jacs = ex.eval_system_jacobian(eqs, Y)[1]
+        sv = np.linalg.svd(np.where(np.isfinite(jacs), jacs, 0.0),
+                           compute_uv=False)
+        land = sv[:, -1] > gg._PINV_RCOND * sv[:, 0]
+        land &= np.isfinite(gg._system_residual(eqs, Y))
+        land &= (np.linalg.norm(gg._gn_steps(eqs, Y), axis=1)
+                 <= 1e-12 * norms[todo])
+        land &= np.linalg.norm(Y, axis=1) <= s.omega * (1.0 + 1e-9)
+        for g in part.ineqs:
+            vals = ex.eval_many(g, Y)
+            land &= np.isfinite(vals) & (vals >= -ineq_tol[todo])
+        np.minimum.at(best, todo[land], np.linalg.norm(Y - x, axis=1)[land])
     for part in s.parts:
         for eqs, rest in gg._part_strata(part, gg._DIST_DEPTH):
             eqs = gg._normalize_system(eqs)
@@ -1368,17 +1392,31 @@ def _count_refined(monkeypatch):
 
 
 class TestMaxDist:
-    """``_max_dist`` refines the rows whose first-order distance is near
-    the largest, then only the rows whose cloud distance exceeds what those
-    gave, and returns ``max(dist_to_set_batch)`` bit for bit."""
+    """``_max_dists`` screens each radius's rows by a bound that needs no
+    solver (the cloud distance, or the landing distance where a row lands),
+    refines them in growing chunks, largest bound first, until no bound
+    left exceeds the maximum refined, and returns each radius's
+    ``max(dist_to_set_batch)`` bit for bit."""
 
     RADII = ga.RadiiSchedule(0.25).radii()
+
+    def _check_schedule(self, x, y, cache, radii=RADII):
+        """One ``_max_dists`` call over x's clouds at ``radii`` against
+        ``dist_to_set_batch`` at each radius (0.0 for an empty cloud)."""
+        clouds = gg.sample_slices(x, radii, npoints=256, seed=0, cache=cache)
+        got = gg._max_dists([c.points for c in clouds], y, 256, 0, cache)
+        want = [float(np.max(ga.dist_to_set_batch(
+            c.points, y, npoints=256, seed=0, cache=cache), initial=0.0))
+            for c in clouds]
+        assert got == want, (x.name, y.name)
+        return clouds
 
     @pytest.mark.parametrize("coll,a,b", [
         # acceptance criterion 3, and the horn tests of test_equivalence
         ("curves", "exp_curve", "trunc1"),
         ("curves", "exp_curve", "trunc2"),
         ("curves", "exp_curve", "trunc3"),
+        # B's cloud holds fewer than 3 points, so fewer starts per row
         ("curves", "parabola", "line"),
         ("curves", "halfline", "line"),
         # a union, and a redundant presentation with a singular Jacobian
@@ -1393,27 +1431,55 @@ class TestMaxDist:
         sets = request.getfixturevalue(coll)
         a, b = _get(sets, a), _get(sets, b)
         for x, y in ((a, b), (b, a)):
-            clouds = gg.sample_slices(x, self.RADII, npoints=256, seed=0,
-                                      cache=shared_cache)
-            for r, cloud in zip(self.RADII, clouds):
-                want = float(np.max(ga.dist_to_set_batch(
-                    cloud.points, y, npoints=256, seed=0,
-                    cache=shared_cache)))
-                got = gg._max_dist(cloud.points, y, 256, 0, shared_cache)
-                assert got == want, (x.name, y.name, r)
+            self._check_schedule(x, y, shared_cache)
 
-    def test_screen_refines_a_minority(self, surfaces, shared_cache,
-                                       monkeypatch):
+    def test_schedule_with_empty_radii_and_mixed_start_counts(
+            self, fresh_cache, monkeypatch):
+        # A: the diagonal outside the disk of radius 0.04, empty at the
+        # five smallest radii. B: the x-axis (2 slice points), and the
+        # y-axis inside the disk of radius 0.1 (2 more at r <= 0.1)
+        def part(eq, ineqs=(), through_origin=True):
+            return gs.BasicPresentation(
+                nvars=2, eqs=(ex.parse(eq, 2),),
+                ineqs=tuple(ex.parse(g, 2) for g in ineqs),
+                through_origin=through_origin)
+
+        a = gs.SemianalyticSet(name="a", nvars=2, omega=0.5, parts=(
+            part("y - x", ["x^2 + y^2 - 0.0016"], through_origin=False),))
+        b = gs.SemianalyticSet(name="b", nvars=2, omega=0.5, parts=(
+            part("y"), part("x", ["0.01 - x^2 - y^2"])))
+        refined = _count_refined(monkeypatch)
+        clouds = self._check_schedule(a, b, fresh_cache)
+        assert [len(c) > 0 for c in clouds] == [True] * 3 + [False] * 5
+        # the rows at 0.25 and 0.125 have 1 + 2 starts, those at 0.0625
+        # 1 + 3; only real starts are refined, never a padded copy
+        X = np.concatenate([c.points for c in clouds])
+        r_cloud = np.repeat(
+            [np.median(np.linalg.norm(c.points, axis=1)) for c in clouds[:3]],
+            [len(c) for c in clouds[:3]])
+        _, starts, run = gg._dist_candidates(X, b, r_cloud, 256, 0,
+                                             fresh_cache)
+        assert starts.shape[1] == 4
+        big = r_cloud > 0.1
+        assert set(run[big].sum(axis=1)) == {3}
+        assert set(run[~big].sum(axis=1)) == {4}
+        assert 0 < sum(refined)
+
+    def test_early_stop_runs_a_minority(self, surfaces, shared_cache,
+                                        monkeypatch):
         g = surfaces.get("graph_exp")
         b = gs.truncate_eqs(g, 1)
         X = ga.sample_slice(g, 0.25, npoints=1000, seed=0,
                             cache=shared_cache).points
         calls = _count_refined(monkeypatch)
         ga.dist_to_set_batch(X, b, npoints=1000, seed=0, cache=shared_cache)
-        gg._max_dist(X, b, 1000, 0, shared_cache)
-        # no row is left above the first call's maximum
-        full, first, second = calls
-        assert 0 < first < full / 2 and second == 0
+        (full,) = calls
+        calls.clear()
+        gg._max_dists([X], b, 1000, 0, shared_cache)
+        # every row lands, and the first chunk of 8 rows (4 starts each)
+        # already holds the maximum
+        assert np.isfinite(gg._landing(X, b)).all()
+        assert calls == [4 * gg._FIRST_CHUNK] and calls[0] < full / 100
 
     def test_row_subset_at_the_batch_radius_keeps_its_bits(self, surfaces,
                                                            fresh_cache):
@@ -1431,59 +1497,63 @@ class TestMaxDist:
         rows = np.flatnonzero((norms > r) & (full > 0.0))[:40]
         assert rows.size and np.median(norms[rows]) != r
         keys = len(fresh_cache._store)
-        got = gg._dist_rows(X[rows], b, r, 1000, 0, fresh_cache)
+        got, starts, run = gg._dist_candidates(X[rows], b, r, 1000, 0,
+                                               fresh_cache)
+        gg._refine(X[rows], b, got, starts, run)
         assert np.array_equal(got, full[rows])
         assert len(fresh_cache._store) == keys
 
-    def test_rows_the_screen_cannot_vouch_for(self, curves):
+    def test_landings_refused(self, curves):
+        # each case pairs a row that must not land with one near the set
+        # that does
+        def lands(s, X):
+            return np.isfinite(gg._landing(np.array(X), s)).tolist()
+
         # log1p(10x) is nan past x = -0.1, where `_linearize` would read a
-        # zero step; x^2 - 0.2x has a zero gradient on the line x = 0.1
+        # zero step
         log_graph = _one_part_set(["y - log1p(10*x)"], [])
+        assert lands(log_graph, [[-0.2, 0.0], [0.02, math.log1p(0.2) + 1e-4]]
+                     ) == [False, True]
+        # x^2 - 0.2x has a zero gradient, so a zero step, on x = 0.1
         flat = _one_part_set(["x^2 - 0.2*x"], [])
-        X = np.array([[-0.2, 0.0], [0.1, 0.3], [0.3, 0.1]])
-        assert gg._screen(log_graph, X)[1].tolist() == [True, False, False]
-        assert gg._screen(flat, X)[1].tolist() == [False, True, False]
-        # two equations whose Jacobian has rank 1 on the curve y = x^3
-        on_curve = np.array([[0.1, 0.001], [0.1, 0.3]])
-        assert gg._screen(curves.get("cusp_product"),
-                          on_curve)[1].tolist() == [True, False]
-        # an inequality bounds the distance from below, not the step
-        assert gg._screen(curves.get("halfline"), X)[1].all()
+        assert lands(flat, [[0.1, 0.3], [0.2001, 0.1]]) == [False, True]
+        # two equations whose Jacobian has rank 1 on the curve y = x^3: a
+        # point of it takes a zero step but is not a regular landing
+        assert lands(curves.get("cusp_product"), [[0.1, 0.001]]) == [False]
+        # the half-line y = 0, x >= 0: a row by the other half lands on a
+        # point that breaks the inequality
+        assert lands(curves.get("halfline"), [[-0.2, 0.01], [0.2, 0.01]]
+                     ) == [False, True]
+        # a row landing outside the ball of radius omega = 0.5
+        line = _one_part_set(["y"], [])
+        assert lands(line, [[0.6, 0.01], [0.4, 0.01]]) == [False, True]
 
     def test_screen_off_by_a_factor_keeps_the_maximum(self, surfaces,
                                                       fresh_cache,
                                                       monkeypatch):
-        # on a squared equation the Gauss-Newton step is half the distance
+        # on a squared equation Gauss-Newton converges only linearly, so no
+        # row lands and each row's bound is its cloud distance
         squared = _one_part_set(["(z - x^2)^2"], [], nvars=3)
         X = ga.sample_slice(surfaces.get("plane_z"), 0.25, npoints=256,
                             seed=0, cache=fresh_cache).points
+        assert np.isinf(gg._landing(X, squared)).all()
         calls = _count_refined(monkeypatch)
         want = float(np.max(ga.dist_to_set_batch(X, squared, npoints=256,
                                                  seed=0, cache=fresh_cache)))
-        assert gg._max_dist(X, squared, 256, 0, fresh_cache) == want
-        # the step keeps the rows' order, so the first call holds the maximum
-        full, first, second = calls
-        assert 0 < first < full and second == 0
+        (full,) = calls
+        calls.clear()
+        assert gg._max_dists([X], squared, 256, 0, fresh_cache) == [want]
+        assert 0 < sum(calls) < full / 4
 
-    def test_factors_of_mixed_multiplicity(self, fresh_cache, monkeypatch):
-        # near the double line y = 2x of B the step is about half the
-        # distance, near the simple line y = 0 it is about the distance: A's
-        # rows by y = 1.5x screen below those by y = 0.1x, yet lie farther
+    def test_factors_of_mixed_multiplicity(self, fresh_cache):
+        # near the double line y = 2x of B Gauss-Newton converges linearly,
+        # and near the simple line y = 0 A's rows by y = 0.1x are too far
+        # to land in three steps: every bound is a cloud distance
         b = _one_part_set(["y*(y - 2*x)^2"], [])
         a = _one_part_set(["(y - 0.1*x)*(y - 1.5*x)"], [])
-        calls = _count_refined(monkeypatch)
-        second = []
-        for r in self.RADII:
-            X = ga.sample_slice(a, r, npoints=256, seed=0,
-                                cache=fresh_cache).points
-            want = float(np.max(ga.dist_to_set_batch(
-                X, b, npoints=256, seed=0, cache=fresh_cache)))
-            calls.clear()
-            assert gg._max_dist(X, b, 256, 0, fresh_cache) == want, r
-            second.append(calls[1])
-        # the rows by y = 1.5x stay above the maximum of those by y = 0.1x,
-        # so the second call runs their cloud starts
-        assert second[0] > 0
+        clouds = self._check_schedule(a, b, fresh_cache)
+        for c in clouds:
+            assert np.isinf(gg._landing(c.points, b)).all()
 
     @pytest.mark.parametrize("coll,a,b", [
         ("curves", "exp_curve", "trunc2"),
@@ -1492,21 +1562,14 @@ class TestMaxDist:
     ])
     def test_any_screen_keeps_the_maximum(self, request, shared_cache,
                                           monkeypatch, coll, a, b):
-        # the screen picks only which rows go first: with random estimates
-        # the maximum is still exact
+        # the bound picks only which rows go first: with no row landing,
+        # so each bound is the cloud distance, the maximum is still exact
         sets = request.getfixturevalue(coll)
-        rng = np.random.default_rng(0)
-        monkeypatch.setattr(gg, "_screen", lambda s, X: (
-            rng.random(len(X)), np.zeros(len(X), dtype=bool)))
+        monkeypatch.setattr(gg, "_landing",
+                            lambda X, s: np.full(len(X), math.inf))
         a, b = _get(sets, a), _get(sets, b)
         for x, y in ((a, b), (b, a)):
-            for r in self.RADII[::3]:
-                X = ga.sample_slice(x, r, npoints=256, seed=0,
-                                    cache=shared_cache).points
-                want = float(np.max(ga.dist_to_set_batch(
-                    X, y, npoints=256, seed=0, cache=shared_cache)))
-                got = gg._max_dist(X, y, 256, 0, shared_cache)
-                assert got == want, (x.name, y.name, r)
+            self._check_schedule(x, y, shared_cache, self.RADII[::3])
 
 
 class TestTangentCone:

@@ -405,6 +405,12 @@ class TestCorpus:
         assert surfaces.names == ["x", "y", "z"]
         assert loj.omega == 1.0
 
-    def test_good_presentation_flag_round_trips(self, curves):
-        assert curves.get("parabola").parts[0].good_presentation
-        assert not curves.get("halfdisk").parts[0].good_presentation
+    def test_good_presentation_key_still_loads(self):
+        # corpus files carry the key; it is checked for its type and
+        # otherwise ignored, so a set loads the same with it or without it
+        doc = {"vars": ["x", "y"], "omega": 0.5,
+               "sets": {"p": {"parts": [{"eqs": ["y - x^2"]}]}}}
+        plain = make_collection(doc).get("p")
+        doc["sets"]["p"]["good_presentation"] = True
+        flagged = make_collection(doc).get("p")
+        assert flagged == plain and flagged.signature() == plain.signature()
