@@ -76,12 +76,15 @@ _STALL_RUN = 6
 _PROJECT_ITERS = 50
 _NEAREST_ITERS = 40
 # step fractions the sphere projection's line search tries, in order and in
-# two batches: the full step and its first halving for every row, then the
-# other 24 halvings for the rows neither of those improved
-_LINE_SEARCH = (0.5 ** np.arange(2), 0.5 ** np.arange(2, 26))
+# three batches: the full step alone for every row (it improves most: 99%
+# of the rows it is tried on in horn_surfaces, 92% in approx_corpus), then
+# 1/2 to 1/16 for the rows it did not improve, then the other 21 halvings
+# for the rows still pending
+_LINE_SEARCH = (0.5 ** np.arange(1), 0.5 ** np.arange(1, 5),
+                0.5 ** np.arange(5, 26))
 # trial points the line search renormalizes and evaluates at once: 2048 rows
-# of the 24-halving batch, so a call's memory stays bounded whatever its rows
-_LINE_SEARCH_TRIALS = 2048 * 24
+# of the largest batch, so a call's memory stays bounded whatever its rows
+_LINE_SEARCH_TRIALS = 2048 * 21
 # inequality combinations promoted to equations as boundary strata: one at
 # a time for slices, up to two for distances to a germ
 SLICE_DEPTH = 1
@@ -354,11 +357,12 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
     fractions of ``_LINE_SEARCH`` (1, 1/2, ..., 2^-25), renormalizes onto
     the sphere, and moves to the first trial point whose residual is lower
     than the row's current one; a row with none stops where it is. The
-    trial points are renormalized and evaluated in two batches (the first
-    two fractions for every row, the rest for rows still pending), each cut
-    into chunks of at most ``_LINE_SEARCH_TRIALS`` trial points. Scaling
-    by a power of two is exact and the evaluation is row by row, so the
-    result is the same as trying the fractions one at a time.
+    trial points are renormalized and evaluated in the three batches of
+    ``_LINE_SEARCH`` (the full step for every row, 1/2 to 1/16 for the rows
+    it did not improve, the rest for rows still pending), each cut into
+    chunks of at most ``_LINE_SEARCH_TRIALS`` trial points. Scaling by a
+    power of two is exact and the evaluation is row by row, so the result
+    is the same as trying the fractions one at a time.
 
     A row that keeps moving but gets nowhere stalls: it hops between two
     points, or creeps toward a root off the sphere. Iteration k >= 1 of a
@@ -493,30 +497,37 @@ def _group_rows(rows: np.ndarray):
 
 
 def _dedup(points: np.ndarray, cell: float):
-    """Grid-hash dedup; returns the first point in each occupied cell, in
-    input order, and how many points fell in that cell. Cells are told apart
-    by their floored float coordinates, which no integer range bounds."""
-    first, counts = _group_rows(np.floor(points / cell))
-    return points[first], counts
+    """Grid-hash dedup; returns the index of the first point in each
+    occupied cell, in input order, and how many points fell in that cell.
+    Cells are told apart by their floored float coordinates, which no
+    integer range bounds."""
+    return _group_rows(np.floor(points / cell))
 
 
-def _merge_close(points: np.ndarray, counts: np.ndarray, tol: float):
+def _merge_close(points: np.ndarray, counts: np.ndarray, tol: float,
+                 gaps: np.ndarray | None = None):
     """Leader clustering in input order: a point within tol of an earlier
     kept point joins the first such point, otherwise it is kept. Returns
     the kept points, in input order, the summed counts of each one's
     cluster, and, when nothing merged, each point's distance to its nearest
     other point (else None: the kept points need a query of their own).
 
-    A point with no other point within tol keeps itself; only the crowded
-    rest is clustered, one k-d tree ball query per kept point."""
+    ``gaps`` are those nearest-neighbour distances when the caller already
+    has them (see :func:`_slice_cloud`); otherwise one k-d tree query finds
+    them. A point with no other point within tol keeps itself; only the
+    crowded rest is clustered, one k-d tree ball query per kept point."""
     n = len(points)
     if n < 2:
         return points, counts, None
-    tree = cKDTree(points)
-    gaps = tree.query(points, k=2)[0][:, 1]
+    tree = None
+    if gaps is None:
+        tree = cKDTree(points)
+        gaps = tree.query(points, k=2)[0][:, 1]
     crowded = np.flatnonzero(gaps <= tol)
     if crowded.size == 0:
         return points, counts, gaps
+    if tree is None:
+        tree = cKDTree(points)
     leader = np.arange(n)
     free = np.zeros(n, dtype=bool)
     free[crowded] = True
@@ -549,33 +560,58 @@ def _cloud_resolution(points: np.ndarray, counts: np.ndarray,
     return max(float(np.median(res)), _SPACING_GUARD)
 
 
-def _grid_cell(raw: np.ndarray) -> float:
+def _grid_cell(raw: np.ndarray):
     """The dedup grid's cell: a quarter of the resolution of the raw
-    samples, each of which stands for itself.
+    samples, each of which stands for itself. Returns the cell and, when
+    every raw row is distinct, each row's gap and the index of the row at
+    that gap (else None).
 
     A row with an exact copy has gap 0; a lone row's gap is its distance to
     the nearest other distinct row, which is the gap a k-d tree over all
     the rows would give it. When more than half the rows have a copy the
     median gap is 0 whatever the lone rows' gaps, so no tree is built."""
     gaps = np.zeros(len(raw))
+    near = None
     if len(raw) >= 2:
         first, sizes = _group_rows(raw)
         lone = first[sizes == 1]
         if len(raw) - len(lone) <= len(raw) // 2:
             distinct = raw.take(first, axis=0)
-            gaps[lone] = cKDTree(distinct).query(
-                distinct[sizes == 1], k=2)[0][:, 1]
-    return _cloud_resolution(raw, np.ones(len(raw)), gaps) / 4.0
+            dists, idx = cKDTree(distinct).query(distinct[sizes == 1], k=2)
+            gaps[lone] = dists[:, 1]
+            if len(lone) == len(raw):
+                # first is every row in order, so idx indexes raw
+                near = (gaps, idx[:, 1])
+    return _cloud_resolution(raw, np.ones(len(raw)), gaps) / 4.0, near
 
 
 def _slice_cloud(r: float, fraction: float, attempts: int,
                  raw: np.ndarray) -> SliceCloud:
     """Deduplicate the accepted member samples at radius r into a cloud;
-    no samples give an empty cloud at the noise-guard spacing."""
-    points, counts = _dedup(raw, _grid_cell(raw))
+    no samples give an empty cloud at the noise-guard spacing.
+
+    When every raw row is distinct, :func:`_grid_cell`'s query already
+    holds most kept points' gaps among the kept points: the kept points are
+    raw rows, so a kept point whose nearest raw row was kept too has that
+    row at the same gap. Only the points whose nearest raw row was dropped
+    are queried again, over the kept points."""
+    cell, near = _grid_cell(raw)
+    first, counts = _dedup(raw, cell)
+    points = raw.take(first, axis=0)
+    gaps = None
+    if near is not None:
+        raw_gaps, nearest = near
+        kept = np.zeros(len(raw), dtype=bool)
+        kept[first] = True
+        gaps = raw_gaps[first]
+        lost = np.flatnonzero(~kept[nearest[first]])
+        if lost.size:
+            gaps[lost] = cKDTree(points).query(
+                points.take(lost, axis=0), k=2)[0][:, 1]
     # copies of one isolated slice point can straddle cell borders; accepted
     # points are known to _STEP_ACCEPT * r, so closer ones are one point
-    points, counts, gaps = _merge_close(points, counts, _STEP_ACCEPT * r)
+    points, counts, gaps = _merge_close(points, counts, _STEP_ACCEPT * r,
+                                        gaps)
     return SliceCloud(r=r, points=points, converged_fraction=fraction,
                       spacing=_cloud_resolution(points, counts, gaps),
                       attempts=attempts)
@@ -800,11 +836,12 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
     ``_NEAREST_ITERS`` iterations. Rows never mix, so a row's result does
     not depend on the rows it shares the call with.
 
-    Returns final points and a converged mask: a last Gauss-Newton step of
-    at most ``1e-9·|target|``. `_linearize` reads a non-finite value as 0,
-    so a row outside an equation's domain would take no step and look
-    converged; the mask therefore also requires a finite residual at the
-    final point.
+    Returns final points and a converged mask, :func:`_settled` with a
+    last Gauss-Newton step of at most ``1e-9·|target|``. A zero step proves
+    nothing where the Jacobian loses rank (a start on the critical locus of
+    its equation does not move), and `_linearize` reads a non-finite value
+    as 0, so a row outside an equation's domain takes no step either; the
+    rank and residual tests refuse both.
     """
     Y = np.array(starts, dtype=float)
     if not eqs:
@@ -820,10 +857,7 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
                               targets.take(idx, axis=0))
         Y[idx] += step
         idx = idx[np.linalg.norm(step, axis=-1) > 1e-14 * scale[idx]]
-    final = _gn_steps(eqs, Y)
-    ok = np.linalg.norm(final, axis=-1) <= 1e-9 * scale
-    ok &= np.isfinite(_system_residual(eqs, Y))
-    return Y, ok
+    return Y, _settled(eqs, Y, 1e-9 * scale)
 
 
 def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
@@ -923,16 +957,30 @@ def _in_germ(Y: np.ndarray, ineqs, omega: float, X: np.ndarray):
     return keep
 
 
+def _settled(eqs, Y: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Rows of Y on {f = 0} to within the per-row step ``tol``: the
+    residual is finite, the pseudo-inverse cuts no direction off (so a
+    short Gauss-Newton step means a small residual), and that step is at
+    most ``tol``."""
+    vals, jacs, pinv = _linearize(eqs, Y)
+    ok = np.isfinite(_system_residual(eqs, Y))
+    # J J^+ projects onto the directions the pseudo-inverse kept, so its
+    # trace counts them
+    kept = (jacs * np.swapaxes(pinv, -1, -2)).sum(axis=(-2, -1))
+    ok &= kept > len(eqs) - 0.5
+    ok &= np.linalg.norm(_pinv_times(pinv, vals), axis=-1) <= tol
+    return ok
+
+
 def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
     """Per row x of X, |Y - x| for the point Y that ``_LANDING_STEPS``
     Gauss-Newton steps from x reach on a part's own equations, the least
     over the parts; inf where no part's Y is valid, row by row.
 
-    Y is valid where the residual is finite, the pseudo-inverse cuts no
-    direction off (so a short step means a small residual), the next step
-    is at most ``_STEP_ACCEPT * |x|``, and :func:`_in_germ` keeps Y as it
-    keeps a refined point. Near a squared factor the steps converge only
-    linearly, so rows there do not land.
+    Y is valid where :func:`_settled` holds with a step of at most
+    ``_STEP_ACCEPT * |x|`` and :func:`_in_germ` keeps Y as it keeps a
+    refined point. Near a squared factor the steps converge only linearly,
+    so rows there do not land.
     """
     out = np.full(len(X), math.inf)
     for part in s.parts:
@@ -942,14 +990,7 @@ def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
         Y = X
         for _ in range(_LANDING_STEPS):
             Y = Y + _gn_steps(eqs, Y)
-        vals, jacs, pinv = _linearize(eqs, Y)
-        ok = np.isfinite(_system_residual(eqs, Y))
-        # J J^+ projects onto the directions the pseudo-inverse kept, so
-        # its trace counts them
-        kept = (jacs * np.swapaxes(pinv, -1, -2)).sum(axis=(-2, -1))
-        ok &= kept > len(eqs) - 0.5
-        ok &= (np.linalg.norm(_pinv_times(pinv, vals), axis=-1)
-               <= _STEP_ACCEPT * np.linalg.norm(X, axis=-1))
+        ok = _settled(eqs, Y, _STEP_ACCEPT * np.linalg.norm(X, axis=-1))
         ok[ok] = _in_germ(Y[ok], part.ineqs, s.omega, X[ok])
         out[ok] = np.minimum(out[ok], np.linalg.norm(Y[ok] - X[ok], axis=-1))
     return out

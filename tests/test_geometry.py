@@ -274,7 +274,7 @@ class TestProjectMatchesReference:
     def test_chunked_line_search_matches_one_batch(self, curves,
                                                    monkeypatch):
         # the cusp's end {y^2 - x^3, x} misses every sphere, so all 16,000
-        # rows reach the 24-halving batch at the first iteration; a few
+        # rows reach the 21-halving batch at the first iteration; a few
         # iterations show the chunks, the rest only cost time
         monkeypatch.setattr(gg, "_PROJECT_ITERS", 5)
         s = curves.get("cusp")
@@ -304,8 +304,26 @@ class TestProjectMatchesReference:
             assert np.array_equal(X, X1)
             assert np.array_equal(ok, ok1)
             if system is end:
-                assert max(batches) == 16000 * 24
+                assert max(batches) == 16000 * 21
                 assert chunked > len(batches)
+
+    def test_full_step_tried_alone_first(self, monkeypatch):
+        # on the parabola the full step lowers every start's residual, so
+        # the first iteration evaluates one trial point per pending row
+        monkeypatch.setattr(gg, "_PROJECT_ITERS", 1)
+        residual = gg._system_residual
+        trials = []
+
+        def counting(eqs, X):
+            if X.ndim == 3:
+                trials.append(X.shape[:2])
+            return residual(eqs, X)
+
+        monkeypatch.setattr(gg, "_system_residual", counting)
+        r = 0.25
+        starts = ga.sphere_directions(2, 64, seed=0) * r
+        self._check((ex.parse("y - x^2", 2),), starts, r)
+        assert trials == [(64, 1)]
 
     def test_inflated_strata(self, curves):
         part = curves.get("cusp_product").parts[0]
@@ -748,6 +766,12 @@ def _dedup_reference(points, cell):
     return points[keep], np.array(counts)
 
 
+def _deduped(points, cell):
+    """The points _dedup keeps, and their counts."""
+    first, counts = gg._dedup(points, cell)
+    return points[first], counts
+
+
 class TestDedup:
     @pytest.mark.parametrize("n,nvars,cell", [
         (1, 2, 1e-3), (50, 2, 1e-15), (300, 2, 0.05), (300, 3, 0.1),
@@ -758,7 +782,7 @@ class TestDedup:
         # repeated rows and points on cell boundaries, both signs
         pts[n // 2:] = pts[: n - n // 2]
         pts[::7] = np.round(pts[::7] / cell) * cell
-        got_pts, got_counts = gg._dedup(pts, cell)
+        got_pts, got_counts = _deduped(pts, cell)
         want_pts, want_counts = _dedup_reference(pts, cell)
         assert np.array_equal(got_pts, want_pts)
         assert np.array_equal(got_counts, want_counts)
@@ -773,7 +797,7 @@ class TestDedup:
         pts[1::2, -1] -= 2e4
         pts[200:] = pts[:200]
         pts[::5] = np.round(pts[::5] / cell) * cell
-        got_pts, got_counts = gg._dedup(pts, cell)
+        got_pts, got_counts = _deduped(pts, cell)
         want_pts, want_counts = _dedup_reference(pts, cell)
         assert np.array_equal(got_pts, want_pts)
         assert np.array_equal(got_counts, want_counts)
@@ -787,8 +811,8 @@ class TestDedup:
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, 128, 0) * r, r)
             raw = raw[ok]
-            cell = gg._grid_cell(raw)
-            got_pts, got_counts = gg._dedup(raw, cell)
+            cell = gg._grid_cell(raw)[0]
+            got_pts, got_counts = _deduped(raw, cell)
             want_pts, want_counts = _dedup_reference(raw, cell)
             assert np.array_equal(got_pts, want_pts)
             assert np.array_equal(got_counts, want_counts)
@@ -805,7 +829,8 @@ def _grid_cell_reference(raw):
 
 def _slice_cloud_reference(r, raw):
     """A slice cloud's points, counts and spacing, built from the reference
-    cell, the dict-loop dedup and the leader merge."""
+    cell, the dict-loop dedup and the leader merge over a fresh k-d tree of
+    the kept points (no gaps handed over)."""
     pts, counts = _dedup_reference(raw, _grid_cell_reference(raw))
     pts, counts, gaps = gg._merge_close(pts, counts, gg._STEP_ACCEPT * r)
     return pts, counts, gg._cloud_resolution(pts, counts, gaps)
@@ -832,25 +857,31 @@ class TestGridCell:
     @pytest.mark.parametrize("r", [0.25, 2.0 ** -8])
     def test_matches_reference_on_slice_samples(self, curves, surfaces, r,
                                                 npoints):
+        # surface slices are continuum clouds of distinct rows, whose
+        # neighbour query the cloud reuses
+        handed = 0
         for nvars, eqs in _corpus_systems(curves, surfaces):
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, npoints, 0) * r, r)
             raw = raw[ok]
-            assert gg._grid_cell(raw) == _grid_cell_reference(raw)
+            cell, near = gg._grid_cell(raw)
+            handed += near is not None
+            assert cell == _grid_cell_reference(raw)
             cloud = gg._slice_cloud(r, 1.0, npoints, raw)
             want_pts, want_counts, want_spacing = _slice_cloud_reference(
                 r, raw)
             _, counts, _ = gg._merge_close(
-                *gg._dedup(raw, gg._grid_cell(raw)), gg._STEP_ACCEPT * r)
+                *_deduped(raw, gg._grid_cell(raw)[0]), gg._STEP_ACCEPT * r)
             assert np.array_equal(cloud.points, want_pts)
             assert np.array_equal(counts, want_counts)
             assert cloud.spacing == want_spacing
+        assert handed > 0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
     def test_all_copies(self, n):
         raw = np.tile([[0.1, -0.2]], (n, 1))
-        assert gg._grid_cell(raw) == _grid_cell_reference(raw)
-        assert gg._grid_cell(raw) == gg._SPACING_GUARD / 4.0
+        assert gg._grid_cell(raw)[0] == _grid_cell_reference(raw)
+        assert gg._grid_cell(raw)[0] == gg._SPACING_GUARD / 4.0
 
     @pytest.mark.parametrize("n", [9, 10, 255, 256])
     @pytest.mark.parametrize("extra", [0, 1])
@@ -858,8 +889,9 @@ class TestGridCell:
         # n//2 rows with a copy leave the median to the lone rows' gaps;
         # one more makes it 0
         raw = _copies_raw(n, n // 2 + extra, seed=n)
-        assert gg._grid_cell(raw) == _grid_cell_reference(raw)
-        assert (gg._grid_cell(raw) == gg._SPACING_GUARD / 4.0) == bool(extra)
+        assert gg._grid_cell(raw)[0] == _grid_cell_reference(raw)
+        assert ((gg._grid_cell(raw)[0] == gg._SPACING_GUARD / 4.0)
+                == bool(extra))
 
     def test_signed_zeros_are_copies(self):
         raw = np.array([[0.0, 0.1], [-0.0, 0.1], [0.0, -0.1],
@@ -867,14 +899,14 @@ class TestGridCell:
         first, sizes = gg._group_rows(raw)
         assert first.tolist() == [0, 2, 3, 5]
         assert sizes.tolist() == [2, 1, 2, 1]
-        assert gg._grid_cell(raw) == _grid_cell_reference(raw)
-        assert gg._grid_cell(raw[[0, 2, 3, 5, 1]]) == _grid_cell_reference(
+        assert gg._grid_cell(raw)[0] == _grid_cell_reference(raw)
+        assert gg._grid_cell(raw[[0, 2, 3, 5, 1]])[0] == _grid_cell_reference(
             raw[[0, 2, 3, 5, 1]])
 
     @pytest.mark.parametrize("copied", [0, 3, 50, 51])
     def test_one_variable(self, copied):
         raw = _copies_raw(101, copied, nvars=1, seed=copied)
-        assert gg._grid_cell(raw) == _grid_cell_reference(raw)
+        assert gg._grid_cell(raw)[0] == _grid_cell_reference(raw)
 
     def test_no_tree_over_piled_up_copies(self, curves, monkeypatch):
         # exp_curve meets the sphere in two points, so its accepted samples
@@ -897,6 +929,57 @@ class TestGridCell:
         assert len(c) == 2
         assert raw_sizes and min(raw_sizes) > 1000
         assert max(tree_sizes, default=0) < min(raw_sizes)
+
+
+def _circle_raw(n, r=0.25, seed=0):
+    """n distinct points on the circle of radius r, a golden-angle walk."""
+    return r * gg.sphere_directions(2, n, seed)
+
+
+class TestSliceCloud:
+    """A slice cloud equals the reference's, whose merge queries a fresh
+    k-d tree over the kept points, bit for bit. When every raw row is
+    distinct, the grid cell's query hands over the kept points' gaps, and
+    only the points whose nearest raw row was dropped are queried again."""
+
+    @staticmethod
+    def _trees(monkeypatch, r, raw):
+        """The cloud of raw at radius r, and the size of each k-d tree it
+        builds; checked against the reference."""
+        sizes = []
+
+        def counting_tree(data, *args, **kw):
+            sizes.append(len(data))
+            return cKDTree(data, *args, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(gg, "cKDTree", counting_tree)
+            cloud = gg._slice_cloud(r, 1.0, len(raw), raw)
+        want_pts, _, want_spacing = _slice_cloud_reference(r, raw)
+        assert np.array_equal(cloud.points, want_pts)
+        assert cloud.spacing == want_spacing
+        return cloud, sizes
+
+    def test_nothing_dropped_builds_one_tree(self, monkeypatch):
+        raw = _circle_raw(500)
+        cloud, sizes = self._trees(monkeypatch, 0.25, raw)
+        assert len(cloud) == len(raw)
+        assert sizes == [len(raw)]
+
+    def test_dropped_neighbours_are_queried_again(self, monkeypatch):
+        # near-copies a few 1e-9 apart fall in one cell, so dedup drops the
+        # nearest raw row of the copy it keeps
+        raw = _circle_raw(500)
+        raw[1::50] = raw[::50] * (1.0 + 1e-8)
+        cell, (_, nearest) = gg._grid_cell(raw)
+        first, _ = gg._dedup(raw, cell)
+        kept = np.zeros(len(raw), dtype=bool)
+        kept[first] = True
+        lost = ~kept[nearest[first]]
+        assert 0 < lost.sum() <= 10
+        cloud, sizes = self._trees(monkeypatch, 0.25, raw)
+        assert len(cloud) == len(first)
+        assert sizes == [len(raw), len(first)]
 
 
 class TestSliceCloudFarFromOrigin:
@@ -974,7 +1057,7 @@ class TestMergeClose:
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, 128, 0) * r, r)
             raw = raw[ok]
-            pts, counts = gg._dedup(raw, gg._grid_cell(raw))
+            pts, counts = _deduped(raw, gg._grid_cell(raw)[0])
             tol = gg._STEP_ACCEPT * r
             got_pts, got_counts, gaps = gg._merge_close(pts, counts, tol)
             want_pts, want_counts = _merge_reference(pts, counts, tol)
@@ -1527,6 +1610,16 @@ class TestMaxDist:
         # a row landing outside the ball of radius omega = 0.5
         line = _one_part_set(["y"], [])
         assert lands(line, [[0.6, 0.01], [0.4, 0.01]]) == [False, True]
+
+    def test_critical_locus_start_is_not_converged(self, fresh_cache):
+        # x^2 - 0.2x is the lines x = 0 and x = 0.2, and its gradient
+        # vanishes on x = 0.1, where a start of the solver takes a zero step
+        flat = _one_part_set(["x^2 - 0.2*x"], [])
+        X = np.array([[0.1, 0.3], [0.1, 0.05]])
+        got = ga.dist_to_set_batch(X, flat, cache=fresh_cache)
+        np.testing.assert_allclose(got, 0.1, rtol=1e-9)
+        assert gg._max_dists([X], flat, 128, 0, fresh_cache) == [
+            float(np.max(got))]
 
     def test_screen_off_by_a_factor_keeps_the_maximum(self, surfaces,
                                                       fresh_cache,
