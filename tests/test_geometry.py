@@ -858,15 +858,21 @@ class TestGridCell:
     def test_matches_reference_on_slice_samples(self, curves, surfaces, r,
                                                 npoints):
         # surface slices are continuum clouds of distinct rows, whose
-        # neighbour query the cloud reuses
-        handed = 0
+        # neighbour query the cloud reuses; the grid drops a few of their
+        # rows, so some kept points are queried again
+        handed = requeried = 0
         for nvars, eqs in _corpus_systems(curves, surfaces):
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, npoints, 0) * r, r)
             raw = raw[ok]
             cell, near = gg._grid_cell(raw)
-            handed += near is not None
             assert cell == _grid_cell_reference(raw)
+            if near is not None:
+                handed += 1
+                first, _ = gg._dedup(raw, cell)
+                kept = np.zeros(len(raw), dtype=bool)
+                kept[first] = True
+                requeried += not kept[near[1][first]].all()
             cloud = gg._slice_cloud(r, 1.0, npoints, raw)
             want_pts, want_counts, want_spacing = _slice_cloud_reference(
                 r, raw)
@@ -876,6 +882,7 @@ class TestGridCell:
             assert np.array_equal(counts, want_counts)
             assert cloud.spacing == want_spacing
         assert handed > 0
+        assert requeried > 0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
     def test_all_copies(self, n):
@@ -1620,6 +1627,31 @@ class TestMaxDist:
         np.testing.assert_allclose(got, 0.1, rtol=1e-9)
         assert gg._max_dists([X], flat, 128, 0, fresh_cache) == [
             float(np.max(got))]
+
+    def test_redundant_presentation_converges_on_its_set(self, curves,
+                                                         fresh_cache):
+        # cusp_product's Jacobian has rank 1 everywhere on y = x^3, where
+        # its residual is 0: the solver's rows land there as they do on
+        # the plain cubic
+        X = np.array([[0.1, 0.05], [-0.2, 0.1], [0.3, -0.1]])
+        got = ga.dist_to_set_batch(X, curves.get("cusp_product"),
+                                   cache=fresh_cache)
+        want = ga.dist_to_set_batch(X, _one_part_set(["y - x^3"], []),
+                                    cache=fresh_cache)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("eqs,want", [
+        # three equations whose zero set is the origin, full rank 2
+        (["x", "y", "x - y"], [0.0, 0.0]),
+        # three equations whose zero set is the line y = 0, rank 1 on it
+        (["y", "2*y", "x*y"], [0.1, 0.0]),
+    ])
+    def test_more_equations_than_variables_converge(self, eqs, want):
+        system = tuple(ex.parse(e, 2) for e in eqs)
+        start = np.array([[0.1, 0.05]])
+        Y, ok = gg._nearest_on_variety(system, start, start)
+        assert ok.tolist() == [True]
+        np.testing.assert_allclose(Y[0], want, atol=1e-12)
 
     def test_screen_off_by_a_factor_keeps_the_maximum(self, surfaces,
                                                       fresh_cache,
