@@ -210,7 +210,7 @@ def deviation_profile(a: SemianalyticSet, b: SemianalyticSet,
         notes += [f"only {c.converged_fraction:.0%} of starts converged "
                   f"for {s.name!r} at r={r:g}"
                   for s, c in pairs if len(c) and c.converged_fraction < 0.5]
-        samples.append(_distance_sample(r, *clouds))
+        samples.append(_distance_sample(r, *clouds, cache))
     est_ab = _fit_decay(samples, "A<=B", lambda d: d.delta_ab)
     est_ba = _fit_decay(samples, "B<=A", lambda d: d.delta_ba)
     return tuple(samples), est_ab, est_ba, tuple(dict.fromkeys(notes))
@@ -313,13 +313,16 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     on each radius's samples by falling bound, in growing chunks, until no
     bound left exceeds the largest distance found; it only lowers a
     distance, so the samples it skips cannot hold the maximum (see
-    ``geometry._max_dists``). All radii go in one batch, and each sample
-    looks up B's cloud at the radius its whole slice would, so each maximum
-    is the one :func:`dist_to_set_batch` on that slice gives, bit for bit.
+    ``geometry._max_dists``). All radii go in one batch. Each sample
+    measures against B's cloud at its slice's schedule radius, the cloud
+    the limit fit measured it against, and its nearest points there come
+    from the neighbour query the cache holds for that pair of clouds, which
+    :func:`deviation_profile` on the same cache has already made. Where
+    the slice's median norm is that radius, each maximum is the one
+    :func:`dist_to_set_batch` on the slice gives, bit for bit.
     """
     clouds = _clouds(a, config, cache)
-    dmaxes = _max_dists([c.points for c in clouds], b, config.npoints,
-                        config.seed, cache)
+    dmaxes = _max_dists(clouds, b, config.npoints, config.seed, cache)
     # each dmax is a solver distance to B's germ, so A's cloud spacing is
     # not its resolution
     rows = [(r, dmax, 1e-9 * r) for r, ca, dmax in zip(

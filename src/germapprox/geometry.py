@@ -23,14 +23,15 @@ All sampling is deterministic given (set, radius, npoints, seed), and each
 stratum's projection given (its system, radius, npoints, seed); a
 thread-safe cache keyed on exactly those values makes repeated comparisons
 against the same set, and sets that share strata, cheap and bit-stable. It
-holds geometry only: clouds and projections, never a set name or an error.
+holds geometry only: clouds, projections and the neighbour queries between
+clouds, never a set name or an error.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -125,6 +126,14 @@ class SliceCloud:
     ``converged_fraction`` covers the primary strata only (the parts' own
     equations, before inequality filtering); ``attempts`` counts the starts
     over every stratum.
+
+    ``tree`` is a k-d tree over the points, the one thinning built last
+    over them (the grid's, the re-query's or the merge's), so every
+    neighbour query against the cloud reuses it. ``key`` is the
+    (signature, r, npoints, seed) the cache stores the cloud under (None
+    for a cloud built outside :func:`sample_slices`); the cache keys the
+    neighbour query between two clouds on both keys (see
+    :func:`_cloud_neighbours`).
     """
 
     r: float
@@ -132,6 +141,8 @@ class SliceCloud:
     converged_fraction: float
     spacing: float
     attempts: int
+    tree: cKDTree = field(repr=False, compare=False)
+    key: tuple | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.points)
@@ -156,9 +167,11 @@ class DistanceSample:
 
 
 class SliceCache:
-    """Thread-safe memo of sampled slices, including empty outcomes, and of
+    """Thread-safe memo of sampled slices, including empty outcomes, of
     the accepted points of each stratum's sphere projection, so sets that
-    share a stratum project it once."""
+    share a stratum project it once, and of the neighbour query of one
+    slice cloud's points in another's tree, so the limit fit and the horn
+    criterion query each ordered pair of clouds once."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -505,29 +518,30 @@ def _dedup(points: np.ndarray, cell: float):
 
 
 def _merge_close(points: np.ndarray, counts: np.ndarray, tol: float,
-                 gaps: np.ndarray | None = None):
+                 gaps: np.ndarray | None = None,
+                 tree: cKDTree | None = None):
     """Leader clustering in input order: a point within tol of an earlier
     kept point joins the first such point, otherwise it is kept. Returns
     the kept points, in input order, the summed counts of each one's
-    cluster, and, when nothing merged, each point's distance to its nearest
-    other point (else None: the kept points need a query of their own).
+    cluster, each kept point's distance to its nearest other kept point
+    (None for fewer than two points), and a k-d tree over the kept points.
 
-    ``gaps`` are those nearest-neighbour distances when the caller already
-    has them (see :func:`_slice_cloud`); otherwise one k-d tree query finds
-    them. A point with no other point within tol keeps itself; only the
-    crowded rest is clustered, one k-d tree ball query per kept point."""
-    n = len(points)
-    if n < 2:
-        return points, counts, None
-    tree = None
-    if gaps is None:
+    ``gaps`` are the points' nearest-neighbour distances and ``tree`` a k-d
+    tree over the points when the caller already has them (see
+    :func:`_slice_cloud`); otherwise they are built here. A point with no
+    other point within tol keeps itself; only the crowded rest is
+    clustered, one ball query per kept point. When points merge, the kept
+    ones get a tree and a query of their own."""
+    if tree is None:
         tree = cKDTree(points)
+    if len(points) < 2:
+        return points, counts, None, tree
+    if gaps is None:
         gaps = tree.query(points, k=2)[0][:, 1]
     crowded = np.flatnonzero(gaps <= tol)
     if crowded.size == 0:
-        return points, counts, gaps
-    if tree is None:
-        tree = cKDTree(points)
+        return points, counts, gaps, tree
+    n = len(points)
     leader = np.arange(n)
     free = np.zeros(n, dtype=bool)
     free[crowded] = True
@@ -538,57 +552,59 @@ def _merge_close(points: np.ndarray, counts: np.ndarray, tol: float,
             leader[ball] = i
             free[ball] = False
     kept, cluster = np.unique(leader, return_inverse=True)
-    return points[kept], np.bincount(cluster, weights=counts).astype(
-        counts.dtype), None
+    points = points[kept]
+    counts = np.bincount(cluster, weights=counts).astype(counts.dtype)
+    tree = cKDTree(points)
+    gaps = tree.query(points, k=2)[0][:, 1] if len(points) >= 2 else None
+    return points, counts, gaps, tree
 
 
 def _cloud_resolution(points: np.ndarray, counts: np.ndarray,
-                      gaps: np.ndarray | None = None) -> float:
+                      gaps: np.ndarray | None) -> float:
     """Typical scale below which the cloud cannot resolve deviations.
 
     A location many starts piled onto is an isolated slice point known to
     solver accuracy; a location hit once samples a continuum, and its gap
-    to the nearest distinct neighbour is the local coverage. The median
-    over points mixes the two regimes sensibly. ``gaps`` are those nearest-
-    neighbour distances when the caller already has them (see
-    :func:`_grid_cell`); otherwise one k-d tree query finds them."""
+    ``gaps`` to the nearest distinct neighbour is the local coverage. The
+    median over points mixes the two regimes sensibly."""
     if len(points) < 2:
         return _SPACING_GUARD
-    if gaps is None:
-        gaps = cKDTree(points).query(points, k=2)[0][:, 1]
     res = np.where(counts > 1, _SPACING_GUARD, gaps)
     return max(float(np.median(res)), _SPACING_GUARD)
 
 
 def _grid_cell(raw: np.ndarray):
     """The dedup grid's cell: a quarter of the resolution of the raw
-    samples, each of which stands for itself. Returns the cell and, when
-    every raw row is distinct, each row's gap and the index of the row at
-    that gap (else None).
+    samples, each of which stands for itself. Returns the cell; when every
+    raw row is distinct, each row's gap and the index of the row at that
+    gap (else None); and the k-d tree over the distinct rows that found
+    those gaps (None when none was built).
 
     A row with an exact copy has gap 0; a lone row's gap is its distance to
     the nearest other distinct row, which is the gap a k-d tree over all
     the rows would give it. When more than half the rows have a copy the
     median gap is 0 whatever the lone rows' gaps, so no tree is built."""
     gaps = np.zeros(len(raw))
-    near = None
+    near = tree = None
     if len(raw) >= 2:
         first, sizes = _group_rows(raw)
         lone = first[sizes == 1]
         if len(raw) - len(lone) <= len(raw) // 2:
             distinct = raw.take(first, axis=0)
-            dists, idx = cKDTree(distinct).query(distinct[sizes == 1], k=2)
+            tree = cKDTree(distinct)
+            dists, idx = tree.query(distinct[sizes == 1], k=2)
             gaps[lone] = dists[:, 1]
             if len(lone) == len(raw):
                 # first is every row in order, so idx indexes raw
                 near = (gaps, idx[:, 1])
-    return _cloud_resolution(raw, np.ones(len(raw)), gaps) / 4.0, near
+    return _cloud_resolution(raw, np.ones(len(raw)), gaps) / 4.0, near, tree
 
 
 def _slice_cloud(r: float, fraction: float, attempts: int,
-                 raw: np.ndarray) -> SliceCloud:
+                 raw: np.ndarray, key: tuple | None = None) -> SliceCloud:
     """Deduplicate the accepted member samples at radius r into a cloud;
-    no samples give an empty cloud at the noise-guard spacing.
+    no samples give an empty cloud at the noise-guard spacing. ``key`` is
+    the cloud's cache key.
 
     When every raw row is distinct, :func:`_grid_cell`'s query already
     holds most kept points' gaps among the kept points: the kept points are
@@ -596,10 +612,18 @@ def _slice_cloud(r: float, fraction: float, attempts: int,
     row at the same gap. Only the points whose nearest raw row was dropped
     are queried again, over the kept points. The grid drops a few rows of
     most continuum clouds (about 4% of every ``horn_surfaces`` cloud), so
-    that second query is the common case, for about 6% of the points."""
-    cell, near = _grid_cell(raw)
+    that second query is the common case, for about 6% of the points.
+
+    The cloud keeps the last tree built over its points: the grid's when
+    the grid kept every distinct row (each of its cells then holds one
+    distinct row, the first, so the kept points are the rows that tree
+    holds, in order), else the re-query's, else the one
+    :func:`_merge_close` builds."""
+    cell, near, tree = _grid_cell(raw)
     first, counts = _dedup(raw, cell)
     points = raw.take(first, axis=0)
+    if tree is not None and tree.n != len(points):
+        tree = None
     gaps = None
     if near is not None:
         raw_gaps, nearest = near
@@ -608,15 +632,15 @@ def _slice_cloud(r: float, fraction: float, attempts: int,
         gaps = raw_gaps[first]
         lost = np.flatnonzero(~kept[nearest[first]])
         if lost.size:
-            gaps[lost] = cKDTree(points).query(
-                points.take(lost, axis=0), k=2)[0][:, 1]
+            tree = cKDTree(points)
+            gaps[lost] = tree.query(points.take(lost, axis=0), k=2)[0][:, 1]
     # copies of one isolated slice point can straddle cell borders; accepted
     # points are known to _STEP_ACCEPT * r, so closer ones are one point
-    points, counts, gaps = _merge_close(points, counts, _STEP_ACCEPT * r,
-                                        gaps)
+    points, counts, gaps, tree = _merge_close(
+        points, counts, _STEP_ACCEPT * r, gaps, tree)
     return SliceCloud(r=r, points=points, converged_fraction=fraction,
                       spacing=_cloud_resolution(points, counts, gaps),
-                      attempts=attempts)
+                      attempts=attempts, tree=tree, key=key)
 
 
 def _nonempty(cloud: SliceCloud, name: str) -> SliceCloud:
@@ -769,8 +793,9 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
                     else 0.0)
         raw = (np.concatenate(collected[r], axis=0) if collected[r]
                else np.zeros((0, s.nvars)))
-        out[r] = _slice_cloud(r, fraction, attempts, raw)
-        cache.store((sig, r, npoints, seed), out[r])
+        key = (sig, r, npoints, seed)
+        out[r] = _slice_cloud(r, fraction, attempts, raw, key)
+        cache.store(key, out[r])
     return [out[r] for r in radii]
 
 
@@ -804,14 +829,55 @@ def directed_deviation(P: np.ndarray, Q: np.ndarray) -> float:
     return float(np.max(dists))
 
 
-def _distance_sample(r: float, ca: SliceCloud,
-                     cb: SliceCloud) -> DistanceSample:
+def _neighbours(X: np.ndarray, cloud: SliceCloud):
+    """The k = min(3, |cloud|) nearest cloud points to each row of X, from
+    the cloud's tree: distances and indices, shape (N, k), nearest first.
+    The cloud must not be empty."""
+    # k as a list keeps both results 2-D even when the cloud is 1 point
+    return cloud.tree.query(X, k=list(range(1, min(3, len(cloud)) + 1)))
+
+
+def _cloud_neighbours(ca: SliceCloud, cb: SliceCloud,
+                      cache: SliceCache | None):
+    """:func:`_neighbours` of A's points in B's cloud, queried once per
+    cache for each ordered pair of cached clouds: the cache keys the result
+    on both clouds' keys, (signature, r, npoints, seed). A cloud without a
+    key is queried afresh. Column 0 is each point's distance to B's cloud,
+    bit for bit what a k=1 query gives, so the limit fit's deviation and
+    the horn criterion's bound and multistart read one query. Neither
+    cloud may be empty."""
+    if ca.key is None or cb.key is None:
+        return _neighbours(ca.points, cb)
+    if cache is None:
+        cache = _DEFAULT_CACHE
+    key = ("neighbours", ca.key, cb.key)
+    hit = cache.lookup(key)
+    if hit is None:
+        hit = _neighbours(ca.points, cb)
+        # every caller of this cache reads these same arrays
+        for a in hit:
+            a.flags.writeable = False
+        cache.store(key, hit)
+    return hit
+
+
+def _deviation(ca: SliceCloud, cb: SliceCloud,
+               cache: SliceCache | None) -> float:
+    """``directed_deviation(ca.points, cb.points)`` from the clouds' shared
+    neighbour query (see :func:`_cloud_neighbours`)."""
+    if not len(ca):
+        return 0.0
+    if not len(cb):
+        return math.inf
+    return float(np.max(_cloud_neighbours(ca, cb, cache)[0][:, 0]))
+
+
+def _distance_sample(r: float, ca: SliceCloud, cb: SliceCloud,
+                     cache: SliceCache | None) -> DistanceSample:
     """Both directed deviations between two clouds at radius r."""
-    return DistanceSample(
-        r=r,
-        delta_ab=directed_deviation(ca.points, cb.points),
-        delta_ba=directed_deviation(cb.points, ca.points),
-        floor=max(ca.spacing, cb.spacing))
+    return DistanceSample(r=r, delta_ab=_deviation(ca, cb, cache),
+                          delta_ba=_deviation(cb, ca, cache),
+                          floor=max(ca.spacing, cb.spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -888,8 +954,8 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
 
     Every other step is row by row and start by start, so a row's distance
     depends on the other rows only through that cloud radius:
-    :func:`_max_dists` refines subsets of the rows at the radius of the
-    whole batch and gets the same bits.
+    :func:`_max_dists`, which takes each slice cloud's own radius, gives a
+    cloud whose median norm is its radius the same bits.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -897,16 +963,21 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     if not np.isfinite(X).all():
         raise GeometryError("query points must be finite")
     r_cloud = float(np.median(np.linalg.norm(X, axis=-1))) if len(X) else 0.0
-    best, starts, run = _dist_candidates(X, s, r_cloud, npoints, seed, cache)
+    best, starts, run = _dist_candidates(
+        X, s, [(np.arange(len(X)), r_cloud, None)], npoints, seed, cache)
     _refine(X, s, best, starts, run)
     return best
 
 
-def _dist_candidates(X: np.ndarray, s: SemianalyticSet, r_cloud,
+def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
                      npoints: int, seed: int, cache: SliceCache | None):
     """The candidates of :func:`dist_to_set_batch` that need no solver, for
-    rows X whose clouds lie at the radii ``r_cloud``: one for every row, or
-    one per row (rows with the same radius share its cloud).
+    rows X in ``groups`` of (rows, r, cloud): the rows ``rows`` of X take
+    the set's cloud at radius r, and ``cloud`` is None or the slice cloud
+    those rows are, in order, whose neighbour query the cache may hold
+    already (:func:`_cloud_neighbours`). Without one, the rows are queried
+    in the set's cloud's tree. A group whose rows are all members samples
+    no cloud.
 
     Returns ``best``, each row's least candidate distance so far: 0 for a
     member, else the least of its norm (when a part passes through the
@@ -925,23 +996,17 @@ def _dist_candidates(X: np.ndarray, s: SemianalyticSet, r_cloud,
     if any(p.through_origin for p in s.parts):
         best = np.minimum(best, np.linalg.norm(X, axis=-1))
 
-    # the cache keys clouds on the exact radius, so a row subset must ask
-    # for the whole batch's, not its own median; a radius whose rows are
-    # all members samples no cloud
-    r_cloud = np.broadcast_to(r_cloud, best.shape)
     near = []
-    for r in np.unique(r_cloud[best > 0.0]):
-        if not 0.0 < r <= s.omega:
+    for rows, r, own in groups:
+        if not (best[rows] > 0.0).any() or not 0.0 < r <= s.omega:
             continue
         try:
             cloud = sample_slice(s, float(r), npoints=npoints, seed=seed,
                                  cache=cache)
         except EmptySliceError:
             continue
-        rows = np.flatnonzero(r_cloud == r)
-        # k as a list keeps both results 2-D even when the cloud is 1 point
-        dists, idx = cKDTree(cloud.points).query(
-            X[rows], k=list(range(1, min(3, len(cloud.points)) + 1)))
+        dists, idx = (_neighbours(X[rows], cloud) if own is None
+                      else _cloud_neighbours(own, cloud, cache))
         best[rows] = np.minimum(best[rows], dists[:, 0])
         near.append((rows, cloud.points[idx]))
     k = 1 + max((pts.shape[1] for _, pts in near), default=0)
@@ -1023,32 +1088,40 @@ def _refine(X: np.ndarray, s: SemianalyticSet, best: np.ndarray,
 
 def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
                cache: SliceCache | None) -> list[float]:
-    """``max(dist_to_set_batch(X, s, ...))`` for each point array X of
-    ``clouds``, bit for bit (0.0 for an empty X), with the nearest-point
-    solver run only on the rows that can hold a maximum.
+    """The largest distance from a point of each slice cloud of ``clouds``
+    to the germ of s (0.0 for an empty cloud), with the nearest-point
+    solver run only on the points that can hold a maximum.
+
+    Each cloud's points take the set's cloud at the cloud's own radius
+    ``r``, and their neighbours in it from the query the cache holds for
+    that pair of clouds (see :func:`_cloud_neighbours`). A cloud whose
+    median norm is r so gets ``max(dist_to_set_batch(cloud.points, s,
+    ...))`` bit for bit; one whose median norm is an ulp or two off r (a
+    curve's slice of a few points can be) still measures against the cloud
+    at r, which the limit fit also used, not against a cloud sampled at
+    the off-schedule radius.
 
     Every row's bound is its least candidate that needs no solver (see
-    :func:`_dist_candidates`). The solver runs every start of each X's
+    :func:`_dist_candidates`). The solver runs every start of each cloud's
     rows by falling bound, in chunks of ``_FIRST_CHUNK`` rows and 4 times
-    the last chunk after that, and X stops at the first row whose bound is
-    at most its largest distance refined so far. Refinement only lowers a
-    distance, so no row left out can exceed that maximum; a poor bound
-    costs time, not bits. The X are stacked, so one call finds every
-    candidate and one solver call runs each round's chunks. Rows never mix,
-    and each X's rows take the cloud at its own median radius, so every row
-    gets the bits of a call on its X alone.
+    the last chunk after that, and a cloud stops at the first row whose
+    bound is at most its largest distance refined so far. Refinement only
+    lowers a distance, so no row left out can exceed that maximum; a poor
+    bound costs time, not bits. The clouds are stacked, so one call finds
+    every candidate and one solver call runs each round's chunks. Rows
+    never mix, so every row gets the bits of a call on its cloud alone.
     """
-    sizes = [len(P) for P in clouds]
+    sizes = [len(c) for c in clouds]
     batch = np.repeat(np.arange(len(clouds)), sizes)
-    X = np.concatenate(clouds)
-    r_cloud = [float(np.median(np.linalg.norm(P, axis=-1))) if len(P)
-               else 0.0 for P in clouds]
-    best, starts, run = _dist_candidates(X, s, np.repeat(r_cloud, sizes),
-                                         npoints, seed, cache)
+    X = np.concatenate([c.points for c in clouds])
+    ends = np.cumsum(sizes)
+    groups = [(np.arange(end - len(c), end), c.r, c)
+              for c, end in zip(clouds, ends) if len(c)]
+    best, starts, run = _dist_candidates(X, s, groups, npoints, seed, cache)
     # each row's rank within its batch, largest bound first
     rank = np.empty(len(X), dtype=np.intp)
     rank[np.lexsort((-best, batch))] = np.arange(len(X))
-    rank -= (np.cumsum(sizes) - sizes)[batch]
+    rank -= (ends - sizes)[batch]
     dmax = np.zeros(len(clouds))
     lo, size = 0, _FIRST_CHUNK
     while True:
@@ -1122,13 +1195,12 @@ def numeric_dimension(s: SemianalyticSet, r: float, npoints: int = 256,
         return 0
     pts = cloud.points
     h = max(10.0 * cloud.spacing, 1e-6 * r)
-    tree = cKDTree(pts)
     anchors = np.linspace(0, len(pts) - 1, num=min(8, len(pts)),
                           dtype=int)
     anchors = np.unique(anchors)
     rank_max = 0
     for ai in anchors:
-        idx = tree.query_ball_point(pts[ai], h)
+        idx = cloud.tree.query_ball_point(pts[ai], h)
         local = pts[idx]
         if len(local) < 2:
             continue

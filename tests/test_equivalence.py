@@ -1,7 +1,9 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import germapprox as ga
 from germapprox import expr as ex
@@ -293,6 +295,127 @@ class TestHornCriterion:
                                  quick_config, shared_cache)
         assert fit.holds == horn.holds
 
+
+
+# the pairs of the compare_curves benchmark workload
+CURVE_PAIRS = (
+    ("exp_curve", "trunc1"), ("exp_curve", "trunc2"), ("exp_curve", "trunc3"),
+    ("exp_curve", "trunc4"), ("parabola", "line"), ("halfline", "line"),
+    ("exp_half_pos", "trunc2_half_pos"), ("exp_half_pos", "trunc3_half_pos"),
+    ("exp_sin", "trunc2_half_pos"), ("cusp", "halfline"))
+
+
+def _field_reprs(v):
+    """A verdict's fields as reprs: floats bit for bit, nan equal to nan."""
+    return [repr(getattr(v, f.name)) for f in fields(v)]
+
+
+class TestSharedNeighbourQuery:
+    """The limit fit and the horn criterion read one neighbour query per
+    ordered pair of slice clouds, made in each cloud's own k-d tree, and
+    get the bits of queries made afresh."""
+
+    def test_one_tree_per_cloud_one_query_per_pair(self, surfaces,
+                                                   quick_config, monkeypatch):
+        built, queried = [], []
+
+        class CountingTree(cKDTree):
+            def __init__(self, data, *args, **kw):
+                super().__init__(data, *args, **kw)
+                built.append(self.data.tobytes())
+
+            def query(self, x, *args, **kw):
+                queried.append((self.data.tobytes(), np.asarray(x).tobytes()))
+                return super().query(x, *args, **kw)
+
+        monkeypatch.setattr(gg, "cKDTree", CountingTree)
+        g = surfaces.get("graph_exp")
+        b = gs.truncate_eqs(g, 2)
+        cache = ga.SliceCache()
+        ga.decide_equivalent(g, b, 2.5, quick_config, cache)
+        ga.horn_criterion(g, b, 2.5, quick_config, cache)
+        ga.horn_criterion(b, g, 2.5, quick_config, cache)
+        before = len(built)
+        radii = quick_config.schedule.radii()
+        clouds = [gg.sample_slices(s, radii, npoints=quick_config.npoints,
+                                   seed=quick_config.seed, cache=cache)
+                  for s in (g, b)]
+        assert len(built) == before
+        for ca, cb in zip(*clouds):
+            assert len(ca) and len(cb)
+            for c in (ca, cb):
+                assert built.count(c.points.tobytes()) == 1
+            for x, y in ((ca, cb), (cb, ca)):
+                pair = (y.points.tobytes(), x.points.tobytes())
+                assert queried.count(pair) == 1
+
+    @pytest.mark.parametrize("a,b", CURVE_PAIRS)
+    def test_shared_query_matches_a_fresh_one(self, curves, quick_config,
+                                              a, b):
+        a, b = curves.get(a), curves.get(b)
+        cache = ga.SliceCache()
+        samples = ga.deviation_profile(a, b, quick_config, cache)[0]
+        for x, y in ((a, b), (b, a)):
+            shared = ga.horn_criterion(x, y, 2.5, quick_config, cache)
+            fresh = ga.horn_criterion(x, y, 2.5, quick_config,
+                                      ga.SliceCache())
+            assert _field_reprs(shared) == _field_reprs(fresh)
+        radii = quick_config.schedule.radii()
+        clouds = [gg.sample_slices(s, radii, npoints=quick_config.npoints,
+                                   seed=quick_config.seed, cache=cache)
+                  for s in (a, b)]
+        for d, ca, cb in zip(samples, *clouds):
+            assert d.delta_ab == ga.directed_deviation(ca.points, cb.points)
+            assert d.delta_ba == ga.directed_deviation(cb.points, ca.points)
+
+    def test_clouds_below_three_points(self, curves, quick_config,
+                                       fresh_cache):
+        # the half-line meets each circle once and the line twice, so the
+        # shared query takes k = 1 and k = 2 neighbours
+        a, b = curves.get("halfline"), curves.get("line")
+        samples = ga.deviation_profile(a, b, quick_config, fresh_cache)[0]
+        radii = quick_config.schedule.radii()
+        clouds = [gg.sample_slices(s, radii, npoints=quick_config.npoints,
+                                   seed=quick_config.seed, cache=fresh_cache)
+                  for s in (a, b)]
+        assert {len(c) for c in clouds[0] + clouds[1]} == {1, 2}
+        for d, ca, cb in zip(samples, *clouds):
+            assert d.delta_ab == ga.directed_deviation(ca.points, cb.points)
+            assert d.delta_ba == ga.directed_deviation(cb.points, ca.points)
+
+    def test_empty_cloud(self, curves, quick_config, fresh_cache):
+        samples = ga.deviation_profile(ISOLATED, curves.get("line"),
+                                       quick_config, fresh_cache)[0]
+        line = ga.sample_slice(curves.get("line"), 0.25,
+                               cache=fresh_cache).points
+        empty = np.zeros((0, 2))
+        for d in samples:
+            assert d.delta_ab == 0.0 == ga.directed_deviation(empty, line)
+            assert d.delta_ba == math.inf == ga.directed_deviation(line, empty)
+
+    def test_horn_samples_b_on_the_schedule(self, curves, monkeypatch):
+        # at seed 2 the median norm of a trunc2 cloud is an ulp off its
+        # radius; B's cloud there is the limit fit's, at the radius itself
+        a, b = curves.get("trunc2"), curves.get("exp_curve")
+        config = ga.CompareConfig(ga.RadiiSchedule(0.25), npoints=256, seed=2)
+        cache = ga.SliceCache()
+        ga.decide_equivalent(a, b, 3.0, config, cache)
+        radii = config.schedule.radii()
+        assert any(
+            float(np.median(np.linalg.norm(c.points, axis=1))) != c.r
+            for c in gg.sample_slices(a, radii, npoints=256, seed=2,
+                                      cache=cache))
+        calls = []
+        project = gg.project_to_sphere_slice
+
+        def counting(eqs, starts, r):
+            calls.append(r)
+            return project(eqs, starts, r)
+
+        monkeypatch.setattr(gg, "project_to_sphere_slice", counting)
+        for x, y in ((a, b), (b, a)):
+            ga.horn_criterion(x, y, 3.0, config, cache)
+        assert calls == []
 
 class TestEstimateExponent:
     def test_exact_half_exponent_on_disk(self, curves, quick_config,

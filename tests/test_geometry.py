@@ -832,7 +832,8 @@ def _slice_cloud_reference(r, raw):
     cell, the dict-loop dedup and the leader merge over a fresh k-d tree of
     the kept points (no gaps handed over)."""
     pts, counts = _dedup_reference(raw, _grid_cell_reference(raw))
-    pts, counts, gaps = gg._merge_close(pts, counts, gg._STEP_ACCEPT * r)
+    pts, counts, gaps, _ = gg._merge_close(pts, counts,
+                                           gg._STEP_ACCEPT * r)
     return pts, counts, gg._cloud_resolution(pts, counts, gaps)
 
 
@@ -865,7 +866,7 @@ class TestGridCell:
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, npoints, 0) * r, r)
             raw = raw[ok]
-            cell, near = gg._grid_cell(raw)
+            cell, near, _ = gg._grid_cell(raw)
             assert cell == _grid_cell_reference(raw)
             if near is not None:
                 handed += 1
@@ -876,7 +877,7 @@ class TestGridCell:
             cloud = gg._slice_cloud(r, 1.0, npoints, raw)
             want_pts, want_counts, want_spacing = _slice_cloud_reference(
                 r, raw)
-            _, counts, _ = gg._merge_close(
+            _, counts, _, _ = gg._merge_close(
                 *_deduped(raw, gg._grid_cell(raw)[0]), gg._STEP_ACCEPT * r)
             assert np.array_equal(cloud.points, want_pts)
             assert np.array_equal(counts, want_counts)
@@ -924,9 +925,9 @@ class TestGridCell:
             tree_sizes.append(len(data))
             return cKDTree(data, *args, **kw)
 
-        def recording_slice_cloud(r, fraction, attempts, raw):
+        def recording_slice_cloud(r, fraction, attempts, raw, *key):
             raw_sizes.append(len(raw))
-            return slice_cloud(r, fraction, attempts, raw)
+            return slice_cloud(r, fraction, attempts, raw, *key)
 
         slice_cloud = gg._slice_cloud
         monkeypatch.setattr(gg, "cKDTree", counting_tree)
@@ -978,7 +979,7 @@ class TestSliceCloud:
         # nearest raw row of the copy it keeps
         raw = _circle_raw(500)
         raw[1::50] = raw[::50] * (1.0 + 1e-8)
-        cell, (_, nearest) = gg._grid_cell(raw)
+        cell, (_, nearest), _ = gg._grid_cell(raw)
         first, _ = gg._dedup(raw, cell)
         kept = np.zeros(len(raw), dtype=bool)
         kept[first] = True
@@ -1049,7 +1050,7 @@ class TestMergeClose:
         pts[1::5] = pts[::5][: len(pts[1::5])] * (1.0 + 4e-16)
         pts[::7] = np.round(pts[::7] / tol) * tol
         counts = rng.integers(1, 4, size=n)
-        got_pts, got_counts, gaps = gg._merge_close(pts, counts, tol)
+        got_pts, got_counts, gaps, _ = gg._merge_close(pts, counts, tol)
         want_pts, want_counts = _merge_reference(pts, counts, tol)
         assert np.array_equal(got_pts, want_pts)
         assert np.array_equal(got_counts, want_counts)
@@ -1066,7 +1067,8 @@ class TestMergeClose:
             raw = raw[ok]
             pts, counts = _deduped(raw, gg._grid_cell(raw)[0])
             tol = gg._STEP_ACCEPT * r
-            got_pts, got_counts, gaps = gg._merge_close(pts, counts, tol)
+            got_pts, got_counts, gaps, _ = gg._merge_close(pts, counts,
+                                                           tol)
             want_pts, want_counts = _merge_reference(pts, counts, tol)
             assert np.array_equal(got_pts, want_pts)
             assert np.array_equal(got_counts, want_counts)
@@ -1228,6 +1230,23 @@ class TestDirectedDeviation:
                 Q = rng.normal(size=(n, dim))
                 dense = float(np.max(np.min(cdist(P, Q), axis=1)))
                 assert ga.directed_deviation(P, Q) == dense, (n, dim)
+
+    def test_nearest_distance_is_column_0_of_a_k3_query(self, surfaces,
+                                                         shared_cache):
+        # the limit fit reads its deviations from column 0 of the k = [1, 2,
+        # 3] query it shares with the horn criterion; scipy must give that
+        # column the bits of a k = 1 query, ties and near-copies included
+        rng = np.random.default_rng(3)
+        cloud = ga.sample_slice(surfaces.get("graph_exp"), 0.25, npoints=1000,
+                                seed=0, cache=shared_cache).points
+        tied = rng.integers(-3, 4, size=(300, 2)).astype(float)
+        for P, Q in [(rng.normal(size=(500, 3)), rng.normal(size=(700, 3))),
+                     (cloud + 1e-3 * rng.normal(size=cloud.shape), cloud),
+                     (tied + 0.5, tied)]:
+            tree = cKDTree(Q)
+            nearest = tree.query(P)[0]
+            for k in ([1], [1, 2], [1, 2, 3]):
+                assert np.array_equal(tree.query(P, k=k)[0][:, 0], nearest)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("size", [2, 2001])
@@ -1481,6 +1500,16 @@ def _count_refined(monkeypatch):
     return calls
 
 
+def _query_cloud(X):
+    """Query rows X as a slice cloud at their median norm, outside any
+    cache, as dist_to_set_batch reads them."""
+    X = np.asarray(X, dtype=float)
+    return gg.SliceCloud(r=float(np.median(np.linalg.norm(X, axis=1))),
+                         points=X, converged_fraction=1.0,
+                         spacing=gg._SPACING_GUARD, attempts=len(X),
+                         tree=cKDTree(X))
+
+
 class TestMaxDist:
     """``_max_dists`` screens each radius's rows by a bound that needs no
     solver (the cloud distance, or the landing distance where a row lands),
@@ -1492,12 +1521,16 @@ class TestMaxDist:
 
     def _check_schedule(self, x, y, cache, radii=RADII):
         """One ``_max_dists`` call over x's clouds at ``radii`` against
-        ``dist_to_set_batch`` at each radius (0.0 for an empty cloud)."""
+        ``dist_to_set_batch`` at each radius (0.0 for an empty cloud). Each
+        cloud's median norm is its radius, so both take y's cloud there."""
         clouds = gg.sample_slices(x, radii, npoints=256, seed=0, cache=cache)
-        got = gg._max_dists([c.points for c in clouds], y, 256, 0, cache)
-        want = [float(np.max(ga.dist_to_set_batch(
-            c.points, y, npoints=256, seed=0, cache=cache), initial=0.0))
-            for c in clouds]
+        got = gg._max_dists(clouds, y, 256, 0, cache)
+        want = []
+        for c in clouds:
+            if len(c):
+                assert np.median(np.linalg.norm(c.points, axis=1)) == c.r
+            want.append(float(np.max(ga.dist_to_set_batch(
+                c.points, y, npoints=256, seed=0, cache=cache), initial=0.0)))
         assert got == want, (x.name, y.name)
         return clouds
 
@@ -1544,13 +1577,14 @@ class TestMaxDist:
         # the rows at 0.25 and 0.125 have 1 + 2 starts, those at 0.0625
         # 1 + 3; only real starts are refined, never a padded copy
         X = np.concatenate([c.points for c in clouds])
-        r_cloud = np.repeat(
-            [np.median(np.linalg.norm(c.points, axis=1)) for c in clouds[:3]],
-            [len(c) for c in clouds[:3]])
-        _, starts, run = gg._dist_candidates(X, b, r_cloud, 256, 0,
+        sizes = [len(c) for c in clouds]
+        ends = np.cumsum(sizes)
+        groups = [(np.arange(end - len(c), end), c.r, c)
+                  for c, end in zip(clouds[:3], ends)]
+        _, starts, run = gg._dist_candidates(X, b, groups, 256, 0,
                                              fresh_cache)
         assert starts.shape[1] == 4
-        big = r_cloud > 0.1
+        big = np.repeat([c.r for c in clouds], sizes) > 0.1
         assert set(run[big].sum(axis=1)) == {3}
         assert set(run[~big].sum(axis=1)) == {4}
         assert 0 < sum(refined)
@@ -1559,13 +1593,14 @@ class TestMaxDist:
                                         monkeypatch):
         g = surfaces.get("graph_exp")
         b = gs.truncate_eqs(g, 1)
-        X = ga.sample_slice(g, 0.25, npoints=1000, seed=0,
-                            cache=shared_cache).points
+        cloud = ga.sample_slice(g, 0.25, npoints=1000, seed=0,
+                                cache=shared_cache)
+        X = cloud.points
         calls = _count_refined(monkeypatch)
         ga.dist_to_set_batch(X, b, npoints=1000, seed=0, cache=shared_cache)
         (full,) = calls
         calls.clear()
-        gg._max_dists([X], b, 1000, 0, shared_cache)
+        gg._max_dists([cloud], b, 1000, 0, shared_cache)
         # every row lands, and the first chunk of 8 rows (4 starts each)
         # already holds the maximum
         assert np.isfinite(gg._landing(X, b)).all()
@@ -1587,8 +1622,9 @@ class TestMaxDist:
         rows = np.flatnonzero((norms > r) & (full > 0.0))[:40]
         assert rows.size and np.median(norms[rows]) != r
         keys = len(fresh_cache._store)
-        got, starts, run = gg._dist_candidates(X[rows], b, r, 1000, 0,
-                                               fresh_cache)
+        got, starts, run = gg._dist_candidates(
+            X[rows], b, [(np.arange(rows.size), r, None)], 1000, 0,
+            fresh_cache)
         gg._refine(X[rows], b, got, starts, run)
         assert np.array_equal(got, full[rows])
         assert len(fresh_cache._store) == keys
@@ -1625,8 +1661,8 @@ class TestMaxDist:
         X = np.array([[0.1, 0.3], [0.1, 0.05]])
         got = ga.dist_to_set_batch(X, flat, cache=fresh_cache)
         np.testing.assert_allclose(got, 0.1, rtol=1e-9)
-        assert gg._max_dists([X], flat, 128, 0, fresh_cache) == [
-            float(np.max(got))]
+        assert gg._max_dists([_query_cloud(X)], flat, 128, 0,
+                             fresh_cache) == [float(np.max(got))]
 
     def test_redundant_presentation_converges_on_its_set(self, curves,
                                                          fresh_cache):
@@ -1659,15 +1695,16 @@ class TestMaxDist:
         # on a squared equation Gauss-Newton converges only linearly, so no
         # row lands and each row's bound is its cloud distance
         squared = _one_part_set(["(z - x^2)^2"], [], nvars=3)
-        X = ga.sample_slice(surfaces.get("plane_z"), 0.25, npoints=256,
-                            seed=0, cache=fresh_cache).points
+        cloud = ga.sample_slice(surfaces.get("plane_z"), 0.25, npoints=256,
+                                seed=0, cache=fresh_cache)
+        X = cloud.points
         assert np.isinf(gg._landing(X, squared)).all()
         calls = _count_refined(monkeypatch)
         want = float(np.max(ga.dist_to_set_batch(X, squared, npoints=256,
                                                  seed=0, cache=fresh_cache)))
         (full,) = calls
         calls.clear()
-        assert gg._max_dists([X], squared, 256, 0, fresh_cache) == [want]
+        assert gg._max_dists([cloud], squared, 256, 0, fresh_cache) == [want]
         assert 0 < sum(calls) < full / 4
 
     def test_factors_of_mixed_multiplicity(self, fresh_cache):
