@@ -475,6 +475,8 @@ def sign_agreement_check(x_set: SemianalyticSet, phi: Expr | str, ks,
         raise ComparisonError("truncation orders must be nonnegative")
     if ex.max_index(phi) >= x_set.nvars:
         raise ComparisonError("phi uses more variables than the set has")
+    if not math.isfinite(theta):
+        raise ComparisonError("theta must be finite")
     zero_parts = tuple(
         BasicPresentation(nvars=p.nvars, eqs=p.eqs + (phi,), ineqs=p.ineqs,
                           through_origin=False)

@@ -113,23 +113,22 @@ class EmptySliceError(GeometryError):
 
 @dataclass(frozen=True)
 class SliceCloud:
-    """Deduplicated samples of a set on the sphere of radius r, shape
+    """Thinned samples of a set on the sphere of radius r, shape
     (N, nvars); N = 0 for an empty slice.
 
-    The points are the accepted samples thinned by :func:`_slice_cloud`:
-    the first sample in each cell of a grid a quarter of the samples'
-    median gap wide (:func:`_grid_cell`), then one point per cluster
-    within ``_STEP_ACCEPT * r``, so copies of an isolated slice point
-    become one point. ``spacing`` is the resolution of those points (see
-    :func:`_cloud_resolution`), floored at an absolute machine-noise guard;
-    distances measured against this cloud carry no information below it.
-    ``converged_fraction`` covers the primary strata only (the parts' own
-    equations, before inequality filtering); ``attempts`` counts the starts
-    over every stratum.
+    :func:`_slice_cloud` builds every cloud by one rule: the first accepted
+    sample in each cell of a grid a quarter of the samples' median gap
+    wide, then one point per cluster within ``_STEP_ACCEPT * r``, so copies
+    of an isolated slice point become one point. ``spacing`` is the median
+    of the points' gaps to their nearest neighbours, a point that stands
+    for several samples counting as the machine-noise guard, and is floored
+    at that guard; distances measured against this cloud carry no
+    information below it. ``converged_fraction`` covers the primary strata
+    only (the parts' own equations, before inequality filtering);
+    ``attempts`` counts the starts over every stratum.
 
-    ``tree`` is a k-d tree over the points, the one thinning built last
-    over them (the grid's, the re-query's or the merge's), so every
-    neighbour query against the cloud reuses it. ``key`` is the
+    ``tree`` is a k-d tree over the points, the last one the builder made,
+    so every neighbour query against the cloud reuses it. ``key`` is the
     (signature, r, npoints, seed) the cache stores the cloud under (None
     for a cloud built outside :func:`sample_slices`); the cache keys the
     neighbour query between two clouds on both keys (see
@@ -509,138 +508,84 @@ def _group_rows(rows: np.ndarray):
     return first[by_input], np.diff(heads)[by_input]
 
 
-def _dedup(points: np.ndarray, cell: float):
-    """Grid-hash dedup; returns the index of the first point in each
-    occupied cell, in input order, and how many points fell in that cell.
-    Cells are told apart by their floored float coordinates, which no
-    integer range bounds."""
-    return _group_rows(np.floor(points / cell))
-
-
-def _merge_close(points: np.ndarray, counts: np.ndarray, tol: float,
-                 gaps: np.ndarray | None = None,
-                 tree: cKDTree | None = None):
-    """Leader clustering in input order: a point within tol of an earlier
-    kept point joins the first such point, otherwise it is kept. Returns
-    the kept points, in input order, the summed counts of each one's
-    cluster, each kept point's distance to its nearest other kept point
-    (None for fewer than two points), and a k-d tree over the kept points.
-
-    ``gaps`` are the points' nearest-neighbour distances and ``tree`` a k-d
-    tree over the points when the caller already has them (see
-    :func:`_slice_cloud`); otherwise they are built here. A point with no
-    other point within tol keeps itself; only the crowded rest is
-    clustered, one ball query per kept point. When points merge, the kept
-    ones get a tree and a query of their own."""
-    if tree is None:
-        tree = cKDTree(points)
-    if len(points) < 2:
-        return points, counts, None, tree
-    if gaps is None:
-        gaps = tree.query(points, k=2)[0][:, 1]
-    crowded = np.flatnonzero(gaps <= tol)
-    if crowded.size == 0:
-        return points, counts, gaps, tree
-    n = len(points)
-    leader = np.arange(n)
-    free = np.zeros(n, dtype=bool)
-    free[crowded] = True
-    for i in crowded:
-        if free[i]:
-            ball = np.asarray(tree.query_ball_point(points[i], tol))
-            ball = ball[free[ball]]
-            leader[ball] = i
-            free[ball] = False
-    kept, cluster = np.unique(leader, return_inverse=True)
-    points = points[kept]
-    counts = np.bincount(cluster, weights=counts).astype(counts.dtype)
-    tree = cKDTree(points)
-    gaps = tree.query(points, k=2)[0][:, 1] if len(points) >= 2 else None
-    return points, counts, gaps, tree
-
-
-def _cloud_resolution(points: np.ndarray, counts: np.ndarray,
-                      gaps: np.ndarray | None) -> float:
-    """Typical scale below which the cloud cannot resolve deviations.
-
-    A location many starts piled onto is an isolated slice point known to
-    solver accuracy; a location hit once samples a continuum, and its gap
-    ``gaps`` to the nearest distinct neighbour is the local coverage. The
-    median over points mixes the two regimes sensibly."""
-    if len(points) < 2:
-        return _SPACING_GUARD
-    res = np.where(counts > 1, _SPACING_GUARD, gaps)
-    return max(float(np.median(res)), _SPACING_GUARD)
-
-
-def _grid_cell(raw: np.ndarray):
-    """The dedup grid's cell: a quarter of the resolution of the raw
-    samples, each of which stands for itself. Returns the cell; when every
-    raw row is distinct, each row's gap and the index of the row at that
-    gap (else None); and the k-d tree over the distinct rows that found
-    those gaps (None when none was built).
-
-    A row with an exact copy has gap 0; a lone row's gap is its distance to
-    the nearest other distinct row, which is the gap a k-d tree over all
-    the rows would give it. When more than half the rows have a copy the
-    median gap is 0 whatever the lone rows' gaps, so no tree is built."""
-    gaps = np.zeros(len(raw))
-    near = tree = None
-    if len(raw) >= 2:
-        first, sizes = _group_rows(raw)
-        lone = first[sizes == 1]
-        if len(raw) - len(lone) <= len(raw) // 2:
-            distinct = raw.take(first, axis=0)
-            tree = cKDTree(distinct)
-            dists, idx = tree.query(distinct[sizes == 1], k=2)
-            gaps[lone] = dists[:, 1]
-            if len(lone) == len(raw):
-                # first is every row in order, so idx indexes raw
-                near = (gaps, idx[:, 1])
-    return _cloud_resolution(raw, np.ones(len(raw)), gaps) / 4.0, near, tree
-
-
 def _slice_cloud(r: float, fraction: float, attempts: int,
                  raw: np.ndarray, key: tuple | None = None) -> SliceCloud:
-    """Deduplicate the accepted member samples at radius r into a cloud;
-    no samples give an empty cloud at the noise-guard spacing. ``key`` is
-    the cloud's cache key.
+    """Thin the accepted member samples at radius r into a cloud (see
+    :class:`SliceCloud`); no samples give an empty cloud at the noise-guard
+    spacing. ``key`` is the cloud's cache key.
 
-    When every raw row is distinct, :func:`_grid_cell`'s query already
-    holds most kept points' gaps among the kept points: the kept points are
-    raw rows, so a kept point whose nearest raw row was kept too has that
-    row at the same gap. Only the points whose nearest raw row was dropped
-    are queried again, over the kept points. The grid drops a few rows of
-    most continuum clouds (about 4% of every ``horn_surfaces`` cloud), so
-    that second query is the common case, for about 6% of the points.
+    The grid cell is a quarter of the raw rows' median gap, floored at the
+    noise guard: 0 for a row with an exact copy, else the distance to the
+    nearest other distinct row. When more than half the rows have a copy
+    that median is 0 whatever the other gaps, so no tree is built before
+    the grid. Otherwise one k-d tree over the distinct rows and one k=2
+    query of them give the cell, and also the kept points' gaps: the first
+    row of a cell is a distinct row, and one whose nearest distinct row was
+    kept too has that row at the same gap among the kept points. Only the
+    kept points whose nearest distinct row the grid dropped are queried
+    again, in a tree over the kept points (the grid drops a few rows of
+    most continuum clouds, about 4% of every ``horn_surfaces`` cloud). The
+    tree over the distinct rows serves as the kept points' tree when the
+    grid dropped none, and a tree is rebuilt only after a merge.
 
-    The cloud keeps the last tree built over its points: the grid's when
-    the grid kept every distinct row (each of its cells then holds one
-    distinct row, the first, so the kept points are the rows that tree
-    holds, in order), else the re-query's, else the one
-    :func:`_merge_close` builds."""
-    cell, near, tree = _grid_cell(raw)
-    first, counts = _dedup(raw, cell)
-    points = raw.take(first, axis=0)
-    if tree is not None and tree.n != len(points):
-        tree = None
-    gaps = None
-    if near is not None:
-        raw_gaps, nearest = near
-        kept = np.zeros(len(raw), dtype=bool)
-        kept[first] = True
-        gaps = raw_gaps[first]
-        lost = np.flatnonzero(~kept[nearest[first]])
-        if lost.size:
-            tree = cKDTree(points)
-            gaps[lost] = tree.query(points.take(lost, axis=0), k=2)[0][:, 1]
-    # copies of one isolated slice point can straddle cell borders; accepted
-    # points are known to _STEP_ACCEPT * r, so closer ones are one point
-    points, counts, gaps, tree = _merge_close(
-        points, counts, _STEP_ACCEPT * r, gaps, tree)
+    Copies of one isolated slice point can straddle cell borders; accepted
+    points are known to ``_STEP_ACCEPT * r``, so closer ones are one point.
+    Leader clustering in input order merges them: a point within that of
+    an earlier kept point joins the first such point, otherwise it is kept.
+    Only the points with a gap within it are clustered, one ball query per
+    kept point."""
+    n = len(raw)
+    first, sizes = _group_rows(raw)
+    lone = sizes == 1
+    cell, tree = _SPACING_GUARD, None
+    if n >= 2 and n - np.count_nonzero(lone) <= n // 2:
+        distinct = raw.take(first, axis=0)
+        tree = cKDTree(distinct)
+        dists, near = tree.query(distinct, k=2)
+        raw_gaps = np.zeros(n)
+        raw_gaps[first[lone]] = dists[lone, 1]
+        cell = max(float(np.median(raw_gaps)), _SPACING_GUARD)
+    # cells are told apart by their floored float coordinates, which no
+    # integer range bounds
+    kept, counts = _group_rows(np.floor(raw / (cell / 4.0)))
+    points = raw.take(kept, axis=0)
+    # each kept point's gap, and the points still to be queried for theirs
+    gaps, todo = np.full(len(points), np.inf), np.arange(len(points))
+    if tree is not None:
+        at = np.searchsorted(first, kept)
+        held = np.zeros(len(first), dtype=bool)
+        held[at] = True
+        gaps, todo = dists[at, 1], np.flatnonzero(~held[near[at, 1]])
+    if tree is None or tree.n != len(points):
+        tree = cKDTree(points)
+    if todo.size and len(points) > 1:
+        gaps[todo] = tree.query(points.take(todo, axis=0), k=2)[0][:, 1]
+    tol = _STEP_ACCEPT * r
+    crowded = np.flatnonzero(gaps <= tol)
+    if crowded.size:
+        leader = np.arange(len(points))
+        free = np.zeros(len(points), dtype=bool)
+        free[crowded] = True
+        for i in crowded:
+            if free[i]:
+                ball = np.asarray(tree.query_ball_point(points[i], tol))
+                ball = ball[free[ball]]
+                leader[ball] = i
+                free[ball] = False
+        leaders, cluster = np.unique(leader, return_inverse=True)
+        points = points[leaders]
+        counts = np.bincount(cluster, weights=counts).astype(counts.dtype)
+        tree = cKDTree(points)
+        gaps = tree.query(points, k=2)[0][:, 1] if len(points) > 1 else None
+    # a point many samples piled onto is an isolated slice point known to
+    # solver accuracy; a point hit once samples a continuum, and its gap is
+    # the local coverage. The median mixes the two regimes
+    spacing = _SPACING_GUARD
+    if len(points) > 1:
+        spacing = max(float(np.median(
+            np.where(counts > 1, _SPACING_GUARD, gaps))), _SPACING_GUARD)
     return SliceCloud(r=r, points=points, converged_fraction=fraction,
-                      spacing=_cloud_resolution(points, counts, gaps),
-                      attempts=attempts, tree=tree, key=key)
+                      spacing=spacing, attempts=attempts, tree=tree, key=key)
 
 
 def _nonempty(cloud: SliceCloud, name: str) -> SliceCloud:

@@ -524,6 +524,15 @@ class TestSignAgreement:
             ga.sign_agreement_check(curves.get("disk"), ex.Var(2), [1],
                                     2.0, quick_config)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_theta_must_be_finite(self, curves, quick_config, theta):
+        # r^theta is then nan, 0 or inf: every point excluded, none, or
+        # only those at infinite distance
+        with pytest.raises(ComparisonError):
+            ga.sign_agreement_check(curves.get("line"),
+                                    "y - x^2 + sin(x)^3", [0, 1, 2, 3],
+                                    theta, quick_config)
+
 
 class TestUnionProperty:
     def test_half_curves_union_stays_close(self, curves, quick_config,

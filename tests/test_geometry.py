@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -767,8 +767,8 @@ def _dedup_reference(points, cell):
 
 
 def _deduped(points, cell):
-    """The points _dedup keeps, and their counts."""
-    first, counts = gg._dedup(points, cell)
+    """The points the builder's grid keeps, and their counts."""
+    first, counts = gg._group_rows(np.floor(points / cell))
     return points[first], counts
 
 
@@ -811,7 +811,7 @@ class TestDedup:
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, 128, 0) * r, r)
             raw = raw[ok]
-            cell = gg._grid_cell(raw)[0]
+            cell = _grid_cell_reference(raw)
             got_pts, got_counts = _deduped(raw, cell)
             want_pts, want_counts = _dedup_reference(raw, cell)
             assert np.array_equal(got_pts, want_pts)
@@ -827,14 +827,99 @@ def _grid_cell_reference(raw):
     return max(float(np.median(gaps)), gg._SPACING_GUARD) / 4.0
 
 
+def _merge_reference(points, counts, tol):
+    """Leader clustering as a plain loop: each point joins the first kept
+    point within tol, else it is kept."""
+    kept = []
+    summed = []
+    for i, p in enumerate(points):
+        near = np.flatnonzero(
+            np.sum((points[kept] - p) ** 2, axis=1) <= tol * tol)
+        if near.size:
+            summed[near[0]] += counts[i]
+        else:
+            kept.append(i)
+            summed.append(counts[i])
+    return points[kept], np.array(summed, dtype=int)
+
+
 def _slice_cloud_reference(r, raw):
-    """A slice cloud's points, counts and spacing, built from the reference
-    cell, the dict-loop dedup and the leader merge over a fresh k-d tree of
-    the kept points (no gaps handed over)."""
-    pts, counts = _dedup_reference(raw, _grid_cell_reference(raw))
-    pts, counts, gaps, _ = gg._merge_close(pts, counts,
-                                           gg._STEP_ACCEPT * r)
-    return pts, counts, gg._cloud_resolution(pts, counts, gaps)
+    """A slice cloud's grid survivors, and its points, counts and spacing,
+    from the reference cell, the dict-loop dedup, the plain-loop merge and
+    the median gap over a fresh k-d tree of the points."""
+    grid, counts = _dedup_reference(raw, _grid_cell_reference(raw))
+    pts, counts = _merge_reference(grid, counts, gg._STEP_ACCEPT * r)
+    spacing = gg._SPACING_GUARD
+    if len(pts) >= 2:
+        gaps = cKDTree(pts).query(pts, k=2)[0][:, 1]
+        spacing = max(float(np.median(np.where(
+            counts > 1, gg._SPACING_GUARD, gaps))), gg._SPACING_GUARD)
+    return grid, pts, counts, spacing
+
+
+def _hand_over_reference(raw, grid, pts):
+    """The k-d trees the builder makes for raw, by size, and the rows of
+    each neighbour query, under the hand-over rule; grid and pts are the
+    reference's grid survivors and cloud points.
+
+    At most half the rows with an exact copy: a tree over the distinct
+    rows and a query of them all, then, if the grid dropped any, a tree
+    over the grid survivors and a query of the ``lost`` survivors whose
+    nearest distinct row was dropped (if any). Otherwise one tree over the
+    grid survivors and a query of them, and ``lost`` is None. A merge adds
+    a tree over the merged points and a query of them. A lone point is
+    never queried."""
+    groups = {}
+    for i, row in enumerate(map(tuple, raw)):
+        groups.setdefault(row, []).append(i)
+    copied = sum(len(g) for g in groups.values() if len(g) > 1)
+    lost = None
+    if len(raw) >= 2 and copied <= len(raw) // 2:
+        trees, queries, lost = [len(groups)], [len(groups)], 0
+        if len(grid) < len(groups):
+            distinct = raw[[g[0] for g in groups.values()]]
+            near = cKDTree(distinct).query(grid, k=2)[1][:, 1]
+            kept = set(map(tuple, grid))
+            lost = sum(tuple(distinct[j]) not in kept for j in near)
+            trees.append(len(grid))
+            if lost:
+                queries.append(lost)
+    else:
+        trees, queries = [len(grid)], [len(grid)] if len(grid) > 1 else []
+    if len(pts) < len(grid):
+        trees.append(len(pts))
+        if len(pts) > 1:
+            queries.append(len(pts))
+    return trees, queries, lost
+
+
+def _built(monkeypatch, r, raw):
+    """The cloud of raw at radius r, the size of each k-d tree it builds,
+    the rows of each neighbour query and the reference's ``lost`` count
+    (see _hand_over_reference); checked against the reference cloud and
+    the hand-over rule."""
+    trees, queries = [], []
+
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kw):
+            trees.append(len(data))
+            super().__init__(data, *args, **kw)
+
+        def query(self, x, *args, **kw):
+            queries.append(len(x))
+            return super().query(x, *args, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(gg, "cKDTree", CountingTree)
+        cloud = gg._slice_cloud(r, 1.0, len(raw), raw)
+    grid, want_pts, _, want_spacing = _slice_cloud_reference(r, raw)
+    assert np.array_equal(cloud.points, want_pts)
+    assert cloud.spacing == want_spacing
+    assert np.array_equal(cloud.tree.data, cloud.points)
+    want_trees, want_queries, lost = _hand_over_reference(raw, grid,
+                                                          want_pts)
+    assert (trees, queries) == (want_trees, want_queries)
+    return cloud, trees, queries, lost
 
 
 def _copies_raw(n, copied, nvars=2, seed=0):
@@ -851,13 +936,14 @@ def _copies_raw(n, copied, nvars=2, seed=0):
 
 
 class TestGridCell:
-    """The cell _dedup uses equals the one a k-d tree query over every raw
-    row gives, bit for bit, without building that tree."""
+    """The builder's grid cell equals the one a k-d tree query over every
+    raw row gives, bit for bit, without building that tree: the cloud
+    equals the reference's, built on the reference cell."""
 
     @pytest.mark.parametrize("npoints", [128, 2000])
     @pytest.mark.parametrize("r", [0.25, 2.0 ** -8])
     def test_matches_reference_on_slice_samples(self, curves, surfaces, r,
-                                                npoints):
+                                                npoints, monkeypatch):
         # surface slices are continuum clouds of distinct rows, whose
         # neighbour query the cloud reuses; the grid drops a few of their
         # rows, so some kept points are queried again
@@ -865,56 +951,45 @@ class TestGridCell:
         for nvars, eqs in _corpus_systems(curves, surfaces):
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, npoints, 0) * r, r)
-            raw = raw[ok]
-            cell, near, _ = gg._grid_cell(raw)
-            assert cell == _grid_cell_reference(raw)
-            if near is not None:
-                handed += 1
-                first, _ = gg._dedup(raw, cell)
-                kept = np.zeros(len(raw), dtype=bool)
-                kept[first] = True
-                requeried += not kept[near[1][first]].all()
-            cloud = gg._slice_cloud(r, 1.0, npoints, raw)
-            want_pts, want_counts, want_spacing = _slice_cloud_reference(
-                r, raw)
-            _, counts, _, _ = gg._merge_close(
-                *_deduped(raw, gg._grid_cell(raw)[0]), gg._STEP_ACCEPT * r)
-            assert np.array_equal(cloud.points, want_pts)
-            assert np.array_equal(counts, want_counts)
-            assert cloud.spacing == want_spacing
+            lost = _built(monkeypatch, r, raw[ok])[3]
+            handed += lost is not None
+            requeried += bool(lost)
         assert handed > 0
         assert requeried > 0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
-    def test_all_copies(self, n):
+    def test_all_copies(self, n, monkeypatch):
         raw = np.tile([[0.1, -0.2]], (n, 1))
-        assert gg._grid_cell(raw)[0] == _grid_cell_reference(raw)
-        assert gg._grid_cell(raw)[0] == gg._SPACING_GUARD / 4.0
+        assert _grid_cell_reference(raw) == gg._SPACING_GUARD / 4.0
+        cloud, trees, _, _ = _built(monkeypatch, 0.25, raw)
+        assert len(cloud) == min(n, 1)
+        assert trees == [min(n, 1)]
 
     @pytest.mark.parametrize("n", [9, 10, 255, 256])
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_half_the_rows_copied(self, n, extra):
+    def test_half_the_rows_copied(self, n, extra, monkeypatch):
         # n//2 rows with a copy leave the median to the lone rows' gaps;
-        # one more makes it 0
+        # one more makes it 0, and no tree is built before the grid
         raw = _copies_raw(n, n // 2 + extra, seed=n)
-        assert gg._grid_cell(raw)[0] == _grid_cell_reference(raw)
-        assert ((gg._grid_cell(raw)[0] == gg._SPACING_GUARD / 4.0)
+        assert ((_grid_cell_reference(raw) == gg._SPACING_GUARD / 4.0)
                 == bool(extra))
+        assert (_built(monkeypatch, 0.25, raw)[3] is None) == bool(extra)
 
-    def test_signed_zeros_are_copies(self):
+    def test_signed_zeros_are_copies(self, monkeypatch):
         raw = np.array([[0.0, 0.1], [-0.0, 0.1], [0.0, -0.1],
                         [0.3, 0.0], [0.3, -0.0], [0.2, 0.2]])
         first, sizes = gg._group_rows(raw)
         assert first.tolist() == [0, 2, 3, 5]
         assert sizes.tolist() == [2, 1, 2, 1]
-        assert gg._grid_cell(raw)[0] == _grid_cell_reference(raw)
-        assert gg._grid_cell(raw[[0, 2, 3, 5, 1]])[0] == _grid_cell_reference(
-            raw[[0, 2, 3, 5, 1]])
+        # four of six rows copied: no tree before the grid; two of five:
+        # one over the four distinct rows
+        assert _built(monkeypatch, 0.25, raw)[3] is None
+        assert _built(monkeypatch, 0.25, raw[[0, 2, 3, 5, 1]])[1][0] == 4
 
     @pytest.mark.parametrize("copied", [0, 3, 50, 51])
-    def test_one_variable(self, copied):
-        raw = _copies_raw(101, copied, nvars=1, seed=copied)
-        assert gg._grid_cell(raw)[0] == _grid_cell_reference(raw)
+    def test_one_variable(self, copied, monkeypatch):
+        _built(monkeypatch, 0.25, _copies_raw(101, copied, nvars=1,
+                                              seed=copied))
 
     def test_no_tree_over_piled_up_copies(self, curves, monkeypatch):
         # exp_curve meets the sphere in two points, so its accepted samples
@@ -945,49 +1020,37 @@ def _circle_raw(n, r=0.25, seed=0):
 
 
 class TestSliceCloud:
-    """A slice cloud equals the reference's, whose merge queries a fresh
-    k-d tree over the kept points, bit for bit. When every raw row is
-    distinct, the grid cell's query hands over the kept points' gaps, and
-    only the points whose nearest raw row was dropped are queried again."""
-
-    @staticmethod
-    def _trees(monkeypatch, r, raw):
-        """The cloud of raw at radius r, and the size of each k-d tree it
-        builds; checked against the reference."""
-        sizes = []
-
-        def counting_tree(data, *args, **kw):
-            sizes.append(len(data))
-            return cKDTree(data, *args, **kw)
-
-        with monkeypatch.context() as m:
-            m.setattr(gg, "cKDTree", counting_tree)
-            cloud = gg._slice_cloud(r, 1.0, len(raw), raw)
-        want_pts, _, want_spacing = _slice_cloud_reference(r, raw)
-        assert np.array_equal(cloud.points, want_pts)
-        assert cloud.spacing == want_spacing
-        return cloud, sizes
+    """A slice cloud equals the reference's, bit for bit, and builds the
+    trees and queries the hand-over rule names (see _built): when at most
+    half the raw rows have a copy, the grid cell's query hands over the
+    kept points' gaps, and only the points whose nearest distinct row was
+    dropped are queried again."""
 
     def test_nothing_dropped_builds_one_tree(self, monkeypatch):
         raw = _circle_raw(500)
-        cloud, sizes = self._trees(monkeypatch, 0.25, raw)
+        cloud, trees, queries, _ = _built(monkeypatch, 0.25, raw)
         assert len(cloud) == len(raw)
-        assert sizes == [len(raw)]
+        assert trees == queries == [len(raw)]
+
+    def test_copies_are_queried_once(self, monkeypatch):
+        # exact copies of 20 points: the distinct rows' one query gives
+        # both the cell and the kept points' gaps
+        circle = _circle_raw(500)
+        raw = np.concatenate([circle, circle[::25]])
+        cloud, trees, queries, _ = _built(monkeypatch, 0.25, raw)
+        assert np.array_equal(cloud.points, circle)
+        assert trees == queries == [len(circle)]
 
     def test_dropped_neighbours_are_queried_again(self, monkeypatch):
         # near-copies a few 1e-9 apart fall in one cell, so dedup drops the
         # nearest raw row of the copy it keeps
         raw = _circle_raw(500)
         raw[1::50] = raw[::50] * (1.0 + 1e-8)
-        cell, (_, nearest), _ = gg._grid_cell(raw)
-        first, _ = gg._dedup(raw, cell)
-        kept = np.zeros(len(raw), dtype=bool)
-        kept[first] = True
-        lost = ~kept[nearest[first]]
-        assert 0 < lost.sum() <= 10
-        cloud, sizes = self._trees(monkeypatch, 0.25, raw)
-        assert len(cloud) == len(first)
-        assert sizes == [len(raw), len(first)]
+        cloud, trees, queries, lost = _built(monkeypatch, 0.25, raw)
+        assert len(cloud) < len(raw)
+        assert 0 < lost <= 10
+        assert trees == [len(raw), len(cloud)]
+        assert queries == [len(raw), lost]
 
 
 class TestSliceCloudFarFromOrigin:
@@ -1013,35 +1076,12 @@ class TestSliceCloudFarFromOrigin:
         assert len(half) == len(near) > 100
 
 
-def _check_gaps(pts, gaps):
-    """The gaps _merge_close hands back, when it does, are each kept
-    point's distance to its nearest other kept point."""
-    if gaps is not None:
-        want = cKDTree(pts).query(pts, k=2)[0][:, 1]
-        assert np.array_equal(gaps, want)
-
-
-def _merge_reference(points, counts, tol):
-    """Leader clustering as a plain loop: each point joins the first kept
-    point within tol, else it is kept."""
-    kept = []
-    summed = []
-    for i, p in enumerate(points):
-        for j, k in enumerate(kept):
-            if np.sum((points[k] - p) ** 2) <= tol * tol:
-                summed[j] += counts[i]
-                break
-        else:
-            kept.append(i)
-            summed.append(counts[i])
-    return points[kept], np.array(summed)
-
-
 class TestMergeClose:
     @pytest.mark.parametrize("n,nvars,tol", [
         (1, 2, 1e-3), (50, 2, 1e-15), (300, 2, 0.05), (300, 3, 0.1),
         (1000, 3, 0.3), (200, 1, 0.01), (500, 4, 0.5)])
-    def test_matches_loop(self, n, nvars, tol):
+    def test_matches_loop(self, n, nvars, tol, monkeypatch):
+        # the builder merges at _STEP_ACCEPT * r, so r sets the tolerance
         rng = np.random.default_rng(n + nvars)
         pts = rng.uniform(-0.25, 0.25, size=(n, nvars))
         # repeated rows, near-copies a few ulps apart, and points on a
@@ -1049,30 +1089,21 @@ class TestMergeClose:
         pts[n // 2:] = pts[: n - n // 2]
         pts[1::5] = pts[::5][: len(pts[1::5])] * (1.0 + 4e-16)
         pts[::7] = np.round(pts[::7] / tol) * tol
-        counts = rng.integers(1, 4, size=n)
-        got_pts, got_counts, gaps, _ = gg._merge_close(pts, counts, tol)
-        want_pts, want_counts = _merge_reference(pts, counts, tol)
-        assert np.array_equal(got_pts, want_pts)
-        assert np.array_equal(got_counts, want_counts)
-        _check_gaps(got_pts, gaps)
-        assert got_counts.sum() == counts.sum()
+        r = tol / gg._STEP_ACCEPT
+        cloud = _built(monkeypatch, r, pts)[0]
+        assert len(cloud) < len(_slice_cloud_reference(r, pts)[0]) or n == 1
 
-    def test_matches_loop_on_slice_samples(self, curves, surfaces):
-        # the grid survivors of accepted samples, at the tolerance
-        # sample_slice merges them with
-        r = 0.25
+    def test_matches_loop_on_slice_samples(self, curves, surfaces,
+                                           monkeypatch):
+        # accepted samples, at the tolerance sample_slice merges them
+        # with; copies of isolated slice points straddle cell borders
+        r, merged = 0.25, 0
         for nvars, eqs in _corpus_systems(curves, surfaces):
             raw, ok = gg.project_to_sphere_slice(
-                eqs, ga.sphere_directions(nvars, 128, 0) * r, r)
-            raw = raw[ok]
-            pts, counts = _deduped(raw, gg._grid_cell(raw)[0])
-            tol = gg._STEP_ACCEPT * r
-            got_pts, got_counts, gaps, _ = gg._merge_close(pts, counts,
-                                                           tol)
-            want_pts, want_counts = _merge_reference(pts, counts, tol)
-            assert np.array_equal(got_pts, want_pts)
-            assert np.array_equal(got_counts, want_counts)
-            _check_gaps(got_pts, gaps)
+                eqs, ga.sphere_directions(nvars, 128, 1) * r, r)
+            cloud = _built(monkeypatch, r, raw[ok])[0]
+            merged += len(cloud) < len(_slice_cloud_reference(r, raw[ok])[0])
+        assert merged > 0
 
     @pytest.mark.parametrize("npoints", [256, 2000])
     @pytest.mark.parametrize("r", [0.0625, 2.0 ** -8])
@@ -1083,6 +1114,60 @@ class TestMergeClose:
                             seed=0, cache=ga.SliceCache())
         assert len(c.points) == 2
         assert np.linalg.norm(c.points[0] - c.points[1]) > r
+
+
+def _circle_roots(part, r, grid=200_000):
+    """The points where the plane curve part meets the circle of radius r,
+    found with no Gauss-Newton: the roots of g(t) = f(r cos t, r sin t),
+    f the part's first equation, from sign changes on a grid of t refined
+    by brentq, kept where its other equations vanish and its inequalities
+    hold."""
+    def on_circle(t):
+        t = np.atleast_1d(t)
+        return r * np.stack([np.cos(t), np.sin(t)], axis=1)
+
+    def g(t):
+        return ex.eval_many(part.eqs[0], on_circle(t))
+
+    t = np.linspace(0.0, 2.0 * math.pi, grid + 1)
+    v = g(t)
+    roots = list(t[:-1][v[:-1] == 0.0])
+    roots += [brentq(lambda u: g(u)[0], t[i], t[i + 1], xtol=1e-300,
+                     rtol=4.0 * np.finfo(float).eps)
+              for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)]
+    X = on_circle(np.array(roots))
+    keep = np.ones(len(X), dtype=bool)
+    for h in part.eqs[1:]:
+        keep &= np.abs(ex.eval_many(h, X)) <= 1e-12 * r
+    for q in part.ineqs:
+        keep &= ex.eval_many(q, X) >= 0.0
+    return X[keep]
+
+
+class TestSliceOracle:
+    """Every plane-curve set whose parts all have equations samples, at
+    each radius of the schedule, exactly its slice points: one cloud point
+    per root of the oracle, within 1e-12 r."""
+
+    def test_curves_match_the_roots(self, curves):
+        radii = ga.RadiiSchedule(0.25).radii()
+        checked = 0
+        for name, s in curves.sets.items():
+            if not all(p.eqs for p in s.parts):
+                continue
+            clouds = gg.sample_slices(s, radii, npoints=256, seed=0,
+                                      cache=ga.SliceCache())
+            for r, cloud in zip(radii, clouds):
+                roots = np.concatenate([_circle_roots(p, r)
+                                        for p in s.parts])
+                assert len(cloud) == len(roots), (name, r)
+                d = cdist(cloud.points, roots)
+                match = d.argmin(axis=1)
+                assert sorted(match) == list(range(len(roots))), (name, r)
+                assert d[np.arange(len(d)), match].max() <= 1e-12 * r, (
+                    name, r)
+            checked += 1
+        assert checked == 20
 
 
 class TestSampleSlice:
