@@ -20,24 +20,27 @@ Only the entry points that need a point, :func:`sample_slice` and
 :func:`tangent_cone_cloud`, raise :class:`EmptySliceError` for it.
 
 All sampling is deterministic given (set, radius, npoints, seed), and each
-stratum's projection given (its system, radius, npoints, seed); a
-thread-safe cache keyed on exactly those values makes repeated comparisons
-against the same set, and sets that share strata, cheap and bit-stable. It
+stratum's projection given (its system, radius, npoints, seed), and each
+cloud given its radius and accepted samples; a thread-safe cache keyed on
+exactly those values makes repeated comparisons against the same set, and
+sets that share strata or samples, cheap and bit-stable. It
 holds geometry only: clouds, projections and the neighbour queries between
 clouds, never a set name or an error.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import expr as ex
-from .sets import BasicPresentation, SemianalyticSet, membership_mask
+from .sets import (BasicPresentation, SemianalyticSet, is_origin_slack,
+                   membership_mask)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -129,9 +132,12 @@ class SliceCloud:
 
     ``tree`` is a k-d tree over the points, the last one the builder made,
     so every neighbour query against the cloud reuses it. ``key`` is the
-    (signature, r, npoints, seed) the cache stores the cloud under (None
-    for a cloud built outside :func:`sample_slices`); the cache keys the
-    neighbour query between two clouds on both keys (see
+    cloud's content key, ("cloud", r, digest of the raw samples' shape and
+    bytes), None for a cloud built outside :func:`sample_slices`. Points,
+    spacing and tree depend only on that key, so sets whose samples at r
+    are equal bit for bit share those three objects (the points read-only)
+    and differ only in ``converged_fraction`` and ``attempts``; the cache
+    keys the neighbour query between two clouds on both content keys (see
     :func:`_cloud_neighbours`).
     """
 
@@ -168,9 +174,11 @@ class DistanceSample:
 class SliceCache:
     """Thread-safe memo of sampled slices, including empty outcomes, of
     the accepted points of each stratum's sphere projection, so sets that
-    share a stratum project it once, and of the neighbour query of one
-    slice cloud's points in another's tree, so the limit fit and the horn
-    criterion query each ordered pair of clouds once."""
+    share a stratum project it once, of each distinct point set's cloud,
+    so sets with equal samples build one cloud, and of the neighbour query
+    of one point set in another's tree, so the limit fit and the horn
+    criterion query each ordered pair of distinct point sets once (a cloud
+    against its own copy once for both directions)."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -661,7 +669,14 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
     keep their boundary strata. The rule looks only at the parent's
     projection, never at what the cache holds, so the clouds do not depend
     on the cache; a skipped stratum stores nothing, since it may be
-    another set's own stratum.
+    another set's own stratum. Nor is a boundary stratum projected whose
+    promoted inequality is an inflation slack over the part's own
+    equations (:func:`~germapprox.sets.is_origin_slack`): it is the origin
+    alone, with no point on any sphere.
+
+    Each radius's accepted samples are looked up by content (see
+    :class:`SliceCloud`), so each distinct point set is built into a cloud
+    once per cache.
     """
     radii = [float(r) for r in radii]
     for r in radii:
@@ -695,6 +710,11 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
         isolated = set()
         for si, ((eqs, rest), (stratum_strs, _)) in enumerate(strata):
             attempts += nstarts
+            if si and any(is_origin_slack(g, part.eqs, s.nvars)
+                          for g in eqs[len(part.eqs):]):
+                # an inflation slack over the part's own equations: this
+                # boundary is the origin alone
+                continue
             sys_eqs = _normalize_system(eqs)
             if sys_eqs is None:
                 continue
@@ -738,9 +758,20 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
                     else 0.0)
         raw = (np.concatenate(collected[r], axis=0) if collected[r]
                else np.zeros((0, s.nvars)))
-        key = (sig, r, npoints, seed)
-        out[r] = _slice_cloud(r, fraction, attempts, raw, key)
-        cache.store(key, out[r])
+        digest = hashlib.blake2b(repr(raw.shape).encode(), digest_size=16)
+        digest.update(np.ascontiguousarray(raw))
+        key = ("cloud", r, digest.digest())
+        cloud = cache.lookup(key)
+        if cloud is None:
+            cloud = _slice_cloud(r, fraction, attempts, raw, key)
+            # every set with these samples reads this same array
+            cloud.points.flags.writeable = False
+            cache.store(key, cloud)
+        else:
+            cloud = replace(cloud, converged_fraction=fraction,
+                            attempts=attempts)
+        out[r] = cloud
+        cache.store((sig, r, npoints, seed), cloud)
     return [out[r] for r in radii]
 
 
@@ -785,12 +816,13 @@ def _neighbours(X: np.ndarray, cloud: SliceCloud):
 def _cloud_neighbours(ca: SliceCloud, cb: SliceCloud,
                       cache: SliceCache | None):
     """:func:`_neighbours` of A's points in B's cloud, queried once per
-    cache for each ordered pair of cached clouds: the cache keys the result
-    on both clouds' keys, (signature, r, npoints, seed). A cloud without a
-    key is queried afresh. Column 0 is each point's distance to B's cloud,
-    bit for bit what a k=1 query gives, so the limit fit's deviation and
-    the horn criterion's bound and multistart read one query. Neither
-    cloud may be empty."""
+    cache for each ordered pair of distinct point sets: the cache keys the
+    result on both clouds' content keys, so a cloud against its own copy is
+    one query for both directions. A cloud without a key is queried
+    afresh. Column 0 is each point's distance to B's cloud, bit for bit
+    what a k=1 query gives, so the limit fit's deviation and the horn
+    criterion's bound and multistart read one query. Neither cloud may be
+    empty."""
     if ca.key is None or cb.key is None:
         return _neighbours(ca.points, cb)
     if cache is None:

@@ -341,6 +341,30 @@ def inflated_part(part: BasicPresentation, proj_eqs, m: int
         ineqs=(slack,) + part.ineqs, through_origin=True)
 
 
+def is_origin_slack(g: Expr, eqs, nvars: int) -> bool:
+    """Whether ``g`` is exactly |x|^(2m) - sum_{e in E'} e^2 for some m >= 1
+    and equations E' among ``eqs``: the slack :func:`inflated_part` builds
+    when the projected system is the part's own. On {eqs = 0} it is then
+    |x|^(2m), so {eqs = 0, g = 0} is the origin alone and meets no sphere
+    of positive radius. The test is structural: a slack over other
+    equations (a generic projection F != f) or a truncated one is not
+    recognized."""
+    if isinstance(g, ex.Sub):
+        g, squares = g.left, g.right
+        while isinstance(squares, ex.Add):
+            if not _is_square_of(squares.right, eqs):
+                return False
+            squares = squares.left
+        if not _is_square_of(squares, eqs):
+            return False
+    norm = sum_of_squares([ex.Var(j) for j in range(nvars)])
+    return g == norm or (isinstance(g, ex.IntPow) and g.base == norm)
+
+
+def _is_square_of(e: Expr, eqs) -> bool:
+    return isinstance(e, ex.IntPow) and e.exponent == 2 and e.base in eqs
+
+
 # ---------------------------------------------------------------------------
 # file format
 #
