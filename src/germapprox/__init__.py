@@ -29,7 +29,6 @@ from .equivalence import (
     decide_le,
     deviation_profile,
     estimate_exponent,
-    estimate_order_directed,
     horn_criterion,
     sign_agreement_check,
     union_property_check,
@@ -88,7 +87,7 @@ __all__ = [
     "ExponentPreconditionError", "OrderEstimate", "RadiiSchedule",
     "SignAgreementReport", "UnionPropertyReport", "Verdict",
     "decide_equivalent", "decide_le", "deviation_profile",
-    "estimate_exponent", "estimate_order_directed", "horn_criterion",
+    "estimate_exponent", "horn_criterion",
     "sign_agreement_check", "union_property_check",
     "Expr", "ExprError", "NonAnalyticError", "ParseError",
     "diff", "eval_many", "parse", "poly_to_expr", "taylor", "to_string",

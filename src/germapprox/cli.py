@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -77,37 +78,10 @@ def _sanitize(obj):
     return obj
 
 
-def _estimate_dict(e: OrderEstimate) -> dict:
-    return {
-        "direction": e.direction,
-        "slope": e.slope,
-        "intercept": e.intercept,
-        "r_squared": e.r_squared,
-        "vanishing": e.vanishing,
-        "below_floor": e.below_floor,
-        "samples": [
-            {"r": s.r, "delta_ab": s.delta_ab, "delta_ba": s.delta_ba,
-             "floor": s.floor}
-            for s in e.samples
-        ],
-    }
-
-
 def _verdict_dict(v: Verdict) -> dict:
-    d = {
-        "holds": v.holds,
-        "s": v.s,
-        "method": v.method,
-        "inconclusive": v.inconclusive,
-        "caveats": list(v.caveats),
-    }
-    if v.sigma is not None:
-        d["sigma"] = v.sigma
-    if v.estimate is not None:
-        d["estimate"] = _estimate_dict(v.estimate)
-    if v.estimate_reverse is not None:
-        d["estimate_reverse"] = _estimate_dict(v.estimate_reverse)
-    return d
+    """The verdict's fields, nested estimates included, less those that
+    are None (sigma and the estimates)."""
+    return {k: x for k, x in asdict(v).items() if x is not None}
 
 
 def _collection_dict(s: SemianalyticSet, names) -> dict:
@@ -322,8 +296,8 @@ def cmd_order(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
         sidecar = {"manifest": manifest,
-                   "estimate_ab": _estimate_dict(est_ab),
-                   "estimate_ba": _estimate_dict(est_ba),
+                   "estimate_ab": asdict(est_ab),
+                   "estimate_ba": asdict(est_ba),
                    "caveats": list(caveats)}
         with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(_dump_json(sidecar))

@@ -216,13 +216,6 @@ def deviation_profile(a: SemianalyticSet, b: SemianalyticSet,
     return tuple(samples), est_ab, est_ba, tuple(dict.fromkeys(notes))
 
 
-def estimate_order_directed(a: SemianalyticSet, b: SemianalyticSet,
-                            config: CompareConfig,
-                            cache: SliceCache | None = None) -> OrderEstimate:
-    """Fit the decay order of A's deviation from B across the schedule."""
-    return deviation_profile(a, b, config, cache)[1]
-
-
 def _verdict_from_estimate(est: OrderEstimate, s: float,
                            config: CompareConfig, caveats) -> Verdict:
     caveats = list(caveats)

@@ -11,9 +11,10 @@ batches), symbolic partial derivatives (used to build Jacobian minors as
 expressions), and degree-capped Taylor expansion at the origin via the
 series engine in :mod:`germapprox.series`.
 
-Everything known about a primitive (its float and numpy functions, its
-numeric and symbolic derivatives, its Taylor coefficients and its domain
-floor) is one row of ``series.PRIMITIVE_TABLE``; adding a primitive means
+Everything known about a primitive (its numpy function, its derivative
+rule, its Taylor coefficients and its domain floor) is one row of
+``series.PRIMITIVE_TABLE``. Forward mode applies the same derivative rule
+to values that ``diff`` applies to trees; adding a primitive means
 adding a row there, and tests/test_expr.py's per-primitive consistency test
 checks the new row once it has a reference entry. Value at the origin,
 batch values, value+gradient and Taylor series are one walker, ``_fold``,
@@ -222,12 +223,14 @@ def _fold(e: Expr, var, const, prim):
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
-def _scalar_at_origin(row, c: float) -> float:
-    # math's functions raise ValueError, not OverflowError, on an infinite
-    # argument (a product of two huge factors overflows to inf silently)
-    if not math.isfinite(c):
+def _finite_at_origin(row, c):
+    # a primitive of an overflowed argument, or one that overflows, stops
+    # the fold: atan, exp(-.) or ^0 would fold the overflow into a finite
+    # value that Taylor expansion then cannot reproduce
+    value = row.vector(c)
+    if not (math.isfinite(c) and math.isfinite(value)):
         raise OverflowError
-    return row.scalar(c)
+    return value
 
 
 def const_term(e: Expr) -> float:
@@ -238,14 +241,15 @@ def const_term(e: Expr) -> float:
     so it raises NonAnalyticError.
     """
     try:
-        value = _fold(e, lambda index: 0.0, lambda value: value,
-                      _scalar_at_origin)
+        with np.errstate(all="ignore"):
+            value = _fold(e, lambda index: 0.0, lambda value: value,
+                          _finite_at_origin)
         if not math.isfinite(value):
             raise OverflowError
     except OverflowError:
         raise NonAnalyticError(
             "value at the origin overflows a float") from None
-    return value
+    return float(value)
 
 
 def max_index(e: Expr) -> int:
@@ -707,8 +711,13 @@ class _Dual:
         return _Dual(self.v ** k, (k * self.v ** (k - 1))[..., None] * self.g)
 
     def apply(self, row):
-        val = row.vector(self.v)
-        return _Dual(val, row.derivative(self.v, val)[..., None] * self.g)
+        # the chain rule ``diff`` builds trees with, applied to values
+        return _Dual(row.vector(self.v),
+                     row.diff(self.v[..., None], self.g, _apply_vector))
+
+
+def _apply_vector(name: str, v):
+    return PRIMITIVE_TABLE[name].vector(v)
 
 
 def value_and_grad_many(e: Expr, X: np.ndarray):

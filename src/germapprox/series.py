@@ -290,19 +290,18 @@ def _log1p_vector(v):
 class Primitive:
     """Everything the package knows about one analytic primitive psi.
 
-    ``scalar`` and ``vector`` evaluate psi on a float and (permissively,
-    nan/inf instead of raising) on an array; ``derivative(v, val)`` is
-    psi'(v) on arrays given ``val = vector(v)``; ``diff(a, da, prim)`` is
-    the symbolic derivative of psi(a) given the derivative ``da`` of the
-    argument and the node constructor ``prim(name, arg)``; ``coefficients(c,
-    m)`` are the Taylor coefficients a_0..a_m of psi(c + t); and psi is
-    analytic at c only when c > ``floor`` (None: everywhere).
+    ``vector`` evaluates psi on an array (permissively, nan/inf instead of
+    raising); ``diff(a, da, prim)`` is the derivative of psi(a) given the
+    derivative ``da`` of the argument and ``prim(name, arg)``, which applies
+    a primitive: over expression trees it builds a node (symbolic
+    derivatives), over arrays it evaluates (forward-mode gradients);
+    ``coefficients(c, m)`` are the Taylor coefficients a_0..a_m of
+    psi(c + t); and psi is analytic at c only when c > ``floor`` (None:
+    everywhere).
     """
 
     name: str
-    scalar: Callable[[float], float]
     vector: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     diff: Callable
     coefficients: Callable[[float, int], list[float]]
     floor: float | None = None
@@ -312,34 +311,24 @@ class Primitive:
 # simplifying Expr operators, so derivative trees (and the minors and cache
 # signatures built from them) depend on the exact form written here.
 PRIMITIVE_TABLE: dict[str, Primitive] = {p.name: p for p in (
-    Primitive("exp", math.exp, np.exp, lambda v, val: val,
-              lambda a, da, prim: prim("exp", a) * da,
+    Primitive("exp", np.exp, lambda a, da, prim: prim("exp", a) * da,
               _cyclic(math.exp)),
-    Primitive("sin", math.sin, np.sin, lambda v, val: np.cos(v),
-              lambda a, da, prim: prim("cos", a) * da,
+    Primitive("sin", np.sin, lambda a, da, prim: prim("cos", a) * da,
               _cyclic(math.sin, math.cos, lambda c: -math.sin(c),
                       lambda c: -math.cos(c))),
-    Primitive("cos", math.cos, np.cos, lambda v, val: -np.sin(v),
-              lambda a, da, prim: -(prim("sin", a) * da),
+    Primitive("cos", np.cos, lambda a, da, prim: -(prim("sin", a) * da),
               _cyclic(math.cos, lambda c: -math.sin(c),
                       lambda c: -math.cos(c), math.sin)),
-    Primitive("sinh", math.sinh, np.sinh, lambda v, val: np.cosh(v),
-              lambda a, da, prim: prim("cosh", a) * da,
+    Primitive("sinh", np.sinh, lambda a, da, prim: prim("cosh", a) * da,
               _cyclic(math.sinh, math.cosh)),
-    Primitive("cosh", math.cosh, np.cosh, lambda v, val: np.sinh(v),
-              lambda a, da, prim: prim("sinh", a) * da,
+    Primitive("cosh", np.cosh, lambda a, da, prim: prim("sinh", a) * da,
               _cyclic(math.cosh, math.sinh)),
-    Primitive("log1p", math.log1p, _log1p_vector,
-              lambda v, val: 1.0 / (1.0 + v),
-              lambda a, da, prim: da / (1.0 + a),
+    Primitive("log1p", _log1p_vector, lambda a, da, prim: da / (1.0 + a),
               _log1p_coefficients, floor=-1.0),
-    Primitive("sqrt1p", lambda t: math.sqrt(1.0 + t),
-              lambda v: np.sqrt(1.0 + v), lambda v, val: 0.5 / val,
+    Primitive("sqrt1p", lambda v: np.sqrt(1.0 + v),
               lambda a, da, prim: da / (2.0 * prim("sqrt1p", a)),
               _sqrt1p_coefficients, floor=-1.0),
-    Primitive("atan", math.atan, np.arctan,
-              lambda v, val: 1.0 / (1.0 + v * v),
-              lambda a, da, prim: da / (1.0 + a ** 2),
+    Primitive("atan", np.arctan, lambda a, da, prim: da / (1.0 + a ** 2),
               _atan_coefficients),
 )}
 

@@ -81,11 +81,10 @@ def test_criterion_02_subset_orientation(curves, heavy_config, cache,
                                          report):
     # half-line inside the full line: the contained side's deviation sits
     # at the floor, the containing side's deviation is the 2r gap
-    fwd = ga.estimate_order_directed(curves.get("halfline"),
-                                     curves.get("line"), heavy_config, cache)
-    rev = ga.estimate_order_directed(curves.get("line"),
-                                     curves.get("halfline"), heavy_config,
-                                     cache)
+    fwd = ga.deviation_profile(curves.get("halfline"), curves.get("line"),
+                               heavy_config, cache)[1]
+    rev = ga.deviation_profile(curves.get("line"), curves.get("halfline"),
+                               heavy_config, cache)[1]
     below = all(s.delta_ab <= s.floor for s in fwd.samples)
     ratios = [s.delta_ab / s.r for s in rev.samples]
     in_band = all(1.9 <= q <= 2.1 for q in ratios)

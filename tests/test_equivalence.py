@@ -65,7 +65,7 @@ class TestOrderFits:
     def test_reflexive_deviation_vanishes(self, curves, quick_config,
                                           shared_cache):
         e = curves.get("exp_curve")
-        est = ga.estimate_order_directed(e, e, quick_config, shared_cache)
+        est = ga.deviation_profile(e, e, quick_config, shared_cache)[1]
         assert est.vanishing and est.slope == math.inf
         assert est.below_floor >= quick_config.schedule.count - 1
 
@@ -92,9 +92,9 @@ class TestOrderFits:
 
     def test_line_vs_parabola_order_two(self, curves, quick_config,
                                         shared_cache):
-        est = ga.estimate_order_directed(
+        est = ga.deviation_profile(
             curves.get("line"), curves.get("parabola"), quick_config,
-            shared_cache)
+            shared_cache)[1]
         assert est.slope == pytest.approx(2.0, abs=0.1)
         assert est.r_squared > 0.999
         assert est.direction == "A<=B"
@@ -103,9 +103,9 @@ class TestOrderFits:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_truncation_order_is_k_plus_one(self, curves, quick_config,
                                             shared_cache, k):
-        est = ga.estimate_order_directed(
+        est = ga.deviation_profile(
             curves.get("exp_curve"), curves.get(f"trunc{k}"), quick_config,
-            shared_cache)
+            shared_cache)[1]
         assert est.slope == pytest.approx(k + 1, abs=0.2)
         assert est.r_squared > 0.999
 

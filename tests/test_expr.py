@@ -179,9 +179,13 @@ class TestParse:
         with pytest.raises(NonAnalyticError):
             ex.const_term(IntPow(Const(1e200), 2))
         # products overflow to inf without raising: an infinite primitive
-        # argument and an inf - inf value are caught all the same
+        # argument and an inf - inf value are caught all the same, and so
+        # is an overflow that atan, exp(-.) or ^0 would fold back into a
+        # finite value
         for text in ("sin(exp(100)^4*exp(100)^4)",
-                     "y - (exp(100)^4*exp(100)^4 - exp(100)^4*exp(100)^4)"):
+                     "y - (exp(100)^4*exp(100)^4 - exp(100)^4*exp(100)^4)",
+                     "atan(exp(100)^4*exp(100)^4)", "exp(-exp(1000))",
+                     "y - exp(1000)^0 + 1"):
             with pytest.raises(NonAnalyticError, match="overflows"):
                 ex.const_term(ex.parse(text, 2))
 
@@ -513,8 +517,9 @@ def test_every_primitive_has_a_reference():
 
 @pytest.mark.parametrize("name", ex.PRIM_NAMES)
 class TestPrimitiveConsistency:
-    """Each primitive's scalar, batch, gradient, symbolic derivative and
-    Taylor coefficients agree with each other and with the references."""
+    """Each primitive's value at the origin, batch values, gradient,
+    symbolic derivative and Taylor coefficients agree with each other and
+    with the references."""
 
     # psi(x + y/2 - 0.1): a two-variable argument with a nonzero value at 0
     @staticmethod
@@ -548,6 +553,25 @@ class TestPrimitiveConsistency:
             h[j] = step
             fd = (ex.eval_many(e, X + h) - ex.eval_many(e, X - h)) / (2 * step)
             np.testing.assert_allclose(grads[:, j], fd, rtol=1e-6, atol=1e-8)
+
+    def test_gradient_matches_sympy(self, name):
+        # forward mode and symbolic trees share one ``diff`` rule, so only an
+        # independent oracle sees its rounding: sympy's partials, evaluated
+        # by mpmath at 50 digits at the same float points (0.1 is the
+        # float's exact value)
+        sp = pytest.importorskip("sympy")
+        import mpmath
+        x, y = sp.symbols("x y")
+        psi = REFERENCE[name][2](sp, x + y / 2 - sp.Rational(0.1))
+        X = self._points()
+        _, grads = ex.value_and_grad_many(self._expr(name), X)
+        with mpmath.workdps(50):
+            for j, v in enumerate((x, y)):
+                partial = sp.lambdify((x, y), sp.diff(psi, v), "mpmath")
+                want = [float(partial(mpmath.mpf(a), mpmath.mpf(b)))
+                        for a, b in X]
+                np.testing.assert_allclose(grads[:, j], want, rtol=1e-14,
+                                           atol=0.0)
 
     def test_diff_matches_forward_mode(self, name):
         e = self._expr(name)
