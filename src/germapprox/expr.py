@@ -738,6 +738,27 @@ def eval_system(exprs, X: np.ndarray) -> np.ndarray:
     return np.stack([eval_many(e, X) for e in exprs], axis=-1)
 
 
+def _row_norm(X: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(X, axis=-1)`` for a float array X, bit for bit, in
+    a few cheap numpy calls where the rows are short.
+
+    numpy's norm is sqrt of ``np.add.reduce(X * X, axis=-1)``, and that
+    reduction sums pairwise only in blocks of 8 entries or more: a shorter
+    row is added left to right, which is what
+    sqrt(x0*x0 + x1*x1 + ...) summed column by column does too. A reduction
+    along a last axis of a few entries costs numpy several times more than
+    those whole-column operations. From 8 columns on, and for no columns,
+    this is numpy's norm itself.
+    """
+    n = X.shape[-1]
+    if not 0 < n < 8:
+        return np.linalg.norm(X, axis=-1)
+    sq = X[..., 0] * X[..., 0]
+    for j in range(1, n):
+        sq += X[..., j] * X[..., j]
+    return np.sqrt(sq)
+
+
 def eval_system_jacobian(exprs, X: np.ndarray):
     """Values and Jacobians of a system at a batch: (N,n) -> (N,p), (N,p,n)."""
     X = np.asarray(X, dtype=float)

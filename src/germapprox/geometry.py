@@ -39,6 +39,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import expr as ex
+from .expr import _row_norm
 from .sets import (BasicPresentation, SemianalyticSet, is_origin_slack,
                    membership_mask)
 
@@ -229,9 +230,9 @@ def sphere_directions(nvars: int, npoints: int, seed: int = 0) -> np.ndarray:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         return pts @ q.T
     raw = rng.standard_normal((npoints, nvars))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms = _row_norm(raw)
     norms[norms == 0.0] = 1.0
-    return raw / norms
+    return raw / norms[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +240,7 @@ def sphere_directions(nvars: int, npoints: int, seed: int = 0) -> np.ndarray:
 
 
 def _system_residual(eqs, X: np.ndarray) -> np.ndarray:
-    vals = ex.eval_system(eqs, X)
-    res = np.linalg.norm(vals, axis=-1)
+    res = _row_norm(ex.eval_system(eqs, X))
     return np.where(np.isfinite(res), res, np.inf)
 
 
@@ -264,7 +264,7 @@ def _pinv(jacs: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(jacs, rcond=_PINV_RCOND)
     shape = jacs.shape[:-2] + (n, m)
     # one row of E per Jacobian entry: numpy reduces across a few long rows
-    # far faster than along many short ones
+    # far faster than along many short ones (see expr._row_norm)
     E = np.ascontiguousarray(jacs.reshape(-1, m * n).T)
     scale = np.abs(E).max(axis=0)
     live = scale > 0.0
@@ -310,11 +310,20 @@ def _pinv_times(pinv: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sum(pinv[..., j] * v[..., j, None] for j in range(v.shape[-1]))
 
 
+def _finite_rows(X: np.ndarray) -> np.ndarray:
+    """``np.isfinite(X).all(axis=-1)``, built column by column: numpy
+    reduces a short last axis far slower than it combines whole columns."""
+    ok = np.ones(X.shape[:-1], dtype=bool)
+    for j in range(X.shape[-1]):
+        ok &= np.isfinite(X[..., j])
+    return ok
+
+
 def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
     """Least-squares Newton steps toward {f = 0}, nan-safe."""
     vals, _, pinv = _linearize(eqs, X)
     steps = -_pinv_times(pinv, vals)
-    bad = ~np.all(np.isfinite(steps), axis=-1)
+    bad = ~_finite_rows(steps)
     if bad.any():
         steps[bad] = 0.0
     return steps
@@ -325,10 +334,13 @@ def _renormalize(X: np.ndarray, r: float | np.ndarray,
     """Scale each row of X onto the sphere of radius r; rows too close to
     the origin to carry a direction take ``fallback`` instead. X is
     overwritten with the result and returned."""
-    norms = np.linalg.norm(X, axis=-1)
+    norms = _row_norm(X)
     ok = norms > 1e-8 * r
     X *= (r / np.where(ok, norms, 1.0))[..., None]
-    np.copyto(X, fallback, where=~ok[..., None])
+    # a masked copy costs numpy about as much as the scaling, and almost
+    # every row keeps its direction
+    if not ok.all():
+        np.copyto(X, fallback, where=~ok[..., None])
     return X
 
 
@@ -341,25 +353,40 @@ def _line_search(eqs, X: np.ndarray, res: np.ndarray, idx: np.ndarray,
     in order. Returns each row's first trial point whose residual is below
     its entry of ``res``, and that residual: inf for a row that found none
     or is not in pend.
+
+    A chunk's trials are (rows, k, n) for k fractions. Hit row h, whose
+    first better trial is j, is picked by the flat index h*k + j into the
+    trials as (rows*k, n) and their residuals as (rows*k,): one ``take``
+    each, where ``trials[hit, first]`` mixes a boolean and an integer index
+    and costs numpy many times more. With the full step alone (k = 1) the
+    pick is ``better[:, 0]`` and the step is added unscaled, since 1.0*s is
+    exact.
     """
+    n = steps.shape[-1]
     cand = np.empty_like(steps)
     cres = np.full(len(steps), np.inf)
     for fractions in _LINE_SEARCH:
         if pend.size == 0:
             break
-        rows = _LINE_SEARCH_TRIALS // len(fractions)
+        k = len(fractions)
+        rows = _LINE_SEARCH_TRIALS // k
         left = []
         for chunk in np.split(pend, range(rows, pend.size, rows)):
-            base = X.take(idx[chunk], axis=0)[:, None]
+            src = idx.take(chunk)
+            base = X.take(src, axis=0)[:, None]
+            step = steps.take(chunk, axis=0)[:, None]
             trials = _renormalize(
-                base + fractions[:, None] * steps[chunk, None],
-                ra[chunk, None], base)
+                base + (step if k == 1 else fractions[:, None] * step),
+                ra.take(chunk)[:, None], base)
             tres = _system_residual(eqs, trials)
-            better = tres < res[idx[chunk], None]
-            hit = better.any(axis=1)
-            first = better.argmax(axis=1)[hit]
-            cand[chunk[hit]] = trials[hit, first]
-            cres[chunk[hit]] = tres[hit, first]
+            better = tres < res.take(src)[:, None]
+            hit = better[:, 0] if k == 1 else better.any(axis=1)
+            h = np.flatnonzero(hit)
+            flat = (h if k == 1
+                    else h * k + better.take(h, axis=0).argmax(axis=1))
+            dst = chunk.take(h)
+            cand[dst] = trials.reshape(-1, n).take(flat, axis=0)
+            cres[dst] = tres.reshape(-1).take(flat)
             left.append(chunk[~hit])
         pend = np.concatenate(left)
     return cand, cres
@@ -422,7 +449,7 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
         ra = rad[idx]
         # np.take gathers whole rows several times faster than X[idx]
         steps = _gn_steps(eqs, X.take(idx, axis=0))
-        last[idx] = np.linalg.norm(steps, axis=-1)
+        last[idx] = _row_norm(steps)
         conv = last[idx] <= _STEP_TARGET * ra
         # converged rows stop without moving, so they try no step
         cand, cres = _line_search(eqs, X, res, idx, ra, steps,
@@ -434,8 +461,8 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
             disp = np.full(moved.size, np.inf)
             run = np.zeros(moved.size, dtype=np.int8)
         else:
-            disp = np.linalg.norm(
-                cand.take(moved, axis=0) - back.take(moved, axis=0), axis=-1)
+            disp = _row_norm(
+                cand.take(moved, axis=0) - back.take(moved, axis=0))
             run = np.where((disp <= _STALL_SPAN * last[rows])
                            & (disp <= _STALL_GROWTH * span[moved])
                            & (last[rows] > _STEP_ACCEPT * ra[moved]),
@@ -449,8 +476,7 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
         # free this iteration's buffers before the next one makes its own
         del steps, cand, cres, moved, rows, disp
     if idx.size:
-        last[idx] = np.linalg.norm(_gn_steps(eqs, X.take(idx, axis=0)),
-                                   axis=-1)
+        last[idx] = _row_norm(_gn_steps(eqs, X.take(idx, axis=0)))
     accepted = last <= _STEP_ACCEPT * rad
     accepted &= np.isfinite(res)
     return X, accepted
@@ -631,7 +657,7 @@ def _isolated_radii(eqs, entries: dict, nstarts: int, nvars: int) -> set:
     M = np.concatenate(
         [jacs, (X / np.repeat(full, nstarts)[:, None])[:, None]], axis=1)
     M[~np.isfinite(M).all(axis=(1, 2))] = 0.0
-    norms = np.linalg.norm(M, axis=-1, keepdims=True)
+    norms = _row_norm(M)[..., None]
     M /= np.where(norms > 0.0, norms, 1.0)
     g = _ISOLATED_GUARD
     if M.shape[1:] == (2, 2):
@@ -894,7 +920,7 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
     Y = np.array(starts, dtype=float)
     if not eqs:
         return Y, np.ones(len(Y), dtype=bool)
-    scale = np.maximum(np.linalg.norm(targets, axis=-1), 1e-30)
+    scale = np.maximum(_row_norm(targets), 1e-30)
     for _ in range(_LANDING_STEPS):
         Y = Y + _gn_steps(eqs, Y)
     idx = np.arange(len(Y))
@@ -904,13 +930,12 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
         step = _nearest_steps(eqs, Y.take(idx, axis=0),
                               targets.take(idx, axis=0))
         Y[idx] += step
-        idx = idx[np.linalg.norm(step, axis=-1) > 1e-14 * scale[idx]]
+        idx = idx[_row_norm(step) > 1e-14 * scale[idx]]
     tol = 1e-9 * scale
     vals, jacs, pinv = _linearize(eqs, Y)
     ok = np.isfinite(_system_residual(eqs, Y))
-    ok &= np.linalg.norm(_pinv_times(pinv, vals), axis=-1) <= tol
-    ok &= (np.linalg.norm(vals, axis=-1)
-           <= np.linalg.norm(jacs, axis=(-2, -1)) * tol)
+    ok &= _row_norm(_pinv_times(pinv, vals)) <= tol
+    ok &= _row_norm(vals) <= np.linalg.norm(jacs, axis=(-2, -1)) * tol
     return Y, ok
 
 
@@ -939,7 +964,7 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
         X = X[None, :]
     if not np.isfinite(X).all():
         raise GeometryError("query points must be finite")
-    r_cloud = float(np.median(np.linalg.norm(X, axis=-1))) if len(X) else 0.0
+    r_cloud = float(np.median(_row_norm(X))) if len(X) else 0.0
     best, starts, run = _dist_candidates(
         X, s, [(np.arange(len(X)), r_cloud, None)], npoints, seed, cache)
     _refine(X, s, best, starts, run)
@@ -971,7 +996,7 @@ def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
     if not s.parts or not (best > 0.0).any():
         return best, X[:, None], (best > 0.0)[:, None]
     if any(p.through_origin for p in s.parts):
-        best = np.minimum(best, np.linalg.norm(X, axis=-1))
+        best = np.minimum(best, _row_norm(X))
 
     near = []
     for rows, r, own in groups:
@@ -1002,8 +1027,8 @@ def _in_germ(Y: np.ndarray, ineqs, omega: float, X: np.ndarray):
     """Rows of Y, points found for the query rows X, inside the ball of
     radius omega (to 1e-9 relative) that meet every inequality of ``ineqs``
     to within ``1e-8 * max(1, |x|)``."""
-    keep = np.linalg.norm(Y, axis=-1) <= omega * (1.0 + 1e-9)
-    tol = 1e-8 * np.maximum(1.0, np.linalg.norm(X, axis=-1))
+    keep = _row_norm(Y) <= omega * (1.0 + 1e-9)
+    tol = 1e-8 * np.maximum(1.0, _row_norm(X))
     for g in ineqs:
         vals = ex.eval_many(g, Y)
         keep &= np.isfinite(vals) & (vals >= -tol)
@@ -1035,10 +1060,10 @@ def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
         # its trace counts them
         kept = (jacs * np.swapaxes(pinv, -1, -2)).sum(axis=(-2, -1))
         ok &= kept > len(eqs) - 0.5
-        ok &= (np.linalg.norm(_pinv_times(pinv, vals), axis=-1)
-               <= _STEP_ACCEPT * np.linalg.norm(X, axis=-1))
+        ok &= (_row_norm(_pinv_times(pinv, vals))
+               <= _STEP_ACCEPT * _row_norm(X))
         ok[ok] = _in_germ(Y[ok], part.ineqs, s.omega, X[ok])
-        out[ok] = np.minimum(out[ok], np.linalg.norm(Y[ok] - X[ok], axis=-1))
+        out[ok] = np.minimum(out[ok], _row_norm(Y[ok] - X[ok]))
     return out
 
 
@@ -1059,8 +1084,7 @@ def _refine(X: np.ndarray, s: SemianalyticSet, best: np.ndarray,
             Y, ok = _nearest_on_variety(eqs, S0, T0)
             ok[ok] = _in_germ(Y[ok], rest, s.omega, T0[ok])
             if ok.any():
-                np.minimum.at(best, own[ok], np.linalg.norm(
-                    Y[ok] - T0[ok], axis=-1))
+                np.minimum.at(best, own[ok], _row_norm(Y[ok] - T0[ok]))
 
 
 def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,

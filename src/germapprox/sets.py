@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as ex
-from .expr import Expr
+from .expr import Expr, _row_norm
 
 _ORIGIN_TOL = 1e-12
 # membership residual tolerances, relative to max(1, |x|)
@@ -267,7 +267,7 @@ def membership_mask(s: SemianalyticSet, X: np.ndarray) -> np.ndarray:
         raise SetError(
             f"points have {X.shape[-1]} coordinates, set {s.name!r} "
             f"has {s.nvars} variables")
-    norms = np.linalg.norm(X, axis=-1)
+    norms = _row_norm(X)
     scale = np.maximum(1.0, norms)
     inside = norms <= s.omega + _MEMBER_TOL_EQ
     result = np.zeros(X.shape[0], dtype=bool)

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq, minimize
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -50,6 +52,80 @@ class TestSphereDirections:
             ga.sphere_directions(2, 0)
 
 
+# values numpy's norm treats specially: signed zeros, subnormals, squares
+# that underflow or overflow, infinities and nan
+_ROW_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-200, -1e-200,
+                 1e200, -1e200, 1.0, -3.5, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _row_batches(draw, widths):
+    """A float array of shape (N, n) or (N, k, n), n drawn from
+    ``widths``, as a C-ordered array, a Fortran-ordered copy or a strided
+    view of a larger array."""
+    n = draw(widths)
+    lead = draw(st.sampled_from([(0,), (1,), (7,), (3, 1), (2, 5), (4, 3)]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    shape = lead + (n,)
+    if layout == "strided":
+        shape = tuple(2 * d for d in shape)
+    # entries of one magnitude make the order of the sum show in the last
+    # bit; entries of any magnitude reach underflow and overflow
+    values = st.one_of(st.sampled_from(_ROW_SPECIALS),
+                       st.floats(-4.0, 4.0),
+                       st.floats(allow_nan=True, allow_infinity=True))
+    A = draw(hnp.arrays(np.float64, shape, elements=values))
+    if layout == "F":
+        return np.asfortranarray(A)
+    if layout == "strided":
+        return A[(slice(None, None, 2),) * A.ndim]
+    return A
+
+
+def _same_floats(a, b):
+    """Equal shapes, nan at the same entries, and every other entry equal
+    bit for bit."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64),
+                               b[~nan].view(np.uint64)))
+
+
+class TestRowNorm:
+    """The short-row kernels give numpy's own reductions bit for bit. They
+    rest on numpy summing a last axis of fewer than 8 entries left to
+    right, so this also checks that the installed numpy still does."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_row_batches(st.integers(0, 9)))
+    def test_matches_numpy_norm(self, X):
+        with np.errstate(all="ignore"):
+            got = ex._row_norm(X)
+            want = np.linalg.norm(X, axis=-1)
+        assert _same_floats(got, want)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_every_width_on_random_rows(self, n):
+        # rows of one magnitude, where the order of the sum shows, then
+        # rows whose squares underflow or overflow
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((1000, 3, n))
+        X[500:] *= 10.0 ** rng.integers(-170, 170, (500, 3, n))
+        for Y in (X, np.asfortranarray(X), X[::2, 1:], X[..., ::-1],
+                  X[:, 0]):
+            with np.errstate(all="ignore"):
+                assert _same_floats(ex._row_norm(Y),
+                                    np.linalg.norm(Y, axis=-1))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_row_batches(st.integers(0, 9)))
+    def test_finite_rows_match_numpy(self, X):
+        assert np.array_equal(gg._finite_rows(X),
+                              np.isfinite(X).all(axis=-1))
+
+
 class TestProjectToSlice:
     def test_parabola_lands_on_closed_form(self):
         r = 0.25
@@ -84,6 +160,21 @@ class TestProjectToSlice:
         assert res.max() < 1e-12
 
 
+def _reference_residual(eqs, X):
+    """|f(x)| per row by numpy's own norm, inf where it is not finite."""
+    res = np.linalg.norm(ex.eval_system(eqs, X), axis=-1)
+    return np.where(np.isfinite(res), res, np.inf)
+
+
+def _reference_renormalize(X, r, fallback):
+    """Each row of X scaled onto the sphere of radius r by numpy's own
+    norm, or ``fallback`` where X is too close to the origin."""
+    norms = np.linalg.norm(X, axis=-1)
+    ok = norms > 1e-8 * r
+    scaled = X * (r / np.where(ok, norms, 1.0))[..., None]
+    return np.where(ok[..., None], scaled, fallback)
+
+
 def _project_reference(eqs, starts, r):
     """The sphere projection with its halvings tried one at a time, its
     stall rule kept in full-size arrays and a final re-linearization of
@@ -93,7 +184,7 @@ def _project_reference(eqs, starts, r):
     N = len(X)
     if not eqs:
         return X, np.ones(N, dtype=bool)
-    res = gg._system_residual(eqs, X)
+    res = _reference_residual(eqs, X)
     active = np.ones(N, dtype=bool)
     back = X.copy()
     span = np.full(N, np.inf)
@@ -107,19 +198,19 @@ def _project_reference(eqs, starts, r):
         steps = gg._gn_steps(eqs, Xa)
         slen = np.linalg.norm(steps, axis=-1)
         conv = slen <= gg._STEP_TARGET * r
-        cand = gg._renormalize(Xa + steps, r, Xa)
-        cres = gg._system_residual(eqs, cand)
+        cand = _reference_renormalize(Xa + steps, r, Xa)
+        cres = _reference_residual(eqs, cand)
         t = np.ones(idx.size)
         for _ in range(25):
             pending = ~(cres < res[idx]) & ~conv
             if not pending.any():
                 break
             t[pending] *= 0.5
-            trial = gg._renormalize(
+            trial = _reference_renormalize(
                 Xa[pending] + t[pending, None] * steps[pending], r,
                 Xa[pending])
             cand[pending] = trial
-            cres[pending] = gg._system_residual(eqs, trial)
+            cres[pending] = _reference_residual(eqs, trial)
         improved = cres < res[idx]
         move = improved & ~conv
         # |X_{k+1} - X_{k-1}|, from the second iteration on
@@ -137,7 +228,7 @@ def _project_reference(eqs, starts, r):
         active[idx[conv | ~improved | stop]] = False
     final_steps = gg._gn_steps(eqs, X)
     accepted = np.linalg.norm(final_steps, axis=-1) <= gg._STEP_ACCEPT * r
-    accepted &= np.isfinite(gg._system_residual(eqs, X))
+    accepted &= np.isfinite(_reference_residual(eqs, X))
     return X, accepted & ~stalled
 
 
@@ -356,6 +447,115 @@ class TestProjectMatchesReference:
         eqs = curves.get("exp_curve").parts[0].eqs
         _, ok = self._check(eqs, ga.sphere_directions(2, 1, seed=0) * r, r)
         assert ok.all()
+
+
+def _line_search_reference(eqs, X, res, idx, ra, steps, pend):
+    """:func:`gg._line_search` one row and one fraction at a time, in plain
+    indexing, with numpy's own norm; also returns the position in
+    ``_LINE_SEARCH`` of each row's accepted fraction (-1 for none)."""
+    fractions = np.concatenate(gg._LINE_SEARCH)
+    cand = np.zeros_like(steps)
+    cres = np.full(len(steps), np.inf)
+    hit_at = np.full(len(steps), -1)
+    for p in pend:
+        x = X[idx[p]]
+        for j, t in enumerate(fractions):
+            trial = _reference_renormalize(x + t * steps[p], ra[p], x)
+            tres = _reference_residual(eqs, trial[None])[0]
+            if tres < res[idx[p]]:
+                cand[p], cres[p], hit_at[p] = trial, tres, j
+                break
+    return cand, cres, hit_at
+
+
+class TestLineSearch:
+    """The batched line search picks what trying one fraction at a time
+    picks, whether a stage fits one chunk or is cut into several."""
+
+    @staticmethod
+    def _planted_rows(rng, count):
+        """Rows on circles about the origin whose residual |y| first drops
+        at a fraction chosen per row, or never.
+
+        From x = r (cos a, sin a), y > 0, the step (0, -c) lowers |y| after
+        renormalization exactly when 0 < t c < 2 y. With c = 1.5 y / t_j the
+        fraction t_j is the largest that does, so it is the first; a step
+        away from the axis never lowers it. (A zero step can: renormalizing
+        x itself may round |y| an ulp lower.)"""
+        fractions = np.concatenate(gg._LINE_SEARCH)
+        r = 10.0 ** rng.uniform(-3.0, 0.0, count)
+        a = rng.uniform(0.05, 1.4, count)
+        X = r[:, None] * np.stack([np.cos(a) * rng.choice([-1.0, 1.0], count),
+                                   np.sin(a)], axis=1)
+        # a stage, or none (-1), per row, then one of the stage's fractions
+        sizes = [len(f) for f in gg._LINE_SEARCH]
+        first = np.cumsum([0] + sizes[:-1])
+        stage = rng.integers(-1, len(sizes), count)
+        target = np.array([-1 if k < 0 else first[k] + rng.integers(sizes[k])
+                           for k in stage])
+        c = 1.5 * X[:, 1] / fractions[target]
+        never = np.flatnonzero(target < 0)
+        c[never] = -rng.uniform(0.0, 1.0, never.size) * X[never, 1]
+        steps = np.stack([np.zeros(count), -c], axis=1)
+        return X, r, steps, target, stage
+
+    @pytest.mark.parametrize("short", [0, 1, 5])
+    def test_renormalize_matches_reference(self, short):
+        # trial points (rows, k, n) with per-row radii; ``short`` of them
+        # are too close to the origin and take the fallback
+        rng = np.random.default_rng(short)
+        r = 10.0 ** rng.uniform(-4.0, 0.0, (40, 1))
+        X = rng.standard_normal((40, 3, 2)) * r[..., None]
+        X.reshape(-1, 2)[rng.permutation(120)[:short]] *= 1e-9
+        base = rng.standard_normal((40, 1, 2))
+        want = _reference_renormalize(X, r, base)
+        assert np.array_equal(gg._renormalize(X.copy(), r, base), want)
+        assert (want == base).all(axis=-1).sum() == short
+
+    @pytest.mark.parametrize("trials", [gg._LINE_SEARCH_TRIALS, 3 * 21])
+    def test_planted_stages_match_one_at_a_time(self, monkeypatch, trials):
+        monkeypatch.setattr(gg, "_LINE_SEARCH_TRIALS", trials)
+        rng = np.random.default_rng(0)
+        eqs = (ex.parse("y", 2),)
+        X, r, steps, target, stage = self._planted_rows(rng, 600)
+        res = _reference_residual(eqs, X)
+        # the line search's rows are a shuffled subset of X's, and only
+        # some of them are pending
+        idx = rng.permutation(len(X))[:500]
+        pend = np.sort(rng.permutation(len(idx))[:450])
+        args = (eqs, X, res, idx, r[idx], steps[idx], pend)
+        cand, cres = gg._line_search(*args)
+        want, wres, hit_at = _line_search_reference(*args)
+        assert np.array_equal(hit_at[pend], target[idx[pend]])
+        # every stage, and no stage, has rows enough to fill several chunks
+        # of the smaller budget
+        assert np.bincount(stage[idx[pend]] + 1).min() >= 80
+        assert np.array_equal(cres, wres)
+        found = np.isfinite(wres)
+        assert np.array_equal(cand[found], want[found])
+
+    @pytest.mark.parametrize("trials", [gg._LINE_SEARCH_TRIALS, 3 * 21])
+    def test_overshooting_steps_match_one_at_a_time(self, monkeypatch,
+                                                    trials):
+        # Gauss-Newton steps on a space curve, lengthened by 2^0 to 2^30 so
+        # that rows first improve at every depth of the search
+        monkeypatch.setattr(gg, "_LINE_SEARCH_TRIALS", trials)
+        rng = np.random.default_rng(1)
+        eqs = tuple(ex.parse(t, 3) for t in ("y - x^2", "z - x^3 - 0.5*y"))
+        r = np.repeat([0.25, 0.25 * 2.0 ** -5], 200)
+        X = ga.sphere_directions(3, 200, seed=0)
+        X = np.concatenate([X, X]) * r[:, None]
+        steps = gg._gn_steps(eqs, X) * 2.0 ** rng.integers(0, 31, (400, 1))
+        res = _reference_residual(eqs, X)
+        idx = rng.permutation(len(X))
+        pend = np.flatnonzero(rng.random(len(idx)) < 0.9)
+        args = (eqs, X, res, idx, r[idx], steps[idx], pend)
+        cand, cres = gg._line_search(*args)
+        want, wres, hit_at = _line_search_reference(*args)
+        assert (hit_at[pend] >= 5).sum() >= 200
+        assert np.array_equal(cres, wres)
+        found = np.isfinite(wres)
+        assert np.array_equal(cand[found], want[found])
 
 
 def _inflated_systems(curves, surfaces):
