@@ -143,14 +143,6 @@ def _truncate(s: SemianalyticSet, h: int, k: int):
     return replace(truncated, parts=tuple(parts)), dropped
 
 
-def _slope_rank(v: Verdict) -> float:
-    if v.estimate is None:
-        return -math.inf
-    if v.estimate.vanishing:
-        return math.inf
-    return v.estimate.slope
-
-
 def search_inflation_exponent(reference: SemianalyticSet,
                               tilde_of_m, s: float, config: ApproxConfig,
                               cache: SliceCache | None = None):
@@ -165,7 +157,7 @@ def search_inflation_exponent(reference: SemianalyticSet,
                                     cache)
         if verdict.holds:
             return m, candidate, verdict
-        if best is None or _slope_rank(verdict) > _slope_rank(best[2]):
+        if best is None or verdict.estimate.slope > best[2].estimate.slope:
             best = (m, candidate, verdict)
     raise SearchExhausted(
         f"no inflation exponent up to {config.max_m} kept "
@@ -190,7 +182,7 @@ def search_truncation_orders(reference: SemianalyticSet,
                                     cache)
         if verdict.holds:
             return h, k, candidate, verdict, dropped
-        if best is None or _slope_rank(verdict) > _slope_rank(best[3]):
+        if best is None or verdict.estimate.slope > best[3].estimate.slope:
             best = (h, k, candidate, verdict, dropped)
     raise SearchExhausted(
         f"no truncation up to orders ({config.max_h}, {config.max_k}) "

@@ -127,7 +127,8 @@ class OrderEstimate:
     ``slope`` is +inf when the deviation sits at or below the sampling floor
     almost everywhere (it decays faster than any power resolvable here) and
     -inf when some radius had points with nowhere to go (the other germ was
-    empty there), so the deviation does not decay at all.
+    empty there), so the deviation does not decay at all. ``vanishing`` is
+    exactly ``slope == +inf``, so code ranks estimates by ``slope`` alone.
     """
 
     direction: str
@@ -141,6 +142,18 @@ class OrderEstimate:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The answer to "is A within order s of B?" by one method.
+
+    ``holds`` is True only when the method established closeness;
+    ``inconclusive`` marks a "no" that the method could not tell from a
+    "yes" (a limit fit within the margin of s), and is never True with
+    ``holds``. ``estimate`` is the fitted decay behind the answer, or None
+    when there was nothing to fit; for a symmetric comparison it is the
+    direction with the smaller fitted order, and the other direction is in
+    ``estimate_reverse``. ``sigma`` is the horn exponent that certified
+    containment, or None.
+    """
+
     holds: bool
     s: float
     method: str
@@ -164,30 +177,24 @@ def _clouds(s: SemianalyticSet, config: CompareConfig,
 
 def _fit_decay(samples, direction: str, pick) -> OrderEstimate:
     vals = [(s.r, pick(s), s.floor) for s in samples]
-    blown = any(d == math.inf for _, d, _ in vals)
     below = sum(1 for _, d, fl in vals if d <= fl)
     included = [(r, d) for r, d, fl in vals
                 if math.isfinite(d) and d > fl]
-    if blown:
-        return OrderEstimate(direction=direction, slope=-math.inf,
-                             intercept=math.nan, r_squared=0.0,
-                             vanishing=False, below_floor=below,
-                             samples=tuple(samples))
-    if below >= len(vals) - 1 or len(included) < 2:
-        return OrderEstimate(direction=direction, slope=math.inf,
-                             intercept=math.nan, r_squared=1.0,
-                             vanishing=True, below_floor=below,
-                             samples=tuple(samples))
-    logr = np.log([r for r, _ in included])
-    logd = np.log([d for _, d in included])
-    slope, intercept = np.polyfit(logr, logd, 1)
-    pred = slope * logr + intercept
-    ss_res = float(np.sum((logd - pred) ** 2))
-    ss_tot = float(np.sum((logd - logd.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return OrderEstimate(direction=direction, slope=float(slope),
-                         intercept=float(intercept), r_squared=r2,
-                         vanishing=False, below_floor=below,
+    if any(d == math.inf for _, d, _ in vals):
+        slope, intercept, r2 = -math.inf, math.nan, 0.0
+    elif below >= len(vals) - 1 or len(included) < 2:
+        slope, intercept, r2 = math.inf, math.nan, 1.0
+    else:
+        logr = np.log([r for r, _ in included])
+        logd = np.log([d for _, d in included])
+        slope, intercept = map(float, np.polyfit(logr, logd, 1))
+        pred = slope * logr + intercept
+        ss_res = float(np.sum((logd - pred) ** 2))
+        ss_tot = float(np.sum((logd - logd.mean()) ** 2))
+        r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return OrderEstimate(direction=direction, slope=slope,
+                         intercept=intercept, r_squared=r2,
+                         vanishing=slope == math.inf, below_floor=below,
                          samples=tuple(samples))
 
 
@@ -219,29 +226,22 @@ def deviation_profile(a: SemianalyticSet, b: SemianalyticSet,
 def _verdict_from_estimate(est: OrderEstimate, s: float,
                            config: CompareConfig, caveats) -> Verdict:
     caveats = list(caveats)
-    if est.vanishing:
-        return Verdict(holds=True, s=s, method="limit-fit", estimate=est,
-                       caveats=tuple(caveats))
+    margin = config.margin
     if est.slope == -math.inf:
         caveats.append("deviation does not decay: the target germ had "
                        "no points at some sampled radius")
-        return Verdict(holds=False, s=s, method="limit-fit", estimate=est,
-                       caveats=tuple(caveats))
-    if est.r_squared < R2_MIN:
+    elif est.r_squared < R2_MIN:
         caveats.append(
             f"decay fit is poor (r^2={est.r_squared:.3f}); "
             "the deviation may not follow a power law")
-    if est.slope >= s + config.margin:
-        return Verdict(holds=True, s=s, method="limit-fit", estimate=est,
-                       caveats=tuple(caveats))
-    if est.slope <= s - config.margin:
-        return Verdict(holds=False, s=s, method="limit-fit", estimate=est,
-                       caveats=tuple(caveats))
-    caveats.append(
-        f"fitted order {est.slope:.3f} lies within the margin "
-        f"{config.margin:g} of s={s:g}")
-    return Verdict(holds=False, s=s, method="limit-fit", estimate=est,
-                   caveats=tuple(caveats), inconclusive=True)
+    inconclusive = s - margin < est.slope < s + margin
+    if inconclusive:
+        caveats.append(
+            f"fitted order {est.slope:.3f} lies within the margin "
+            f"{margin:g} of s={s:g}")
+    return Verdict(holds=est.slope >= s + margin, s=s, method="limit-fit",
+                   estimate=est, caveats=tuple(caveats),
+                   inconclusive=inconclusive)
 
 
 def decide_le(a: SemianalyticSet, b: SemianalyticSet, s: float,
@@ -267,20 +267,15 @@ def decide_equivalent(a: SemianalyticSet, b: SemianalyticSet, s: float,
             if tagged not in merged:
                 merged.append(tagged)
 
-    def rank(e):
-        return math.inf if e.vanishing else e.slope
-
-    binding = est_ab if rank(est_ab) <= rank(est_ba) else est_ba
-    if not v_ab.holds and not v_ab.inconclusive or \
-            not v_ba.holds and not v_ba.inconclusive:
-        holds, inconclusive = False, False
-    elif v_ab.inconclusive or v_ba.inconclusive:
-        holds, inconclusive = False, True
-    else:
-        holds, inconclusive = True, False
-    return Verdict(holds=holds, s=s, method="limit-fit", estimate=binding,
-                   caveats=tuple(merged), inconclusive=inconclusive,
-                   estimate_reverse=est_ba if binding is est_ab else est_ab)
+    # the smaller fitted order binds; a tie goes to A<=B
+    binding, reverse = ((est_ab, est_ba) if est_ab.slope <= est_ba.slope
+                        else (est_ba, est_ab))
+    failed = any(not v.holds and not v.inconclusive for v in (v_ab, v_ba))
+    return Verdict(holds=v_ab.holds and v_ba.holds, s=s, method="limit-fit",
+                   estimate=binding, caveats=tuple(merged),
+                   inconclusive=not failed and (v_ab.inconclusive
+                                                or v_ba.inconclusive),
+                   estimate_reverse=reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +315,7 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     # not its resolution
     rows = [(r, dmax, 1e-9 * r) for r, ca, dmax in zip(
         config.schedule.radii(), clouds, dmaxes) if len(ca)]
-    caveats = []
-    if not rows:
-        caveats.append(f"{a.name!r} has no points at any sampled radius; "
-                       "containment holds vacuously")
-        return Verdict(holds=True, s=s, method="horn-criterion",
-                       estimate=None, caveats=tuple(caveats),
-                       sigma=s + max(HORN_OFFSETS))
-
+    # with no sample of A every sigma passes, so the largest is found
     sigma_found = None
     for off in sorted(HORN_OFFSETS, reverse=True):
         sigma = s + off
@@ -339,10 +327,13 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     samples = tuple(
         DistanceSample(r=r, delta_ab=dmax, delta_ba=math.nan, floor=floor)
         for r, dmax, floor in rows)
-    est = _fit_decay(samples, "A<=B", lambda d: d.delta_ab)
+    est = _fit_decay(samples, "A<=B", lambda d: d.delta_ab) if rows else None
+    caveats = () if rows else (
+        f"{a.name!r} has no points at any sampled radius; "
+        "containment holds vacuously",)
     return Verdict(holds=sigma_found is not None, s=s,
                    method="horn-criterion", estimate=est,
-                   caveats=tuple(caveats), sigma=sigma_found)
+                   caveats=caveats, sigma=sigma_found)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +379,6 @@ def estimate_exponent(s_set: SemianalyticSet, f: Expr | str, g: Expr | str,
     witness = None
     witness_r = None
     used = 0
-    caveats = []
     saw_points = False
     saw_nonzero_g = False
     violations = []
@@ -418,23 +408,21 @@ def estimate_exponent(s_set: SemianalyticSet, f: Expr | str, g: Expr | str,
         raise ExponentPreconditionError(
             f"f vanishes where g does not ({locs}); no exponent bounds "
             "|g| by |f|", violations)
+    # with no informative sample, used is 0 and there is no witness
     if not saw_points:
-        caveats.append("the set had no sampleable points; exponent "
-                       "defaults to 1")
-        return ExponentEstimate(alpha=1.0, samples_used=0, witness=None,
-                                witness_radius=None, caveats=tuple(caveats))
-    if not saw_nonzero_g:
-        caveats.append("g vanishes identically on the samples; the bound "
-                       "holds vacuously at exponent 1")
-        return ExponentEstimate(alpha=1.0, samples_used=0, witness=None,
-                                witness_radius=None, caveats=tuple(caveats))
-    if used == 0:
-        caveats.append("no informative samples (f at noise level or |g| "
-                       "not below 1); exponent defaults to 1")
-        return ExponentEstimate(alpha=1.0, samples_used=0, witness=None,
-                                witness_radius=None, caveats=tuple(caveats))
-    return ExponentEstimate(alpha=alpha, samples_used=used, witness=witness,
-                            witness_radius=witness_r, caveats=tuple(caveats))
+        caveats = ("the set had no sampleable points; exponent "
+                   "defaults to 1",)
+    elif not saw_nonzero_g:
+        caveats = ("g vanishes identically on the samples; the bound "
+                   "holds vacuously at exponent 1",)
+    elif used == 0:
+        caveats = ("no informative samples (f at noise level or |g| "
+                   "not below 1); exponent defaults to 1",)
+    else:
+        caveats = ()
+    return ExponentEstimate(alpha=1.0 if caveats else alpha,
+                            samples_used=used, witness=witness,
+                            witness_radius=witness_r, caveats=caveats)
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +525,18 @@ def union_property_check(a: SemianalyticSet, a2: SemianalyticSet,
     hyp_ab = decide_le(a, b, s, config, cache)
     hyp_a2b2 = decide_le(a2, b2, s, config, cache)
     established = hyp_ab.holds and hyp_a2b2.holds
-    if not established:
+    union, caveats = None, ()
+    if established:
+        au = union_sets(f"{a.name}|{a2.name}", a, a2)
+        bu = union_sets(f"{b.name}|{b2.name}", b, b2)
+        union = decide_le(au, bu, s, config, cache)
+    else:
         failed = [f"{x.name!r} within order {s} of {y.name!r}"
                   for x, y, v in ((a, b, hyp_ab), (a2, b2, hyp_a2b2))
                   if not v.holds]
-        return UnionPropertyReport(
-            s=s, hypothesis_ab=hyp_ab, hypothesis_a2b2=hyp_a2b2,
-            union=None, hypotheses_established=False, consistent=True,
-            caveats=("hypotheses not established: "
-                     + "; ".join(failed) + " did not hold",))
-    au = union_sets(f"{a.name}|{a2.name}", a, a2)
-    bu = union_sets(f"{b.name}|{b2.name}", b, b2)
-    union = decide_le(au, bu, s, config, cache)
+        caveats = ("hypotheses not established: "
+                   + "; ".join(failed) + " did not hold",)
     return UnionPropertyReport(
         s=s, hypothesis_ab=hyp_ab, hypothesis_a2b2=hyp_a2b2, union=union,
-        hypotheses_established=True, consistent=union.holds)
+        hypotheses_established=established,
+        consistent=union is None or union.holds, caveats=caveats)

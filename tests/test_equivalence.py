@@ -6,13 +6,17 @@ import pytest
 from scipy.spatial import cKDTree
 
 import germapprox as ga
+from germapprox import equivalence as eq
 from germapprox import expr as ex
 from germapprox import geometry as gg
 from germapprox import sets as gs
 from germapprox.equivalence import (
     HORN_OFFSETS,
+    R2_MIN,
     ComparisonError,
     ExponentPreconditionError,
+    OrderEstimate,
+    Verdict,
 )
 
 ISOLATED = gs.SemianalyticSet(
@@ -255,6 +259,122 @@ class TestDecideEquivalent:
         assert all(n == rows for _, n in calls)
 
 
+# s +- margin is exact in binary, so the band's edges are exact too
+RULE_S = 2.0
+RULE_CONFIG = ga.CompareConfig(schedule=ga.RadiiSchedule(0.25), margin=0.25)
+PROFILE_NOTE = "'b' has no points on the sphere r=0.25"
+NO_DECAY = ("deviation does not decay: the target germ had no points at "
+            "some sampled radius")
+POOR_FIT = ("decay fit is poor (r^2=0.500); the deviation may not follow a "
+            "power law")
+
+
+def _within_margin(slope):
+    return f"fitted order {slope:.3f} lies within the margin 0.25 of s=2"
+
+
+def _estimate(slope, r_squared=1.0, direction="A<=B"):
+    return OrderEstimate(direction=direction, slope=slope, intercept=0.0,
+                         r_squared=r_squared, vanishing=slope == math.inf,
+                         below_floor=0, samples=())
+
+
+class TestDecisionRule:
+    """The limit fit's decision table on hand-built estimates."""
+
+    @pytest.mark.parametrize("slope,r2,holds,inconclusive,notes", [
+        pytest.param(math.inf, 1.0, True, False, (), id="floor"),
+        pytest.param(-math.inf, 0.0, False, False, (NO_DECAY,),
+                     id="no_decay"),
+        pytest.param(2.25, 1.0, True, False, (), id="upper_edge"),
+        pytest.param(1.75, 1.0, False, False, (), id="lower_edge"),
+        pytest.param(2.2, 1.0, False, True, (_within_margin(2.2),),
+                     id="inside_band"),
+        pytest.param(1.8, 0.5, False, True,
+                     (POOR_FIT, _within_margin(1.8)), id="poor_fit_band"),
+        pytest.param(3.0, 0.5, True, False, (POOR_FIT,), id="poor_fit_holds"),
+        pytest.param(3.0, R2_MIN, True, False, (), id="r2_at_min"),
+    ])
+    def test_verdict_from_estimate(self, slope, r2, holds, inconclusive,
+                                   notes):
+        est = _estimate(slope, r2)
+        v = eq._verdict_from_estimate(est, RULE_S, RULE_CONFIG,
+                                      (PROFILE_NOTE,))
+        assert v == Verdict(holds=holds, s=RULE_S, method="limit-fit",
+                            estimate=est, caveats=(PROFILE_NOTE,) + notes,
+                            inconclusive=inconclusive)
+
+    @pytest.mark.parametrize("ab,ba,holds,inconclusive,binding,notes", [
+        pytest.param(3.0, 2.5, True, False, "B<=A", (), id="holds_holds"),
+        pytest.param(3.0, 1.0, False, False, "B<=A", (), id="holds_fails"),
+        pytest.param(1.0, 2.1, False, False, "A<=B",
+                     ("[B<=A] " + _within_margin(2.1),),
+                     id="fails_inconclusive"),
+        pytest.param(2.1, 1.9, False, True, "B<=A",
+                     ("[A<=B] " + _within_margin(2.1),
+                      "[B<=A] " + _within_margin(1.9)),
+                     id="inconclusive_inconclusive"),
+        pytest.param(math.inf, -math.inf, False, False, "B<=A",
+                     ("[B<=A] " + NO_DECAY,), id="floor_no_decay"),
+        pytest.param(math.inf, 3.0, True, False, "B<=A", (),
+                     id="floor_holds"),
+        pytest.param(math.inf, math.inf, True, False, "A<=B", (),
+                     id="floor_tie"),
+        pytest.param(2.1, 2.1, False, True, "A<=B",
+                     ("[A<=B] " + _within_margin(2.1),
+                      "[B<=A] " + _within_margin(2.1)), id="finite_tie"),
+    ])
+    def test_decide_equivalent_merge(self, monkeypatch, ab, ba, holds,
+                                     inconclusive, binding, notes):
+        est_ab = _estimate(ab, 0.0 if ab == -math.inf else 1.0, "A<=B")
+        est_ba = _estimate(ba, 0.0 if ba == -math.inf else 1.0, "B<=A")
+        monkeypatch.setattr(
+            eq, "deviation_profile",
+            lambda a, b, config, cache=None: ((), est_ab, est_ba,
+                                              (PROFILE_NOTE,)))
+        v = eq.decide_equivalent(None, None, RULE_S, RULE_CONFIG)
+        assert (v.holds, v.inconclusive) == (holds, inconclusive)
+        assert v.estimate.direction == binding
+        assert v.estimate is (est_ab if binding == "A<=B" else est_ba)
+        assert v.estimate_reverse is (est_ba if binding == "A<=B"
+                                      else est_ab)
+        assert v.caveats == (PROFILE_NOTE,) + notes
+        assert v.method == "limit-fit" and v.sigma is None
+
+    @staticmethod
+    def _fit(deltas, floor=1e-12):
+        radii = [0.25 * 0.5 ** i for i in range(len(deltas))]
+        samples = tuple(gg.DistanceSample(r=r, delta_ab=d, delta_ba=0.0,
+                                          floor=floor)
+                        for r, d in zip(radii, deltas))
+        return eq._fit_decay(samples, "A<=B", lambda d: d.delta_ab)
+
+    @pytest.mark.parametrize("deltas", [
+        pytest.param([0.0] * 8, id="all_at_floor"),
+        pytest.param([1e-3] + [0.0] * 7, id="all_but_one_at_floor"),
+    ])
+    def test_fit_at_the_floor(self, deltas):
+        est = self._fit(deltas)
+        assert est.slope == math.inf and est.vanishing
+        assert est.r_squared == 1.0 and math.isnan(est.intercept)
+        assert est.below_floor == deltas.count(0.0)
+
+    def test_fit_with_an_infinite_radius(self):
+        deltas = [(0.25 * 0.5 ** i) ** 2 for i in range(8)]
+        deltas[3] = math.inf
+        est = self._fit(deltas)
+        assert est.slope == -math.inf and not est.vanishing
+        assert est.r_squared == 0.0 and math.isnan(est.intercept)
+
+    def test_fit_of_an_exact_power(self):
+        est = self._fit([(0.25 * 0.5 ** i) ** 3 for i in range(8)])
+        assert est.slope == pytest.approx(3.0, abs=1e-12)
+        assert est.intercept == pytest.approx(0.0, abs=1e-10)
+        assert est.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert not est.vanishing and est.below_floor == 0
+        assert len(est.samples) == 8
+
+
 class TestHornCriterion:
     def test_certifies_with_largest_passing_sigma(self, curves, quick_config,
                                                   shared_cache):
@@ -280,7 +400,8 @@ class TestHornCriterion:
                               quick_config, fresh_cache)
         assert v.holds and v.estimate is None
         assert v.sigma == 2.0 + max(HORN_OFFSETS)
-        assert any("vacuously" in c for c in v.caveats)
+        assert v.caveats == ("'origin_only' has no points at any sampled "
+                             "radius; containment holds vacuously",)
 
     @pytest.mark.parametrize("a,b,s", [
         ("exp_curve", "trunc2", 2.5),
@@ -480,6 +601,16 @@ class TestEstimateExponent:
                                    fresh_cache)
         assert est.alpha == 1.0 and est.witness is None
         assert any("no sampleable points" in c for c in est.caveats)
+
+    def test_no_informative_samples_defaults(self, curves, quick_config,
+                                             shared_cache):
+        # |g| = 1e6 r is above 1 at every schedule radius
+        est = ga.estimate_exponent(curves.get("line"), "x", "1e6*x",
+                                   quick_config, shared_cache)
+        assert (est.alpha, est.samples_used) == (1.0, 0)
+        assert est.witness is None and est.witness_radius is None
+        assert est.caveats == ("no informative samples (f at noise level or "
+                               "|g| not below 1); exponent defaults to 1",)
 
 
 class TestSignAgreement:
