@@ -114,13 +114,10 @@ class ApproxResult:
 def _diagonal_orders(max_h: int, max_k: int):
     """(h, k) pairs by growing max order; within a level small k first."""
     for level in range(1, max(max_h, max_k) + 1):
-        pairs = []
         for k in range(1, min(level, max_k) + 1):
             for h in range(1, min(level, max_h) + 1):
                 if max(h, k) == level:
-                    pairs.append((h, k))
-        for h, k in sorted(pairs, key=lambda p: (p[1], p[0])):
-            yield h, k
+                    yield h, k
 
 
 def _truncate(s: SemianalyticSet, h: int, k: int):
@@ -143,6 +140,29 @@ def _truncate(s: SemianalyticSet, h: int, k: int):
     return replace(truncated, parts=tuple(parts)), dropped
 
 
+def _first_within(reference: SemianalyticSet, tries, s: float,
+                  config: ApproxConfig, cache: SliceCache | None,
+                  failure: str):
+    """Decide each ``(*labels, candidate, *extras)`` of ``tries`` against the
+    reference, in order, and return the first that holds as
+    ``(*labels, candidate, verdict, *extras)``.
+
+    Raises :class:`SearchExhausted` with ``failure`` when none holds; its
+    ``best`` is the rejected entry with the largest fitted slope, the first
+    of equal ones.
+    """
+    best = None
+    for labels, candidate, extras in tries:
+        verdict = decide_equivalent(reference, candidate, s, config.compare,
+                                    cache)
+        entry = (*labels, candidate, verdict, *extras)
+        if verdict.holds:
+            return entry
+        if best is None or verdict.estimate.slope > best_slope:
+            best, best_slope = entry, verdict.estimate.slope
+    raise SearchExhausted(failure, best=best)
+
+
 def search_inflation_exponent(reference: SemianalyticSet,
                               tilde_of_m, s: float, config: ApproxConfig,
                               cache: SliceCache | None = None):
@@ -150,18 +170,11 @@ def search_inflation_exponent(reference: SemianalyticSet,
 
     ``tilde_of_m`` maps an exponent to the inflated candidate set.
     """
-    best = None
-    for m in range(1, config.max_m + 1):
-        candidate = tilde_of_m(m)
-        verdict = decide_equivalent(reference, candidate, s, config.compare,
-                                    cache)
-        if verdict.holds:
-            return m, candidate, verdict
-        if best is None or verdict.estimate.slope > best[2].estimate.slope:
-            best = (m, candidate, verdict)
-    raise SearchExhausted(
+    tries = (((m,), tilde_of_m(m), ()) for m in range(1, config.max_m + 1))
+    return _first_within(
+        reference, tries, s, config, cache,
         f"no inflation exponent up to {config.max_m} kept "
-        f"{reference.name!r} within order {s:g}", best=best)
+        f"{reference.name!r} within order {s:g}")
 
 
 def search_truncation_orders(reference: SemianalyticSet,
@@ -169,32 +182,25 @@ def search_truncation_orders(reference: SemianalyticSet,
                              config: ApproxConfig,
                              cache: SliceCache | None = None):
     """First (h, k) whose truncation of ``base`` is accepted against
-    ``reference``, scanning by growing maximum order."""
-    tried: set = set()
-    best = None
-    for h, k in _diagonal_orders(config.max_h, config.max_k):
-        candidate, dropped = _truncate(base, h, k)
-        sig = candidate.signature()
-        if sig in tried:
-            continue
-        tried.add(sig)
-        verdict = decide_equivalent(reference, candidate, s, config.compare,
-                                    cache)
-        if verdict.holds:
-            return h, k, candidate, verdict, dropped
-        if best is None or verdict.estimate.slope > best[3].estimate.slope:
-            best = (h, k, candidate, verdict, dropped)
-    raise SearchExhausted(
+    ``reference``, scanning by growing maximum order. A truncation equal
+    to one already tried is not decided again."""
+    def tries():
+        tried = set()
+        for h, k in _diagonal_orders(config.max_h, config.max_k):
+            candidate, dropped = _truncate(base, h, k)
+            sig = candidate.signature()
+            if sig not in tried:
+                tried.add(sig)
+                yield (h, k), candidate, (dropped,)
+
+    return _first_within(
+        reference, tries(), s, config, cache,
         f"no truncation up to orders ({config.max_h}, {config.max_k}) "
-        f"stayed within order {s:g} of {reference.name!r}", best=best)
+        f"stayed within order {s:g} of {reference.name!r}")
 
 
 # ---------------------------------------------------------------------------
 # the pipeline
-
-
-def _empty_like(s: SemianalyticSet, name: str) -> SemianalyticSet:
-    return SemianalyticSet(name=name, nvars=s.nvars, omega=s.omega, parts=())
 
 
 def _residual_set(part: BasicPresentation, proj_eqs, name: str,
@@ -204,28 +210,18 @@ def _residual_set(part: BasicPresentation, proj_eqs, name: str,
     boundary slice."""
     parts = []
     if proj_eqs:
-        target = len(proj_eqs)
-        minors = minor_determinants(proj_eqs, part.nvars, target)
-        minors = [d for d in minors
-                  if not (isinstance(d, ex.Const) and d.value == 0.0)]
-        if minors:
-            parts.append(BasicPresentation(
-                nvars=part.nvars, eqs=part.eqs + tuple(minors),
-                ineqs=part.ineqs, through_origin=False))
-        else:
-            # reduced system is singular everywhere on the part
-            parts.append(BasicPresentation(
-                nvars=part.nvars, eqs=part.eqs, ineqs=part.ineqs,
-                through_origin=False))
+        minors = minor_determinants(proj_eqs, part.nvars, len(proj_eqs))
+        minors = tuple(d for d in minors
+                       if not (isinstance(d, ex.Const) and d.value == 0.0))
+        # with every minor identically zero the reduced system is singular
+        # everywhere on the part, and the residual is the part itself
+        parts.append(BasicPresentation(
+            nvars=part.nvars, eqs=part.eqs + minors, ineqs=part.ineqs,
+            through_origin=False))
     for j in range(len(part.ineqs)):
         parts.append(boundary_part(part, j))
     return SemianalyticSet(name=name, nvars=part.nvars, omega=omega,
                            parts=tuple(parts))
-
-
-def _smallest_radii(config: ApproxConfig):
-    radii = config.compare.schedule.radii()
-    return sorted(radii)[:2]
 
 
 def _dim_at(s: SemianalyticSet, r: float, config: ApproxConfig,
@@ -233,18 +229,6 @@ def _dim_at(s: SemianalyticSet, r: float, config: ApproxConfig,
     return numeric_dimension(
         s, r, npoints=config.compare.npoints, seed=config.compare.seed,
         cache=cache)
-
-
-def _set_dimension(s: SemianalyticSet, config: ApproxConfig,
-                   cache: SliceCache | None):
-    """Dimension at the finest schedule radius, and at the two finest,
-    finest first. Both radii are sampled in one call, so each stratum is
-    projected once for the pair."""
-    small = _smallest_radii(config)
-    sample_slices(s, small, npoints=config.compare.npoints,
-                  seed=config.compare.seed, cache=cache)
-    dims = [_dim_at(s, r, config, cache) for r in small]
-    return dims[0], dims
 
 
 def _scan_vanishing_ineqs(s: SemianalyticSet, order: int):
@@ -275,13 +259,21 @@ def approximate(a: SemianalyticSet, s: float,
     if config.compare is None:
         config = replace(config, compare=CompareConfig.for_sets(a))
     caveats = list(_scan_vanishing_ineqs(a, config.max_k))
-    input_dim, input_dims = _set_dimension(a, config, cache)
-    if input_dims[0] != input_dims[-1]:
+    # the two finest radii in one call, so each stratum is projected once
+    # for the pair; the first comparison samples the rest of the schedule
+    r_fine, r_next = sorted(config.compare.schedule.radii())[:2]
+    sample_slices(a, (r_fine, r_next), npoints=config.compare.npoints,
+                  seed=config.compare.seed, cache=cache)
+    input_dim = _dim_at(a, r_fine, config, cache)
+    next_dim = _dim_at(a, r_next, config, cache)
+    if input_dim != next_dim:
         caveats.append(
-            f"dimension estimate unstable across radii: {input_dims}")
+            "dimension estimate unstable across radii: "
+            f"{[input_dim, next_dim]}")
 
     if input_dim == 0:
-        out = _empty_like(a, f"approx({a.name})")
+        out = SemianalyticSet(name=f"approx({a.name})", nvars=a.nvars,
+                              omega=a.omega, parts=())
         caveats.append("origin is isolated at the sampled resolution; "
                        "the approximant is the empty germ")
         verdict = Verdict(holds=True, s=s, method="limit-fit", estimate=None,
@@ -291,13 +283,6 @@ def approximate(a: SemianalyticSet, s: float,
             final_verdict=verdict, success=True, input_dimension=0,
             output_dimension=0, caveats=tuple(caveats))
 
-    # the rest of the schedule in one more call; the part sets share the
-    # input's strata, so their comparisons find them in the cache. An input
-    # of dimension 0 never compares, so it is not sampled there
-    sample_slices(a, config.compare.schedule.radii(),
-                  npoints=config.compare.npoints, seed=config.compare.seed,
-                  cache=cache)
-    r_fine = _smallest_radii(config)[0]
     part_results = []
     output_parts: list[BasicPresentation] = []
     for i, part in enumerate(a.parts):

@@ -130,7 +130,9 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _emit(args, payload: dict, human_lines):
+def _emit(args, payload: dict, human_lines, t0: float | None = None):
+    """Write the payload to -o and/or stdout; otherwise print the summary,
+    ended by the wall time since ``t0`` when one is given."""
     text = _dump_json(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -140,6 +142,8 @@ def _emit(args, payload: dict, human_lines):
     else:
         for line in human_lines:
             print(line)
+        if t0 is not None:
+            print(f"completed in {time.perf_counter() - t0:.2f}s")
 
 
 def _csv_float(v: float) -> str:
@@ -150,11 +154,11 @@ def _csv_float(v: float) -> str:
 # configuration plumbing
 
 
-def _manifest(args, command: str, file: str, sets, config: dict) -> dict:
+def _manifest(args, sets, config: dict) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "argv": list(args.raw_argv),
-        "inputs": {"file": file, "sets": list(sets)},
+        "inputs": {"file": args.file, "sets": list(sets)},
         "config": config,
         "version": __version__,
     }
@@ -178,6 +182,17 @@ def _config_dict(cfg: CompareConfig) -> dict:
         "boundary_depth": SLICE_DEPTH,
         "horn_offsets": list(HORN_OFFSETS),
     }
+
+
+def _part_lines(s: SemianalyticSet, names, label: str) -> list[str]:
+    """One summary line per equation and inequality of each part of s."""
+    lines = []
+    for i, part in enumerate(s.parts):
+        for e in part.eqs:
+            lines.append(f"  {label} {i} eq:   {ex.to_string(e, names)} = 0")
+        for g in part.ineqs:
+            lines.append(f"  {label} {i} ineq: {ex.to_string(g, names)} >= 0")
+    return lines
 
 
 def _verdict_exit(v: Verdict) -> int:
@@ -212,16 +227,9 @@ def cmd_truncate(args) -> int:
     s = coll.get(args.set)
     out = truncate_full(s, h, k)
     payload = _collection_dict(out, coll.names)
-    payload["manifest"] = _manifest(
-        args, "truncate", args.file, [args.set],
-        {"h": h, "k": k})
-    lines = [f"{out.name}:"]
-    for i, part in enumerate(out.parts):
-        for e in part.eqs:
-            lines.append(f"  part {i} eq:   {ex.to_string(e, coll.names)} = 0")
-        for g in part.ineqs:
-            lines.append(f"  part {i} ineq: {ex.to_string(g, coll.names)} >= 0")
-    _emit(args, payload, lines)
+    payload["manifest"] = _manifest(args, [args.set], {"h": h, "k": k})
+    _emit(args, payload,
+          [f"{out.name}:"] + _part_lines(out, coll.names, "part"))
     return _EXIT_OK
 
 
@@ -240,8 +248,7 @@ def cmd_compare(args) -> int:
         "a": a.name, "b": b.name, "s": args.s,
         "directed": bool(args.directed),
         "verdict": _verdict_dict(verdict),
-        "manifest": _manifest(args, "compare", args.file,
-                              [a.name, b.name],
+        "manifest": _manifest(args, [a.name, b.name],
                               {**_config_dict(cfg), "s": args.s,
                                "directed": bool(args.directed),
                                "horn": bool(args.horn)}),
@@ -271,10 +278,7 @@ def cmd_compare(args) -> int:
                      f"(agreement: {horn_info['agreement']})")
     for c in verdict.caveats:
         lines.append(f"  note: {c}")
-    dt = time.perf_counter() - t0
-    if not args.stdout:
-        lines.append(f"completed in {dt:.2f}s")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, t0)
     return _verdict_exit(verdict)
 
 
@@ -290,8 +294,7 @@ def cmd_order(args) -> int:
             _csv_float(d.r), _csv_float(d.delta_ab),
             _csv_float(d.delta_ba), _csv_float(d.floor)]))
     csv_text = "\n".join(csv_lines) + "\n"
-    manifest = _manifest(args, "order", args.file, [a.name, b.name],
-                         _config_dict(cfg))
+    manifest = _manifest(args, [a.name, b.name], _config_dict(cfg))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
@@ -338,14 +341,12 @@ def cmd_approx(args) -> int:
                 "verdict": _verdict_dict(verdict),
                 "output_collection": _collection_dict(candidate,
                                                       coll.names)},
-            "manifest": _manifest(args, "approx", args.file, [a.name],
-                                  config_dict),
+            "manifest": _manifest(args, [a.name], config_dict),
         }
         _emit(args, payload, [f"search exhausted: {exc}"])
         return _EXIT_EXHAUSTED
     payload = _approx_dict(result, coll.names)
-    payload["manifest"] = _manifest(args, "approx", args.file, [a.name],
-                                    config_dict)
+    payload["manifest"] = _manifest(args, [a.name], config_dict)
     lines = [f"approximant of {a.name!r} at order {args.s:g}: "
              f"{'SUCCESS' if result.success else 'NOT WITHIN ORDER'}"]
     for pr in result.parts:
@@ -355,21 +356,12 @@ def cmd_approx(args) -> int:
         if pr.h is not None:
             bits.append(f"h={pr.h}, k={pr.k}")
         lines.append(f"  part {pr.part_index}: " + ", ".join(bits))
-    for i, part in enumerate(result.output.parts):
-        for e in part.eqs:
-            lines.append(f"  out part {i} eq:   "
-                         f"{ex.to_string(e, coll.names)} = 0")
-        for g in part.ineqs:
-            lines.append(f"  out part {i} ineq: "
-                         f"{ex.to_string(g, coll.names)} >= 0")
+    lines += _part_lines(result.output, coll.names, "out part")
     if result.final_verdict is not None:
         lines.append("  " + _describe_estimate(result.final_verdict.estimate))
     for c in result.caveats:
         lines.append(f"  note: {c}")
-    dt = time.perf_counter() - t0
-    if not args.stdout:
-        lines.append(f"completed in {dt:.2f}s")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, t0)
     return _EXIT_OK if result.success else _EXIT_FAIL
 
 
@@ -388,8 +380,7 @@ def cmd_tangent(args) -> int:
         "radii": list(report.radii),
         "drift": list(report.drift),
         "directions": report.direction_clouds[-1],
-        "manifest": _manifest(args, "tangent", args.file, [s.name],
-                              _config_dict(cfg)),
+        "manifest": _manifest(args, [s.name], _config_dict(cfg)),
     }
     lines = [f"tangent directions of {s.name!r} across "
              f"{len(report.radii)} radii"]

@@ -294,11 +294,16 @@ def _pinv(jacs: np.ndarray) -> np.ndarray:
 def _linearize(eqs, X: np.ndarray):
     """Nan-safe values and Jacobians at X, with the Jacobians' guarded
     pseudo-inverses from :func:`_pinv`: closed forms for one-row and
-    well-conditioned two-row Jacobians, otherwise the ``_PINV_RCOND`` SVD."""
+    well-conditioned two-row Jacobians, otherwise the ``_PINV_RCOND`` SVD.
+    Also each row's residual, as :func:`_system_residual` gives it, from the
+    values before they are made nan-safe: forward-mode values are
+    ``eval_many``'s bit for bit."""
     vals, jacs = ex.eval_system_jacobian(eqs, X)
+    res = _row_norm(vals)
+    res = np.where(np.isfinite(res), res, np.inf)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     jacs = np.where(np.isfinite(jacs), jacs, 0.0)
-    return vals, jacs, _pinv(jacs)
+    return vals, jacs, _pinv(jacs), res
 
 
 def _pinv_times(pinv: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -321,7 +326,7 @@ def _finite_rows(X: np.ndarray) -> np.ndarray:
 
 def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
     """Least-squares Newton steps toward {f = 0}, nan-safe."""
-    vals, _, pinv = _linearize(eqs, X)
+    vals, _, pinv, _ = _linearize(eqs, X)
     steps = -_pinv_times(pinv, vals)
     bad = ~_finite_rows(steps)
     if bad.any():
@@ -635,8 +640,8 @@ def _isolated_radii(eqs, entries: dict, nstarts: int, nvars: int) -> set:
     """The radii at which a stratum's slice is a finite set of regular
     points that its projection found in full.
 
-    ``entries`` maps each radius to the projection's accepted points and
-    their count. A radius qualifies when every start was accepted (so at
+    ``entries`` maps each radius to the projection's accepted points. A
+    radius qualifies when every start was accepted (so at
     least one was) and at every accepted point x the Jacobian of
     [f; |x|^2 / 2] with each row normalized, [J_f(x); x/r], has rank nvars,
     its sigma_min / sigma_max above ``_ISOLATED_GUARD``. Fewer than
@@ -649,10 +654,10 @@ def _isolated_radii(eqs, entries: dict, nstarts: int, nvars: int) -> set:
     """
     if len(eqs) + 1 < nvars:
         return set()
-    full = [r for r, (_, accepted) in entries.items() if accepted == nstarts]
+    full = [r for r, pts in entries.items() if len(pts) == nstarts]
     if not full:
         return set()
-    X = np.concatenate([entries[r][0] for r in full])
+    X = np.concatenate([entries[r] for r in full])
     _, jacs = ex.eval_system_jacobian(eqs, X)
     M = np.concatenate(
         [jacs, (X / np.repeat(full, nstarts)[:, None])[:, None]], axis=1)
@@ -758,14 +763,14 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
                     np.repeat(missed, nstarts))
                 for j, r in enumerate(missed):
                     rows = slice(j * nstarts, (j + 1) * nstarts)
-                    entries[r] = (pts[rows][ok[rows]], int(ok[rows].sum()))
+                    entries[r] = pts[rows][ok[rows]]
                     cache.store(keys[r], entries[r])
             if si == 0 and part.ineqs:
                 isolated = _isolated_radii(sys_eqs, entries, nstarts,
                                            s.nvars)
-            for r, (pts, accepted) in entries.items():
+            for r, pts in entries.items():
                 if si == 0:
-                    primary_accepted[r] += accepted
+                    primary_accepted[r] += len(pts)
                 ineq_tol = 1e-10 * max(1.0, r)
                 for g in rest:
                     if len(pts) == 0:
@@ -890,7 +895,7 @@ def _distance_sample(r: float, ca: SliceCloud, cb: SliceCloud,
 def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """One nearest-point step per row: the Gauss-Newton restoration onto
     {f = 0} minus the full part of ``Y - targets`` tangent to it, nan-safe."""
-    vals, jacs, pinv = _linearize(eqs, Y)
+    vals, jacs, pinv, _ = _linearize(eqs, Y)
     d = Y - targets
     tang = d - _pinv_times(pinv, (jacs @ d[..., None])[..., 0])
     restore = -_pinv_times(pinv, vals)
@@ -932,8 +937,8 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
         Y[idx] += step
         idx = idx[_row_norm(step) > 1e-14 * scale[idx]]
     tol = 1e-9 * scale
-    vals, jacs, pinv = _linearize(eqs, Y)
-    ok = np.isfinite(_system_residual(eqs, Y))
+    vals, jacs, pinv, res = _linearize(eqs, Y)
+    ok = np.isfinite(res)
     ok &= _row_norm(_pinv_times(pinv, vals)) <= tol
     ok &= _row_norm(vals) <= np.linalg.norm(jacs, axis=(-2, -1)) * tol
     return Y, ok
@@ -1054,8 +1059,8 @@ def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
         Y = X
         for _ in range(_LANDING_STEPS):
             Y = Y + _gn_steps(eqs, Y)
-        vals, jacs, pinv = _linearize(eqs, Y)
-        ok = np.isfinite(_system_residual(eqs, Y))
+        vals, jacs, pinv, res = _linearize(eqs, Y)
+        ok = np.isfinite(res)
         # J J^+ projects onto the directions the pseudo-inverse kept, so
         # its trace counts them
         kept = (jacs * np.swapaxes(pinv, -1, -2)).sum(axis=(-2, -1))

@@ -1,11 +1,13 @@
 import math
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
 import germapprox as ga
 from germapprox import expr as ex
 from germapprox import geometry as gg
+from germapprox import approx as gapx
 from germapprox import sets as gs
 from germapprox.approx import (
     ApproxError,
@@ -13,6 +15,7 @@ from germapprox.approx import (
     _residual_set,
     child_seed,
     search_inflation_exponent,
+    search_truncation_orders,
 )
 
 ISOLATED = gs.SemianalyticSet(
@@ -68,6 +71,14 @@ class TestResidualSet:
         assert res.parts[0] == gs.BasicPresentation(
             nvars=2, eqs=self.PART.eqs, ineqs=self.PART.ineqs,
             through_origin=False)
+
+    def test_zero_system_gives_the_part_and_its_edges(self):
+        # every minor of the constant 0 is the constant 0
+        res = _residual_set(self.PART, (ex.Const(0.0),), "res", 0.5)
+        edges = tuple(gs.boundary_part(self.PART, j) for j in range(2))
+        assert res.parts == (gs.BasicPresentation(
+            nvars=2, eqs=self.PART.eqs, ineqs=self.PART.ineqs,
+            through_origin=False),) + edges
 
     def test_one_boundary_part_per_inequality(self):
         edges = tuple(gs.boundary_part(self.PART, j) for j in range(2))
@@ -223,7 +234,7 @@ class TestInputSampling:
         ga.approximate(s, 2.0, acfg, ga.SliceCache())
         return rows
 
-    @pytest.mark.parametrize("name", ["exp_curve", "halfline"])
+    @pytest.mark.parametrize("name", ["exp_curve", "halfline", "exp_union"])
     def test_two_calls_per_input_stratum(self, curves, acfg, monkeypatch,
                                          name):
         s = curves.get(name)
@@ -231,6 +242,20 @@ class TestInputSampling:
         n, count = acfg.compare.npoints, len(acfg.compare.schedule.radii())
         assert self._project_rows(monkeypatch, s, acfg, primary) == \
             [2 * n, (count - 2) * n]
+
+    @pytest.mark.parametrize("name", ["exp_union", "mixed_union", "t3_union",
+                                      "cusp_product"])
+    def test_two_calls_per_part_stratum(self, curves, acfg, monkeypatch,
+                                        name):
+        # the first comparison of each part samples the rest of the
+        # schedule for its own stratum, which the input shares
+        s = curves.get(name)
+        n, count = acfg.compare.npoints, len(acfg.compare.schedule.radii())
+        for part in s.parts:
+            primary = tuple(gg._normalize_system(part.eqs))
+            with monkeypatch.context() as m:
+                assert self._project_rows(m, s, acfg, primary) == \
+                    [2 * n, (count - 2) * n], str(part)
 
     def test_dimension_zero_projects_two_radii(self, acfg, monkeypatch):
         rows = self._project_rows(monkeypatch, ISOLATED, acfg)
@@ -259,6 +284,95 @@ class TestSearchExhaustion:
         assert "no inflation exponent up to 2" in str(ei.value)
         m, candidate, verdict = ei.value.best
         assert m == 1 and candidate is line and not verdict.holds
+
+
+    def test_duplicate_truncations_decided_once(self, curves, quick_config,
+                                                shared_cache, monkeypatch):
+        # exp_curve has no inequality, so k changes nothing: of (1, 1),
+        # (2, 1), (1, 2) and (2, 2) only the first two are decided
+        decided, decide = [], gapx.decide_equivalent
+
+        def counting(a, b, *rest):
+            decided.append(b.signature())
+            return decide(a, b, *rest)
+
+        monkeypatch.setattr(gapx, "decide_equivalent", counting)
+        cfg = ga.ApproxConfig(compare=quick_config, max_h=2, max_k=2)
+        exp_curve = curves.get("exp_curve")
+        with pytest.raises(SearchExhausted) as ei:
+            search_truncation_orders(exp_curve, exp_curve, 50.0, cfg,
+                                     shared_cache)
+        assert len(decided) == len(set(decided)) == 2
+        assert ei.value.best[:2] == (2, 1)
+
+
+class TestCandidateLoop:
+    """Both searches decide their candidates in order, return the first
+    that holds, and on exhaustion keep the rejected candidate with the
+    largest fitted slope, the first of equal slopes."""
+
+    # exp(x) - 1 truncates differently at k = 1 and 2, so no (h, k) of a
+    # 2 x 2 budget repeats a candidate
+    BASE = gs.set_of(gs.BasicPresentation(
+        nvars=2, eqs=(ex.parse("y - exp(x) + 1", 2),),
+        ineqs=(ex.parse("exp(x) - 1", 2),)), "base", 0.5)
+
+    @staticmethod
+    def _scripted(monkeypatch, script):
+        """Replace the decision by verdicts (holds, slope) in call order;
+        return the list the decided candidates are appended to."""
+        decided = []
+        verdicts = iter([SimpleNamespace(holds=holds,
+                                         estimate=SimpleNamespace(slope=sl))
+                         for holds, sl in script])
+
+        def decide(reference, candidate, s, compare, cache):
+            decided.append(candidate)
+            return next(verdicts)
+
+        monkeypatch.setattr(gapx, "decide_equivalent", decide)
+        return decided
+
+    @pytest.fixture()
+    def cfg(self, quick_config):
+        return ga.ApproxConfig(compare=quick_config, max_m=4, max_h=2,
+                               max_k=2)
+
+    def test_inflation_first_that_holds(self, monkeypatch, cfg):
+        decided = self._scripted(
+            monkeypatch, [(False, 1.0), (False, 2.0), (True, 0.5),
+                          (True, 5.0)])
+        m, candidate, verdict = search_inflation_exponent(
+            self.BASE, lambda m: f"m{m}", 2.0, cfg)
+        assert (m, candidate, verdict.estimate.slope) == (3, "m3", 0.5)
+        assert decided == ["m1", "m2", "m3"]
+
+    def test_inflation_keeps_first_largest_slope(self, monkeypatch, cfg):
+        self._scripted(monkeypatch, [(False, 1.0), (False, 3.0),
+                                     (False, 3.0), (False, 2.0)])
+        with pytest.raises(SearchExhausted) as ei:
+            search_inflation_exponent(self.BASE, lambda m: f"m{m}", 2.0, cfg)
+        m, candidate, verdict = ei.value.best
+        assert (m, candidate, verdict.estimate.slope) == (2, "m2", 3.0)
+
+    def test_truncation_first_that_holds(self, monkeypatch, cfg):
+        decided = self._scripted(
+            monkeypatch, [(False, 1.0), (False, 2.0), (True, 0.5),
+                          (True, 5.0)])
+        h, k, candidate, verdict, dropped = search_truncation_orders(
+            self.BASE, self.BASE, 2.0, cfg)
+        assert (h, k, verdict.estimate.slope, dropped) == (1, 2, 0.5, 0)
+        assert len(decided) == 3 and candidate is decided[-1]
+
+    def test_truncation_keeps_first_largest_slope(self, monkeypatch, cfg):
+        decided = self._scripted(
+            monkeypatch, [(False, 1.0), (False, 3.0), (False, 3.0),
+                          (False, 2.0)])
+        with pytest.raises(SearchExhausted) as ei:
+            search_truncation_orders(self.BASE, self.BASE, 2.0, cfg)
+        h, k, candidate, verdict, dropped = ei.value.best
+        assert (h, k, verdict.estimate.slope, dropped) == (2, 1, 3.0, 0)
+        assert len(decided) == 4 and candidate is decided[1]
 
 
 class TestDiagonalSearchOrder:

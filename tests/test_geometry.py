@@ -860,7 +860,7 @@ class TestIsolatedRadii:
         radii name the regular rows."""
         radii = 0.25 + 1e-7 * np.arange(len(X))
         pts = X * radii[:, None]
-        entries = {float(r): (x[None], 1) for r, x in zip(radii, pts)}
+        entries = {float(r): x[None] for r, x in zip(radii, pts)}
 
         def given(eqs, at):
             assert np.array_equal(at, pts)
@@ -922,7 +922,7 @@ class TestIsolatedRadii:
                 (eqs, _), *_ = gg._part_strata(part, gg.SLICE_DEPTH)
                 eqs = gg._normalize_system(eqs)
                 X, ok = gg.project_to_sphere_slice(eqs, dirs * r, r)
-                entries = {r: (X[ok], int(ok.sum()))}
+                entries = {r: X[ok]}
                 _, jacs = ex.eval_system_jacobian(eqs, X[ok])
                 full = ok.all() and _regular_reference(jacs, X[ok], r).all()
                 got = gg._isolated_radii(eqs, entries, len(dirs), 2)
@@ -1401,6 +1401,50 @@ class TestSliceOracle:
             assert self._mismatched_radii(s) == [], name
             checked += 1
         assert checked == 20
+
+    # perfbench's compare_curves pairs, with their closed-form orders
+    CURVE_PAIRS = (
+        ("exp_curve", "trunc1", 2.0),
+        ("exp_curve", "trunc2", 3.0),
+        ("exp_curve", "trunc3", 4.0),
+        ("exp_curve", "trunc4", 5.0),
+        ("parabola", "line", 2.0),
+        ("halfline", "line", 1.0),
+        ("exp_half_pos", "trunc2_half_pos", 3.0),
+        ("exp_half_pos", "trunc3_half_pos", 4.0),
+        ("exp_sin", "trunc2_half_pos", 4.0),
+        ("cusp", "halfline", 1.5),
+    )
+
+    def test_curve_deviations_match_the_roots(self, curves):
+        # both directed deviations of each pair, at every radius, are the
+        # oracle's own between the root sets, within its matching tolerance
+        cfg = ga.CompareConfig(schedule=ga.RadiiSchedule(0.25), npoints=256,
+                               seed=0)
+        roots = {}
+
+        def slice_roots(name, r):
+            if (name, r) not in roots:
+                roots[name, r] = np.concatenate(
+                    [_circle_roots(p, r) for p in curves.get(name).parts])
+            return roots[name, r]
+
+        def directed(P, Q):
+            if not len(P):
+                return 0.0
+            if not len(Q):
+                return math.inf
+            return cdist(P, Q).min(axis=1).max()
+
+        for a, b, _ in self.CURVE_PAIRS:
+            samples, *_ = ga.deviation_profile(
+                curves.get(a), curves.get(b), cfg, ga.SliceCache())
+            assert [d.r for d in samples] == cfg.schedule.radii()
+            for d in samples:
+                P, Q = slice_roots(a, d.r), slice_roots(b, d.r)
+                for got, want in ((d.delta_ab, directed(P, Q)),
+                                  (d.delta_ba, directed(Q, P))):
+                    assert abs(got - want) <= 1e-12 * d.r, (a, b, d.r)
 
     @pytest.mark.parametrize("f,direction", NON_REDUCED_LINES)
     def test_oracle_finds_non_reduced_roots(self, f, direction):
