@@ -357,8 +357,8 @@ def approximate(a: SemianalyticSet, s: float,
 
         # residual recursion
         residual = None
-        res_set = _residual_set(part, proj_eqs if part.eqs else (),
-                                f"residual({a.name}[{i}])", a.omega)
+        res_set = _residual_set(part, proj_eqs, f"residual({a.name}[{i}])",
+                                a.omega)
         if res_set.parts:
             d_res = _dim_at(res_set, r_fine, config, cache)
             if d_res >= d_hat:

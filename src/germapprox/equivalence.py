@@ -25,6 +25,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr
 from .geometry import (
+    _NEAREST_ACCEPT,
     DistanceSample,
     SliceCache,
     SliceCloud,
@@ -33,7 +34,7 @@ from .geometry import (
     dist_to_set_batch,
     sample_slices,
 )
-from .sets import BasicPresentation, SemianalyticSet, union_sets
+from .sets import _ORIGIN_TOL, BasicPresentation, SemianalyticSet, union_sets
 
 
 class ComparisonError(ValueError):
@@ -313,7 +314,7 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     dmaxes = _max_dists(clouds, b, config.npoints, config.seed, cache)
     # each dmax is a solver distance to B's germ, so A's cloud spacing is
     # not its resolution
-    rows = [(r, dmax, 1e-9 * r) for r, ca, dmax in zip(
+    rows = [(r, dmax, _NEAREST_ACCEPT * r) for r, ca, dmax in zip(
         config.schedule.radii(), clouds, dmaxes) if len(ca)]
     # with no sample of A every sigma passes, so the largest is found
     sigma_found = None
@@ -370,7 +371,7 @@ def estimate_exponent(s_set: SemianalyticSet, f: Expr | str, g: Expr | str,
         if ex.max_index(e) >= s_set.nvars:
             raise ComparisonError(
                 f"{name} uses more variables than the set has")
-        if abs(ex.const_term(e)) > 1e-12:
+        if abs(ex.const_term(e)) > _ORIGIN_TOL:
             raise ComparisonError(
                 f"{name} does not vanish at the origin "
                 f"(value {ex.const_term(e):g})")

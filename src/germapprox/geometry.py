@@ -80,6 +80,10 @@ _STALL_RUN = 6
 # Gauss-Newton iteration budgets: sphere projection, nearest-point search
 _PROJECT_ITERS = 50
 _NEAREST_ITERS = 40
+# the nearest-point search accepts a row whose last Gauss-Newton step is at
+# most this times |target| (see _nearest_on_variety); a distance to a germ
+# below this times r is within that tolerance, the horn criterion's floor
+_NEAREST_ACCEPT = 1e-9
 # step fractions the sphere projection's line search tries, in order and in
 # three batches: the full step alone for every row (it improves most: 99%
 # of the rows it is tried on in horn_surfaces, 92% in approx_corpus), then
@@ -239,8 +243,9 @@ def sphere_directions(nvars: int, npoints: int, seed: int = 0) -> np.ndarray:
 # batched Gauss-Newton on the sphere
 
 
-def _system_residual(eqs, X: np.ndarray) -> np.ndarray:
-    res = _row_norm(ex.eval_system(eqs, X))
+def _residual(vals: np.ndarray) -> np.ndarray:
+    """Each row's residual |f(x)| from its values, inf where not finite."""
+    res = _row_norm(vals)
     return np.where(np.isfinite(res), res, np.inf)
 
 
@@ -295,12 +300,11 @@ def _linearize(eqs, X: np.ndarray):
     """Nan-safe values and Jacobians at X, with the Jacobians' guarded
     pseudo-inverses from :func:`_pinv`: closed forms for one-row and
     well-conditioned two-row Jacobians, otherwise the ``_PINV_RCOND`` SVD.
-    Also each row's residual, as :func:`_system_residual` gives it, from the
-    values before they are made nan-safe: forward-mode values are
-    ``eval_many``'s bit for bit."""
+    Also each row's :func:`_residual`, from the values before they are
+    made nan-safe: forward-mode values are ``eval_many``'s bit for bit, so
+    it is the residual that evaluating the system at X gives."""
     vals, jacs = ex.eval_system_jacobian(eqs, X)
-    res = _row_norm(vals)
-    res = np.where(np.isfinite(res), res, np.inf)
+    res = _residual(vals)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     jacs = np.where(np.isfinite(jacs), jacs, 0.0)
     return vals, jacs, _pinv(jacs), res
@@ -324,14 +328,15 @@ def _finite_rows(X: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _gn_steps(eqs, X: np.ndarray) -> np.ndarray:
-    """Least-squares Newton steps toward {f = 0}, nan-safe."""
-    vals, _, pinv, _ = _linearize(eqs, X)
+def _gn_steps(eqs, X: np.ndarray):
+    """Least-squares Newton steps toward {f = 0}, nan-safe, and each row's
+    residual at X from the same linearization (see :func:`_linearize`)."""
+    vals, _, pinv, res = _linearize(eqs, X)
     steps = -_pinv_times(pinv, vals)
     bad = ~_finite_rows(steps)
     if bad.any():
         steps[bad] = 0.0
-    return steps
+    return steps, res
 
 
 def _renormalize(X: np.ndarray, r: float | np.ndarray,
@@ -349,27 +354,27 @@ def _renormalize(X: np.ndarray, r: float | np.ndarray,
     return X
 
 
-def _line_search(eqs, X: np.ndarray, res: np.ndarray, idx: np.ndarray,
-                 ra: np.ndarray, steps: np.ndarray, pend: np.ndarray):
-    """One line search of :func:`project_to_sphere_slice` over the rows
-    ``idx`` of X, with radii ``ra`` and steps ``steps`` aligned with idx.
+def _line_search(eqs, X: np.ndarray, res: np.ndarray, ra: np.ndarray,
+                 steps: np.ndarray, pend: np.ndarray):
+    """One line search of :func:`project_to_sphere_slice` over the rows X
+    still iterating, with residuals ``res``, radii ``ra`` and steps
+    ``steps`` aligned with X.
 
-    The positions ``pend`` (into idx) try the fractions of ``_LINE_SEARCH``
+    The positions ``pend`` (into X) try the fractions of ``_LINE_SEARCH``
     in order. Returns each row's first trial point whose residual is below
-    its entry of ``res``, and that residual: inf for a row that found none
-    or is not in pend.
+    its entry of ``res``, and a mask ``hit`` of the rows that found one: a
+    row not in pend finds none, and its entry of the trial points is left
+    unset.
 
     A chunk's trials are (rows, k, n) for k fractions. Hit row h, whose
     first better trial is j, is picked by the flat index h*k + j into the
-    trials as (rows*k, n) and their residuals as (rows*k,): one ``take``
-    each, where ``trials[hit, first]`` mixes a boolean and an integer index
-    and costs numpy many times more. With the full step alone (k = 1) the
-    pick is ``better[:, 0]`` and the step is added unscaled, since 1.0*s is
-    exact.
+    trials as (rows*k, n): one ``take``, where ``trials[hit, first]`` mixes
+    a boolean and an integer index and costs numpy many times more. With
+    the full step alone (k = 1) the pick is ``better[:, 0]`` and the step
+    is added unscaled, since 1.0*s is exact.
     """
-    n = steps.shape[-1]
     cand = np.empty_like(steps)
-    cres = np.full(len(steps), np.inf)
+    hit = np.zeros(len(steps), dtype=bool)
     for fractions in _LINE_SEARCH:
         if pend.size == 0:
             break
@@ -377,24 +382,23 @@ def _line_search(eqs, X: np.ndarray, res: np.ndarray, idx: np.ndarray,
         rows = _LINE_SEARCH_TRIALS // k
         left = []
         for chunk in np.split(pend, range(rows, pend.size, rows)):
-            src = idx.take(chunk)
-            base = X.take(src, axis=0)[:, None]
+            base = X.take(chunk, axis=0)[:, None]
             step = steps.take(chunk, axis=0)[:, None]
             trials = _renormalize(
                 base + (step if k == 1 else fractions[:, None] * step),
                 ra.take(chunk)[:, None], base)
-            tres = _system_residual(eqs, trials)
-            better = tres < res.take(src)[:, None]
-            hit = better[:, 0] if k == 1 else better.any(axis=1)
-            h = np.flatnonzero(hit)
+            tres = _residual(ex.eval_system(eqs, trials))
+            better = tres < res.take(chunk)[:, None]
+            found = better[:, 0] if k == 1 else better.any(axis=1)
+            h = np.flatnonzero(found)
             flat = (h if k == 1
                     else h * k + better.take(h, axis=0).argmax(axis=1))
             dst = chunk.take(h)
-            cand[dst] = trials.reshape(-1, n).take(flat, axis=0)
-            cres[dst] = tres.reshape(-1).take(flat)
-            left.append(chunk[~hit])
+            cand[dst] = trials.reshape(-1, X.shape[-1]).take(flat, axis=0)
+            hit[dst] = True
+            left.append(chunk[~found])
         pend = np.concatenate(left)
-    return cand, cres
+    return cand, hit
 
 
 def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
@@ -427,12 +431,19 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
     displacement about doubles every iteration, and one that converges
     linearly halves its step every iteration; neither is stopped.
 
+    A row's residual comes only from its linearization (:func:`_gn_steps`)
+    at each iteration, which the line search's trials must improve on; no
+    start is evaluated apart from it, and a trial's residual decides only
+    whether the row moves.
+
     Returns the final positions and a mask of the accepted points: rows
     that did not stall, whose residual is finite and whose last proposed
-    step is at most ``_STEP_ACCEPT`` times their radius. A row that stopped
-    without stalling did not move at its last iteration, so that
-    iteration's step is the one tested; only rows still iterating after
-    the budget are linearized again. With no equations every start is
+    step is at most ``_STEP_ACCEPT`` times their radius, both from the
+    row's last linearization. A row that stopped without stalling did not
+    move at its last iteration, so that linearization is at its final
+    position; only rows still iterating after the budget are linearized
+    once more. A row that stalled moved at its last iteration, and it is
+    rejected whatever its residual. With no equations every start is
     already a slice point.
     """
     X = np.array(starts, dtype=float)
@@ -440,27 +451,33 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
     if not eqs:
         return X, np.ones(N, dtype=bool)
     rad = np.broadcast_to(np.asarray(r, dtype=float), (N,))
-    res = _system_residual(eqs, X)
-    # each row's last step length; inf rejects a row that stalled
+    # each row's residual and last step length, from its last
+    # linearization; a last step of inf rejects a row that stalled
+    res = np.full(N, np.inf)
     last = np.zeros(N)
     # the rows still iterating and, aligned with them, each one's position
     # an iteration back, its last two-iteration displacement and its run of
     # stalled iterations
     idx = np.arange(N)
     back = span = run = None
-    for _ in range(_PROJECT_ITERS):
+    for it in range(_PROJECT_ITERS + 1):
         if idx.size == 0:
             break
-        ra = rad[idx]
         # np.take gathers whole rows several times faster than X[idx]
-        steps = _gn_steps(eqs, X.take(idx, axis=0))
+        Xa = X.take(idx, axis=0)
+        steps, ares = _gn_steps(eqs, Xa)
+        res[idx] = ares
         last[idx] = _row_norm(steps)
+        # rows still iterating when the budget ends are only linearized
+        if it == _PROJECT_ITERS:
+            break
+        ra = rad[idx]
         conv = last[idx] <= _STEP_TARGET * ra
         # converged rows stop without moving, so they try no step
-        cand, cres = _line_search(eqs, X, res, idx, ra, steps,
-                                  np.flatnonzero(~conv))
+        cand, hit = _line_search(eqs, Xa, ares, ra, steps,
+                                 np.flatnonzero(~conv))
         # converged rows and rows that found no lower residual stop here
-        moved = np.flatnonzero(cres < res[idx])
+        moved = np.flatnonzero(hit)
         rows = idx[moved]
         if back is None:
             disp = np.full(moved.size, np.inf)
@@ -477,14 +494,9 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
         idx, span, run = rows[go], disp[go], run[go]
         back = X.take(idx, axis=0)
         X[rows] = cand.take(moved, axis=0)
-        res[rows] = cres[moved]
         # free this iteration's buffers before the next one makes its own
-        del steps, cand, cres, moved, rows, disp
-    if idx.size:
-        last[idx] = _row_norm(_gn_steps(eqs, X.take(idx, axis=0)))
-    accepted = last <= _STEP_ACCEPT * rad
-    accepted &= np.isfinite(res)
-    return X, accepted
+        del Xa, steps, ares, cand, hit, moved, rows, disp
+    return X, (last <= _STEP_ACCEPT * rad) & np.isfinite(res)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +925,7 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
     not depend on the rows it shares the call with.
 
     Returns final points and a converged mask: a finite residual, a last
-    Gauss-Newton step of at most ``tol = 1e-9·|target|``, and
+    Gauss-Newton step of at most ``tol = _NEAREST_ACCEPT·|target|``, and
     ``|f| <= |J|_F·tol``, the residual a point within tol of {f = 0} can
     have. A zero step proves nothing where the pseudo-inverse cuts a
     direction off: a start on the critical locus of its equation does not
@@ -927,7 +939,7 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
         return Y, np.ones(len(Y), dtype=bool)
     scale = np.maximum(_row_norm(targets), 1e-30)
     for _ in range(_LANDING_STEPS):
-        Y = Y + _gn_steps(eqs, Y)
+        Y = Y + _gn_steps(eqs, Y)[0]
     idx = np.arange(len(Y))
     for _ in range(_NEAREST_ITERS):
         if idx.size == 0:
@@ -936,7 +948,7 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
                               targets.take(idx, axis=0))
         Y[idx] += step
         idx = idx[_row_norm(step) > 1e-14 * scale[idx]]
-    tol = 1e-9 * scale
+    tol = _NEAREST_ACCEPT * scale
     vals, jacs, pinv, res = _linearize(eqs, Y)
     ok = np.isfinite(res)
     ok &= _row_norm(_pinv_times(pinv, vals)) <= tol
@@ -1058,7 +1070,7 @@ def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
             continue
         Y = X
         for _ in range(_LANDING_STEPS):
-            Y = Y + _gn_steps(eqs, Y)
+            Y = Y + _gn_steps(eqs, Y)[0]
         vals, jacs, pinv, res = _linearize(eqs, Y)
         ok = np.isfinite(res)
         # J J^+ projects onto the directions the pseudo-inverse kept, so

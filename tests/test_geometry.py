@@ -195,7 +195,7 @@ def _project_reference(eqs, starts, r):
         if idx.size == 0:
             break
         Xa = X[idx]
-        steps = gg._gn_steps(eqs, Xa)
+        steps, _ = gg._gn_steps(eqs, Xa)
         slen = np.linalg.norm(steps, axis=-1)
         conv = slen <= gg._STEP_TARGET * r
         cand = _reference_renormalize(Xa + steps, r, Xa)
@@ -226,7 +226,7 @@ def _project_reference(eqs, starts, r):
         X[idx[move]] = cand[move]
         res[idx[move]] = cres[move]
         active[idx[conv | ~improved | stop]] = False
-    final_steps = gg._gn_steps(eqs, X)
+    final_steps, _ = gg._gn_steps(eqs, X)
     accepted = np.linalg.norm(final_steps, axis=-1) <= gg._STEP_ACCEPT * r
     accepted &= np.isfinite(_reference_residual(eqs, X))
     return X, accepted & ~stalled
@@ -289,8 +289,35 @@ class TestProjectMatchesReference:
     def test_lone_row_steps_like_a_batch(self, curves, surfaces):
         for nvars, eqs in _corpus_systems(curves, surfaces):
             X = ga.sphere_directions(nvars, 16, 0) * 0.25
-            alone = np.concatenate([gg._gn_steps(eqs, x[None]) for x in X])
-            assert np.array_equal(alone, gg._gn_steps(eqs, X))
+            steps, res = gg._gn_steps(eqs, X)
+            alone = np.concatenate([gg._gn_steps(eqs, x[None])[0]
+                                    for x in X])
+            assert np.array_equal(alone, steps)
+            # the linearization's residual is the system's own
+            assert np.array_equal(res, _reference_residual(eqs, X))
+
+    def test_starts_are_not_evaluated_apart(self, monkeypatch):
+        # a row's residual comes from its linearization, so one iteration
+        # on the parabola evaluates the system only at the full step's
+        # trial points, one per start
+        monkeypatch.setattr(gg, "_PROJECT_ITERS", 1)
+        evaluate = ex.eval_system
+        rows = []
+
+        def counting(eqs, X):
+            rows.append(int(np.prod(np.shape(X)[:-1])))
+            return evaluate(eqs, X)
+
+        r = 0.25
+        eqs = (ex.parse("y - x^2", 2),)
+        starts = ga.sphere_directions(2, 64, seed=0) * r
+        with monkeypatch.context() as m:
+            m.setattr(ex, "eval_system", counting)
+            X, ok = gg.project_to_sphere_slice(eqs, starts, r)
+        assert sum(rows) == 64
+        X_ref, ok_ref = _project_reference(eqs, starts, r)
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(ok, ok_ref)
 
     @pytest.mark.parametrize("texts", [
         ("y - x^2", "z - x^3 - 0.5*y"),
@@ -374,15 +401,15 @@ class TestProjectMatchesReference:
         dirs = ga.sphere_directions(2, 2000, 0)
         starts = np.concatenate([dirs * r for r in radii])
         rad = np.repeat(radii, len(dirs))
-        residual = gg._system_residual
+        residual = gg._residual
         batches = []
 
-        def counting(eqs, X):
-            if X.ndim == 3:
-                batches.append(X.shape[0] * X.shape[1])
-            return residual(eqs, X)
+        def counting(vals):
+            if vals.ndim == 3:
+                batches.append(vals.shape[0] * vals.shape[1])
+            return residual(vals)
 
-        monkeypatch.setattr(gg, "_system_residual", counting)
+        monkeypatch.setattr(gg, "_residual", counting)
         for system in (eqs, end):
             batches.clear()
             X, ok = gg.project_to_sphere_slice(system, starts, rad)
@@ -402,15 +429,15 @@ class TestProjectMatchesReference:
         # on the parabola the full step lowers every start's residual, so
         # the first iteration evaluates one trial point per pending row
         monkeypatch.setattr(gg, "_PROJECT_ITERS", 1)
-        residual = gg._system_residual
+        residual = gg._residual
         trials = []
 
-        def counting(eqs, X):
-            if X.ndim == 3:
-                trials.append(X.shape[:2])
-            return residual(eqs, X)
+        def counting(vals):
+            if vals.ndim == 3:
+                trials.append(vals.shape[:2])
+            return residual(vals)
 
-        monkeypatch.setattr(gg, "_system_residual", counting)
+        monkeypatch.setattr(gg, "_residual", counting)
         r = 0.25
         starts = ga.sphere_directions(2, 64, seed=0) * r
         self._check((ex.parse("y - x^2", 2),), starts, r)
@@ -449,20 +476,21 @@ class TestProjectMatchesReference:
         assert ok.all()
 
 
-def _line_search_reference(eqs, X, res, idx, ra, steps, pend):
+def _line_search_reference(eqs, X, res, ra, steps, pend):
     """:func:`gg._line_search` one row and one fraction at a time, in plain
-    indexing, with numpy's own norm; also returns the position in
+    indexing, with numpy's own norm. Returns each row's trial point and
+    its residual (inf for a row that found none), and the position in
     ``_LINE_SEARCH`` of each row's accepted fraction (-1 for none)."""
     fractions = np.concatenate(gg._LINE_SEARCH)
     cand = np.zeros_like(steps)
     cres = np.full(len(steps), np.inf)
     hit_at = np.full(len(steps), -1)
     for p in pend:
-        x = X[idx[p]]
+        x = X[p]
         for j, t in enumerate(fractions):
             trial = _reference_renormalize(x + t * steps[p], ra[p], x)
             tres = _reference_residual(eqs, trial[None])[0]
-            if tres < res[idx[p]]:
+            if tres < res[p]:
                 cand[p], cres[p], hit_at[p] = trial, tres, j
                 break
     return cand, cres, hit_at
@@ -523,16 +551,16 @@ class TestLineSearch:
         # some of them are pending
         idx = rng.permutation(len(X))[:500]
         pend = np.sort(rng.permutation(len(idx))[:450])
-        args = (eqs, X, res, idx, r[idx], steps[idx], pend)
-        cand, cres = gg._line_search(*args)
+        args = (eqs, X[idx], res[idx], r[idx], steps[idx], pend)
+        cand, hit = gg._line_search(*args)
         want, wres, hit_at = _line_search_reference(*args)
         assert np.array_equal(hit_at[pend], target[idx[pend]])
         # every stage, and no stage, has rows enough to fill several chunks
         # of the smaller budget
         assert np.bincount(stage[idx[pend]] + 1).min() >= 80
-        assert np.array_equal(cres, wres)
-        found = np.isfinite(wres)
-        assert np.array_equal(cand[found], want[found])
+        assert np.array_equal(hit, np.isfinite(wres))
+        assert np.array_equal(_reference_residual(eqs, cand[hit]), wres[hit])
+        assert np.array_equal(cand[hit], want[hit])
 
     @pytest.mark.parametrize("trials", [gg._LINE_SEARCH_TRIALS, 3 * 21])
     def test_overshooting_steps_match_one_at_a_time(self, monkeypatch,
@@ -545,17 +573,18 @@ class TestLineSearch:
         r = np.repeat([0.25, 0.25 * 2.0 ** -5], 200)
         X = ga.sphere_directions(3, 200, seed=0)
         X = np.concatenate([X, X]) * r[:, None]
-        steps = gg._gn_steps(eqs, X) * 2.0 ** rng.integers(0, 31, (400, 1))
+        stretch = 2.0 ** rng.integers(0, 31, (400, 1))
+        steps = gg._gn_steps(eqs, X)[0] * stretch
         res = _reference_residual(eqs, X)
         idx = rng.permutation(len(X))
         pend = np.flatnonzero(rng.random(len(idx)) < 0.9)
-        args = (eqs, X, res, idx, r[idx], steps[idx], pend)
-        cand, cres = gg._line_search(*args)
+        args = (eqs, X[idx], res[idx], r[idx], steps[idx], pend)
+        cand, hit = gg._line_search(*args)
         want, wres, hit_at = _line_search_reference(*args)
         assert (hit_at[pend] >= 5).sum() >= 200
-        assert np.array_equal(cres, wres)
-        found = np.isfinite(wres)
-        assert np.array_equal(cand[found], want[found])
+        assert np.array_equal(hit, np.isfinite(wres))
+        assert np.array_equal(_reference_residual(eqs, cand[hit]), wres[hit])
+        assert np.array_equal(cand[hit], want[hit])
 
 
 def _inflated_systems(curves, surfaces):
@@ -1746,13 +1775,13 @@ def _dist_reference(X, s, npoints, seed, cache):
             continue
         Y = x = X[todo]
         for _ in range(3):
-            Y = Y + gg._gn_steps(eqs, Y)
+            Y = Y + gg._gn_steps(eqs, Y)[0]
         jacs = ex.eval_system_jacobian(eqs, Y)[1]
         sv = np.linalg.svd(np.where(np.isfinite(jacs), jacs, 0.0),
                            compute_uv=False)
         land = sv[:, -1] > gg._PINV_RCOND * sv[:, 0]
-        land &= np.isfinite(gg._system_residual(eqs, Y))
-        land &= (np.linalg.norm(gg._gn_steps(eqs, Y), axis=1)
+        land &= np.isfinite(_reference_residual(eqs, Y))
+        land &= (np.linalg.norm(gg._gn_steps(eqs, Y)[0], axis=1)
                  <= 1e-12 * norms[todo])
         land &= np.linalg.norm(Y, axis=1) <= s.omega * (1.0 + 1e-9)
         for g in part.ineqs:
