@@ -130,13 +130,19 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _emit(args, payload: dict, human_lines, t0: float | None = None):
-    """Write the payload to -o and/or stdout; otherwise print the summary,
-    ended by the wall time since ``t0`` when one is given."""
-    text = _dump_json(payload)
+def _emit(args, text: str, human_lines, t0: float | None = None,
+          sidecar: dict | None = None):
+    """Write the machine output ``text`` to -o, and ``sidecar``, when one is
+    given, as JSON to <out>.manifest.json; write ``text`` to stdout with
+    --stdout, otherwise print the summary, ended by the wall time since
+    ``t0`` when one is given."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+        if sidecar is not None:
+            with open(args.out + ".manifest.json", "w",
+                      encoding="utf-8") as fh:
+                fh.write(_dump_json(sidecar))
     if args.stdout:
         sys.stdout.write(text)
     else:
@@ -228,7 +234,7 @@ def cmd_truncate(args) -> int:
     out = truncate_full(s, h, k)
     payload = _collection_dict(out, coll.names)
     payload["manifest"] = _manifest(args, [args.set], {"h": h, "k": k})
-    _emit(args, payload,
+    _emit(args, _dump_json(payload),
           [f"{out.name}:"] + _part_lines(out, coll.names, "part"))
     return _EXIT_OK
 
@@ -278,7 +284,7 @@ def cmd_compare(args) -> int:
                      f"(agreement: {horn_info['agreement']})")
     for c in verdict.caveats:
         lines.append(f"  note: {c}")
-    _emit(args, payload, lines, t0)
+    _emit(args, _dump_json(payload), lines, t0)
     return _verdict_exit(verdict)
 
 
@@ -293,28 +299,18 @@ def cmd_order(args) -> int:
         csv_lines.append(",".join([
             _csv_float(d.r), _csv_float(d.delta_ab),
             _csv_float(d.delta_ba), _csv_float(d.floor)]))
-    csv_text = "\n".join(csv_lines) + "\n"
-    manifest = _manifest(args, [a.name, b.name], _config_dict(cfg))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        sidecar = {"manifest": manifest,
-                   "estimate_ab": asdict(est_ab),
-                   "estimate_ba": asdict(est_ba),
-                   "caveats": list(caveats)}
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(sidecar))
-    if args.stdout:
-        sys.stdout.write(csv_text)
-    else:
-        print(f"deviations of {a.name!r} and {b.name!r} at "
-              f"{len(rows)} radii")
-        print("  " + _describe_estimate(est_ab))
-        print("  " + _describe_estimate(est_ba))
-        for c in caveats:
-            print(f"  note: {c}")
-        if not args.out:
-            sys.stdout.write(csv_text)
+    sidecar = {"manifest": _manifest(args, [a.name, b.name],
+                                     _config_dict(cfg)),
+               "estimate_ab": asdict(est_ab),
+               "estimate_ba": asdict(est_ba),
+               "caveats": list(caveats)}
+    lines = [f"deviations of {a.name!r} and {b.name!r} at {len(rows)} radii",
+             "  " + _describe_estimate(est_ab),
+             "  " + _describe_estimate(est_ba)]
+    lines += [f"  note: {c}" for c in caveats]
+    if not args.out:
+        lines += csv_lines
+    _emit(args, "\n".join(csv_lines) + "\n", lines, sidecar=sidecar)
     return _EXIT_OK
 
 
@@ -343,7 +339,7 @@ def cmd_approx(args) -> int:
                                                       coll.names)},
             "manifest": _manifest(args, [a.name], config_dict),
         }
-        _emit(args, payload, [f"search exhausted: {exc}"])
+        _emit(args, _dump_json(payload), [f"search exhausted: {exc}"])
         return _EXIT_EXHAUSTED
     payload = _approx_dict(result, coll.names)
     payload["manifest"] = _manifest(args, [a.name], config_dict)
@@ -361,7 +357,7 @@ def cmd_approx(args) -> int:
         lines.append("  " + _describe_estimate(result.final_verdict.estimate))
     for c in result.caveats:
         lines.append(f"  note: {c}")
-    _emit(args, payload, lines, t0)
+    _emit(args, _dump_json(payload), lines, t0)
     return _EXIT_OK if result.success else _EXIT_FAIL
 
 
@@ -387,7 +383,7 @@ def cmd_tangent(args) -> int:
     for (r1, r2), d in zip(zip(report.radii, report.radii[1:]),
                            report.drift):
         lines.append(f"  drift r={r1:g} -> r={r2:g}: {d:.3e}")
-    _emit(args, payload, lines)
+    _emit(args, _dump_json(payload), lines)
     return _EXIT_OK
 
 

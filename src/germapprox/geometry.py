@@ -40,8 +40,8 @@ from scipy.spatial import cKDTree
 
 from . import expr as ex
 from .expr import _row_norm
-from .sets import (BasicPresentation, SemianalyticSet, is_origin_slack,
-                   membership_mask)
+from .sets import (_MEMBER_TOL_INEQ, BasicPresentation, SemianalyticSet,
+                   is_origin_slack, membership_mask)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -66,7 +66,9 @@ _PINV_CLOSED_GUARD = 1e-6
 # [J_f(x); x/r] has sigma_min/sigma_max above this (see _isolated_radii:
 # a closed form for the 2 x 2 shape, the SVD for the others)
 _ISOLATED_GUARD = 1e-6
-# Gauss-Newton steps from a row to its landing on a part (see _landing)
+# Gauss-Newton steps the nearest-point solver takes onto a variety before
+# its tangential iterations; with none after them, a row's landing on a
+# part (see _nearest_on_variety and _landing)
 _LANDING_STEPS = 3
 # the rows in the first chunk that _max_dists refines of each batch
 _FIRST_CHUNK = 8
@@ -914,15 +916,18 @@ def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.nan_to_num(restore - tang, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
+def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
+                        iters: int = _NEAREST_ITERS):
     """Per row: move a start toward the nearest point of {f = 0} to target.
 
-    After three Gauss-Newton steps onto the variety, each iteration pulls a
-    row by the whole tangential part of its offset from the target and
-    restores it onto the variety (:func:`_nearest_steps`). A row stops once
-    its step is at most ``1e-14·|target|``; the others go on, up to
-    ``_NEAREST_ITERS`` iterations. Rows never mix, so a row's result does
-    not depend on the rows it shares the call with.
+    After ``_LANDING_STEPS`` Gauss-Newton steps onto the variety, each of up
+    to ``iters`` iterations pulls a row by the whole tangential part of its
+    offset from the target and restores it onto the variety
+    (:func:`_nearest_steps`). A row stops once its step is at most
+    ``1e-14·|target|``; the others go on. With ``iters`` = 0 a row only
+    lands: its point is where the Gauss-Newton steps leave it (see
+    :func:`_landing`). Rows never mix, so a row's result does not depend on
+    the rows it shares the call with.
 
     Returns final points and a converged mask: a finite residual, a last
     Gauss-Newton step of at most ``tol = _NEAREST_ACCEPT·|target|``, and
@@ -941,7 +946,7 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray):
     for _ in range(_LANDING_STEPS):
         Y = Y + _gn_steps(eqs, Y)[0]
     idx = np.arange(len(Y))
-    for _ in range(_NEAREST_ITERS):
+    for _ in range(iters):
         if idx.size == 0:
             break
         step = _nearest_steps(eqs, Y.take(idx, axis=0),
@@ -963,13 +968,14 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
 
     Candidates come from four sources per query: the origin (when a part
     passes through it), the set's slice cloud at the queries' median
-    radius, the point each part's equations land the query on
-    (:func:`_landing`), and constrained refinement onto every boundary
-    stratum of every part, multi-started from the query and its nearest
-    cloud points. The multistart does not depend on the stratum, so it is
-    built once per call. Queries that already read as members get distance
-    zero. Infinity means the set offered no candidate at all (an empty
-    germ). Non-finite query points raise GeometryError.
+    radius, the point each part's equations land the query on (the
+    nearest-point solver's Gauss-Newton steps alone, accepted by its own
+    rule: :func:`_landing`), and constrained refinement onto every boundary
+    stratum of every part by the same solver, multi-started from the query
+    and its nearest cloud points. The multistart does not depend on the
+    stratum, so it is built once per call. Queries that already read as
+    members get distance zero. Infinity means the set offered no candidate
+    at all (an empty germ). Non-finite query points raise GeometryError.
 
     Every other step is row by row and start by start, so a row's distance
     depends on the other rows only through that cloud radius:
@@ -1001,11 +1007,12 @@ def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
     Returns ``best``, each row's least candidate distance so far: 0 for a
     member, else the least of its norm (when a part passes through the
     origin), its distance to the nearest point of its cloud and its landing
-    distance; ``starts``, shape (N, k, n), each row's multistart: itself,
-    then its nearest cloud points, padded with copies of itself where its
-    cloud has fewer than k - 1 points; and ``run``, shape (N, k), the
-    unpadded starts of every row whose ``best`` is above 0. Refinement
-    only lowers ``best``.
+    distance (:func:`_landing`, the solver with no tangential iteration);
+    ``starts``, shape (N, k, n), each row's multistart: itself, then its
+    nearest cloud points, padded with copies of itself where its cloud has
+    fewer than k - 1 points; and ``run``, shape (N, k), the unpadded starts
+    of every row whose ``best`` is above 0. Refinement only lowers
+    ``best``.
     """
     best = np.full(len(X), math.inf)
     if s.parts:
@@ -1043,13 +1050,30 @@ def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
 def _in_germ(Y: np.ndarray, ineqs, omega: float, X: np.ndarray):
     """Rows of Y, points found for the query rows X, inside the ball of
     radius omega (to 1e-9 relative) that meet every inequality of ``ineqs``
-    to within ``1e-8 * max(1, |x|)``."""
+    to within ``_MEMBER_TOL_INEQ * max(1, |x|)``, membership_mask's rule."""
     keep = _row_norm(Y) <= omega * (1.0 + 1e-9)
-    tol = 1e-8 * np.maximum(1.0, _row_norm(X))
+    tol = _MEMBER_TOL_INEQ * np.maximum(1.0, _row_norm(X))
     for g in ineqs:
         vals = ex.eval_many(g, Y)
         keep &= np.isfinite(vals) & (vals >= -tol)
     return keep
+
+
+def _solved(s: SemianalyticSet, depth: int, starts: np.ndarray,
+            targets: np.ndarray, iters: int):
+    """For each stratum of each part of s to ``depth`` (see
+    :func:`_part_strata`) that keeps an equation, yield ``(ok, d)``: the
+    rows whose point from :func:`_nearest_on_variety`, run with ``iters``
+    tangential iterations, is accepted and kept by :func:`_in_germ`, and
+    those rows' distances from the point to their targets."""
+    for part in s.parts:
+        for eqs, rest in _part_strata(part, depth):
+            eqs = _normalize_system(eqs)
+            if not eqs:
+                continue
+            Y, ok = _nearest_on_variety(eqs, starts, targets, iters)
+            ok[ok] = _in_germ(Y[ok], rest, s.omega, targets[ok])
+            yield ok, _row_norm(Y[ok] - targets[ok])
 
 
 def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
@@ -1057,30 +1081,15 @@ def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
     Gauss-Newton steps from x reach on a part's own equations, the least
     over the parts; inf where no part's Y is valid, row by row.
 
-    Y is valid where the residual is finite, the pseudo-inverse cuts no
-    direction off (so a short step means a small residual), the next step
-    is at most ``_STEP_ACCEPT * |x|``, and :func:`_in_germ` keeps Y as it
-    keeps a refined point. Near a squared factor the steps converge only
-    linearly, so rows there do not land.
+    Y is the nearest-point solver's point with no tangential iteration, and
+    it is valid where the solver accepts it (:func:`_nearest_on_variety`,
+    with x as its own target) and :func:`_in_germ` keeps it as it keeps a
+    refined point. Near a squared factor the steps converge only linearly,
+    so rows there do not land.
     """
     out = np.full(len(X), math.inf)
-    for part in s.parts:
-        eqs = _normalize_system(part.eqs)
-        if not eqs:
-            continue
-        Y = X
-        for _ in range(_LANDING_STEPS):
-            Y = Y + _gn_steps(eqs, Y)[0]
-        vals, jacs, pinv, res = _linearize(eqs, Y)
-        ok = np.isfinite(res)
-        # J J^+ projects onto the directions the pseudo-inverse kept, so
-        # its trace counts them
-        kept = (jacs * np.swapaxes(pinv, -1, -2)).sum(axis=(-2, -1))
-        ok &= kept > len(eqs) - 0.5
-        ok &= (_row_norm(_pinv_times(pinv, vals))
-               <= _STEP_ACCEPT * _row_norm(X))
-        ok[ok] = _in_germ(Y[ok], part.ineqs, s.omega, X[ok])
-        out[ok] = np.minimum(out[ok], _row_norm(Y[ok] - X[ok]))
+    for ok, d in _solved(s, 0, X, X, 0):
+        out[ok] = np.minimum(out[ok], d)
     return out
 
 
@@ -1092,16 +1101,9 @@ def _refine(X: np.ndarray, s: SemianalyticSet, best: np.ndarray,
     own, col = np.nonzero(run)
     if not own.size:
         return
-    S0, T0 = starts[own, col], X[own]
-    for part in s.parts:
-        for eqs, rest in _part_strata(part, _DIST_DEPTH):
-            eqs = _normalize_system(eqs)
-            if not eqs:
-                continue
-            Y, ok = _nearest_on_variety(eqs, S0, T0)
-            ok[ok] = _in_germ(Y[ok], rest, s.omega, T0[ok])
-            if ok.any():
-                np.minimum.at(best, own[ok], _row_norm(Y[ok] - T0[ok]))
+    for ok, d in _solved(s, _DIST_DEPTH, starts[own, col], X[own],
+                         _NEAREST_ITERS):
+        np.minimum.at(best, own[ok], d)
 
 
 def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
@@ -1223,6 +1225,10 @@ def numeric_dimension(s: SemianalyticSet, r: float, npoints: int = 256,
         if len(local) < 2:
             continue
         centered = local - local.mean(axis=0)
+        # the slice lies on the sphere, so the radial direction is the
+        # sphere's curvature, not a direction of the slice
+        u = pts[ai] / np.linalg.norm(pts[ai])
+        centered -= np.outer(centered @ u, u)
         cov = centered.T @ centered / len(local)
         evals = np.linalg.eigvalsh(cov)[::-1]
         if evals[0] <= 0.0:

@@ -1766,9 +1766,10 @@ def _dist_reference(X, s, npoints, seed, cache):
     todo = np.flatnonzero(~member)
     ineq_tol = 1e-8 * np.maximum(1.0, norms)
     # the landing: three Gauss-Newton steps from the query onto a part's
-    # own equations, kept where the next step is at most 1e-12 |x| at a
-    # point of the ball with a finite residual and a full-rank Jacobian
-    # that meets the part's inequalities
+    # own equations, kept at a point of the ball that meets the part's
+    # inequalities where the residual is finite, the next step is at most
+    # tol = 1e-9 |x| and |f| <= |J|_F tol: the solver's acceptance, written
+    # out here rather than read from _nearest_on_variety
     for part in s.parts:
         eqs = gg._normalize_system(part.eqs)
         if not eqs:
@@ -1776,13 +1777,15 @@ def _dist_reference(X, s, npoints, seed, cache):
         Y = x = X[todo]
         for _ in range(3):
             Y = Y + gg._gn_steps(eqs, Y)[0]
-        jacs = ex.eval_system_jacobian(eqs, Y)[1]
-        sv = np.linalg.svd(np.where(np.isfinite(jacs), jacs, 0.0),
-                           compute_uv=False)
-        land = sv[:, -1] > gg._PINV_RCOND * sv[:, 0]
-        land &= np.isfinite(_reference_residual(eqs, Y))
-        land &= (np.linalg.norm(gg._gn_steps(eqs, Y)[0], axis=1)
-                 <= 1e-12 * norms[todo])
+        tol = 1e-9 * norms[todo]
+        res = _reference_residual(eqs, Y)
+        vals, jacs = ex.eval_system_jacobian(eqs, Y)
+        vals = np.where(np.isfinite(vals), vals, 0.0)
+        jacs = np.where(np.isfinite(jacs), jacs, 0.0)
+        land = np.isfinite(res)
+        land &= (np.linalg.norm(gg._gn_steps(eqs, Y)[0], axis=1) <= tol)
+        land &= (np.linalg.norm(vals, axis=1)
+                 <= np.linalg.norm(jacs, axis=(1, 2)) * tol)
         land &= np.linalg.norm(Y, axis=1) <= s.omega * (1.0 + 1e-9)
         for g in part.ineqs:
             vals = ex.eval_many(g, Y)
@@ -1888,6 +1891,16 @@ class TestDistMatchesDense:
         got = ga.dist_to_set_batch(X, s, cache=shared_cache)
         assert np.array_equal(got, _dist_reference(X, s, 128, 0,
                                                    shared_cache))
+
+    def test_rank_deficient_landing(self, curves, shared_cache):
+        # cusp_product's Jacobian has rank 1 on y = x^3, where its residual
+        # is 0: a row of the disk's slice lands there by the solver's rule,
+        # though a rank test refuses it, and that landing is shorter than
+        # the row's refined distances
+        _, got, want = self._both(curves.get("disk"),
+                                  curves.get("cusp_product"), 2.0 ** -8,
+                                  128, 1, shared_cache)
+        assert np.array_equal(got, want)
 
 
 def _get(sets, name):
@@ -2054,8 +2067,9 @@ class TestMaxDist:
         flat = _one_part_set(["x^2 - 0.2*x"], [])
         assert lands(flat, [[0.1, 0.3], [0.2001, 0.1]]) == [False, True]
         # two equations whose Jacobian has rank 1 on the curve y = x^3: a
-        # point of it takes a zero step but is not a regular landing
-        assert lands(curves.get("cusp_product"), [[0.1, 0.001]]) == [False]
+        # point of it takes a zero step, and its residual is 0 there, so
+        # the solver accepts it as it accepts its refined points
+        assert lands(curves.get("cusp_product"), [[0.1, 0.001]]) == [True]
         # the half-line y = 0, x >= 0: a row by the other half lands on a
         # point that breaks the inequality
         assert lands(curves.get("halfline"), [[-0.2, 0.01], [0.2, 0.01]]
@@ -2080,6 +2094,7 @@ class TestMaxDist:
         # its residual is 0: the solver's rows land there as they do on
         # the plain cubic
         X = np.array([[0.1, 0.05], [-0.2, 0.1], [0.3, -0.1]])
+        assert np.isfinite(gg._landing(X, curves.get("cusp_product"))).all()
         got = ga.dist_to_set_batch(X, curves.get("cusp_product"),
                                    cache=fresh_cache)
         want = ga.dist_to_set_batch(X, _one_part_set(["y - x^3"], []),
@@ -2183,6 +2198,23 @@ class TestNumericDimension:
 
     def test_isolated_origin_dimension_zero(self, fresh_cache):
         assert ga.numeric_dimension(ISOLATED, 0.25, cache=fresh_cache) == 0
+
+    @pytest.mark.parametrize("r", [0.1, 0.01, 0.001])
+    @pytest.mark.parametrize("eqs,ineqs,dim", [
+        (["y - sin(x)", "z - exp(x) + 1", "w - x^2"], [], 1),
+        (["z - sin(x + y)", "w - x*y - exp(x) + 1"], [], 2),
+        # a cone: singular at the origin
+        (["w^2 - x^2 - y^2", "z"], [], 2),
+        # a 2-dimensional slice: unless the radial direction is taken out,
+        # a neighbourhood of 10 spacings reads the sphere's curvature as a
+        # third direction
+        (["w - exp(x) - exp(y) - exp(z) + 3"], [], 3),
+        ([], ["x"], 4),
+    ])
+    def test_germs_in_r4(self, shared_cache, eqs, ineqs, dim, r):
+        s = _one_part_set(eqs, ineqs, nvars=4)
+        assert ga.numeric_dimension(s, r, npoints=256,
+                                    cache=shared_cache) == dim
 
 
 class TestCache:
@@ -2413,7 +2445,7 @@ class TestCloudReuse:
 
 
 def _one_part_set(eqs, ineqs, nvars=2):
-    names = ["x", "y", "z"][:nvars]
+    names = ["x", "y", "z", "w"][:nvars]
     return make_collection(
         {"vars": names, "omega": 0.5,
          "sets": {"s": {"parts": [{"eqs": eqs, "ineqs": ineqs}]}}}).get("s")
