@@ -7,9 +7,12 @@ enforces analyticity at the origin: division needs a denominator with a
 nonzero value at 0, log1p and sqrt1p need arguments with value > -1 there.
 
 The module provides exact forward-mode gradients (vectorized over point
-batches), symbolic partial derivatives (used to build Jacobian minors as
-expressions), and degree-capped Taylor expansion at the origin via the
-series engine in :mod:`germapprox.series`.
+batches, carrying only the gradient columns of the variables each
+subexpression contains), symbolic partial derivatives (used to build
+Jacobian minors as expressions), and degree-capped Taylor expansion at the
+origin via the series engine in :mod:`germapprox.series`. Batch evaluation
+raises to integer powers of 3 and more by repeated squaring
+(:func:`_int_power`), in one fixed order of products.
 
 Everything known about a primitive (its numpy function, its derivative
 rule, its Taylor coefficients and its domain floor) is one row of
@@ -217,17 +220,49 @@ def _fold(e: Expr, var, const, prim):
     if isinstance(e, Neg):
         return -_fold(e.arg, var, const, prim)
     if isinstance(e, IntPow):
-        return _fold(e.base, var, const, prim) ** e.exponent
+        return _int_power(_fold(e.base, var, const, prim), e.exponent)
     if isinstance(e, Prim):
         return prim(PRIMITIVE_TABLE[e.name], _fold(e.arg, var, const, prim))
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
+def _int_power(v, k: int):
+    """``v ** k``; for a numpy value and k >= 3, by repeated squaring.
+
+    numpy's float64 ``power`` is many times slower than a few products on
+    negative bases. The products come in one fixed order, so a row gets the
+    same bits at every batch size and layout: walking the bits of k from
+    the lowest, the running square b is v, v^2, v^4, ..., and each set bit
+    multiplies the result on the right, result = result * b (the first set
+    bit starts the result at b). So v^3 = v * v^2 and v^6 = v^2 * v^4. No
+    square is taken past k's highest bit, so where |v| >= 1 no
+    intermediate exceeds |v|^k, and overflow, nan, signed zeros and
+    infinities come out as ``pow`` gives them. Each product rounds once, so
+    the result is within k - 1 roundings of the exact power, where ``pow``
+    is mostly exact.
+
+    Lower powers, and values that are not numpy's (the Python floats of
+    :func:`const_term`, the series of :func:`taylor_series`), use ``**``.
+    """
+    if k < 3 or not isinstance(v, (np.ndarray, np.generic)):
+        return v ** k
+    out = None
+    while True:
+        if k & 1:
+            out = v if out is None else out * v
+        k >>= 1
+        if not k:
+            return out
+        v = v * v
+
+
 def _finite_at_origin(row, c):
     # a primitive of an overflowed argument, or one that overflows, stops
     # the fold: atan, exp(-.) or ^0 would fold the overflow into a finite
-    # value that Taylor expansion then cannot reproduce
-    value = row.vector(c)
+    # value that Taylor expansion then cannot reproduce. The value goes on
+    # as a Python float, so the whole fold stays in Python's arithmetic
+    # (and its powers in ``**``) whatever the primitive returns
+    value = float(row.vector(c))
     if not (math.isfinite(c) and math.isfinite(value)):
         raise OverflowError
     return value
@@ -669,65 +704,100 @@ def eval_many(e: Expr, X: np.ndarray) -> np.ndarray:
 
 
 class _Dual:
-    """A batch of values with their gradients, shapes (...,) and (..., n)."""
+    """A batch of values, shape (...,), with the gradient columns they
+    depend on: ``g`` maps a variable index to that partial, an array shaped
+    like ``v``. A variable the subexpression does not contain has no column,
+    since its partial is zero; forward mode carries only the columns a
+    subexpression needs (Griewank and Walther, *Evaluating Derivatives*,
+    2008).
+
+    Each operation keeps the operand order of the dense rule that carried
+    every column: a column that both operands hold is computed as that rule
+    computed it, and a column that only one operand holds drops the rule's
+    term with a zero partial. So every entry that can be nonzero gets the
+    dense rule's bits, and a structurally zero entry reads +0.0 where the
+    dense product could write -0.0 (or nan, times an infinite value).
+    """
 
     __slots__ = ("v", "g")
 
-    def __init__(self, v, g):
+    def __init__(self, v, g: dict):
         self.v = v
         self.g = g
 
-    @staticmethod
-    def variable(X: np.ndarray, index: int) -> "_Dual":
-        g = np.zeros(X.shape)
-        g[..., index] = 1.0
-        return _Dual(X[..., index], g)
-
-    @staticmethod
-    def constant(X: np.ndarray, value: float) -> "_Dual":
-        return _Dual(np.full(X.shape[:-1], value), np.zeros(X.shape))
-
     def __add__(self, other):
-        return _Dual(self.v + other.v, self.g + other.g)
+        g = dict(self.g)
+        for j, dj in other.g.items():
+            g[j] = g[j] + dj if j in g else dj
+        return _Dual(self.v + other.v, g)
 
     def __sub__(self, other):
-        return _Dual(self.v - other.v, self.g - other.g)
+        g = dict(self.g)
+        for j, dj in other.g.items():
+            g[j] = g[j] - dj if j in g else -dj
+        return _Dual(self.v - other.v, g)
 
     def __mul__(self, other):
-        return _Dual(self.v * other.v,
-                     self.v[..., None] * other.g + other.v[..., None] * self.g)
+        # d(ab) = a db + b da
+        a, b = self.v, other.v
+        g = {j: a * dj for j, dj in other.g.items()}
+        for j, dj in self.g.items():
+            g[j] = g[j] + b * dj if j in g else b * dj
+        return _Dual(a * b, g)
 
     def __truediv__(self, other):
-        val = self.v / other.v
-        return _Dual(val, self.g / other.v[..., None]
-                     - (val / other.v)[..., None] * other.g)
+        # d(a/b) = da/b - (a/b)/b db
+        b = other.v
+        val = self.v / b
+        g = {j: dj / b for j, dj in self.g.items()}
+        if other.g:
+            q = val / b
+            for j, dj in other.g.items():
+                g[j] = g[j] - q * dj if j in g else -(q * dj)
+        return _Dual(val, g)
 
     def __neg__(self):
-        return _Dual(-self.v, -self.g)
+        return _Dual(-self.v, {j: -dj for j, dj in self.g.items()})
 
     def __pow__(self, k):
         if k == 0:
-            return _Dual(np.ones(self.v.shape), np.zeros(self.g.shape))
-        return _Dual(self.v ** k, (k * self.v ** (k - 1))[..., None] * self.g)
+            return _Dual(np.ones(self.v.shape), {})
+        g = {}
+        if self.g:
+            factor = k * _int_power(self.v, k - 1)
+            g = {j: factor * dj for j, dj in self.g.items()}
+        return _Dual(_int_power(self.v, k), g)
 
     def apply(self, row):
-        # the chain rule ``diff`` builds trees with, applied to values
-        return _Dual(row.vector(self.v),
-                     row.diff(self.v[..., None], self.g, _apply_vector))
+        # the chain rule ``diff`` builds trees with, applied to values: run
+        # once on the node's one column, or on its columns stacked along a
+        # last axis, with the node's own value handed back where the rule
+        # asks for the primitive itself (exp's and sqrt1p's rules do)
+        value = row.vector(self.v)
+        if not self.g:
+            return _Dual(value, {})
+        if len(self.g) == 1:
+            a, own = self.v, value
+            ((j, da),) = self.g.items()
+        else:
+            a, own = self.v[..., None], value[..., None]
+            da = np.stack(list(self.g.values()), axis=-1)
 
+        def prim(name, arg):
+            if name == row.name and arg is a:
+                return own
+            return PRIMITIVE_TABLE[name].vector(arg)
 
-def _apply_vector(name: str, v):
-    return PRIMITIVE_TABLE[name].vector(v)
+        d = row.diff(a, da, prim)
+        if len(self.g) == 1:
+            return _Dual(value, {j: d})
+        return _Dual(value, {j: d[..., i] for i, j in enumerate(self.g)})
 
 
 def value_and_grad_many(e: Expr, X: np.ndarray):
     """Forward-mode value and gradient at a batch, (...,n) -> ((...), (...,n))."""
-    X = np.asarray(X, dtype=float)
-    with np.errstate(all="ignore"):
-        out = _fold(e, lambda index: _Dual.variable(X, index),
-                    lambda value: _Dual.constant(X, value),
-                    lambda row, d: d.apply(row))
-    return out.v, out.g
+    vals, jac = eval_system_jacobian([e], X)
+    return vals[..., 0], jac[..., 0, :]
 
 
 def eval_system(exprs, X: np.ndarray) -> np.ndarray:
@@ -760,17 +830,35 @@ def _row_norm(X: np.ndarray) -> np.ndarray:
 
 
 def eval_system_jacobian(exprs, X: np.ndarray):
-    """Values and Jacobians of a system at a batch: (N,n) -> (N,p), (N,p,n)."""
+    """Values and Jacobians of a system at a batch: (N,n) -> (N,p), (N,p,n).
+
+    Forward mode (:class:`_Dual`) carries each expression's nonzero columns,
+    which are written into a zero Jacobian.
+    """
     X = np.asarray(X, dtype=float)
+    shape = X.shape[:-1]
+    jac = np.zeros(shape + (len(exprs), X.shape[-1]))
     if not exprs:
-        shape = X.shape[:-1]
-        return np.zeros(shape + (0,)), np.zeros(shape + (0, X.shape[-1]))
-    vals, grads = [], []
-    for e in exprs:
-        v, g = value_and_grad_many(e, X)
-        vals.append(v)
-        grads.append(g)
-    return np.stack(vals, axis=-1), np.stack(grads, axis=-2)
+        return np.zeros(shape + (0,)), jac
+    ones = np.ones(shape)
+
+    def var(index):
+        return _Dual(X[..., index], {index: ones})
+
+    def const(value):
+        return _Dual(np.full(shape, value), {})
+
+    def prim(row, d):
+        return d.apply(row)
+
+    vals = []
+    with np.errstate(all="ignore"):
+        for i, e in enumerate(exprs):
+            out = _fold(e, var, const, prim)
+            vals.append(out.v)
+            for j, dj in out.g.items():
+                jac[..., i, j] = dj
+    return np.stack(vals, axis=-1), jac
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from scipy.spatial import cKDTree
 from . import expr as ex
 from .expr import _row_norm
 from .sets import (_MEMBER_TOL_INEQ, BasicPresentation, SemianalyticSet,
-                   is_origin_slack, membership_mask)
+                   _in_ball, is_origin_slack, membership_mask)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -697,8 +697,10 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
     Returns one :class:`SliceCloud` per radius, in order; an empty slice is
     a cloud with no points, shape (0, nvars), at the noise-guard spacing.
     Each stratum is projected in one call for all the radii whose
-    projection is not cached yet, one radius per row; the inequality
-    filter, membership and deduplication stay per radius.
+    projection is not cached yet, one radius per row. The stratum's points
+    at all its radii then pass one inequality filter and one membership
+    call, each row at its own radius's tolerance; deduplication stays per
+    radius.
 
     A part's boundary strata only pin down slice points that its own
     stratum samples densely at best. So a boundary stratum is not projected
@@ -782,20 +784,32 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
             if si == 0 and part.ineqs:
                 isolated = _isolated_radii(sys_eqs, entries, nstarts,
                                            s.nvars)
-            for r, pts in entries.items():
-                if si == 0:
+            if not entries:
+                continue
+            if si == 0:
+                for r, pts in entries.items():
                     primary_accepted[r] += len(pts)
-                ineq_tol = 1e-10 * max(1.0, r)
-                for g in rest:
-                    if len(pts) == 0:
-                        break
-                    vals = ex.eval_many(g, pts)
-                    pts = pts[np.isfinite(vals) & (vals >= -ineq_tol)]
-                if len(pts):
-                    # belt and braces: every sample must read back as a member
-                    pts = pts[membership_mask(s, pts)]
-                if len(pts):
-                    collected[r].append(pts)
+            # the stratum's points at all its radii go through one
+            # inequality filter and one membership call, each row held to
+            # its own radius's tolerance, and are then split by radius
+            owner = np.repeat(np.arange(len(entries)),
+                              [len(pts) for pts in entries.values()])
+            pts = np.concatenate(list(entries.values()))
+            ineq_tol = 1e-10 * np.maximum(1.0, np.array(list(entries)))[owner]
+            for g in rest:
+                if len(pts) == 0:
+                    break
+                vals = ex.eval_many(g, pts)
+                keep = np.isfinite(vals) & (vals >= -ineq_tol)
+                pts, owner, ineq_tol = pts[keep], owner[keep], ineq_tol[keep]
+            if len(pts):
+                # belt and braces: every sample must read back as a member
+                keep = membership_mask(s, pts)
+                pts, owner = pts[keep], owner[keep]
+            for i, r in enumerate(entries):
+                mine = pts[owner == i]
+                if len(mine):
+                    collected[r].append(mine)
 
     primary_total = nstarts * len(s.parts)
     for r in todo:
@@ -1049,9 +1063,9 @@ def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
 
 def _in_germ(Y: np.ndarray, ineqs, omega: float, X: np.ndarray):
     """Rows of Y, points found for the query rows X, inside the ball of
-    radius omega (to 1e-9 relative) that meet every inequality of ``ineqs``
-    to within ``_MEMBER_TOL_INEQ * max(1, |x|)``, membership_mask's rule."""
-    keep = _row_norm(Y) <= omega * (1.0 + 1e-9)
+    radius omega and meeting every inequality of ``ineqs`` to within
+    ``_MEMBER_TOL_INEQ * max(1, |x|)``, membership_mask's rules."""
+    keep = _in_ball(_row_norm(Y), omega)
     tol = _MEMBER_TOL_INEQ * np.maximum(1.0, _row_norm(X))
     for g in ineqs:
         vals = ex.eval_many(g, Y)

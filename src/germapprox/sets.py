@@ -26,6 +26,13 @@ _MEMBER_TOL_EQ = 1e-9
 _MEMBER_TOL_INEQ = 1e-8
 
 
+def _in_ball(norms: np.ndarray, omega: float) -> np.ndarray:
+    """Rows whose norm puts them in the germ's ball of radius omega, to
+    ``_MEMBER_TOL_EQ``: membership's rule, and the distance layer's for the
+    points its solver finds."""
+    return norms <= omega + _MEMBER_TOL_EQ
+
+
 class SetError(ValueError):
     pass
 
@@ -269,7 +276,7 @@ def membership_mask(s: SemianalyticSet, X: np.ndarray) -> np.ndarray:
             f"has {s.nvars} variables")
     norms = _row_norm(X)
     scale = np.maximum(1.0, norms)
-    inside = norms <= s.omega + _MEMBER_TOL_EQ
+    inside = _in_ball(norms, s.omega)
     result = np.zeros(X.shape[0], dtype=bool)
     for part in s.parts:
         ok = inside.copy()

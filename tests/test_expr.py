@@ -585,15 +585,16 @@ class TestPrimitiveConsistency:
         # the sphere projection evaluates all its line-search trials as one
         # (rows, halvings, n) batch and relies on these bits being the ones
         # a flat (rows * halvings, n) batch gives; the wide box reaches
-        # log1p's and sqrt1p's nan region
+        # log1p's and sqrt1p's nan region. A power of 3 or more is a chain
+        # of products, which must not depend on the layout either
         e = self._expr(name)
-        eqs = (e, Mul(X0, e))
+        eqs = (e, Mul(X0, e), IntPow(Sub(Y0, e), 7))
         X = np.random.default_rng(6).uniform(-3.0, 3.0, size=(7, 25, 2))
         got = ex.eval_system(eqs, X)
-        assert got.shape == (7, 25, 2)
+        assert got.shape == (7, 25, 3)
         flat = ex.eval_system(eqs, X.reshape(-1, 2))
         assert np.isnan(flat).any() == (name in ("log1p", "sqrt1p"))
-        assert got.reshape(-1, 2).tobytes() == flat.tobytes()
+        assert got.reshape(-1, 3).tobytes() == flat.tobytes()
 
     def test_coefficients_match_sympy(self, name):
         sp = pytest.importorskip("sympy")
@@ -621,3 +622,246 @@ class TestPrimitiveDiffTrees:
     ])
     def test_node_for_node(self, name, want):
         assert ex.diff(Prim(name, self.U), 0) == want
+
+
+def _squaring_reference(x: float, k: int) -> float:
+    """x^k as ``_int_power`` documents it, one Python float at a time: the
+    squares x, x^2, x^4, ... for the bits of k from the lowest, and the set
+    bits' squares multiplied left to right."""
+    squares = [x]
+    while 2 ** len(squares) <= k:
+        squares.append(squares[-1] * squares[-1])
+    picked = [sq for i, sq in enumerate(squares) if k >> i & 1]
+    out = picked[0]
+    for sq in picked[1:]:
+        out = out * sq
+    return out
+
+
+def _power_inputs():
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.5e-310, -1e-310,
+               2.2250738585072014e-308, 1e-40, -3e-30, 1e30, -1e103, 1e200,
+               -1.7e308, math.inf, -math.inf, math.nan]
+    return np.concatenate([special, rng.uniform(-3.0, 3.0, 200),
+                           rng.standard_normal(50) * 1e-5,
+                           np.exp(rng.uniform(-700.0, 700.0, 100))
+                           * rng.choice([-1.0, 1.0], 100)])
+
+
+class TestIntPower:
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_products_in_the_documented_order(self, k):
+        x = _power_inputs()
+        with np.errstate(all="ignore"):
+            got = ex._int_power(x, k)
+        want = np.array([_squaring_reference(float(v), k) for v in x])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_within_k_minus_1_roundings_of_the_exact_power(self, k):
+        from fractions import Fraction
+        x = _power_inputs()
+        with np.errstate(all="ignore"):
+            got = ex._int_power(x, k)
+            pw = np.power(x, k)
+        # where pow gives nan, an infinity or an exact zero (nan, overflow,
+        # infinite and zero bases), squaring gives the same, signs included
+        special = ~np.isfinite(pw) | (x == 0.0)
+        assert got[special].tobytes() == pw[special].tobytes()
+        grow = (1 + Fraction(1, 2 ** 53)) ** (k - 1) - 1
+        tiny = Fraction(2.0 ** -1074)
+        for v, g in zip(x[~special], got[~special]):
+            exact = Fraction(float(v)) ** k
+            if abs(exact) >= 2 ** 1024:
+                assert g == math.copysign(math.inf, exact)
+                continue
+            # an underflowing chain also rounds at the subnormal spacing
+            assert abs(Fraction(float(g)) - exact) <= (
+                grow * abs(exact) + (k - 1) * tiny), (v, k)
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 12])
+    def test_lone_row_like_a_batch(self, k):
+        x = _power_inputs()
+        with np.errstate(all="ignore"):
+            batch = ex._int_power(x, k)
+            strided = ex._int_power(np.repeat(x, 2)[::2], k)
+            column = ex._int_power(x[:, None], k)[:, 0]
+            for i in range(len(x)):
+                assert (ex._int_power(x[i:i + 1], k).tobytes()
+                        == batch[i:i + 1].tobytes())
+                assert ex._int_power(x[i], k).tobytes() == batch[i].tobytes()
+        assert strided.tobytes() == batch.tobytes()
+        assert column.tobytes() == batch.tobytes()
+
+    def test_low_powers_and_other_values_use_pow(self):
+        x = np.array([-1.5, 0.3, 2.0])
+        for k in (0, 1, 2):
+            assert ex._int_power(x, k).tobytes() == (x ** k).tobytes()
+        assert ex._int_power(1.1, 5) == 1.1 ** 5
+        assert type(ex._int_power(1.1, 5)) is float
+
+
+class _DenseDual:
+    """The forward mode that carried every gradient column, (...,) values
+    with (..., n) gradients, kept as the reference for the column-sparse one
+    (its integer powers are ``_int_power``'s)."""
+
+    def __init__(self, v, g):
+        self.v, self.g = v, g
+
+    def __add__(self, other):
+        return _DenseDual(self.v + other.v, self.g + other.g)
+
+    def __sub__(self, other):
+        return _DenseDual(self.v - other.v, self.g - other.g)
+
+    def __mul__(self, other):
+        return _DenseDual(self.v * other.v, self.v[..., None] * other.g
+                          + other.v[..., None] * self.g)
+
+    def __truediv__(self, other):
+        val = self.v / other.v
+        return _DenseDual(val, self.g / other.v[..., None]
+                          - (val / other.v)[..., None] * other.g)
+
+    def __neg__(self):
+        return _DenseDual(-self.v, -self.g)
+
+    def __pow__(self, k):
+        if k == 0:
+            return _DenseDual(np.ones(self.v.shape), np.zeros(self.g.shape))
+        return _DenseDual(ex._int_power(self.v, k),
+                          (k * ex._int_power(self.v, k - 1))[..., None]
+                          * self.g)
+
+    def apply(self, row):
+        return _DenseDual(row.vector(self.v), row.diff(
+            self.v[..., None], self.g,
+            lambda name, v: ex.PRIMITIVE_TABLE[name].vector(v)))
+
+
+def _dense_value_and_grad(e, X):
+    def variable(index):
+        g = np.zeros(X.shape)
+        g[..., index] = 1.0
+        return _DenseDual(X[..., index], g)
+
+    with np.errstate(all="ignore"):
+        out = ex._fold(
+            e, variable,
+            lambda value: _DenseDual(np.full(X.shape[:-1], value),
+                                     np.zeros(X.shape)),
+            lambda row, d: d.apply(row))
+    return out.v, out.g
+
+
+_ARG = Sub(Add(X0, Mul(Const(0.5), Y0)), Const(0.1))
+# every power 0-8 and every primitive, on no, one and two gradient columns
+FIXED_FORWARD_EXPRS = (
+    [IntPow(Sub(X0, Mul(Const(0.5), Y0)), k) for k in range(9)]
+    + [IntPow(X0, k) for k in range(9)]
+    + [Prim(name, arg) for name in ex.PRIM_NAMES
+       for arg in (Const(0.3), X0, _ARG, IntPow(_ARG, 3))]
+    + [Mul(IntPow(Prim("exp", X0), 4), Prim("sin", Mul(X0, Y0))),
+       Div(Prim("sqrt1p", Mul(X0, Y0)), Add(Const(2.0), IntPow(Y0, 5)))])
+
+
+class TestSparseForwardMode:
+    """Column-sparse forward mode against the dense rule: every value and
+    every Jacobian entry the dense rule does not read as nan are the same
+    bits, once signed zeros are normalized (a structurally zero entry is
+    +0.0, where a dense product of a zero column could write -0.0). Where
+    the dense rule multiplied a zero column by an infinite value it reads
+    nan; the sparse mode never formed that product."""
+
+    BATCHES = {
+        "flat": np.random.default_rng(2).uniform(-3.0, 3.0, size=(40, 3)),
+        "stacked": np.random.default_rng(3).uniform(-3.0, 3.0,
+                                                    size=(6, 5, 3)),
+        "point": np.array([0.7, -1.3, 0.2]),
+    }
+
+    @staticmethod
+    def _same(got, want):
+        v, g = got
+        want_v, want_g = want
+        assert np.shape(v) == np.shape(want_v) and g.shape == want_g.shape
+        assert np.asarray(v).tobytes() == np.asarray(want_v).tobytes()
+        # a sparse entry only drops terms of the dense one, so nan there
+        # means nan in the dense rule too
+        assert not (np.isnan(g) & ~np.isnan(want_g)).any()
+        seen = ~np.isnan(want_g)
+        assert (g[seen] + 0.0).tobytes() == (want_g[seen] + 0.0).tobytes()
+
+    def _check(self, e, X):
+        self._same(ex.value_and_grad_many(e, X), _dense_value_and_grad(e, X))
+        eqs = [e, Mul(e, Y0)]
+        vals, jac = ex.eval_system_jacobian(eqs, X)
+        for i, f in enumerate(eqs):
+            self._same((vals[..., i], jac[..., i, :]),
+                       _dense_value_and_grad(f, X))
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("e", FIXED_FORWARD_EXPRS,
+                             ids=lambda e: ex.to_string(e, 2))
+    def test_fixed_expressions(self, e, batch):
+        self._check(e, self.BATCHES[batch])
+
+    @given(raw_exprs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_drawn_expressions(self, e):
+        for X in self.BATCHES.values():
+            self._check(e, X)
+
+    def test_primitive_evaluated_once_per_node(self, monkeypatch):
+        # exp's and sqrt1p's rules ask for the primitive itself, which is
+        # the node's own value; sin's asks for cos, once for both columns
+        from dataclasses import replace
+        calls = {}
+
+        def counted(name):
+            row = ex.PRIMITIVE_TABLE[name]
+
+            def vector(v):
+                calls[name] = calls.get(name, 0) + 1
+                return row.vector(v)
+            return replace(row, vector=vector)
+
+        for name in ("exp", "sqrt1p", "sin", "cos"):
+            monkeypatch.setitem(ex.PRIMITIVE_TABLE, name, counted(name))
+        X = self.BATCHES["flat"]
+        for text, want in [("exp(x*y)", {"exp": 1}),
+                           ("sqrt1p(x^2 + y^2)", {"sqrt1p": 1}),
+                           ("sin(x - y)", {"sin": 1, "cos": 1}),
+                           ("sin(x)", {"sin": 1, "cos": 1})]:
+            calls.clear()
+            ex.value_and_grad_many(ex.parse(text, 3), X)
+            assert calls == want, text
+
+
+@pytest.mark.parametrize("text", [
+    "x^5*y^3 - (x - y)^7/(1 + x^2)^3",
+    "sin(x*y)*exp(x)^4",
+])
+def test_power_partials_match_sympy(text):
+    # products by repeated squaring round more often than pow; against
+    # sympy's partials evaluated by mpmath at 50 digits they stay within a
+    # few units in the last place
+    sp = pytest.importorskip("sympy")
+    import mpmath
+    x, y = sp.symbols("x y")
+    f = sp.sympify(text.replace("^", "**"))
+    X = np.random.default_rng(9).uniform(-0.9, 0.9, size=(60, 2))
+    vals, grads = ex.value_and_grad_many(ex.parse(text, 2), X)
+    with mpmath.workdps(50):
+        value = sp.lambdify((x, y), f, "mpmath")
+        np.testing.assert_allclose(
+            vals, [float(value(mpmath.mpf(a), mpmath.mpf(b))) for a, b in X],
+            rtol=1e-13, atol=0.0)
+        for j, v in enumerate((x, y)):
+            partial = sp.lambdify((x, y), sp.diff(f, v), "mpmath")
+            want = [float(partial(mpmath.mpf(a), mpmath.mpf(b)))
+                    for a, b in X]
+            np.testing.assert_allclose(grads[:, j], want, rtol=1e-13,
+                                       atol=0.0)

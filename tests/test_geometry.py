@@ -2078,6 +2078,19 @@ class TestMaxDist:
         line = _one_part_set(["y"], [])
         assert lands(line, [[0.6, 0.01], [0.4, 0.01]]) == [False, True]
 
+    def test_ball_edge_is_membership_edge(self, curves, fresh_cache):
+        # the solver keeps a point in the ball by membership's own rule,
+        # |y| <= omega + 1e-9: just past omega = 0.5 a point of the line is
+        # a member, and a row beside it lands on it
+        line = curves.get("line")
+        X = np.array([[0.5 + 8e-10, 0.0], [0.5 + 8e-10, 1e-3],
+                      [0.5 - 8e-10, 1e-3]])
+        assert gs.membership_mask(line, X).tolist() == [True, False, False]
+        got = ga.dist_to_set_batch(X, line, cache=fresh_cache)
+        np.testing.assert_allclose(got, [0.0, 1e-3, 1e-3], rtol=1e-12,
+                                   atol=0.0)
+        assert np.isfinite(gg._landing(X[1:2], line)).all()
+
     def test_critical_locus_start_is_not_converged(self, fresh_cache):
         # x^2 - 0.2x is the lines x = 0 and x = 0.2, and its gradient
         # vanishes on x = 0.1, where a start of the solver takes a zero step
