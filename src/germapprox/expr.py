@@ -698,9 +698,11 @@ def eval_many(e: Expr, X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     with np.errstate(all="ignore"):
-        return _fold(e, lambda index: X[..., index],
-                     lambda value: np.full(X.shape[:-1], value),
-                     lambda row, v: row.vector(v))
+        # numpy arithmetic on 0-d arrays returns scalars; asarray makes
+        # them 0-d arrays again and returns a batch's array itself
+        return np.asarray(_fold(e, lambda index: X[..., index],
+                                lambda value: np.full(X.shape[:-1], value),
+                                lambda row, v: row.vector(v)))
 
 
 class _Dual:

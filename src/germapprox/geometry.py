@@ -10,9 +10,16 @@ boundary stratum (an inequality promoted to an equation) is projected only
 at the radii where its part's own slice may be missing its points: where
 that slice is a finite set of regular points reached from every start, the
 boundary's slice lies among those points already. From
-clouds come directed deviations between two sets' slices, distances from
-points to a germ, tangent direction clouds, and a numeric dimension
-estimate.
+clouds come directed deviations between two sets' slices, tangent
+direction clouds, and a numeric dimension estimate.
+
+One nearest-point solver measures distances from points to a set: to its
+germ, or, given one radius per point, to its slice on that point's sphere,
+where the sphere equation is one more solver row (:func:`_sphere_row`).
+One early-stopped kernel takes the largest such distance from each of
+several clouds (:func:`_max_dists`). A slice distance resolves deviations
+far below the set's cloud spacing; it has no origin candidate and reads no
+membership, whose tolerance is not a distance.
 
 An empty slice is a cloud with no points: nothing deviates from it,
 everything lies infinitely far from it, and it has no tangent directions.
@@ -298,14 +305,28 @@ def _pinv(jacs: np.ndarray) -> np.ndarray:
     return out.T.reshape(shape)
 
 
-def _linearize(eqs, X: np.ndarray):
+def _sphere_row(X: np.ndarray, r: np.ndarray):
+    """The sphere equation as one more solver row, each row x of X at its
+    own radius r: value (|x| - r)(|x| + r)/(2r) and gradient x/r, a unit
+    normal where |x| = r, so the row weighs like a normalized equation."""
+    norms = _row_norm(X)
+    return (norms - r) * (norms + r) / (2.0 * r), X / r[..., None]
+
+
+def _linearize(eqs, X: np.ndarray, r: np.ndarray | None = None):
     """Nan-safe values and Jacobians at X, with the Jacobians' guarded
     pseudo-inverses from :func:`_pinv`: closed forms for one-row and
     well-conditioned two-row Jacobians, otherwise the ``_PINV_RCOND`` SVD.
     Also each row's :func:`_residual`, from the values before they are
     made nan-safe: forward-mode values are ``eval_many``'s bit for bit, so
-    it is the residual that evaluating the system at X gives."""
+    it is the residual that evaluating the system at X gives. Given one
+    radius per row, ``r``, the system gains :func:`_sphere_row` as its last
+    equation, and the residual includes it."""
     vals, jacs = ex.eval_system_jacobian(eqs, X)
+    if r is not None:
+        value, grad = _sphere_row(X, r)
+        vals = np.concatenate([vals, value[..., None]], axis=-1)
+        jacs = np.concatenate([jacs, grad[..., None, :]], axis=-2)
     res = _residual(vals)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     jacs = np.where(np.isfinite(jacs), jacs, 0.0)
@@ -330,10 +351,11 @@ def _finite_rows(X: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _gn_steps(eqs, X: np.ndarray):
+def _gn_steps(eqs, X: np.ndarray, r: np.ndarray | None = None):
     """Least-squares Newton steps toward {f = 0}, nan-safe, and each row's
-    residual at X from the same linearization (see :func:`_linearize`)."""
-    vals, _, pinv, res = _linearize(eqs, X)
+    residual at X from the same linearization (see :func:`_linearize`; with
+    radii ``r`` toward f's slice on each row's sphere)."""
+    vals, _, pinv, res = _linearize(eqs, X, r)
     steps = -_pinv_times(pinv, vals)
     bad = ~_finite_rows(steps)
     if bad.any():
@@ -673,8 +695,8 @@ def _isolated_radii(eqs, entries: dict, nstarts: int, nvars: int) -> set:
         return set()
     X = np.concatenate([entries[r] for r in full])
     _, jacs = ex.eval_system_jacobian(eqs, X)
-    M = np.concatenate(
-        [jacs, (X / np.repeat(full, nstarts)[:, None])[:, None]], axis=1)
+    normal = _sphere_row(X, np.repeat(full, nstarts))[1]
+    M = np.concatenate([jacs, normal[:, None]], axis=1)
     M[~np.isfinite(M).all(axis=(1, 2))] = 0.0
     norms = _row_norm(M)[..., None]
     M /= np.where(norms > 0.0, norms, 1.0)
@@ -920,10 +942,12 @@ def _distance_sample(r: float, ca: SliceCloud, cb: SliceCloud,
 # distance from points to a germ
 
 
-def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray,
+                   r: np.ndarray | None = None) -> np.ndarray:
     """One nearest-point step per row: the Gauss-Newton restoration onto
-    {f = 0} minus the full part of ``Y - targets`` tangent to it, nan-safe."""
-    vals, jacs, pinv, _ = _linearize(eqs, Y)
+    {f = 0} (with radii ``r``, onto its slice on each row's sphere) minus
+    the full part of ``Y - targets`` tangent to it, nan-safe."""
+    vals, jacs, pinv, _ = _linearize(eqs, Y, r)
     d = Y - targets
     tang = d - _pinv_times(pinv, (jacs @ d[..., None])[..., 0])
     restore = -_pinv_times(pinv, vals)
@@ -931,8 +955,14 @@ def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
-                        iters: int = _NEAREST_ITERS):
+                        iters: int = _NEAREST_ITERS,
+                        r: np.ndarray | None = None):
     """Per row: move a start toward the nearest point of {f = 0} to target.
+
+    Given one radius per row, ``r``, the variety is f's slice on each row's
+    sphere: every linearization appends :func:`_sphere_row`, the iterations
+    gather each active row's radius with it, and with no equations the
+    sphere row is the whole system.
 
     After ``_LANDING_STEPS`` Gauss-Newton steps onto the variety, each of up
     to ``iters`` iterations pulls a row by the whole tangential part of its
@@ -954,21 +984,22 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
     zero set, still converges there with |f| near 0.
     """
     Y = np.array(starts, dtype=float)
-    if not eqs:
+    if not eqs and r is None:
         return Y, np.ones(len(Y), dtype=bool)
     scale = np.maximum(_row_norm(targets), 1e-30)
     for _ in range(_LANDING_STEPS):
-        Y = Y + _gn_steps(eqs, Y)[0]
+        Y = Y + _gn_steps(eqs, Y, r)[0]
     idx = np.arange(len(Y))
     for _ in range(iters):
         if idx.size == 0:
             break
         step = _nearest_steps(eqs, Y.take(idx, axis=0),
-                              targets.take(idx, axis=0))
+                              targets.take(idx, axis=0),
+                              None if r is None else r.take(idx))
         Y[idx] += step
         idx = idx[_row_norm(step) > 1e-14 * scale[idx]]
     tol = _NEAREST_ACCEPT * scale
-    vals, jacs, pinv, res = _linearize(eqs, Y)
+    vals, jacs, pinv, res = _linearize(eqs, Y, r)
     ok = np.isfinite(res)
     ok &= _row_norm(_pinv_times(pinv, vals)) <= tol
     ok &= _row_norm(vals) <= np.linalg.norm(jacs, axis=(-2, -1)) * tol
@@ -1009,7 +1040,8 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
 
 
 def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
-                     npoints: int, seed: int, cache: SliceCache | None):
+                     npoints: int, seed: int, cache: SliceCache | None,
+                     r: np.ndarray | None = None):
     """The candidates of :func:`dist_to_set_batch` that need no solver, for
     rows X in ``groups`` of (rows, r, cloud): the rows ``rows`` of X take
     the set's cloud at radius r, and ``cloud`` is None or the slice cloud
@@ -1027,22 +1059,27 @@ def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
     fewer than k - 1 points; and ``run``, shape (N, k), the unpadded starts
     of every row whose ``best`` is above 0. Refinement only lowers
     ``best``.
+
+    Given one radius per row, ``r``, the candidates are distances to the
+    set's slice on each row's sphere instead: the landing runs with the
+    sphere row, and the two candidates that are not slice distances drop
+    out, the origin and membership's 0 (a tolerance test, not a distance).
     """
     best = np.full(len(X), math.inf)
-    if s.parts:
+    if s.parts and r is None:
         best[membership_mask(s, X)] = 0.0
     if not s.parts or not (best > 0.0).any():
         return best, X[:, None], (best > 0.0)[:, None]
-    if any(p.through_origin for p in s.parts):
+    if r is None and any(p.through_origin for p in s.parts):
         best = np.minimum(best, _row_norm(X))
 
     near = []
-    for rows, r, own in groups:
-        if not (best[rows] > 0.0).any() or not 0.0 < r <= s.omega:
+    for rows, radius, own in groups:
+        if not (best[rows] > 0.0).any() or not 0.0 < radius <= s.omega:
             continue
         try:
-            cloud = sample_slice(s, float(r), npoints=npoints, seed=seed,
-                                 cache=cache)
+            cloud = sample_slice(s, float(radius), npoints=npoints,
+                                 seed=seed, cache=cache)
         except EmptySliceError:
             continue
         dists, idx = (_neighbours(X[rows], cloud) if own is None
@@ -1056,7 +1093,8 @@ def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
         starts[rows, 1:pts.shape[1] + 1] = pts
         count[rows] += pts.shape[1]
     live = np.flatnonzero(best > 0.0)
-    best[live] = np.minimum(best[live], _landing(X[live], s))
+    best[live] = np.minimum(best[live], _landing(
+        X[live], s, None if r is None else r[live]))
     run = (np.arange(k) < count[:, None]) & (best > 0.0)[:, None]
     return best, starts, run
 
@@ -1074,26 +1112,29 @@ def _in_germ(Y: np.ndarray, ineqs, omega: float, X: np.ndarray):
 
 
 def _solved(s: SemianalyticSet, depth: int, starts: np.ndarray,
-            targets: np.ndarray, iters: int):
-    """For each stratum of each part of s to ``depth`` (see
+            targets: np.ndarray, iters: int, r: np.ndarray | None = None):
+    """For each feasible stratum of each part of s to ``depth`` (see
     :func:`_part_strata`) that keeps an equation, yield ``(ok, d)``: the
     rows whose point from :func:`_nearest_on_variety`, run with ``iters``
-    tangential iterations, is accepted and kept by :func:`_in_germ`, and
-    those rows' distances from the point to their targets."""
+    tangential iterations and radii ``r``, is accepted and kept by
+    :func:`_in_germ`, and those rows' distances from the point to their
+    targets. With radii every feasible stratum keeps one, the sphere's."""
     for part in s.parts:
         for eqs, rest in _part_strata(part, depth):
             eqs = _normalize_system(eqs)
-            if not eqs:
+            if eqs is None or (not eqs and r is None):
                 continue
-            Y, ok = _nearest_on_variety(eqs, starts, targets, iters)
+            Y, ok = _nearest_on_variety(eqs, starts, targets, iters, r)
             ok[ok] = _in_germ(Y[ok], rest, s.omega, targets[ok])
             yield ok, _row_norm(Y[ok] - targets[ok])
 
 
-def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
+def _landing(X: np.ndarray, s: SemianalyticSet,
+             r: np.ndarray | None = None) -> np.ndarray:
     """Per row x of X, |Y - x| for the point Y that ``_LANDING_STEPS``
-    Gauss-Newton steps from x reach on a part's own equations, the least
-    over the parts; inf where no part's Y is valid, row by row.
+    Gauss-Newton steps from x reach on a part's own equations (with radii
+    ``r``, and the sphere row), the least over the parts; inf where no
+    part's Y is valid, row by row.
 
     Y is the nearest-point solver's point with no tangential iteration, and
     it is valid where the solver accepts it (:func:`_nearest_on_variety`,
@@ -1102,38 +1143,45 @@ def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
     so rows there do not land.
     """
     out = np.full(len(X), math.inf)
-    for ok, d in _solved(s, 0, X, X, 0):
+    for ok, d in _solved(s, 0, X, X, 0, r):
         out[ok] = np.minimum(out[ok], d)
     return out
 
 
 def _refine(X: np.ndarray, s: SemianalyticSet, best: np.ndarray,
-            starts: np.ndarray, run: np.ndarray) -> None:
+            starts: np.ndarray, run: np.ndarray,
+            r: np.ndarray | None = None) -> None:
     """Lower ``best`` in place by constrained refinement onto every boundary
     stratum of every part, from the ``starts`` that the (N, k) mask ``run``
-    picks."""
+    picks; with radii ``r``, one per row of X, onto their slices."""
     own, col = np.nonzero(run)
     if not own.size:
         return
     for ok, d in _solved(s, _DIST_DEPTH, starts[own, col], X[own],
-                         _NEAREST_ITERS):
+                         _NEAREST_ITERS, None if r is None else r[own]):
         np.minimum.at(best, own[ok], d)
 
 
 def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
-               cache: SliceCache | None) -> list[float]:
+               cache: SliceCache | None, on_slice: bool = False
+               ) -> list[float]:
     """The largest distance from a point of each slice cloud of ``clouds``
     to the germ of s (0.0 for an empty cloud), with the nearest-point
-    solver run only on the points that can hold a maximum.
+    solver run only on the points that can hold a maximum. With
+    ``on_slice``, to the slice of s on the cloud's sphere instead: each
+    row's radius is its cloud's ``r``, every solver call carries the
+    sphere row (:func:`_sphere_row`), and :func:`_dist_candidates` drops
+    the origin and membership, so a maximum is the deviation of the cloud
+    from s's exact slice, not from its sampled cloud.
 
     Each cloud's points take the set's cloud at the cloud's own radius
     ``r``, and their neighbours in it from the query the cache holds for
-    that pair of clouds (see :func:`_cloud_neighbours`). A cloud whose
-    median norm is r so gets ``max(dist_to_set_batch(cloud.points, s,
-    ...))`` bit for bit; one whose median norm is an ulp or two off r (a
-    curve's slice of a few points can be) still measures against the cloud
-    at r, which the limit fit also used, not against a cloud sampled at
-    the off-schedule radius.
+    that pair of clouds (see :func:`_cloud_neighbours`). To the germ, a
+    cloud whose median norm is r so gets ``max(dist_to_set_batch(
+    cloud.points, s, ...))`` bit for bit; one whose median norm is an ulp
+    or two off r (a curve's slice of a few points can be) still measures
+    against the cloud at r, which the limit fit also used, not against a
+    cloud sampled at the off-schedule radius.
 
     Every row's bound is its least candidate that needs no solver (see
     :func:`_dist_candidates`). The solver runs every start of each cloud's
@@ -1151,7 +1199,9 @@ def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
     ends = np.cumsum(sizes)
     groups = [(np.arange(end - len(c), end), c.r, c)
               for c, end in zip(clouds, ends) if len(c)]
-    best, starts, run = _dist_candidates(X, s, groups, npoints, seed, cache)
+    r = np.repeat([c.r for c in clouds], sizes) if on_slice else None
+    best, starts, run = _dist_candidates(X, s, groups, npoints, seed, cache,
+                                         r)
     # each row's rank within its batch, largest bound first
     rank = np.empty(len(X), dtype=np.intp)
     rank[np.lexsort((-best, batch))] = np.arange(len(X))
@@ -1165,7 +1215,7 @@ def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
         pick = (rank >= lo) & (rank < lo + size) & (best > dmax[batch])
         if not pick.any():
             break
-        _refine(X, s, best, starts, run & pick[:, None])
+        _refine(X, s, best, starts, run & pick[:, None], r)
         np.maximum.at(dmax, batch[pick], best[pick])
         lo, size = lo + size, 4 * size
     np.maximum.at(dmax, batch, best)

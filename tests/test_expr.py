@@ -360,6 +360,20 @@ class TestEval:
         assert float(ex.eval_many(e, [0.0])) == math.log1p(-0.5)
         assert math.isnan(ex.eval_many(e, [-0.8]))
 
+    @pytest.mark.parametrize("text", ["x", "2", "x*y", "x^3", "exp(x)"])
+    def test_single_point_gives_a_0d_array(self, text):
+        # numpy arithmetic on 0-d arrays returns a numpy scalar; a single
+        # point must still give a 0-d array, as value_and_grad_many does
+        e = ex.parse(text, 2)
+        point = np.array([1.0, 2.0])
+        got = ex.eval_many(e, point)
+        assert type(got) is np.ndarray and got.shape == ()
+        value, _ = ex.value_and_grad_many(e, point)
+        assert type(value) is np.ndarray and value.shape == ()
+        batch = ex.eval_many(e, np.stack([point, point]))
+        assert type(batch) is np.ndarray and batch.shape == (2,)
+        assert got.tobytes() == batch[0].tobytes()
+
     @pytest.mark.parametrize("text", ANALYTIC_ON_BOX)
     def test_gradient_matches_central_differences(self, text):
         e = ex.parse(text, 2)

@@ -356,9 +356,9 @@ class TestProjectMatchesReference:
         steps = gg._nearest_steps
         active = []
 
-        def counted(eqs, Y, T):
+        def counted(eqs, Y, T, r=None):
             active.append(len(Y))
-            return steps(eqs, Y, T)
+            return steps(eqs, Y, T, r)
 
         monkeypatch.setattr(gg, "_nearest_steps", counted)
 
@@ -1475,6 +1475,39 @@ class TestSliceOracle:
                                   (d.delta_ba, directed(Q, P))):
                     assert abs(got - want) <= 1e-12 * d.r, (a, b, d.r)
 
+    def test_slice_maxima_match_the_roots(self, curves, shared_cache):
+        # the early-stopped maximum kernel on B's slice: at every radius,
+        # both ways, A's largest distance to B's exact slice points, found
+        # with no Gauss-Newton, within the solver's acceptance
+        radii = ga.RadiiSchedule(0.25).radii()
+        roots = {}
+        germ_zeros = []
+        for a, b, _ in self.CURVE_PAIRS:
+            for x, y in ((a, b), (b, a)):
+                sx, sy = curves.get(x), curves.get(y)
+                clouds = gg.sample_slices(sx, radii, npoints=256, seed=0,
+                                          cache=shared_cache)
+                got = gg._max_dists(clouds, sy, 256, 0, shared_cache,
+                                    on_slice=True)
+                germ = gg._max_dists(clouds, sy, 256, 0, shared_cache)
+                for r, c, d, dg in zip(radii, clouds, got, germ):
+                    if (y, r) not in roots:
+                        roots[y, r] = np.concatenate(
+                            [_circle_roots(p, r) for p in sy.parts])
+                    assert len(c) and len(roots[y, r]), (x, y, r)
+                    want = cdist(c.points, roots[y, r]).min(axis=1).max()
+                    assert abs(d - want) <= gg._NEAREST_ACCEPT * r, (x, y, r)
+                    if dg == 0.0 < want:
+                        germ_zeros.append((x, y, r))
+                        # today's germ distance reads these clouds as
+                        # members of B by membership's absolute tolerance
+                        # (ROADMAP item 5), not as points at distance 0
+                        assert gs.membership_mask(sy, c.points).all()
+        # exp_curve's slice points are members of trunc2 at r = 2^-9, where
+        # they deviate from its slice by 1.6e-7 r
+        assert ("exp_curve", "trunc2", 2.0 ** -9) in germ_zeros
+        assert ("trunc2", "exp_curve", 2.0 ** -9) in germ_zeros
+
     @pytest.mark.parametrize("f,direction", NON_REDUCED_LINES)
     def test_oracle_finds_non_reduced_roots(self, f, direction):
         # g keeps its sign across an even root: only g' changes sign there
@@ -1915,9 +1948,9 @@ def _count_refined(monkeypatch):
     calls = []
     refine = gg._refine
 
-    def counted(X, s, best, starts, run):
+    def counted(X, s, best, starts, run, r=None):
         calls.append(int(run.sum()))
-        return refine(X, s, best, starts, run)
+        return refine(X, s, best, starts, run, r)
 
     monkeypatch.setattr(gg, "_refine", counted)
     return calls
@@ -2166,10 +2199,165 @@ class TestMaxDist:
         # so each bound is the cloud distance, the maximum is still exact
         sets = request.getfixturevalue(coll)
         monkeypatch.setattr(gg, "_landing",
-                            lambda X, s: np.full(len(X), math.inf))
+                            lambda X, s, r=None: np.full(len(X), math.inf))
         a, b = _get(sets, a), _get(sets, b)
         for x, y in ((a, b), (b, a)):
             self._check_schedule(x, y, shared_cache, self.RADII[::3])
+
+
+def _space_set(parts):
+    return make_collection({"vars": ["x", "y", "z"], "omega": 0.5,
+                            "sets": {"s": {"parts": parts}}}).get("s")
+
+
+def _to_circle(P, r, normal):
+    """Each row of P's nearest point on the great circle of radius r in
+    the plane through the origin with this normal."""
+    n = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
+    Q = P - np.outer(P @ n, n)
+    return r * Q / np.linalg.norm(Q, axis=1)[:, None]
+
+
+def _to_plane_slice(P, r):
+    """Distances from P to the slice of {z = 0}: the circle."""
+    return np.linalg.norm(P - _to_circle(P, r, [0, 0, 1]), axis=1)
+
+
+def _to_half_slice(P, r):
+    """Distances from P to the slice of {z = 0, x >= 0}: a half circle,
+    nearest at the projection where x >= 0, else at an endpoint."""
+    ends = np.array([[0.0, r, 0.0], [0.0, -r, 0.0]])
+    to_end = np.linalg.norm(P[:, None] - ends, axis=2).min(axis=1)
+    return np.where(P[:, 0] >= 0.0, _to_plane_slice(P, r), to_end)
+
+
+def _to_union_slice(P, r):
+    """Distances from P to the slice of {z = 0, x >= 0} u {z = x}."""
+    return np.minimum(_to_half_slice(P, r), np.linalg.norm(
+        P - _to_circle(P, r, [1, 0, -1]), axis=1))
+
+
+class TestSliceDistances:
+    """The maximum kernel with the sphere row measures distances to a set's
+    slice on each row's sphere, below the spacing of the set's cloud."""
+
+    RADII = [0.25 * 2.0 ** -k for k in range(8)]
+    SETS = {
+        "plane": ([{"eqs": ["z"]}], _to_plane_slice),
+        "half": ([{"eqs": ["z"], "ineqs": ["x"]}], _to_half_slice),
+        "union": ([{"eqs": ["z"], "ineqs": ["x"]}, {"eqs": ["z - x"]}],
+                  _to_union_slice),
+    }
+
+    @classmethod
+    def _clouds(cls):
+        """Low-discrepancy points on each sphere, 200 to 284 a radius."""
+        clouds = []
+        for k, r in enumerate(cls.RADII):
+            X = gg.sphere_directions(3, 200 + 12 * k, seed=k) * r
+            clouds.append(gg.SliceCloud(
+                r=r, points=X, converged_fraction=1.0,
+                spacing=gg._SPACING_GUARD, attempts=len(X), tree=cKDTree(X)))
+        return clouds
+
+    @staticmethod
+    def _row_dists(clouds, s, cache):
+        """Each cloud point's distance to s's slice on its cloud's sphere,
+        by the kernel's candidates and refinement, all clouds stacked."""
+        X = np.concatenate([c.points for c in clouds])
+        sizes = [len(c) for c in clouds]
+        ends = np.cumsum(sizes)
+        r = np.repeat([c.r for c in clouds], sizes)
+        groups = [(np.arange(end - len(c), end), c.r, c)
+                  for c, end in zip(clouds, ends)]
+        best, starts, run = gg._dist_candidates(X, s, groups, 256, 0, cache,
+                                                r)
+        gg._refine(X, s, best, starts, run, r)
+        return best
+
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_closed_forms(self, shared_cache, name):
+        parts, closed = self.SETS[name]
+        s = _space_set(parts)
+        clouds = self._clouds()
+        r = np.concatenate([np.full(len(c), c.r) for c in clouds])
+        want = np.concatenate([closed(c.points, c.r) for c in clouds])
+        got = self._row_dists(clouds, s, shared_cache)
+        assert (np.abs(got - want) <= 1e-12 * r).all()
+        # the distance to s's cloud alone is off by far more
+        near = np.concatenate([gg._neighbours(c.points, ga.sample_slice(
+            s, c.r, npoints=256, seed=0, cache=shared_cache))[0][:, 0]
+            for c in clouds])
+        assert (np.abs(near - want) / r).max() > 1e-3
+        maxima = gg._max_dists(clouds, s, 256, 0, shared_cache,
+                               on_slice=True)
+        for d, c in zip(maxima, clouds):
+            assert abs(d - closed(c.points, c.r).max()) <= 1e-12 * c.r
+
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_stacked_radii_like_one_call_each(self, shared_cache, name):
+        s = _space_set(self.SETS[name][0])
+        clouds = self._clouds()
+        stacked = gg._max_dists(clouds, s, 256, 0, shared_cache,
+                                on_slice=True)
+        alone = [gg._max_dists([c], s, 256, 0, shared_cache, on_slice=True)[0]
+                 for c in clouds]
+        assert stacked == alone
+        rows = self._row_dists(clouds, s, shared_cache)
+        each = np.concatenate([self._row_dists([c], s, shared_cache)
+                               for c in clouds])
+        assert np.array_equal(rows, each)
+
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_lone_rows_like_the_batch(self, shared_cache, name):
+        s = _space_set(self.SETS[name][0])
+        clouds = self._clouds()
+        rows = self._row_dists(clouds, s, shared_cache)
+        X = np.concatenate([c.points for c in clouds])
+        r = np.repeat([c.r for c in clouds], [len(c) for c in clouds])
+        for i in range(0, len(X), 47):
+            lone = gg.SliceCloud(r=r[i], points=X[i:i + 1],
+                                 converged_fraction=1.0,
+                                 spacing=gg._SPACING_GUARD, attempts=1,
+                                 tree=cKDTree(X[i:i + 1]))
+            assert np.array_equal(self._row_dists([lone], s, shared_cache),
+                                  rows[i:i + 1])
+            assert gg._max_dists([lone], s, 256, 0, shared_cache,
+                                 on_slice=True) == [rows[i]]
+
+    def test_part_without_equations(self, fresh_cache):
+        # the half-plane y >= 0 in the plane: its slice is a half circle,
+        # which a point of the circle lies on or is nearest at an endpoint
+        s = _one_part_set([], ["y"])
+        r = 0.125
+        angles = np.linspace(-3.0, 3.0, 61)
+        X = r * np.column_stack([np.cos(angles), np.sin(angles)])
+        cloud = gg.SliceCloud(r=r, points=X, converged_fraction=1.0,
+                              spacing=gg._SPACING_GUARD, attempts=len(X),
+                              tree=cKDTree(X))
+        ends = np.array([[r, 0.0], [-r, 0.0]])
+        want = np.where(X[:, 1] >= 0.0, 0.0, np.linalg.norm(
+            X[:, None] - ends, axis=2).min(axis=1))
+        got = self._row_dists([cloud], s, fresh_cache)
+        assert (np.abs(got - want) <= 1e-12 * r).all()
+
+    @pytest.mark.parametrize("h,order", [(1, 2.0), (2, 3.0), (3, 4.0)])
+    def test_graph_exp_truncation_orders(self, surfaces, shared_cache, h,
+                                         order):
+        # B's cloud at 1000 points is spaced about 2.5e-3 r apart, which
+        # hides these deviations at most radii; its slice does not
+        g = surfaces.get("graph_exp")
+        b = gs.truncate_eqs(g, h)
+        radii = np.array(ga.RadiiSchedule(0.25).radii())
+        for x, y in ((g, b), (b, g)):
+            clouds = gg.sample_slices(x, radii, npoints=1000, seed=0,
+                                      cache=shared_cache)
+            d = np.array(gg._max_dists(clouds, y, 1000, 0, shared_cache,
+                                       on_slice=True))
+            above = d > gg._NEAREST_ACCEPT * radii
+            assert above.sum() >= 6
+            slope = np.polyfit(np.log(radii[above]), np.log(d[above]), 1)[0]
+            assert abs(slope - order) <= 0.05, (x.name, slope)
 
 
 class TestTangentCone:
