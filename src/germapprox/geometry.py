@@ -93,15 +93,16 @@ _NEAREST_ITERS = 40
 # most this times |target| (see _nearest_on_variety); a distance to a germ
 # below this times r is within that tolerance, the horn criterion's floor
 _NEAREST_ACCEPT = 1e-9
-# step fractions the sphere projection's line search tries, in order and in
-# three batches: the full step alone for every row (it improves most: 99%
-# of the rows it is tried on in horn_surfaces, 92% in approx_corpus), then
-# 1/2 to 1/16 for the rows it did not improve, then the other 21 halvings
-# for the rows still pending
-_LINE_SEARCH = (0.5 ** np.arange(1), 0.5 ** np.arange(1, 5),
-                0.5 ** np.arange(5, 26))
-# trial points the line search renormalizes and evaluates at once: 2048 rows
-# of the largest batch, so a call's memory stays bounded whatever its rows
+# step fractions the sphere projection's line search tries after the full
+# step, in order and in two batches: 1/2 to 1/16 for the rows whose full
+# step did not lower the residual, then the other 21 halvings for the rows
+# still pending. The full step improves most rows (99% of those it is tried
+# on in horn_surfaces, 92% in approx_corpus), so the projection evaluates it
+# with its Jacobian, as the next iteration's linearization
+_LINE_SEARCH = (0.5 ** np.arange(1, 5), 0.5 ** np.arange(5, 26))
+# trial points a halving batch renormalizes and evaluates at once: 2048 rows
+# of the largest batch, so a call's memory stays bounded whatever its rows.
+# The full step is one batch the size of the linearization
 _LINE_SEARCH_TRIALS = 2048 * 21
 # inequality combinations promoted to equations as boundary strata: one at
 # a time for slices, up to two for distances to a germ
@@ -314,14 +315,12 @@ def _sphere_row(X: np.ndarray, r: np.ndarray):
 
 
 def _linearize(eqs, X: np.ndarray, r: np.ndarray | None = None):
-    """Nan-safe values and Jacobians at X, with the Jacobians' guarded
-    pseudo-inverses from :func:`_pinv`: closed forms for one-row and
-    well-conditioned two-row Jacobians, otherwise the ``_PINV_RCOND`` SVD.
-    Also each row's :func:`_residual`, from the values before they are
-    made nan-safe: forward-mode values are ``eval_many``'s bit for bit, so
-    it is the residual that evaluating the system at X gives. Given one
-    radius per row, ``r``, the system gains :func:`_sphere_row` as its last
-    equation, and the residual includes it."""
+    """Nan-safe values and Jacobians at X, and each row's
+    :func:`_residual`, from the values before they are made nan-safe:
+    forward-mode values are ``eval_many``'s bit for bit, so it is the
+    residual that evaluating the system at X gives. Given one radius per
+    row, ``r``, the system gains :func:`_sphere_row` as its last equation,
+    and the residual includes it."""
     vals, jacs = ex.eval_system_jacobian(eqs, X)
     if r is not None:
         value, grad = _sphere_row(X, r)
@@ -330,7 +329,7 @@ def _linearize(eqs, X: np.ndarray, r: np.ndarray | None = None):
     res = _residual(vals)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     jacs = np.where(np.isfinite(jacs), jacs, 0.0)
-    return vals, jacs, _pinv(jacs), res
+    return vals, jacs, res
 
 
 def _pinv_times(pinv: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -351,16 +350,22 @@ def _finite_rows(X: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _newton_steps(vals: np.ndarray, jacs: np.ndarray) -> np.ndarray:
+    """Least-squares Newton steps -J^+ f from nan-safe values and Jacobians
+    (see :func:`_linearize`); a row whose step is not finite takes none."""
+    steps = -_pinv_times(_pinv(jacs), vals)
+    bad = ~_finite_rows(steps)
+    if bad.any():
+        steps[bad] = 0.0
+    return steps
+
+
 def _gn_steps(eqs, X: np.ndarray, r: np.ndarray | None = None):
     """Least-squares Newton steps toward {f = 0}, nan-safe, and each row's
     residual at X from the same linearization (see :func:`_linearize`; with
     radii ``r`` toward f's slice on each row's sphere)."""
-    vals, _, pinv, res = _linearize(eqs, X, r)
-    steps = -_pinv_times(pinv, vals)
-    bad = ~_finite_rows(steps)
-    if bad.any():
-        steps[bad] = 0.0
-    return steps, res
+    vals, jacs, res = _linearize(eqs, X, r)
+    return _newton_steps(vals, jacs), res
 
 
 def _renormalize(X: np.ndarray, r: float | np.ndarray,
@@ -380,22 +385,22 @@ def _renormalize(X: np.ndarray, r: float | np.ndarray,
 
 def _line_search(eqs, X: np.ndarray, res: np.ndarray, ra: np.ndarray,
                  steps: np.ndarray, pend: np.ndarray):
-    """One line search of :func:`project_to_sphere_slice` over the rows X
-    still iterating, with residuals ``res``, radii ``ra`` and steps
-    ``steps`` aligned with X.
+    """The halvings of one line search of :func:`project_to_sphere_slice`,
+    over rows X with residuals ``res``, radii ``ra`` and steps ``steps``
+    aligned with X.
 
-    The positions ``pend`` (into X) try the fractions of ``_LINE_SEARCH``
-    in order. Returns each row's first trial point whose residual is below
-    its entry of ``res``, and a mask ``hit`` of the rows that found one: a
-    row not in pend finds none, and its entry of the trial points is left
-    unset.
+    The positions ``pend`` (into X), the rows whose full step did not lower
+    their residual, try the fractions of ``_LINE_SEARCH`` in order, in its
+    two batches, each cut into chunks of at most ``_LINE_SEARCH_TRIALS``
+    trial points. Returns each row's first trial point whose residual is
+    below its entry of ``res``, and a mask ``hit`` of the rows that found
+    one: a row not in pend finds none, and its entry of the trial points is
+    left unset.
 
     A chunk's trials are (rows, k, n) for k fractions. Hit row h, whose
     first better trial is j, is picked by the flat index h*k + j into the
     trials as (rows*k, n): one ``take``, where ``trials[hit, first]`` mixes
-    a boolean and an integer index and costs numpy many times more. With
-    the full step alone (k = 1) the pick is ``better[:, 0]`` and the step
-    is added unscaled, since 1.0*s is exact.
+    a boolean and an integer index and costs numpy many times more.
     """
     cand = np.empty_like(steps)
     hit = np.zeros(len(steps), dtype=bool)
@@ -408,21 +413,25 @@ def _line_search(eqs, X: np.ndarray, res: np.ndarray, ra: np.ndarray,
         for chunk in np.split(pend, range(rows, pend.size, rows)):
             base = X.take(chunk, axis=0)[:, None]
             step = steps.take(chunk, axis=0)[:, None]
-            trials = _renormalize(
-                base + (step if k == 1 else fractions[:, None] * step),
-                ra.take(chunk)[:, None], base)
+            trials = _renormalize(base + fractions[:, None] * step,
+                                  ra.take(chunk)[:, None], base)
             tres = _residual(ex.eval_system(eqs, trials))
             better = tres < res.take(chunk)[:, None]
-            found = better[:, 0] if k == 1 else better.any(axis=1)
+            found = better.any(axis=1)
             h = np.flatnonzero(found)
-            flat = (h if k == 1
-                    else h * k + better.take(h, axis=0).argmax(axis=1))
+            flat = h * k + better.take(h, axis=0).argmax(axis=1)
             dst = chunk.take(h)
             cand[dst] = trials.reshape(-1, X.shape[-1]).take(flat, axis=0)
             hit[dst] = True
             left.append(chunk[~found])
         pend = np.concatenate(left)
     return cand, hit
+
+
+def _take_rows(rows: np.ndarray, *arrays: np.ndarray):
+    """Each array's entries at the positions ``rows`` of its first axis;
+    ``np.take`` gathers whole rows several times faster than ``a[rows]``."""
+    return [a.take(rows, axis=0) for a in arrays]
 
 
 def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
@@ -433,16 +442,21 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
     Rows never mix, so one call over the starts of several radii returns,
     row for row and bit for bit, what one call per radius would.
 
-    Each iteration takes a Gauss-Newton step per row, scales it by the
-    fractions of ``_LINE_SEARCH`` (1, 1/2, ..., 2^-25), renormalizes onto
-    the sphere, and moves to the first trial point whose residual is lower
-    than the row's current one; a row with none stops where it is. The
-    trial points are renormalized and evaluated in the three batches of
-    ``_LINE_SEARCH`` (the full step for every row, 1/2 to 1/16 for the rows
-    it did not improve, the rest for rows still pending), each cut into
-    chunks of at most ``_LINE_SEARCH_TRIALS`` trial points. Scaling by a
-    power of two is exact and the evaluation is row by row, so the result
-    is the same as trying the fractions one at a time.
+    Each iteration takes a Gauss-Newton step per row, renormalizes the full
+    step onto the sphere and moves there if that lowers the row's residual.
+    A row whose full step does not tries the halvings of ``_LINE_SEARCH``
+    (1/2, ..., 2^-25; see :func:`_line_search`) and moves to the first
+    trial point whose residual is lower; a row with none stops where it is.
+    Scaling by a power of two is exact and the evaluation is row by row, so
+    the result is the same as trying the fractions one at a time.
+
+    Each row is linearized once per iteration. The full steps' trial points
+    are evaluated with their Jacobians (:func:`_linearize`) in one batch: a
+    trial's residual decides whether its row moves, and for a row that
+    moves there its values and Jacobian are the next iteration's
+    linearization. Only a row that moves at a halving is linearized again,
+    at its new point. A row's residual comes only from its linearization,
+    which the trials must improve on; no start is evaluated apart from it.
 
     A row that keeps moving but gets nowhere stalls: it hops between two
     points, or creeps toward a root off the sphere. Iteration k >= 1 of a
@@ -455,71 +469,101 @@ def project_to_sphere_slice(eqs, starts: np.ndarray, r: float | np.ndarray):
     displacement about doubles every iteration, and one that converges
     linearly halves its step every iteration; neither is stopped.
 
-    A row's residual comes only from its linearization (:func:`_gn_steps`)
-    at each iteration, which the line search's trials must improve on; no
-    start is evaluated apart from it, and a trial's residual decides only
-    whether the row moves.
+    The rows still iterating stay compacted: each one's position, radius,
+    residual, step, position an iteration back, displacement and stall run
+    are aligned with them, and a row is written to the result once, when it
+    stops. An iteration in which every row moves on at its full step
+    gathers and scatters nothing.
 
     Returns the final positions and a mask of the accepted points: rows
     that did not stall, whose residual is finite and whose last proposed
     step is at most ``_STEP_ACCEPT`` times their radius, both from the
-    row's last linearization. A row that stopped without stalling did not
-    move at its last iteration, so that linearization is at its final
-    position; only rows still iterating after the budget are linearized
-    once more. A row that stalled moved at its last iteration, and it is
-    rejected whatever its residual. With no equations every start is
-    already a slice point.
+    linearization at the row's final position. A row that stalled moved at
+    its last iteration, and it is rejected whatever its residual. With no
+    equations every start is already a slice point.
     """
-    X = np.array(starts, dtype=float)
-    N = len(X)
+    P = np.array(starts, dtype=float)
+    N = len(P)
     if not eqs:
-        return X, np.ones(N, dtype=bool)
+        return P, np.ones(N, dtype=bool)
     rad = np.broadcast_to(np.asarray(r, dtype=float), (N,))
-    # each row's residual and last step length, from its last
-    # linearization; a last step of inf rejects a row that stalled
+    # each row's final position, and the residual and step length of its
+    # last linearization; a step length of inf rejects a row that stalled
+    X = np.empty_like(P)
     res = np.full(N, np.inf)
     last = np.zeros(N)
     # the rows still iterating and, aligned with them, each one's position
-    # an iteration back, its last two-iteration displacement and its run of
-    # stalled iterations
+    # P, radius, and residual, step and step length from its linearization
+    # at P; its position an iteration back, its last two-iteration
+    # displacement and its run of stalled iterations. Before a row has
+    # moved these are broadcast views that hold no memory: from a position
+    # at inf its first displacement is inf, which a span of 0 does not
+    # count as stalled
     idx = np.arange(N)
-    back = span = run = None
+    ra = rad
+    vals, jacs, R = _linearize(eqs, P)
+    S = _newton_steps(vals, jacs)
+    L = _row_norm(S)
+    del vals, jacs
+    back = np.broadcast_to(np.inf, P.shape)
+    span = np.broadcast_to(0.0, (N,))
+    run = np.broadcast_to(np.int8(0), (N,))
     for it in range(_PROJECT_ITERS + 1):
-        if idx.size == 0:
+        # converged rows stop without moving, so they try no step, and so
+        # does every row once the budget is spent
+        stop = (L <= _STEP_TARGET * ra) | (it == _PROJECT_ITERS)
+        if stop.any():
+            i = idx[stop]
+            X[i], res[i], last[i] = P[stop], R[stop], L[stop]
+            idx, P, R, S, L, ra, back, span, run = _take_rows(
+                np.flatnonzero(~stop), idx, P, R, S, L, ra, back, span, run)
+            if not idx.size:
+                break
+        T = _renormalize(P + S, ra, P)
+        vals, jacs, tres = _linearize(eqs, T)
+        moved = tres < R
+        if not moved.all():
+            # the rows whose full step failed leave the trial's arrays and
+            # try the halvings; a row that finds none stops, and one that
+            # does is linearized at its new point
+            keep = np.flatnonzero(moved)
+            T, vals, jacs, tres = _take_rows(keep, T, vals, jacs, tres)
+            cand, hit = _line_search(eqs, P, R, ra, S,
+                                     np.flatnonzero(~moved))
+            miss = ~(moved | hit)
+            i = idx[miss]
+            X[i], res[i], last[i] = P[miss], R[miss], L[miss]
+            new = np.flatnonzero(hit)
+            if new.size:
+                cand = cand.take(new, axis=0)
+                T, vals, jacs, tres = (
+                    np.concatenate(pair) for pair in
+                    zip((T, vals, jacs, tres), (cand, *_linearize(eqs, cand))))
+                keep = np.concatenate([keep, new])
+            idx, P, L, ra, back, span, run = _take_rows(
+                keep, idx, P, L, ra, back, span, run)
+            # the next iteration's halvings need none of these
+            del cand, hit, miss, new, keep
+        disp = _row_norm(T - back)
+        run = np.where((disp <= _STALL_SPAN * L)
+                       & (disp <= _STALL_GROWTH * span)
+                       & (L > _STEP_ACCEPT * ra), run + 1, 0)
+        stalled = run >= _STALL_RUN
+        if stalled.any():
+            i = idx[stalled]
+            X[i], last[i] = T[stalled], np.inf
+            idx, T, vals, jacs, tres, P, ra, disp, run = _take_rows(
+                np.flatnonzero(~stalled),
+                idx, T, vals, jacs, tres, P, ra, disp, run)
+        if not idx.size:
             break
-        # np.take gathers whole rows several times faster than X[idx]
-        Xa = X.take(idx, axis=0)
-        steps, ares = _gn_steps(eqs, Xa)
-        res[idx] = ares
-        last[idx] = _row_norm(steps)
-        # rows still iterating when the budget ends are only linearized
-        if it == _PROJECT_ITERS:
-            break
-        ra = rad[idx]
-        conv = last[idx] <= _STEP_TARGET * ra
-        # converged rows stop without moving, so they try no step
-        cand, hit = _line_search(eqs, Xa, ares, ra, steps,
-                                 np.flatnonzero(~conv))
-        # converged rows and rows that found no lower residual stop here
-        moved = np.flatnonzero(hit)
-        rows = idx[moved]
-        if back is None:
-            disp = np.full(moved.size, np.inf)
-            run = np.zeros(moved.size, dtype=np.int8)
-        else:
-            disp = _row_norm(
-                cand.take(moved, axis=0) - back.take(moved, axis=0))
-            run = np.where((disp <= _STALL_SPAN * last[rows])
-                           & (disp <= _STALL_GROWTH * span[moved])
-                           & (last[rows] > _STEP_ACCEPT * ra[moved]),
-                           run[moved] + 1, 0)
-        go = run < _STALL_RUN
-        last[rows[~go]] = np.inf
-        idx, span, run = rows[go], disp[go], run[go]
-        back = X.take(idx, axis=0)
-        X[rows] = cand.take(moved, axis=0)
-        # free this iteration's buffers before the next one makes its own
-        del Xa, steps, ares, cand, hit, moved, rows, disp
+        back, span, P, R = P, disp, T, tres
+        S = _newton_steps(vals, jacs)
+        L = _row_norm(S)
+        # free this iteration's linearization before the next one makes its
+        # own, and leave P, R and span the only names of their arrays, so
+        # the next compaction frees them
+        del T, vals, jacs, tres, disp
     return X, (last <= _STEP_ACCEPT * rad) & np.isfinite(res)
 
 
@@ -765,8 +809,10 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
     if not todo:
         return [out[r] for r in radii]
 
-    dirs = sphere_directions(s.nvars, npoints, seed)
-    nstarts = len(dirs)
+    # the starts are built only when a stratum's projection misses the cache;
+    # sphere_directions gives the line two directions whatever npoints
+    dirs = None
+    nstarts = 2 if s.nvars == 1 else npoints
     collected = {r: [] for r in todo}
     primary_accepted = dict.fromkeys(todo, 0)
     attempts = 0
@@ -796,6 +842,8 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
             entries = {r: cache.lookup(k) for r, k in keys.items()}
             missed = [r for r, e in entries.items() if e is None]
             if missed:
+                if dirs is None:
+                    dirs = sphere_directions(s.nvars, npoints, seed)
                 pts, ok = project_to_sphere_slice(
                     sys_eqs, np.concatenate([dirs * r for r in missed]),
                     np.repeat(missed, nstarts))
@@ -947,7 +995,8 @@ def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray,
     """One nearest-point step per row: the Gauss-Newton restoration onto
     {f = 0} (with radii ``r``, onto its slice on each row's sphere) minus
     the full part of ``Y - targets`` tangent to it, nan-safe."""
-    vals, jacs, pinv, _ = _linearize(eqs, Y, r)
+    vals, jacs, _ = _linearize(eqs, Y, r)
+    pinv = _pinv(jacs)
     d = Y - targets
     tang = d - _pinv_times(pinv, (jacs @ d[..., None])[..., 0])
     restore = -_pinv_times(pinv, vals)
@@ -999,9 +1048,9 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
         Y[idx] += step
         idx = idx[_row_norm(step) > 1e-14 * scale[idx]]
     tol = _NEAREST_ACCEPT * scale
-    vals, jacs, pinv, res = _linearize(eqs, Y, r)
+    vals, jacs, res = _linearize(eqs, Y, r)
     ok = np.isfinite(res)
-    ok &= _row_norm(_pinv_times(pinv, vals)) <= tol
+    ok &= _row_norm(_pinv_times(_pinv(jacs), vals)) <= tol
     ok &= _row_norm(vals) <= np.linalg.norm(jacs, axis=(-2, -1)) * tol
     return Y, ok
 

@@ -297,24 +297,31 @@ class TestProjectMatchesReference:
             assert np.array_equal(res, _reference_residual(eqs, X))
 
     def test_starts_are_not_evaluated_apart(self, monkeypatch):
-        # a row's residual comes from its linearization, so one iteration
-        # on the parabola evaluates the system only at the full step's
-        # trial points, one per start
+        # a row's residual comes from its linearization, and a full step's
+        # trial point is evaluated with its Jacobian: one iteration on the
+        # parabola linearizes the 64 starts and their 64 trial points, and
+        # evaluates the system nowhere else
         monkeypatch.setattr(gg, "_PROJECT_ITERS", 1)
-        evaluate = ex.eval_system
-        rows = []
+        evaluate, linearize = ex.eval_system, ex.eval_system_jacobian
+        rows, jac_rows = [], []
 
         def counting(eqs, X):
             rows.append(int(np.prod(np.shape(X)[:-1])))
             return evaluate(eqs, X)
+
+        def counting_jacobians(eqs, X):
+            jac_rows.append(int(np.prod(np.shape(X)[:-1])))
+            return linearize(eqs, X)
 
         r = 0.25
         eqs = (ex.parse("y - x^2", 2),)
         starts = ga.sphere_directions(2, 64, seed=0) * r
         with monkeypatch.context() as m:
             m.setattr(ex, "eval_system", counting)
+            m.setattr(ex, "eval_system_jacobian", counting_jacobians)
             X, ok = gg.project_to_sphere_slice(eqs, starts, r)
-        assert sum(rows) == 64
+        assert jac_rows == [64, 64]
+        assert rows == []
         X_ref, ok_ref = _project_reference(eqs, starts, r)
         assert np.array_equal(X, X_ref)
         assert np.array_equal(ok, ok_ref)
@@ -427,21 +434,82 @@ class TestProjectMatchesReference:
 
     def test_full_step_tried_alone_first(self, monkeypatch):
         # on the parabola the full step lowers every start's residual, so
-        # the first iteration evaluates one trial point per pending row
+        # the first iteration evaluates one trial point per pending row, in
+        # one batch with its Jacobian, and tries no halving: every residual
+        # comes from a linearization, (rows, 1) for one equation, and none
+        # from a (rows, k, 1) batch of halvings
         monkeypatch.setattr(gg, "_PROJECT_ITERS", 1)
         residual = gg._residual
-        trials = []
+        batches = []
 
         def counting(vals):
-            if vals.ndim == 3:
-                trials.append(vals.shape[:2])
+            batches.append(vals.shape)
             return residual(vals)
 
         monkeypatch.setattr(gg, "_residual", counting)
         r = 0.25
         starts = ga.sphere_directions(2, 64, seed=0) * r
-        self._check((ex.parse("y - x^2", 2),), starts, r)
-        assert trials == [(64, 1)]
+        eqs = (ex.parse("y - x^2", 2),)
+        X, ok = gg.project_to_sphere_slice(eqs, starts, r)
+        assert batches == [(64, 1), (64, 1)]
+        X_ref, ok_ref = _project_reference(eqs, starts, r)
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(ok, ok_ref)
+
+    @pytest.mark.parametrize("iters", [1, 2, 3, 5, 8, gg._PROJECT_ITERS])
+    def test_rows_moved_by_a_halving_are_linearized_there(self, monkeypatch,
+                                                          iters):
+        # on the cusp {y^2 = x^3} at r = 0.125 hundreds of rows lower their
+        # residual only at a halving, and most of them step on from there;
+        # a budget that ends right after a halving judges the row by the
+        # linearization at its new point
+        whole = iters == gg._PROJECT_ITERS
+        monkeypatch.setattr(gg, "_PROJECT_ITERS", iters)
+        r = 0.125
+        eqs = (ex.parse("y^2 - x^3", 2),)
+        starts = ga.sphere_directions(2, 256, 0) * r
+        search, linearize = gg._line_search, gg._linearize
+        renormalize = gg._renormalize
+        calls = []
+
+        def searching(*args):
+            cand, hit = search(*args)
+            calls.append(("halved", cand[hit]))
+            return cand, hit
+
+        def linearizing(eqs, X, r=None):
+            calls.append(("linearized", X.copy()))
+            return linearize(eqs, X, r)
+
+        def renormalizing(X, r, fallback):
+            # a batch of full steps, tried from the rows' positions
+            if X.ndim == 2:
+                calls.append(("stepped from", fallback.copy()))
+            return renormalize(X, r, fallback)
+
+        with monkeypatch.context() as m:
+            m.setattr(gg, "_line_search", searching)
+            m.setattr(gg, "_linearize", linearizing)
+            m.setattr(gg, "_renormalize", renormalizing)
+            X, ok = gg.project_to_sphere_slice(eqs, starts, r)
+        X_ref, ok_ref = _project_reference(eqs, starts, r)
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(ok, ok_ref)
+        # each halving's new points are linearized next, in one batch
+        halved = [k for k, (what, pts) in enumerate(calls)
+                  if what == "halved" and len(pts)]
+        assert len(halved) == min(iters, 15)
+        for k in halved:
+            assert calls[k + 1][0] == "linearized"
+            assert np.array_equal(calls[k + 1][1], calls[k][1])
+        points = {tuple(p) for k in halved for p in calls[k][1]}
+        stepped = {tuple(p) for what, pts in calls if what == "stepped from"
+                   for p in pts}
+        # past the first iteration rows step on from a halving's point, and
+        # over the whole budget most of them do
+        assert bool(points & stepped) == (iters > 1)
+        if whole:
+            assert len(points & stepped) > len(points) // 2
 
     def test_inflated_strata(self, curves):
         part = curves.get("cusp_product").parts[0]
@@ -608,16 +676,17 @@ class TestProjectStalls:
 
     @staticmethod
     def _linearized(monkeypatch, eqs, starts, r):
-        """The projection, and the row count of each linearization."""
+        """The projection, and the row count of each batch of Gauss-Newton
+        steps: the starts', then one per iteration that rows continue."""
         sizes = []
-        steps = gg._gn_steps
+        steps = gg._newton_steps
 
-        def counted(eqs, X):
-            sizes.append(len(X))
-            return steps(eqs, X)
+        def counted(vals, jacs):
+            sizes.append(len(vals))
+            return steps(vals, jacs)
 
         with monkeypatch.context() as m:
-            m.setattr(gg, "_gn_steps", counted)
+            m.setattr(gg, "_newton_steps", counted)
             X, ok = gg.project_to_sphere_slice(eqs, starts, r)
         return X, ok, sizes
 
