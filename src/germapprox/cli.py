@@ -294,11 +294,10 @@ def cmd_order(args) -> int:
     cfg = _compare_config(args, a, b)
     samples, est_ab, est_ba, caveats = deviation_profile(a, b, cfg)
     rows = sorted(samples, key=lambda d: d.r)
-    csv_lines = ["r,delta_ab,delta_ba,floor"]
+    csv_lines = ["r,delta_ab,delta_ba,floor_ab,floor_ba"]
     for d in rows:
-        csv_lines.append(",".join([
-            _csv_float(d.r), _csv_float(d.delta_ab),
-            _csv_float(d.delta_ba), _csv_float(d.floor)]))
+        csv_lines.append(",".join(_csv_float(v) for v in (
+            d.r, d.delta_ab, d.delta_ba, d.floor_ab, d.floor_ba)))
     sidecar = {"manifest": _manifest(args, [a.name, b.name],
                                      _config_dict(cfg)),
                "estimate_ab": asdict(est_ab),

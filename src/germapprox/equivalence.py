@@ -1,9 +1,12 @@
 """Deciding order-s closeness of two set germs at the origin.
 
 The central quantity is the deviation of A from B on the sphere of radius r:
-the largest distance from a sampled point of A's slice to B's slice. A is
-within order s of B when that deviation, divided by r^s, tends to zero as r
-shrinks. Two independent decision procedures are provided:
+the largest distance from a sampled point of A's slice to B. A is within
+order s of B when that deviation, divided by r^s, tends to zero as r
+shrinks. Where B's slice is a continuum the distance is to B's germ, which
+by the horn lemma decays at the same order as the distance to B's slice;
+where it is isolated points, to B's sampled slice. Two decision procedures
+are provided:
 
 * a limit fit: sample the deviation on a geometric radius schedule and fit
   its log-log slope, comparing against s with a symmetric margin;
@@ -26,10 +29,11 @@ from . import expr as ex
 from .expr import Expr
 from .geometry import (
     _NEAREST_ACCEPT,
+    _SPACING_GUARD,
     DistanceSample,
     SliceCache,
     SliceCloud,
-    _distance_sample,
+    _deviation,
     _max_dists,
     dist_to_set_batch,
     sample_slices,
@@ -176,8 +180,11 @@ def _clouds(s: SemianalyticSet, config: CompareConfig,
                          seed=config.seed, cache=cache)
 
 
-def _fit_decay(samples, direction: str, pick) -> OrderEstimate:
-    vals = [(s.r, pick(s), s.floor) for s in samples]
+def _fit_decay(samples, direction: str) -> OrderEstimate:
+    """The log-log fit of the direction's deviations ("A<=B" reads
+    ``delta_ab``, "B<=A" ``delta_ba``) above that direction's floors."""
+    vals = [(s.r, s.delta_ab, s.floor_ab) if direction == "A<=B"
+            else (s.r, s.delta_ba, s.floor_ba) for s in samples]
     below = sum(1 for _, d, fl in vals if d <= fl)
     included = [(r, d) for r, d, fl in vals
                 if math.isfinite(d) and d > fl]
@@ -199,6 +206,29 @@ def _fit_decay(samples, direction: str, pick) -> OrderEstimate:
                          samples=tuple(samples))
 
 
+def _deviations(sources, targets, b: SemianalyticSet, config: CompareConfig,
+                cache: SliceCache | None):
+    """Each radius's deviation of the source clouds from the set b, whose
+    clouds are ``targets``, and its floor (see :class:`DistanceSample`).
+
+    Where the source cloud has points and b's cloud is a continuum (spacing
+    above the noise guard), the deviation is the solver's largest distance
+    to b's germ (``geometry._max_dists``, the horn criterion's kernel and
+    cache entry), with the solver's floor ``_NEAREST_ACCEPT * r``: by the
+    horn lemma it decays at the order of the slices' Hausdorff distance,
+    and the cloud's spacing does not bound it. Elsewhere b's slice is
+    isolated points, which its cloud holds to solver accuracy, or nothing,
+    and the deviation is the distance to b's cloud, with the larger
+    spacing as floor."""
+    solve = [len(ca) > 0 and cb.spacing > _SPACING_GUARD
+             for ca, cb in zip(sources, targets)]
+    dmaxes = iter(_max_dists([ca for ca, f in zip(sources, solve) if f], b,
+                             config.npoints, config.seed, cache))
+    return [(next(dmaxes), _NEAREST_ACCEPT * ca.r) if f
+            else (_deviation(ca, cb, cache), max(ca.spacing, cb.spacing))
+            for ca, cb, f in zip(sources, targets, solve)]
+
+
 def deviation_profile(a: SemianalyticSet, b: SemianalyticSet,
                       config: CompareConfig,
                       cache: SliceCache | None = None):
@@ -209,19 +239,24 @@ def deviation_profile(a: SemianalyticSet, b: SemianalyticSet,
     caveats note empty slices and slices where fewer than half the starts
     converged, radius by radius, each distinct note once.
     """
-    samples, notes = [], []
-    for r, *clouds in zip(config.schedule.radii(), _clouds(a, config, cache),
-                          _clouds(b, config, cache)):
+    clouds_a, clouds_b = _clouds(a, config, cache), _clouds(b, config, cache)
+    notes = []
+    for r, *clouds in zip(config.schedule.radii(), clouds_a, clouds_b):
         pairs = list(zip((a, b), clouds))
         notes += [f"{s.name!r} has no points on the sphere r={r:g}"
                   for s, c in pairs if not len(c)]
         notes += [f"only {c.converged_fraction:.0%} of starts converged "
                   f"for {s.name!r} at r={r:g}"
                   for s, c in pairs if len(c) and c.converged_fraction < 0.5]
-        samples.append(_distance_sample(r, *clouds, cache))
-    est_ab = _fit_decay(samples, "A<=B", lambda d: d.delta_ab)
-    est_ba = _fit_decay(samples, "B<=A", lambda d: d.delta_ba)
-    return tuple(samples), est_ab, est_ba, tuple(dict.fromkeys(notes))
+    samples = tuple(
+        DistanceSample(r=r, delta_ab=ab, delta_ba=ba, floor_ab=fab,
+                       floor_ba=fba)
+        for r, (ab, fab), (ba, fba) in zip(
+            config.schedule.radii(),
+            _deviations(clouds_a, clouds_b, b, config, cache),
+            _deviations(clouds_b, clouds_a, a, config, cache)))
+    return (samples, _fit_decay(samples, "A<=B"),
+            _fit_decay(samples, "B<=A"), tuple(dict.fromkeys(notes)))
 
 
 def _verdict_from_estimate(est: OrderEstimate, s: float,
@@ -305,10 +340,11 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     ``geometry._max_dists``). All radii go in one batch. Each sample
     measures against B's cloud at its slice's schedule radius, the cloud
     the limit fit measured it against, and its nearest points there come
-    from the neighbour query the cache holds for that pair of clouds, which
-    :func:`deviation_profile` on the same cache has already made. Where
-    the slice's median norm is that radius, each maximum is the one
-    :func:`dist_to_set_batch` on the slice gives, bit for bit.
+    from the neighbour query the cache holds for that pair of clouds. The
+    cache also holds each radius's maximum: where B's slice is a
+    continuum, :func:`deviation_profile` on the same cache has computed it
+    already. Where the slice's median norm is that radius, each maximum is
+    the one :func:`dist_to_set_batch` on the slice gives, bit for bit.
     """
     clouds = _clouds(a, config, cache)
     dmaxes = _max_dists(clouds, b, config.npoints, config.seed, cache)
@@ -326,9 +362,10 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
             break
 
     samples = tuple(
-        DistanceSample(r=r, delta_ab=dmax, delta_ba=math.nan, floor=floor)
+        DistanceSample(r=r, delta_ab=dmax, delta_ba=math.nan, floor_ab=floor,
+                       floor_ba=math.nan)
         for r, dmax, floor in rows)
-    est = _fit_decay(samples, "A<=B", lambda d: d.delta_ab) if rows else None
+    est = _fit_decay(samples, "A<=B") if rows else None
     caveats = () if rows else (
         f"{a.name!r} has no points at any sampled radius; "
         "containment holds vacuously",)

@@ -13,13 +13,12 @@ boundary's slice lies among those points already. From
 clouds come directed deviations between two sets' slices, tangent
 direction clouds, and a numeric dimension estimate.
 
-One nearest-point solver measures distances from points to a set: to its
-germ, or, given one radius per point, to its slice on that point's sphere,
-where the sphere equation is one more solver row (:func:`_sphere_row`).
-One early-stopped kernel takes the largest such distance from each of
-several clouds (:func:`_max_dists`). A slice distance resolves deviations
-far below the set's cloud spacing; it has no origin candidate and reads no
-membership, whose tolerance is not a distance.
+One nearest-point solver measures distances from points to a set's germ,
+and one early-stopped kernel takes the largest such distance from each of
+several clouds (:func:`_max_dists`), the one distance both the limit fit
+and the horn criterion read where the target's slice is a continuum. Each
+distance is to a point the solver found on the set, never a membership
+test, whose tolerance is not a distance.
 
 An empty slice is a cloud with no points: nothing deviates from it,
 everything lies infinitely far from it, and it has no tangent directions.
@@ -31,8 +30,9 @@ stratum's projection given (its system, radius, npoints, seed), and each
 cloud given its radius and accepted samples; a thread-safe cache keyed on
 exactly those values makes repeated comparisons against the same set, and
 sets that share strata or samples, cheap and bit-stable. It
-holds geometry only: clouds, projections and the neighbour queries between
-clouds, never a set name or an error.
+holds geometry only: clouds, projections, the neighbour queries between
+clouds and each cloud's largest distance to a set, never a set name or an
+error.
 """
 from __future__ import annotations
 
@@ -131,19 +131,21 @@ class EmptySliceError(GeometryError):
 
 @dataclass(frozen=True)
 class SliceCloud:
-    """Thinned samples of a set on the sphere of radius r, shape
+    """Deduplicated samples of a set on the sphere of radius r, shape
     (N, nvars); N = 0 for an empty slice.
 
-    :func:`_slice_cloud` builds every cloud by one rule: the first accepted
-    sample in each cell of a grid a quarter of the samples' median gap
-    wide, then one point per cluster within ``_STEP_ACCEPT * r``, so copies
-    of an isolated slice point become one point. ``spacing`` is the median
-    of the points' gaps to their nearest neighbours, a point that stands
-    for several samples counting as the machine-noise guard, and is floored
-    at that guard; distances measured against this cloud carry no
-    information below it. ``converged_fraction`` covers the primary strata
-    only (the parts' own equations, before inequality filtering);
-    ``attempts`` counts the starts over every stratum.
+    :func:`_slice_cloud` builds every cloud by one rule: the distinct
+    accepted samples, then one point per cluster within ``_STEP_ACCEPT *
+    r``, so copies of an isolated slice point become one point.
+    ``spacing`` is the median of the points' gaps to their nearest
+    neighbours, a point that stands for several samples counting as the
+    machine-noise guard, and is floored at that guard; distances measured
+    against this cloud carry no information below it. A spacing above the
+    guard marks a continuum slice, which the limit fit measures against
+    with the solver instead (see ``equivalence.deviation_profile``).
+    ``converged_fraction`` covers the primary strata only (the parts' own
+    equations, before inequality filtering); ``attempts`` counts the
+    starts over every stratum.
 
     ``tree`` is a k-d tree over the points, the last one the builder made,
     so every neighbour query against the cloud reuses it. ``key`` is the
@@ -173,27 +175,34 @@ class SliceCloud:
 
 @dataclass(frozen=True)
 class DistanceSample:
-    """Directed deviations between two slice clouds at one radius.
+    """Directed deviations between two sets' slices at one radius.
 
     ``delta_ab`` is the deviation of A from B: the largest distance from a
-    point sampled on A to the cloud sampled on B. ``floor`` is the larger of
-    the two sampling resolutions; deviations at or below it are noise.
+    point sampled on A to B, and ``floor_ab`` its resolution; a deviation
+    at or below its floor is noise. Where B's slice is a continuum it is
+    the solver's distance to B's germ, with floor ``_NEAREST_ACCEPT * r``;
+    where B's slice is isolated points (or empty) it is the distance to B's
+    cloud, with the larger of the two clouds' spacings as floor.
+    ``delta_ba`` and ``floor_ba`` are the same for B from A.
     """
 
     r: float
     delta_ab: float
     delta_ba: float
-    floor: float
+    floor_ab: float
+    floor_ba: float
 
 
 class SliceCache:
     """Thread-safe memo of sampled slices, including empty outcomes, of
     the accepted points of each stratum's sphere projection, so sets that
     share a stratum project it once, of each distinct point set's cloud,
-    so sets with equal samples build one cloud, and of the neighbour query
+    so sets with equal samples build one cloud, of the neighbour query
     of one point set in another's tree, so the limit fit and the horn
     criterion query each ordered pair of distinct point sets once (a cloud
-    against its own copy once for both directions)."""
+    against its own copy once for both directions), and of each cloud's
+    largest distance to a set's germ, so they run the solver on each
+    direction once."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -306,26 +315,12 @@ def _pinv(jacs: np.ndarray) -> np.ndarray:
     return out.T.reshape(shape)
 
 
-def _sphere_row(X: np.ndarray, r: np.ndarray):
-    """The sphere equation as one more solver row, each row x of X at its
-    own radius r: value (|x| - r)(|x| + r)/(2r) and gradient x/r, a unit
-    normal where |x| = r, so the row weighs like a normalized equation."""
-    norms = _row_norm(X)
-    return (norms - r) * (norms + r) / (2.0 * r), X / r[..., None]
-
-
-def _linearize(eqs, X: np.ndarray, r: np.ndarray | None = None):
+def _linearize(eqs, X: np.ndarray):
     """Nan-safe values and Jacobians at X, and each row's
     :func:`_residual`, from the values before they are made nan-safe:
     forward-mode values are ``eval_many``'s bit for bit, so it is the
-    residual that evaluating the system at X gives. Given one radius per
-    row, ``r``, the system gains :func:`_sphere_row` as its last equation,
-    and the residual includes it."""
+    residual that evaluating the system at X gives."""
     vals, jacs = ex.eval_system_jacobian(eqs, X)
-    if r is not None:
-        value, grad = _sphere_row(X, r)
-        vals = np.concatenate([vals, value[..., None]], axis=-1)
-        jacs = np.concatenate([jacs, grad[..., None, :]], axis=-2)
     res = _residual(vals)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     jacs = np.where(np.isfinite(jacs), jacs, 0.0)
@@ -360,11 +355,10 @@ def _newton_steps(vals: np.ndarray, jacs: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _gn_steps(eqs, X: np.ndarray, r: np.ndarray | None = None):
+def _gn_steps(eqs, X: np.ndarray):
     """Least-squares Newton steps toward {f = 0}, nan-safe, and each row's
-    residual at X from the same linearization (see :func:`_linearize`; with
-    radii ``r`` toward f's slice on each row's sphere)."""
-    vals, jacs, res = _linearize(eqs, X, r)
+    residual at X from the same linearization (see :func:`_linearize`)."""
+    vals, jacs, res = _linearize(eqs, X)
     return _newton_steps(vals, jacs), res
 
 
@@ -629,56 +623,22 @@ def _group_rows(rows: np.ndarray):
 
 def _slice_cloud(r: float, fraction: float, attempts: int,
                  raw: np.ndarray, key: tuple | None = None) -> SliceCloud:
-    """Thin the accepted member samples at radius r into a cloud (see
+    """Build the accepted member samples at radius r into a cloud (see
     :class:`SliceCloud`); no samples give an empty cloud at the noise-guard
     spacing. ``key`` is the cloud's cache key.
 
-    The grid cell is a quarter of the raw rows' median gap, floored at the
-    noise guard: 0 for a row with an exact copy, else the distance to the
-    nearest other distinct row. When more than half the rows have a copy
-    that median is 0 whatever the other gaps, so no tree is built before
-    the grid. Otherwise one k-d tree over the distinct rows and one k=2
-    query of them give the cell, and also the kept points' gaps: the first
-    row of a cell is a distinct row, and one whose nearest distinct row was
-    kept too has that row at the same gap among the kept points. Only the
-    kept points whose nearest distinct row the grid dropped are queried
-    again, in a tree over the kept points (the grid drops a few rows of
-    most continuum clouds, about 4% of every ``horn_surfaces`` cloud). The
-    tree over the distinct rows serves as the kept points' tree when the
-    grid dropped none, and a tree is rebuilt only after a merge.
-
-    Copies of one isolated slice point can straddle cell borders; accepted
-    points are known to ``_STEP_ACCEPT * r``, so closer ones are one point.
-    Leader clustering in input order merges them: a point within that of
-    an earlier kept point joins the first such point, otherwise it is kept.
-    Only the points with a gap within it are clustered, one ball query per
-    kept point."""
-    n = len(raw)
-    first, sizes = _group_rows(raw)
-    lone = sizes == 1
-    cell, tree = _SPACING_GUARD, None
-    if n >= 2 and n - np.count_nonzero(lone) <= n // 2:
-        distinct = raw.take(first, axis=0)
-        tree = cKDTree(distinct)
-        dists, near = tree.query(distinct, k=2)
-        raw_gaps = np.zeros(n)
-        raw_gaps[first[lone]] = dists[lone, 1]
-        cell = max(float(np.median(raw_gaps)), _SPACING_GUARD)
-    # cells are told apart by their floored float coordinates, which no
-    # integer range bounds
-    kept, counts = _group_rows(np.floor(raw / (cell / 4.0)))
+    The distinct rows get one k-d tree and one k=2 query of their gaps.
+    Copies of one isolated slice point need not be equal bit for bit;
+    accepted points are known to ``_STEP_ACCEPT * r``, so closer ones are
+    one point. Leader clustering in input order merges them: a point within
+    that of an earlier kept point joins the first such point, otherwise it
+    is kept. Only the points with a gap within it are clustered, one ball
+    query per kept point, and the tree is rebuilt only after a merge."""
+    kept, counts = _group_rows(raw)
     points = raw.take(kept, axis=0)
-    # each kept point's gap, and the points still to be queried for theirs
-    gaps, todo = np.full(len(points), np.inf), np.arange(len(points))
-    if tree is not None:
-        at = np.searchsorted(first, kept)
-        held = np.zeros(len(first), dtype=bool)
-        held[at] = True
-        gaps, todo = dists[at, 1], np.flatnonzero(~held[near[at, 1]])
-    if tree is None or tree.n != len(points):
-        tree = cKDTree(points)
-    if todo.size and len(points) > 1:
-        gaps[todo] = tree.query(points.take(todo, axis=0), k=2)[0][:, 1]
+    tree = cKDTree(points)
+    gaps = (tree.query(points, k=2)[0][:, 1] if len(points) > 1
+            else np.full(len(points), np.inf))
     tol = _STEP_ACCEPT * r
     crowded = np.flatnonzero(gaps <= tol)
     if crowded.size:
@@ -739,7 +699,7 @@ def _isolated_radii(eqs, entries: dict, nstarts: int, nvars: int) -> set:
         return set()
     X = np.concatenate([entries[r] for r in full])
     _, jacs = ex.eval_system_jacobian(eqs, X)
-    normal = _sphere_row(X, np.repeat(full, nstarts))[1]
+    normal = X / np.repeat(full, nstarts)[:, None]
     M = np.concatenate([jacs, normal[:, None]], axis=1)
     M[~np.isfinite(M).all(axis=(1, 2))] = 0.0
     norms = _row_norm(M)[..., None]
@@ -978,24 +938,15 @@ def _deviation(ca: SliceCloud, cb: SliceCloud,
     return float(np.max(_cloud_neighbours(ca, cb, cache)[0][:, 0]))
 
 
-def _distance_sample(r: float, ca: SliceCloud, cb: SliceCloud,
-                     cache: SliceCache | None) -> DistanceSample:
-    """Both directed deviations between two clouds at radius r."""
-    return DistanceSample(r=r, delta_ab=_deviation(ca, cb, cache),
-                          delta_ba=_deviation(cb, ca, cache),
-                          floor=max(ca.spacing, cb.spacing))
-
-
 # ---------------------------------------------------------------------------
 # distance from points to a germ
 
 
-def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray,
-                   r: np.ndarray | None = None) -> np.ndarray:
+def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """One nearest-point step per row: the Gauss-Newton restoration onto
-    {f = 0} (with radii ``r``, onto its slice on each row's sphere) minus
-    the full part of ``Y - targets`` tangent to it, nan-safe."""
-    vals, jacs, _ = _linearize(eqs, Y, r)
+    {f = 0} minus the full part of ``Y - targets`` tangent to it,
+    nan-safe."""
+    vals, jacs, _ = _linearize(eqs, Y)
     pinv = _pinv(jacs)
     d = Y - targets
     tang = d - _pinv_times(pinv, (jacs @ d[..., None])[..., 0])
@@ -1004,14 +955,8 @@ def _nearest_steps(eqs, Y: np.ndarray, targets: np.ndarray,
 
 
 def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
-                        iters: int = _NEAREST_ITERS,
-                        r: np.ndarray | None = None):
+                        iters: int = _NEAREST_ITERS):
     """Per row: move a start toward the nearest point of {f = 0} to target.
-
-    Given one radius per row, ``r``, the variety is f's slice on each row's
-    sphere: every linearization appends :func:`_sphere_row`, the iterations
-    gather each active row's radius with it, and with no equations the
-    sphere row is the whole system.
 
     After ``_LANDING_STEPS`` Gauss-Newton steps onto the variety, each of up
     to ``iters`` iterations pulls a row by the whole tangential part of its
@@ -1020,7 +965,8 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
     ``1e-14·|target|``; the others go on. With ``iters`` = 0 a row only
     lands: its point is where the Gauss-Newton steps leave it (see
     :func:`_landing`). Rows never mix, so a row's result does not depend on
-    the rows it shares the call with.
+    the rows it shares the call with. With no equations every start is
+    already on the variety, and stays where it is.
 
     Returns final points and a converged mask: a finite residual, a last
     Gauss-Newton step of at most ``tol = _NEAREST_ACCEPT·|target|``, and
@@ -1033,22 +979,21 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
     zero set, still converges there with |f| near 0.
     """
     Y = np.array(starts, dtype=float)
-    if not eqs and r is None:
+    if not eqs:
         return Y, np.ones(len(Y), dtype=bool)
     scale = np.maximum(_row_norm(targets), 1e-30)
     for _ in range(_LANDING_STEPS):
-        Y = Y + _gn_steps(eqs, Y, r)[0]
+        Y = Y + _gn_steps(eqs, Y)[0]
     idx = np.arange(len(Y))
     for _ in range(iters):
         if idx.size == 0:
             break
         step = _nearest_steps(eqs, Y.take(idx, axis=0),
-                              targets.take(idx, axis=0),
-                              None if r is None else r.take(idx))
+                              targets.take(idx, axis=0))
         Y[idx] += step
         idx = idx[_row_norm(step) > 1e-14 * scale[idx]]
     tol = _NEAREST_ACCEPT * scale
-    vals, jacs, res = _linearize(eqs, Y, r)
+    vals, jacs, res = _linearize(eqs, Y)
     ok = np.isfinite(res)
     ok &= _row_norm(_pinv_times(_pinv(jacs), vals)) <= tol
     ok &= _row_norm(vals) <= np.linalg.norm(jacs, axis=(-2, -1)) * tol
@@ -1060,16 +1005,19 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
                       cache: SliceCache | None = None) -> np.ndarray:
     """Distance from each query point to the set germ, shape (N, n) -> (N,).
 
-    Candidates come from four sources per query: the origin (when a part
-    passes through it), the set's slice cloud at the queries' median
-    radius, the point each part's equations land the query on (the
-    nearest-point solver's Gauss-Newton steps alone, accepted by its own
-    rule: :func:`_landing`), and constrained refinement onto every boundary
-    stratum of every part by the same solver, multi-started from the query
-    and its nearest cloud points. The multistart does not depend on the
-    stratum, so it is built once per call. Queries that already read as
-    members get distance zero. Infinity means the set offered no candidate
-    at all (an empty germ). Non-finite query points raise GeometryError.
+    Every distance is to a point found on the set. Candidates come from four
+    sources per query: the origin (when a part passes through it), the
+    set's slice cloud at the queries' median radius, the point each part's
+    equations land the query on (the nearest-point solver's Gauss-Newton
+    steps alone, accepted by its own rule: :func:`_landing`), and
+    constrained refinement onto every boundary stratum of every part by the
+    same solver, multi-started from the query and its nearest cloud points.
+    The multistart does not depend on the stratum, so it is built once per
+    call. A query on a part's equations lands within solver accuracy of
+    itself, and one inside a part with no equations keeps its own position,
+    at distance 0; membership's tolerance is never read as a distance.
+    Infinity means the set offered no candidate at all (an empty germ).
+    Non-finite query points raise GeometryError.
 
     Every other step is row by row and start by start, so a row's distance
     depends on the other rows only through that cloud radius:
@@ -1089,42 +1037,31 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
 
 
 def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
-                     npoints: int, seed: int, cache: SliceCache | None,
-                     r: np.ndarray | None = None):
-    """The candidates of :func:`dist_to_set_batch` that need no solver, for
-    rows X in ``groups`` of (rows, r, cloud): the rows ``rows`` of X take
-    the set's cloud at radius r, and ``cloud`` is None or the slice cloud
-    those rows are, in order, whose neighbour query the cache may hold
-    already (:func:`_cloud_neighbours`). Without one, the rows are queried
-    in the set's cloud's tree. A group whose rows are all members samples
-    no cloud.
+                     npoints: int, seed: int, cache: SliceCache | None):
+    """The candidates of :func:`dist_to_set_batch` that need no tangential
+    iteration, for rows X in ``groups`` of (rows, r, cloud): the rows
+    ``rows`` of X take the set's cloud at radius r, and ``cloud`` is None
+    or the slice cloud those rows are, in order, whose neighbour query the
+    cache may hold already (:func:`_cloud_neighbours`). Without one, the
+    rows are queried in the set's cloud's tree.
 
-    Returns ``best``, each row's least candidate distance so far: 0 for a
-    member, else the least of its norm (when a part passes through the
-    origin), its distance to the nearest point of its cloud and its landing
-    distance (:func:`_landing`, the solver with no tangential iteration);
+    Returns ``best``, each row's least candidate distance so far: the least
+    of its norm (when a part passes through the origin), its distance to
+    the nearest point of its cloud and its landing distance
+    (:func:`_landing`, the solver with no tangential iteration);
     ``starts``, shape (N, k, n), each row's multistart: itself, then its
     nearest cloud points, padded with copies of itself where its cloud has
     fewer than k - 1 points; and ``run``, shape (N, k), the unpadded starts
     of every row whose ``best`` is above 0. Refinement only lowers
     ``best``.
-
-    Given one radius per row, ``r``, the candidates are distances to the
-    set's slice on each row's sphere instead: the landing runs with the
-    sphere row, and the two candidates that are not slice distances drop
-    out, the origin and membership's 0 (a tolerance test, not a distance).
     """
     best = np.full(len(X), math.inf)
-    if s.parts and r is None:
-        best[membership_mask(s, X)] = 0.0
-    if not s.parts or not (best > 0.0).any():
-        return best, X[:, None], (best > 0.0)[:, None]
-    if r is None and any(p.through_origin for p in s.parts):
-        best = np.minimum(best, _row_norm(X))
+    if any(p.through_origin for p in s.parts):
+        best = _row_norm(X)
 
     near = []
     for rows, radius, own in groups:
-        if not (best[rows] > 0.0).any() or not 0.0 < radius <= s.omega:
+        if not 0.0 < radius <= s.omega:
             continue
         try:
             cloud = sample_slice(s, float(radius), npoints=npoints,
@@ -1141,9 +1078,10 @@ def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
     for rows, pts in near:
         starts[rows, 1:pts.shape[1] + 1] = pts
         count[rows] += pts.shape[1]
+    # a row already at distance 0 (a point of the set's cloud) lands nowhere
+    # closer
     live = np.flatnonzero(best > 0.0)
-    best[live] = np.minimum(best[live], _landing(
-        X[live], s, None if r is None else r[live]))
+    best[live] = np.minimum(best[live], _landing(X[live], s))
     run = (np.arange(k) < count[:, None]) & (best > 0.0)[:, None]
     return best, starts, run
 
@@ -1161,29 +1099,28 @@ def _in_germ(Y: np.ndarray, ineqs, omega: float, X: np.ndarray):
 
 
 def _solved(s: SemianalyticSet, depth: int, starts: np.ndarray,
-            targets: np.ndarray, iters: int, r: np.ndarray | None = None):
+            targets: np.ndarray, iters: int):
     """For each feasible stratum of each part of s to ``depth`` (see
-    :func:`_part_strata`) that keeps an equation, yield ``(ok, d)``: the
-    rows whose point from :func:`_nearest_on_variety`, run with ``iters``
-    tangential iterations and radii ``r``, is accepted and kept by
-    :func:`_in_germ`, and those rows' distances from the point to their
-    targets. With radii every feasible stratum keeps one, the sphere's."""
+    :func:`_part_strata`), yield ``(ok, d)``: the rows whose point from
+    :func:`_nearest_on_variety`, run with ``iters`` tangential iterations,
+    is accepted and kept by :func:`_in_germ`, and those rows' distances
+    from the point to their targets. A stratum without equations keeps
+    each start, so a start inside a part with only inequalities is its own
+    point."""
     for part in s.parts:
         for eqs, rest in _part_strata(part, depth):
             eqs = _normalize_system(eqs)
-            if eqs is None or (not eqs and r is None):
+            if eqs is None:
                 continue
-            Y, ok = _nearest_on_variety(eqs, starts, targets, iters, r)
+            Y, ok = _nearest_on_variety(eqs, starts, targets, iters)
             ok[ok] = _in_germ(Y[ok], rest, s.omega, targets[ok])
             yield ok, _row_norm(Y[ok] - targets[ok])
 
 
-def _landing(X: np.ndarray, s: SemianalyticSet,
-             r: np.ndarray | None = None) -> np.ndarray:
+def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
     """Per row x of X, |Y - x| for the point Y that ``_LANDING_STEPS``
-    Gauss-Newton steps from x reach on a part's own equations (with radii
-    ``r``, and the sphere row), the least over the parts; inf where no
-    part's Y is valid, row by row.
+    Gauss-Newton steps from x reach on a part's own equations, the least
+    over the parts; inf where no part's Y is valid, row by row.
 
     Y is the nearest-point solver's point with no tangential iteration, and
     it is valid where the solver accepts it (:func:`_nearest_on_variety`,
@@ -1192,65 +1129,72 @@ def _landing(X: np.ndarray, s: SemianalyticSet,
     so rows there do not land.
     """
     out = np.full(len(X), math.inf)
-    for ok, d in _solved(s, 0, X, X, 0, r):
+    for ok, d in _solved(s, 0, X, X, 0):
         out[ok] = np.minimum(out[ok], d)
     return out
 
 
 def _refine(X: np.ndarray, s: SemianalyticSet, best: np.ndarray,
-            starts: np.ndarray, run: np.ndarray,
-            r: np.ndarray | None = None) -> None:
+            starts: np.ndarray, run: np.ndarray) -> None:
     """Lower ``best`` in place by constrained refinement onto every boundary
     stratum of every part, from the ``starts`` that the (N, k) mask ``run``
-    picks; with radii ``r``, one per row of X, onto their slices."""
+    picks."""
     own, col = np.nonzero(run)
     if not own.size:
         return
     for ok, d in _solved(s, _DIST_DEPTH, starts[own, col], X[own],
-                         _NEAREST_ITERS, None if r is None else r[own]):
+                         _NEAREST_ITERS):
         np.minimum.at(best, own[ok], d)
 
 
 def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
-               cache: SliceCache | None, on_slice: bool = False
-               ) -> list[float]:
+               cache: SliceCache | None) -> list[float]:
     """The largest distance from a point of each slice cloud of ``clouds``
     to the germ of s (0.0 for an empty cloud), with the nearest-point
-    solver run only on the points that can hold a maximum. With
-    ``on_slice``, to the slice of s on the cloud's sphere instead: each
-    row's radius is its cloud's ``r``, every solver call carries the
-    sphere row (:func:`_sphere_row`), and :func:`_dist_candidates` drops
-    the origin and membership, so a maximum is the deviation of the cloud
-    from s's exact slice, not from its sampled cloud.
+    solver run only on the points that can hold a maximum.
+
+    The cache holds each cloud's maximum, keyed on its content key, s's
+    signature, ``npoints`` and ``seed`` (as :func:`_cloud_neighbours` holds
+    a neighbour query), so the limit fit and the horn criterion compute a
+    direction once; a cloud without a key is computed afresh.
 
     Each cloud's points take the set's cloud at the cloud's own radius
     ``r``, and their neighbours in it from the query the cache holds for
-    that pair of clouds (see :func:`_cloud_neighbours`). To the germ, a
-    cloud whose median norm is r so gets ``max(dist_to_set_batch(
-    cloud.points, s, ...))`` bit for bit; one whose median norm is an ulp
-    or two off r (a curve's slice of a few points can be) still measures
-    against the cloud at r, which the limit fit also used, not against a
-    cloud sampled at the off-schedule radius.
+    that pair of clouds (see :func:`_cloud_neighbours`). A cloud whose
+    median norm is r so gets ``max(dist_to_set_batch(cloud.points, s,
+    ...))`` bit for bit; one whose median norm is an ulp or two off r (a
+    curve's slice of a few points can be) still measures against the cloud
+    at r, which the limit fit also used, not against a cloud sampled at the
+    off-schedule radius.
 
-    Every row's bound is its least candidate that needs no solver (see
-    :func:`_dist_candidates`). The solver runs every start of each cloud's
-    rows by falling bound, in chunks of ``_FIRST_CHUNK`` rows and 4 times
-    the last chunk after that, and a cloud stops at the first row whose
-    bound is at most its largest distance refined so far. Refinement only
-    lowers a distance, so no row left out can exceed that maximum; a poor
-    bound costs time, not bits. The clouds are stacked, so one call finds
-    every candidate and one solver call runs each round's chunks. Rows
-    never mix, so every row gets the bits of a call on its cloud alone.
+    Every row's bound is its least candidate that needs no tangential
+    iteration (see :func:`_dist_candidates`). The solver runs every start
+    of each cloud's rows by falling bound, in chunks of ``_FIRST_CHUNK``
+    rows and 4 times the last chunk after that, and a cloud stops at the
+    first row whose bound is at most its largest distance refined so far.
+    Refinement only lowers a distance, so no row left out can exceed that
+    maximum; a poor bound costs time, not bits. The clouds not in the cache
+    are stacked, so one call finds every candidate and one solver call runs
+    each round's chunks. Rows never mix, so every row gets the bits of a
+    call on its cloud alone.
     """
+    if cache is None:
+        cache = _DEFAULT_CACHE
+    sig = s.signature()
+    keys = [None if c.key is None else ("max_dist", c.key, sig, npoints, seed)
+            for c in clouds]
+    out = [None if k is None else cache.lookup(k) for k in keys]
+    todo = [i for i, d in enumerate(out) if d is None]
+    if not todo:
+        return out
+    clouds = [clouds[i] for i in todo]
     sizes = [len(c) for c in clouds]
     batch = np.repeat(np.arange(len(clouds)), sizes)
     X = np.concatenate([c.points for c in clouds])
     ends = np.cumsum(sizes)
     groups = [(np.arange(end - len(c), end), c.r, c)
               for c, end in zip(clouds, ends) if len(c)]
-    r = np.repeat([c.r for c in clouds], sizes) if on_slice else None
-    best, starts, run = _dist_candidates(X, s, groups, npoints, seed, cache,
-                                         r)
+    best, starts, run = _dist_candidates(X, s, groups, npoints, seed, cache)
     # each row's rank within its batch, largest bound first
     rank = np.empty(len(X), dtype=np.intp)
     rank[np.lexsort((-best, batch))] = np.arange(len(X))
@@ -1264,11 +1208,15 @@ def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
         pick = (rank >= lo) & (rank < lo + size) & (best > dmax[batch])
         if not pick.any():
             break
-        _refine(X, s, best, starts, run & pick[:, None], r)
+        _refine(X, s, best, starts, run & pick[:, None])
         np.maximum.at(dmax, batch[pick], best[pick])
         lo, size = lo + size, 4 * size
     np.maximum.at(dmax, batch, best)
-    return dmax.tolist()
+    for i, d in zip(todo, dmax.tolist()):
+        out[i] = d
+        if keys[i] is not None:
+            cache.store(keys[i], d)
+    return out
 
 
 # ---------------------------------------------------------------------------

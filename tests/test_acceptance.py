@@ -85,7 +85,7 @@ def test_criterion_02_subset_orientation(curves, heavy_config, cache,
                                heavy_config, cache)[1]
     rev = ga.deviation_profile(curves.get("line"), curves.get("halfline"),
                                heavy_config, cache)[1]
-    below = all(s.delta_ab <= s.floor for s in fwd.samples)
+    below = all(s.delta_ab <= s.floor_ab for s in fwd.samples)
     ratios = [s.delta_ab / s.r for s in rev.samples]
     in_band = all(1.9 <= q <= 2.1 for q in ratios)
     report(2, below and in_band and len(fwd.samples) == 8,

@@ -470,13 +470,7 @@ class TestPaperStatement:
         return cls.UPTO + 1
 
     @pytest.mark.parametrize("file,name,s", [
-        pytest.param(file, name, s, marks=pytest.mark.xfail(
-            strict=True,
-            reason="ROADMAP item 2: every deviation of the h = 3 candidate "
-                   "sits below the cloud spacing, both fits read +inf and "
-                   "a valuation-4 approximant passes at s = 4")
-            if (name, s) == ("graph_exp", 4.0) else ())
-        for file, name in GRAPH_SETS for s in (2.0, 3.0, 4.0)])
+        (file, name, s) for file, name in GRAPH_SETS for s in (2.0, 3.0, 4.0)])
     def test_approximant_within_order(self, file, name, s, acfg,
                                       shared_cache):
         sp = pytest.importorskip("sympy")

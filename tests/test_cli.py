@@ -281,13 +281,13 @@ class TestOrder:
         assert rc == 0
         out = capsys.readouterr().out
         assert "deviations of 'exp_curve' and 'trunc2' at 8 radii" in out
-        assert "r,delta_ab,delta_ba,floor" in out
+        assert "r,delta_ab,delta_ba,floor_ab,floor_ba" in out
 
     def test_stdout_pure_csv_ascending(self, curves_file, capsys):
         rc = main(["order", curves_file, "exp_curve", "trunc2", "--stdout"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "r,delta_ab,delta_ba,floor"
+        assert lines[0] == "r,delta_ab,delta_ba,floor_ab,floor_ba"
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
         assert len(rows) == 8
         radii = [row[0] for row in rows]
@@ -302,7 +302,7 @@ class TestOrder:
                    "-o", str(out)])
         assert rc == 0
         text = out.read_text()
-        assert text.startswith("r,delta_ab,delta_ba,floor\n")
+        assert text.startswith("r,delta_ab,delta_ba,floor_ab,floor_ba\n")
         side = json.loads((tmp_path / "d.csv.manifest.json").read_text())
         assert side["manifest"]["command"] == "order"
         assert side["estimate_ab"]["slope"] == pytest.approx(2.0, abs=0.1)

@@ -85,7 +85,34 @@ class TestOrderFits:
         want = math.hypot(d.r - xs, xs * xs)
         assert d.delta_ab == pytest.approx(want, rel=1e-9)
         assert d.delta_ba == pytest.approx(want, rel=1e-9)
-        assert d.floor == gg._SPACING_GUARD
+        # both slices are isolated points, so both floors are the clouds'
+        assert d.floor_ab == d.floor_ba == gg._SPACING_GUARD
+
+    def test_continuum_targets_read_the_horn_distance(self, surfaces,
+                                                      quick_config,
+                                                      monkeypatch):
+        # graph_exp's slice is a continuum: each direction is the solver's
+        # largest distance to the other germ, at the solver's floor, the
+        # maximum the horn criterion reads from the same cache without
+        # measuring a row again
+        g = surfaces.get("graph_exp")
+        b = gs.truncate_eqs(g, 2)
+        cache = ga.SliceCache()
+        samples, est_ab, est_ba, _ = ga.deviation_profile(g, b, quick_config,
+                                                          cache)
+        assert all(d.floor_ab == d.floor_ba == gg._NEAREST_ACCEPT * d.r
+                   for d in samples)
+        for est in (est_ab, est_ba):
+            assert est.slope == pytest.approx(3.0, abs=0.05)
+        measured = []
+        candidates = gg._dist_candidates
+        monkeypatch.setattr(gg, "_dist_candidates",
+                            lambda X, *a: measured.append(len(X))
+                            or candidates(X, *a))
+        horn = ga.horn_criterion(g, b, 2.5, quick_config, cache)
+        assert measured == []
+        assert [d.delta_ab for d in horn.estimate.samples] == \
+            [d.delta_ab for d in samples]
 
     def test_reflexive_samples_are_zero(self, curves, quick_config,
                                         shared_cache):
@@ -345,9 +372,9 @@ class TestDecisionRule:
     def _fit(deltas, floor=1e-12):
         radii = [0.25 * 0.5 ** i for i in range(len(deltas))]
         samples = tuple(gg.DistanceSample(r=r, delta_ab=d, delta_ba=0.0,
-                                          floor=floor)
+                                          floor_ab=floor, floor_ba=math.inf)
                         for r, d in zip(radii, deltas))
-        return eq._fit_decay(samples, "A<=B", lambda d: d.delta_ab)
+        return eq._fit_decay(samples, "A<=B")
 
     @pytest.mark.parametrize("deltas", [
         pytest.param([0.0] * 8, id="all_at_floor"),
@@ -373,6 +400,20 @@ class TestDecisionRule:
         assert est.r_squared == pytest.approx(1.0, abs=1e-12)
         assert not est.vanishing and est.below_floor == 0
         assert len(est.samples) == 8
+
+    def test_each_direction_reads_its_own_floor(self):
+        # the same cubic deviations both ways, one direction's floor above
+        # every one of them: that direction vanishes, the other fits 3
+        radii = [0.25 * 0.5 ** i for i in range(8)]
+        samples = tuple(gg.DistanceSample(r=r, delta_ab=r ** 3,
+                                          delta_ba=r ** 3, floor_ab=1e-9 * r,
+                                          floor_ba=1.0) for r in radii)
+        ab = eq._fit_decay(samples, "A<=B")
+        ba = eq._fit_decay(samples, "B<=A")
+        assert ab.slope == pytest.approx(3.0, abs=1e-12)
+        assert ab.below_floor == 0 and ab.direction == "A<=B"
+        assert ba.vanishing and ba.below_floor == 8
+        assert ba.direction == "B<=A"
 
 
 class TestHornCriterion:

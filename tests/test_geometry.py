@@ -363,9 +363,9 @@ class TestProjectMatchesReference:
         steps = gg._nearest_steps
         active = []
 
-        def counted(eqs, Y, T, r=None):
+        def counted(eqs, Y, T):
             active.append(len(Y))
-            return steps(eqs, Y, T, r)
+            return steps(eqs, Y, T)
 
         monkeypatch.setattr(gg, "_nearest_steps", counted)
 
@@ -477,9 +477,9 @@ class TestProjectMatchesReference:
             calls.append(("halved", cand[hit]))
             return cand, hit
 
-        def linearizing(eqs, X, r=None):
+        def linearizing(eqs, X):
             calls.append(("linearized", X.copy()))
-            return linearize(eqs, X, r)
+            return linearize(eqs, X)
 
         def renormalizing(X, r, fallback):
             # a batch of full steps, tried from the rows' positions
@@ -1046,14 +1046,13 @@ class TestIsolatedRadii:
         assert calls == ["isolated"]
 
 
-def _dedup_reference(points, cell):
-    """Grid-hash dedup as a dict loop: the first point of each cell, in
-    input order, with the cell's hit count."""
+def _dedup_reference(points):
+    """Exact-row dedup as a dict loop (0.0 and -0.0 hash alike): the first
+    of each group of equal rows, in input order, with the group's size."""
     seen = {}
     keep = []
     counts = []
-    cells = np.floor(points / cell).astype(np.int64)
-    for i, key in enumerate(map(tuple, cells)):
+    for i, key in enumerate(map(tuple, points)):
         j = seen.get(key)
         if j is None:
             seen[key] = len(keep)
@@ -1064,9 +1063,9 @@ def _dedup_reference(points, cell):
     return points[keep], np.array(counts)
 
 
-def _deduped(points, cell):
-    """The points the builder's grid keeps, and their counts."""
-    first, counts = gg._group_rows(np.floor(points / cell))
+def _deduped(points):
+    """The distinct rows the builder keeps, and their counts."""
+    first, counts = gg._group_rows(points)
     return points[first], counts
 
 
@@ -1077,52 +1076,43 @@ class TestDedup:
     def test_matches_loop(self, n, nvars, cell):
         rng = np.random.default_rng(n + nvars)
         pts = rng.uniform(-0.25, 0.25, size=(n, nvars))
-        # repeated rows and points on cell boundaries, both signs
+        # repeated rows, and points rounded to a grid of spacing cell,
+        # which makes more copies and zeros of both signs
         pts[n // 2:] = pts[: n - n // 2]
         pts[::7] = np.round(pts[::7] / cell) * cell
-        got_pts, got_counts = _deduped(pts, cell)
-        want_pts, want_counts = _dedup_reference(pts, cell)
+        got_pts, got_counts = _deduped(pts)
+        want_pts, want_counts = _dedup_reference(pts)
         assert np.array_equal(got_pts, want_pts)
         assert np.array_equal(got_counts, want_counts)
         assert got_counts.sum() == n
 
     @pytest.mark.parametrize("nvars,cell", [(2, 1e-3), (3, 0.05)])
     def test_matches_loop_far_from_origin(self, nvars, cell):
-        # coordinates near 1e4, where cell indices run to 1e7, both signs
+        # coordinates near 1e4, both signs
         rng = np.random.default_rng(nvars)
         pts = rng.uniform(-1.0, 1.0, size=(400, nvars))
         pts[:, 0] += 1e4
         pts[1::2, -1] -= 2e4
         pts[200:] = pts[:200]
         pts[::5] = np.round(pts[::5] / cell) * cell
-        got_pts, got_counts = _deduped(pts, cell)
-        want_pts, want_counts = _dedup_reference(pts, cell)
+        got_pts, got_counts = _deduped(pts)
+        want_pts, want_counts = _dedup_reference(pts)
         assert np.array_equal(got_pts, want_pts)
         assert np.array_equal(got_counts, want_counts)
         assert len(got_pts) < len(pts)
 
     def test_matches_loop_on_slice_samples(self, curves, surfaces):
         # accepted samples pile onto isolated slice points or spread along
-        # slice curves, at the cell size sample_slice uses
+        # slice curves
         r = 0.25
         for nvars, eqs in _corpus_systems(curves, surfaces):
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, 128, 0) * r, r)
             raw = raw[ok]
-            cell = _grid_cell_reference(raw)
-            got_pts, got_counts = _deduped(raw, cell)
-            want_pts, want_counts = _dedup_reference(raw, cell)
+            got_pts, got_counts = _deduped(raw)
+            want_pts, want_counts = _dedup_reference(raw)
             assert np.array_equal(got_pts, want_pts)
             assert np.array_equal(got_counts, want_counts)
-
-
-def _grid_cell_reference(raw):
-    """The dedup cell as every raw row's nearest-neighbour query over all
-    the rows: a quarter of the median gap, floored at the noise guard."""
-    if len(raw) < 2:
-        return gg._SPACING_GUARD / 4.0
-    gaps = cKDTree(raw).query(raw, k=2)[0][:, 1]
-    return max(float(np.median(gaps)), gg._SPACING_GUARD) / 4.0
 
 
 def _merge_reference(points, counts, tol):
@@ -1142,60 +1132,25 @@ def _merge_reference(points, counts, tol):
 
 
 def _slice_cloud_reference(r, raw):
-    """A slice cloud's grid survivors, and its points, counts and spacing,
-    from the reference cell, the dict-loop dedup, the plain-loop merge and
-    the median gap over a fresh k-d tree of the points."""
-    grid, counts = _dedup_reference(raw, _grid_cell_reference(raw))
-    pts, counts = _merge_reference(grid, counts, gg._STEP_ACCEPT * r)
+    """A slice cloud's distinct rows, and its points, counts and spacing,
+    from the dict-loop dedup, the plain-loop merge and the median gap over
+    a fresh k-d tree of the points."""
+    distinct, counts = _dedup_reference(raw)
+    pts, counts = _merge_reference(distinct, counts, gg._STEP_ACCEPT * r)
     spacing = gg._SPACING_GUARD
     if len(pts) >= 2:
         gaps = cKDTree(pts).query(pts, k=2)[0][:, 1]
         spacing = max(float(np.median(np.where(
             counts > 1, gg._SPACING_GUARD, gaps))), gg._SPACING_GUARD)
-    return grid, pts, counts, spacing
-
-
-def _hand_over_reference(raw, grid, pts):
-    """The k-d trees the builder makes for raw, by size, and the rows of
-    each neighbour query, under the hand-over rule; grid and pts are the
-    reference's grid survivors and cloud points.
-
-    At most half the rows with an exact copy: a tree over the distinct
-    rows and a query of them all, then, if the grid dropped any, a tree
-    over the grid survivors and a query of the ``lost`` survivors whose
-    nearest distinct row was dropped (if any). Otherwise one tree over the
-    grid survivors and a query of them, and ``lost`` is None. A merge adds
-    a tree over the merged points and a query of them. A lone point is
-    never queried."""
-    groups = {}
-    for i, row in enumerate(map(tuple, raw)):
-        groups.setdefault(row, []).append(i)
-    copied = sum(len(g) for g in groups.values() if len(g) > 1)
-    lost = None
-    if len(raw) >= 2 and copied <= len(raw) // 2:
-        trees, queries, lost = [len(groups)], [len(groups)], 0
-        if len(grid) < len(groups):
-            distinct = raw[[g[0] for g in groups.values()]]
-            near = cKDTree(distinct).query(grid, k=2)[1][:, 1]
-            kept = set(map(tuple, grid))
-            lost = sum(tuple(distinct[j]) not in kept for j in near)
-            trees.append(len(grid))
-            if lost:
-                queries.append(lost)
-    else:
-        trees, queries = [len(grid)], [len(grid)] if len(grid) > 1 else []
-    if len(pts) < len(grid):
-        trees.append(len(pts))
-        if len(pts) > 1:
-            queries.append(len(pts))
-    return trees, queries, lost
+    return distinct, pts, counts, spacing
 
 
 def _built(monkeypatch, r, raw):
-    """The cloud of raw at radius r, the size of each k-d tree it builds,
-    the rows of each neighbour query and the reference's ``lost`` count
-    (see _hand_over_reference); checked against the reference cloud and
-    the hand-over rule."""
+    """The cloud of raw at radius r, the size of each k-d tree it builds
+    and the rows of each neighbour query, checked against the reference
+    cloud and the rule: one tree over the distinct rows and one query of
+    them, and after a merge one more tree over the merged points and a
+    query of them. A lone point is never queried."""
     trees, queries = [], []
 
     class CountingTree(cKDTree):
@@ -1210,14 +1165,15 @@ def _built(monkeypatch, r, raw):
     with monkeypatch.context() as m:
         m.setattr(gg, "cKDTree", CountingTree)
         cloud = gg._slice_cloud(r, 1.0, len(raw), raw)
-    grid, want_pts, _, want_spacing = _slice_cloud_reference(r, raw)
+    distinct, want_pts, _, want_spacing = _slice_cloud_reference(r, raw)
     assert np.array_equal(cloud.points, want_pts)
     assert cloud.spacing == want_spacing
     assert np.array_equal(cloud.tree.data, cloud.points)
-    want_trees, want_queries, lost = _hand_over_reference(raw, grid,
-                                                          want_pts)
-    assert (trees, queries) == (want_trees, want_queries)
-    return cloud, trees, queries, lost
+    want = [len(distinct)] + ([len(want_pts)] if len(want_pts) < len(distinct)
+                              else [])
+    assert trees == want
+    assert queries == [n for n in want if n > 1]
+    return cloud, trees, queries, distinct
 
 
 def _copies_raw(n, copied, nvars=2, seed=0):
@@ -1234,44 +1190,42 @@ def _copies_raw(n, copied, nvars=2, seed=0):
 
 
 class TestGridCell:
-    """The builder's grid cell equals the one a k-d tree query over every
-    raw row gives, bit for bit, without building that tree: the cloud
-    equals the reference's, built on the reference cell."""
+    """The builder's one k-d tree is over the distinct raw rows, and the
+    cloud equals the reference's, bit for bit (see _built)."""
 
     @pytest.mark.parametrize("npoints", [128, 2000])
     @pytest.mark.parametrize("r", [0.25, 2.0 ** -8])
     def test_matches_reference_on_slice_samples(self, curves, surfaces, r,
                                                 npoints, monkeypatch):
-        # surface slices are continuum clouds of distinct rows, whose
-        # neighbour query the cloud reuses; the grid drops a few of their
-        # rows, so some kept points are queried again
-        handed = requeried = 0
+        # surface slices are continuum clouds of distinct rows, kept whole;
+        # curve slices pile copies onto isolated points, which merge
+        kept = merged = 0
         for nvars, eqs in _corpus_systems(curves, surfaces):
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, npoints, 0) * r, r)
-            lost = _built(monkeypatch, r, raw[ok])[3]
-            handed += lost is not None
-            requeried += bool(lost)
-        assert handed > 0
-        assert requeried > 0
+            cloud, _, _, distinct = _built(monkeypatch, r, raw[ok])
+            kept += len(cloud) == ok.sum() > 100
+            merged += len(cloud) < len(distinct)
+        assert kept > 0
+        assert merged > 0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
     def test_all_copies(self, n, monkeypatch):
         raw = np.tile([[0.1, -0.2]], (n, 1))
-        assert _grid_cell_reference(raw) == gg._SPACING_GUARD / 4.0
-        cloud, trees, _, _ = _built(monkeypatch, 0.25, raw)
+        cloud, trees, queries, _ = _built(monkeypatch, 0.25, raw)
         assert len(cloud) == min(n, 1)
-        assert trees == [min(n, 1)]
+        assert trees == [min(n, 1)] and queries == []
 
     @pytest.mark.parametrize("n", [9, 10, 255, 256])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_half_the_rows_copied(self, n, extra, monkeypatch):
-        # n//2 rows with a copy leave the median to the lone rows' gaps;
-        # one more makes it 0, and no tree is built before the grid
-        raw = _copies_raw(n, n // 2 + extra, seed=n)
-        assert ((_grid_cell_reference(raw) == gg._SPACING_GUARD / 4.0)
-                == bool(extra))
-        assert (_built(monkeypatch, 0.25, raw)[3] is None) == bool(extra)
+        # however many rows have a copy, the one tree is over the distinct
+        # rows: n minus the copies beyond the first of each group
+        copied = n // 2 + extra
+        raw = _copies_raw(n, copied, seed=n)
+        cloud, trees, _, _ = _built(monkeypatch, 0.25, raw)
+        groups = copied // 2
+        assert trees == [n - copied + groups] == [len(cloud)]
 
     def test_signed_zeros_are_copies(self, monkeypatch):
         raw = np.array([[0.0, 0.1], [-0.0, 0.1], [0.0, -0.1],
@@ -1279,10 +1233,9 @@ class TestGridCell:
         first, sizes = gg._group_rows(raw)
         assert first.tolist() == [0, 2, 3, 5]
         assert sizes.tolist() == [2, 1, 2, 1]
-        # four of six rows copied: no tree before the grid; two of five:
-        # one over the four distinct rows
-        assert _built(monkeypatch, 0.25, raw)[3] is None
-        assert _built(monkeypatch, 0.25, raw[[0, 2, 3, 5, 1]])[1][0] == 4
+        # one tree over the four distinct rows, whichever comes first
+        assert _built(monkeypatch, 0.25, raw)[1] == [4]
+        assert _built(monkeypatch, 0.25, raw[[0, 2, 3, 5, 1]])[1] == [4]
 
     @pytest.mark.parametrize("copied", [0, 3, 50, 51])
     def test_one_variable(self, copied, monkeypatch):
@@ -1291,7 +1244,7 @@ class TestGridCell:
 
     def test_no_tree_over_piled_up_copies(self, curves, monkeypatch):
         # exp_curve meets the sphere in two points, so its accepted samples
-        # are copies of two points; the cell needs no tree over them
+        # are copies of two points; no tree is built over them all
         tree_sizes, raw_sizes = [], []
 
         def counting_tree(data, *args, **kw):
@@ -1319,10 +1272,7 @@ def _circle_raw(n, r=0.25, seed=0):
 
 class TestSliceCloud:
     """A slice cloud equals the reference's, bit for bit, and builds the
-    trees and queries the hand-over rule names (see _built): when at most
-    half the raw rows have a copy, the grid cell's query hands over the
-    kept points' gaps, and only the points whose nearest distinct row was
-    dropped are queried again."""
+    trees and queries the rule names (see _built)."""
 
     def test_nothing_dropped_builds_one_tree(self, monkeypatch):
         raw = _circle_raw(500)
@@ -1331,29 +1281,29 @@ class TestSliceCloud:
         assert trees == queries == [len(raw)]
 
     def test_copies_are_queried_once(self, monkeypatch):
-        # exact copies of 20 points: the distinct rows' one query gives
-        # both the cell and the kept points' gaps
+        # exact copies of 20 points: one query of the distinct rows gives
+        # the cloud's gaps
         circle = _circle_raw(500)
         raw = np.concatenate([circle, circle[::25]])
         cloud, trees, queries, _ = _built(monkeypatch, 0.25, raw)
         assert np.array_equal(cloud.points, circle)
         assert trees == queries == [len(circle)]
 
-    def test_dropped_neighbours_are_queried_again(self, monkeypatch):
-        # near-copies a few 1e-9 apart fall in one cell, so dedup drops the
-        # nearest raw row of the copy it keeps
+    def test_near_copies_above_the_merge_tolerance_are_kept(self,
+                                                            monkeypatch):
+        # near-copies a few 1e-9 apart are distinct points, far above the
+        # merge tolerance _STEP_ACCEPT * r; the spacing is the median gap,
+        # so ten close pairs leave it at the circle's
         raw = _circle_raw(500)
         raw[1::50] = raw[::50] * (1.0 + 1e-8)
-        cloud, trees, queries, lost = _built(monkeypatch, 0.25, raw)
-        assert len(cloud) < len(raw)
-        assert 0 < lost <= 10
-        assert trees == [len(raw), len(cloud)]
-        assert queries == [len(raw), lost]
+        cloud, trees, queries, _ = _built(monkeypatch, 0.25, raw)
+        assert np.array_equal(cloud.points, raw)
+        assert trees == queries == [len(raw)]
+        assert cloud.spacing > 1e-4
 
 
 class TestSliceCloudFarFromOrigin:
-    """Dedup cells far from the origin are told apart: no integer cast
-    wraps them onto each other."""
+    """Slices far from the origin keep their points."""
 
     SETS = make_collection(
         {"vars": ["x", "y"], "omega": 1e5,
@@ -1388,19 +1338,19 @@ class TestMergeClose:
         pts[1::5] = pts[::5][: len(pts[1::5])] * (1.0 + 4e-16)
         pts[::7] = np.round(pts[::7] / tol) * tol
         r = tol / gg._STEP_ACCEPT
-        cloud = _built(monkeypatch, r, pts)[0]
-        assert len(cloud) < len(_slice_cloud_reference(r, pts)[0]) or n == 1
+        cloud, _, _, distinct = _built(monkeypatch, r, pts)
+        assert len(cloud) < len(distinct) or n == 1
 
     def test_matches_loop_on_slice_samples(self, curves, surfaces,
                                            monkeypatch):
         # accepted samples, at the tolerance sample_slice merges them
-        # with; copies of isolated slice points straddle cell borders
+        # with; copies of isolated slice points differ in their last bits
         r, merged = 0.25, 0
         for nvars, eqs in _corpus_systems(curves, surfaces):
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, 128, 1) * r, r)
-            cloud = _built(monkeypatch, r, raw[ok])[0]
-            merged += len(cloud) < len(_slice_cloud_reference(r, raw[ok])[0])
+            cloud, _, _, distinct = _built(monkeypatch, r, raw[ok])
+            merged += len(cloud) < len(distinct)
         assert merged > 0
 
     @pytest.mark.parametrize("npoints", [256, 2000])
@@ -1453,6 +1403,52 @@ def _circle_roots(part, r, grid=200_000):
     for q in part.ineqs:
         keep &= ex.eval_many(q, X) >= 0.0
     return X[keep]
+
+
+def _curve_distance(part, P, grid=20_001):
+    """Each row of P's distance to the germ of the plane curve part, found
+    with no Gauss-Newton: the least |gamma(t) - p| over the critical points
+    of t -> |gamma(t) - p|^2, refined by brentq from sign changes of
+    gamma'(t).(gamma(t) - p) on a grid of t, and the ends t = 0 and the
+    domain's lower end. gamma parametrizes the graph y = phi(x) of the
+    part's first equation y - phi(x) (phi read from it on the axis y = 0),
+    or, for y^2 - x^3, the cusp as (t^2, t^3); a part with an inequality,
+    x >= 0, takes t >= 0."""
+    f = part.eqs[0]
+    probe = np.linspace(-0.5, 0.5, 101)
+
+    def at(x, y):
+        return ex.eval_many(f, np.column_stack([x, y]))
+
+    if np.allclose(at(probe, probe * 0.0 + 2.0) - at(probe, probe * 0.0),
+                   2.0, rtol=0.0, atol=1e-12):
+        def gamma(t):
+            phi, grad = ex.value_and_grad_many(
+                f, np.column_stack([t, np.zeros_like(t)]))
+            return (np.column_stack([t, -phi]),
+                    np.column_stack([np.ones_like(t), -grad[:, 0]]))
+    else:
+        def gamma(t):
+            return (np.column_stack([t * t, t ** 3]),
+                    np.column_stack([2.0 * t, 3.0 * t * t]))
+        assert np.abs(at(*gamma(probe)[0].T)).max() <= 1e-15
+
+    lo = 0.0 if part.ineqs else -0.5
+    t = np.linspace(lo, 0.5, grid)
+    G, dG = gamma(t)
+    out = []
+    for p in P:
+        def slope(u):
+            Gu, dGu = gamma(np.atleast_1d(u))
+            return float((Gu[0] - p) @ dGu[0])
+
+        v = ((G - p) * dG).sum(axis=1)
+        ts = [lo, 0.0, *t[v == 0.0]]
+        ts += [brentq(slope, t[i], t[i + 1], xtol=1e-300,
+                      rtol=4.0 * np.finfo(float).eps)
+               for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)]
+        out.append(np.linalg.norm(gamma(np.array(ts))[0] - p, axis=1).min())
+    return np.array(out)
 
 
 # non-reduced lines in the plane, each with the unit direction it spans
@@ -1544,38 +1540,30 @@ class TestSliceOracle:
                                   (d.delta_ba, directed(Q, P))):
                     assert abs(got - want) <= 1e-12 * d.r, (a, b, d.r)
 
-    def test_slice_maxima_match_the_roots(self, curves, shared_cache):
-        # the early-stopped maximum kernel on B's slice: at every radius,
-        # both ways, A's largest distance to B's exact slice points, found
+    def test_germ_maxima_match_the_curves(self, curves, fresh_cache):
+        # the early-stopped maximum kernel, at every radius and both ways:
+        # A's largest distance to B's germ, found along B's parametrization
         # with no Gauss-Newton, within the solver's acceptance
         radii = ga.RadiiSchedule(0.25).radii()
-        roots = {}
-        germ_zeros = []
+        got = {}
         for a, b, _ in self.CURVE_PAIRS:
             for x, y in ((a, b), (b, a)):
                 sx, sy = curves.get(x), curves.get(y)
                 clouds = gg.sample_slices(sx, radii, npoints=256, seed=0,
-                                          cache=shared_cache)
-                got = gg._max_dists(clouds, sy, 256, 0, shared_cache,
-                                    on_slice=True)
-                germ = gg._max_dists(clouds, sy, 256, 0, shared_cache)
-                for r, c, d, dg in zip(radii, clouds, got, germ):
-                    if (y, r) not in roots:
-                        roots[y, r] = np.concatenate(
-                            [_circle_roots(p, r) for p in sy.parts])
-                    assert len(c) and len(roots[y, r]), (x, y, r)
-                    want = cdist(c.points, roots[y, r]).min(axis=1).max()
+                                          cache=fresh_cache)
+                maxima = gg._max_dists(clouds, sy, 256, 0, fresh_cache)
+                for r, c, d in zip(radii, clouds, maxima):
+                    want = _curve_distance(sy.parts[0], c.points).max()
                     assert abs(d - want) <= gg._NEAREST_ACCEPT * r, (x, y, r)
-                    if dg == 0.0 < want:
-                        germ_zeros.append((x, y, r))
-                        # today's germ distance reads these clouds as
-                        # members of B by membership's absolute tolerance
-                        # (ROADMAP item 5), not as points at distance 0
-                        assert gs.membership_mask(sy, c.points).all()
-        # exp_curve's slice points are members of trunc2 at r = 2^-9, where
-        # they deviate from its slice by 1.6e-7 r
-        assert ("exp_curve", "trunc2", 2.0 ** -9) in germ_zeros
-        assert ("trunc2", "exp_curve", 2.0 ** -9) in germ_zeros
+                    got[x, y, r] = d
+        # exp_curve's slice points lie 1.6e-7 r from trunc2's germ at
+        # r = 2^-9, and are members of trunc2 by membership's absolute
+        # tolerance; the distance reads no membership
+        r = 2.0 ** -9
+        for x, y in (("exp_curve", "trunc2"), ("trunc2", "exp_curve")):
+            assert got[x, y, r] > 1e-7 * r
+            clouds = gg.sample_slices(curves.get(x), [r], cache=fresh_cache)
+            assert gs.membership_mask(curves.get(y), clouds[0].points).all()
 
     @pytest.mark.parametrize("f,direction", NON_REDUCED_LINES)
     def test_oracle_finds_non_reduced_roots(self, f, direction):
@@ -1785,9 +1773,26 @@ class TestDistToSet:
         assert self._dist([0.0, 0.2], p, cache=shared_cache) == \
             pytest.approx(0.2, abs=1e-9)
 
+    @staticmethod
+    def _to_parabola(a, b):
+        """The distance from (a, b) to {y = x^2} at 50 digits: the nearest
+        point's x solves 4x^3 + (2 - 4b)x - 2a = 0, whose real root near a
+        is the one for a point near the parabola's arm."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            x = mpmath.findroot(lambda x: 4 * x ** 3 + (2 - 4 * b) * x - 2 * a,
+                                a)
+            return float(mpmath.sqrt((x - a) ** 2 + (x * x - b) ** 2))
+
     def test_member_distance_zero(self, curves, shared_cache):
+        # the float point (0.2, 0.04) lies 6.9e-18 off the parabola, far
+        # below the solver's floor; membership's 0 is not read
         p = curves.get("parabola")
-        assert self._dist([0.2, 0.04], p, cache=shared_cache) == 0.0
+        want = self._to_parabola(0.2, 0.04)
+        assert 0.0 < want < 1e-17
+        got = self._dist([0.2, 0.04], p, cache=shared_cache)
+        assert abs(got - want) <= gg._NEAREST_ACCEPT * math.hypot(0.2, 0.04)
 
     def test_matches_variational_oracle(self, curves, shared_cache):
         # nearest point of {y = x^2} to (a, b) solves 4x^3 + (2-4b)x - 2a = 0
@@ -1811,7 +1816,21 @@ class TestDistToSet:
         out = ga.dist_to_set_batch(X, curves.get("parabola"),
                                    cache=shared_cache)
         assert out.shape == (2,)
-        assert out[1] == 0.0
+        for x, d in zip(X, out):
+            want = self._to_parabola(*x)
+            assert abs(d - want) <= gg._NEAREST_ACCEPT * np.linalg.norm(x)
+
+    def test_member_by_tolerance_is_not_at_distance_zero(self, fresh_cache):
+        # the points of y = 1.5x on the sphere r = 2^-9 are members of
+        # {y (y - 2x)^2 = 0} by membership's absolute tolerance, but lie
+        # 0.5 / sqrt(16.25) r from its line y = 2x, a double factor
+        b = _one_part_set(["y*(y - 2*x)^2"], [])
+        r = 2.0 ** -9
+        X = ga.sample_slice(_one_part_set(["y - 1.5*x"], []), r,
+                            cache=fresh_cache).points
+        assert len(X) == 2 and gs.membership_mask(b, X).all()
+        got = ga.dist_to_set_batch(X, b, cache=fresh_cache)
+        assert np.abs(got - 0.5 / math.sqrt(16.25) * r).max() <= 1e-9 * r
 
     def test_rows_outside_the_domain_are_not_members(self, fresh_cache):
         # log1p(100x) is nan for x < -0.01, where a start takes no step;
@@ -1847,8 +1866,6 @@ def _dist_reference(X, s, npoints, seed, cache):
     query must reproduce."""
     X = np.asarray(X, dtype=float)
     best = np.full(len(X), math.inf)
-    member = gs.membership_mask(s, X)
-    best[member] = 0.0
     norms = np.linalg.norm(X, axis=-1)
     if any(p.through_origin for p in s.parts):
         best = np.minimum(best, norms)
@@ -1865,16 +1882,24 @@ def _dist_reference(X, s, npoints, seed, cache):
         D = cdist(X, cloud.points)
         best = np.minimum(best, D.min(axis=1))
         near_idx = np.argsort(D, axis=1)[:, :min(3, len(cloud.points))]
-    todo = np.flatnonzero(~member)
+    todo = np.arange(len(X))
     ineq_tol = 1e-8 * np.maximum(1.0, norms)
     # the landing: three Gauss-Newton steps from the query onto a part's
     # own equations, kept at a point of the ball that meets the part's
     # inequalities where the residual is finite, the next step is at most
     # tol = 1e-9 |x| and |f| <= |J|_F tol: the solver's acceptance, written
-    # out here rather than read from _nearest_on_variety
+    # out here rather than read from _nearest_on_variety. A part without
+    # equations keeps the query where it meets the inequalities
     for part in s.parts:
         eqs = gg._normalize_system(part.eqs)
+        if eqs is None:
+            continue
         if not eqs:
+            land = np.linalg.norm(X, axis=1) <= s.omega * (1.0 + 1e-9)
+            for g in part.ineqs:
+                vals = ex.eval_many(g, X)
+                land &= np.isfinite(vals) & (vals >= -ineq_tol)
+            best[land] = 0.0
             continue
         Y = x = X[todo]
         for _ in range(3):
@@ -1896,7 +1921,7 @@ def _dist_reference(X, s, npoints, seed, cache):
     for part in s.parts:
         for eqs, rest in gg._part_strata(part, gg._DIST_DEPTH):
             eqs = gg._normalize_system(eqs)
-            if not eqs:
+            if eqs is None:
                 continue
             starts, targets, owners = [X[todo]], [X[todo]], [todo]
             if near_idx is not None:
@@ -1907,7 +1932,8 @@ def _dist_reference(X, s, npoints, seed, cache):
             S0 = np.concatenate(starts, axis=0)
             T0 = np.concatenate(targets, axis=0)
             own = np.concatenate(owners, axis=0)
-            Y, ok = gg._nearest_on_variety(eqs, S0, T0)
+            Y, ok = (gg._nearest_on_variety(eqs, S0, T0) if eqs
+                     else (S0, np.ones(len(S0), dtype=bool)))
             Y, T0, own = Y[ok], T0[ok], own[ok]
             keep = np.linalg.norm(Y, axis=-1) <= s.omega * (1.0 + 1e-9)
             for g in rest:
@@ -2017,9 +2043,9 @@ def _count_refined(monkeypatch):
     calls = []
     refine = gg._refine
 
-    def counted(X, s, best, starts, run, r=None):
+    def counted(X, s, best, starts, run):
         calls.append(int(run.sum()))
-        return refine(X, s, best, starts, run, r)
+        return refine(X, s, best, starts, run)
 
     monkeypatch.setattr(gg, "_refine", counted)
     return calls
@@ -2114,18 +2140,18 @@ class TestMaxDist:
         assert set(run[~big].sum(axis=1)) == {4}
         assert 0 < sum(refined)
 
-    def test_early_stop_runs_a_minority(self, surfaces, shared_cache,
+    def test_early_stop_runs_a_minority(self, surfaces, fresh_cache,
                                         monkeypatch):
         g = surfaces.get("graph_exp")
         b = gs.truncate_eqs(g, 1)
         cloud = ga.sample_slice(g, 0.25, npoints=1000, seed=0,
-                                cache=shared_cache)
+                                cache=fresh_cache)
         X = cloud.points
         calls = _count_refined(monkeypatch)
-        ga.dist_to_set_batch(X, b, npoints=1000, seed=0, cache=shared_cache)
+        ga.dist_to_set_batch(X, b, npoints=1000, seed=0, cache=fresh_cache)
         (full,) = calls
         calls.clear()
-        gg._max_dists([cloud], b, 1000, 0, shared_cache)
+        gg._max_dists([cloud], b, 1000, 0, fresh_cache)
         # every row lands, and the first chunk of 8 rows (4 starts each)
         # already holds the maximum
         assert np.isfinite(gg._landing(X, b)).all()
@@ -2262,16 +2288,17 @@ class TestMaxDist:
         ("curves", "exp_union", "t3_union"),
         ("surfaces", "graph_exp", "graph_exp~h1"),
     ])
-    def test_any_screen_keeps_the_maximum(self, request, shared_cache,
+    def test_any_screen_keeps_the_maximum(self, request, fresh_cache,
                                           monkeypatch, coll, a, b):
         # the bound picks only which rows go first: with no row landing,
-        # so each bound is the cloud distance, the maximum is still exact
+        # so each bound is the cloud distance, the maximum is still exact.
+        # A fresh cache holds no maximum computed with the landings
         sets = request.getfixturevalue(coll)
         monkeypatch.setattr(gg, "_landing",
-                            lambda X, s, r=None: np.full(len(X), math.inf))
+                            lambda X, s: np.full(len(X), math.inf))
         a, b = _get(sets, a), _get(sets, b)
         for x, y in ((a, b), (b, a)):
-            self._check_schedule(x, y, shared_cache, self.RADII[::3])
+            self._check_schedule(x, y, fresh_cache, self.RADII[::3])
 
 
 def _space_set(parts):
@@ -2279,43 +2306,32 @@ def _space_set(parts):
                             "sets": {"s": {"parts": parts}}}).get("s")
 
 
-def _to_circle(P, r, normal):
-    """Each row of P's nearest point on the great circle of radius r in
-    the plane through the origin with this normal."""
-    n = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
-    Q = P - np.outer(P @ n, n)
-    return r * Q / np.linalg.norm(Q, axis=1)[:, None]
+def _to_plane(P):
+    """Distances from P to the plane {z = 0}."""
+    return np.abs(P[:, 2])
 
 
-def _to_plane_slice(P, r):
-    """Distances from P to the slice of {z = 0}: the circle."""
-    return np.linalg.norm(P - _to_circle(P, r, [0, 0, 1]), axis=1)
+def _to_half(P):
+    """Distances from P to the half-plane {z = 0, x >= 0}: to the plane
+    where x >= 0, else to the edge x = z = 0."""
+    return np.hypot(np.minimum(P[:, 0], 0.0), P[:, 2])
 
 
-def _to_half_slice(P, r):
-    """Distances from P to the slice of {z = 0, x >= 0}: a half circle,
-    nearest at the projection where x >= 0, else at an endpoint."""
-    ends = np.array([[0.0, r, 0.0], [0.0, -r, 0.0]])
-    to_end = np.linalg.norm(P[:, None] - ends, axis=2).min(axis=1)
-    return np.where(P[:, 0] >= 0.0, _to_plane_slice(P, r), to_end)
-
-
-def _to_union_slice(P, r):
-    """Distances from P to the slice of {z = 0, x >= 0} u {z = x}."""
-    return np.minimum(_to_half_slice(P, r), np.linalg.norm(
-        P - _to_circle(P, r, [1, 0, -1]), axis=1))
+def _to_union(P):
+    """Distances from P to {z = 0, x >= 0} u {z = x}."""
+    return np.minimum(_to_half(P), np.abs(P[:, 2] - P[:, 0]) / math.sqrt(2.0))
 
 
 class TestSliceDistances:
-    """The maximum kernel with the sphere row measures distances to a set's
-    slice on each row's sphere, below the spacing of the set's cloud."""
+    """The maximum kernel measures distances from slice points to a set's
+    germ, below the spacing of the set's cloud, against closed forms."""
 
     RADII = [0.25 * 2.0 ** -k for k in range(8)]
     SETS = {
-        "plane": ([{"eqs": ["z"]}], _to_plane_slice),
-        "half": ([{"eqs": ["z"], "ineqs": ["x"]}], _to_half_slice),
+        "plane": ([{"eqs": ["z"]}], _to_plane),
+        "half": ([{"eqs": ["z"], "ineqs": ["x"]}], _to_half),
         "union": ([{"eqs": ["z"], "ineqs": ["x"]}, {"eqs": ["z - x"]}],
-                  _to_union_slice),
+                  _to_union),
     }
 
     @classmethod
@@ -2331,17 +2347,15 @@ class TestSliceDistances:
 
     @staticmethod
     def _row_dists(clouds, s, cache):
-        """Each cloud point's distance to s's slice on its cloud's sphere,
-        by the kernel's candidates and refinement, all clouds stacked."""
+        """Each cloud point's distance to s's germ, by the kernel's
+        candidates and refinement, all clouds stacked."""
         X = np.concatenate([c.points for c in clouds])
         sizes = [len(c) for c in clouds]
         ends = np.cumsum(sizes)
-        r = np.repeat([c.r for c in clouds], sizes)
         groups = [(np.arange(end - len(c), end), c.r, c)
                   for c, end in zip(clouds, ends)]
-        best, starts, run = gg._dist_candidates(X, s, groups, 256, 0, cache,
-                                                r)
-        gg._refine(X, s, best, starts, run, r)
+        best, starts, run = gg._dist_candidates(X, s, groups, 256, 0, cache)
+        gg._refine(X, s, best, starts, run)
         return best
 
     @pytest.mark.parametrize("name", list(SETS))
@@ -2350,7 +2364,7 @@ class TestSliceDistances:
         s = _space_set(parts)
         clouds = self._clouds()
         r = np.concatenate([np.full(len(c), c.r) for c in clouds])
-        want = np.concatenate([closed(c.points, c.r) for c in clouds])
+        want = np.concatenate([closed(c.points) for c in clouds])
         got = self._row_dists(clouds, s, shared_cache)
         assert (np.abs(got - want) <= 1e-12 * r).all()
         # the distance to s's cloud alone is off by far more
@@ -2358,18 +2372,16 @@ class TestSliceDistances:
             s, c.r, npoints=256, seed=0, cache=shared_cache))[0][:, 0]
             for c in clouds])
         assert (np.abs(near - want) / r).max() > 1e-3
-        maxima = gg._max_dists(clouds, s, 256, 0, shared_cache,
-                               on_slice=True)
+        maxima = gg._max_dists(clouds, s, 256, 0, shared_cache)
         for d, c in zip(maxima, clouds):
-            assert abs(d - closed(c.points, c.r).max()) <= 1e-12 * c.r
+            assert abs(d - closed(c.points).max()) <= 1e-12 * c.r
 
     @pytest.mark.parametrize("name", list(SETS))
     def test_stacked_radii_like_one_call_each(self, shared_cache, name):
         s = _space_set(self.SETS[name][0])
         clouds = self._clouds()
-        stacked = gg._max_dists(clouds, s, 256, 0, shared_cache,
-                                on_slice=True)
-        alone = [gg._max_dists([c], s, 256, 0, shared_cache, on_slice=True)[0]
+        stacked = gg._max_dists(clouds, s, 256, 0, shared_cache)
+        alone = [gg._max_dists([c], s, 256, 0, shared_cache)[0]
                  for c in clouds]
         assert stacked == alone
         rows = self._row_dists(clouds, s, shared_cache)
@@ -2391,12 +2403,11 @@ class TestSliceDistances:
                                  tree=cKDTree(X[i:i + 1]))
             assert np.array_equal(self._row_dists([lone], s, shared_cache),
                                   rows[i:i + 1])
-            assert gg._max_dists([lone], s, 256, 0, shared_cache,
-                                 on_slice=True) == [rows[i]]
+            assert gg._max_dists([lone], s, 256, 0, shared_cache) == [rows[i]]
 
     def test_part_without_equations(self, fresh_cache):
-        # the half-plane y >= 0 in the plane: its slice is a half circle,
-        # which a point of the circle lies on or is nearest at an endpoint
+        # the half-plane y >= 0 in the plane: a point in it keeps its own
+        # position, at distance 0; one outside is nearest at (x, 0)
         s = _one_part_set([], ["y"])
         r = 0.125
         angles = np.linspace(-3.0, 3.0, 61)
@@ -2404,25 +2415,23 @@ class TestSliceDistances:
         cloud = gg.SliceCloud(r=r, points=X, converged_fraction=1.0,
                               spacing=gg._SPACING_GUARD, attempts=len(X),
                               tree=cKDTree(X))
-        ends = np.array([[r, 0.0], [-r, 0.0]])
-        want = np.where(X[:, 1] >= 0.0, 0.0, np.linalg.norm(
-            X[:, None] - ends, axis=2).min(axis=1))
+        want = np.maximum(-X[:, 1], 0.0)
         got = self._row_dists([cloud], s, fresh_cache)
         assert (np.abs(got - want) <= 1e-12 * r).all()
+        assert (got[X[:, 1] >= 0.0] == 0.0).all()
 
     @pytest.mark.parametrize("h,order", [(1, 2.0), (2, 3.0), (3, 4.0)])
     def test_graph_exp_truncation_orders(self, surfaces, shared_cache, h,
                                          order):
         # B's cloud at 1000 points is spaced about 2.5e-3 r apart, which
-        # hides these deviations at most radii; its slice does not
+        # hides these deviations at most radii; its germ does not
         g = surfaces.get("graph_exp")
         b = gs.truncate_eqs(g, h)
         radii = np.array(ga.RadiiSchedule(0.25).radii())
         for x, y in ((g, b), (b, g)):
             clouds = gg.sample_slices(x, radii, npoints=1000, seed=0,
                                       cache=shared_cache)
-            d = np.array(gg._max_dists(clouds, y, 1000, 0, shared_cache,
-                                       on_slice=True))
+            d = np.array(gg._max_dists(clouds, y, 1000, 0, shared_cache))
             above = d > gg._NEAREST_ACCEPT * radii
             assert above.sum() >= 6
             slope = np.polyfit(np.log(radii[above]), np.log(d[above]), 1)[0]
@@ -2694,8 +2703,7 @@ class TestCloudReuse:
         def queries():
             return [k for k in cache._store if k[0] == "neighbours"]
 
-        d = gg._distance_sample(0.25, a, b, cache)
-        assert d.delta_ab == d.delta_ba == 0.0
+        assert gg._deviation(a, b, cache) == gg._deviation(b, a, cache) == 0.0
         # a cloud against its own copy: one query for both directions
         assert queries() == [("neighbours", a.key, a.key)]
         assert gg._cloud_neighbours(b, c, cache) is \
@@ -2703,6 +2711,39 @@ class TestCloudReuse:
         assert gg._cloud_neighbours(c, b, cache) is \
             gg._cloud_neighbours(c, a, cache)
         assert len(queries()) == 3
+
+    def test_one_maximum_per_cloud_and_set(self, surfaces, monkeypatch):
+        # the cache holds each cloud's largest distance to a set, keyed on
+        # the cloud's content, the set, npoints and seed: a second call
+        # and a copy of the cloud find no row to measure; a cloud with no
+        # key stores nothing
+        g = surfaces.get("graph_exp")
+        b = gs.truncate_eqs(g, 2)
+        cache = ga.SliceCache()
+        clouds = gg.sample_slices(g, [0.25, 0.125], npoints=256, cache=cache)
+        copy = gg.sample_slices(_inflate(g), [0.125], npoints=256,
+                                cache=cache)[0]
+        assert copy.points is clouds[1].points
+        rows = []
+        candidates = gg._dist_candidates
+
+        def counted(X, *args):
+            rows.append(len(X))
+            return candidates(X, *args)
+
+        monkeypatch.setattr(gg, "_dist_candidates", counted)
+        first = gg._max_dists(clouds, b, 256, 0, cache)
+        assert rows == [sum(len(c) for c in clouds)]
+        assert gg._max_dists([copy, clouds[0]], b, 256, 0, cache) == \
+            first[::-1]
+        gg._max_dists(clouds, b, 128, 0, cache)
+        assert rows[1:] == [sum(len(c) for c in clouds)]
+        keys = len(cache._store)
+        bare = gg.SliceCloud(r=0.25, points=clouds[0].points,
+                             converged_fraction=1.0, spacing=clouds[0].spacing,
+                             attempts=1, tree=clouds[0].tree)
+        assert gg._max_dists([bare], b, 256, 0, cache) == first[:1]
+        assert len(rows) == 3 and len(cache._store) == keys
 
     def test_shared_arrays_are_read_only(self, curves):
         cache = ga.SliceCache()
