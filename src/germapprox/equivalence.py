@@ -332,19 +332,21 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     limit fit.
 
     Only that largest distance counts. Each sample's distance to B is first
-    bounded without the solver, by B's origin, its cloud, and the point a
-    few Gauss-Newton steps from the sample land on B. The solver then runs
-    on each radius's samples by falling bound, in growing chunks, until no
-    bound left exceeds the largest distance found; it only lowers a
-    distance, so the samples it skips cannot hold the maximum (see
-    ``geometry._max_dists``). All radii go in one batch. Each sample
-    measures against B's cloud at its slice's schedule radius, the cloud
-    the limit fit measured it against, and its nearest points there come
-    from the neighbour query the cache holds for that pair of clouds. The
-    cache also holds each radius's maximum: where B's slice is a
-    continuum, :func:`deviation_profile` on the same cache has computed it
-    already. Where the slice's median norm is that radius, each maximum is
-    the one :func:`dist_to_set_batch` on the slice gives, bit for bit.
+    bounded without the solver or a neighbour query: 0 for a point of B's
+    cloud, else by B's origin and the point a few Gauss-Newton steps from
+    the sample land on B (by its distance to B's cloud where it does not
+    land). The solver then runs on each radius's samples by falling bound,
+    in growing chunks, until no bound left exceeds the largest distance
+    found; it only lowers a distance, so the samples it skips cannot hold
+    the maximum (see ``geometry._max_dists``). All radii go in one batch.
+    Each sample measures against B's cloud at its slice's schedule radius,
+    the cloud the limit fit measured it against, and only a chunk's
+    samples are queried in that cloud's k-d tree, for their distance to it
+    and their nearest points there. The cache holds each radius's maximum:
+    where B's slice is a continuum, :func:`deviation_profile` on the same
+    cache has computed it already. Where the slice's median norm is that
+    radius, each maximum is the one :func:`dist_to_set_batch` on the slice
+    gives, bit for bit.
     """
     clouds = _clouds(a, config, cache)
     dmaxes = _max_dists(clouds, b, config.npoints, config.seed, cache)

@@ -16,9 +16,11 @@ direction clouds, and a numeric dimension estimate.
 One nearest-point solver measures distances from points to a set's germ,
 and one early-stopped kernel takes the largest such distance from each of
 several clouds (:func:`_max_dists`), the one distance both the limit fit
-and the horn criterion read where the target's slice is a continuum. Each
-distance is to a point the solver found on the set, never a membership
-test, whose tolerance is not a distance.
+and the horn criterion read where the target's slice is a continuum. It
+bounds each point without a neighbour query, and asks the set's cloud's
+k-d tree only about the points it refines. Each distance is to a point the
+solver found on the set, never a membership test, whose tolerance is not a
+distance.
 
 An empty slice is a cloud with no points: nothing deviates from it,
 everything lies infinitely far from it, and it has no tangent directions.
@@ -31,8 +33,8 @@ cloud given its radius and accepted samples; a thread-safe cache keyed on
 exactly those values makes repeated comparisons against the same set, and
 sets that share strata or samples, cheap and bit-stable. It
 holds geometry only: clouds, projections, the neighbour queries between
-clouds and each cloud's largest distance to a set, never a set name or an
-error.
+clouds whose deviation is measured cloud to cloud, and each cloud's largest
+distance to a set, never a set name or an error.
 """
 from __future__ import annotations
 
@@ -155,7 +157,9 @@ class SliceCloud:
     are equal bit for bit share those three objects (the points read-only)
     and differ only in ``converged_fraction`` and ``attempts``; the cache
     keys the neighbour query between two clouds on both content keys (see
-    :func:`_cloud_neighbours`).
+    :func:`_cloud_neighbours`). Where a radius's samples are one stratum's
+    accepted points, none filtered out and none merged, the points are
+    that stratum's cached array itself, not a copy.
     """
 
     r: float
@@ -198,10 +202,12 @@ class SliceCache:
     the accepted points of each stratum's sphere projection, so sets that
     share a stratum project it once, of each distinct point set's cloud,
     so sets with equal samples build one cloud, of the neighbour query
-    of one point set in another's tree, so the limit fit and the horn
-    criterion query each ordered pair of distinct point sets once (a cloud
-    against its own copy once for both directions), and of each cloud's
-    largest distance to a set's germ, so they run the solver on each
+    of one point set in another's tree where the limit fit measures a
+    deviation cloud to cloud (a target slice of isolated points), so each
+    ordered pair of distinct point sets is queried once (a cloud against
+    its own copy once for both directions), and of each cloud's largest
+    distance to a set's germ, so the limit fit and the horn criterion run
+    the distance kernel, and its queries of the target's tree, on each
     direction once."""
 
     def __init__(self):
@@ -635,7 +641,7 @@ def _slice_cloud(r: float, fraction: float, attempts: int,
     is kept. Only the points with a gap within it are clustered, one ball
     query per kept point, and the tree is rebuilt only after a merge."""
     kept, counts = _group_rows(raw)
-    points = raw.take(kept, axis=0)
+    points = raw if len(kept) == len(raw) else raw.take(kept, axis=0)
     tree = cKDTree(points)
     gaps = (tree.query(points, k=2)[0][:, 1] if len(points) > 1
             else np.full(len(points), np.inf))
@@ -825,6 +831,7 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
             owner = np.repeat(np.arange(len(entries)),
                               [len(pts) for pts in entries.values()])
             pts = np.concatenate(list(entries.values()))
+            total = len(pts)
             ineq_tol = 1e-10 * np.maximum(1.0, np.array(list(entries)))[owner]
             for g in rest:
                 if len(pts) == 0:
@@ -836,8 +843,10 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
                 # belt and braces: every sample must read back as a member
                 keep = membership_mask(s, pts)
                 pts, owner = pts[keep], owner[keep]
-            for i, r in enumerate(entries):
-                mine = pts[owner == i]
+            for i, (r, entry) in enumerate(entries.items()):
+                # where no row was filtered out, a radius's samples are its
+                # stratum entry itself, not a copy of it
+                mine = entry if len(pts) == total else pts[owner == i]
                 if len(mine):
                     collected[r].append(mine)
 
@@ -845,7 +854,8 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
     for r in todo:
         fraction = (primary_accepted[r] / primary_total if primary_total
                     else 0.0)
-        raw = (np.concatenate(collected[r], axis=0) if collected[r]
+        raw = (collected[r][0] if len(collected[r]) == 1
+               else np.concatenate(collected[r], axis=0) if collected[r]
                else np.zeros((0, s.nvars)))
         digest = hashlib.blake2b(repr(raw.shape).encode(), digest_size=16)
         digest.update(np.ascontiguousarray(raw))
@@ -909,8 +919,9 @@ def _cloud_neighbours(ca: SliceCloud, cb: SliceCloud,
     result on both clouds' content keys, so a cloud against its own copy is
     one query for both directions. A cloud without a key is queried
     afresh. Column 0 is each point's distance to B's cloud, bit for bit
-    what a k=1 query gives, so the limit fit's deviation and the horn
-    criterion's bound and multistart read one query. Neither cloud may be
+    what a k=1 query gives. Only :func:`_deviation` reads it, for a target
+    slice of isolated points; the distance kernel queries B's tree only
+    about the rows it refines (:func:`_multistart`). Neither cloud may be
     empty."""
     if ca.key is None or cb.key is None:
         return _neighbours(ca.points, cb)
@@ -1030,60 +1041,87 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     if not np.isfinite(X).all():
         raise GeometryError("query points must be finite")
     r_cloud = float(np.median(_row_norm(X))) if len(X) else 0.0
-    best, starts, run = _dist_candidates(
-        X, s, [(np.arange(len(X)), r_cloud, None)], npoints, seed, cache)
-    _refine(X, s, best, starts, run)
+    best, near, _ = _bounds(X, s, [(np.arange(len(X)), r_cloud)], npoints,
+                            seed, cache)
+    _refine(X, s, best, *_multistart(X, best, near))
     return best
 
 
-def _dist_candidates(X: np.ndarray, s: SemianalyticSet, groups,
-                     npoints: int, seed: int, cache: SliceCache | None):
-    """The candidates of :func:`dist_to_set_batch` that need no tangential
-    iteration, for rows X in ``groups`` of (rows, r, cloud): the rows
-    ``rows`` of X take the set's cloud at radius r, and ``cloud`` is None
-    or the slice cloud those rows are, in order, whose neighbour query the
-    cache may hold already (:func:`_cloud_neighbours`). Without one, the
-    rows are queried in the set's cloud's tree.
+def _on_cloud(X: np.ndarray, cloud: SliceCloud) -> np.ndarray:
+    """Mask of the rows of X that are points of the cloud (0.0 equals
+    -0.0), the rows at distance 0 from it. The first coordinate screens the
+    rows, and only the rows it passes are compared whole."""
+    hit = np.isin(X[:, 0], cloud.points[:, 0])
+    if hit.any():
+        row = np.dtype((np.void, X.itemsize * X.shape[1]))
 
-    Returns ``best``, each row's least candidate distance so far: the least
-    of its norm (when a part passes through the origin), its distance to
-    the nearest point of its cloud and its landing distance
-    (:func:`_landing`, the solver with no tangential iteration);
-    ``starts``, shape (N, k, n), each row's multistart: itself, then its
-    nearest cloud points, padded with copies of itself where its cloud has
-    fewer than k - 1 points; and ``run``, shape (N, k), the unpadded starts
-    of every row whose ``best`` is above 0. Refinement only lowers
+        def whole(A):
+            # + 0.0 turns -0.0 into 0.0, so equal rows have equal bytes
+            return np.ascontiguousarray(A + 0.0).view(row).ravel()
+
+        hit[hit] = np.isin(whole(X[hit]), whole(cloud.points))
+    return hit
+
+
+def _bounds(X: np.ndarray, s: SemianalyticSet, groups, npoints: int,
+            seed: int, cache: SliceCache | None):
+    """Each row's bound on its distance to the germ of s that needs no
+    neighbour query, for rows X in ``groups`` of (rows, r): the rows
+    ``rows`` of X take the set's cloud at radius r.
+
+    Returns ``best``: 0 for a row that is a point of its cloud
+    (:func:`_on_cloud`), which lands nowhere closer; for the others the
+    least of its norm (when a part passes through the origin) and its
+    landing distance (:func:`_landing`, the solver with no tangential
+    iteration); ``near``, each group's rows and cloud (None where the set
+    has no points at r); and ``far``, the mask of the rows that did not
+    land. Each candidate is a distance to a point of the set, so the
+    cloud distance (:func:`_multistart`) and refinement only lower
     ``best``.
     """
     best = np.full(len(X), math.inf)
     if any(p.through_origin for p in s.parts):
         best = _row_norm(X)
-
     near = []
-    for rows, radius, own in groups:
-        if not 0.0 < radius <= s.omega:
-            continue
-        try:
-            cloud = sample_slice(s, float(radius), npoints=npoints,
-                                 seed=seed, cache=cache)
-        except EmptySliceError:
-            continue
-        dists, idx = (_neighbours(X[rows], cloud) if own is None
-                      else _cloud_neighbours(own, cloud, cache))
-        best[rows] = np.minimum(best[rows], dists[:, 0])
-        near.append((rows, cloud.points[idx]))
-    k = 1 + max((pts.shape[1] for _, pts in near), default=0)
-    starts = np.repeat(X[:, None], k, axis=1)
-    count = np.ones(len(X))
-    for rows, pts in near:
-        starts[rows, 1:pts.shape[1] + 1] = pts
-        count[rows] += pts.shape[1]
-    # a row already at distance 0 (a point of the set's cloud) lands nowhere
-    # closer
+    for rows, radius in groups:
+        cloud = None
+        if 0.0 < radius <= s.omega:
+            try:
+                cloud = sample_slice(s, float(radius), npoints=npoints,
+                                     seed=seed, cache=cache)
+            except EmptySliceError:
+                pass
+            else:
+                best[rows[_on_cloud(X[rows], cloud)]] = 0.0
+        near.append((rows, cloud))
     live = np.flatnonzero(best > 0.0)
-    best[live] = np.minimum(best[live], _landing(X[live], s))
-    run = (np.arange(k) < count[:, None]) & (best > 0.0)[:, None]
-    return best, starts, run
+    landed = _landing(X[live], s)
+    best[live] = np.minimum(best[live], landed)
+    far = np.zeros(len(X), dtype=bool)
+    far[live[np.isinf(landed)]] = True
+    return best, near, far
+
+
+def _multistart(X: np.ndarray, best: np.ndarray, near):
+    """For the rows and cloud of each pair in ``near`` (a cloud of None: the
+    set has no points there), lower ``best`` in place to each row's
+    distance to the cloud, and return those rows' multistart, flat: ``own``,
+    the row of X each start is for, and ``starts``, each row itself and
+    then its nearest cloud points (:func:`_neighbours`), for every row
+    whose ``best`` is still above 0. Only the rows in ``near`` meet the
+    cloud's tree."""
+    own, starts = [np.zeros(0, dtype=np.intp)], [X[:0]]
+    for rows, cloud in near:
+        own.append(rows)
+        starts.append(X[rows])
+        if cloud is not None and rows.size:
+            dists, idx = _neighbours(X[rows], cloud)
+            best[rows] = np.minimum(best[rows], dists[:, 0])
+            own.append(np.repeat(rows, idx.shape[1]))
+            starts.append(cloud.points[idx.ravel()])
+    own, starts = np.concatenate(own), np.concatenate(starts)
+    keep = best[own] > 0.0
+    return own[keep], starts[keep]
 
 
 def _in_germ(Y: np.ndarray, ineqs, omega: float, X: np.ndarray):
@@ -1135,15 +1173,13 @@ def _landing(X: np.ndarray, s: SemianalyticSet) -> np.ndarray:
 
 
 def _refine(X: np.ndarray, s: SemianalyticSet, best: np.ndarray,
-            starts: np.ndarray, run: np.ndarray) -> None:
+            own: np.ndarray, starts: np.ndarray) -> None:
     """Lower ``best`` in place by constrained refinement onto every boundary
-    stratum of every part, from the ``starts`` that the (N, k) mask ``run``
-    picks."""
-    own, col = np.nonzero(run)
+    stratum of every part, from each of ``starts`` toward its row
+    ``own`` of X."""
     if not own.size:
         return
-    for ok, d in _solved(s, _DIST_DEPTH, starts[own, col], X[own],
-                         _NEAREST_ITERS):
+    for ok, d in _solved(s, _DIST_DEPTH, starts, X[own], _NEAREST_ITERS):
         np.minimum.at(best, own[ok], d)
 
 
@@ -1151,32 +1187,36 @@ def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
                cache: SliceCache | None) -> list[float]:
     """The largest distance from a point of each slice cloud of ``clouds``
     to the germ of s (0.0 for an empty cloud), with the nearest-point
-    solver run only on the points that can hold a maximum.
+    solver run, and the set's cloud queried, only on the points that can
+    hold a maximum.
 
     The cache holds each cloud's maximum, keyed on its content key, s's
-    signature, ``npoints`` and ``seed`` (as :func:`_cloud_neighbours` holds
-    a neighbour query), so the limit fit and the horn criterion compute a
-    direction once; a cloud without a key is computed afresh.
+    signature, ``npoints`` and ``seed``, so the limit fit and the horn
+    criterion compute a direction once; a cloud without a key is computed
+    afresh.
 
     Each cloud's points take the set's cloud at the cloud's own radius
-    ``r``, and their neighbours in it from the query the cache holds for
-    that pair of clouds (see :func:`_cloud_neighbours`). A cloud whose
-    median norm is r so gets ``max(dist_to_set_batch(cloud.points, s,
-    ...))`` bit for bit; one whose median norm is an ulp or two off r (a
-    curve's slice of a few points can be) still measures against the cloud
-    at r, which the limit fit also used, not against a cloud sampled at the
-    off-schedule radius.
+    ``r``. A cloud whose median norm is r so gets ``max(dist_to_set_batch(
+    cloud.points, s, ...))`` bit for bit; one whose median norm is an ulp
+    or two off r (a curve's slice of a few points can be) still measures
+    against the cloud at r, which the limit fit also used, not against a
+    cloud sampled at the off-schedule radius.
 
-    Every row's bound is its least candidate that needs no tangential
-    iteration (see :func:`_dist_candidates`). The solver runs every start
-    of each cloud's rows by falling bound, in chunks of ``_FIRST_CHUNK``
-    rows and 4 times the last chunk after that, and a cloud stops at the
-    first row whose bound is at most its largest distance refined so far.
-    Refinement only lowers a distance, so no row left out can exceed that
-    maximum; a poor bound costs time, not bits. The clouds not in the cache
-    are stacked, so one call finds every candidate and one solver call runs
-    each round's chunks. Rows never mix, so every row gets the bits of a
-    call on its cloud alone.
+    Every row's bound is a candidate that needs no neighbour query (see
+    :func:`_bounds`): 0 for a point of the set's cloud, else its landing
+    distance or norm. A row that does not land also takes its cloud
+    distance at once, so a target where nothing lands (a non-reduced
+    equation) still has bounds to screen by. The rows of each cloud then
+    come by falling bound, in chunks of ``_FIRST_CHUNK`` rows and 4 times
+    the last chunk after that, and a cloud stops at the first row whose
+    bound is at most its largest distance refined so far. A chunk's rows
+    are queried in the set's cloud's tree (:func:`_multistart`), and the
+    solver runs every start of those whose distance is still above that
+    maximum. Refinement only lowers a distance, so no row left out can
+    exceed the maximum; a poor bound costs time, not bits. The clouds not
+    in the cache are stacked, so one call finds every bound and one solver
+    call runs each round's chunks. Rows never mix, so every row gets the
+    bits of a call on its cloud alone.
     """
     if cache is None:
         cache = _DEFAULT_CACHE
@@ -1192,9 +1232,15 @@ def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
     batch = np.repeat(np.arange(len(clouds)), sizes)
     X = np.concatenate([c.points for c in clouds])
     ends = np.cumsum(sizes)
-    groups = [(np.arange(end - len(c), end), c.r, c)
+    groups = [(np.arange(end - len(c), end), c.r)
               for c, end in zip(clouds, ends) if len(c)]
-    best, starts, run = _dist_candidates(X, s, groups, npoints, seed, cache)
+    best, near, far = _bounds(X, s, groups, npoints, seed, cache)
+
+    def multistart(mask):
+        return _multistart(X, best, [(rows[mask[rows]], cloud)
+                                     for rows, cloud in near])
+
+    early = multistart(far)
     # each row's rank within its batch, largest bound first
     rank = np.empty(len(X), dtype=np.intp)
     rank[np.lexsort((-best, batch))] = np.arange(len(X))
@@ -1208,7 +1254,12 @@ def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
         pick = (rank >= lo) & (rank < lo + size) & (best > dmax[batch])
         if not pick.any():
             break
-        _refine(X, s, best, starts, run & pick[:, None])
+        own, starts = (np.concatenate(a) for a in zip(
+            early, multistart(pick & ~far)))
+        # the cloud distance may take a row to the maximum already
+        pick &= best > dmax[batch]
+        go = pick[own]
+        _refine(X, s, best, own[go], starts[go])
         np.maximum.at(dmax, batch[pick], best[pick])
         lo, size = lo + size, 4 * size
     np.maximum.at(dmax, batch, best)

@@ -59,6 +59,9 @@ class BasicPresentation:
     eqs: tuple[Expr, ...]
     ineqs: tuple[Expr, ...] = ()
     through_origin: bool = True
+    # signature() computes it on the first call
+    _signature: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         if self.nvars < 1:
@@ -83,13 +86,16 @@ class BasicPresentation:
                         + _excerpt(ex.to_string(g, self.nvars)))
 
     def signature(self) -> tuple:
-        """Hashable identity used for caching sampled slices."""
-        names = ex._resolve_names(self.nvars)
-        return (
-            self.nvars,
-            tuple(ex.to_string(e, names) for e in self.eqs),
-            tuple(ex.to_string(g, names) for g in self.ineqs),
-        )
+        """Hashable identity used for caching sampled slices, printed once
+        per presentation."""
+        if self._signature is None:
+            names = ex._resolve_names(self.nvars)
+            object.__setattr__(self, "_signature", (
+                self.nvars,
+                tuple(ex.to_string(e, names) for e in self.eqs),
+                tuple(ex.to_string(g, names) for g in self.ineqs),
+            ))
+        return self._signature
 
     def is_polynomial(self) -> bool:
         return all(ex.is_polynomial(e) for e in self.eqs + self.ineqs)

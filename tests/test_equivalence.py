@@ -105,10 +105,10 @@ class TestOrderFits:
         for est in (est_ab, est_ba):
             assert est.slope == pytest.approx(3.0, abs=0.05)
         measured = []
-        candidates = gg._dist_candidates
-        monkeypatch.setattr(gg, "_dist_candidates",
+        bounds = gg._bounds
+        monkeypatch.setattr(gg, "_bounds",
                             lambda X, *a: measured.append(len(X))
-                            or candidates(X, *a))
+                            or bounds(X, *a))
         horn = ga.horn_criterion(g, b, 2.5, quick_config, cache)
         assert measured == []
         assert [d.delta_ab for d in horn.estimate.samples] == \
@@ -473,9 +473,11 @@ def _field_reprs(v):
 
 
 class TestSharedNeighbourQuery:
-    """The limit fit and the horn criterion read one neighbour query per
-    ordered pair of slice clouds, made in each cloud's own k-d tree, and
-    get the bits of queries made afresh."""
+    """The limit fit and the horn criterion query each slice cloud's own
+    k-d tree: once per ordered pair of clouds where the target's slice is
+    isolated points, and where it is a continuum only about the rows the
+    distance kernel refines. Every answer has the bits of a query made
+    afresh."""
 
     def test_one_tree_per_cloud_one_query_per_pair(self, surfaces,
                                                    quick_config, monkeypatch):
@@ -487,8 +489,9 @@ class TestSharedNeighbourQuery:
                 built.append(self.data.tobytes())
 
             def query(self, x, *args, **kw):
-                queried.append((self.data.tobytes(), np.asarray(x).tobytes()))
-                return super().query(x, *args, **kw)
+                out = super().query(x, *args, **kw)
+                queried.append((self.data.tobytes(), np.array(x), out))
+                return out
 
         monkeypatch.setattr(gg, "cKDTree", CountingTree)
         g = surfaces.get("graph_exp")
@@ -508,8 +511,23 @@ class TestSharedNeighbourQuery:
             for c in (ca, cb):
                 assert built.count(c.points.tobytes()) == 1
             for x, y in ((ca, cb), (cb, ca)):
-                pair = (y.points.tobytes(), x.points.tobytes())
-                assert queried.count(pair) == 1
+                # both slices are continua, so x's rows meet y's tree only
+                # where the distance kernel refines them: never all of x,
+                # each row once, each answer a row of a fresh full query
+                fresh = cKDTree(y.points).query(
+                    x.points, k=list(range(1, min(3, len(y)) + 1)))
+                at = {p.tobytes(): i for i, p in enumerate(x.points)}
+                rows = []
+                for tree, q, (dists, idx) in queried:
+                    if tree != y.points.tobytes() or \
+                            q.tobytes() == y.points.tobytes():
+                        continue
+                    assert q.tobytes() != x.points.tobytes()
+                    mine = [at[p.tobytes()] for p in q]
+                    assert np.array_equal(dists, fresh[0][mine])
+                    assert np.array_equal(idx, fresh[1][mine])
+                    rows += mine
+                assert 0 < len(set(rows)) == len(rows) < len(x)
 
     @pytest.mark.parametrize("a,b", CURVE_PAIRS)
     def test_shared_query_matches_a_fresh_one(self, curves, quick_config,

@@ -2043,9 +2043,9 @@ def _count_refined(monkeypatch):
     calls = []
     refine = gg._refine
 
-    def counted(X, s, best, starts, run):
-        calls.append(int(run.sum()))
-        return refine(X, s, best, starts, run)
+    def counted(X, s, best, own, starts):
+        calls.append(len(own))
+        return refine(X, s, best, own, starts)
 
     monkeypatch.setattr(gg, "_refine", counted)
     return calls
@@ -2070,18 +2070,20 @@ class TestMaxDist:
 
     RADII = ga.RadiiSchedule(0.25).radii()
 
-    def _check_schedule(self, x, y, cache, radii=RADII):
+    def _check_schedule(self, x, y, cache, radii=RADII, npoints=256):
         """One ``_max_dists`` call over x's clouds at ``radii`` against
         ``dist_to_set_batch`` at each radius (0.0 for an empty cloud). Each
         cloud's median norm is its radius, so both take y's cloud there."""
-        clouds = gg.sample_slices(x, radii, npoints=256, seed=0, cache=cache)
-        got = gg._max_dists(clouds, y, 256, 0, cache)
+        clouds = gg.sample_slices(x, radii, npoints=npoints, seed=0,
+                                  cache=cache)
+        got = gg._max_dists(clouds, y, npoints, 0, cache)
         want = []
         for c in clouds:
             if len(c):
                 assert np.median(np.linalg.norm(c.points, axis=1)) == c.r
             want.append(float(np.max(ga.dist_to_set_batch(
-                c.points, y, npoints=256, seed=0, cache=cache), initial=0.0)))
+                c.points, y, npoints=npoints, seed=0, cache=cache),
+                initial=0.0)))
         assert got == want, (x.name, y.name)
         return clouds
 
@@ -2126,19 +2128,62 @@ class TestMaxDist:
         clouds = self._check_schedule(a, b, fresh_cache)
         assert [len(c) > 0 for c in clouds] == [True] * 3 + [False] * 5
         # the rows at 0.25 and 0.125 have 1 + 2 starts, those at 0.0625
-        # 1 + 3; only real starts are refined, never a padded copy
+        # 1 + 3; each row gets its own cloud's neighbours, no padding
         X = np.concatenate([c.points for c in clouds])
         sizes = [len(c) for c in clouds]
         ends = np.cumsum(sizes)
-        groups = [(np.arange(end - len(c), end), c.r, c)
+        groups = [(np.arange(end - len(c), end), c.r)
                   for c, end in zip(clouds[:3], ends)]
-        _, starts, run = gg._dist_candidates(X, b, groups, 256, 0,
-                                             fresh_cache)
-        assert starts.shape[1] == 4
+        best, near, _ = gg._bounds(X, b, groups, 256, 0, fresh_cache)
+        own, _ = gg._multistart(X, best, near)
+        starts = np.bincount(own, minlength=len(X))
         big = np.repeat([c.r for c in clouds], sizes) > 0.1
-        assert set(run[big].sum(axis=1)) == {3}
-        assert set(run[~big].sum(axis=1)) == {4}
+        assert set(starts[big]) == {3}
+        assert set(starts[~big]) == {4}
         assert 0 < sum(refined)
+
+    @pytest.mark.parametrize("coll,a,b", [
+        ("surfaces", "graph_exp", "graph_exp~h1"),
+        ("surfaces", "graph_exp", "graph_exp~h2"),
+        ("surfaces", "graph_exp", "graph_exp~h3"),
+        ("surfaces", "graph_exp~h2", "graph_exp"),
+        # each of A's slice points is a point of B's cloud
+        ("curves", "halfline", "line"),
+    ])
+    def test_neighbours_only_for_refined_rows(self, request, fresh_cache,
+                                              monkeypatch, coll, a, b):
+        # the bounds need no neighbour query: only the rows of the chunks
+        # the screen refines meet B's tree, and a point of B's cloud is at
+        # distance 0 without a landing
+        sets = request.getfixturevalue(coll)
+        a, b = _get(sets, a), _get(sets, b)
+        on_b = {(p + 0.0).tobytes() for c in gg.sample_slices(
+            b, self.RADII, npoints=1000, seed=0, cache=fresh_cache)
+            for p in c.points}
+        asked, landed = [], []
+        neighbours, landing = gg._neighbours, gg._landing
+
+        def counted_neighbours(X, cloud):
+            asked.append(len(X))
+            return neighbours(X, cloud)
+
+        def counted_landing(X, s):
+            landed.extend((x + 0.0).tobytes() for x in X)
+            return landing(X, s)
+
+        clouds = gg.sample_slices(a, self.RADII, npoints=1000, seed=0,
+                                  cache=fresh_cache)
+        monkeypatch.setattr(gg, "_neighbours", counted_neighbours)
+        monkeypatch.setattr(gg, "_landing", counted_landing)
+        gg._max_dists(clouds, b, 1000, 0, fresh_cache)
+        rows = sum(len(c) for c in clouds)
+        assert sum(asked) <= rows / 4
+        assert not on_b.intersection(landed)
+        if a.name == "halfline":
+            assert asked == landed == []
+        monkeypatch.undo()
+        fresh_cache.clear()
+        self._check_schedule(a, b, fresh_cache, npoints=1000)
 
     def test_early_stop_runs_a_minority(self, surfaces, fresh_cache,
                                         monkeypatch):
@@ -2173,10 +2218,10 @@ class TestMaxDist:
         rows = np.flatnonzero((norms > r) & (full > 0.0))[:40]
         assert rows.size and np.median(norms[rows]) != r
         keys = len(fresh_cache._store)
-        got, starts, run = gg._dist_candidates(
-            X[rows], b, [(np.arange(rows.size), r, None)], 1000, 0,
-            fresh_cache)
-        gg._refine(X[rows], b, got, starts, run)
+        Y = X[rows]
+        got, near, _ = gg._bounds(Y, b, [(np.arange(rows.size), r)], 1000, 0,
+                                  fresh_cache)
+        gg._refine(Y, b, got, *gg._multistart(Y, got, near))
         assert np.array_equal(got, full[rows])
         assert len(fresh_cache._store) == keys
 
@@ -2259,7 +2304,8 @@ class TestMaxDist:
                                                       fresh_cache,
                                                       monkeypatch):
         # on a squared equation Gauss-Newton converges only linearly, so no
-        # row lands and each row's bound is its cloud distance
+        # row lands and each row's bound is its cloud distance, from one
+        # neighbour query of every row before the screen
         squared = _one_part_set(["(z - x^2)^2"], [], nvars=3)
         cloud = ga.sample_slice(surfaces.get("plane_z"), 0.25, npoints=256,
                                 seed=0, cache=fresh_cache)
@@ -2270,8 +2316,13 @@ class TestMaxDist:
                                                  seed=0, cache=fresh_cache)))
         (full,) = calls
         calls.clear()
+        asked = []
+        neighbours = gg._neighbours
+        monkeypatch.setattr(gg, "_neighbours", lambda Y, c: asked.append(
+            len(Y)) or neighbours(Y, c))
         assert gg._max_dists([cloud], squared, 256, 0, fresh_cache) == [want]
         assert 0 < sum(calls) < full / 4
+        assert asked == [len(X)]
 
     def test_factors_of_mixed_multiplicity(self, fresh_cache):
         # near the double line y = 2x of B Gauss-Newton converges linearly,
@@ -2352,10 +2403,10 @@ class TestSliceDistances:
         X = np.concatenate([c.points for c in clouds])
         sizes = [len(c) for c in clouds]
         ends = np.cumsum(sizes)
-        groups = [(np.arange(end - len(c), end), c.r, c)
+        groups = [(np.arange(end - len(c), end), c.r)
                   for c, end in zip(clouds, ends)]
-        best, starts, run = gg._dist_candidates(X, s, groups, 256, 0, cache)
-        gg._refine(X, s, best, starts, run)
+        best, near, _ = gg._bounds(X, s, groups, 256, 0, cache)
+        gg._refine(X, s, best, *gg._multistart(X, best, near))
         return best
 
     @pytest.mark.parametrize("name", list(SETS))
@@ -2725,13 +2776,13 @@ class TestCloudReuse:
                                 cache=cache)[0]
         assert copy.points is clouds[1].points
         rows = []
-        candidates = gg._dist_candidates
+        bounds = gg._bounds
 
         def counted(X, *args):
             rows.append(len(X))
-            return candidates(X, *args)
+            return bounds(X, *args)
 
-        monkeypatch.setattr(gg, "_dist_candidates", counted)
+        monkeypatch.setattr(gg, "_bounds", counted)
         first = gg._max_dists(clouds, b, 256, 0, cache)
         assert rows == [sum(len(c) for c in clouds)]
         assert gg._max_dists([copy, clouds[0]], b, 256, 0, cache) == \
