@@ -32,8 +32,8 @@ stratum's projection given (its system, radius, npoints, seed), and each
 cloud given its radius and accepted samples; a thread-safe cache keyed on
 exactly those values makes repeated comparisons against the same set, and
 sets that share strata or samples, cheap and bit-stable. It
-holds geometry only: clouds, projections, the neighbour queries between
-clouds whose deviation is measured cloud to cloud, and each cloud's largest
+holds geometry only: clouds, projections, the deviation of one cloud from
+another where it is measured cloud to cloud, and each cloud's largest
 distance to a set, never a set name or an error.
 """
 from __future__ import annotations
@@ -91,9 +91,12 @@ _STALL_RUN = 6
 # Gauss-Newton iteration budgets: sphere projection, nearest-point search
 _PROJECT_ITERS = 50
 _NEAREST_ITERS = 40
-# the nearest-point search accepts a row whose last Gauss-Newton step is at
-# most this times |target| (see _nearest_on_variety); a distance to a germ
-# below this times r is within that tolerance, the horn criterion's floor
+# the nearest-point search stops a row once its step is at most
+# _NEAREST_TARGET times |target|, and accepts a row whose last Gauss-Newton
+# step is at most _NEAREST_ACCEPT times it (see _nearest_on_variety); a
+# distance to a germ below _NEAREST_ACCEPT times r is within that
+# tolerance, the horn criterion's floor
+_NEAREST_TARGET = 1e-14
 _NEAREST_ACCEPT = 1e-9
 # step fractions the sphere projection's line search tries after the full
 # step, in order and in two batches: 1/2 to 1/16 for the rows whose full
@@ -110,6 +113,10 @@ _LINE_SEARCH_TRIALS = 2048 * 21
 # a time for slices, up to two for distances to a germ
 SLICE_DEPTH = 1
 _DIST_DEPTH = 2
+# sample_slices keeps a sample where every inequality its stratum did not
+# promote reads at least -this times max(1, r); below r = 1 that is an
+# absolute tolerance
+_SLICE_INEQ_TOL = 1e-10
 
 
 class GeometryError(ValueError):
@@ -156,8 +163,8 @@ class SliceCloud:
     spacing and tree depend only on that key, so sets whose samples at r
     are equal bit for bit share those three objects (the points read-only)
     and differ only in ``converged_fraction`` and ``attempts``; the cache
-    keys the neighbour query between two clouds on both content keys (see
-    :func:`_cloud_neighbours`). Where a radius's samples are one stratum's
+    keys the deviation of one cloud from another on both content keys (see
+    :func:`_deviation`). Where a radius's samples are one stratum's
     accepted points, none filtered out and none merged, the points are
     that stratum's cached array itself, not a copy.
     """
@@ -201,14 +208,12 @@ class SliceCache:
     """Thread-safe memo of sampled slices, including empty outcomes, of
     the accepted points of each stratum's sphere projection, so sets that
     share a stratum project it once, of each distinct point set's cloud,
-    so sets with equal samples build one cloud, of the neighbour query
-    of one point set in another's tree where the limit fit measures a
-    deviation cloud to cloud (a target slice of isolated points), so each
-    ordered pair of distinct point sets is queried once (a cloud against
-    its own copy once for both directions), and of each cloud's largest
-    distance to a set's germ, so the limit fit and the horn criterion run
-    the distance kernel, and its queries of the target's tree, on each
-    direction once."""
+    so sets with equal samples build one cloud, of the deviation of one
+    point set from another where the limit fit measures it cloud to cloud
+    (a target slice of isolated points), one float per ordered pair of
+    point sets, and of each cloud's largest distance to a set's germ, so
+    the limit fit and the horn criterion run the distance kernel, and its
+    queries of the target's tree, on each direction once."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -832,7 +837,8 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
                               [len(pts) for pts in entries.values()])
             pts = np.concatenate(list(entries.values()))
             total = len(pts)
-            ineq_tol = 1e-10 * np.maximum(1.0, np.array(list(entries)))[owner]
+            ineq_tol = _SLICE_INEQ_TOL * np.maximum(
+                1.0, np.array(list(entries)))[owner]
             for g in rest:
                 if len(pts) == 0:
                     break
@@ -906,47 +912,34 @@ def directed_deviation(P: np.ndarray, Q: np.ndarray) -> float:
 
 def _neighbours(X: np.ndarray, cloud: SliceCloud):
     """The k = min(3, |cloud|) nearest cloud points to each row of X, from
-    the cloud's tree: distances and indices, shape (N, k), nearest first.
-    The cloud must not be empty."""
+    the cloud's tree: distances and indices, shape (N, k), nearest first,
+    the starts :func:`_multistart` adds to a row. The cloud must not be
+    empty."""
     # k as a list keeps both results 2-D even when the cloud is 1 point
     return cloud.tree.query(X, k=list(range(1, min(3, len(cloud)) + 1)))
 
 
-def _cloud_neighbours(ca: SliceCloud, cb: SliceCloud,
-                      cache: SliceCache | None):
-    """:func:`_neighbours` of A's points in B's cloud, queried once per
-    cache for each ordered pair of distinct point sets: the cache keys the
-    result on both clouds' content keys, so a cloud against its own copy is
-    one query for both directions. A cloud without a key is queried
-    afresh. Column 0 is each point's distance to B's cloud, bit for bit
-    what a k=1 query gives. Only :func:`_deviation` reads it, for a target
-    slice of isolated points; the distance kernel queries B's tree only
-    about the rows it refines (:func:`_multistart`). Neither cloud may be
-    empty."""
-    if ca.key is None or cb.key is None:
-        return _neighbours(ca.points, cb)
-    if cache is None:
-        cache = _DEFAULT_CACHE
-    key = ("neighbours", ca.key, cb.key)
-    hit = cache.lookup(key)
-    if hit is None:
-        hit = _neighbours(ca.points, cb)
-        # every caller of this cache reads these same arrays
-        for a in hit:
-            a.flags.writeable = False
-        cache.store(key, hit)
-    return hit
-
-
 def _deviation(ca: SliceCloud, cb: SliceCloud,
                cache: SliceCache | None) -> float:
-    """``directed_deviation(ca.points, cb.points)`` from the clouds' shared
-    neighbour query (see :func:`_cloud_neighbours`)."""
+    """``directed_deviation(ca.points, cb.points)``, bit for bit, from one
+    query of A's points in B's tree. The limit fit reads it where B's slice
+    is isolated points. The cache holds it under both clouds' content keys,
+    so each ordered pair of point sets is measured once (a cloud and its
+    copy are one pair); a cloud without a key is measured afresh."""
     if not len(ca):
         return 0.0
     if not len(cb):
         return math.inf
-    return float(np.max(_cloud_neighbours(ca, cb, cache)[0][:, 0]))
+    if cache is None:
+        cache = _DEFAULT_CACHE
+    keyed = ca.key is not None and cb.key is not None
+    key = ("deviation", ca.key, cb.key)
+    hit = cache.lookup(key) if keyed else None
+    if hit is None:
+        hit = float(np.max(cb.tree.query(ca.points)[0]))
+        if keyed:
+            cache.store(key, hit)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -973,8 +966,8 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
     to ``iters`` iterations pulls a row by the whole tangential part of its
     offset from the target and restores it onto the variety
     (:func:`_nearest_steps`). A row stops once its step is at most
-    ``1e-14·|target|``; the others go on. With ``iters`` = 0 a row only
-    lands: its point is where the Gauss-Newton steps leave it (see
+    ``_NEAREST_TARGET·|target|``; the others go on. With ``iters`` = 0 a
+    row only lands: its point is where the Gauss-Newton steps leave it (see
     :func:`_landing`). Rows never mix, so a row's result does not depend on
     the rows it shares the call with. With no equations every start is
     already on the variety, and stays where it is.
@@ -1002,7 +995,7 @@ def _nearest_on_variety(eqs, starts: np.ndarray, targets: np.ndarray,
         step = _nearest_steps(eqs, Y.take(idx, axis=0),
                               targets.take(idx, axis=0))
         Y[idx] += step
-        idx = idx[_row_norm(step) > 1e-14 * scale[idx]]
+        idx = idx[_row_norm(step) > _NEAREST_TARGET * scale[idx]]
     tol = _NEAREST_ACCEPT * scale
     vals, jacs, res = _linearize(eqs, Y)
     ok = np.isfinite(res)

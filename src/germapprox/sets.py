@@ -293,8 +293,7 @@ def membership_mask(s: SemianalyticSet, X: np.ndarray) -> np.ndarray:
             v = ex.eval_many(g, X)
             ok &= v >= -_MEMBER_TOL_INEQ * scale
         result |= ok
-    out = result
-    return bool(out[0]) if single else out
+    return bool(result[0]) if single else result
 
 
 # ---------------------------------------------------------------------------

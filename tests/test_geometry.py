@@ -2716,8 +2716,8 @@ def _inflate(s, m=1):
 
 class TestCloudReuse:
     """Sets whose accepted samples at a radius are equal bit for bit share
-    one cloud's points, spacing and tree, and one neighbour query per pair
-    of point sets; each keeps its own converged fraction and attempts."""
+    one cloud's points, spacing and tree, and one deviation per pair of
+    point sets; each keeps its own converged fraction and attempts."""
 
     @staticmethod
     def _same_as_fresh(s, cloud):
@@ -2744,24 +2744,55 @@ class TestCloudReuse:
             self._same_as_fresh(s, a)
             self._same_as_fresh(infl, b)
 
-    def test_one_query_per_pair_of_point_sets(self, curves):
+    def test_one_deviation_per_pair_of_point_sets(self, curves,
+                                                  monkeypatch):
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kw):
+                queried.append(len(x))
+                return super().query(x, *args, **kw)
+
+        monkeypatch.setattr(gg, "cKDTree", CountingTree)
         s = curves.get("exp_curve")
         cache = ga.SliceCache()
         a, b, c = (gg.sample_slices(x, [0.25], cache=cache)[0]
                    for x in (s, _inflate(s), curves.get("trunc2")))
         assert a.points is b.points and a.key != c.key
 
-        def queries():
-            return [k for k in cache._store if k[0] == "neighbours"]
+        def entries():
+            return {k: v for k, v in cache._store.items()
+                    if k[0] == "deviation"}
 
         assert gg._deviation(a, b, cache) == gg._deviation(b, a, cache) == 0.0
-        # a cloud against its own copy: one query for both directions
-        assert queries() == [("neighbours", a.key, a.key)]
-        assert gg._cloud_neighbours(b, c, cache) is \
-            gg._cloud_neighbours(a, c, cache)
-        assert gg._cloud_neighbours(c, b, cache) is \
-            gg._cloud_neighbours(c, a, cache)
-        assert len(queries()) == 3
+        # a cloud against its own copy: one entry for both directions
+        assert list(entries()) == [("deviation", a.key, a.key)]
+        # the part and its inflation share each entry against trunc2's
+        # cloud, in both directions
+        for x, y in ((a, c), (c, a), (b, c), (c, b)):
+            want = ga.directed_deviation(x.points, y.points)
+            assert gg._deviation(x, y, cache) == want
+        assert entries() == {
+            ("deviation", a.key, a.key): 0.0,
+            ("deviation", a.key, c.key):
+                ga.directed_deviation(a.points, c.points),
+            ("deviation", c.key, a.key):
+                ga.directed_deviation(c.points, a.points)}
+        # a repeat call reads the entry and asks no tree
+        queried.clear()
+        for x, y in ((a, b), (b, c), (c, b)):
+            gg._deviation(x, y, cache)
+        assert queried == []
+        # a cloud without a key is measured afresh and stores nothing
+        bare = gg.SliceCloud(r=0.25, points=a.points, converged_fraction=1.0,
+                             spacing=a.spacing, attempts=1, tree=a.tree)
+        keys = len(cache._store)
+        for x, y in ((bare, c), (c, bare)):
+            want = ga.directed_deviation(x.points, y.points)
+            queried.clear()
+            assert gg._deviation(x, y, cache) == want
+            assert len(queried) == 1
+        assert len(cache._store) == keys
 
     def test_one_maximum_per_cloud_and_set(self, surfaces, monkeypatch):
         # the cache holds each cloud's largest distance to a set, keyed on
@@ -2802,8 +2833,6 @@ class TestCloudReuse:
         assert not a.points.flags.writeable
         with pytest.raises(ValueError):
             a.points[0, 0] = 1.0
-        for arr in gg._cloud_neighbours(a, a, cache):
-            assert not arr.flags.writeable
 
 
 def _one_part_set(eqs, ineqs, nvars=2):
