@@ -52,11 +52,25 @@ class ApproxError(ValueError):
 
 
 class SearchExhausted(RuntimeError):
-    """No candidate within the configured order budget was accepted."""
+    """No candidate within the configured order budget was accepted.
+
+    ``best`` is the search's rejected entry with the largest fitted slope,
+    ``(m, candidate, verdict)`` or ``(h, k, candidate, verdict, dropped)``;
+    ``candidate`` and ``verdict`` read that entry's set and its verdict.
+    """
 
     def __init__(self, message: str, best=None):
         super().__init__(message)
         self.best = best
+
+    # both entries hold the candidate and its verdict just before index 4
+    @property
+    def candidate(self):
+        return self.best[:4][-2]
+
+    @property
+    def verdict(self):
+        return self.best[:4][-1]
 
 
 @dataclass(frozen=True)

@@ -326,15 +326,12 @@ def cmd_approx(args) -> int:
     try:
         result = approximate(a, args.s, acfg)
     except SearchExhausted as exc:
-        # (m, candidate, verdict) and (h, k, candidate, verdict, dropped)
-        # both hold the candidate and its verdict just before index 4
-        *_, candidate, verdict = exc.best[:4]
         payload = {
             "input": a.name, "s": args.s, "success": False,
             "error": str(exc),
             "best_candidate": {
-                "verdict": _verdict_dict(verdict),
-                "output_collection": _collection_dict(candidate,
+                "verdict": _verdict_dict(exc.verdict),
+                "output_collection": _collection_dict(exc.candidate,
                                                       coll.names)},
             "manifest": _manifest(args, [a.name], config_dict),
         }

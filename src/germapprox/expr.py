@@ -19,14 +19,19 @@ rule, its Taylor coefficients and its domain floor) is one row of
 ``series.PRIMITIVE_TABLE``. Forward mode applies the same derivative rule
 to values that ``diff`` applies to trees; adding a primitive means
 adding a row there, and tests/test_expr.py's per-primitive consistency test
-checks the new row once it has a reference entry. Value at the origin,
-batch values, value+gradient and Taylor series are one walker, ``_fold``,
-run over different leaf values.
+checks the new row once it has a reference entry. The binary operators
+``+ - * /`` are rows of ``_BINARY`` in the same way: each one's printed
+symbol, precedence level and operation on values, which the parser, the
+printer, ``_fold`` and the tree walks read. Value at the origin, batch
+values, value+gradient and Taylor series are one walker, ``_fold``, run
+over different leaf values.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +193,22 @@ class Prim(Expr):
                 "at the origin")
 
 
+# precedence levels of printed forms, from an atom up to a sum
+_ATOM, _POW, _TERM, _SUM = 0, 1, 2, 3
+
+# each binary operator: its printed symbol, its precedence level and its
+# operation on values. The parser, the printer, evaluation and the tree
+# walks read it; ``diff``, ``polynomial_degree``, the mk_* constructors and
+# forward mode keep their own rule per operator
+_Binary = namedtuple("_Binary", "symbol level op")
+_BINARY = {
+    Add: _Binary(" + ", _SUM, operator.add),
+    Sub: _Binary(" - ", _SUM, operator.sub),
+    Mul: _Binary("*", _TERM, operator.mul),
+    Div: _Binary("/", _TERM, operator.truediv),
+}
+
+
 # ---------------------------------------------------------------------------
 # structural helpers
 
@@ -205,18 +226,10 @@ def _fold(e: Expr, var, const, prim):
         return var(e.index)
     if isinstance(e, Const):
         return const(e.value)
-    if isinstance(e, Add):
-        return (_fold(e.left, var, const, prim)
-                + _fold(e.right, var, const, prim))
-    if isinstance(e, Sub):
-        return (_fold(e.left, var, const, prim)
-                - _fold(e.right, var, const, prim))
-    if isinstance(e, Mul):
-        return (_fold(e.left, var, const, prim)
-                * _fold(e.right, var, const, prim))
-    if isinstance(e, Div):
-        return (_fold(e.left, var, const, prim)
-                / _fold(e.right, var, const, prim))
+    binary = _BINARY.get(type(e))
+    if binary is not None:
+        return binary.op(_fold(e.left, var, const, prim),
+                         _fold(e.right, var, const, prim))
     if isinstance(e, Neg):
         return -_fold(e.arg, var, const, prim)
     if isinstance(e, IntPow):
@@ -287,21 +300,27 @@ def const_term(e: Expr) -> float:
     return float(value)
 
 
+def _children(e: Expr) -> tuple:
+    """The subtrees directly below ``e``."""
+    if type(e) in _BINARY:
+        return e.left, e.right
+    if isinstance(e, (Neg, Prim)):
+        return (e.arg,)
+    if isinstance(e, IntPow):
+        return (e.base,)
+    if isinstance(e, (Var, Const)):
+        return ()
+    raise ExprError(f"unknown node {type(e).__name__}")
+
+
 def max_index(e: Expr) -> int:
     """Largest variable index used, -1 for constant expressions."""
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Const):
-        return -1
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return max(max_index(e.left), max_index(e.right))
-    if isinstance(e, Neg):
-        return max_index(e.arg)
-    if isinstance(e, IntPow):
-        return max_index(e.base)
-    if isinstance(e, Prim):
-        return max_index(e.arg)
-    raise ExprError(f"unknown node {type(e).__name__}")
+    found = e.index if isinstance(e, Var) else -1
+    # a direct call per child, so a level of the tree costs one stack frame
+    # (a builtin max or map around the call would cost a second)
+    for child in _children(e):
+        found = max(found, max_index(child))
+    return found
 
 
 def depth(e: Expr) -> int:
@@ -312,13 +331,8 @@ def depth(e: Expr) -> int:
         levels += 1
         below = {}
         for node in frontier:
-            if isinstance(node, (Add, Sub, Mul, Div)):
-                below[id(node.left)] = node.left
-                below[id(node.right)] = node.right
-            elif isinstance(node, (Neg, Prim)):
-                below[id(node.arg)] = node.arg
-            elif isinstance(node, IntPow):
-                below[id(node.base)] = node.base
+            for child in _children(node):
+                below[id(child)] = child
         frontier = list(below.values())
     return levels
 
@@ -447,12 +461,8 @@ def _tokenize(text: str):
                 break
             at = len(text) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -473,6 +483,8 @@ def _resolve_names(variables) -> list[str]:
     return names
 
 
+# the binary operator a token and a precedence level stand for
+_BINARY_AT = {(b.symbol.strip(), b.level): node for node, b in _BINARY.items()}
 # parentheses, function calls and unary minuses one expression may nest:
 # each level costs the parser about five stack frames, so deeper input is
 # refused before it can exhaust Python's recursion limit
@@ -525,37 +537,25 @@ class _Parser:
                 f"expression tree deeper than {MAX_DEPTH} levels", pos)
         return depth + 1
 
-    # grammar: expr := term (('+'|'-') term)*
-    def parse_expr(self) -> tuple[Expr, int]:
-        node, depth = self.parse_term()
+    # grammar: expr := term (('+'|'-') term)*, the level _SUM;
+    # term := factor (('*'|'/') factor)*, the level _TERM. The operand
+    # calls are inline, so a nesting level costs five stack frames
+    def parse_expr(self, level=_SUM) -> tuple[Expr, int]:
+        node, depth = (self.parse_expr(_TERM) if level == _SUM
+                       else self.parse_factor())
         while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs, rdepth = self.parse_term()
-                depth = self.deeper(max(depth, rdepth), pos)
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-            else:
+            _, val, pos = self.peek()
+            binary = _BINARY_AT.get((val, level))
+            if binary is None:
                 return node, depth
-
-    # term := factor (('*'|'/') factor)*
-    def parse_term(self) -> tuple[Expr, int]:
-        node, depth = self.parse_factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs, rdepth = self.parse_factor()
-                depth = self.deeper(max(depth, rdepth), pos)
-                if val == "*":
-                    node = Mul(node, rhs)
-                else:
-                    try:
-                        node = Div(node, rhs)
-                    except NonAnalyticError as exc:
-                        raise ParseError(str(exc), pos) from None
-            else:
-                return node, depth
+            self.advance()
+            rhs, rdepth = (self.parse_expr(_TERM) if level == _SUM
+                           else self.parse_factor())
+            depth = self.deeper(max(depth, rdepth), pos)
+            try:
+                node = binary(node, rhs)
+            except NonAnalyticError as exc:
+                raise ParseError(str(exc), pos) from None
 
     # factor := atom ('^' nonneg-int)?
     def parse_factor(self) -> tuple[Expr, int]:
@@ -627,9 +627,6 @@ def parse(text: str, variables) -> Expr:
 # printing
 
 
-_ATOM, _POW, _TERM, _SUM = 0, 1, 2, 3
-
-
 def _fmt_float(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
@@ -652,22 +649,17 @@ def _fmt(e: Expr, names: list[str]):
     if isinstance(e, Prim):
         inner, _ = _fmt(e.arg, names)
         return f"{e.name}({inner})", _ATOM
-    if isinstance(e, (Mul, Div)):
+    binary = _BINARY.get(type(e))
+    if binary is not None:
+        # a left operand above the operator's level, and a right one at or
+        # above it, is parenthesized: the operators associate to the left
         ls, lk = _fmt(e.left, names)
-        if lk > _TERM:
+        rs, rk = _fmt(e.right, names)
+        if lk > binary.level:
             ls = f"({ls})"
-        rs, rk = _fmt(e.right, names)
-        if rk > _POW:
+        if rk >= binary.level:
             rs = f"({rs})"
-        op = "*" if isinstance(e, Mul) else "/"
-        return f"{ls}{op}{rs}", _TERM
-    if isinstance(e, (Add, Sub)):
-        ls, lk = _fmt(e.left, names)
-        rs, rk = _fmt(e.right, names)
-        if rk > _TERM:
-            rs = f"({rs})"
-        op = " + " if isinstance(e, Add) else " - "
-        return f"{ls}{op}{rs}", _SUM
+        return f"{ls}{binary.symbol}{rs}", binary.level
     raise ExprError(f"unknown node {type(e).__name__}")
 
 

@@ -270,6 +270,8 @@ class TestSearchExhaustion:
         assert "no truncation up to orders (1, 1)" in str(ei.value)
         h, k, candidate, verdict, dropped = ei.value.best
         assert (h, k) == (1, 1)
+        assert ei.value.candidate is candidate
+        assert ei.value.verdict is verdict
         assert not verdict.holds
         # the linear truncation only tracks the curve to second order
         assert verdict.estimate.slope == pytest.approx(2.0, abs=0.2)
@@ -284,6 +286,8 @@ class TestSearchExhaustion:
         assert "no inflation exponent up to 2" in str(ei.value)
         m, candidate, verdict = ei.value.best
         assert m == 1 and candidate is line and not verdict.holds
+        assert ei.value.candidate is candidate
+        assert ei.value.verdict is verdict
 
 
     def test_duplicate_truncations_decided_once(self, curves, quick_config,
@@ -354,6 +358,8 @@ class TestCandidateLoop:
             search_inflation_exponent(self.BASE, lambda m: f"m{m}", 2.0, cfg)
         m, candidate, verdict = ei.value.best
         assert (m, candidate, verdict.estimate.slope) == (2, "m2", 3.0)
+        assert ei.value.candidate is candidate
+        assert ei.value.verdict is verdict
 
     def test_truncation_first_that_holds(self, monkeypatch, cfg):
         decided = self._scripted(
@@ -372,6 +378,8 @@ class TestCandidateLoop:
             search_truncation_orders(self.BASE, self.BASE, 2.0, cfg)
         h, k, candidate, verdict, dropped = ei.value.best
         assert (h, k, verdict.estimate.slope, dropped) == (2, 1, 3.0, 0)
+        assert ei.value.candidate is candidate
+        assert ei.value.verdict is verdict
         assert len(decided) == 4 and candidate is decided[1]
 
 

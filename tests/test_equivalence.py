@@ -550,8 +550,8 @@ class TestSharedNeighbourQuery:
 
     def test_clouds_below_three_points(self, curves, quick_config,
                                        fresh_cache):
-        # the half-line meets each circle once and the line twice, so the
-        # shared query takes k = 1 and k = 2 neighbours
+        # the half-line meets each circle once and the line twice: clouds
+        # of one and two points, each measured by one k = 1 query
         a, b = curves.get("halfline"), curves.get("line")
         samples = ga.deviation_profile(a, b, quick_config, fresh_cache)[0]
         radii = quick_config.schedule.radii()

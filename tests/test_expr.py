@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -166,6 +167,11 @@ class TestParse:
             ex.parse("log1p(x - 1)", 1)
         with pytest.raises(ParseError):
             ex.parse("sqrt1p(-1 - x)", 1)
+        # a vanishing divisor inside a chain is reported at its "/"
+        for text, position in (("x + y/(x - x*y)", 5), ("x*y/(x*y)", 3)):
+            with pytest.raises(ParseError) as ei:
+                ex.parse(text, 2)
+            assert ei.value.position == position
 
     def test_origin_overflow_is_non_analytic(self):
         # the denominator's value at 0 overflows while Div checks it
@@ -260,6 +266,45 @@ class TestPrint:
         assert ex.to_string(ex.parse("x + (y*x)", 2), 2) == "x + y*x"
         assert ex.to_string(ex.parse("(x*y)*x", 2), 2) == "x*y*x"
         assert ex.to_string(ex.parse("x - (y + x)", 2), 2) == "x - (y + x)"
+
+    # every ordered pair of binary operators, the inner one (2 op (y + 1))
+    # as the outer one's left operand, against y + 1, and as its right
+    # operand, after x: a left operand is parenthesized above its
+    # operator's precedence, a right one at or above it
+    PAIR_TEXTS = {
+        Add: ["2 + (y + 1) + (y + 1)", "x + (2 + (y + 1))",
+              "2 + (y + 1) - (y + 1)", "x - (2 + (y + 1))",
+              "(2 + (y + 1))*(y + 1)", "x*(2 + (y + 1))",
+              "(2 + (y + 1))/(y + 1)", "x/(2 + (y + 1))"],
+        Sub: ["2 - (y + 1) + (y + 1)", "x + (2 - (y + 1))",
+              "2 - (y + 1) - (y + 1)", "x - (2 - (y + 1))",
+              "(2 - (y + 1))*(y + 1)", "x*(2 - (y + 1))",
+              "(2 - (y + 1))/(y + 1)", "x/(2 - (y + 1))"],
+        Mul: ["2*(y + 1) + (y + 1)", "x + 2*(y + 1)",
+              "2*(y + 1) - (y + 1)", "x - 2*(y + 1)",
+              "2*(y + 1)*(y + 1)", "x*(2*(y + 1))",
+              "2*(y + 1)/(y + 1)", "x/(2*(y + 1))"],
+        Div: ["2/(y + 1) + (y + 1)", "x + 2/(y + 1)",
+              "2/(y + 1) - (y + 1)", "x - 2/(y + 1)",
+              "2/(y + 1)*(y + 1)", "x*(2/(y + 1))",
+              "2/(y + 1)/(y + 1)", "x/(2/(y + 1))"],
+    }
+    PAIRS = [(outer, inner, side, text)
+             for inner, texts in PAIR_TEXTS.items()
+             for (outer, side), text in zip(
+                 itertools.product((Add, Sub, Mul, Div), ("left", "right")),
+                 texts)]
+
+    @pytest.mark.parametrize(
+        "outer,inner,side,text", PAIRS,
+        ids=[f"{o.__name__}-{i.__name__}-{s}" for o, i, s, _ in PAIRS])
+    def test_minimal_parens_per_operator_pair(self, outer, inner, side,
+                                               text):
+        y1 = Add(Y0, Const(1.0))
+        e = inner(Const(2.0), y1)
+        tree = outer(e, y1) if side == "left" else outer(X0, e)
+        assert ex.to_string(tree, 2) == text
+        assert ex.parse(text, 2) == tree
 
     def test_default_names(self):
         assert ex.to_string(ex.parse("x*w", 4)) == "x*w"

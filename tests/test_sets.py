@@ -206,6 +206,12 @@ class TestMinors:
         # the minors are the partial derivatives in x and in y (= 1)
         prod, _ = gs.minor_determinants(chain("*(1 + x)", 447), 2, 1)
         assert ex.depth(prod) == 2 * 447 + 2 <= gs._MAX_MINOR_DEPTH
+        # a residual part holds such a minor: its construction walks the
+        # tree for the largest variable index, one stack frame per level
+        assert ex.max_index(prod) == 0
+        part = gs.BasicPresentation(nvars=2, eqs=(prod,),
+                                    through_origin=False)
+        assert part.eqs == (prod,)
         quot, _ = gs.minor_determinants(chain("/(1 + x)", 299), 2, 1)
         assert ex.depth(quot) == gs._MAX_MINOR_DEPTH - 1
         with pytest.raises(SetError, match="minor is deeper than 900"):
