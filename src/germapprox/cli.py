@@ -90,37 +90,22 @@ def _collection_dict(s: SemianalyticSet, names) -> dict:
 
 
 def _approx_dict(res: ApproxResult, names) -> dict:
-    parts = []
-    for pr in res.parts:
-        entry = {
-            "part_index": pr.part_index,
-            "dimension": pr.dimension,
-            "m": pr.m,
-            "h": pr.h,
-            "k": pr.k,
-            "projection": pr.projection,
-            "caveats": list(pr.caveats),
-        }
-        if pr.m_verdict is not None:
-            entry["m_verdict"] = _verdict_dict(pr.m_verdict)
-        if pr.candidate_verdict is not None:
-            entry["candidate_verdict"] = _verdict_dict(pr.candidate_verdict)
-        if pr.residual is not None:
-            entry["residual"] = _approx_dict(pr.residual, names)
-        parts.append(entry)
-    d = {
-        "input": res.input_name,
-        "s": res.s,
-        "success": res.success,
-        "input_dimension": res.input_dimension,
-        "output_dimension": res.output_dimension,
-        "caveats": list(res.caveats),
-        "parts": parts,
-    }
-    if res.final_verdict is not None:
-        d["final_verdict"] = _verdict_dict(res.final_verdict)
-    if res.output.parts:
-        d["output_collection"] = _collection_dict(res.output, names)
+    """The fields of ``res`` and of its parts, the verdicts and residuals
+    only when present; ``input_name`` is written as ``input``, and the output
+    set as a collection, or as ``output_empty`` when it has no part."""
+    def fields(obj, keep=()):
+        return {k: _verdict_dict(v) if isinstance(v, Verdict)
+                else _approx_dict(v, names) if isinstance(v, ApproxResult)
+                else v for k, v in vars(obj).items()
+                if v is not None or k in keep}
+
+    d = fields(res)
+    d["input"] = d.pop("input_name")
+    d["parts"] = [fields(pr, ("m", "h", "k", "projection"))
+                  for pr in res.parts]
+    output = d.pop("output")
+    if output.parts:
+        d["output_collection"] = _collection_dict(output, names)
     else:
         d["output_empty"] = True
     return d
@@ -152,19 +137,16 @@ def _emit(args, text: str, human_lines, t0: float | None = None,
             print(f"completed in {time.perf_counter() - t0:.2f}s")
 
 
-def _csv_float(v: float) -> str:
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
 
-def _manifest(args, sets, config: dict) -> dict:
+def _manifest(args, config: dict) -> dict:
     return {
         "command": args.command,
         "argv": list(args.raw_argv),
-        "inputs": {"file": args.file, "sets": list(sets)},
+        "inputs": {"file": args.file,
+                   "sets": [getattr(args, n) for n in args.set_args]},
         "config": config,
         "version": __version__,
     }
@@ -201,12 +183,6 @@ def _part_lines(s: SemianalyticSet, names, label: str) -> list[str]:
     return lines
 
 
-def _verdict_exit(v: Verdict) -> int:
-    if v.inconclusive:
-        return _EXIT_INCONCLUSIVE
-    return _EXIT_OK if v.holds else _EXIT_FAIL
-
-
 def _describe_estimate(e: OrderEstimate | None) -> str:
     if e is None:
         return "no estimate"
@@ -223,25 +199,21 @@ def _describe_estimate(e: OrderEstimate | None) -> str:
 # subcommands
 
 
-def cmd_truncate(args) -> int:
+def cmd_truncate(args, coll, s) -> int:
     if args.h is None and args.k is None:
         print("error: truncate needs --h and/or --k", file=sys.stderr)
         return _EXIT_USAGE
     h = args.h if args.h is not None else args.k
     k = args.k if args.k is not None else args.h
-    coll = load_collection(args.file)
-    s = coll.get(args.set)
     out = truncate_full(s, h, k)
     payload = _collection_dict(out, coll.names)
-    payload["manifest"] = _manifest(args, [args.set], {"h": h, "k": k})
+    payload["manifest"] = _manifest(args, {"h": h, "k": k})
     _emit(args, _dump_json(payload),
           [f"{out.name}:"] + _part_lines(out, coll.names, "part"))
     return _EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    coll = load_collection(args.file)
-    a, b = coll.get(args.set_a), coll.get(args.set_b)
+def cmd_compare(args, coll, a, b) -> int:
     cfg = _compare_config(args, a, b)
     t0 = time.perf_counter()
     if args.directed:
@@ -254,16 +226,15 @@ def cmd_compare(args) -> int:
         "a": a.name, "b": b.name, "s": args.s,
         "directed": bool(args.directed),
         "verdict": _verdict_dict(verdict),
-        "manifest": _manifest(args, [a.name, b.name],
-                              {**_config_dict(cfg), "s": args.s,
-                               "directed": bool(args.directed),
-                               "horn": bool(args.horn)}),
+        "manifest": _manifest(args, {**_config_dict(cfg), "s": args.s,
+                                     "directed": bool(args.directed),
+                                     "horn": bool(args.horn)}),
     }
-    lines = []
-    status = ("INCONCLUSIVE" if verdict.inconclusive
-              else "HOLDS" if verdict.holds else "FAILS")
-    lines.append(f"{relation}: {status}")
-    lines.append("  " + _describe_estimate(verdict.estimate))
+    status, code = (
+        ("INCONCLUSIVE", _EXIT_INCONCLUSIVE) if verdict.inconclusive
+        else ("HOLDS", _EXIT_OK) if verdict.holds else ("FAILS", _EXIT_FAIL))
+    lines = [f"{relation}: {status}",
+             "  " + _describe_estimate(verdict.estimate)]
     if verdict.estimate_reverse is not None:
         lines.append("  " + _describe_estimate(verdict.estimate_reverse))
     if args.horn:
@@ -285,21 +256,18 @@ def cmd_compare(args) -> int:
     for c in verdict.caveats:
         lines.append(f"  note: {c}")
     _emit(args, _dump_json(payload), lines, t0)
-    return _verdict_exit(verdict)
+    return code
 
 
-def cmd_order(args) -> int:
-    coll = load_collection(args.file)
-    a, b = coll.get(args.set_a), coll.get(args.set_b)
+def cmd_order(args, coll, a, b) -> int:
     cfg = _compare_config(args, a, b)
     samples, est_ab, est_ba, caveats = deviation_profile(a, b, cfg)
     rows = sorted(samples, key=lambda d: d.r)
     csv_lines = ["r,delta_ab,delta_ba,floor_ab,floor_ba"]
     for d in rows:
-        csv_lines.append(",".join(_csv_float(v) for v in (
+        csv_lines.append(",".join(repr(float(v)) for v in (
             d.r, d.delta_ab, d.delta_ba, d.floor_ab, d.floor_ba)))
-    sidecar = {"manifest": _manifest(args, [a.name, b.name],
-                                     _config_dict(cfg)),
+    sidecar = {"manifest": _manifest(args, _config_dict(cfg)),
                "estimate_ab": asdict(est_ab),
                "estimate_ba": asdict(est_ba),
                "caveats": list(caveats)}
@@ -313,9 +281,7 @@ def cmd_order(args) -> int:
     return _EXIT_OK
 
 
-def cmd_approx(args) -> int:
-    coll = load_collection(args.file)
-    a = coll.get(args.set)
+def cmd_approx(args, coll, a) -> int:
     cfg = _compare_config(args, a)
     acfg = ApproxConfig(compare=cfg, max_h=args.max_h, max_k=args.max_k,
                         max_m=args.max_m, depth=args.depth)
@@ -333,12 +299,12 @@ def cmd_approx(args) -> int:
                 "verdict": _verdict_dict(exc.verdict),
                 "output_collection": _collection_dict(exc.candidate,
                                                       coll.names)},
-            "manifest": _manifest(args, [a.name], config_dict),
+            "manifest": _manifest(args, config_dict),
         }
         _emit(args, _dump_json(payload), [f"search exhausted: {exc}"])
         return _EXIT_EXHAUSTED
     payload = _approx_dict(result, coll.names)
-    payload["manifest"] = _manifest(args, [a.name], config_dict)
+    payload["manifest"] = _manifest(args, config_dict)
     lines = [f"approximant of {a.name!r} at order {args.s:g}: "
              f"{'SUCCESS' if result.success else 'NOT WITHIN ORDER'}"]
     for pr in result.parts:
@@ -357,9 +323,7 @@ def cmd_approx(args) -> int:
     return _EXIT_OK if result.success else _EXIT_FAIL
 
 
-def cmd_tangent(args) -> int:
-    coll = load_collection(args.file)
-    s = coll.get(args.set)
+def cmd_tangent(args, coll, s) -> int:
     cfg = _compare_config(args, s)
     try:
         report = tangent_cone_cloud(
@@ -372,7 +336,7 @@ def cmd_tangent(args) -> int:
         "radii": list(report.radii),
         "drift": list(report.drift),
         "directions": report.direction_clouds[-1],
-        "manifest": _manifest(args, [s.name], _config_dict(cfg)),
+        "manifest": _manifest(args, _config_dict(cfg)),
     }
     lines = [f"tangent directions of {s.name!r} across "
              f"{len(report.radii)} radii"]
@@ -385,23 +349,6 @@ def cmd_tangent(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_common(p: argparse.ArgumentParser, radii=True):
-    p.add_argument("-o", "--out", help="write machine output to this path")
-    p.add_argument("--stdout", action="store_true",
-                   help="dump machine output to stdout instead of a summary")
-    if radii:
-        p.add_argument("--radii", help="radius schedule as r0:ratio:count "
-                                       "(default omega/2:0.5:8)")
-        p.add_argument("--points", type=int, default=CompareConfig.npoints,
-                       help="sphere directions per slice "
-                            "(default %(default)s)")
-        p.add_argument("--seed", type=int, default=CompareConfig.seed,
-                       help="sampling seed (default %(default)s)")
-        p.add_argument("--margin", type=float, default=CompareConfig.margin,
-                       help="decision margin on fitted orders "
-                            "(default %(default)s)")
 
 
 def _finite(text: str) -> float:
@@ -421,64 +368,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "and build polynomial approximants.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("truncate", help="Taylor-truncate a set's "
-                                        "defining functions")
-    p.add_argument("file")
-    p.add_argument("set")
-    p.add_argument("--h", type=int, default=None,
-                   help="equation truncation order (default: --k)")
-    p.add_argument("--k", type=int, default=None,
-                   help="inequality truncation order (default: --h)")
-    _add_common(p, radii=False)
-    p.set_defaults(func=cmd_truncate)
-
-    p = sub.add_parser("compare", help="decide order-s closeness of two sets")
-    p.add_argument("file")
-    p.add_argument("set_a")
-    p.add_argument("set_b")
-    p.add_argument("--s", type=_finite, required=True, help="the order s")
-    p.add_argument("--directed", action="store_true",
-                   help="test only whether A stays within order s of B")
-    p.add_argument("--horn", action="store_true",
-                   help="also run the horn containment criterion")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("order", help="export raw deviations per radius")
-    p.add_argument("file")
-    p.add_argument("set_a")
-    p.add_argument("set_b")
-    _add_common(p)
-    p.set_defaults(func=cmd_order)
-
-    p = sub.add_parser("approx", help="search a polynomial approximant")
-    p.add_argument("file")
-    p.add_argument("set")
-    p.add_argument("--s", type=_finite, required=True, help="the order s")
-    p.add_argument("--max-h", type=int, default=ApproxConfig.max_h)
-    p.add_argument("--max-k", type=int, default=ApproxConfig.max_k)
-    p.add_argument("--max-m", type=int, default=ApproxConfig.max_m)
-    p.add_argument("--depth", type=int, default=ApproxConfig.depth,
-                   help="residual recursion depth (default %(default)s)")
-    _add_common(p)
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("tangent", help="tangent direction clouds and drift")
-    p.add_argument("file")
-    p.add_argument("set")
-    _add_common(p)
-    p.set_defaults(func=cmd_tangent)
+    # name, handler, help, set positionals, takes --s, its own options
+    for name, func, text, set_args, takes_s, options in (
+            ("truncate", cmd_truncate,
+             "Taylor-truncate a set's defining functions", ("set",), False,
+             {"--h": dict(type=int, default=None, help="equation "
+                          "truncation order (default: --k)"),
+              "--k": dict(type=int, default=None, help="inequality "
+                          "truncation order (default: --h)")}),
+            ("compare", cmd_compare, "decide order-s closeness of two sets",
+             ("set_a", "set_b"), True,
+             {"--directed": dict(action="store_true", help="test only "
+                                 "whether A stays within order s of B"),
+              "--horn": dict(action="store_true", help="also run the horn "
+                             "containment criterion")}),
+            ("order", cmd_order, "export raw deviations per radius",
+             ("set_a", "set_b"), False, {}),
+            ("approx", cmd_approx, "search a polynomial approximant",
+             ("set",), True,
+             {"--max-h": dict(type=int, default=ApproxConfig.max_h),
+              "--max-k": dict(type=int, default=ApproxConfig.max_k),
+              "--max-m": dict(type=int, default=ApproxConfig.max_m),
+              "--depth": dict(type=int, default=ApproxConfig.depth,
+                              help="residual recursion depth "
+                                   "(default %(default)s)")}),
+            ("tangent", cmd_tangent, "tangent direction clouds and drift",
+             ("set",), False, {})):
+        p = sub.add_parser(name, help=text)
+        for dest in ("file",) + set_args:
+            p.add_argument(dest)
+        if takes_s:
+            p.add_argument("--s", type=_finite, required=True,
+                           help="the order s")
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+        p.add_argument("-o", "--out", help="write machine output to this path")
+        p.add_argument("--stdout", action="store_true", help="dump machine "
+                       "output to stdout instead of a summary")
+        if name != "truncate":  # every other subcommand samples slices
+            p.add_argument("--radii", help="radius schedule as "
+                           "r0:ratio:count (default omega/2:0.5:8)")
+            p.add_argument("--points", type=int,
+                           default=CompareConfig.npoints,
+                           help="sphere directions per slice "
+                                "(default %(default)s)")
+            p.add_argument("--seed", type=int, default=CompareConfig.seed,
+                           help="sampling seed (default %(default)s)")
+            p.add_argument("--margin", type=float,
+                           default=CompareConfig.margin,
+                           help="decision margin on fitted orders "
+                                "(default %(default)s)")
+        p.set_defaults(func=func, set_args=set_args)
     return ap
 
 
 def main(argv=None) -> int:
+    """Parse ``argv``, load the set file, resolve the subcommand's sets and
+    run it; an input error is reported on stderr with exit code 2."""
     raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(raw)
+    args = build_parser().parse_args(raw)
     args.raw_argv = raw
     try:
-        return args.func(args)
+        coll = load_collection(args.file)
+        return args.func(args, coll,
+                         *(coll.get(getattr(args, n)) for n in args.set_args))
     except (SetError, ex.ExprError, ComparisonError, GeometryError,
             ApproxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -173,6 +173,13 @@ class Verdict:
 # shared sampling
 
 
+def _same_nvars(a: SemianalyticSet, b: SemianalyticSet):
+    if a.nvars != b.nvars:
+        raise ComparisonError(
+            f"cannot compare {a.name!r} in {a.nvars} variables with "
+            f"{b.name!r} in {b.nvars}")
+
+
 def _clouds(s: SemianalyticSet, config: CompareConfig,
             cache: SliceCache | None) -> list[SliceCloud]:
     """The set's slice cloud at each radius of the schedule, in order."""
@@ -237,8 +244,10 @@ def deviation_profile(a: SemianalyticSet, b: SemianalyticSet,
     Returns (samples, estimate_ab, estimate_ba, caveats); the samples are
     ordered from the coarsest radius down, one per schedule entry. The
     caveats note empty slices and slices where fewer than half the starts
-    converged, radius by radius, each distinct note once.
+    converged, radius by radius, each distinct note once. A and B must have
+    the same number of variables.
     """
+    _same_nvars(a, b)
     clouds_a, clouds_b = _clouds(a, config, cache), _clouds(b, config, cache)
     notes = []
     for r, *clouds in zip(config.schedule.radii(), clouds_a, clouds_b):
@@ -348,6 +357,7 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     radius, each maximum is the one :func:`dist_to_set_batch` on the slice
     gives, bit for bit.
     """
+    _same_nvars(a, b)
     clouds = _clouds(a, config, cache)
     dmaxes = _max_dists(clouds, b, config.npoints, config.seed, cache)
     # each dmax is a solver distance to B's germ, so A's cloud spacing is

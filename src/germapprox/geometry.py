@@ -1021,7 +1021,8 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     itself, and one inside a part with no equations keeps its own position,
     at distance 0; membership's tolerance is never read as a distance.
     Infinity means the set offered no candidate at all (an empty germ).
-    Non-finite query points raise GeometryError.
+    Query points that are not finite, or not of shape (N, s.nvars), raise
+    GeometryError.
 
     Every other step is row by row and start by start, so a row's distance
     depends on the other rows only through that cloud radius:
@@ -1031,6 +1032,9 @@ def dist_to_set_batch(X: np.ndarray, s: SemianalyticSet,
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != s.nvars:
+        raise GeometryError(f"query points have shape {X.shape}, set "
+                            f"{s.name!r} needs (N, {s.nvars})")
     if not np.isfinite(X).all():
         raise GeometryError("query points must be finite")
     r_cloud = float(np.median(_row_norm(X))) if len(X) else 0.0

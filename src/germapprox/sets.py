@@ -482,12 +482,9 @@ def parse_collection(doc: dict) -> SetCollection:
 
 def load_collection(path) -> SetCollection:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SetFileError(f"{path}: not valid JSON: {exc}") from None
+        text = fh.read()
     try:
-        return parse_collection(doc)
+        return collection_from_text(text)
     except SetFileError as exc:
         raise SetFileError(f"{path}: {exc}") from None
 

@@ -44,6 +44,23 @@ def quick_config():
                             seed=0)
 
 
+# the compare_curves benchmark workload's pairs of curves.json sets, with
+# their closed-form orders (perfbench/workloads.py, which keeps its own copy;
+# test_package.py checks that the two agree)
+CURVE_PAIRS = (
+    ("exp_curve", "trunc1", 2.0),
+    ("exp_curve", "trunc2", 3.0),
+    ("exp_curve", "trunc3", 4.0),
+    ("exp_curve", "trunc4", 5.0),
+    ("parabola", "line", 2.0),
+    ("halfline", "line", 1.0),
+    ("exp_half_pos", "trunc2_half_pos", 3.0),
+    ("exp_half_pos", "trunc3_half_pos", 4.0),
+    ("exp_sin", "trunc2_half_pos", 4.0),
+    ("cusp", "halfline", 1.5),
+)
+
+
 def make_collection(text_or_doc):
     if isinstance(text_or_doc, dict):
         text_or_doc = json.dumps(text_or_doc)

@@ -362,6 +362,43 @@ class TestApprox:
         assert err.startswith("error: a 1x1 Jacobian minor is deeper than")
         assert "Traceback" not in err
 
+    # the approx JSON's keys: the result's fields with input_name written as
+    # input, the output set as output_collection (or output_empty), and the
+    # verdicts and residual of a part only where the search produced them
+    TOP = {"input", "s", "success", "input_dimension", "output_dimension",
+           "caveats", "parts", "final_verdict", "output_collection",
+           "manifest"}
+    PART = {"part_index", "dimension", "m", "h", "k", "projection",
+            "caveats"}
+    VERDICTS = {"m_verdict", "candidate_verdict"}
+
+    def _approx_doc(self, path, name, capsys):
+        rc = main(["approx", str(path), name, "--s", "2", "--stdout"])
+        assert rc == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_payload_keys_per_part(self, tmp_path, capsys):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({
+            "vars": ["x", "y"], "omega": 0.5,
+            "sets": {"pt_and_line": {"parts": [{"eqs": ["x", "y"]},
+                                               {"eqs": ["y"]}]}}}))
+        doc = self._approx_doc(path, "pt_and_line", capsys)
+        assert set(doc) == self.TOP and len(doc) == 10
+        point, line = doc["parts"]
+        assert set(point) == self.PART and point["dimension"] == 0
+        assert [point[k] for k in ("m", "h", "k", "projection")] == \
+            [None] * 4
+        assert set(line) == self.PART | self.VERDICTS
+
+    def test_payload_keys_with_residual(self, curves_file, capsys):
+        doc = self._approx_doc(curves_file, "halfdisk", capsys)
+        assert set(doc) == self.TOP
+        (part,) = doc["parts"]
+        assert part["m"] is None and "residual" in part
+        assert set(part) == self.PART | {"candidate_verdict", "residual"}
+        assert set(part["residual"]) == self.TOP - {"manifest"}
+
     def test_isolated_origin_empty_output(self, isolated_file, tmp_path,
                                           capsys):
         out = tmp_path / "a.json"

@@ -6,6 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import germapprox as ga
+from conftest import CURVE_PAIRS
 from germapprox import equivalence as eq
 from germapprox import expr as ex
 from germapprox import geometry as gg
@@ -459,14 +460,6 @@ class TestHornCriterion:
 
 
 
-# the pairs of the compare_curves benchmark workload
-CURVE_PAIRS = (
-    ("exp_curve", "trunc1"), ("exp_curve", "trunc2"), ("exp_curve", "trunc3"),
-    ("exp_curve", "trunc4"), ("parabola", "line"), ("halfline", "line"),
-    ("exp_half_pos", "trunc2_half_pos"), ("exp_half_pos", "trunc3_half_pos"),
-    ("exp_sin", "trunc2_half_pos"), ("cusp", "halfline"))
-
-
 def _field_reprs(v):
     """A verdict's fields as reprs: floats bit for bit, nan equal to nan."""
     return [repr(getattr(v, f.name)) for f in fields(v)]
@@ -529,7 +522,7 @@ class TestSharedNeighbourQuery:
                     rows += mine
                 assert 0 < len(set(rows)) == len(rows) < len(x)
 
-    @pytest.mark.parametrize("a,b", CURVE_PAIRS)
+    @pytest.mark.parametrize("a,b", [(a, b) for a, b, _ in CURVE_PAIRS])
     def test_shared_query_matches_a_fresh_one(self, curves, quick_config,
                                               a, b):
         a, b = curves.get(a), curves.get(b)
@@ -722,6 +715,35 @@ class TestSignAgreement:
             ga.sign_agreement_check(curves.get("line"),
                                     "y - x^2 + sin(x)^3", [0, 1, 2, 3],
                                     theta, quick_config)
+
+
+class TestVariableCountMismatch:
+    """Sets in different numbers of variables are not compared: every entry
+    point raises ComparisonError naming both sets and both counts before it
+    samples either set."""
+
+    ENTRY_POINTS = {
+        "decide_le": lambda a, b, cfg: ga.decide_le(a, b, 2.0, cfg),
+        "decide_equivalent": lambda a, b, cfg: ga.decide_equivalent(
+            a, b, 2.0, cfg),
+        "horn_criterion": lambda a, b, cfg: ga.horn_criterion(
+            a, b, 2.0, cfg),
+        "union_property_check": lambda a, b, cfg: ga.union_property_check(
+            a, a, b, b, 2.0, cfg),
+    }
+
+    @pytest.mark.parametrize("curve_first", [True, False],
+                             ids=["curve-surface", "surface-curve"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_mismatch_is_comparison_error(self, curves, surfaces,
+                                          quick_config, entry, curve_first):
+        a, b = curves.get("line"), surfaces.get("line3d")
+        if not curve_first:
+            a, b = b, a
+        with pytest.raises(ComparisonError) as ei:
+            self.ENTRY_POINTS[entry](a, b, quick_config)
+        assert str(ei.value) == (f"cannot compare {a.name!r} in {a.nvars} "
+                                 f"variables with {b.name!r} in {b.nvars}")
 
 
 class TestUnionProperty:

@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import germapprox as ga
-from conftest import make_collection
+from conftest import CURVE_PAIRS, make_collection
 from germapprox import expr as ex
 from germapprox import geometry as gg
 from germapprox import sets as gs
@@ -1496,20 +1496,6 @@ class TestSliceOracle:
             checked += 1
         assert checked == 20
 
-    # perfbench's compare_curves pairs, with their closed-form orders
-    CURVE_PAIRS = (
-        ("exp_curve", "trunc1", 2.0),
-        ("exp_curve", "trunc2", 3.0),
-        ("exp_curve", "trunc3", 4.0),
-        ("exp_curve", "trunc4", 5.0),
-        ("parabola", "line", 2.0),
-        ("halfline", "line", 1.0),
-        ("exp_half_pos", "trunc2_half_pos", 3.0),
-        ("exp_half_pos", "trunc3_half_pos", 4.0),
-        ("exp_sin", "trunc2_half_pos", 4.0),
-        ("cusp", "halfline", 1.5),
-    )
-
     def test_curve_deviations_match_the_roots(self, curves):
         # both directed deviations of each pair, at every radius, are the
         # oracle's own between the root sets, within its matching tolerance
@@ -1530,7 +1516,7 @@ class TestSliceOracle:
                 return math.inf
             return cdist(P, Q).min(axis=1).max()
 
-        for a, b, _ in self.CURVE_PAIRS:
+        for a, b, _ in CURVE_PAIRS:
             samples, *_ = ga.deviation_profile(
                 curves.get(a), curves.get(b), cfg, ga.SliceCache())
             assert [d.r for d in samples] == cfg.schedule.radii()
@@ -1546,7 +1532,7 @@ class TestSliceOracle:
         # with no Gauss-Newton, within the solver's acceptance
         radii = ga.RadiiSchedule(0.25).radii()
         got = {}
-        for a, b, _ in self.CURVE_PAIRS:
+        for a, b, _ in CURVE_PAIRS:
             for x, y in ((a, b), (b, a)):
                 sx, sy = curves.get(x), curves.get(y)
                 clouds = gg.sample_slices(sx, radii, npoints=256, seed=0,
@@ -1857,6 +1843,15 @@ class TestDistToSet:
         X[rows // 2, 0] = bad
         with pytest.raises(gg.GeometryError, match="must be finite"):
             ga.dist_to_set_batch(X, curves.get("parabola"),
+                                 cache=shared_cache)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (1, 3)],
+                             ids=["2x3", "1x1", "1x3"])
+    def test_wrong_width_rejected(self, curves, shared_cache, shape):
+        # a batch of another width is an input error, whatever the width,
+        # not an answer or an error from inside numpy or scipy
+        with pytest.raises(gg.GeometryError, match=r"needs \(N, 2\)"):
+            ga.dist_to_set_batch(np.full(shape, 0.1), curves.get("line"),
                                  cache=shared_cache)
 
 

@@ -1,7 +1,9 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import germapprox as ga
+from conftest import CURVE_PAIRS
 
 
 def test_public_names_resolve_once():
@@ -34,3 +36,15 @@ def test_code_line_count(tmp_path):
         'TEXT = """a string\n'
         'value"""\n')
     assert tool.code_lines(source) == 6
+
+
+def test_benchmark_curve_pairs_match_the_tests(monkeypatch):
+    # perfbench/workloads.py keeps its own copy of the compare_curves pairs,
+    # loaded here so that the two lists cannot drift apart; its dataclasses
+    # look their module up in sys.modules while it loads
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.CURVE_PAIRS == CURVE_PAIRS
