@@ -29,7 +29,6 @@ from . import expr as ex
 from .expr import Expr
 from .geometry import (
     _NEAREST_ACCEPT,
-    _SPACING_GUARD,
     DistanceSample,
     SliceCache,
     SliceCloud,
@@ -218,17 +217,18 @@ def _deviations(sources, targets, b: SemianalyticSet, config: CompareConfig,
     """Each radius's deviation of the source clouds from the set b, whose
     clouds are ``targets``, and its floor (see :class:`DistanceSample`).
 
-    Where the source cloud has points and b's cloud is a continuum (spacing
-    above the noise guard), the deviation is the solver's largest distance
-    to b's germ (``geometry._max_dists``, the horn criterion's kernel and
-    cache entry), with the solver's floor ``_NEAREST_ACCEPT * r``: by the
-    horn lemma it decays at the order of the slices' Hausdorff distance,
-    and the cloud's spacing does not bound it. Elsewhere b's slice is
-    isolated points, which its cloud holds to solver accuracy, or nothing,
-    and the deviation is the distance to b's cloud, with the larger
-    spacing as floor."""
-    solve = [len(ca) > 0 and cb.spacing > _SPACING_GUARD
-             for ca, cb in zip(sources, targets)]
+    Where the source cloud has points and b's cloud is a continuum
+    (:attr:`~germapprox.geometry.SliceCloud.continuum`, its spacing above
+    the noise guard, which the cloud reads from its sample counts where
+    they decide it, without a neighbour query), the deviation is the
+    solver's largest distance to b's germ (``geometry._max_dists``, the
+    horn criterion's kernel and cache entry), with the solver's floor
+    ``_NEAREST_ACCEPT * r``: by the horn lemma it decays at the order of
+    the slices' Hausdorff distance, and the cloud's spacing does not bound
+    it. Elsewhere b's slice is isolated points, which its cloud holds to
+    solver accuracy, or nothing, and the deviation is the distance to b's
+    cloud, with the larger spacing as floor."""
+    solve = [len(ca) > 0 and cb.continuum for ca, cb in zip(sources, targets)]
     dmaxes = iter(_max_dists([ca for ca, f in zip(sources, solve) if f], b,
                              config.npoints, config.seed, cache))
     return [(next(dmaxes), _NEAREST_ACCEPT * ca.r) if f

@@ -60,6 +60,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _STEP_TARGET = 1e-15
 _STEP_ACCEPT = 1e-12
 _SPACING_GUARD = 1e-15
+# the merge keeps a cloud's points more than _STEP_ACCEPT * r apart as the
+# k-d tree measures them; a gap the tree reports falls below that by a few
+# ulps of rounding at most, far less than this fraction of it
+_GAP_ROUNDING = 1e-9
 # Jacobian directions this far below the dominant sensitivity are treated
 # as degenerate (redundant equations whose rounding noise would otherwise
 # be amplified into a limit cycle), not as stiff constraints. The cut-off
@@ -145,13 +149,19 @@ class SliceCloud:
 
     :func:`_slice_cloud` builds every cloud by one rule: the distinct
     accepted samples, then one point per cluster within ``_STEP_ACCEPT *
-    r``, so copies of an isolated slice point become one point.
+    r``, so copies of an isolated slice point become one point, and any
+    two points of the cloud are farther apart than that. ``counts`` holds
+    the number of samples each point stands for.
+
     ``spacing`` is the median of the points' gaps to their nearest
     neighbours, a point that stands for several samples counting as the
     machine-noise guard, and is floored at that guard; distances measured
-    against this cloud carry no information below it. A spacing above the
-    guard marks a continuum slice, which the limit fit measures against
-    with the solver instead (see ``equivalence.deviation_profile``).
+    against this cloud carry no information below it. It is computed on
+    first read, with no neighbour query when more than half the points
+    stand for several samples (the median is then the guard), and kept
+    with the cloud: a copy made with ``dataclasses.replace`` shares it. A
+    spacing above the guard marks a continuum slice, which the limit fit
+    measures against with the solver instead (see :attr:`continuum`).
     ``converged_fraction`` covers the primary strata only (the parts' own
     equations, before inequality filtering); ``attempts`` counts the
     starts over every stratum.
@@ -160,28 +170,66 @@ class SliceCloud:
     so every neighbour query against the cloud reuses it. ``key`` is the
     cloud's content key, ("cloud", r, digest of the raw samples' shape and
     bytes), None for a cloud built outside :func:`sample_slices`. Points,
-    spacing and tree depend only on that key, so sets whose samples at r
-    are equal bit for bit share those three objects (the points read-only)
-    and differ only in ``converged_fraction`` and ``attempts``; the cache
-    keys the deviation of one cloud from another on both content keys (see
-    :func:`_deviation`). Where a radius's samples are one stratum's
-    accepted points, none filtered out and none merged, the points are
-    that stratum's cached array itself, not a copy.
+    counts, spacing and tree depend only on that key, so sets whose
+    samples at r are equal bit for bit share those objects (the points
+    read-only) and differ only in ``converged_fraction`` and ``attempts``;
+    the cache keys the deviation of one cloud from another on both content
+    keys (see :func:`_deviation`). Where a radius's samples are one
+    stratum's accepted points, none filtered out and none merged, the
+    points are that stratum's cached array itself, not a copy.
     """
 
     r: float
     points: np.ndarray
     converged_fraction: float
-    spacing: float
+    counts: np.ndarray = field(repr=False, compare=False)
     attempts: int
     tree: cKDTree = field(repr=False, compare=False)
     key: tuple | None = field(default=None, repr=False, compare=False)
+    # the spacing once read; replace() hands the same dict to the copy. Two
+    # threads may both compute it, and both store the same float
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
         return len(self.points)
 
     def directions(self) -> np.ndarray:
         return self.points / self.r
+
+    @property
+    def spacing(self) -> float:
+        spacing = self._memo.get("spacing")
+        if spacing is None:
+            # a point many samples piled onto is an isolated slice point
+            # known to solver accuracy; a point hit once samples a
+            # continuum, and its gap is the local coverage. The median
+            # mixes the two regimes
+            piled = self.counts > 1
+            spacing = _SPACING_GUARD
+            if len(self) > 1 and 2 * np.count_nonzero(piled) <= len(self):
+                gaps = self.tree.query(self.points, k=2)[0][:, 1]
+                spacing = max(float(np.median(
+                    np.where(piled, _SPACING_GUARD, gaps))), _SPACING_GUARD)
+            self._memo["spacing"] = spacing
+        return spacing
+
+    @property
+    def continuum(self) -> bool:
+        """``spacing > _SPACING_GUARD``, read from the counts where they
+        fix it, with no neighbour query. Fewer than two points, or more
+        than half of them piled, give the guard itself (see
+        :attr:`spacing`). With fewer than half piled, more than half the
+        median's terms are gaps, each above ``_STEP_ACCEPT * r`` up to the
+        tree's rounding, so where that exceeds the guard the spacing does
+        too."""
+        n = len(self)
+        piled = 2 * np.count_nonzero(self.counts > 1)
+        if n < 2 or piled > n:
+            return False
+        if (piled < n and _STEP_ACCEPT * self.r * (1.0 - _GAP_ROUNDING)
+                > _SPACING_GUARD):
+            return True
+        return self.spacing > _SPACING_GUARD
 
 
 @dataclass(frozen=True)
@@ -635,47 +683,52 @@ def _group_rows(rows: np.ndarray):
 def _slice_cloud(r: float, fraction: float, attempts: int,
                  raw: np.ndarray, key: tuple | None = None) -> SliceCloud:
     """Build the accepted member samples at radius r into a cloud (see
-    :class:`SliceCloud`); no samples give an empty cloud at the noise-guard
-    spacing. ``key`` is the cloud's cache key.
+    :class:`SliceCloud`); no samples give an empty cloud. ``key`` is the
+    cloud's cache key.
 
-    The distinct rows get one k-d tree and one k=2 query of their gaps.
-    Copies of one isolated slice point need not be equal bit for bit;
-    accepted points are known to ``_STEP_ACCEPT * r``, so closer ones are
-    one point. Leader clustering in input order merges them: a point within
-    that of an earlier kept point joins the first such point, otherwise it
-    is kept. Only the points with a gap within it are clustered, one ball
-    query per kept point, and the tree is rebuilt only after a merge."""
+    The distinct rows get one k-d tree. Copies of one isolated slice point
+    need not be equal bit for bit; accepted points are known to
+    ``_STEP_ACCEPT * r``, so closer ones are one point. Leader clustering
+    in input order merges them: a point within that of an earlier kept
+    point joins the first such point, otherwise it is kept. Two rows are
+    at least as far apart as their first coordinates, so where no two
+    sorted first coordinates are within twice the tolerance nothing merges
+    and the rows are not queried. Otherwise one k=2 query, bounded at
+    twice the tolerance, finds the rows with a neighbour within it; only
+    those are clustered, one ball query per kept point, and the tree is
+    rebuilt only after a merge. The spacing is left to its first read."""
     kept, counts = _group_rows(raw)
     points = raw if len(kept) == len(raw) else raw.take(kept, axis=0)
     tree = cKDTree(points)
-    gaps = (tree.query(points, k=2)[0][:, 1] if len(points) > 1
-            else np.full(len(points), np.inf))
     tol = _STEP_ACCEPT * r
-    crowded = np.flatnonzero(gaps <= tol)
-    if crowded.size:
+    # the crowded rows in no cluster yet, in input order. |dx| <= |p - q|,
+    # so rows whose first coordinates are all farther apart than 2 tol, a
+    # margin over the tree's rounding, have none
+    todo = np.zeros(0, dtype=np.intp)
+    if (len(points) > 1
+            and (np.diff(np.sort(points[:, 0])) <= 2.0 * tol).any()):
+        gaps = tree.query(points, k=2, distance_upper_bound=2.0 * tol)[0]
+        todo = np.flatnonzero(gaps[:, 1] <= tol)
+    if todo.size:
         leader = np.arange(len(points))
         free = np.zeros(len(points), dtype=bool)
-        free[crowded] = True
-        for i in crowded:
-            if free[i]:
-                ball = np.asarray(tree.query_ball_point(points[i], tol))
-                ball = ball[free[ball]]
-                leader[ball] = i
-                free[ball] = False
-        leaders, cluster = np.unique(leader, return_inverse=True)
-        points = points[leaders]
-        counts = np.bincount(cluster, weights=counts).astype(counts.dtype)
-        tree = cKDTree(points)
-        gaps = tree.query(points, k=2)[0][:, 1] if len(points) > 1 else None
-    # a point many samples piled onto is an isolated slice point known to
-    # solver accuracy; a point hit once samples a continuum, and its gap is
-    # the local coverage. The median mixes the two regimes
-    spacing = _SPACING_GUARD
-    if len(points) > 1:
-        spacing = max(float(np.median(
-            np.where(counts > 1, _SPACING_GUARD, gaps))), _SPACING_GUARD)
+        free[todo] = True
+        while todo.size:
+            i = todo[0]
+            ball = np.asarray(tree.query_ball_point(points[i], tol))
+            ball = ball[free[ball]]
+            leader[ball] = i
+            free[ball] = False
+            todo = todo[free[todo]]
+        # a leader leads itself; a row's cluster is its leader's rank
+        lead = leader == np.arange(len(points))
+        if not lead.all():
+            cluster = (np.cumsum(lead) - 1)[leader]
+            points = points[lead]
+            counts = np.bincount(cluster, weights=counts).astype(counts.dtype)
+            tree = cKDTree(points)
     return SliceCloud(r=r, points=points, converged_fraction=fraction,
-                      spacing=spacing, attempts=attempts, tree=tree, key=key)
+                      counts=counts, attempts=attempts, tree=tree, key=key)
 
 
 def _nonempty(cloud: SliceCloud, name: str) -> SliceCloud:
@@ -760,7 +813,11 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
 
     Each radius's accepted samples are looked up by content (see
     :class:`SliceCloud`), so each distinct point set is built into a cloud
-    once per cache.
+    once per cache. A set whose samples match a cached cloud gets a copy
+    with its own converged fraction and attempts, which shares the cloud's
+    spacing: the first read of either computes it, once. Building a cloud
+    computes no spacing; a continuum target's cloud that the limit fit
+    measures with the solver never does (see :attr:`SliceCloud.continuum`).
     """
     radii = [float(r) for r in radii]
     for r in radii:
@@ -869,8 +926,9 @@ def sample_slices(s: SemianalyticSet, radii, npoints: int = 256,
         cloud = cache.lookup(key)
         if cloud is None:
             cloud = _slice_cloud(r, fraction, attempts, raw, key)
-            # every set with these samples reads this same array
+            # every set with these samples reads these same arrays
             cloud.points.flags.writeable = False
+            cloud.counts.flags.writeable = False
             cache.store(key, cloud)
         else:
             cloud = replace(cloud, converged_fraction=fraction,

@@ -1134,7 +1134,7 @@ def _merge_reference(points, counts, tol):
 def _slice_cloud_reference(r, raw):
     """A slice cloud's distinct rows, and its points, counts and spacing,
     from the dict-loop dedup, the plain-loop merge and the median gap over
-    a fresh k-d tree of the points."""
+    a fresh k-d tree of the points, whatever the counts."""
     distinct, counts = _dedup_reference(raw)
     pts, counts = _merge_reference(distinct, counts, gg._STEP_ACCEPT * r)
     spacing = gg._SPACING_GUARD
@@ -1148,9 +1148,12 @@ def _slice_cloud_reference(r, raw):
 def _built(monkeypatch, r, raw):
     """The cloud of raw at radius r, the size of each k-d tree it builds
     and the rows of each neighbour query, checked against the reference
-    cloud and the rule: one tree over the distinct rows and one query of
-    them, and after a merge one more tree over the merged points and a
-    query of them. A lone point is never queried."""
+    cloud and the rule: one tree over the distinct rows; a gap query of
+    them only when two of their sorted first coordinates lie within twice
+    the merge tolerance; after a merge one more tree over the merged
+    points; and a gap query of the final points only when the spacing is
+    first read, and then only when at most half of at least two points
+    are piled. A second read queries nothing."""
     trees, queries = [], []
 
     class CountingTree(cKDTree):
@@ -1165,14 +1168,25 @@ def _built(monkeypatch, r, raw):
     with monkeypatch.context() as m:
         m.setattr(gg, "cKDTree", CountingTree)
         cloud = gg._slice_cloud(r, 1.0, len(raw), raw)
-    distinct, want_pts, _, want_spacing = _slice_cloud_reference(r, raw)
+        at_build = list(queries)
+        spacing = cloud.spacing
+        assert cloud.spacing == spacing
+    distinct, want_pts, want_counts, want_spacing = _slice_cloud_reference(
+        r, raw)
     assert np.array_equal(cloud.points, want_pts)
-    assert cloud.spacing == want_spacing
+    assert np.array_equal(cloud.counts, want_counts)
+    assert spacing == want_spacing
     assert np.array_equal(cloud.tree.data, cloud.points)
     want = [len(distinct)] + ([len(want_pts)] if len(want_pts) < len(distinct)
                               else [])
     assert trees == want
-    assert queries == [n for n in want if n > 1]
+    n = len(want_pts)
+    screened = bool(len(distinct) > 1 and (np.diff(np.sort(
+        distinct[:, 0])) <= 2.0 * gg._STEP_ACCEPT * r).any())
+    read = bool(n > 1 and 2 * np.count_nonzero(want_counts > 1) <= n)
+    assert at_build == [len(distinct)] * screened
+    assert queries == at_build + [n] * read
+    assert cloud.continuum == (spacing > gg._SPACING_GUARD)
     return cloud, trees, queries, distinct
 
 
@@ -1194,7 +1208,7 @@ class TestGridCell:
     cloud equals the reference's, bit for bit (see _built)."""
 
     @pytest.mark.parametrize("npoints", [128, 2000])
-    @pytest.mark.parametrize("r", [0.25, 2.0 ** -8])
+    @pytest.mark.parametrize("r", [0.25, 2.0 ** -8, 2.0 ** -10, 2.0 ** -12])
     def test_matches_reference_on_slice_samples(self, curves, surfaces, r,
                                                 npoints, monkeypatch):
         # surface slices are continuum clouds of distinct rows, kept whole;
@@ -1281,8 +1295,8 @@ class TestSliceCloud:
         assert trees == queries == [len(raw)]
 
     def test_copies_are_queried_once(self, monkeypatch):
-        # exact copies of 20 points: one query of the distinct rows gives
-        # the cloud's gaps
+        # exact copies of 20 points: the distinct rows are the points, and
+        # the spacing's first read queries their gaps once
         circle = _circle_raw(500)
         raw = np.concatenate([circle, circle[::25]])
         cloud, trees, queries, _ = _built(monkeypatch, 0.25, raw)
@@ -1340,6 +1354,73 @@ class TestMergeClose:
         r = tol / gg._STEP_ACCEPT
         cloud, _, _, distinct = _built(monkeypatch, r, pts)
         assert len(cloud) < len(distinct) or n == 1
+
+    # the last three radii put the merge tolerance below _SPACING_GUARD
+    RADII = [0.25, 2.0 ** -10, 2.0 ** -11, 2.0 ** -12]
+
+    @pytest.mark.parametrize("r", RADII)
+    def test_screen_fires_without_a_merge(self, r, monkeypatch):
+        # copies 1.5 tol off in each coordinate: their first coordinates
+        # are within twice the tolerance, so the rows are queried, but they
+        # are farther than it from every row and merge with none
+        tol = gg._STEP_ACCEPT * r
+        base = _circle_raw(200, r=r)
+        raw = np.concatenate([base, base[::10] + 1.5 * tol])
+        cloud, trees, queries, _ = _built(monkeypatch, r, raw)
+        assert len(cloud) == len(raw) and trees == [len(raw)]
+        assert queries[0] == len(raw)
+
+    @staticmethod
+    def _boundary_pairs(nvars, tol, zero):
+        """Nine pairs of rows exactly d apart, d = tol * (1 + k eps) for
+        k = -4..4: one row's first coordinate is ``zero`` (0.0 or -0.0),
+        the other's +d or -d, and their other coordinates are equal; the
+        pairs lie 0.01 apart. The second row comes first in every other
+        pair."""
+        eps = np.finfo(float).eps
+        rows = []
+        for i, k in enumerate(range(-4, 5)):
+            rest = [0.01 * (i + 1)] * (nvars - 1)
+            d = tol * (1.0 + k * eps) * (-1.0) ** i
+            pair = [[zero, *rest], [d, *rest]]
+            rows += pair[::-1] if i % 2 else pair
+        return np.array(rows)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("nvars", [2, 3])
+    @pytest.mark.parametrize("r", RADII)
+    def test_pairs_at_the_tolerance(self, r, nvars, zero, monkeypatch):
+        # pairs within 4 ulps of the tolerance, on both sides: the builder
+        # merges the ones the plain loop merges, and those at or below it
+        # at least
+        raw = self._boundary_pairs(nvars, gg._STEP_ACCEPT * r, zero)
+        cloud, _, queries, _ = _built(monkeypatch, r, raw)
+        assert queries[0] == len(raw)
+        assert 5 <= len(raw) - len(cloud) < 9
+
+    @pytest.mark.parametrize("k", [-4, -1, 0, 1, 4])
+    @pytest.mark.parametrize("r", RADII)
+    def test_one_variable_pairs_at_the_tolerance(self, r, k, monkeypatch):
+        # one pair d = tol * (1 + k eps) apart, signed zero first, among
+        # rows far from it and from each other
+        d = gg._STEP_ACCEPT * r * (1.0 + k * np.finfo(float).eps)
+        raw = np.array([[0.3 * r], [-0.0], [-0.5 * r], [d], [0.9 * r]])
+        cloud, _, _, _ = _built(monkeypatch, r, raw)
+        # 4 ulps above the tolerance squares to more than its square
+        assert len(cloud) == 4 if k <= 0 else len(cloud) == 5 or k < 4
+
+    @pytest.mark.parametrize("r", RADII)
+    def test_signed_zero_first_coordinates(self, r, monkeypatch):
+        # 0.0 and -0.0 compare equal, so rows that differ only in its sign
+        # are copies, and rows that share it fire the screen; only the
+        # pair within the tolerance merges
+        tol = gg._STEP_ACCEPT * r
+        raw = np.array([[0.0, 0.5 * r], [-0.0, -0.5 * r], [-0.0, 0.5 * r],
+                        [0.0, 0.25 * r], [-0.0, 0.25 * r + 0.5 * tol],
+                        [0.0, -0.25 * r]])
+        cloud, trees, queries, distinct = _built(monkeypatch, r, raw)
+        assert len(distinct) == 5 and len(cloud) == 4
+        assert queries[0] == 5 and trees == [5, 4]
 
     def test_matches_loop_on_slice_samples(self, curves, surfaces,
                                            monkeypatch):
@@ -2052,7 +2133,7 @@ def _query_cloud(X):
     X = np.asarray(X, dtype=float)
     return gg.SliceCloud(r=float(np.median(np.linalg.norm(X, axis=1))),
                          points=X, converged_fraction=1.0,
-                         spacing=gg._SPACING_GUARD, attempts=len(X),
+                         counts=np.ones(len(X), dtype=int), attempts=len(X),
                          tree=cKDTree(X))
 
 
@@ -2388,7 +2469,8 @@ class TestSliceDistances:
             X = gg.sphere_directions(3, 200 + 12 * k, seed=k) * r
             clouds.append(gg.SliceCloud(
                 r=r, points=X, converged_fraction=1.0,
-                spacing=gg._SPACING_GUARD, attempts=len(X), tree=cKDTree(X)))
+                counts=np.ones(len(X), dtype=int), attempts=len(X),
+                tree=cKDTree(X)))
         return clouds
 
     @staticmethod
@@ -2445,7 +2527,7 @@ class TestSliceDistances:
         for i in range(0, len(X), 47):
             lone = gg.SliceCloud(r=r[i], points=X[i:i + 1],
                                  converged_fraction=1.0,
-                                 spacing=gg._SPACING_GUARD, attempts=1,
+                                 counts=np.ones(1, dtype=int), attempts=1,
                                  tree=cKDTree(X[i:i + 1]))
             assert np.array_equal(self._row_dists([lone], s, shared_cache),
                                   rows[i:i + 1])
@@ -2459,7 +2541,8 @@ class TestSliceDistances:
         angles = np.linspace(-3.0, 3.0, 61)
         X = r * np.column_stack([np.cos(angles), np.sin(angles)])
         cloud = gg.SliceCloud(r=r, points=X, converged_fraction=1.0,
-                              spacing=gg._SPACING_GUARD, attempts=len(X),
+                              counts=np.ones(len(X), dtype=int),
+                              attempts=len(X),
                               tree=cKDTree(X))
         want = np.maximum(-X[:, 1], 0.0)
         got = self._row_dists([cloud], s, fresh_cache)
@@ -2540,6 +2623,103 @@ class TestNumericDimension:
         s = _one_part_set(eqs, ineqs, nvars=4)
         assert ga.numeric_dimension(s, r, npoints=256,
                                     cache=shared_cache) == dim
+
+
+def _continuum_by_counts(cloud):
+    """Whether the cloud's count-based continuum test needed no spacing,
+    checked against ``spacing > _SPACING_GUARD``."""
+    got = cloud.continuum
+    by_counts = "spacing" not in cloud._memo
+    assert got == (cloud.spacing > gg._SPACING_GUARD)
+    return by_counts
+
+
+def _count_gap_queries(monkeypatch):
+    """Make the clouds' k-d trees record their sizes, and each k=2 query
+    of all of a tree's points (the query of a cloud's gaps); returns both
+    records."""
+    built, whole = [], []
+
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kw):
+            built.append(len(data))
+            super().__init__(data, *args, **kw)
+
+        def query(self, x, k=1, *args, **kw):
+            if k == 2 and len(x) == self.n:
+                whole.append(len(x))
+            return super().query(x, k, *args, **kw)
+
+    monkeypatch.setattr(gg, "cKDTree", CountingTree)
+    return built, whole
+
+
+class TestContinuum:
+    """``SliceCloud.continuum``, which the limit fit chooses between the
+    solver and the cloud by, equals ``spacing > _SPACING_GUARD`` and needs
+    no neighbour query where the counts decide it."""
+
+    @pytest.mark.parametrize("npoints", [256, 1000])
+    @pytest.mark.parametrize("r0", [0.25, 2.0 ** -9])
+    def test_corpus_clouds(self, curves, surfaces, loj, r0, npoints):
+        radii = ga.RadiiSchedule(r0).radii()
+        by_counts = {True: [], False: []}
+        for coll in (curves, surfaces, loj):
+            for s in coll.sets.values():
+                # a fresh cache: no twin's read has computed the spacing
+                for c in gg.sample_slices(s, radii, npoints=npoints,
+                                          cache=ga.SliceCache()):
+                    if _continuum_by_counts(c):
+                        by_counts[c.continuum].append(c.r)
+        # below r = 1e-3 the merge tolerance is under the guard, so only
+        # piled clouds are decided by their counts there
+        assert by_counts[False] and by_counts[True]
+        assert min(by_counts[True]) > 1e-3
+
+    @pytest.mark.parametrize("r", [0.25, 2.0 ** -12])
+    @pytest.mark.parametrize("n,piled", [
+        (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (10, 5), (10, 4),
+        (10, 6), (256, 128)])
+    def test_small_and_half_piled_clouds(self, r, n, piled):
+        # n distinct points, the first `piled` of them sampled twice
+        pts = _circle_raw(n, r=r) if n else np.zeros((0, 2))
+        raw = np.concatenate([pts, pts[:piled]])
+        cloud = gg._slice_cloud(r, 1.0, len(raw), raw)
+        assert len(cloud) == n
+        assert np.count_nonzero(cloud.counts > 1) == piled
+        # exactly half piled leaves the median to the gaps: the spacing
+        # decides
+        decided = n < 2 or 2 * piled > n or (2 * piled < n and r == 0.25)
+        assert _continuum_by_counts(cloud) == decided
+
+    def test_no_gap_query_on_continuum_clouds(self, surfaces, monkeypatch):
+        # graph_exp's slices and its truncation's are curves of distinct
+        # points: the limit fit measures both directions with the solver
+        # and the horn criterion reads no spacing, so no cloud's gaps are
+        # queried
+        built, whole = _count_gap_queries(monkeypatch)
+        g = surfaces.get("graph_exp")
+        b = gs.truncate_eqs(g, 2)
+        cfg = ga.CompareConfig(ga.RadiiSchedule(0.25), npoints=1000, seed=0)
+        cache = ga.SliceCache()
+        ga.decide_equivalent(g, b, 2.5, cfg, cache)
+        ga.horn_criterion(g, b, 2.5, cfg, cache)
+        ga.horn_criterion(b, g, 2.5, cfg, cache)
+        assert len(built) == 2 * len(cfg.schedule.radii())
+        assert whole == []
+
+    def test_spacing_queried_once_per_point_set(self, surfaces,
+                                                monkeypatch):
+        # graph_exp and its inflation sample equal points, so they share
+        # one cloud and its spacing: numeric_dimension reads it on both,
+        # and the gaps are queried once
+        _, whole = _count_gap_queries(monkeypatch)
+        g = surfaces.get("graph_exp")
+        cache = ga.SliceCache()
+        dims = [ga.numeric_dimension(x, 0.125, npoints=1000, cache=cache)
+                for x in (g, _inflate(g))]
+        assert dims == [2, 2]
+        assert len(whole) == 1
 
 
 class TestCache:
@@ -2733,6 +2913,7 @@ class TestCloudReuse:
         for a, b in zip(own, inflated):
             assert b is not a
             assert b.points is a.points and b.tree is a.tree
+            assert b.counts is a.counts and b._memo is a._memo
             assert b.key == a.key and b.spacing == a.spacing
             # the slack's boundary is one stratum more, and never projected
             assert b.attempts == a.attempts + 256
@@ -2780,7 +2961,7 @@ class TestCloudReuse:
         assert queried == []
         # a cloud without a key is measured afresh and stores nothing
         bare = gg.SliceCloud(r=0.25, points=a.points, converged_fraction=1.0,
-                             spacing=a.spacing, attempts=1, tree=a.tree)
+                             counts=a.counts, attempts=1, tree=a.tree)
         keys = len(cache._store)
         for x, y in ((bare, c), (c, bare)):
             want = ga.directed_deviation(x.points, y.points)
@@ -2817,7 +2998,7 @@ class TestCloudReuse:
         assert rows[1:] == [sum(len(c) for c in clouds)]
         keys = len(cache._store)
         bare = gg.SliceCloud(r=0.25, points=clouds[0].points,
-                             converged_fraction=1.0, spacing=clouds[0].spacing,
+                             converged_fraction=1.0, counts=clouds[0].counts,
                              attempts=1, tree=clouds[0].tree)
         assert gg._max_dists([bare], b, 256, 0, cache) == first[:1]
         assert len(rows) == 3 and len(cache._store) == keys
