@@ -60,9 +60,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _STEP_TARGET = 1e-15
 _STEP_ACCEPT = 1e-12
 _SPACING_GUARD = 1e-15
-# the merge keeps a cloud's points more than _STEP_ACCEPT * r apart as the
-# k-d tree measures them; a gap the tree reports falls below that by a few
-# ulps of rounding at most, far less than this fraction of it
+# the merge keeps a cloud's points more than _STEP_ACCEPT * r apart by their
+# rounded sums of squared differences; a gap a k-d tree reports falls below
+# that by a few ulps of rounding at most, far less than this fraction of it.
+# A group of rows whose bounding box has a diagonal of at most that distance
+# less this fraction of it is one cluster, with as wide a margin
 _GAP_ROUNDING = 1e-9
 # Jacobian directions this far below the dominant sensitivity are treated
 # as degenerate (redundant equations whose rounding noise would otherwise
@@ -147,11 +149,11 @@ class SliceCloud:
     """Deduplicated samples of a set on the sphere of radius r, shape
     (N, nvars); N = 0 for an empty slice.
 
-    :func:`_slice_cloud` builds every cloud by one rule: the distinct
-    accepted samples, then one point per cluster within ``_STEP_ACCEPT *
-    r``, so copies of an isolated slice point become one point, and any
-    two points of the cloud are farther apart than that. ``counts`` holds
-    the number of samples each point stands for.
+    :func:`_slice_cloud` builds every cloud by one rule: one point per
+    cluster of accepted samples within ``_STEP_ACCEPT * r`` of its first
+    one, so equal samples and copies of an isolated slice point become one
+    point, and any two points of the cloud are farther apart than that.
+    ``counts`` holds the number of samples each point stands for.
 
     ``spacing`` is the median of the points' gaps to their nearest
     neighbours, a point that stands for several samples counting as the
@@ -166,17 +168,18 @@ class SliceCloud:
     equations, before inequality filtering); ``attempts`` counts the
     starts over every stratum.
 
-    ``tree`` is a k-d tree over the points, the last one the builder made,
-    so every neighbour query against the cloud reuses it. ``key`` is the
-    cloud's content key, ("cloud", r, digest of the raw samples' shape and
-    bytes), None for a cloud built outside :func:`sample_slices`. Points,
-    counts, spacing and tree depend only on that key, so sets whose
-    samples at r are equal bit for bit share those objects (the points
-    read-only) and differ only in ``converged_fraction`` and ``attempts``;
-    the cache keys the deviation of one cloud from another on both content
-    keys (see :func:`_deviation`). Where a radius's samples are one
-    stratum's accepted points, none filtered out and none merged, the
-    points are that stratum's cached array itself, not a copy.
+    ``tree`` is a k-d tree over the points, the one tree the builder
+    makes, so every neighbour query against the cloud reuses it. ``key``
+    is the cloud's content key, ("cloud", r, digest of the raw samples'
+    shape and bytes), None for a cloud built outside
+    :func:`sample_slices`. Points, counts, spacing and tree depend only on
+    that key, so sets whose samples at r are equal bit for bit share those
+    objects (the points read-only) and differ only in
+    ``converged_fraction`` and ``attempts``; the cache keys the deviation
+    of one cloud from another on both content keys (see
+    :func:`_deviation`). Where a radius's samples are one stratum's
+    accepted points, none filtered out and none merged, the points are
+    that stratum's cached array itself, not a copy.
     """
 
     r: float
@@ -657,78 +660,69 @@ def _normalize_system(eqs):
     return tuple(kept)
 
 
-def _group_rows(rows: np.ndarray):
-    """Group equal rows (0.0 equals -0.0) by a stable lexsort. Returns each
-    group's first row index, with the groups in the order of those
-    indices, and the group sizes."""
-    n = len(rows)
-    col = np.sort(rows[:, 0])
-    if not (col[1:] == col[:-1]).any():
-        # distinct first coordinates: every row is its own group
-        return np.arange(n), np.ones(n, dtype=np.intp)
-    order = np.lexsort(rows.T)
-    ranked = rows.take(order, axis=0)
-    # starts[i]: sorted row i opens a group; starts[n] closes the last one
-    starts = np.empty(n + 1, dtype=bool)
-    starts[0] = starts[n] = True
-    np.not_equal(ranked[1:, 0], ranked[:-1, 0], out=starts[1:n])
-    for c in range(1, rows.shape[1]):
-        starts[1:n] |= ranked[1:, c] != ranked[:-1, c]
-    heads = np.flatnonzero(starts)
-    first = order[heads[:-1]]
-    by_input = np.argsort(first)
-    return first[by_input], np.diff(heads)[by_input]
-
-
 def _slice_cloud(r: float, fraction: float, attempts: int,
                  raw: np.ndarray, key: tuple | None = None) -> SliceCloud:
     """Build the accepted member samples at radius r into a cloud (see
     :class:`SliceCloud`); no samples give an empty cloud. ``key`` is the
     cloud's cache key.
 
-    The distinct rows get one k-d tree. Copies of one isolated slice point
-    need not be equal bit for bit; accepted points are known to
-    ``_STEP_ACCEPT * r``, so closer ones are one point. Leader clustering
-    in input order merges them: a point within that of an earlier kept
-    point joins the first such point, otherwise it is kept. Two rows are
-    at least as far apart as their first coordinates, so where no two
-    sorted first coordinates are within twice the tolerance nothing merges
-    and the rows are not queried. Otherwise one k=2 query, bounded at
-    twice the tolerance, finds the rows with a neighbour within it; only
-    those are clustered, one ball query per kept point, and the tree is
-    rebuilt only after a merge. The spacing is left to its first read."""
-    kept, counts = _group_rows(raw)
-    points = raw if len(kept) == len(raw) else raw.take(kept, axis=0)
-    tree = cKDTree(points)
+    Copies of one isolated slice point need not be equal bit for bit;
+    accepted points are known to tol = ``_STEP_ACCEPT * r``, so closer
+    ones are one point. Leader clustering in input order merges them: a
+    row whose sum of squared differences from an earlier kept row is at
+    most tol^2 joins the first such row, otherwise it is kept. Rows more
+    than 2 tol apart in one coordinate never merge, so the sorted rows are
+    cut into groups wherever their first coordinates jump by that much,
+    and, while some group is wider than tol, wherever their next ones do;
+    where no two first coordinates are that close nothing merges. A group
+    whose bounding box has a diagonal of at most tol less
+    ``_GAP_ROUNDING`` of it is one cluster, led by its first row; equal
+    rows, 0.0 and -0.0 alike, share a group. In a wider group the first
+    row left leads every row left within tol, in turn. No neighbour query
+    runs: the one k-d tree is over the final points, and the spacing is
+    left to its first read."""
+    n = len(raw)
     tol = _STEP_ACCEPT * r
-    # the crowded rows in no cluster yet, in input order. |dx| <= |p - q|,
-    # so rows whose first coordinates are all farther apart than 2 tol, a
-    # margin over the tree's rounding, have none
-    todo = np.zeros(0, dtype=np.intp)
-    if (len(points) > 1
-            and (np.diff(np.sort(points[:, 0])) <= 2.0 * tol).any()):
-        gaps = tree.query(points, k=2, distance_upper_bound=2.0 * tol)[0]
-        todo = np.flatnonzero(gaps[:, 1] <= tol)
-    if todo.size:
-        leader = np.arange(len(points))
-        free = np.zeros(len(points), dtype=bool)
-        free[todo] = True
-        while todo.size:
-            i = todo[0]
-            ball = np.asarray(tree.query_ball_point(points[i], tol))
-            ball = ball[free[ball]]
-            leader[ball] = i
-            free[ball] = False
-            todo = todo[free[todo]]
-        # a leader leads itself; a row's cluster is its leader's rank
-        lead = leader == np.arange(len(points))
-        if not lead.all():
-            cluster = (np.cumsum(lead) - 1)[leader]
-            points = points[lead]
-            counts = np.bincount(cluster, weights=counts).astype(counts.dtype)
-            tree = cKDTree(points)
+    points, counts = raw, np.ones(n, dtype=np.intp)
+    if n > 1 and (np.diff(np.sort(raw[:, 0])) <= 2.0 * tol).any():
+        order = np.argsort(raw[:, 0])
+        ranked = raw.take(order, axis=0)
+        # starts[i]: sorted row i opens a group
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = ~(np.diff(ranked[:, 0]) <= 2.0 * tol)
+        narrow = (tol * (1.0 - _GAP_ROUNDING)) ** 2
+        for c in range(raw.shape[1]):
+            if c:
+                # sort each group by coordinate c, and cut it there too
+                resort = np.lexsort((ranked[:, c], np.cumsum(starts)))
+                order, ranked = order[resort], ranked[resort]
+                starts[1:] |= ~(np.diff(ranked[:, c]) <= 2.0 * tol)
+            heads = np.flatnonzero(starts)
+            span = (np.maximum.reduceat(ranked, heads)
+                    - np.minimum.reduceat(ranked, heads))
+            wide = (span * span).sum(axis=1) > narrow
+            if not wide.any():
+                break
+        ends = np.append(heads[1:], n)
+        lead = np.minimum.reduceat(order, heads)
+        leads, sizes = [lead[~wide]], [(ends - heads)[~wide]]
+        for g in np.flatnonzero(wide):
+            # the group's first row left leads every row left within tol
+            rest = np.sort(order[heads[g]:ends[g]])
+            while rest.size:
+                i, rest = rest[0], rest[1:]
+                near = ((raw[rest] - raw[i]) ** 2).sum(axis=1) <= tol * tol
+                leads.append([i])
+                sizes.append([1 + np.count_nonzero(near)])
+                rest = rest[~near]
+        lead, counts = np.concatenate(leads), np.concatenate(sizes)
+        by_input = np.argsort(lead)
+        lead, counts = lead[by_input], counts[by_input]
+        if len(lead) < n:
+            points = raw.take(lead, axis=0)
     return SliceCloud(r=r, points=points, converged_fraction=fraction,
-                      counts=counts, attempts=attempts, tree=tree, key=key)
+                      counts=counts, attempts=attempts, tree=cKDTree(points),
+                      key=key)
 
 
 def _nonempty(cloud: SliceCloud, name: str) -> SliceCloud:

@@ -1063,31 +1063,46 @@ def _dedup_reference(points):
     return points[keep], np.array(counts)
 
 
-def _deduped(points):
-    """The distinct rows the builder keeps, and their counts."""
-    first, counts = gg._group_rows(points)
-    return points[first], counts
+def _dedup_radius(points):
+    """A radius whose merge tolerance lies below every nonzero gap between
+    the rows, so its cloud merges only equal rows."""
+    distinct, _ = _dedup_reference(points)
+    gap = 1.0
+    if len(distinct) > 1:
+        gap = cKDTree(distinct).query(distinct, k=2)[0][:, 1].min()
+    return gap / 4.0 / gg._STEP_ACCEPT
+
+
+def _deduped(monkeypatch, points):
+    """The points and counts of the cloud of the rows at a radius that
+    merges only equal rows (see _built)."""
+    cloud = _built(monkeypatch, _dedup_radius(points), points)[0]
+    return cloud.points, cloud.counts
 
 
 class TestDedup:
+    """Equal rows, 0.0 and -0.0 alike, are one cloud point led by the
+    first of them; at a merge tolerance below every other gap the cloud is
+    the dict-loop dedup's."""
+
     @pytest.mark.parametrize("n,nvars,cell", [
         (1, 2, 1e-3), (50, 2, 1e-15), (300, 2, 0.05), (300, 3, 0.1),
         (1000, 3, 0.3), (200, 1, 0.01), (500, 4, 0.5)])
-    def test_matches_loop(self, n, nvars, cell):
+    def test_matches_loop(self, n, nvars, cell, monkeypatch):
         rng = np.random.default_rng(n + nvars)
         pts = rng.uniform(-0.25, 0.25, size=(n, nvars))
         # repeated rows, and points rounded to a grid of spacing cell,
         # which makes more copies and zeros of both signs
         pts[n // 2:] = pts[: n - n // 2]
         pts[::7] = np.round(pts[::7] / cell) * cell
-        got_pts, got_counts = _deduped(pts)
+        got_pts, got_counts = _deduped(monkeypatch, pts)
         want_pts, want_counts = _dedup_reference(pts)
         assert np.array_equal(got_pts, want_pts)
         assert np.array_equal(got_counts, want_counts)
         assert got_counts.sum() == n
 
     @pytest.mark.parametrize("nvars,cell", [(2, 1e-3), (3, 0.05)])
-    def test_matches_loop_far_from_origin(self, nvars, cell):
+    def test_matches_loop_far_from_origin(self, nvars, cell, monkeypatch):
         # coordinates near 1e4, both signs
         rng = np.random.default_rng(nvars)
         pts = rng.uniform(-1.0, 1.0, size=(400, nvars))
@@ -1095,13 +1110,14 @@ class TestDedup:
         pts[1::2, -1] -= 2e4
         pts[200:] = pts[:200]
         pts[::5] = np.round(pts[::5] / cell) * cell
-        got_pts, got_counts = _deduped(pts)
+        got_pts, got_counts = _deduped(monkeypatch, pts)
         want_pts, want_counts = _dedup_reference(pts)
         assert np.array_equal(got_pts, want_pts)
         assert np.array_equal(got_counts, want_counts)
         assert len(got_pts) < len(pts)
 
-    def test_matches_loop_on_slice_samples(self, curves, surfaces):
+    def test_matches_loop_on_slice_samples(self, curves, surfaces,
+                                           monkeypatch):
         # accepted samples pile onto isolated slice points or spread along
         # slice curves
         r = 0.25
@@ -1109,7 +1125,7 @@ class TestDedup:
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, 128, 0) * r, r)
             raw = raw[ok]
-            got_pts, got_counts = _deduped(raw)
+            got_pts, got_counts = _deduped(monkeypatch, raw)
             want_pts, want_counts = _dedup_reference(raw)
             assert np.array_equal(got_pts, want_pts)
             assert np.array_equal(got_counts, want_counts)
@@ -1145,15 +1161,68 @@ def _slice_cloud_reference(r, raw):
     return distinct, pts, counts, spacing
 
 
+def _tree_group_rows(rows):
+    """Equal rows (0.0 equals -0.0) by a stable lexsort: each group's first
+    row index, with the groups in the order of those indices, and the
+    group sizes."""
+    n = len(rows)
+    col = np.sort(rows[:, 0])
+    if not (col[1:] == col[:-1]).any():
+        return np.arange(n), np.ones(n, dtype=np.intp)
+    order = np.lexsort(rows.T)
+    ranked = rows.take(order, axis=0)
+    starts = np.empty(n + 1, dtype=bool)
+    starts[0] = starts[n] = True
+    np.not_equal(ranked[1:, 0], ranked[:-1, 0], out=starts[1:n])
+    for c in range(1, rows.shape[1]):
+        starts[1:n] |= ranked[1:, c] != ranked[:-1, c]
+    heads = np.flatnonzero(starts)
+    first = order[heads[:-1]]
+    by_input = np.argsort(first)
+    return first[by_input], np.diff(heads)[by_input]
+
+
+def _tree_slice_cloud(r, raw):
+    """A slice cloud's points and counts by the k-d tree builder: a tree
+    over the distinct rows, a k=2 gap query bounded at twice the merge
+    tolerance where two sorted first coordinates lie that close, and one
+    ball query per leader over the rows with a neighbour within it."""
+    kept, counts = _tree_group_rows(raw)
+    points = raw if len(kept) == len(raw) else raw.take(kept, axis=0)
+    tree = cKDTree(points)
+    tol = gg._STEP_ACCEPT * r
+    todo = np.zeros(0, dtype=np.intp)
+    if (len(points) > 1
+            and (np.diff(np.sort(points[:, 0])) <= 2.0 * tol).any()):
+        gaps = tree.query(points, k=2, distance_upper_bound=2.0 * tol)[0]
+        todo = np.flatnonzero(gaps[:, 1] <= tol)
+    if todo.size:
+        leader = np.arange(len(points))
+        free = np.zeros(len(points), dtype=bool)
+        free[todo] = True
+        while todo.size:
+            i = todo[0]
+            ball = np.asarray(tree.query_ball_point(points[i], tol))
+            ball = ball[free[ball]]
+            leader[ball] = i
+            free[ball] = False
+            todo = todo[free[todo]]
+        lead = leader == np.arange(len(points))
+        if not lead.all():
+            cluster = (np.cumsum(lead) - 1)[leader]
+            points = points[lead]
+            counts = np.bincount(cluster, weights=counts).astype(counts.dtype)
+    return points, counts
+
+
 def _built(monkeypatch, r, raw):
     """The cloud of raw at radius r, the size of each k-d tree it builds
     and the rows of each neighbour query, checked against the reference
-    cloud and the rule: one tree over the distinct rows; a gap query of
-    them only when two of their sorted first coordinates lie within twice
-    the merge tolerance; after a merge one more tree over the merged
-    points; and a gap query of the final points only when the spacing is
-    first read, and then only when at most half of at least two points
-    are piled. A second read queries nothing."""
+    cloud, the k-d tree builder's points and counts, and the rule: one
+    tree, over the final points, and no neighbour query at build; a gap
+    query of the final points only when the spacing is first read, and
+    then only when at most half of at least two points are piled. A second
+    read queries nothing."""
     trees, queries = [], []
 
     class CountingTree(cKDTree):
@@ -1165,27 +1234,29 @@ def _built(monkeypatch, r, raw):
             queries.append(len(x))
             return super().query(x, *args, **kw)
 
+        def query_ball_point(self, x, *args, **kw):
+            queries.append(len(x))
+            return super().query_ball_point(x, *args, **kw)
+
     with monkeypatch.context() as m:
         m.setattr(gg, "cKDTree", CountingTree)
         cloud = gg._slice_cloud(r, 1.0, len(raw), raw)
-        at_build = list(queries)
+        assert queries == []
         spacing = cloud.spacing
         assert cloud.spacing == spacing
     distinct, want_pts, want_counts, want_spacing = _slice_cloud_reference(
         r, raw)
     assert np.array_equal(cloud.points, want_pts)
     assert np.array_equal(cloud.counts, want_counts)
+    tree_pts, tree_counts = _tree_slice_cloud(r, raw)
+    assert np.array_equal(cloud.points, tree_pts)
+    assert np.array_equal(cloud.counts, tree_counts)
     assert spacing == want_spacing
     assert np.array_equal(cloud.tree.data, cloud.points)
-    want = [len(distinct)] + ([len(want_pts)] if len(want_pts) < len(distinct)
-                              else [])
-    assert trees == want
     n = len(want_pts)
-    screened = bool(len(distinct) > 1 and (np.diff(np.sort(
-        distinct[:, 0])) <= 2.0 * gg._STEP_ACCEPT * r).any())
+    assert trees == [n]
     read = bool(n > 1 and 2 * np.count_nonzero(want_counts > 1) <= n)
-    assert at_build == [len(distinct)] * screened
-    assert queries == at_build + [n] * read
+    assert queries == [n] * read
     assert cloud.continuum == (spacing > gg._SPACING_GUARD)
     return cloud, trees, queries, distinct
 
@@ -1204,7 +1275,7 @@ def _copies_raw(n, copied, nvars=2, seed=0):
 
 
 class TestGridCell:
-    """The builder's one k-d tree is over the distinct raw rows, and the
+    """The builder's one k-d tree is over the cloud's points, and the
     cloud equals the reference's, bit for bit (see _built)."""
 
     @pytest.mark.parametrize("npoints", [128, 2000])
@@ -1233,8 +1304,9 @@ class TestGridCell:
     @pytest.mark.parametrize("n", [9, 10, 255, 256])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_half_the_rows_copied(self, n, extra, monkeypatch):
-        # however many rows have a copy, the one tree is over the distinct
-        # rows: n minus the copies beyond the first of each group
+        # however many rows have a copy, the one tree is over the points,
+        # the distinct rows: n minus the copies beyond the first of each
+        # group
         copied = n // 2 + extra
         raw = _copies_raw(n, copied, seed=n)
         cloud, trees, _, _ = _built(monkeypatch, 0.25, raw)
@@ -1244,11 +1316,11 @@ class TestGridCell:
     def test_signed_zeros_are_copies(self, monkeypatch):
         raw = np.array([[0.0, 0.1], [-0.0, 0.1], [0.0, -0.1],
                         [0.3, 0.0], [0.3, -0.0], [0.2, 0.2]])
-        first, sizes = gg._group_rows(raw)
-        assert first.tolist() == [0, 2, 3, 5]
-        assert sizes.tolist() == [2, 1, 2, 1]
-        # one tree over the four distinct rows, whichever comes first
-        assert _built(monkeypatch, 0.25, raw)[1] == [4]
+        cloud, trees, _, _ = _built(monkeypatch, 0.25, raw)
+        assert np.array_equal(cloud.points, raw[[0, 2, 3, 5]])
+        assert cloud.counts.tolist() == [2, 1, 2, 1]
+        # one tree over the four points, whichever copy comes first
+        assert trees == [4]
         assert _built(monkeypatch, 0.25, raw[[0, 2, 3, 5, 1]])[1] == [4]
 
     @pytest.mark.parametrize("copied", [0, 3, 50, 51])
@@ -1277,6 +1349,63 @@ class TestGridCell:
         assert len(c) == 2
         assert raw_sizes and min(raw_sizes) > 1000
         assert max(tree_sizes, default=0) < min(raw_sizes)
+
+    @pytest.mark.parametrize("name", ["exp_curve", "cusp"])
+    def test_no_neighbour_query_at_build(self, curves, name, monkeypatch):
+        # the slices are a few isolated points, each sampled by hundreds
+        # of accepted copies; building the cloud queries no neighbours
+        # and builds one tree, over its points
+        trees, queries = [], []
+
+        class CountingTree(cKDTree):
+            def __init__(self, data, *args, **kw):
+                trees.append(len(data))
+                super().__init__(data, *args, **kw)
+
+            def query(self, x, *args, **kw):
+                queries.append(len(x))
+                return super().query(x, *args, **kw)
+
+            def query_ball_point(self, x, *args, **kw):
+                queries.append(len(x))
+                return super().query_ball_point(x, *args, **kw)
+
+        monkeypatch.setattr(gg, "cKDTree", CountingTree)
+        c = ga.sample_slice(curves.get(name), 0.0625, npoints=2000,
+                            cache=ga.SliceCache())
+        assert len(c) < 5 and c.counts.min() > 100
+        assert queries == []
+        assert trees == [len(c)]
+
+
+class TestTreeBuilder:
+    """Every corpus cloud's points and counts equal the k-d tree
+    builder's, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("npoints", [256, 2000])
+    @pytest.mark.parametrize("r0", [0.25, 2.0 ** -9])
+    def test_corpus_clouds(self, curves, surfaces, loj, r0, npoints, seed,
+                           monkeypatch):
+        merged = []
+
+        def checked(r, fraction, attempts, raw, *key):
+            cloud = slice_cloud(r, fraction, attempts, raw, *key)
+            points, counts = _tree_slice_cloud(r, raw)
+            assert np.array_equal(cloud.points, points)
+            assert np.array_equal(cloud.counts, counts)
+            merged.append(len(cloud) < len(raw))
+            return cloud
+
+        slice_cloud = gg._slice_cloud
+        monkeypatch.setattr(gg, "_slice_cloud", checked)
+        radii = ga.RadiiSchedule(r0).radii()
+        cache = ga.SliceCache()
+        for coll in (curves, surfaces, loj):
+            for s in coll.sets.values():
+                gg.sample_slices(s, radii, npoints=npoints, seed=seed,
+                                 cache=cache)
+        assert any(merged) and not all(merged)
 
 
 def _circle_raw(n, r=0.25, seed=0):
@@ -1361,14 +1490,15 @@ class TestMergeClose:
     @pytest.mark.parametrize("r", RADII)
     def test_screen_fires_without_a_merge(self, r, monkeypatch):
         # copies 1.5 tol off in each coordinate: their first coordinates
-        # are within twice the tolerance, so the rows are queried, but they
-        # are farther than it from every row and merge with none
+        # are within twice the tolerance, so the rows are grouped, but they
+        # are farther than it from every row and merge with none. The one
+        # query is the spacing's first read, of the final points
         tol = gg._STEP_ACCEPT * r
         base = _circle_raw(200, r=r)
         raw = np.concatenate([base, base[::10] + 1.5 * tol])
         cloud, trees, queries, _ = _built(monkeypatch, r, raw)
         assert len(cloud) == len(raw) and trees == [len(raw)]
-        assert queries[0] == len(raw)
+        assert queries == [len(raw)]
 
     @staticmethod
     def _boundary_pairs(nvars, tol, zero):
@@ -1394,8 +1524,11 @@ class TestMergeClose:
         # merges the ones the plain loop merges, and those at or below it
         # at least
         raw = self._boundary_pairs(nvars, gg._STEP_ACCEPT * r, zero)
-        cloud, _, queries, _ = _built(monkeypatch, r, raw)
-        assert queries[0] == len(raw)
+        cloud, trees, queries, _ = _built(monkeypatch, r, raw)
+        # the rows are not queried: the one tree and any query are over
+        # the final points
+        assert trees == [len(cloud)]
+        assert all(q == len(cloud) for q in queries)
         assert 5 <= len(raw) - len(cloud) < 9
 
     @pytest.mark.parametrize("k", [-4, -1, 0, 1, 4])
@@ -1412,15 +1545,16 @@ class TestMergeClose:
     @pytest.mark.parametrize("r", RADII)
     def test_signed_zero_first_coordinates(self, r, monkeypatch):
         # 0.0 and -0.0 compare equal, so rows that differ only in its sign
-        # are copies, and rows that share it fire the screen; only the
-        # pair within the tolerance merges
+        # are copies, and rows that share it are grouped; only the pair
+        # within the tolerance merges. Half the four points are piled, so
+        # the spacing's first read queries them
         tol = gg._STEP_ACCEPT * r
         raw = np.array([[0.0, 0.5 * r], [-0.0, -0.5 * r], [-0.0, 0.5 * r],
                         [0.0, 0.25 * r], [-0.0, 0.25 * r + 0.5 * tol],
                         [0.0, -0.25 * r]])
         cloud, trees, queries, distinct = _built(monkeypatch, r, raw)
         assert len(distinct) == 5 and len(cloud) == 4
-        assert queries[0] == 5 and trees == [5, 4]
+        assert queries == trees == [4]
 
     def test_matches_loop_on_slice_samples(self, curves, surfaces,
                                            monkeypatch):
@@ -1443,6 +1577,94 @@ class TestMergeClose:
                             seed=0, cache=ga.SliceCache())
         assert len(c.points) == 2
         assert np.linalg.norm(c.points[0] - c.points[1]) > r
+
+
+class TestWideGroups:
+    """Rows whose group is wider than the merge tolerance in every
+    coordinate it is cut by are clustered row by row, as the plain loop
+    and the k-d tree builder cluster them (see _built)."""
+
+    RADII = [0.25, 2.0 ** -10, 2.0 ** -11, 2.0 ** -12]
+
+    @staticmethod
+    def _chains(nvars, r, steps):
+        """Rows 0.6 tol apart along the diagonal: one chain per base point
+        0.1 r, 0.5 r and -0.7 r along it, the row at `steps` multiples of
+        the step from its base, then 20 random rows."""
+        tol = gg._STEP_ACCEPT * r
+        u = np.ones(nvars) / np.sqrt(nvars)
+        rows = [(b * r + 0.6 * tol * k) * u
+                for b in (0.1, 0.5, -0.7) for k in steps]
+        far = np.random.default_rng(nvars).uniform(-r, r, size=(20, nvars))
+        return np.concatenate([np.array(rows), far])
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("r", RADII)
+    def test_chains_in_input_order(self, r, nvars, monkeypatch):
+        # nine rows 0.6 tol apart: each second row leads the one after it
+        raw = self._chains(nvars, r, range(9))
+        cloud = _built(monkeypatch, r, raw)[0]
+        assert len(cloud) == 3 * 5 + 20
+        assert cloud.counts.tolist()[:5] == [2, 2, 2, 2, 1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("r", RADII)
+    def test_chains_shuffled(self, r, nvars, seed, monkeypatch):
+        steps = np.random.default_rng(seed).permutation(9)
+        raw = self._chains(nvars, r, steps)
+        raw = raw[np.random.default_rng(seed).permutation(len(raw))]
+        cloud = _built(monkeypatch, r, raw)[0]
+        assert 3 * 3 + 20 <= len(cloud) <= 3 * 5 + 20
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("k", [-4, 4])
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("r", RADII)
+    def test_row_at_the_tolerance(self, r, nvars, k, reverse, monkeypatch):
+        # first coordinates 0, 0.6 tol and d = tol * (1 + k eps), the
+        # others equal, then a far row: the middle row joins the first
+        # one's cluster, and the last joins it too when at or below the
+        # tolerance
+        tol = gg._STEP_ACCEPT * r
+        d = tol * (1.0 + k * np.finfo(float).eps)
+        raw = np.full((4, nvars), 0.01 * r)
+        raw[:, 0] = [0.0, 0.6 * tol, d, 0.5 * r]
+        if reverse:
+            raw[:3] = raw[2::-1]
+        cloud = _built(monkeypatch, r, raw)[0]
+        assert cloud.counts.tolist() == ([3, 1] if k < 0 else [2, 1, 1])
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("r", RADII)
+    def test_signed_zero_coordinates(self, r, nvars, monkeypatch):
+        # the last coordinate runs 0.6 tol apart, every other coordinate
+        # and every zero last one alternates between 0.0 and -0.0: two
+        # clusters, led by the first row and the first at 1.2 tol
+        tol = gg._STEP_ACCEPT * r
+        steps = np.array([0, 0, 1, 0, 2, 2, 1, 0])
+        zeros = np.where(np.arange(len(steps)) % 2, -0.0, 0.0)
+        raw = np.repeat(zeros[:, None], nvars, axis=1)
+        raw[:, -1] = np.where(steps == 0, zeros, 0.6 * tol * steps)
+        cloud = _built(monkeypatch, r, raw)[0]
+        assert np.array_equal(cloud.points, raw[[0, 4]])
+        assert cloud.counts.tolist() == [6, 2]
+
+    @pytest.mark.parametrize("y", [0.3, 0.6e-12])
+    @pytest.mark.parametrize("nvars", [2, 3])
+    @pytest.mark.parametrize("r", RADII)
+    def test_symmetric_pairs(self, r, nvars, y, monkeypatch):
+        # copies of (x, y) and (x, -y) a few ulps apart share their first
+        # coordinates: cut by the second, they are two points, whether
+        # far apart or 1.2 tol apart
+        rng = np.random.default_rng(nvars)
+        point = np.array([0.4, y] + [0.2] * (nvars - 2)) * r
+        raw = point * (1.0 + rng.integers(-2, 3, size=(40, nvars))
+                       * np.finfo(float).eps)
+        raw[1::2, 1] *= -1.0
+        cloud = _built(monkeypatch, r, raw)[0]
+        assert np.array_equal(cloud.points, raw[:2])
+        assert cloud.counts.tolist() == [20, 20]
 
 
 def _circle_roots(part, r, grid=200_000):
