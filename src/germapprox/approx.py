@@ -3,10 +3,10 @@
 The pipeline, per basic part of the input set:
 
 1. Estimate the part's local dimension d from slice samples.
-2. Reduce the equation system to n - d components. When the part already
-   has exactly n - d equations they are kept as they are; otherwise a
-   seeded random linear map mixes the p equations into n - d generic
-   combinations F.
+2. Reduce the p equations to a system F of n - d components. When
+   p > n - d > 0 a seeded random linear map mixes them into n - d generic
+   combinations; when p <= n - d they are kept as they are, with a caveat
+   if p < n - d; a full-dimensional part (d = n) keeps none.
 3. Inflate: replace {f = 0} by {F = 0, |x|^(2m) - sum f_i^2 >= 0}, searching
    for the smallest exponent m that keeps the inflated germ within order s
    of the part. The slack trims components of {F = 0} that the projection
@@ -98,14 +98,14 @@ def child_seed(seed: int, *tokens) -> int:
 class PartApproxResult:
     part_index: int
     dimension: int
-    m: int | None
-    h: int | None
-    k: int | None
-    projection: tuple[tuple[float, ...], ...] | None
-    m_verdict: Verdict | None
-    candidate_verdict: Verdict | None
-    residual: "ApproxResult | None"
-    caveats: tuple[str, ...]
+    m: int | None = None
+    h: int | None = None
+    k: int | None = None
+    projection: tuple[tuple[float, ...], ...] | None = None
+    m_verdict: Verdict | None = None
+    candidate_verdict: Verdict | None = None
+    residual: "ApproxResult | None" = None
+    caveats: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,10 @@ def _scan_vanishing_ineqs(s: SemianalyticSet, order: int):
     return notes
 
 
+def _tagged(tag: str, caveats) -> list[str]:
+    return [f"[{tag}] {c}" for c in caveats]
+
+
 def approximate(a: SemianalyticSet, s: float,
                 config: ApproxConfig | None = None,
                 cache: SliceCache | None = None) -> ApproxResult:
@@ -285,137 +289,119 @@ def approximate(a: SemianalyticSet, s: float,
             "dimension estimate unstable across radii: "
             f"{[input_dim, next_dim]}")
 
-    if input_dim == 0:
-        out = SemianalyticSet(name=f"approx({a.name})", nvars=a.nvars,
-                              omega=a.omega, parts=())
-        caveats.append("origin is isolated at the sampled resolution; "
-                       "the approximant is the empty germ")
-        verdict = Verdict(holds=True, s=s, method="limit-fit", estimate=None,
-                          caveats=tuple(caveats))
-        return ApproxResult(
-            input_name=a.name, s=s, output=out, parts=(),
-            final_verdict=verdict, success=True, input_dimension=0,
-            output_dimension=0, caveats=tuple(caveats))
-
-    part_results = []
-    output_parts: list[BasicPresentation] = []
-    for i, part in enumerate(a.parts):
-        part_set = set_of(part, f"{a.name}[{i}]", a.omega)
-        part_caveats: list[str] = []
-        d_hat = _dim_at(part_set, r_fine, config, cache)
-        if d_hat == 0:
-            part_results.append(PartApproxResult(
-                part_index=i, dimension=0, m=None, h=None, k=None,
-                projection=None, m_verdict=None, candidate_verdict=None,
-                residual=None,
-                caveats=("part contributes no points near the origin at "
-                         "the sampled resolution",)))
-            continue
-
-        p = len(part.eqs)
-        target = part.nvars - d_hat
-        proj_matrix = None
-        if p == 0 or target == 0:
-            proj_eqs: tuple = ()
-            if target > 0 and p == 0:
-                part_caveats.append(
-                    "part has no equations but does not fill the space; "
-                    "inequalities alone carry its shape")
-        elif target == p:
-            proj_eqs = part.eqs
-        elif target < p:
-            seed = child_seed(config.compare.seed, "proj", a.name, i)
-            mixed, M = generic_projection(part.eqs, part.nvars, target,
-                                          seed=seed)
-            proj_eqs = tuple(mixed)
-            proj_matrix = tuple(tuple(float(v) for v in row) for row in M)
-        else:
-            # more independent directions than equations: keep the system
-            proj_eqs = part.eqs
-            part_caveats.append(
-                f"estimated codimension {target} exceeds the equation "
-                f"count {p}; the system is kept unreduced")
-
-        if proj_eqs and target >= 1:
-            vf = set_of(BasicPresentation(
-                nvars=part.nvars, eqs=proj_eqs, ineqs=(),
-                through_origin=False), f"reduced({a.name}[{i}])", a.omega)
-            d_vf = _dim_at(vf, r_fine, config, cache)
-            if d_vf != d_hat:
-                part_caveats.append(
-                    f"reduced equation system has dimension {d_vf} at the "
-                    f"finest radius, part has {d_hat}; the combination may "
-                    "not be generic")
-
-        # inflation exponent
-        m = m_verdict = None
-        tilde = part_set
-        if part.eqs:
-            def tilde_of(mm, _part=part, _proj=proj_eqs, _i=i):
-                inflated = inflated_part(_part, _proj or _part.eqs, mm)
-                return set_of(inflated, f"inflate({a.name}[{_i}],{mm})",
-                              a.omega)
-
-            m, tilde, m_verdict = search_inflation_exponent(
-                part_set, tilde_of, s, config, cache)
-
-        # truncation orders
-        h, k, candidate, cand_verdict, dropped = search_truncation_orders(
-            part_set, tilde, s, config, cache)
-        if dropped:
-            part_caveats.append(
-                f"{dropped} inequality(ies) truncated to a constant at "
-                f"order {k} "
-                "and were dropped from the accepted candidate")
-        output_parts.extend(candidate.parts)
-
-        # residual recursion
-        residual = None
-        res_set = _residual_set(part, proj_eqs, f"residual({a.name}[{i}])",
-                                a.omega)
-        if res_set.parts:
-            d_res = _dim_at(res_set, r_fine, config, cache)
-            if d_res >= d_hat:
-                part_caveats.append(
-                    f"residual locus has dimension {d_res}, not below the "
-                    f"part's {d_hat}; its recursion may not shrink the "
-                    "problem")
-            if d_res > 0:
-                if config.depth > 0:
-                    sub = replace(config, depth=config.depth - 1)
-                    residual = approximate(res_set, s, sub, cache)
-                    output_parts.extend(residual.output.parts)
-                    for c in residual.caveats:
-                        part_caveats.append(f"[residual] {c}")
-                else:
-                    output_parts.extend(_truncate(res_set, h, k)[0].parts)
-                    part_caveats.append(
-                        "recursion budget exhausted; residual truncated at "
-                        f"orders ({h}, {k}) without verification")
-
-        part_results.append(PartApproxResult(
-            part_index=i, dimension=d_hat, m=m, h=h, k=k,
-            projection=proj_matrix, m_verdict=m_verdict,
-            candidate_verdict=cand_verdict, residual=residual,
-            caveats=tuple(part_caveats)))
-
+    done = [_approximate_part(a, i, s, r_fine, config, cache)
+            for i in range(len(a.parts))] if input_dim else []
     output = SemianalyticSet(name=f"approx({a.name})", nvars=a.nvars,
-                             omega=a.omega, parts=tuple(output_parts))
+                             omega=a.omega,
+                             parts=tuple(p for _, added in done
+                                         for p in added))
     if not output.is_polynomial():
         raise ApproxError("internal: approximant is not polynomial")
-    final = decide_equivalent(a, output, s, config.compare, cache)
-    out_dim = _dim_at(output, r_fine, config, cache)
-    if out_dim != input_dim:
-        caveats.append(
-            f"approximant dimension {out_dim} differs from input "
-            f"dimension {input_dim} at the finest radius")
-    for pr in part_results:
-        for c in pr.caveats:
-            tagged = f"[part {pr.part_index}] {c}"
-            if tagged not in caveats:
-                caveats.append(tagged)
-    success = final.holds
+    if input_dim == 0:
+        caveats.append("origin is isolated at the sampled resolution; "
+                       "the approximant is the empty germ")
+        out_dim = 0
+        final = Verdict(holds=True, s=s, method="limit-fit", estimate=None,
+                        caveats=tuple(caveats))
+    else:
+        final = decide_equivalent(a, output, s, config.compare, cache)
+        out_dim = _dim_at(output, r_fine, config, cache)
+        if out_dim != input_dim:
+            caveats.append(
+                f"approximant dimension {out_dim} differs from input "
+                f"dimension {input_dim} at the finest radius")
+    for pr, _ in done:
+        for c in _tagged(f"part {pr.part_index}", pr.caveats):
+            if c not in caveats:
+                caveats.append(c)
     return ApproxResult(
-        input_name=a.name, s=s, output=output, parts=tuple(part_results),
-        final_verdict=final, success=success, input_dimension=input_dim,
+        input_name=a.name, s=s, output=output,
+        parts=tuple(pr for pr, _ in done), final_verdict=final,
+        success=final.holds, input_dimension=input_dim,
         output_dimension=out_dim, caveats=tuple(caveats))
+
+
+def _approximate_part(a: SemianalyticSet, i: int, s: float, r_fine: float,
+                      config: ApproxConfig, cache: SliceCache | None):
+    """Steps 1-5 on part ``i`` of ``a``: its :class:`PartApproxResult` and
+    the basic parts it adds to the approximant."""
+    part, name = a.parts[i], f"{a.name}[{i}]"
+    part_set = set_of(part, name, a.omega)
+    # 1. dimension
+    d_hat = _dim_at(part_set, r_fine, config, cache)
+    if d_hat == 0:
+        return PartApproxResult(
+            part_index=i, dimension=0, caveats=(
+                "part contributes no points near the origin at the sampled "
+                "resolution",)), ()
+
+    # 2. reduction to the codimension
+    caveats: list[str] = []
+    p, target = len(part.eqs), part.nvars - d_hat
+    proj_eqs, proj_matrix = (part.eqs if target else ()), None
+    if 0 < target < p:
+        mixed, M = generic_projection(
+            part.eqs, part.nvars, target,
+            seed=child_seed(config.compare.seed, "proj", a.name, i))
+        proj_eqs = tuple(mixed)
+        proj_matrix = tuple(tuple(float(v) for v in row) for row in M)
+    if target and not p:
+        caveats.append("part has no equations but does not fill the space; "
+                       "inequalities alone carry its shape")
+    elif target > p:
+        caveats.append(f"estimated codimension {target} exceeds the equation "
+                       f"count {p}; the system is kept unreduced")
+    if proj_eqs:
+        vf = set_of(BasicPresentation(
+            nvars=part.nvars, eqs=proj_eqs, ineqs=(), through_origin=False),
+            f"reduced({name})", a.omega)
+        d_vf = _dim_at(vf, r_fine, config, cache)
+        if d_vf != d_hat:
+            caveats.append(
+                f"reduced equation system has dimension {d_vf} at the "
+                f"finest radius, part has {d_hat}; the combination may "
+                "not be generic")
+
+    # 3. inflation exponent
+    m = m_verdict = None
+    tilde = part_set
+    if part.eqs:
+        def tilde_of(mm):
+            inflated = inflated_part(part, proj_eqs or part.eqs, mm)
+            return set_of(inflated, f"inflate({name},{mm})", a.omega)
+
+        m, tilde, m_verdict = search_inflation_exponent(
+            part_set, tilde_of, s, config, cache)
+
+    # 4. truncation orders
+    h, k, candidate, cand_verdict, dropped = search_truncation_orders(
+        part_set, tilde, s, config, cache)
+    if dropped:
+        caveats.append(f"{dropped} inequality(ies) truncated to a constant "
+                       f"at order {k} and were dropped from the accepted "
+                       "candidate")
+    added = list(candidate.parts)
+
+    # 5. residual recursion
+    residual = None
+    res_set = _residual_set(part, proj_eqs, f"residual({name})", a.omega)
+    # no residual reads as dimension 0, below every part's here
+    d_res = _dim_at(res_set, r_fine, config, cache) if res_set.parts else 0
+    if d_res >= d_hat:
+        caveats.append(
+            f"residual locus has dimension {d_res}, not below the part's "
+            f"{d_hat}; its recursion may not shrink the problem")
+    if d_res > 0 and config.depth > 0:
+        sub = replace(config, depth=config.depth - 1)
+        residual = approximate(res_set, s, sub, cache)
+        added.extend(residual.output.parts)
+        caveats.extend(_tagged("residual", residual.caveats))
+    elif d_res > 0:
+        added.extend(_truncate(res_set, h, k)[0].parts)
+        caveats.append("recursion budget exhausted; residual truncated at "
+                       f"orders ({h}, {k}) without verification")
+
+    return PartApproxResult(
+        part_index=i, dimension=d_hat, m=m, h=h, k=k, projection=proj_matrix,
+        m_verdict=m_verdict, candidate_verdict=cand_verdict,
+        residual=residual, caveats=tuple(caveats)), tuple(added)

@@ -214,6 +214,130 @@ class TestIsolatedOrigin:
         assert res.final_verdict.holds
 
 
+def _basic_set(name, nvars, parts, through_origin=True):
+    """A set of the basic parts ``(eqs, ineqs)``, each a tuple of strings."""
+    return gs.SemianalyticSet(name=name, nvars=nvars, omega=0.5, parts=tuple(
+        gs.BasicPresentation(nvars=nvars,
+                             eqs=tuple(ex.parse(e, nvars) for e in eqs),
+                             ineqs=tuple(ex.parse(g, nvars) for g in ineqs),
+                             through_origin=through_origin)
+        for eqs, ineqs in parts))
+
+
+class TestCaveats:
+    """Each caveat ``approximate`` can raise, as its exact text and tags: a
+    part's caveats carry ``[part i]`` in the result, and a residual's carry
+    ``[residual]`` in its part's, so they nest along the recursion."""
+
+    NO_POINTS = ("part contributes no points near the origin at the sampled "
+                 "resolution")
+    DROPPED = ("1 inequality(ies) truncated to a constant at order 1 and "
+               "were dropped from the accepted candidate")
+    NOT_BELOW = ("residual locus has dimension 1, not below the part's 1; "
+                 "its recursion may not shrink the problem")
+
+    @staticmethod
+    def _approx(s, acfg):
+        return ga.approximate(s, 2.0, acfg, ga.SliceCache())
+
+    def test_no_equations_but_not_full(self, acfg):
+        # the slab y >= 0 >= y is the x-axis, carried by inequalities alone;
+        # its residual is the two edges y = 0, each again of dimension 1
+        res = self._approx(_basic_set("slab", 2, [((), ("y", "-y"))]), acfg)
+        assert res.success
+        own = ("part has no equations but does not fill the space; "
+               "inequalities alone carry its shape", self.NOT_BELOW)
+        nested = (
+            f"[part 0] {self.DROPPED}",
+            f"[part 0] {self.NOT_BELOW}",
+            f"[part 0] [residual] [part 0] {self.NO_POINTS}",
+            f"[part 0] [residual] [part 1] {self.DROPPED}",
+            f"[part 1] {self.DROPPED}",
+            f"[part 1] {self.NOT_BELOW}",
+            f"[part 1] [residual] [part 0] {self.NO_POINTS}",
+            f"[part 1] [residual] [part 1] {self.DROPPED}")
+        assert res.parts[0].caveats == \
+            own + tuple(f"[residual] {c}" for c in nested)
+        assert res.caveats == \
+            tuple(f"[part 0] {c}" for c in res.parts[0].caveats)
+        assert res.parts[0].residual.caveats == nested
+
+    def test_part_without_points(self, acfg):
+        res = self._approx(_basic_set(
+            "line_and_point", 2, [(("y",), ()), (("x^2 + y^2",), ())]), acfg)
+        assert res.success
+        point = res.parts[1]
+        assert point.caveats == (self.NO_POINTS,)
+        assert (point.dimension, point.m, point.h, point.k) == \
+            (0, None, None, None)
+        assert point.projection is None and point.residual is None
+        assert res.caveats == (f"[part 0] {self.DROPPED}",
+                               f"[part 1] {self.NO_POINTS}")
+
+    def test_codimension_exceeds_equations(self, acfg):
+        # x^2 + y^2 = 0 in space is the z-axis: codimension 2, one equation
+        res = self._approx(_basic_set("zaxis_sq", 3, [(("x^2 + y^2",), ())]),
+                           acfg)
+        assert res.success
+        pr = res.parts[0]
+        assert pr.projection is None
+        assert pr.caveats == (
+            "estimated codimension 2 exceeds the equation count 1; the "
+            "system is kept unreduced",
+            self.DROPPED, self.NOT_BELOW, f"[residual] [part 0] {self.DROPPED}")
+        assert res.caveats == tuple(f"[part 0] {c}" for c in pr.caveats)
+
+    def test_reduced_system_of_higher_dimension(self, acfg):
+        # xz = yz = 0 is the plane z = 0 and the z-axis; the cone keeps only
+        # the axis, so the kept system has a dimension the part has not
+        res = self._approx(_basic_set(
+            "zaxis_cone", 3, [(("x*z", "y*z"), ("z^2 - x^2 - y^2",))]), acfg)
+        assert res.success
+        assert res.parts[0].projection is None
+        assert res.parts[0].caveats == (
+            "reduced equation system has dimension 2 at the finest radius, "
+            "part has 1; the combination may not be generic",)
+        assert res.caveats == tuple(
+            f"[part 0] {c}" for c in res.parts[0].caveats)
+
+    def test_vanishing_inequality(self, acfg):
+        res = self._approx(_basic_set("vacuous", 2, [(("y",), ("x - x",))]),
+                           acfg)
+        assert res.success
+        note = ("inequality 'x - x' of part 0 vanishes through order 12; it "
+                "may be identically zero, making its sign condition vacuous")
+        # the inflation's slack truncates to a constant with the vacuous one
+        own = ("2 inequality(ies) truncated to a constant at order 1 and "
+               "were dropped from the accepted candidate", self.NOT_BELOW,
+               f"[residual] {note}",
+               f"[residual] [part 0] {self.NO_POINTS}",
+               f"[residual] [part 1] {self.DROPPED}")
+        assert res.parts[0].caveats == own
+        assert res.caveats == (note,) + tuple(f"[part 0] {c}" for c in own)
+
+    def test_dimension_unstable_on_a_part(self, acfg):
+        # the line y = 0 inside a disk of radius 0.003, which lies between
+        # the two finest radii 2^-9 and 2^-8
+        res = self._approx(_basic_set(
+            "short_line", 2, [(("y",), ("0.000009 - x^2 - y^2",))]), acfg)
+        assert res.success
+        assert res.input_dimension == 1
+        assert res.caveats == (
+            "dimension estimate unstable across radii: [1, 0]",)
+        assert res.parts[0].caveats == ()
+
+    def test_dimension_unstable_at_an_isolated_origin(self, acfg):
+        # the line y = 0 outside that disk: empty at the finest radius
+        res = self._approx(_basic_set(
+            "far_line", 2, [(("y",), ("x^2 + y^2 - 0.000009",))],
+            through_origin=False), acfg)
+        assert res.success and res.parts == ()
+        assert res.caveats == res.final_verdict.caveats == (
+            "dimension estimate unstable across radii: [0, 1]",
+            "origin is isolated at the sampled resolution; the approximant "
+            "is the empty germ")
+
+
 class TestInputSampling:
     """approximate projects each stratum of its input in two calls: the two
     finest radii for the dimension estimate, then the rest of the schedule.

@@ -225,6 +225,22 @@ class TestCompare:
             assert err.startswith(f"error: {path}: ")
             assert "deeper than" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("radii", [
+        "1e-8:0.5:8",
+        pytest.param("1e-10:0.5:8", marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 5: the inequality tolerances of slice "
+                   "sampling and membership are absolute below r = 1, so at "
+                   "these radii points just past x >= 0 count as members "
+                   "and both deviations sit at the sampling floor"))])
+    def test_line_halfline_order_one(self, radii, curves_file, capsys):
+        # the line and the half-line are at closed-form order 1
+        rc = main(["compare", curves_file, "line", "halfline", "--s", "3",
+                   "--points", "64", "--radii", radii])
+        assert rc == 1
+        assert "line and halfline equivalent at order 3: FAILS" in \
+            capsys.readouterr().out
+
     def test_directed_is_one_sided(self, curves_file, capsys):
         rc = main(["compare", curves_file, "halfline", "line", "--s", "2",
                    "--directed"])
@@ -398,6 +414,14 @@ class TestApprox:
         assert part["m"] is None and "residual" in part
         assert set(part) == self.PART | {"candidate_verdict", "residual"}
         assert set(part["residual"]) == self.TOP - {"manifest"}
+
+    def test_generic_projection_payload(self, curves_file, capsys):
+        # cusp_product's two equations share a factor, so its one part is
+        # mixed down to a single combination: a 1x2 matrix of numbers
+        doc = self._approx_doc(curves_file, "cusp_product", capsys)
+        (part,) = doc["parts"]
+        (row,) = part["projection"]
+        assert len(row) == 2 and all(isinstance(v, float) for v in row)
 
     def test_isolated_origin_empty_output(self, isolated_file, tmp_path,
                                           capsys):
