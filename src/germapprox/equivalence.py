@@ -350,8 +350,8 @@ def horn_criterion(a: SemianalyticSet, b: SemianalyticSet, s: float,
     the maximum (see ``geometry._max_dists``). All radii go in one batch.
     Each sample measures against B's cloud at its slice's schedule radius,
     the cloud the limit fit measured it against, and only a chunk's
-    samples are queried in that cloud's k-d tree, for their distance to it
-    and their nearest points there. The cache holds each radius's maximum:
+    samples are queried in that cloud, for their distance to it and their
+    nearest points there. The cache holds each radius's maximum:
     where B's slice is a continuum, :func:`deviation_profile` on the same
     cache has computed it already. Where the slice's median norm is that
     radius, each maximum is the one :func:`dist_to_set_batch` on the slice

@@ -17,10 +17,11 @@ One nearest-point solver measures distances from points to a set's germ,
 and one early-stopped kernel takes the largest such distance from each of
 several clouds (:func:`_max_dists`), the one distance both the limit fit
 and the horn criterion read where the target's slice is a continuum. It
-bounds each point without a neighbour query, and asks the set's cloud's
-k-d tree only about the points it refines. Each distance is to a point the
-solver found on the set, never a membership test, whose tolerance is not a
-distance.
+bounds each point without a neighbour query, and asks the set's cloud for
+nearest points only about the points it refines. Each distance is to a
+point the solver found on the set, never a membership test, whose tolerance
+is not a distance. Every neighbour query, there and between clouds, is one
+exact brute-force search (:func:`_nearest`).
 
 An empty slice is a cloud with no points: nothing deviates from it,
 everything lies infinitely far from it, and it has no tangent directions.
@@ -45,7 +46,6 @@ import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import expr as ex
 from .expr import _row_norm
@@ -61,7 +61,7 @@ _STEP_TARGET = 1e-15
 _STEP_ACCEPT = 1e-12
 _SPACING_GUARD = 1e-15
 # the merge keeps a cloud's points more than _STEP_ACCEPT * r apart by their
-# rounded sums of squared differences; a gap a k-d tree reports falls below
+# rounded sums of squared differences; a gap _nearest reports falls below
 # that by a few ulps of rounding at most, far less than this fraction of it.
 # A group of rows whose bounding box has a diagonal of at most that distance
 # less this fraction of it is one cluster, with as wide a margin
@@ -87,6 +87,9 @@ _ISOLATED_GUARD = 1e-6
 _LANDING_STEPS = 3
 # the rows in the first chunk that _max_dists refines of each batch
 _FIRST_CHUNK = 8
+# pairs of rows _nearest measures at once, so a query's memory stays bounded
+# whatever its rows and points
+_NEAREST_PAIRS = 2 ** 18
 # a sphere projection row stalls at an iteration whose two-iteration
 # displacement is at most _STALL_SPAN times its step and at most
 # _STALL_GROWTH times the one before; _STALL_RUN stalled iterations in a row
@@ -168,12 +171,10 @@ class SliceCloud:
     equations, before inequality filtering); ``attempts`` counts the
     starts over every stratum.
 
-    ``tree`` is a k-d tree over the points, the one tree the builder
-    makes, so every neighbour query against the cloud reuses it. ``key``
-    is the cloud's content key, ("cloud", r, digest of the raw samples'
-    shape and bytes), None for a cloud built outside
-    :func:`sample_slices`. Points, counts, spacing and tree depend only on
-    that key, so sets whose samples at r are equal bit for bit share those
+    ``key`` is the cloud's content key, ("cloud", r, digest of the raw
+    samples' shape and bytes), None for a cloud built outside
+    :func:`sample_slices`. Points, counts and spacing depend only on that
+    key, so sets whose samples at r are equal bit for bit share those
     objects (the points read-only) and differ only in
     ``converged_fraction`` and ``attempts``; the cache keys the deviation
     of one cloud from another on both content keys (see
@@ -187,7 +188,6 @@ class SliceCloud:
     converged_fraction: float
     counts: np.ndarray = field(repr=False, compare=False)
     attempts: int
-    tree: cKDTree = field(repr=False, compare=False)
     key: tuple | None = field(default=None, repr=False, compare=False)
     # the spacing once read; replace() hands the same dict to the copy. Two
     # threads may both compute it, and both store the same float
@@ -210,7 +210,7 @@ class SliceCloud:
             piled = self.counts > 1
             spacing = _SPACING_GUARD
             if len(self) > 1 and 2 * np.count_nonzero(piled) <= len(self):
-                gaps = self.tree.query(self.points, k=2)[0][:, 1]
+                gaps = _nearest(self.points, self.points, 2)[0][:, 1]
                 spacing = max(float(np.median(
                     np.where(piled, _SPACING_GUARD, gaps))), _SPACING_GUARD)
             self._memo["spacing"] = spacing
@@ -222,9 +222,9 @@ class SliceCloud:
         fix it, with no neighbour query. Fewer than two points, or more
         than half of them piled, give the guard itself (see
         :attr:`spacing`). With fewer than half piled, more than half the
-        median's terms are gaps, each above ``_STEP_ACCEPT * r`` up to the
-        tree's rounding, so where that exceeds the guard the spacing does
-        too."""
+        median's terms are gaps, each above ``_STEP_ACCEPT * r`` up to
+        :func:`_nearest`'s rounding, so where that exceeds the guard the
+        spacing does too."""
         n = len(self)
         piled = 2 * np.count_nonzero(self.counts > 1)
         if n < 2 or piled > n:
@@ -264,7 +264,7 @@ class SliceCache:
     (a target slice of isolated points), one float per ordered pair of
     point sets, and of each cloud's largest distance to a set's germ, so
     the limit fit and the horn criterion run the distance kernel, and its
-    queries of the target's tree, on each direction once."""
+    queries of the target's cloud, on each direction once."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -679,8 +679,7 @@ def _slice_cloud(r: float, fraction: float, attempts: int,
     ``_GAP_ROUNDING`` of it is one cluster, led by its first row; equal
     rows, 0.0 and -0.0 alike, share a group. In a wider group the first
     row left leads every row left within tol, in turn. No neighbour query
-    runs: the one k-d tree is over the final points, and the spacing is
-    left to its first read."""
+    runs: the spacing is left to its first read."""
     n = len(raw)
     tol = _STEP_ACCEPT * r
     points, counts = raw, np.ones(n, dtype=np.intp)
@@ -721,8 +720,7 @@ def _slice_cloud(r: float, fraction: float, attempts: int,
         if len(lead) < n:
             points = raw.take(lead, axis=0)
     return SliceCloud(r=r, points=points, converged_fraction=fraction,
-                      counts=counts, attempts=attempts, tree=cKDTree(points),
-                      key=key)
+                      counts=counts, attempts=attempts, key=key)
 
 
 def _nonempty(cloud: SliceCloud, name: str) -> SliceCloud:
@@ -948,47 +946,73 @@ def sample_slice(s: SemianalyticSet, r: float, npoints: int = 256,
 # deviations between clouds
 
 
+def _nearest(X: np.ndarray, P: np.ndarray, k: int):
+    """The k nearest rows of P to each row of X, 1 <= k <= len(P):
+    distances and indices, shape (len(X), k), nearest first.
+
+    Exact by brute force, ``_NEAREST_PAIRS`` pairs of rows at a time, each
+    squared distance summed column by column in order: for up to 7 columns
+    the distances an exact k-d tree query reports, bit for bit. Each chunk
+    picks a row's k nearest with ``argpartition`` and orders only those,
+    equal distances by index, so a row's result does not depend on the rows
+    it shares the call with. Rows of different widths, or a non-finite row,
+    raise ValueError.
+    """
+    if X.ndim != 2 or P.ndim != 2 or X.shape[1] != P.shape[1]:
+        raise ValueError(f"rows of shape {X.shape} against {P.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(P).all()):
+        raise ValueError("rows must be finite")
+    dists, idx = np.empty((len(X), k)), np.empty((len(X), k), np.intp)
+    step = max(1, _NEAREST_PAIRS // len(P))
+    for lo in range(0, len(X), step):
+        x = X[lo:lo + step]
+        sq = (x[:, 0, None] - P[:, 0]) ** 2
+        for j in range(1, P.shape[1]):
+            sq += (x[:, j, None] - P[:, j]) ** 2
+        near = np.sort(np.argpartition(sq, k - 1, axis=1)[:, :k], axis=1)
+        sq = np.take_along_axis(sq, near, axis=1)
+        order = np.argsort(sq, axis=1, kind="stable")
+        idx[lo:lo + step] = np.take_along_axis(near, order, axis=1)
+        dists[lo:lo + step] = np.sqrt(np.take_along_axis(sq, order, axis=1))
+    return dists, idx
+
+
 def directed_deviation(P: np.ndarray, Q: np.ndarray) -> float:
     """max over rows of P of the distance to the nearest row of Q.
 
-    An exact k-d tree query at every size; a non-finite row raises
-    ValueError.
+    Exact at every size (:func:`_nearest`); a non-finite row, or rows of
+    different widths, raise ValueError.
     """
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if len(P) == 0:
         return 0.0
     if len(Q) == 0:
         return math.inf
-    dists, _ = cKDTree(Q).query(P)
-    return float(np.max(dists))
+    return float(np.max(_nearest(P, Q, 1)[0]))
 
 
 def _neighbours(X: np.ndarray, cloud: SliceCloud):
-    """The k = min(3, |cloud|) nearest cloud points to each row of X, from
-    the cloud's tree: distances and indices, shape (N, k), nearest first,
+    """The k = min(3, |cloud|) nearest cloud points to each row of X
+    (:func:`_nearest`): distances and indices, shape (N, k), nearest first,
     the starts :func:`_multistart` adds to a row. The cloud must not be
     empty."""
-    # k as a list keeps both results 2-D even when the cloud is 1 point
-    return cloud.tree.query(X, k=list(range(1, min(3, len(cloud)) + 1)))
+    return _nearest(X, cloud.points, min(3, len(cloud)))
 
 
 def _deviation(ca: SliceCloud, cb: SliceCloud,
                cache: SliceCache | None) -> float:
-    """``directed_deviation(ca.points, cb.points)``, bit for bit, from one
-    query of A's points in B's tree. The limit fit reads it where B's slice
-    is isolated points. The cache holds it under both clouds' content keys,
-    so each ordered pair of point sets is measured once (a cloud and its
-    copy are one pair); a cloud without a key is measured afresh."""
-    if not len(ca):
-        return 0.0
-    if not len(cb):
-        return math.inf
+    """``directed_deviation(ca.points, cb.points)``, which the limit fit
+    reads where B's slice is isolated points. The cache holds it under both
+    clouds' content keys, so each ordered pair of point sets is measured
+    once (a cloud and its copy are one pair); a cloud without a key is
+    measured afresh."""
     if cache is None:
         cache = _DEFAULT_CACHE
     keyed = ca.key is not None and cb.key is not None
     key = ("deviation", ca.key, cb.key)
     hit = cache.lookup(key) if keyed else None
     if hit is None:
-        hit = float(np.max(cb.tree.query(ca.points)[0]))
+        hit = directed_deviation(ca.points, cb.points)
         if keyed:
             cache.store(key, hit)
     return hit
@@ -1157,8 +1181,8 @@ def _multistart(X: np.ndarray, best: np.ndarray, near):
     distance to the cloud, and return those rows' multistart, flat: ``own``,
     the row of X each start is for, and ``starts``, each row itself and
     then its nearest cloud points (:func:`_neighbours`), for every row
-    whose ``best`` is still above 0. Only the rows in ``near`` meet the
-    cloud's tree."""
+    whose ``best`` is still above 0. Only the rows in ``near`` are queried
+    in the cloud."""
     own, starts = [np.zeros(0, dtype=np.intp)], [X[:0]]
     for rows, cloud in near:
         own.append(rows)
@@ -1236,8 +1260,8 @@ def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
                cache: SliceCache | None) -> list[float]:
     """The largest distance from a point of each slice cloud of ``clouds``
     to the germ of s (0.0 for an empty cloud), with the nearest-point
-    solver run, and the set's cloud queried, only on the points that can
-    hold a maximum.
+    solver run, and the set's cloud queried for nearest points, only on the
+    points that can hold a maximum.
 
     The cache holds each cloud's maximum, keyed on its content key, s's
     signature, ``npoints`` and ``seed``, so the limit fit and the horn
@@ -1259,7 +1283,7 @@ def _max_dists(clouds, s: SemianalyticSet, npoints: int, seed: int,
     come by falling bound, in chunks of ``_FIRST_CHUNK`` rows and 4 times
     the last chunk after that, and a cloud stops at the first row whose
     bound is at most its largest distance refined so far. A chunk's rows
-    are queried in the set's cloud's tree (:func:`_multistart`), and the
+    are queried in the set's cloud (:func:`_multistart`), and the
     solver runs every start of those whose distance is still above that
     maximum. Refinement only lowers a distance, so no row left out can
     exceed the maximum; a poor bound costs time, not bits. The clouds not
@@ -1381,8 +1405,7 @@ def numeric_dimension(s: SemianalyticSet, r: float, npoints: int = 256,
     anchors = np.unique(anchors)
     rank_max = 0
     for ai in anchors:
-        idx = cloud.tree.query_ball_point(pts[ai], h)
-        local = pts[idx]
+        local = pts[_row_norm(pts - pts[ai]) <= h]
         if len(local) < 2:
             continue
         centered = local - local.mean(axis=0)

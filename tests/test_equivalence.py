@@ -467,53 +467,50 @@ def _field_reprs(v):
 
 class TestSharedNeighbourQuery:
     """The limit fit and the horn criterion query each slice cloud's own
-    k-d tree: once per ordered pair of clouds where the target's slice is
+    points: once per ordered pair of clouds where the target's slice is
     isolated points, and where it is a continuum only about the rows the
-    distance kernel refines. Every answer has the bits of a query made
-    afresh."""
+    distance kernel refines. Every answer has the bits of a k-d tree query
+    made afresh."""
 
     def test_one_tree_per_cloud_one_query_per_pair(self, surfaces,
                                                    quick_config, monkeypatch):
-        built, queried = [], []
+        queried = []
+        nearest = gg._nearest
 
-        class CountingTree(cKDTree):
-            def __init__(self, data, *args, **kw):
-                super().__init__(data, *args, **kw)
-                built.append(self.data.tobytes())
+        def counted(X, P, k):
+            out = nearest(X, P, k)
+            queried.append((P, np.array(X), out))
+            return out
 
-            def query(self, x, *args, **kw):
-                out = super().query(x, *args, **kw)
-                queried.append((self.data.tobytes(), np.array(x), out))
-                return out
-
-        monkeypatch.setattr(gg, "cKDTree", CountingTree)
+        monkeypatch.setattr(gg, "_nearest", counted)
         g = surfaces.get("graph_exp")
         b = gs.truncate_eqs(g, 2)
         cache = ga.SliceCache()
         ga.decide_equivalent(g, b, 2.5, quick_config, cache)
         ga.horn_criterion(g, b, 2.5, quick_config, cache)
         ga.horn_criterion(b, g, 2.5, quick_config, cache)
-        before = len(built)
+        before = len(queried)
         radii = quick_config.schedule.radii()
         clouds = [gg.sample_slices(s, radii, npoints=quick_config.npoints,
                                    seed=quick_config.seed, cache=cache)
                   for s in (g, b)]
-        assert len(built) == before
+        # sampling again reads the cache and queries nothing, and every
+        # query was against a cloud's own points array, never a copy
+        assert len(queried) == before
+        points = [c.points for row in clouds for c in row]
+        assert all(any(P is c for c in points) for P, _, _ in queried)
         for ca, cb in zip(*clouds):
             assert len(ca) and len(cb)
-            for c in (ca, cb):
-                assert built.count(c.points.tobytes()) == 1
             for x, y in ((ca, cb), (cb, ca)):
-                # both slices are continua, so x's rows meet y's tree only
-                # where the distance kernel refines them: never all of x,
-                # each row once, each answer a row of a fresh full query
+                # both slices are continua, so x's rows are queried in y
+                # only where the distance kernel refines them: never all of
+                # x, each row once, each answer a row of a fresh full query
                 fresh = cKDTree(y.points).query(
                     x.points, k=list(range(1, min(3, len(y)) + 1)))
                 at = {p.tobytes(): i for i, p in enumerate(x.points)}
                 rows = []
-                for tree, q, (dists, idx) in queried:
-                    if tree != y.points.tobytes() or \
-                            q.tobytes() == y.points.tobytes():
+                for P, q, (dists, idx) in queried:
+                    if P is not y.points or q.tobytes() == y.points.tobytes():
                         continue
                     assert q.tobytes() != x.points.tobytes()
                     mine = [at[p.tobytes()] for p in q]

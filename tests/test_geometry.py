@@ -1215,31 +1215,29 @@ def _tree_slice_cloud(r, raw):
     return points, counts
 
 
+def _count_nearest(m):
+    """Make every neighbour query (``_nearest``) record its query rows and
+    its point rows, through the monkeypatch ``m``; returns the record."""
+    queries = []
+    nearest = gg._nearest
+
+    def counted(X, P, k):
+        queries.append((len(X), len(P)))
+        return nearest(X, P, k)
+
+    m.setattr(gg, "_nearest", counted)
+    return queries
+
+
 def _built(monkeypatch, r, raw):
-    """The cloud of raw at radius r, the size of each k-d tree it builds
-    and the rows of each neighbour query, checked against the reference
-    cloud, the k-d tree builder's points and counts, and the rule: one
-    tree, over the final points, and no neighbour query at build; a gap
-    query of the final points only when the spacing is first read, and
-    then only when at most half of at least two points are piled. A second
-    read queries nothing."""
-    trees, queries = [], []
-
-    class CountingTree(cKDTree):
-        def __init__(self, data, *args, **kw):
-            trees.append(len(data))
-            super().__init__(data, *args, **kw)
-
-        def query(self, x, *args, **kw):
-            queries.append(len(x))
-            return super().query(x, *args, **kw)
-
-        def query_ball_point(self, x, *args, **kw):
-            queries.append(len(x))
-            return super().query_ball_point(x, *args, **kw)
-
+    """The cloud of raw at radius r and the query and point rows of each
+    neighbour query, checked against the reference cloud, the k-d tree
+    builder's points and counts, and the rule: no neighbour query at
+    build; a gap query of the final points against themselves only when
+    the spacing is first read, and then only when at most half of at least
+    two points are piled. A second read queries nothing."""
     with monkeypatch.context() as m:
-        m.setattr(gg, "cKDTree", CountingTree)
+        queries = _count_nearest(m)
         cloud = gg._slice_cloud(r, 1.0, len(raw), raw)
         assert queries == []
         spacing = cloud.spacing
@@ -1252,13 +1250,11 @@ def _built(monkeypatch, r, raw):
     assert np.array_equal(cloud.points, tree_pts)
     assert np.array_equal(cloud.counts, tree_counts)
     assert spacing == want_spacing
-    assert np.array_equal(cloud.tree.data, cloud.points)
     n = len(want_pts)
-    assert trees == [n]
     read = bool(n > 1 and 2 * np.count_nonzero(want_counts > 1) <= n)
-    assert queries == [n] * read
+    assert queries == [(n, n)] * read
     assert cloud.continuum == (spacing > gg._SPACING_GUARD)
-    return cloud, trees, queries, distinct
+    return cloud, queries, distinct
 
 
 def _copies_raw(n, copied, nvars=2, seed=0):
@@ -1275,8 +1271,9 @@ def _copies_raw(n, copied, nvars=2, seed=0):
 
 
 class TestGridCell:
-    """The builder's one k-d tree is over the cloud's points, and the
-    cloud equals the reference's, bit for bit (see _built)."""
+    """The builder queries no neighbours, any gap query is over the
+    cloud's points, and the cloud equals the reference's, bit for bit (see
+    _built)."""
 
     @pytest.mark.parametrize("npoints", [128, 2000])
     @pytest.mark.parametrize("r", [0.25, 2.0 ** -8, 2.0 ** -10, 2.0 ** -12])
@@ -1288,7 +1285,7 @@ class TestGridCell:
         for nvars, eqs in _corpus_systems(curves, surfaces):
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, npoints, 0) * r, r)
-            cloud, _, _, distinct = _built(monkeypatch, r, raw[ok])
+            cloud, _, distinct = _built(monkeypatch, r, raw[ok])
             kept += len(cloud) == ok.sum() > 100
             merged += len(cloud) < len(distinct)
         assert kept > 0
@@ -1297,31 +1294,33 @@ class TestGridCell:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
     def test_all_copies(self, n, monkeypatch):
         raw = np.tile([[0.1, -0.2]], (n, 1))
-        cloud, trees, queries, _ = _built(monkeypatch, 0.25, raw)
+        cloud, queries, _ = _built(monkeypatch, 0.25, raw)
         assert len(cloud) == min(n, 1)
-        assert trees == [min(n, 1)] and queries == []
+        assert queries == []
 
     @pytest.mark.parametrize("n", [9, 10, 255, 256])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_half_the_rows_copied(self, n, extra, monkeypatch):
-        # however many rows have a copy, the one tree is over the points,
-        # the distinct rows: n minus the copies beyond the first of each
-        # group
+        # however many rows have a copy, the points are the distinct rows,
+        # n minus the copies beyond the first of each group, and any gap
+        # query is over them
         copied = n // 2 + extra
         raw = _copies_raw(n, copied, seed=n)
-        cloud, trees, _, _ = _built(monkeypatch, 0.25, raw)
+        cloud, queries, _ = _built(monkeypatch, 0.25, raw)
         groups = copied // 2
-        assert trees == [n - copied + groups] == [len(cloud)]
+        assert len(cloud) == n - copied + groups
+        assert all(q == (len(cloud), len(cloud)) for q in queries)
 
     def test_signed_zeros_are_copies(self, monkeypatch):
         raw = np.array([[0.0, 0.1], [-0.0, 0.1], [0.0, -0.1],
                         [0.3, 0.0], [0.3, -0.0], [0.2, 0.2]])
-        cloud, trees, _, _ = _built(monkeypatch, 0.25, raw)
+        cloud, queries, _ = _built(monkeypatch, 0.25, raw)
         assert np.array_equal(cloud.points, raw[[0, 2, 3, 5]])
         assert cloud.counts.tolist() == [2, 1, 2, 1]
-        # one tree over the four points, whichever copy comes first
-        assert trees == [4]
-        assert _built(monkeypatch, 0.25, raw[[0, 2, 3, 5, 1]])[1] == [4]
+        # half the four points are piled, so the spacing's first read
+        # queries the gaps of the four, whichever copy comes first
+        assert queries == [(4, 4)]
+        assert _built(monkeypatch, 0.25, raw[[0, 2, 3, 5, 1]])[1] == [(4, 4)]
 
     @pytest.mark.parametrize("copied", [0, 3, 50, 51])
     def test_one_variable(self, copied, monkeypatch):
@@ -1330,52 +1329,33 @@ class TestGridCell:
 
     def test_no_tree_over_piled_up_copies(self, curves, monkeypatch):
         # exp_curve meets the sphere in two points, so its accepted samples
-        # are copies of two points; no tree is built over them all
-        tree_sizes, raw_sizes = [], []
-
-        def counting_tree(data, *args, **kw):
-            tree_sizes.append(len(data))
-            return cKDTree(data, *args, **kw)
+        # are copies of two points; no neighbour query runs over them all,
+        # and the spacing's read queries the two points
+        raw_sizes = []
 
         def recording_slice_cloud(r, fraction, attempts, raw, *key):
             raw_sizes.append(len(raw))
             return slice_cloud(r, fraction, attempts, raw, *key)
 
         slice_cloud = gg._slice_cloud
-        monkeypatch.setattr(gg, "cKDTree", counting_tree)
+        queries = _count_nearest(monkeypatch)
         monkeypatch.setattr(gg, "_slice_cloud", recording_slice_cloud)
         c = ga.sample_slice(curves.get("exp_curve"), 0.0625, npoints=2000,
                             cache=ga.SliceCache())
         assert len(c) == 2
         assert raw_sizes and min(raw_sizes) > 1000
-        assert max(tree_sizes, default=0) < min(raw_sizes)
+        assert c.spacing == gg._SPACING_GUARD
+        assert max(map(max, queries), default=0) < min(raw_sizes)
 
     @pytest.mark.parametrize("name", ["exp_curve", "cusp"])
     def test_no_neighbour_query_at_build(self, curves, name, monkeypatch):
         # the slices are a few isolated points, each sampled by hundreds
         # of accepted copies; building the cloud queries no neighbours
-        # and builds one tree, over its points
-        trees, queries = [], []
-
-        class CountingTree(cKDTree):
-            def __init__(self, data, *args, **kw):
-                trees.append(len(data))
-                super().__init__(data, *args, **kw)
-
-            def query(self, x, *args, **kw):
-                queries.append(len(x))
-                return super().query(x, *args, **kw)
-
-            def query_ball_point(self, x, *args, **kw):
-                queries.append(len(x))
-                return super().query_ball_point(x, *args, **kw)
-
-        monkeypatch.setattr(gg, "cKDTree", CountingTree)
+        queries = _count_nearest(monkeypatch)
         c = ga.sample_slice(curves.get(name), 0.0625, npoints=2000,
                             cache=ga.SliceCache())
         assert len(c) < 5 and c.counts.min() > 100
         assert queries == []
-        assert trees == [len(c)]
 
 
 class TestTreeBuilder:
@@ -1414,23 +1394,25 @@ def _circle_raw(n, r=0.25, seed=0):
 
 
 class TestSliceCloud:
-    """A slice cloud equals the reference's, bit for bit, and builds the
-    trees and queries the rule names (see _built)."""
+    """A slice cloud equals the reference's, bit for bit, and makes the
+    queries the rule names (see _built)."""
 
     def test_nothing_dropped_builds_one_tree(self, monkeypatch):
+        # every row is a point, and the spacing's first read queries the
+        # gaps of them all once
         raw = _circle_raw(500)
-        cloud, trees, queries, _ = _built(monkeypatch, 0.25, raw)
+        cloud, queries, _ = _built(monkeypatch, 0.25, raw)
         assert len(cloud) == len(raw)
-        assert trees == queries == [len(raw)]
+        assert queries == [(len(raw), len(raw))]
 
     def test_copies_are_queried_once(self, monkeypatch):
         # exact copies of 20 points: the distinct rows are the points, and
         # the spacing's first read queries their gaps once
         circle = _circle_raw(500)
         raw = np.concatenate([circle, circle[::25]])
-        cloud, trees, queries, _ = _built(monkeypatch, 0.25, raw)
+        cloud, queries, _ = _built(monkeypatch, 0.25, raw)
         assert np.array_equal(cloud.points, circle)
-        assert trees == queries == [len(circle)]
+        assert queries == [(len(circle), len(circle))]
 
     def test_near_copies_above_the_merge_tolerance_are_kept(self,
                                                             monkeypatch):
@@ -1439,9 +1421,9 @@ class TestSliceCloud:
         # so ten close pairs leave it at the circle's
         raw = _circle_raw(500)
         raw[1::50] = raw[::50] * (1.0 + 1e-8)
-        cloud, trees, queries, _ = _built(monkeypatch, 0.25, raw)
+        cloud, queries, _ = _built(monkeypatch, 0.25, raw)
         assert np.array_equal(cloud.points, raw)
-        assert trees == queries == [len(raw)]
+        assert queries == [(len(raw), len(raw))]
         assert cloud.spacing > 1e-4
 
 
@@ -1481,7 +1463,7 @@ class TestMergeClose:
         pts[1::5] = pts[::5][: len(pts[1::5])] * (1.0 + 4e-16)
         pts[::7] = np.round(pts[::7] / tol) * tol
         r = tol / gg._STEP_ACCEPT
-        cloud, _, _, distinct = _built(monkeypatch, r, pts)
+        cloud, _, distinct = _built(monkeypatch, r, pts)
         assert len(cloud) < len(distinct) or n == 1
 
     # the last three radii put the merge tolerance below _SPACING_GUARD
@@ -1496,9 +1478,9 @@ class TestMergeClose:
         tol = gg._STEP_ACCEPT * r
         base = _circle_raw(200, r=r)
         raw = np.concatenate([base, base[::10] + 1.5 * tol])
-        cloud, trees, queries, _ = _built(monkeypatch, r, raw)
-        assert len(cloud) == len(raw) and trees == [len(raw)]
-        assert queries == [len(raw)]
+        cloud, queries, _ = _built(monkeypatch, r, raw)
+        assert len(cloud) == len(raw)
+        assert queries == [(len(raw), len(raw))]
 
     @staticmethod
     def _boundary_pairs(nvars, tol, zero):
@@ -1524,11 +1506,9 @@ class TestMergeClose:
         # merges the ones the plain loop merges, and those at or below it
         # at least
         raw = self._boundary_pairs(nvars, gg._STEP_ACCEPT * r, zero)
-        cloud, trees, queries, _ = _built(monkeypatch, r, raw)
-        # the rows are not queried: the one tree and any query are over
-        # the final points
-        assert trees == [len(cloud)]
-        assert all(q == len(cloud) for q in queries)
+        cloud, queries, _ = _built(monkeypatch, r, raw)
+        # the rows are not queried: any query is over the final points
+        assert all(q == (len(cloud), len(cloud)) for q in queries)
         assert 5 <= len(raw) - len(cloud) < 9
 
     @pytest.mark.parametrize("k", [-4, -1, 0, 1, 4])
@@ -1538,7 +1518,7 @@ class TestMergeClose:
         # rows far from it and from each other
         d = gg._STEP_ACCEPT * r * (1.0 + k * np.finfo(float).eps)
         raw = np.array([[0.3 * r], [-0.0], [-0.5 * r], [d], [0.9 * r]])
-        cloud, _, _, _ = _built(monkeypatch, r, raw)
+        cloud = _built(monkeypatch, r, raw)[0]
         # 4 ulps above the tolerance squares to more than its square
         assert len(cloud) == 4 if k <= 0 else len(cloud) == 5 or k < 4
 
@@ -1552,9 +1532,9 @@ class TestMergeClose:
         raw = np.array([[0.0, 0.5 * r], [-0.0, -0.5 * r], [-0.0, 0.5 * r],
                         [0.0, 0.25 * r], [-0.0, 0.25 * r + 0.5 * tol],
                         [0.0, -0.25 * r]])
-        cloud, trees, queries, distinct = _built(monkeypatch, r, raw)
+        cloud, queries, distinct = _built(monkeypatch, r, raw)
         assert len(distinct) == 5 and len(cloud) == 4
-        assert queries == trees == [4]
+        assert queries == [(4, 4)]
 
     def test_matches_loop_on_slice_samples(self, curves, surfaces,
                                            monkeypatch):
@@ -1564,7 +1544,7 @@ class TestMergeClose:
         for nvars, eqs in _corpus_systems(curves, surfaces):
             raw, ok = gg.project_to_sphere_slice(
                 eqs, ga.sphere_directions(nvars, 128, 1) * r, r)
-            cloud, _, _, distinct = _built(monkeypatch, r, raw[ok])
+            cloud, _, distinct = _built(monkeypatch, r, raw[ok])
             merged += len(cloud) < len(distinct)
         assert merged > 0
 
@@ -2022,9 +2002,10 @@ class TestDirectedDeviation:
 
     def test_nearest_distance_is_column_0_of_a_k3_query(self, surfaces,
                                                          shared_cache):
-        # the limit fit reads its deviations from column 0 of the k = [1, 2,
-        # 3] query it shares with the horn criterion; scipy must give that
-        # column the bits of a k = 1 query, ties and near-copies included
+        # the limit fit reads its deviations from column 0 of the k = 3
+        # query it shares with the horn criterion; _nearest must give that
+        # column the bits of a k-d tree's k = 1 query, ties and near-copies
+        # included
         rng = np.random.default_rng(3)
         cloud = ga.sample_slice(surfaces.get("graph_exp"), 0.25, npoints=1000,
                                 seed=0, cache=shared_cache).points
@@ -2032,10 +2013,45 @@ class TestDirectedDeviation:
         for P, Q in [(rng.normal(size=(500, 3)), rng.normal(size=(700, 3))),
                      (cloud + 1e-3 * rng.normal(size=cloud.shape), cloud),
                      (tied + 0.5, tied)]:
-            tree = cKDTree(Q)
-            nearest = tree.query(P)[0]
-            for k in ([1], [1, 2], [1, 2, 3]):
-                assert np.array_equal(tree.query(P, k=k)[0][:, 0], nearest)
+            nearest = cKDTree(Q).query(P)[0]
+            for k in (1, 2, 3):
+                assert np.array_equal(gg._nearest(P, Q, k)[0][:, 0], nearest)
+
+    @pytest.mark.parametrize("data", ["random", "near_copies", "ties"])
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_nearest_matches_a_k_d_tree(self, surfaces, shared_cache, nvars,
+                                        data):
+        # _nearest against scipy's k-d tree: the distances bit for bit, and
+        # each index a row at its reported distance, so the indices differ
+        # only among exactly tied rows
+        rng = np.random.default_rng(nvars)
+        if data == "random":
+            P, X = rng.normal(size=(700, nvars)), rng.normal(size=(500, nvars))
+        elif data == "near_copies":
+            cloud = ga.sample_slice(surfaces.get("graph_exp"), 0.25,
+                                    npoints=1000, seed=0,
+                                    cache=shared_cache).points
+            P = np.concatenate([cloud, cloud[:, :1]], axis=1)[:, :nvars]
+            X = P + 1e-3 * rng.normal(size=P.shape)
+        else:
+            P = rng.integers(-3, 4, size=(300, nvars)).astype(float)
+            X = rng.integers(-3, 4, size=(1000, nvars)) + 0.5
+        for k in (1, 2, 3, len(P)):
+            dists, idx = gg._nearest(X, P, k)
+            want, want_idx = cKDTree(P).query(X, k=list(range(1, k + 1)))
+            assert np.array_equal(dists, want)
+            for i in (idx, want_idx):
+                assert np.array_equal(
+                    np.linalg.norm(X[:, None] - P[i], axis=-1), dists)
+            assert (np.sort(idx, axis=1)[:, 1:] != np.sort(idx, axis=1)[
+                :, :-1]).all()
+        # more pairs than one chunk: the rows get the bits of one call each
+        assert len(X) * len(P) > gg._NEAREST_PAIRS
+        dists, idx = gg._nearest(X, P, 3)
+        for i in range(0, len(X), 37):
+            lone = gg._nearest(X[i:i + 1], P, 3)
+            assert np.array_equal(lone[0], dists[i:i + 1])
+            assert np.array_equal(lone[1], idx[i:i + 1])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("size", [2, 2001])
@@ -2047,6 +2063,14 @@ class TestDirectedDeviation:
             ga.directed_deviation(P, Q)
         with pytest.raises(ValueError):
             ga.directed_deviation(Q, P)
+
+    def test_mismatched_widths_raise(self):
+        # rows of 2 against rows of 3 are an input error, not a distance
+        # over the columns they share
+        with pytest.raises(ValueError):
+            ga.directed_deviation(np.zeros((3, 2)), np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            ga.directed_deviation(np.ones((4, 3)), np.zeros((3, 2)))
 
 
 class TestDistToSet:
@@ -2160,7 +2184,7 @@ class TestDistToSet:
 
 def _dist_reference(X, s, npoints, seed, cache):
     """dist_to_set_batch assembled from a dense queries x cloud matrix, its
-    argsort, and a multistart rebuilt per stratum: the path the k-d tree
+    argsort, and a multistart rebuilt per stratum: the path the neighbour
     query must reproduce."""
     X = np.asarray(X, dtype=float)
     best = np.full(len(X), math.inf)
@@ -2297,7 +2321,7 @@ class TestDistMatchesDense:
     @pytest.mark.parametrize("seed,j", [(0, 2), (0, 6), (1, 6)])
     def test_curve_cloud_ties(self, curves, shared_cache, seed, j):
         # exp_curve's slice is two points, each one cloud point; near-copies
-        # would be tied nearest starts that the tree and argsort may break
+        # would be tied nearest starts that _nearest and argsort may break
         # differently, so without them the two paths agree to the bit
         b = curves.get("exp_curve")
         X, got, want = self._both(curves.get("trunc2"), b, 0.25 * 2.0 ** -j,
@@ -2355,8 +2379,7 @@ def _query_cloud(X):
     X = np.asarray(X, dtype=float)
     return gg.SliceCloud(r=float(np.median(np.linalg.norm(X, axis=1))),
                          points=X, converged_fraction=1.0,
-                         counts=np.ones(len(X), dtype=int), attempts=len(X),
-                         tree=cKDTree(X))
+                         counts=np.ones(len(X), dtype=int), attempts=len(X))
 
 
 class TestMaxDist:
@@ -2451,7 +2474,7 @@ class TestMaxDist:
     def test_neighbours_only_for_refined_rows(self, request, fresh_cache,
                                               monkeypatch, coll, a, b):
         # the bounds need no neighbour query: only the rows of the chunks
-        # the screen refines meet B's tree, and a point of B's cloud is at
+        # the screen refines are queried in B's cloud, and a point of it is at
         # distance 0 without a landing
         sets = request.getfixturevalue(coll)
         a, b = _get(sets, a), _get(sets, b)
@@ -2691,8 +2714,7 @@ class TestSliceDistances:
             X = gg.sphere_directions(3, 200 + 12 * k, seed=k) * r
             clouds.append(gg.SliceCloud(
                 r=r, points=X, converged_fraction=1.0,
-                counts=np.ones(len(X), dtype=int), attempts=len(X),
-                tree=cKDTree(X)))
+                counts=np.ones(len(X), dtype=int), attempts=len(X)))
         return clouds
 
     @staticmethod
@@ -2749,8 +2771,7 @@ class TestSliceDistances:
         for i in range(0, len(X), 47):
             lone = gg.SliceCloud(r=r[i], points=X[i:i + 1],
                                  converged_fraction=1.0,
-                                 counts=np.ones(1, dtype=int), attempts=1,
-                                 tree=cKDTree(X[i:i + 1]))
+                                 counts=np.ones(1, dtype=int), attempts=1)
             assert np.array_equal(self._row_dists([lone], s, shared_cache),
                                   rows[i:i + 1])
             assert gg._max_dists([lone], s, 256, 0, shared_cache) == [rows[i]]
@@ -2764,8 +2785,7 @@ class TestSliceDistances:
         X = r * np.column_stack([np.cos(angles), np.sin(angles)])
         cloud = gg.SliceCloud(r=r, points=X, converged_fraction=1.0,
                               counts=np.ones(len(X), dtype=int),
-                              attempts=len(X),
-                              tree=cKDTree(X))
+                              attempts=len(X))
         want = np.maximum(-X[:, 1], 0.0)
         got = self._row_dists([cloud], s, fresh_cache)
         assert (np.abs(got - want) <= 1e-12 * r).all()
@@ -2857,22 +2877,24 @@ def _continuum_by_counts(cloud):
 
 
 def _count_gap_queries(monkeypatch):
-    """Make the clouds' k-d trees record their sizes, and each k=2 query
-    of all of a tree's points (the query of a cloud's gaps); returns both
-    records."""
+    """Make the cloud builder record each cloud's size, and the neighbour
+    query each k=2 query of a cloud's points against themselves (the query
+    of a cloud's gaps); returns both records."""
     built, whole = [], []
+    slice_cloud, nearest = gg._slice_cloud, gg._nearest
 
-    class CountingTree(cKDTree):
-        def __init__(self, data, *args, **kw):
-            built.append(len(data))
-            super().__init__(data, *args, **kw)
+    def counted_cloud(*args):
+        cloud = slice_cloud(*args)
+        built.append(len(cloud))
+        return cloud
 
-        def query(self, x, k=1, *args, **kw):
-            if k == 2 and len(x) == self.n:
-                whole.append(len(x))
-            return super().query(x, k, *args, **kw)
+    def counted_nearest(X, P, k):
+        if k == 2 and X is P:
+            whole.append(len(X))
+        return nearest(X, P, k)
 
-    monkeypatch.setattr(gg, "cKDTree", CountingTree)
+    monkeypatch.setattr(gg, "_slice_cloud", counted_cloud)
+    monkeypatch.setattr(gg, "_nearest", counted_nearest)
     return built, whole
 
 
@@ -3113,8 +3135,8 @@ def _inflate(s, m=1):
 
 class TestCloudReuse:
     """Sets whose accepted samples at a radius are equal bit for bit share
-    one cloud's points, spacing and tree, and one deviation per pair of
-    point sets; each keeps its own converged fraction and attempts."""
+    one cloud's points and spacing, and one deviation per pair of point
+    sets; each keeps its own converged fraction and attempts."""
 
     @staticmethod
     def _same_as_fresh(s, cloud):
@@ -3122,7 +3144,7 @@ class TestCloudReuse:
         assert np.array_equal(cloud.points, fresh.points)
         assert (cloud.spacing, cloud.converged_fraction, cloud.attempts) == \
             (fresh.spacing, fresh.converged_fraction, fresh.attempts)
-        assert cloud.key == fresh.key and cloud.tree.n == fresh.tree.n
+        assert cloud.key == fresh.key
 
     @pytest.mark.parametrize("name", ["exp_curve", "halfline", "cusp"])
     def test_inflation_shares_the_part_cloud(self, curves, name):
@@ -3134,7 +3156,7 @@ class TestCloudReuse:
         inflated = gg.sample_slices(infl, radii, cache=cache)
         for a, b in zip(own, inflated):
             assert b is not a
-            assert b.points is a.points and b.tree is a.tree
+            assert b.points is a.points
             assert b.counts is a.counts and b._memo is a._memo
             assert b.key == a.key and b.spacing == a.spacing
             # the slack's boundary is one stratum more, and never projected
@@ -3144,14 +3166,7 @@ class TestCloudReuse:
 
     def test_one_deviation_per_pair_of_point_sets(self, curves,
                                                   monkeypatch):
-        queried = []
-
-        class CountingTree(cKDTree):
-            def query(self, x, *args, **kw):
-                queried.append(len(x))
-                return super().query(x, *args, **kw)
-
-        monkeypatch.setattr(gg, "cKDTree", CountingTree)
+        queried = _count_nearest(monkeypatch)
         s = curves.get("exp_curve")
         cache = ga.SliceCache()
         a, b, c = (gg.sample_slices(x, [0.25], cache=cache)[0]
@@ -3176,14 +3191,14 @@ class TestCloudReuse:
                 ga.directed_deviation(a.points, c.points),
             ("deviation", c.key, a.key):
                 ga.directed_deviation(c.points, a.points)}
-        # a repeat call reads the entry and asks no tree
+        # a repeat call reads the entry and queries nothing
         queried.clear()
         for x, y in ((a, b), (b, c), (c, b)):
             gg._deviation(x, y, cache)
         assert queried == []
         # a cloud without a key is measured afresh and stores nothing
         bare = gg.SliceCloud(r=0.25, points=a.points, converged_fraction=1.0,
-                             counts=a.counts, attempts=1, tree=a.tree)
+                             counts=a.counts, attempts=1)
         keys = len(cache._store)
         for x, y in ((bare, c), (c, bare)):
             want = ga.directed_deviation(x.points, y.points)
@@ -3221,7 +3236,7 @@ class TestCloudReuse:
         keys = len(cache._store)
         bare = gg.SliceCloud(r=0.25, points=clouds[0].points,
                              converged_fraction=1.0, counts=clouds[0].counts,
-                             attempts=1, tree=clouds[0].tree)
+                             attempts=1)
         assert gg._max_dists([bare], b, 256, 0, cache) == first[:1]
         assert len(rows) == 3 and len(cache._store) == keys
 

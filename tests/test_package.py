@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +50,39 @@ def test_benchmark_curve_pairs_match_the_tests(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     assert workloads.CURVE_PAIRS == CURVE_PAIRS
+
+
+# Three CLI calls with every scipy import refused: prints their exit codes
+# and whether scipy got loaded
+_WITHOUT_SCIPY = """
+import sys
+from importlib import resources
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+from germapprox.cli import main
+
+corpus = resources.files("germapprox") / "corpus"
+codes = [main([cmd, str(corpus / name), *rest]) for cmd, name, *rest in (
+    ("compare", "curves.json", "exp_curve", "trunc4", "--s", "4.5"),
+    ("approx", "curves.json", "cusp_product", "--s", "2"),
+    ("tangent", "surfaces.json", "graph_exp"))]
+print(codes, "scipy" in sys.modules)
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: the library and the CLI run with
+    # every scipy import refused
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False"
